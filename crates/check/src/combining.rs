@@ -49,7 +49,7 @@ enum Kind {
     AddU,
     /// f64 sum in bit patterns (f64 reduction).
     AddF,
-    /// `GETSUB`/ticket grab: result is the old cursor, cursor advances by
+    /// `GETSUB` grab: result is the old cursor, cursor advances by
     /// `arg` clamped to `end`.
     Grab {
         /// Exclusive end of the dispensed range.
@@ -196,23 +196,23 @@ impl ShadowCombining {
     }
 }
 
-/// Shadow of the combining u64 reducer (`CombiningReducer` via `ReduceU64`).
+/// Shadow of the combined u64 cell of [`splash4_parmacs::Reducer`].
 #[derive(Debug, Clone, Copy)]
-pub struct ShadowCombiningReducer {
+pub struct ShadowCombinedReducer {
     core: ShadowCombining,
 }
 
-impl ShadowCombiningReducer {
+impl ShadowCombinedReducer {
     /// Allocate a zeroed sum combined across `n` participants.
-    pub fn new(sb: &Sandbox, n: usize, spec: CombiningSpec) -> ShadowCombiningReducer {
-        ShadowCombiningReducer {
+    pub fn new(sb: &Sandbox, n: usize, spec: CombiningSpec) -> ShadowCombinedReducer {
+        ShadowCombinedReducer {
             core: ShadowCombining::new(sb, Kind::AddU, n, spec),
         }
     }
 
     /// The exit-before-drain mutant of this reducer.
-    pub fn with_exit_before_drain(self) -> ShadowCombiningReducer {
-        ShadowCombiningReducer {
+    pub fn with_exit_before_drain(self) -> ShadowCombinedReducer {
+        ShadowCombinedReducer {
             core: self.core.with_exit_before_drain(),
         }
     }
@@ -238,16 +238,16 @@ impl ShadowCombiningReducer {
     }
 }
 
-/// Shadow of the combining f64 reducer (`CombiningReducer` via `ReduceF64`).
+/// Shadow of the combined f64 cell of [`splash4_parmacs::Reducer`].
 #[derive(Debug, Clone, Copy)]
-pub struct ShadowCombiningF64 {
+pub struct ShadowCombinedF64 {
     core: ShadowCombining,
 }
 
-impl ShadowCombiningF64 {
+impl ShadowCombinedF64 {
     /// Allocate a zeroed f64 sum combined across `n` participants.
-    pub fn new(sb: &Sandbox, n: usize, spec: CombiningSpec) -> ShadowCombiningF64 {
-        ShadowCombiningF64 {
+    pub fn new(sb: &Sandbox, n: usize, spec: CombiningSpec) -> ShadowCombinedF64 {
+        ShadowCombinedF64 {
             core: ShadowCombining::new(sb, Kind::AddF, n, spec),
         }
     }
@@ -273,17 +273,18 @@ impl ShadowCombiningF64 {
     }
 }
 
-/// Shadow of the combining `GETSUB` counter (`CombiningCounter`), chunk 1.
+/// Shadow of the combined cursor of [`splash4_parmacs::IndexCounter`],
+/// chunk 1.
 #[derive(Debug, Clone, Copy)]
-pub struct ShadowCombiningCounter {
+pub struct ShadowCombinedCounter {
     core: ShadowCombining,
     total: u64,
 }
 
-impl ShadowCombiningCounter {
+impl ShadowCombinedCounter {
     /// Allocate a counter dispensing `0..total` across `n` participants.
-    pub fn new(sb: &Sandbox, total: u64, n: usize, spec: CombiningSpec) -> ShadowCombiningCounter {
-        ShadowCombiningCounter {
+    pub fn new(sb: &Sandbox, total: u64, n: usize, spec: CombiningSpec) -> ShadowCombinedCounter {
+        ShadowCombinedCounter {
             core: ShadowCombining::new(sb, Kind::Grab { end: total }, n, spec),
             total,
         }
@@ -305,62 +306,21 @@ impl ShadowCombiningCounter {
     }
 }
 
-/// Shadow of the combining ticket dispenser (`CombiningDispenser`).
-#[derive(Debug, Clone, Copy)]
-pub struct ShadowCombiningDispenser {
-    core: ShadowCombining,
-    total: u64,
-}
-
-impl ShadowCombiningDispenser {
-    /// Allocate a dispenser handing out `0..total` across `n` participants.
-    pub fn new(
-        sb: &Sandbox,
-        total: u64,
-        n: usize,
-        spec: CombiningSpec,
-    ) -> ShadowCombiningDispenser {
-        ShadowCombiningDispenser {
-            core: ShadowCombining::new(sb, Kind::Grab { end: total }, n, spec),
-            total,
-        }
-    }
-
-    /// Claim a ticket, `None` once the range is exhausted.
-    pub fn claim(&self, ctx: &ThreadCtx, tid: usize) -> Option<u64> {
-        ctx.invoke(Op::Claim);
-        let i = self.core.run(ctx, tid, OP_APPLY, 1);
-        if i < self.total {
-            ctx.ret(RetVal::Val(i));
-            Some(i)
-        } else {
-            ctx.ret(RetVal::Empty);
-            None
-        }
-    }
-
-    /// Read the current claim cursor (not a history op, mirroring
-    /// `TicketDispenser::claimed`).
-    pub fn claimed(&self, ctx: &ThreadCtx, tid: usize) -> u64 {
-        self.core.run(ctx, tid, OP_READ, 0)
-    }
-}
-
-/// Shadow of [`splash4_parmacs::CombiningBarrier`]: arrival funnels through
-/// the combining core; the closing arrival's result carries
+/// Shadow of [`splash4_parmacs::SenseBarrier`] with combined arrival:
+/// arrival funnels through the combining core; the closing arrival's result carries
 /// [`ARRIVE_LAST`], and that thread bumps the generation word every other
 /// participant waits on with the shipped sense-barrier orderings.
 #[derive(Debug, Clone, Copy)]
-pub struct ShadowCombiningBarrier {
+pub struct ShadowCombinedBarrier {
     core: ShadowCombining,
     generation: usize,
     gen_spec: SenseBarrierSpec,
 }
 
-impl ShadowCombiningBarrier {
+impl ShadowCombinedBarrier {
     /// Allocate a barrier for `n` participants.
-    pub fn new(sb: &Sandbox, n: usize, spec: CombiningSpec) -> ShadowCombiningBarrier {
-        ShadowCombiningBarrier {
+    pub fn new(sb: &Sandbox, n: usize, spec: CombiningSpec) -> ShadowCombinedBarrier {
+        ShadowCombinedBarrier {
             core: ShadowCombining::new(sb, Kind::Arrive { n: n as u64 }, n, spec),
             generation: sb.alloc_atomic("combining.barrier.generation", 0),
             gen_spec: SenseBarrierSpec::SPLASH4,
@@ -392,7 +352,7 @@ pub fn combining_reduce_scenario(
     exit_before_drain: bool,
 ) -> impl Fn(&mut Sandbox) + Sync {
     move |sb: &mut Sandbox| {
-        let mut cell = ShadowCombiningReducer::new(sb, 3, spec);
+        let mut cell = ShadowCombinedReducer::new(sb, 3, spec);
         if exit_before_drain {
             cell = cell.with_exit_before_drain();
         }
@@ -423,7 +383,7 @@ pub fn combining_reduce_scenario(
 /// batches through the core.
 pub fn combining_reduce_f64_scenario(spec: CombiningSpec) -> impl Fn(&mut Sandbox) + Sync {
     move |sb: &mut Sandbox| {
-        let cell = ShadowCombiningF64::new(sb, 3, spec);
+        let cell = ShadowCombinedF64::new(sb, 3, spec);
         sb.spec(SpecModel::SumF64(0f64.to_bits()));
         let peek = sb.peek();
         sb.thread(move |ctx| {
@@ -454,30 +414,11 @@ pub fn combining_reduce_f64_scenario(spec: CombiningSpec) -> impl Fn(&mut Sandbo
 /// through the core.
 pub fn combining_getsub_scenario(spec: CombiningSpec) -> impl Fn(&mut Sandbox) + Sync {
     move |sb: &mut Sandbox| {
-        let counter = ShadowCombiningCounter::new(sb, 4, 3, spec);
+        let counter = ShadowCombinedCounter::new(sb, 4, 3, spec);
         sb.spec(SpecModel::Ticket { total: 4, next: 0 });
         for tid in 0..3usize {
             sb.thread(move |ctx| while counter.next(ctx, tid).is_some() {});
         }
-    }
-}
-
-/// Combining ticket-dispenser workload: two claimers over-subscribe a short
-/// range while a third thread polls the cursor and takes the last claim.
-pub fn combining_ticket_scenario(spec: CombiningSpec) -> impl Fn(&mut Sandbox) + Sync {
-    move |sb: &mut Sandbox| {
-        let tickets = ShadowCombiningDispenser::new(sb, 3, 3, spec);
-        sb.spec(SpecModel::Ticket { total: 3, next: 0 });
-        for tid in 0..2usize {
-            sb.thread(move |ctx| {
-                tickets.claim(ctx, tid);
-                tickets.claim(ctx, tid);
-            });
-        }
-        sb.thread(move |ctx| {
-            tickets.claimed(ctx, 2);
-            tickets.claim(ctx, 2);
-        });
     }
 }
 
@@ -486,7 +427,7 @@ pub fn combining_ticket_scenario(spec: CombiningSpec) -> impl Fn(&mut Sandbox) +
 /// the same phase-separation property the sense barrier is checked for.
 pub fn combining_barrier_scenario(spec: CombiningSpec) -> impl Fn(&mut Sandbox) + Sync {
     move |sb: &mut Sandbox| {
-        let bar = ShadowCombiningBarrier::new(sb, 3, spec);
+        let bar = ShadowCombinedBarrier::new(sb, 3, spec);
         let phase = sb.alloc_data("phase", 0);
         for tid in 0..3usize {
             sb.thread(move |ctx| {
@@ -507,42 +448,36 @@ pub fn combining_barrier_scenario(spec: CombiningSpec) -> impl Fn(&mut Sandbox) 
 /// Check every combining-ported construct. Deterministic for a fixed
 /// budget, like [`crate::check_suite`].
 pub fn check_combining(budget: &CheckBudget) -> Vec<ConstructReport> {
-    let rows: Vec<(&'static str, &'static str, Box<Scenario>)> = vec![
+    // Budget indices are part of a row's identity (see `check_suite`).
+    let rows: Vec<(u64, &'static str, &'static str, Box<Scenario>)> = vec![
         (
+            500,
             "combining/reduce-u64",
             "linearizable batched sum, race-free handoff",
             Box::new(combining_reduce_scenario(CombiningSpec::SPLASH4X, false)),
         ),
         (
+            501,
             "combining/reduce-f64",
             "linearizable batched f64 sum, no lost updates",
             Box::new(combining_reduce_f64_scenario(CombiningSpec::SPLASH4X)),
         ),
         (
+            502,
             "combining/getsub",
             "linearizable batched index grab, race-free",
             Box::new(combining_getsub_scenario(CombiningSpec::SPLASH4X)),
         ),
         (
-            "combining/ticket",
-            "linearizable batched dispenser, race-free",
-            Box::new(combining_ticket_scenario(CombiningSpec::SPLASH4X)),
-        ),
-        (
+            504,
             "combining/barrier",
             "phase separation, deadlock-free",
             Box::new(combining_barrier_scenario(CombiningSpec::SPLASH4X)),
         ),
     ];
     rows.into_iter()
-        .enumerate()
-        .map(|(i, (construct, property, scenario))| {
-            run_construct(
-                construct,
-                property,
-                &*scenario,
-                &budget.to_budget(500 + i as u64),
-            )
+        .map(|(idx, construct, property, scenario)| {
+            run_construct(construct, property, &*scenario, &budget.to_budget(idx))
         })
         .collect()
 }

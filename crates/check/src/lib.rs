@@ -2,8 +2,8 @@
 //! linearizability testing for the suite's lock-free constructs.
 //!
 //! The Splash-4 constructs — Treiber stack, sense-reversing barrier,
-//! `fetch_add` `GETSUB` counters, CAS-loop reductions, atomic pause flags,
-//! ticket dispensers — are each a few dozen lines whose correctness hinges
+//! `fetch_add` `GETSUB` counters, CAS-loop reductions, atomic pause flags
+//! — are each a few dozen lines whose correctness hinges
 //! on memory-ordering annotations no conventional test exercises: a weakened
 //! `Acquire`, a missed sense flip, or a lost-update window only fails on
 //! interleavings the OS scheduler may never produce. This crate makes those
@@ -70,8 +70,8 @@ pub use clock::VClock;
 pub use combining::{
     check_combining, check_combining_mutants, combining_barrier_scenario,
     combining_getsub_scenario, combining_mutants, combining_reduce_f64_scenario,
-    combining_reduce_scenario, combining_ticket_scenario, ShadowCombiningBarrier,
-    ShadowCombiningCounter, ShadowCombiningDispenser, ShadowCombiningF64, ShadowCombiningReducer,
+    combining_reduce_scenario, ShadowCombinedBarrier, ShadowCombinedCounter, ShadowCombinedF64,
+    ShadowCombinedReducer,
 };
 pub use engine::{Failure, MemoryModel, Peek, Sandbox, ThreadCtx};
 pub use explore::{
@@ -89,13 +89,12 @@ pub use reclaim::{
 };
 pub use shadow::{
     ShadowAtomicF64, ShadowCounter, ShadowFlag, ShadowLock, ShadowLockedQueue, ShadowReduceU64,
-    ShadowSenseBarrier, ShadowTicketDispenser, ShadowTreiberStack,
+    ShadowSenseBarrier, ShadowTreiberStack,
 };
 pub use suite::{
     check_mutants, check_suite, flag_scenario, getsub_scenario, locked_queue_scenario, mutants,
-    reduce_f64_scenario, reduce_u64_scenario, sense_barrier_scenario, ticket_reset_misuse_scenario,
-    ticket_reset_scenario, ticket_scenario, treiber_scenario, CheckBudget, ConstructReport,
-    MutantReport, Verdict,
+    reduce_f64_scenario, reduce_u64_scenario, sense_barrier_scenario, treiber_scenario,
+    CheckBudget, ConstructReport, MutantReport, Verdict,
 };
 pub use weakmem::{
     barrier_handshake_scenario, check_weakmem, check_weakmem_mutants, cmap_pin_scan_scenario,

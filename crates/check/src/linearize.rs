@@ -28,8 +28,6 @@ pub enum Op {
     Enqueue(u64),
     /// FIFO dequeue.
     Dequeue,
-    /// Ticket-dispenser claim.
-    Claim,
     /// `GETSUB`-style index grab.
     Next,
     /// Floating-point reduction add (value as `f64::to_bits`).
@@ -49,7 +47,6 @@ impl fmt::Display for Op {
             Op::Pop => write!(f, "pop"),
             Op::Enqueue(v) => write!(f, "enq({v})"),
             Op::Dequeue => write!(f, "deq"),
-            Op::Claim => write!(f, "claim"),
             Op::Next => write!(f, "next"),
             Op::AddF(b) => write!(f, "add({})", f64::from_bits(b)),
             Op::LoadF => write!(f, "load"),
@@ -90,7 +87,7 @@ pub enum SpecModel {
     Stack(Vec<u64>),
     /// FIFO queue of values (locked-queue spec).
     Fifo(VecDeque<u64>),
-    /// Ticket dispenser / `GETSUB` counter over `0..total`: hands out
+    /// `GETSUB` counter over `0..total`: hands out
     /// consecutive indices then `Empty`.
     Ticket {
         /// Number of slots to dispense.
@@ -124,7 +121,7 @@ impl SpecModel {
                 Some(v) => RetVal::Val(v),
                 None => RetVal::Empty,
             },
-            (SpecModel::Ticket { total, next }, Op::Claim | Op::Next) => {
+            (SpecModel::Ticket { total, next }, Op::Next) => {
                 if *next < *total {
                     let i = *next;
                     *next += 1;
@@ -322,14 +319,14 @@ mod tests {
     #[test]
     fn ticket_spec_dispenses_consecutively() {
         let h = vec![
-            rec(0, Op::Claim, RetVal::Val(0), 0, 1),
-            rec(1, Op::Claim, RetVal::Val(1), 2, 3),
-            rec(0, Op::Claim, RetVal::Empty, 4, 5),
+            rec(0, Op::Next, RetVal::Val(0), 0, 1),
+            rec(1, Op::Next, RetVal::Val(1), 2, 3),
+            rec(0, Op::Next, RetVal::Empty, 4, 5),
         ];
         assert!(check_history(&SpecModel::Ticket { total: 2, next: 0 }, &h).is_ok());
         let dup = vec![
-            rec(0, Op::Claim, RetVal::Val(0), 0, 1),
-            rec(1, Op::Claim, RetVal::Val(0), 2, 3),
+            rec(0, Op::Next, RetVal::Val(0), 0, 1),
+            rec(1, Op::Next, RetVal::Val(0), 2, 3),
         ];
         assert!(check_history(&SpecModel::Ticket { total: 2, next: 0 }, &dup).is_err());
     }

@@ -200,7 +200,7 @@ impl ShadowAtomicF64 {
     }
 }
 
-/// Shadow of the integer side of [`splash4_parmacs::AtomicReducer`]:
+/// Shadow of the Splash-4 integer cell of [`splash4_parmacs::Reducer`]:
 /// a `fetch_add` sum cell.
 #[derive(Debug, Clone, Copy)]
 pub struct ShadowReduceU64 {
@@ -273,8 +273,8 @@ impl ShadowFlag {
     }
 }
 
-/// Shadow of [`splash4_parmacs::AtomicCounter`]: the `GETSUB` work-index
-/// counter over `0..total`.
+/// Shadow of the `fetch_add` arm of [`splash4_parmacs::IndexCounter`]: the
+/// `GETSUB` work-index counter over `0..total`.
 #[derive(Debug, Clone, Copy)]
 pub struct ShadowCounter {
     next: usize,
@@ -303,58 +303,6 @@ impl ShadowCounter {
             ctx.ret(RetVal::Empty);
             None
         }
-    }
-}
-
-/// Shadow of [`splash4_parmacs::TicketDispenser`], including the quiescent
-/// `reset` with its raced-reset check.
-#[derive(Debug, Clone, Copy)]
-pub struct ShadowTicketDispenser {
-    next: usize,
-    total: u64,
-    spec: TicketSpec,
-}
-
-impl ShadowTicketDispenser {
-    /// Allocate a dispenser handing out `0..total`.
-    pub fn new(sb: &Sandbox, total: u64, spec: TicketSpec) -> ShadowTicketDispenser {
-        ShadowTicketDispenser {
-            next: sb.alloc_atomic("ticket.next", 0),
-            total,
-            spec,
-        }
-    }
-
-    /// Claim a ticket, `None` once the range is exhausted.
-    pub fn claim(&self, ctx: &ThreadCtx) -> Option<u64> {
-        ctx.invoke(Op::Claim);
-        let i = ctx.op_rmw(self.next, self.spec.claim_rmw, |v| v + 1);
-        if i < self.total {
-            ctx.ret(RetVal::Val(i));
-            Some(i)
-        } else {
-            ctx.ret(RetVal::Empty);
-            None
-        }
-    }
-
-    /// Read how many claims have happened (mirrors
-    /// `TicketDispenser::claimed`).
-    pub fn claimed(&self, ctx: &ThreadCtx) -> u64 {
-        ctx.op_load(self.next, self.spec.reset_load)
-    }
-
-    /// Reset for the next phase. Mirrors `TicketDispenser::reset`: requires
-    /// quiescence, and the shadow check fails the execution when a
-    /// concurrent `claim` slips between the pre-read and the swap.
-    pub fn reset(&self, ctx: &ThreadCtx) {
-        let s = self.spec;
-        let before = ctx.op_load(self.next, s.reset_load);
-        let seen = ctx.op_rmw(self.next, s.reset_swap, |_| 0);
-        ctx.check(
-            before == seen,
-            "TicketDispenser::reset raced with claim(); reset requires quiescence",
-        );
     }
 }
 

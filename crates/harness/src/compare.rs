@@ -3,16 +3,10 @@
 //! `splash4-report --validate` and `--compare` both run on the document
 //! model in this module. A [`BenchDoc`] is the decoded form of a
 //! `BENCH_results.json`: a flat list of named metrics, each carrying a
-//! [`Summary`] and a [`MetricClass`]. Two schema generations decode into it:
-//!
-//! - **`splash4-bench-v2`** (current): every metric is a full
-//!   `{median, ci_lo, ci_hi, reps, cv, samples}` object produced by
-//!   [`crate::measure`];
-//! - **`splash4-bench-v1`** (legacy, read-side shim): metrics are bare point
-//!   estimates. They decode to summaries widened by an assumed legacy noise
-//!   floor ([`LEGACY_RCI`], ±10 %) — the honest statement that a v1 number
-//!   carries no confidence information — so pre-v2 history stays diffable
-//!   and comparable without ever looking more certain than it is.
+//! [`Summary`] and a [`MetricClass`]. The one schema is
+//! **`splash4-bench-v2`**: every metric is a full
+//! `{median, ci_lo, ci_hi, reps, cv, samples}` object produced by
+//! [`crate::measure`].
 //!
 //! The comparison itself is paired and class-aware. A delta only *gates*
 //! (non-zero exit) when it is **statistically resolvable**: the two 95 %
@@ -30,10 +24,6 @@ use crate::measure::{geomean_ratios, Summary};
 use crate::tables::Table;
 use splash4_parmacs::Json;
 use std::path::Path;
-
-/// Assumed relative noise floor for legacy v1 point estimates (half-width as
-/// a fraction of the value).
-pub const LEGACY_RCI: f64 = 0.10;
 
 /// What a metric measures, which fixes its regression direction and its
 /// minimum resolvable effect.
@@ -97,8 +87,6 @@ pub struct Metric {
 /// A decoded bench document.
 #[derive(Debug, Clone)]
 pub struct BenchDoc {
-    /// Schema generation: 1 or 2.
-    pub version: u32,
     /// The raw `config` block (workload sizing; compared for commensurability).
     pub config: Json,
     /// All metrics, in document order.
@@ -143,7 +131,7 @@ const SHAPE_KEYS: [&str; 8] = [
 ];
 
 impl BenchDoc {
-    /// Parse and validate bench JSON text (either schema generation).
+    /// Parse and validate bench JSON text.
     pub fn parse(text: &str) -> Result<BenchDoc, String> {
         let doc = Json::parse(text)?;
         BenchDoc::from_json(&doc)
@@ -152,14 +140,13 @@ impl BenchDoc {
     /// Decode a bench document, dispatching on its `schema` field.
     pub fn from_json(doc: &Json) -> Result<BenchDoc, String> {
         match doc["schema"].as_str() {
-            Some("splash4-bench-v2") => BenchDoc::decode(doc, 2),
-            Some("splash4-bench-v1") => BenchDoc::decode(doc, 1),
+            Some("splash4-bench-v2") => BenchDoc::decode(doc),
             Some(other) => Err(format!("unknown bench schema `{other}`")),
             None => Err("document has no `schema` string".into()),
         }
     }
 
-    fn decode(doc: &Json, version: u32) -> Result<BenchDoc, String> {
+    fn decode(doc: &Json) -> Result<BenchDoc, String> {
         let config = doc["config"].clone();
         if config.as_object().is_none() {
             return Err("document has no `config` object".into());
@@ -171,17 +158,8 @@ impl BenchDoc {
         if metrics_json.as_object().is_none() {
             return Err("document has no `metrics` object".into());
         }
-        // v1 stores bare numbers; v2 stores summary objects. `read` closes
-        // over the difference so the flattening below is shared.
         let read = |v: &Json, what: &str| -> Result<Summary, String> {
-            let s = if version == 1 {
-                let n = v
-                    .as_f64()
-                    .ok_or_else(|| format!("metric `{what}`: expected a number (v1)"))?;
-                widen_legacy(n)
-            } else {
-                Summary::from_json(v).map_err(|e| format!("metric `{what}`: {e}"))?
-            };
+            let s = Summary::from_json(v).map_err(|e| format!("metric `{what}`: {e}"))?;
             if !(s.median.is_finite() && s.median > 0.0) {
                 return Err(format!("metric `{what}`: median must be positive"));
             }
@@ -205,15 +183,12 @@ impl BenchDoc {
                 if g.as_object().is_none() {
                     return Err(format!("missing metric group `{group}`"));
                 }
-                let mut per_backend = Vec::new();
                 for backend in BACKENDS {
                     let name = format!("{group}/{backend}");
-                    let s = read(&g[backend], &name)?;
-                    per_backend.push(s.clone());
                     metrics.push(Metric {
+                        summary: read(&g[backend], &name)?,
                         name,
                         class: MetricClass::Throughput,
-                        summary: s,
                     });
                 }
                 // The combining generation, when the document carries it.
@@ -226,10 +201,8 @@ impl BenchDoc {
                     });
                 }
                 // Lock-free over lock-based: the host-normalized form of the
-                // group. v2 documents carry it; for v1 we derive it from the two
-                // (already widened) point estimates.
+                // group.
                 let ratio = match &g["ratio"] {
-                    Json::Null if version == 1 => per_backend[1].ratio_vs(&per_backend[0]),
                     Json::Null => return Err(format!("metric group `{group}` missing `ratio`")),
                     v => read(v, &format!("{group}/ratio"))?,
                 };
@@ -407,11 +380,7 @@ impl BenchDoc {
                 .check()
                 .map_err(|e| format!("metric `{}`: {e}", m.name))?;
         }
-        Ok(BenchDoc {
-            version,
-            config,
-            metrics,
-        })
+        Ok(BenchDoc { config, metrics })
     }
 
     /// `true` when the two documents ran the same workload shape (same
@@ -428,26 +397,12 @@ impl BenchDoc {
     }
 }
 
-/// A legacy point estimate widened by the assumed v1 noise floor.
-fn widen_legacy(value: f64) -> Summary {
-    let hw = value.abs() * LEGACY_RCI;
-    Summary {
-        median: value,
-        ci_lo: value - hw,
-        ci_hi: value + hw,
-        reps: 1,
-        cv: LEGACY_RCI,
-        samples: vec![value],
-    }
-}
-
 /// Validate bench JSON text: schema, structure, and summary invariants.
 /// Returns a short human-readable description of what was checked.
 pub fn validate(text: &str) -> Result<String, String> {
     let doc = BenchDoc::parse(text)?;
     Ok(format!(
-        "splash4-bench-v{}: {} metrics ok ({} gateable cross-host)",
-        doc.version,
+        "splash4-bench-v2: {} metrics ok ({} gateable cross-host)",
         doc.metrics.len(),
         doc.metrics.iter().filter(|m| m.class.portable()).count()
     ))
@@ -820,31 +775,12 @@ mod tests {
         .to_string_pretty()
     }
 
-    fn synth_v1() -> String {
-        json!({
-            "schema": "splash4-bench-v1",
-            "config": json!({"quick": false, "repetitions": 5u64, "threads": 4u64,
-                "sync_ops": 1000u64, "barrier_crossings": 100u64,
-                "sim_cores": 8u64, "sim_ops_per_core": 100u64}),
-            "metrics": json!({
-                "reducer_ops_per_sec": json!({"splash3": 5.0e6, "splash4": 40.0e6}),
-                "counter_grabs_per_sec": json!({"splash3": 4.5e6, "splash4": 40.0e6}),
-                "barrier_crossings_per_sec": json!({"splash3": 1.5e5, "splash4": 1.1e5}),
-                "sim_events_per_sec": json!({"engine": 30.0e6, "reference": 17.0e6,
-                    "speedup": 30.0/17.0}),
-                "report_wall_secs": 0.25,
-            }),
-        })
-        .to_string_pretty()
-    }
-
     #[test]
     fn v2_documents_validate_and_decode() {
         let text = synth_v2(1.0, 0.03, false);
         let msg = validate(&text).expect("valid");
         assert!(msg.contains("v2"), "{msg}");
         let doc = BenchDoc::parse(&text).unwrap();
-        assert_eq!(doc.version, 2);
         // 3 backend groups of (splash3, splash4, splash4x, ratio), then sim,
         // wall, serve, reclaim, combining.
         assert_eq!(doc.metrics.len(), 3 * 4 + 3 + 1 + 3 + 5 + 4);
@@ -1117,22 +1053,16 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_decode_through_the_shim() {
-        let doc = BenchDoc::parse(&synth_v1()).expect("legacy parses");
-        assert_eq!(doc.version, 1);
-        let m = doc.metric("reducer_ops_per_sec/splash4").unwrap();
-        assert_eq!(m.summary.reps, 1);
-        assert!(m.summary.ci_lo < m.summary.median && m.summary.median < m.summary.ci_hi);
-        // Derived ratio exists even though v1 never recorded one.
-        let r = doc.metric("reducer_ops_per_sec/ratio").unwrap();
-        assert!((r.summary.median - 8.0).abs() < 1e-9);
-        assert_eq!(r.class, MetricClass::Ratio);
-    }
-
-    #[test]
     fn malformed_documents_are_rejected() {
         assert!(validate("{}").is_err());
-        assert!(validate(&synth_v2(1.0, 0.03, false).replace("splash4-bench-v2", "v9")).is_err());
+        // Neither a future generation nor the retired v1 has a decoder.
+        for generation in ["v9", "v1"] {
+            let text =
+                synth_v2(1.0, 0.03, false).replace("bench-v2", &format!("bench-{generation}"));
+            assert!(validate(&text)
+                .unwrap_err()
+                .contains("unknown bench schema"));
+        }
         // Drop a required group.
         let text = synth_v2(1.0, 0.03, false).replace("report_wall_secs", "renamed");
         assert!(validate(&text).is_err());
@@ -1206,15 +1136,6 @@ mod tests {
         let r = compare_texts(&base, &cand).expect("compares");
         assert!(r.pass(), "regressions: {:?}", r.regressions());
         assert!(r.deltas.iter().any(|d| d.resolvable));
-    }
-
-    #[test]
-    fn v1_vs_v2_mixed_comparison_works() {
-        let r = compare_texts(&synth_v1(), &synth_v2(1.0, 0.03, false)).expect("mixed");
-        assert!(r.pass(), "regressions: {:?}", r.regressions());
-        let r = compare_texts(&synth_v1(), &synth_v1()).expect("v1 self");
-        assert!(r.pass());
-        assert!((r.geomean_speedup - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -117,9 +117,7 @@ impl Summary {
         }
     }
 
-    /// A summary with a degenerate (zero-width) interval: what a legacy v1
-    /// point estimate decodes to before the compare layer widens it by the
-    /// assumed legacy noise floor.
+    /// A single value as a summary with a degenerate (zero-width) interval.
     pub fn point(value: f64) -> Summary {
         Summary {
             median: value,

@@ -1077,7 +1077,6 @@ mod tests {
         // The document passes its own validator and decodes fully.
         validate(&rendered).expect("fresh bench document validates");
         let decoded = BenchDoc::parse(&rendered).expect("decodes");
-        assert_eq!(decoded.version, 2);
         for m in &decoded.metrics {
             assert!(m.summary.median > 0.0, "{} must be positive", m.name);
             assert!(m.summary.reps >= 2, "{} must carry real reps", m.name);

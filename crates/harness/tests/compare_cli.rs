@@ -67,34 +67,6 @@ fn synth_v2(scale: f64, rci: f64) -> String {
     .to_string_pretty()
 }
 
-/// A legacy v1 document (bare point estimates), as PR 3 wrote them.
-fn synth_v1() -> String {
-    json!({
-        "schema": "splash4-bench-v1",
-        "config": json!({
-            "quick": false,
-            "repetitions": 5u64,
-            "threads": 4u64,
-            "sync_ops": 100000u64,
-            "barrier_crossings": 10000u64,
-            "sim_cores": 32u64,
-            "sim_ops_per_core": 4000u64,
-        }),
-        "metrics": json!({
-            "reducer_ops_per_sec": json!({"splash3": 4.86e6, "splash4": 40.28e6}),
-            "counter_grabs_per_sec": json!({"splash3": 4.57e6, "splash4": 40.42e6}),
-            "barrier_crossings_per_sec": json!({"splash3": 1.47e5, "splash4": 1.14e5}),
-            "sim_events_per_sec": json!({
-                "engine": 30.88e6,
-                "reference": 17.54e6,
-                "speedup": 1.76,
-            }),
-            "report_wall_secs": 0.242,
-        }),
-    })
-    .to_string_pretty()
-}
-
 #[test]
 fn validate_accepts_committed_baseline_and_rejects_garbage() {
     let out = report_bin()
@@ -176,37 +148,6 @@ fn compare_tolerates_within_noise_wiggle() {
         "within-noise wiggle must pass:\n{stdout}"
     );
     assert!(stdout.contains("PASS"), "{stdout}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn compare_reads_legacy_v1_documents() {
-    let dir = tmp_dir("legacy");
-    let v1 = dir.join("v1.json");
-    let v2 = dir.join("v2.json");
-    std::fs::write(&v1, synth_v1()).unwrap();
-    std::fs::write(&v2, synth_v2(1.0, 0.03)).unwrap();
-    // v1 self-comparison: identical numbers, must pass.
-    let out = report_bin()
-        .args(["--compare", v1.to_str().unwrap(), v1.to_str().unwrap()])
-        .output()
-        .expect("runs");
-    assert!(
-        out.status.success(),
-        "v1 self-compare must pass:\n{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    // Mixed v1 baseline vs v2 candidate with similar numbers: must parse
-    // and pass (the shim widens the v1 side by the legacy noise floor).
-    let out = report_bin()
-        .args(["--compare", v1.to_str().unwrap(), v2.to_str().unwrap()])
-        .output()
-        .expect("runs");
-    assert!(
-        out.status.success(),
-        "v1→v2 history compare must pass:\n{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,10 +1,9 @@
 //! Dynamic task pools with safe memory reclamation for the task-parallel
 //! kernels.
 //!
-//! The fixed-capacity index pools the kernels shipped with ([`SyncEnv`]'s
-//! `task_queue`/`steal_pool`/`work_pool`) cap producers at the prebuilt
-//! task list. These helpers swap in `splash4-reclaim`'s [`TaskPool`] on the
-//! lock-free path — a Michael-Scott queue or elimination-backoff Treiber
+//! [`SyncEnv::task_queue`]'s Treiber stack never frees a popped node before
+//! the stack is dropped. These helpers swap in `splash4-reclaim`'s
+//! [`TaskPool`] on the lock-free path — a Michael-Scott queue or elimination-backoff Treiber
 //! stack whose nodes are allocated per push and recycled through an epoch
 //! or hazard-pointer [`Reclaimer`](splash4_reclaim::Reclaimer) — so
 //! producers are unbounded while the lock-based path keeps the policy's
@@ -58,9 +57,8 @@ pub fn dynamic_steal_pool<T: Send + 'static>(
 }
 
 /// A work pool pre-seeded with `tasks` (the static tile lists of raytrace
-/// and volrend), FIFO so tiles drain in scan order. Unlike
-/// `SyncEnv::work_pool`'s ticket dispenser, the pool stays live for mid-run
-/// producers.
+/// and volrend), FIFO so tiles drain in scan order; the pool stays live
+/// for mid-run producers.
 pub fn seeded_task_pool<T: Send + 'static>(
     env: &SyncEnv,
     tasks: Vec<T>,

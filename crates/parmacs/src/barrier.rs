@@ -1,32 +1,32 @@
 //! Phase barriers (`BARRIER` in PARMACS).
 //!
-//! Three implementations:
+//! Two algorithms:
 //!
 //! * [`CondvarBarrier`] — mutex + condition-variable generation barrier; the
 //!   pthreads expansion used by Splash-3. Threads *sleep* while waiting, so
 //!   every episode pays wake-up latency proportional to the scheduler.
-//! * [`SenseBarrier`] — central counter, sense-reversing, spin-with-backoff;
-//!   the atomic expansion used by Splash-4.
-//! * [`TreeBarrier`] — combining-tree variant (arity 4) provided as the
-//!   suite's scalability extension; reduces the O(N) contention of the central
-//!   counter to O(log N) for large thread counts.
+//! * [`SenseBarrier`] — sense-reversing, spin-with-backoff; the atomic
+//!   expansion used by Splash-4 (arrivals `fetch_add` a central counter) and
+//!   Splash-4x (arrivals batched through a combiner). Only the arrival
+//!   strategy differs; the release phase is the same code.
 //!
-//! All barriers are reusable (cyclic) and instrumented through a shared
+//! Both are reusable (cyclic) and instrumented through a shared
 //! [`SyncCounters`].
 
 use crate::backoff::Backoff;
-use crate::pad::CachePadded;
+use crate::combining::CombiningCore;
+use crate::spec::SenseBarrierSpec;
 use crate::stats::{Counter, SyncCounters};
 use crate::trace::TraceEvent;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// A reusable (cyclic) phase barrier for a fixed set of participants.
 pub trait Barrier: Send + Sync + fmt::Debug {
     /// Block until all `participants()` threads have called `wait` for the
-    /// current episode. `tid` is the calling thread's team index; central
-    /// barriers ignore it, tree barriers use it to pick a leaf.
+    /// current episode. `tid` is the calling thread's team index (the
+    /// central barriers here ignore it).
     fn wait(&self, tid: usize);
 
     /// Number of threads that must arrive to release an episode.
@@ -95,48 +95,103 @@ impl fmt::Debug for CondvarBarrier {
     }
 }
 
-/// Central sense-reversing atomic barrier (the Splash-4 expansion).
+/// How a [`SenseBarrier`] counts arrivals.
+enum Arrival {
+    /// Splash-4: every arriver `fetch_add`s one central counter.
+    FetchAdd(AtomicUsize),
+    /// Splash-4x: one combiner counts a whole batch of arrivals in its cache
+    /// instead of `n` threads hitting the same counter line.
+    Combined(CombiningCore<u64>),
+}
+
+/// Combiner-side arrival count: `arg` is the participant count; the result
+/// is non-zero for the arrival that completes the episode.
+fn apply_arrive(arrived: &mut u64, _op: u64, n: u64) -> u64 {
+    *arrived += 1;
+    if *arrived == n {
+        *arrived = 0;
+        1
+    } else {
+        0
+    }
+}
+
+const OP_ARRIVE: u64 = 1;
+
+/// Central sense-reversing atomic barrier (the Splash-4 and Splash-4x
+/// expansion): the episode-completing arriver bumps a generation word
+/// everyone else spins on with backoff.
 ///
 /// The classic per-thread "local sense" is replaced by an equivalent
 /// generation counter, which keeps the barrier free of per-thread state and
 /// therefore shareable behind `&self`.
 pub struct SenseBarrier {
     n: usize,
-    arrived: AtomicUsize,
+    arrival: Arrival,
     generation: AtomicU64,
     stats: Arc<SyncCounters>,
     trace_id: u32,
 }
 
 impl SenseBarrier {
-    /// Barrier for `n` participants reporting into `stats`.
+    /// Barrier for `n` participants arriving by `fetch_add`, reporting into
+    /// `stats`.
     ///
     /// # Panics
     /// Panics if `n == 0`.
     pub fn new(n: usize, stats: Arc<SyncCounters>) -> SenseBarrier {
+        SenseBarrier::with_arrival(n, Arrival::FetchAdd(AtomicUsize::new(0)), stats)
+    }
+
+    /// Barrier for `n` participants whose arrivals are batched through a
+    /// flat-combining core, reporting into `stats`.
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    pub(crate) fn combining(n: usize, stats: Arc<SyncCounters>) -> SenseBarrier {
+        let core = CombiningCore::new(n, 0, apply_arrive, Arc::clone(&stats));
+        SenseBarrier::with_arrival(n, Arrival::Combined(core), stats)
+    }
+
+    fn with_arrival(n: usize, arrival: Arrival, stats: Arc<SyncCounters>) -> SenseBarrier {
         assert!(n > 0, "barrier needs at least one participant");
         SenseBarrier {
             n,
-            arrived: AtomicUsize::new(0),
+            arrival,
             generation: AtomicU64::new(0),
             trace_id: stats.alloc_barrier_id(),
             stats,
+        }
+    }
+
+    /// Count one arrival; `true` for the arrival that completes the episode
+    /// (wherever a combiner applied it).
+    fn arrive(&self) -> bool {
+        const S: SenseBarrierSpec = SenseBarrierSpec::SPLASH4;
+        match &self.arrival {
+            Arrival::FetchAdd(arrived) => {
+                self.stats.bump(Counter::AtomicRmws);
+                let last = arrived.fetch_add(1, S.arrive_rmw) == self.n - 1;
+                if last {
+                    arrived.store(0, S.arrived_reset);
+                }
+                last
+            }
+            Arrival::Combined(core) => core.run(OP_ARRIVE, self.n as u64) != 0,
         }
     }
 }
 
 impl Barrier for SenseBarrier {
     fn wait(&self, _tid: usize) {
-        const S: crate::spec::SenseBarrierSpec = crate::spec::SenseBarrierSpec::SPLASH4;
+        const S: SenseBarrierSpec = SenseBarrierSpec::SPLASH4;
         self.stats.bump(Counter::BarrierWaits);
-        self.stats.bump(Counter::AtomicRmws);
         self.stats
             .trace(TraceEvent::BarrierEnter { id: self.trace_id });
         self.stats.timed(Counter::BarrierWaitNs, || {
             let gen = self.generation.load(S.generation_load);
-            if self.arrived.fetch_add(1, S.arrive_rmw) == self.n - 1 {
-                // Last arriver: reset and release everyone.
-                self.arrived.store(0, S.arrived_reset);
+            if self.arrive() {
+                // Last arriver: release everyone.
                 self.generation.fetch_add(1, S.generation_bump);
             } else {
                 let mut backoff = Backoff::new();
@@ -157,196 +212,5 @@ impl Barrier for SenseBarrier {
 impl fmt::Debug for SenseBarrier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SenseBarrier").field("n", &self.n).finish()
-    }
-}
-
-/// Combining-tree barrier: leaves of arity [`TreeBarrier::ARITY`] combine into
-/// parent nodes; the final arriver at the root bumps a generation everyone
-/// spins on.
-pub struct TreeBarrier {
-    n: usize,
-    /// `levels[0]` are the leaves. Each node counts arrivals from its
-    /// subtree; padded so tree nodes do not false-share.
-    levels: Vec<Vec<CachePadded<AtomicUsize>>>,
-    generation: AtomicU64,
-    stats: Arc<SyncCounters>,
-    trace_id: u32,
-}
-
-impl TreeBarrier {
-    /// Fan-in of each tree node.
-    pub const ARITY: usize = 4;
-
-    /// Barrier for `n` participants reporting into `stats`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn new(n: usize, stats: Arc<SyncCounters>) -> TreeBarrier {
-        assert!(n > 0, "barrier needs at least one participant");
-        let mut levels = Vec::new();
-        let mut width = n;
-        loop {
-            let nodes = width.div_ceil(Self::ARITY);
-            levels.push((0..nodes).map(|_| CachePadded::default()).collect());
-            if nodes == 1 {
-                break;
-            }
-            width = nodes;
-        }
-        TreeBarrier {
-            n,
-            levels,
-            generation: AtomicU64::new(0),
-            trace_id: stats.alloc_barrier_id(),
-            stats,
-        }
-    }
-
-    /// Fan-in of node `idx` at `level`: the number of children it actually has
-    /// (the last node of a level may be partially filled).
-    fn fan_in(&self, level: usize, idx: usize) -> usize {
-        let width_below = if level == 0 {
-            self.n
-        } else {
-            self.levels[level - 1].len()
-        };
-        let full = Self::ARITY;
-        let start = idx * full;
-        (width_below - start).min(full)
-    }
-}
-
-impl Barrier for TreeBarrier {
-    fn wait(&self, tid: usize) {
-        self.stats.bump(Counter::BarrierWaits);
-        self.stats
-            .trace(TraceEvent::BarrierEnter { id: self.trace_id });
-        self.stats.timed(Counter::BarrierWaitNs, || {
-            let gen = self.generation.load(Ordering::Acquire);
-            let mut idx = tid / Self::ARITY;
-            let mut level = 0usize;
-            loop {
-                self.stats.bump(Counter::AtomicRmws);
-                let node = &self.levels[level][idx];
-                let fan_in = self.fan_in(level, idx);
-                if node.fetch_add(1, Ordering::AcqRel) == fan_in - 1 {
-                    // Winner: reset this node for the next episode and ascend.
-                    node.store(0, Ordering::Relaxed);
-                    if level + 1 == self.levels.len() {
-                        self.generation.fetch_add(1, Ordering::AcqRel);
-                        return;
-                    }
-                    idx /= Self::ARITY;
-                    level += 1;
-                } else {
-                    let mut backoff = Backoff::new();
-                    while self.generation.load(Ordering::Acquire) == gen {
-                        backoff.snooze();
-                    }
-                    return;
-                }
-            }
-        });
-        self.stats
-            .trace(TraceEvent::BarrierExit { id: self.trace_id });
-    }
-
-    fn participants(&self) -> usize {
-        self.n
-    }
-}
-
-impl fmt::Debug for TreeBarrier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TreeBarrier")
-            .field("n", &self.n)
-            .field("levels", &self.levels.len())
-            .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::AtomicU64 as Au64;
-
-    fn exercise(make: impl Fn(usize, Arc<SyncCounters>) -> Arc<dyn Barrier>, n: usize) {
-        let stats = Arc::new(SyncCounters::new());
-        let barrier = make(n, Arc::clone(&stats));
-        const EPISODES: usize = 50;
-        let phase = Au64::new(0);
-        std::thread::scope(|s| {
-            for tid in 0..n {
-                let barrier = Arc::clone(&barrier);
-                let phase = &phase;
-                s.spawn(move || {
-                    for e in 0..EPISODES {
-                        // Everyone must observe the same completed phase count
-                        // before and after each episode.
-                        let before = phase.load(Ordering::SeqCst);
-                        assert!(before >= e as u64, "phase ran behind");
-                        barrier.wait(tid);
-                        if tid == 0 {
-                            phase.fetch_add(1, Ordering::SeqCst);
-                        }
-                        barrier.wait(tid);
-                        let after = phase.load(Ordering::SeqCst);
-                        assert!(
-                            after >= (e + 1) as u64,
-                            "barrier let a thread through early: episode {e}, after {after}"
-                        );
-                    }
-                });
-            }
-        });
-        assert_eq!(phase.load(Ordering::SeqCst), EPISODES as u64);
-        assert_eq!(
-            stats.snapshot().barrier_waits,
-            (n * EPISODES * 2) as u64,
-            "each thread crossing counts once"
-        );
-    }
-
-    #[test]
-    fn condvar_barrier_synchronizes_phases() {
-        for n in [1, 2, 3, 5] {
-            exercise(|n, s| Arc::new(CondvarBarrier::new(n, s)), n);
-        }
-    }
-
-    #[test]
-    fn sense_barrier_synchronizes_phases() {
-        for n in [1, 2, 3, 5] {
-            exercise(|n, s| Arc::new(SenseBarrier::new(n, s)), n);
-        }
-    }
-
-    #[test]
-    fn tree_barrier_synchronizes_phases() {
-        for n in [1, 2, 4, 5, 9] {
-            exercise(|n, s| Arc::new(TreeBarrier::new(n, s)), n);
-        }
-    }
-
-    #[test]
-    fn tree_barrier_levels_cover_participants() {
-        let stats = Arc::new(SyncCounters::new());
-        let b = TreeBarrier::new(17, stats);
-        // 17 -> 5 leaves -> 2 nodes -> 1 root
-        assert_eq!(b.levels.len(), 3);
-        assert_eq!(b.levels[0].len(), 5);
-        assert_eq!(b.levels[1].len(), 2);
-        assert_eq!(b.levels[2].len(), 1);
-        // Last leaf has a single child (tid 16).
-        assert_eq!(b.fan_in(0, 4), 1);
-        assert_eq!(b.fan_in(0, 0), 4);
-        assert_eq!(b.fan_in(1, 1), 1);
-        assert_eq!(b.fan_in(2, 0), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one participant")]
-    fn zero_participants_rejected() {
-        let _ = SenseBarrier::new(0, Arc::new(SyncCounters::new()));
     }
 }

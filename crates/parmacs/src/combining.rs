@@ -11,25 +11,22 @@
 //! result back through the record. Waiters spin locally on their own record
 //! with [`Backoff`] instead of hammering the shared line.
 //!
-//! [`CombiningCore`] is the generic engine; [`CombiningCounter`],
-//! [`CombiningReducer`], [`CombiningDispenser`] and [`CombiningBarrier`] port
-//! the contended primitives (GETSUB counters, f64/u64 reductions, static work
-//! pools, barrier arrival) onto it. Every atomic ordering comes from
+//! [`CombiningCore`] is the generic engine and all this module holds: the
+//! contended constructs plug their sequential interpreter into it as a
+//! strategy — [`IndexCounter`](crate::counter::IndexCounter) and
+//! [`Reducer`](crate::reduce::Reducer) through the crate's serial executor,
+//! [`SenseBarrier`](crate::barrier::SenseBarrier) as its arrival phase.
+//! Every atomic ordering comes from
 //! [`CombiningSpec`](crate::spec::CombiningSpec), and `splash4-check` drives
 //! shadow replicas of the same protocol from the same spec (`C1-combining`).
 
 use crate::backoff::Backoff;
-use crate::barrier::Barrier;
-use crate::counter::IndexCounter;
 use crate::pad::CachePadded;
-use crate::reduce::{ReduceF64, ReduceU64};
 use crate::spec::CombiningSpec;
 use crate::stats::{Counter, SyncCounters};
 use crate::team::current_tid;
-use crate::trace::TraceEvent;
 use std::cell::UnsafeCell;
 use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -71,11 +68,12 @@ impl Record {
 ///
 /// `apply` is the sequential op interpreter: `(state, opcode, arg) ->
 /// result`. It runs only on the thread holding the combiner lock, so it may
-/// mutate state freely; opcodes are opaque to the core (wrappers define
-/// their own, all non-zero).
+/// mutate state freely; opcodes are opaque to the core (each construct
+/// defines its own, all non-zero).
 pub struct CombiningCore<T> {
-    /// Combiner lock word: 0 free, 1 held. Padded away from the records.
-    lock: CachePadded<AtomicU64>,
+    /// Combiner lock word: 0 free, 1 held. Padded away from the records, and
+    /// boxed so the core itself stays a few words however it is embedded.
+    lock: Box<CachePadded<AtomicU64>>,
     /// One publication record per expected thread.
     records: Box<[CachePadded<Record>]>,
     /// Combiner-owned state; only touched with `lock` held.
@@ -100,7 +98,7 @@ impl<T> CombiningCore<T> {
     ) -> CombiningCore<T> {
         let n = nthreads.max(1);
         CombiningCore {
-            lock: CachePadded::new(AtomicU64::new(0)),
+            lock: Box::new(CachePadded::new(AtomicU64::new(0))),
             records: (0..n).map(|_| CachePadded::new(Record::new())).collect(),
             state: UnsafeCell::new(state),
             apply,
@@ -201,606 +199,5 @@ impl<T> fmt::Debug for CombiningCore<T> {
         f.debug_struct("CombiningCore")
             .field("records", &self.records.len())
             .finish_non_exhaustive()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// GETSUB counter
-// ---------------------------------------------------------------------------
-
-/// Combining counter state: the dispensing cursor plus its range bounds
-/// (kept in the state so the fn-pointer interpreter can clamp).
-#[derive(Debug)]
-struct CounterState {
-    next: u64,
-    start: u64,
-    end: u64,
-}
-
-const OP_GRAB: u64 = 1; // arg = chunk size; returns pre-grab cursor (≤ end)
-const OP_RESET: u64 = 2; // arg = unused
-const OP_READ: u64 = 3; // returns current cursor
-
-fn apply_counter(s: &mut CounterState, op: u64, arg: u64) -> u64 {
-    match op {
-        OP_GRAB => {
-            let v = s.next;
-            s.next = (v.saturating_add(arg)).min(s.end);
-            v
-        }
-        OP_RESET => {
-            s.next = s.start;
-            0
-        }
-        _ => s.next,
-    }
-}
-
-/// `GETSUB` index dispenser batched through a combiner (the Splash-4x
-/// expansion): grabs publish a request instead of `fetch_add`-storming the
-/// cursor line. Exhausted polls can never overshoot — the combiner clamps
-/// the cursor at the range end, so no [`AtomicCounter`](crate::counter::
-/// AtomicCounter)-style clamp-back is needed.
-pub struct CombiningCounter {
-    range: Range<usize>,
-    core: CombiningCore<CounterState>,
-    stats: Arc<SyncCounters>,
-}
-
-impl CombiningCounter {
-    /// Dispenser over `range` for `nthreads` publishers, reporting into
-    /// `stats`.
-    pub fn new(range: Range<usize>, nthreads: usize, stats: Arc<SyncCounters>) -> CombiningCounter {
-        CombiningCounter {
-            core: CombiningCore::new(
-                nthreads,
-                CounterState {
-                    next: range.start as u64,
-                    start: range.start as u64,
-                    end: range.end as u64,
-                },
-                apply_counter,
-                Arc::clone(&stats),
-            ),
-            range,
-            stats,
-        }
-    }
-}
-
-impl IndexCounter for CombiningCounter {
-    fn next(&self) -> Option<usize> {
-        self.stats.bump(Counter::GetsubCalls);
-        let v = self.core.run(OP_GRAB, 1) as usize;
-        let out = (v < self.range.end).then_some(v);
-        self.stats.trace(TraceEvent::Getsub {
-            n: u32::from(out.is_some()),
-        });
-        out
-    }
-
-    fn next_chunk(&self, chunk: usize) -> Range<usize> {
-        assert!(chunk > 0, "chunk must be non-zero");
-        self.stats.bump(Counter::GetsubCalls);
-        let start = self.core.run(OP_GRAB, chunk as u64) as usize;
-        let end = (start + chunk).min(self.range.end);
-        self.stats.trace(TraceEvent::Getsub {
-            n: (end - start) as u32,
-        });
-        start..end
-    }
-
-    fn range(&self) -> Range<usize> {
-        self.range.clone()
-    }
-
-    fn reset(&self) {
-        self.core.run(OP_RESET, 0);
-    }
-}
-
-impl fmt::Debug for CombiningCounter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CombiningCounter")
-            .field("range", &self.range)
-            .finish_non_exhaustive()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reductions
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct ReduceState {
-    f: f64,
-    u: u64,
-}
-
-const OP_FADD: u64 = 1;
-const OP_FMAX: u64 = 2;
-const OP_FMIN: u64 = 3;
-const OP_FLOAD: u64 = 4;
-const OP_FSTORE: u64 = 5;
-const OP_UADD: u64 = 6;
-const OP_ULOAD: u64 = 7;
-const OP_USTORE: u64 = 8;
-
-fn apply_reduce(s: &mut ReduceState, op: u64, arg: u64) -> u64 {
-    match op {
-        OP_FADD => {
-            s.f += f64::from_bits(arg);
-            0
-        }
-        OP_FMAX => {
-            s.f = s.f.max(f64::from_bits(arg));
-            0
-        }
-        OP_FMIN => {
-            s.f = s.f.min(f64::from_bits(arg));
-            0
-        }
-        OP_FLOAD => s.f.to_bits(),
-        OP_FSTORE => {
-            s.f = f64::from_bits(arg);
-            0
-        }
-        OP_UADD => {
-            s.u += arg;
-            0
-        }
-        OP_ULOAD => s.u,
-        _ => {
-            s.u = arg;
-            0
-        }
-    }
-}
-
-/// Combining reducer (Splash-4x): contributions are batched through one
-/// combiner that folds them into combiner-cached accumulators, instead of
-/// each thread CAS-looping on the shared word.
-pub struct CombiningReducer {
-    core: CombiningCore<ReduceState>,
-    stats: Arc<SyncCounters>,
-}
-
-impl CombiningReducer {
-    /// Zero-initialized reducer for `nthreads` publishers, reporting into
-    /// `stats`.
-    pub fn new(nthreads: usize, stats: Arc<SyncCounters>) -> CombiningReducer {
-        CombiningReducer {
-            core: CombiningCore::new(
-                nthreads,
-                ReduceState { f: 0.0, u: 0 },
-                apply_reduce,
-                Arc::clone(&stats),
-            ),
-            stats,
-        }
-    }
-
-    fn contribute(&self, op: u64, arg: u64) {
-        self.stats.bump(Counter::ReduceOps);
-        self.stats.trace(TraceEvent::Rmw {
-            class: crate::mode::ConstructClass::Reduction,
-            n: 1,
-        });
-        self.core.run(op, arg);
-    }
-}
-
-impl ReduceF64 for CombiningReducer {
-    fn add(&self, v: f64) {
-        self.contribute(OP_FADD, v.to_bits());
-    }
-    fn max(&self, v: f64) {
-        self.contribute(OP_FMAX, v.to_bits());
-    }
-    fn min(&self, v: f64) {
-        self.contribute(OP_FMIN, v.to_bits());
-    }
-    fn load(&self) -> f64 {
-        f64::from_bits(self.core.run(OP_FLOAD, 0))
-    }
-    fn store(&self, v: f64) {
-        self.core.run(OP_FSTORE, v.to_bits());
-    }
-}
-
-impl ReduceU64 for CombiningReducer {
-    fn add(&self, v: u64) {
-        self.contribute(OP_UADD, v);
-    }
-    fn load(&self) -> u64 {
-        self.core.run(OP_ULOAD, 0)
-    }
-    fn store(&self, v: u64) {
-        self.core.run(OP_USTORE, v);
-    }
-}
-
-impl fmt::Debug for CombiningReducer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CombiningReducer").finish_non_exhaustive()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Static work pool (ticket dispenser)
-// ---------------------------------------------------------------------------
-
-/// Static work pool over a prebuilt task list with a combining claim path:
-/// the Splash-4x counterpart of [`TicketDispenser`](crate::queue::
-/// TicketDispenser), for the kernels that distribute an immutable task array.
-pub struct CombiningDispenser<T> {
-    tasks: Vec<T>,
-    core: CombiningCore<CounterState>,
-    stats: Arc<SyncCounters>,
-}
-
-impl<T: Sync> CombiningDispenser<T> {
-    /// Pool over `tasks` for `nthreads` claimers, reporting into `stats`.
-    pub fn new(tasks: Vec<T>, nthreads: usize, stats: Arc<SyncCounters>) -> CombiningDispenser<T> {
-        let end = tasks.len() as u64;
-        CombiningDispenser {
-            core: CombiningCore::new(
-                nthreads,
-                CounterState {
-                    next: 0,
-                    start: 0,
-                    end,
-                },
-                apply_counter,
-                Arc::clone(&stats),
-            ),
-            tasks,
-            stats,
-        }
-    }
-
-    /// Claim the next task, or `None` when the pool is exhausted.
-    pub fn claim(&self) -> Option<&T> {
-        self.stats.bump(Counter::QueueOps);
-        let v = self.core.run(OP_GRAB, 1) as usize;
-        let out = self.tasks.get(v);
-        if out.is_some() {
-            self.stats.trace(TraceEvent::Dequeue);
-        }
-        out
-    }
-
-    /// Number of tasks already claimed (clamped to the pool size).
-    pub fn claimed(&self) -> usize {
-        (self.core.run(OP_READ, 0) as usize).min(self.tasks.len())
-    }
-
-    /// Total number of tasks in the pool.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// `true` when the pool was built with no tasks.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// Restart distribution from the first task. Callers must ensure no
-    /// thread is concurrently claiming (between barrier-separated phases).
-    pub fn reset(&self) {
-        self.core.run(OP_RESET, 0);
-    }
-}
-
-impl<T> fmt::Debug for CombiningDispenser<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CombiningDispenser")
-            .field("tasks", &self.tasks.len())
-            .finish_non_exhaustive()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Barrier
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct BarrierState {
-    arrived: u64,
-    n: u64,
-}
-
-const OP_ARRIVE: u64 = 1;
-/// Result value telling an arriver it completed the episode.
-const ARRIVE_LAST: u64 = 1;
-
-fn apply_arrive(s: &mut BarrierState, _op: u64, _arg: u64) -> u64 {
-    s.arrived += 1;
-    if s.arrived == s.n {
-        s.arrived = 0;
-        ARRIVE_LAST
-    } else {
-        0
-    }
-}
-
-/// Sense-reversing barrier whose *arrival phase* is batched through a
-/// combiner (Splash-4x): one combiner counts a whole batch of arrivals in
-/// its cache instead of `n` threads `fetch_add`-ing the same counter line.
-/// The release phase is identical to [`SenseBarrier`](crate::barrier::
-/// SenseBarrier) — the episode-completing arriver bumps a generation word
-/// everyone else spins on with backoff (orderings from
-/// [`SenseBarrierSpec`](crate::spec::SenseBarrierSpec)).
-pub struct CombiningBarrier {
-    n: usize,
-    core: CombiningCore<BarrierState>,
-    generation: AtomicU64,
-    stats: Arc<SyncCounters>,
-    trace_id: u32,
-}
-
-impl CombiningBarrier {
-    /// Barrier for `n` participants reporting into `stats`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn new(n: usize, stats: Arc<SyncCounters>) -> CombiningBarrier {
-        assert!(n > 0, "barrier needs at least one participant");
-        CombiningBarrier {
-            n,
-            core: CombiningCore::new(
-                n,
-                BarrierState {
-                    arrived: 0,
-                    n: n as u64,
-                },
-                apply_arrive,
-                Arc::clone(&stats),
-            ),
-            generation: AtomicU64::new(0),
-            trace_id: stats.alloc_barrier_id(),
-            stats,
-        }
-    }
-}
-
-impl Barrier for CombiningBarrier {
-    fn wait(&self, _tid: usize) {
-        const S: crate::spec::SenseBarrierSpec = crate::spec::SenseBarrierSpec::SPLASH4;
-        self.stats.bump(Counter::BarrierWaits);
-        self.stats
-            .trace(TraceEvent::BarrierEnter { id: self.trace_id });
-        self.stats.timed(Counter::BarrierWaitNs, || {
-            let gen = self.generation.load(S.generation_load);
-            if self.core.run(OP_ARRIVE, 0) == ARRIVE_LAST {
-                // Our arrival completed the episode (wherever it was
-                // applied); release everyone.
-                self.generation.fetch_add(1, S.generation_bump);
-            } else {
-                let mut backoff = Backoff::new();
-                while self.generation.load(S.spin_load) == gen {
-                    backoff.snooze();
-                }
-            }
-        });
-        self.stats
-            .trace(TraceEvent::BarrierExit { id: self.trace_id });
-    }
-
-    fn participants(&self) -> usize {
-        self.n
-    }
-}
-
-impl fmt::Debug for CombiningBarrier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CombiningBarrier")
-            .field("n", &self.n)
-            .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::team::Team;
-    use std::collections::HashSet;
-    use std::sync::Mutex;
-
-    #[test]
-    fn core_applies_ops_sequentially_under_contention() {
-        const THREADS: usize = 4;
-        const PER: u64 = 2_000;
-        let stats = Arc::new(SyncCounters::new());
-        let core = Arc::new(CombiningCore::new(
-            THREADS,
-            ReduceState { f: 0.0, u: 0 },
-            apply_reduce,
-            Arc::clone(&stats),
-        ));
-        Team::new(THREADS).run(|_| {
-            for _ in 0..PER {
-                core.run(OP_UADD, 3);
-            }
-        });
-        assert_eq!(core.run(OP_ULOAD, 0), THREADS as u64 * PER * 3);
-        let p = stats.snapshot();
-        assert_eq!(p.combine_ops, THREADS as u64 * PER + 1);
-        assert!(p.combine_batches >= 1);
-        // Combining must batch: far fewer lock handoffs than ops.
-        assert!(
-            p.combine_batches <= p.combine_ops,
-            "batches {} ops {}",
-            p.combine_batches,
-            p.combine_ops
-        );
-        assert_eq!(p.lock_acquires, 0, "combining takes no sleeping locks");
-    }
-
-    #[test]
-    fn combining_counter_partitions_range() {
-        let stats = Arc::new(SyncCounters::new());
-        let c = Arc::new(CombiningCounter::new(5..205, 4, stats));
-        let seen = Mutex::new(HashSet::new());
-        Team::new(4).run(|_| {
-            let mut local = Vec::new();
-            while let Some(i) = c.next() {
-                local.push(i);
-            }
-            let mut set = seen.lock().unwrap();
-            for i in local {
-                assert!(set.insert(i), "index {i} handed out twice");
-            }
-        });
-        let set = seen.into_inner().unwrap();
-        assert_eq!(set.len(), 200);
-        for i in 5..205 {
-            assert!(set.contains(&i));
-        }
-    }
-
-    #[test]
-    fn combining_counter_chunks_reset_and_instrumentation() {
-        let stats = Arc::new(SyncCounters::new());
-        let c = CombiningCounter::new(0..100, 2, Arc::clone(&stats));
-        let mut got = Vec::new();
-        loop {
-            let r = c.next_chunk(7);
-            if r.is_empty() {
-                break;
-            }
-            got.extend(r);
-        }
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
-        assert_eq!(c.next(), None);
-        c.reset();
-        assert_eq!(c.next(), Some(0));
-        let p = stats.snapshot();
-        // Every logical grab (exhausted polls included) is one getsub and
-        // one combining request; reset/read traffic also counts as combine
-        // ops but never as getsubs. 15 productive chunks + 1 empty poll +
-        // 2 single grabs = 18.
-        assert_eq!(p.getsub_calls, 18);
-        assert!(p.combine_ops >= p.getsub_calls);
-        assert_eq!(p.lock_acquires, 0);
-    }
-
-    #[test]
-    fn combining_reducer_sums_exactly() {
-        let stats = Arc::new(SyncCounters::new());
-        let r: Arc<dyn ReduceF64> = Arc::new(CombiningReducer::new(4, Arc::clone(&stats)));
-        Team::new(4).run(|ctx| {
-            for i in 0..250 {
-                r.add((ctx.tid * 250 + i) as f64);
-            }
-        });
-        assert_eq!(r.load(), (0..1000).sum::<usize>() as f64);
-        let p = stats.snapshot();
-        assert_eq!(p.reduce_ops, 1000);
-        assert_eq!(p.lock_acquires, 0);
-    }
-
-    #[test]
-    fn combining_reducer_max_min_and_u64() {
-        let stats = Arc::new(SyncCounters::new());
-        let r = Arc::new(CombiningReducer::new(4, stats));
-        let rf: Arc<dyn ReduceF64> = r.clone();
-        rf.store(f64::NEG_INFINITY);
-        Team::new(4).run(|ctx| {
-            for i in 0..100 {
-                rf.max((ctx.tid * 100 + i) as f64);
-            }
-        });
-        assert_eq!(rf.load(), 399.0);
-        rf.store(f64::INFINITY);
-        rf.min(-3.0);
-        rf.min(5.0);
-        assert_eq!(rf.load(), -3.0);
-        let ru: Arc<dyn ReduceU64> = r;
-        Team::new(4).run(|_| {
-            for _ in 0..100 {
-                ru.add(3);
-            }
-        });
-        assert_eq!(ru.load(), 1200);
-    }
-
-    #[test]
-    fn combining_dispenser_hands_out_each_task_once() {
-        let stats = Arc::new(SyncCounters::new());
-        let d = Arc::new(CombiningDispenser::new(
-            (0..30).collect::<Vec<u32>>(),
-            3,
-            Arc::clone(&stats),
-        ));
-        assert_eq!(d.len(), 30);
-        assert!(!d.is_empty());
-        let got = Mutex::new(Vec::new());
-        Team::new(3).run(|_| {
-            while let Some(t) = d.claim() {
-                got.lock().unwrap().push(*t);
-            }
-        });
-        let mut got = got.into_inner().unwrap();
-        got.sort_unstable();
-        assert_eq!(got, (0..30).collect::<Vec<u32>>());
-        assert_eq!(d.claimed(), 30);
-        d.reset();
-        assert_eq!(d.claim(), Some(&0));
-        let p = stats.snapshot();
-        assert!(p.queue_ops >= 30);
-        assert_eq!(p.lock_acquires, 0);
-    }
-
-    #[test]
-    fn combining_barrier_synchronizes_phases() {
-        use std::sync::atomic::AtomicU64 as Au64;
-        for n in [1, 2, 3, 5] {
-            let stats = Arc::new(SyncCounters::new());
-            let barrier = Arc::new(CombiningBarrier::new(n, Arc::clone(&stats)));
-            const EPISODES: usize = 50;
-            let phase = Au64::new(0);
-            Team::new(n).run(|ctx| {
-                for e in 0..EPISODES {
-                    let before = phase.load(Ordering::SeqCst);
-                    assert!(before >= e as u64, "phase ran behind");
-                    barrier.wait(ctx.tid);
-                    if ctx.tid == 0 {
-                        phase.fetch_add(1, Ordering::SeqCst);
-                    }
-                    barrier.wait(ctx.tid);
-                    let after = phase.load(Ordering::SeqCst);
-                    assert!(after >= (e + 1) as u64, "released early: {e} {after}");
-                }
-            });
-            assert_eq!(phase.load(Ordering::SeqCst), EPISODES as u64);
-            assert_eq!(stats.snapshot().barrier_waits, (n * EPISODES * 2) as u64);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one participant")]
-    fn zero_participants_rejected() {
-        let _ = CombiningBarrier::new(0, Arc::new(SyncCounters::new()));
-    }
-
-    #[test]
-    fn oversubscribed_publishers_share_records() {
-        // More threads than records: the claim probe must serialize them
-        // without losing ops.
-        let stats = Arc::new(SyncCounters::new());
-        let core = Arc::new(CombiningCore::new(
-            2,
-            ReduceState { f: 0.0, u: 0 },
-            apply_reduce,
-            stats,
-        ));
-        assert_eq!(core.capacity(), 2);
-        Team::new(5).run(|_| {
-            for _ in 0..200 {
-                core.run(OP_UADD, 1);
-            }
-        });
-        assert_eq!(core.run(OP_ULOAD, 0), 1000);
     }
 }

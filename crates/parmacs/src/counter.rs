@@ -6,13 +6,17 @@
 //! ```
 //! becomes `i = atomic_fetch_add(&gl->index, 1)`.
 //!
-//! [`IndexCounter`] is the common interface; [`LockedCounter`] and
-//! [`AtomicCounter`] are the two expansions. Both hand out each index of the
+//! [`IndexCounter`] is the one dispenser type; the expansion is its private
+//! cursor strategy — a sequential cursor run by the crate's serial executor
+//! (under a lock in Splash-3, by a combiner in Splash-4x) or a native
+//! `fetch_add` (Splash-4). Every strategy hands out each index of the
 //! configured range exactly once, across any number of threads, and then
-//! return `None`. Chunked grabs ([`IndexCounter::next_chunk`]) model the
-//! block-`GETSUB` variant some kernels use.
+//! reports exhaustion. Chunked grabs ([`IndexCounter::next_chunk`]) model
+//! the block-`GETSUB` variant some kernels use.
 
-use crate::lock::{RawLock, SleepLock};
+use crate::mode::SyncMode;
+use crate::serial::Serial;
+use crate::spec::TicketSpec;
 use crate::stats::{Counter, SyncCounters};
 use crate::trace::TraceEvent;
 use std::fmt;
@@ -20,122 +24,125 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// A work-index dispenser over a half-open range.
-pub trait IndexCounter: Send + Sync + fmt::Debug {
-    /// Grab the next undistributed index, or `None` when the range is
-    /// exhausted.
-    fn next(&self) -> Option<usize>;
-
-    /// Grab up to `chunk` consecutive indices; returns an empty range when
-    /// exhausted. `chunk` must be non-zero.
-    fn next_chunk(&self, chunk: usize) -> Range<usize>;
-
-    /// The range being distributed.
-    fn range(&self) -> Range<usize>;
-
-    /// Reset the dispenser to the start of its range.
-    ///
-    /// Callers must ensure no thread is concurrently grabbing (normally done
-    /// between barrier-separated phases, as in the original suite).
-    fn reset(&self);
+/// Sequential cursor state: the dispensing cursor plus its range bounds
+/// (kept in the state so the fn-pointer interpreter can clamp).
+struct CounterState {
+    next: u64,
+    start: u64,
+    end: u64,
 }
 
-/// Lock-protected counter (Splash-3 expansion of `GETSUB`).
-pub struct LockedCounter {
-    range: Range<usize>,
-    next: SleepLock,
-    value: std::cell::UnsafeCell<usize>,
-    stats: Arc<SyncCounters>,
-}
+const OP_GRAB: u64 = 1; // arg = chunk size; returns the pre-grab cursor (≤ end)
+const OP_RESET: u64 = 2; // arg unused
 
-// SAFETY: `value` is only accessed with `next` held (or from `reset`, whose
-// contract requires external quiescence).
-unsafe impl Sync for LockedCounter {}
-unsafe impl Send for LockedCounter {}
-
-impl LockedCounter {
-    /// Dispenser over `range` reporting into `stats`.
-    pub fn new(range: Range<usize>, stats: Arc<SyncCounters>) -> LockedCounter {
-        LockedCounter {
-            value: std::cell::UnsafeCell::new(range.start),
-            next: SleepLock::new(Arc::clone(&stats)),
-            range,
-            stats,
+fn apply_counter(s: &mut CounterState, op: u64, arg: u64) -> u64 {
+    match op {
+        OP_GRAB => {
+            let v = s.next;
+            s.next = v.saturating_add(arg).min(s.end);
+            v
+        }
+        _ => {
+            s.next = s.start;
+            0
         }
     }
 }
 
-impl IndexCounter for LockedCounter {
-    fn next(&self) -> Option<usize> {
-        self.stats.bump(Counter::GetsubCalls);
-        self.next.acquire();
-        // SAFETY: lock held.
-        let v = unsafe { &mut *self.value.get() };
-        let out = if *v < self.range.end {
-            let i = *v;
-            *v += 1;
-            Some(i)
-        } else {
-            None
+enum Cursor {
+    /// Splash-4: one `fetch_add` per grab.
+    FetchAdd(AtomicUsize),
+    /// Splash-3 / Splash-4x: [`apply_counter`] under the serial executor.
+    Serial(Serial<CounterState>),
+}
+
+/// A work-index dispenser over a half-open range (the `GETSUB` construct).
+pub struct IndexCounter {
+    range: Range<usize>,
+    cursor: Cursor,
+    stats: Arc<SyncCounters>,
+}
+
+impl IndexCounter {
+    /// Dispenser over `range` expanded per `mode` for a team of `nthreads`,
+    /// reporting into `stats`.
+    pub(crate) fn new(
+        mode: SyncMode,
+        range: Range<usize>,
+        nthreads: usize,
+        stats: Arc<SyncCounters>,
+    ) -> IndexCounter {
+        let state = CounterState {
+            next: range.start as u64,
+            start: range.start as u64,
+            end: range.end as u64,
         };
-        self.next.release();
-        self.stats.trace(TraceEvent::Getsub {
-            n: u32::from(out.is_some()),
-        });
-        out
+        let cursor = match Serial::for_mode(mode, nthreads, state, apply_counter, &stats) {
+            Some(serial) => Cursor::Serial(serial),
+            None => Cursor::FetchAdd(AtomicUsize::new(range.start)),
+        };
+        IndexCounter {
+            range,
+            cursor,
+            stats,
+        }
     }
 
-    fn next_chunk(&self, chunk: usize) -> Range<usize> {
+    /// Grab the next undistributed index, or `None` when the range is
+    /// exhausted.
+    pub fn next(&self) -> Option<usize> {
+        let grabbed = self.next_chunk(1);
+        (!grabbed.is_empty()).then_some(grabbed.start)
+    }
+
+    /// Grab up to `chunk` consecutive indices; returns an empty range at the
+    /// range end when exhausted. `chunk` must be non-zero.
+    pub fn next_chunk(&self, chunk: usize) -> Range<usize> {
         assert!(chunk > 0, "chunk must be non-zero");
         self.stats.bump(Counter::GetsubCalls);
-        self.next.acquire();
-        // SAFETY: lock held.
-        let v = unsafe { &mut *self.value.get() };
-        let start = *v;
-        let end = (start + chunk).min(self.range.end);
-        *v = end;
-        self.next.release();
+        let start = match &self.cursor {
+            Cursor::Serial(serial) => serial.run(OP_GRAB, chunk as u64) as usize,
+            Cursor::FetchAdd(value) => self.fetch_add(value, chunk),
+        };
+        let end = start.saturating_add(chunk).min(self.range.end);
         self.stats.trace(TraceEvent::Getsub {
             n: (end - start) as u32,
         });
         start..end
     }
 
-    fn range(&self) -> Range<usize> {
+    /// The range being distributed.
+    pub fn range(&self) -> Range<usize> {
         self.range.clone()
     }
 
-    fn reset(&self) {
-        self.next.acquire();
-        // SAFETY: lock held.
-        unsafe { *self.value.get() = self.range.start };
-        self.next.release();
-    }
-}
-
-impl fmt::Debug for LockedCounter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LockedCounter")
-            .field("range", &self.range)
-            .finish_non_exhaustive()
-    }
-}
-
-/// `fetch_add` counter (Splash-4 expansion of `GETSUB`).
-pub struct AtomicCounter {
-    range: Range<usize>,
-    value: AtomicUsize,
-    stats: Arc<SyncCounters>,
-}
-
-impl AtomicCounter {
-    /// Dispenser over `range` reporting into `stats`.
-    pub fn new(range: Range<usize>, stats: Arc<SyncCounters>) -> AtomicCounter {
-        AtomicCounter {
-            value: AtomicUsize::new(range.start),
-            range,
-            stats,
+    /// Reset the dispenser to the start of its range.
+    ///
+    /// Callers must ensure no thread is concurrently grabbing (normally done
+    /// between barrier-separated phases, as in the original suite).
+    pub fn reset(&self) {
+        match &self.cursor {
+            Cursor::Serial(serial) => {
+                serial.run(OP_RESET, 0);
+            }
+            Cursor::FetchAdd(value) => value.store(self.range.start, Ordering::Release),
         }
+    }
+
+    /// The Splash-4 grab: returns the pre-grab cursor clamped to the range
+    /// end. The cursor advances by at most the range length, so however
+    /// large `chunk` is the raw value overshoots the end by no more than one
+    /// range length per in-flight grab before [`IndexCounter::clamp`] pulls
+    /// it back — it cannot wrap and re-issue an index.
+    fn fetch_add(&self, value: &AtomicUsize, chunk: usize) -> usize {
+        self.stats.bump(Counter::AtomicRmws);
+        let step = chunk.min(self.range.len());
+        let raw = value.fetch_add(step, TicketSpec::SPLASH4.claim_rmw);
+        let after = raw.wrapping_add(step);
+        if after > self.range.end {
+            self.clamp(value, after);
+        }
+        raw.min(self.range.end)
     }
 
     /// Pull an overshot counter value back to `range.end`.
@@ -148,17 +155,14 @@ impl AtomicCounter {
     /// is deliberately *not* instrumented — it is bookkeeping, not a logical
     /// `GETSUB` operation, so `T2`/`T3` op counts are unchanged.
     #[cold]
-    fn clamp(&self, observed: usize) {
+    fn clamp(&self, value: &AtomicUsize, observed: usize) {
         let end = self.range.end;
         let mut cur = observed;
         for _ in 0..8 {
             if cur <= end {
                 return;
             }
-            match self
-                .value
-                .compare_exchange_weak(cur, end, Ordering::Relaxed, Ordering::Relaxed)
-            {
+            match value.compare_exchange_weak(cur, end, Ordering::Relaxed, Ordering::Relaxed) {
                 Ok(_) => return,
                 Err(now) => cur = now,
             }
@@ -166,53 +170,9 @@ impl AtomicCounter {
     }
 }
 
-impl IndexCounter for AtomicCounter {
-    fn next(&self) -> Option<usize> {
-        self.stats.bump(Counter::GetsubCalls);
-        self.stats.bump(Counter::AtomicRmws);
-        let i = self
-            .value
-            .fetch_add(1, crate::spec::TicketSpec::SPLASH4.claim_rmw);
-        let out = (i < self.range.end).then_some(i);
-        if out.is_none() {
-            self.clamp(i.wrapping_add(1));
-        }
-        self.stats.trace(TraceEvent::Getsub {
-            n: u32::from(out.is_some()),
-        });
-        out
-    }
-
-    fn next_chunk(&self, chunk: usize) -> Range<usize> {
-        assert!(chunk > 0, "chunk must be non-zero");
-        self.stats.bump(Counter::GetsubCalls);
-        self.stats.bump(Counter::AtomicRmws);
-        let raw = self
-            .value
-            .fetch_add(chunk, crate::spec::TicketSpec::SPLASH4.claim_rmw);
-        let start = raw.min(self.range.end);
-        let end = (start + chunk).min(self.range.end);
-        if raw.wrapping_add(chunk) > self.range.end {
-            self.clamp(raw.wrapping_add(chunk));
-        }
-        self.stats.trace(TraceEvent::Getsub {
-            n: (end - start) as u32,
-        });
-        start..end
-    }
-
-    fn range(&self) -> Range<usize> {
-        self.range.clone()
-    }
-
-    fn reset(&self) {
-        self.value.store(self.range.start, Ordering::Release);
-    }
-}
-
-impl fmt::Debug for AtomicCounter {
+impl fmt::Debug for IndexCounter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AtomicCounter")
+        f.debug_struct("IndexCounter")
             .field("range", &self.range)
             .finish_non_exhaustive()
     }
@@ -221,92 +181,25 @@ impl fmt::Debug for AtomicCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-    use std::sync::Mutex;
-
-    fn partition_exactly(counter: Arc<dyn IndexCounter>, threads: usize) {
-        let seen = Mutex::new(HashSet::new());
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                let counter = Arc::clone(&counter);
-                let seen = &seen;
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    while let Some(i) = counter.next() {
-                        local.push(i);
-                    }
-                    let mut set = seen.lock().unwrap();
-                    for i in local {
-                        assert!(set.insert(i), "index {i} handed out twice");
-                    }
-                });
-            }
-        });
-        let set = seen.into_inner().unwrap();
-        let range = counter.range();
-        assert_eq!(set.len(), range.len());
-        for i in range {
-            assert!(set.contains(&i));
-        }
-    }
 
     #[test]
-    fn locked_counter_partitions_range() {
-        let stats = Arc::new(SyncCounters::new());
-        partition_exactly(Arc::new(LockedCounter::new(5..205, stats)), 4);
-    }
-
-    #[test]
-    fn atomic_counter_partitions_range() {
-        let stats = Arc::new(SyncCounters::new());
-        partition_exactly(Arc::new(AtomicCounter::new(5..205, stats)), 4);
-    }
-
-    fn chunks_partition(counter: &dyn IndexCounter) {
-        let mut got = Vec::new();
-        loop {
-            let r = counter.next_chunk(7);
-            if r.is_empty() {
-                break;
-            }
-            got.extend(r);
-        }
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chunked_grabs_cover_range() {
-        let stats = Arc::new(SyncCounters::new());
-        chunks_partition(&LockedCounter::new(0..100, Arc::clone(&stats)));
-        chunks_partition(&AtomicCounter::new(0..100, stats));
-    }
-
-    #[test]
-    fn reset_restarts_distribution() {
-        let stats = Arc::new(SyncCounters::new());
-        let c = AtomicCounter::new(0..3, stats);
-        assert_eq!(c.next(), Some(0));
-        while c.next().is_some() {}
-        assert_eq!(c.next(), None);
-        c.reset();
-        assert_eq!(c.next(), Some(0));
-    }
-
-    #[test]
-    fn exhausted_atomic_counter_does_not_drift() {
+    fn exhausted_fetch_add_cursor_does_not_drift() {
         // Regression test: repeated grabs after exhaustion used to keep
         // fetch_adding the raw value toward usize overflow (and, wrapped,
         // would eventually hand out duplicate indices). The clamp must keep
         // the overshoot bounded by the number of in-flight grabbers, while
-        // every poll still reports exhaustion.
+        // every poll still reports exhaustion. Reads the raw cursor, so it
+        // lives here rather than in the `SyncEnv`-level suite.
         let stats = Arc::new(SyncCounters::new());
-        let c = Arc::new(AtomicCounter::new(0..10, Arc::clone(&stats)));
         const THREADS: usize = 4;
+        let c = IndexCounter::new(SyncMode::LockFree, 0..10, THREADS, Arc::clone(&stats));
+        let Cursor::FetchAdd(raw) = &c.cursor else {
+            panic!("lock-free mode must use the fetch_add cursor");
+        };
         const POLLS: usize = 50_000;
         std::thread::scope(|s| {
             for _ in 0..THREADS {
-                let c = Arc::clone(&c);
-                s.spawn(move || {
+                s.spawn(|| {
                     while c.next().is_some() {}
                     for _ in 0..POLLS {
                         assert_eq!(c.next(), None);
@@ -315,40 +208,18 @@ mod tests {
                 });
             }
         });
-        let raw = c.value.load(Ordering::Relaxed);
+        let drifted = raw.load(Ordering::Relaxed);
         assert!(
-            raw <= c.range.end + THREADS * 7,
-            "counter drifted to {raw} after exhaustion (end {})",
+            drifted <= c.range.end + THREADS * 7,
+            "counter drifted to {drifted} after exhaustion (end {})",
             c.range.end
         );
         // Single-threaded quiescent poll leaves the value exactly clamped.
         assert_eq!(c.next(), None);
-        assert_eq!(c.value.load(Ordering::Relaxed), c.range.end);
+        assert_eq!(raw.load(Ordering::Relaxed), c.range.end);
         // The clamp itself is not instrumented: every logical grab (the
         // exhausted polls included) counts exactly one getsub + one RMW.
         let p = stats.snapshot();
         assert_eq!(p.getsub_calls, p.atomic_rmws);
-    }
-
-    #[test]
-    fn atomic_counter_counts_rmws() {
-        let stats = Arc::new(SyncCounters::new());
-        let c = AtomicCounter::new(0..10, Arc::clone(&stats));
-        while c.next().is_some() {}
-        let p = stats.snapshot();
-        assert_eq!(p.getsub_calls, 11);
-        assert_eq!(p.atomic_rmws, 11);
-        assert_eq!(p.lock_acquires, 0);
-    }
-
-    #[test]
-    fn locked_counter_takes_locks_not_rmws() {
-        let stats = Arc::new(SyncCounters::new());
-        let c = LockedCounter::new(0..10, Arc::clone(&stats));
-        while c.next().is_some() {}
-        let p = stats.snapshot();
-        assert_eq!(p.getsub_calls, 11);
-        assert_eq!(p.lock_acquires, 11);
-        assert_eq!(p.atomic_rmws, 0);
     }
 }

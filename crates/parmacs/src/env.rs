@@ -7,13 +7,12 @@
 //! "as Splash-3" and "as Splash-4" — the algorithmic code is byte-identical.
 
 use crate::barrier::{Barrier, CondvarBarrier, SenseBarrier};
-use crate::combining::{CombiningBarrier, CombiningCounter, CombiningDispenser, CombiningReducer};
-use crate::counter::{AtomicCounter, IndexCounter, LockedCounter};
+use crate::counter::IndexCounter;
 use crate::flag::{AtomicFlag, CondvarFlag, PauseVar};
 use crate::lock::{RawLock, SleepLock};
 use crate::mode::{ConstructClass, SyncMode, SyncPolicy};
-use crate::queue::{LockedQueue, StealPool, TaskQueue, TicketDispenser, TreiberStack};
-use crate::reduce::{AtomicReducer, LockedReducer, ReduceF64, ReduceU64};
+use crate::queue::{LockedQueue, TaskQueue, TreiberStack};
+use crate::reduce::{ReduceF64, ReduceU64, Reducer};
 use crate::stats::{Counter, SyncCounters, SyncProfile};
 use crate::trace::TraceSink;
 use std::fmt;
@@ -123,10 +122,11 @@ impl SyncEnv {
 
     /// A phase barrier for `n` participants (sub-team barriers).
     pub fn barrier_for(&self, n: usize) -> Arc<dyn Barrier> {
+        let stats = Arc::clone(&self.stats);
         match self.mode_for(ConstructClass::Barrier) {
-            SyncMode::LockBased => Arc::new(CondvarBarrier::new(n, Arc::clone(&self.stats))),
-            SyncMode::LockFree => Arc::new(SenseBarrier::new(n, Arc::clone(&self.stats))),
-            SyncMode::Combining => Arc::new(CombiningBarrier::new(n, Arc::clone(&self.stats))),
+            SyncMode::LockBased => Arc::new(CondvarBarrier::new(n, stats)),
+            SyncMode::LockFree => Arc::new(SenseBarrier::new(n, stats)),
+            SyncMode::Combining => Arc::new(SenseBarrier::combining(n, stats)),
         }
     }
 
@@ -144,41 +144,32 @@ impl SyncEnv {
     /// A `GETSUB` work-index dispenser over `range`, per the counter-class
     /// policy. The `name` is documentation-only (mirrors the original code's
     /// named global counters).
-    pub fn counter(&self, name: &str, range: Range<usize>) -> Arc<dyn IndexCounter> {
+    pub fn counter(&self, name: &str, range: Range<usize>) -> Arc<IndexCounter> {
         let _ = name;
-        match self.mode_for(ConstructClass::Counter) {
-            SyncMode::LockBased => Arc::new(LockedCounter::new(range, Arc::clone(&self.stats))),
-            SyncMode::LockFree => Arc::new(AtomicCounter::new(range, Arc::clone(&self.stats))),
-            SyncMode::Combining => Arc::new(CombiningCounter::new(
-                range,
-                self.nthreads,
-                Arc::clone(&self.stats),
-            )),
-        }
+        Arc::new(IndexCounter::new(
+            self.mode_for(ConstructClass::Counter),
+            range,
+            self.nthreads,
+            Arc::clone(&self.stats),
+        ))
+    }
+
+    fn reducer(&self) -> Arc<Reducer> {
+        Arc::new(Reducer::new(
+            self.mode_for(ConstructClass::Reduction),
+            self.nthreads,
+            Arc::clone(&self.stats),
+        ))
     }
 
     /// A global floating-point reduction cell, per the reduction-class policy.
     pub fn reducer_f64(&self) -> Arc<dyn ReduceF64> {
-        match self.mode_for(ConstructClass::Reduction) {
-            SyncMode::LockBased => Arc::new(LockedReducer::new(Arc::clone(&self.stats))),
-            SyncMode::LockFree => Arc::new(AtomicReducer::new(Arc::clone(&self.stats))),
-            SyncMode::Combining => Arc::new(CombiningReducer::new(
-                self.nthreads,
-                Arc::clone(&self.stats),
-            )),
-        }
+        self.reducer()
     }
 
     /// A global integer reduction cell, per the reduction-class policy.
     pub fn reducer_u64(&self) -> Arc<dyn ReduceU64> {
-        match self.mode_for(ConstructClass::Reduction) {
-            SyncMode::LockBased => Arc::new(LockedReducer::new(Arc::clone(&self.stats))),
-            SyncMode::LockFree => Arc::new(AtomicReducer::new(Arc::clone(&self.stats))),
-            SyncMode::Combining => Arc::new(CombiningReducer::new(
-                self.nthreads,
-                Arc::clone(&self.stats),
-            )),
-        }
+        self.reducer()
     }
 
     /// A pause/flag variable, per the flag-class policy. Combining mode
@@ -200,43 +191,14 @@ impl SyncEnv {
 
     /// A dynamic MPMC task pool, per the queue-class policy. Combining mode
     /// reuses the Treiber stack: combining targets the *static* contended
-    /// constructs (counters, reductions, barrier arrival, ticket pools);
-    /// dynamic push/pop traffic keeps the lock-free structure.
+    /// constructs (counters, reductions, barrier arrival); dynamic push/pop
+    /// traffic keeps the lock-free structure.
     pub fn task_queue<T: Send + 'static>(&self) -> Arc<dyn TaskQueue<T>> {
         match self.mode_for(ConstructClass::Queue) {
             SyncMode::LockBased => Arc::new(LockedQueue::new(Arc::clone(&self.stats))),
             SyncMode::LockFree | SyncMode::Combining => {
                 Arc::new(TreiberStack::new(Arc::clone(&self.stats)))
             }
-        }
-    }
-
-    /// A work-stealing pool with one queue per team thread, per the
-    /// queue-class policy (the distributed-queue structure of radiosity).
-    pub fn steal_pool<T: Send + 'static>(&self) -> StealPool<T> {
-        StealPool::new((0..self.nthreads).map(|_| self.task_queue()).collect())
-    }
-
-    /// A static work pool over a prebuilt task list, per the queue-class
-    /// policy: a locked FIFO in lock-based mode, an atomic ticket dispenser
-    /// in lock-free mode.
-    pub fn work_pool<T: Send + Sync + Clone + 'static>(&self, tasks: Vec<T>) -> WorkPool<T> {
-        match self.mode_for(ConstructClass::Queue) {
-            SyncMode::LockBased => {
-                let q = LockedQueue::new(Arc::clone(&self.stats));
-                for t in tasks {
-                    q.push(t);
-                }
-                WorkPool::Locked(q)
-            }
-            SyncMode::LockFree => {
-                WorkPool::Ticket(TicketDispenser::new(tasks, Arc::clone(&self.stats)))
-            }
-            SyncMode::Combining => WorkPool::Combined(Box::new(CombiningDispenser::new(
-                tasks,
-                self.nthreads,
-                Arc::clone(&self.stats),
-            ))),
         }
     }
 }
@@ -250,102 +212,9 @@ impl fmt::Debug for SyncEnv {
     }
 }
 
-/// Static work pool over a prebuilt task list (see [`SyncEnv::work_pool`]).
-#[derive(Debug)]
-pub enum WorkPool<T> {
-    /// Lock-based back-end: mutex-guarded FIFO.
-    Locked(LockedQueue<T>),
-    /// Lock-free back-end: atomic ticket over the shared task array.
-    Ticket(TicketDispenser<T>),
-    /// Combining back-end: claims batched through a flat-combining core
-    /// (boxed: the core's per-thread record array dwarfs the other
-    /// variants).
-    Combined(Box<CombiningDispenser<T>>),
-}
-
-impl<T: Send + Sync + Clone> WorkPool<T> {
-    /// Claim the next task, or `None` when the pool is exhausted.
-    pub fn claim(&self) -> Option<T> {
-        match self {
-            WorkPool::Locked(q) => q.pop(),
-            WorkPool::Ticket(d) => d.claim().cloned(),
-            WorkPool::Combined(d) => d.claim().cloned(),
-        }
-    }
-
-    /// Total number of tasks the pool was built with (ticket/combining
-    /// back-ends) or currently holds (locked back-end).
-    pub fn len(&self) -> usize {
-        match self {
-            WorkPool::Locked(q) => q.len(),
-            WorkPool::Ticket(d) => d.len(),
-            WorkPool::Combined(d) => d.len(),
-        }
-    }
-
-    /// `true` when no tasks remain to claim (locked) or none were provided
-    /// (ticket).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::team::Team;
-
-    #[test]
-    fn lock_based_env_hands_out_lock_based_primitives() {
-        let env = SyncEnv::new(SyncMode::LockBased, 2);
-        let c = env.counter("x", 0..5);
-        while c.next().is_some() {}
-        let b = env.barrier();
-        Team::new(2).run(|ctx| b.wait(ctx.tid));
-        let r = env.reducer_f64();
-        r.add(1.0);
-        let p = env.profile();
-        assert!(p.lock_acquires > 0, "lock-based primitives must take locks");
-        assert_eq!(p.atomic_rmws, 0, "no atomic RMWs in pure lock-based mode");
-    }
-
-    #[test]
-    fn lock_free_env_takes_no_locks() {
-        let env = SyncEnv::new(SyncMode::LockFree, 2);
-        let c = env.counter("x", 0..5);
-        while c.next().is_some() {}
-        let b = env.barrier();
-        Team::new(2).run(|ctx| b.wait(ctx.tid));
-        let r = env.reducer_f64();
-        r.add(1.0);
-        let q = env.task_queue::<u32>();
-        q.push(1);
-        let _ = q.pop();
-        let p = env.profile();
-        assert_eq!(p.lock_acquires, 0, "lock-free mode must not acquire locks");
-        assert!(p.atomic_rmws > 0);
-    }
-
-    #[test]
-    fn combining_env_takes_no_locks_and_batches() {
-        let env = SyncEnv::new(SyncMode::Combining, 2);
-        let c = env.counter("x", 0..5);
-        while c.next().is_some() {}
-        let b = env.barrier();
-        Team::new(2).run(|ctx| b.wait(ctx.tid));
-        let r = env.reducer_f64();
-        r.add(1.0);
-        let p = env.profile();
-        assert_eq!(p.lock_acquires, 0, "combining mode must not take locks");
-        assert!(p.combine_ops > 0, "requests must route through the core");
-        assert!(p.combine_batches >= 1);
-        assert!(p.atomic_rmws > 0);
-        // Logical class tallies are identical to the other generations.
-        assert_eq!(p.getsub_calls, 6);
-        assert_eq!(p.barrier_waits, 2);
-        assert_eq!(p.reduce_ops, 1);
-        assert!(!env.data_locks());
-    }
 
     #[test]
     fn ablation_policy_mixes_backends() {
@@ -360,24 +229,6 @@ mod tests {
         // Reductions still lock-based under this policy.
         env.reducer_f64().add(1.0);
         assert_eq!(env.profile().lock_acquires, 1);
-    }
-
-    #[test]
-    fn work_pool_distributes_all_tasks_in_both_modes() {
-        for mode in SyncMode::ALL {
-            let env = SyncEnv::new(mode, 3);
-            let pool = env.work_pool((0..30).collect::<Vec<u32>>());
-            assert_eq!(pool.len(), 30);
-            let got = std::sync::Mutex::new(Vec::new());
-            Team::new(3).run(|_| {
-                while let Some(t) = pool.claim() {
-                    got.lock().unwrap().push(t);
-                }
-            });
-            let mut got = got.into_inner().unwrap();
-            got.sort_unstable();
-            assert_eq!(got, (0..30).collect::<Vec<u32>>());
-        }
     }
 
     #[test]

@@ -14,12 +14,17 @@
 //!
 //! | construct | lock-based (≙ Splash-3) | lock-free (≙ Splash-4) | combining (splash4x) |
 //! |---|---|---|---|
-//! | barrier | mutex + condvar generation barrier | sense-reversing atomic barrier | combining arrival + sense release |
+//! | barrier | mutex + condvar generation barrier | sense-reversing atomic barrier | same barrier, combined arrival |
 //! | lock | sleeping mutex (futex-style) | — (locks are what gets removed) | — |
 //! | `GETSUB` index counter | lock-protected counter | `fetch_add` | combined batch grab |
 //! | f64/u64 reduction | lock-protected accumulator | CAS-loop on atomic word | combined batch fold |
 //! | pause/flag variable | mutex + condvar | atomic flag, acquire/release | atomic flag (nothing to batch) |
-//! | task queue | mutex + `VecDeque` | Treiber stack / atomic ticket | Treiber stack / combined ticket |
+//! | task queue | mutex + `VecDeque` | Treiber stack | Treiber stack (nothing static to batch) |
+//!
+//! Each mode-dependent construct is one concrete type — [`IndexCounter`],
+//! [`reduce::Reducer`], [`SenseBarrier`] — whose only mode-specific step is
+//! a private strategy, and [`SyncEnv`] is the only place a mode is turned
+//! into a primitive.
 //!
 //! All primitives are instrumented: dynamic operation counts and (for the
 //! sleep-prone classes) nanoseconds are recorded into a shared
@@ -61,13 +66,12 @@ pub mod env;
 pub mod flag;
 pub mod json;
 pub mod lock;
-#[macro_use]
-pub mod macros;
 pub mod mode;
 pub mod pad;
 pub mod queue;
 pub mod reduce;
 pub mod rng;
+mod serial;
 pub mod spec;
 pub mod stats;
 pub mod team;
@@ -75,21 +79,17 @@ pub mod trace;
 pub mod workload;
 
 pub use backoff::Backoff;
-pub use barrier::{Barrier, CondvarBarrier, SenseBarrier, TreeBarrier};
-pub use combining::{
-    CombiningBarrier, CombiningCore, CombiningCounter, CombiningDispenser, CombiningReducer,
-};
-pub use counter::{AtomicCounter, IndexCounter, LockedCounter};
-pub use env::{SyncEnv, WorkPool};
+pub use barrier::{Barrier, CondvarBarrier, SenseBarrier};
+pub use combining::CombiningCore;
+pub use counter::IndexCounter;
+pub use env::SyncEnv;
 pub use flag::{AtomicFlag, CondvarFlag, PauseVar};
 pub use json::{Json, ToJson};
-pub use lock::{RawLock, SleepLock, TasLock, TicketLock};
+pub use lock::{RawLock, SleepLock};
 pub use mode::{ConstructClass, SyncMode, SyncPolicy};
 pub use pad::CachePadded;
-pub use queue::{
-    BoundedMpmcQueue, LockedQueue, StealPool, TaskQueue, TicketDispenser, TreiberStack,
-};
-pub use reduce::{AtomicF64, AtomicReducer, LockedReducer, ReduceF64, ReduceU64};
+pub use queue::{BoundedMpmcQueue, LockedQueue, StealPool, TaskQueue, TreiberStack};
+pub use reduce::{AtomicF64, ReduceF64, ReduceU64, Reducer};
 pub use rng::SmallRng;
 pub use spec::{
     CMapSpec, CasF64Spec, CombiningSpec, EliminationSpec, EpochSpec, FlagSpec, HazardSpec,
@@ -97,5 +97,5 @@ pub use spec::{
 };
 pub use stats::{Counter, SyncCounters, SyncProfile};
 pub use team::{chunk_range, current_tid, Team, TeamCtx};
-pub use trace::{NoopSink, TraceEvent, TraceSink};
+pub use trace::{TraceEvent, TraceSink};
 pub use workload::{Dispatch, PhaseSpec, WorkModel};

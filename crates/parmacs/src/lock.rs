@@ -2,15 +2,14 @@
 //!
 //! [`SleepLock`] is the Splash-3 expansion: a pthreads-style sleeping mutex —
 //! contended acquirers block in the kernel and pay wake-up latency. The
-//! spinning variants ([`TicketLock`], [`TasLock`]) are provided for the
-//! synchronization microbenchmarks (`F7-barrier-micro`); the Splash-4
-//! modernization does not replace locks with better locks, it removes them,
-//! so the lock-free back-ends of the other modules never take these.
+//! Splash-4 modernization does not replace locks with better locks, it
+//! removes them, so the lock-free back-ends of the other modules never take
+//! one.
 
 use crate::stats::{Counter, SyncCounters};
 use crate::trace::{now_ns, TraceEvent};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// A raw acquire/release lock, deliberately guard-free so it can expand the
@@ -121,110 +120,6 @@ impl fmt::Debug for SleepLock {
     }
 }
 
-/// FIFO ticket spinlock.
-pub struct TicketLock {
-    next_ticket: AtomicUsize,
-    now_serving: AtomicUsize,
-    stats: Arc<SyncCounters>,
-}
-
-impl TicketLock {
-    /// New unlocked lock reporting into `stats`.
-    pub fn new(stats: Arc<SyncCounters>) -> TicketLock {
-        TicketLock {
-            next_ticket: AtomicUsize::new(0),
-            now_serving: AtomicUsize::new(0),
-            stats,
-        }
-    }
-}
-
-impl RawLock for TicketLock {
-    fn acquire(&self) {
-        self.stats.bump(Counter::LockAcquires);
-        self.stats.bump(Counter::AtomicRmws);
-        let ticket = self.next_ticket.fetch_add(1, Ordering::AcqRel);
-        if self.now_serving.load(Ordering::Acquire) != ticket {
-            self.stats.bump(Counter::LockContended);
-            self.stats.timed(Counter::LockWaitNs, || {
-                let mut backoff = crate::backoff::Backoff::new();
-                while self.now_serving.load(Ordering::Acquire) != ticket {
-                    backoff.snooze();
-                }
-            });
-        }
-    }
-
-    fn release(&self) {
-        self.now_serving.fetch_add(1, Ordering::AcqRel);
-    }
-}
-
-impl fmt::Debug for TicketLock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TicketLock").finish_non_exhaustive()
-    }
-}
-
-/// Test-and-test-and-set spinlock with progressive back-off.
-pub struct TasLock {
-    locked: AtomicBool,
-    stats: Arc<SyncCounters>,
-}
-
-impl TasLock {
-    /// New unlocked lock reporting into `stats`.
-    pub fn new(stats: Arc<SyncCounters>) -> TasLock {
-        TasLock {
-            locked: AtomicBool::new(false),
-            stats,
-        }
-    }
-}
-
-impl RawLock for TasLock {
-    fn acquire(&self) {
-        self.stats.bump(Counter::LockAcquires);
-        self.stats.bump(Counter::AtomicRmws);
-        if self
-            .locked
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            return;
-        }
-        self.stats.bump(Counter::LockContended);
-        self.stats.timed(Counter::LockWaitNs, || {
-            let mut backoff = crate::backoff::Backoff::new();
-            loop {
-                // Test loop: spin on a plain load to avoid hammering the line.
-                while self.locked.load(Ordering::Relaxed) {
-                    backoff.snooze();
-                }
-                self.stats.bump(Counter::AtomicRmws);
-                if self
-                    .locked
-                    .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    return;
-                }
-                self.stats.bump(Counter::CasFailures);
-            }
-        });
-    }
-
-    fn release(&self) {
-        self.locked.store(false, Ordering::Release);
-    }
-}
-
-impl fmt::Debug for TasLock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TasLock").finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,20 +153,6 @@ mod tests {
         let lock: Arc<dyn RawLock> = Arc::new(SleepLock::new(Arc::clone(&stats)));
         assert_eq!(hammer(lock, 4, 500), 2000);
         assert_eq!(stats.snapshot().lock_acquires, 2000);
-    }
-
-    #[test]
-    fn ticket_lock_excludes() {
-        let stats = Arc::new(SyncCounters::new());
-        let lock: Arc<dyn RawLock> = Arc::new(TicketLock::new(Arc::clone(&stats)));
-        assert_eq!(hammer(lock, 4, 500), 2000);
-    }
-
-    #[test]
-    fn tas_lock_excludes() {
-        let stats = Arc::new(SyncCounters::new());
-        let lock: Arc<dyn RawLock> = Arc::new(TasLock::new(Arc::clone(&stats)));
-        assert_eq!(hammer(lock, 4, 500), 2000);
     }
 
     #[test]

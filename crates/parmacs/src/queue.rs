@@ -2,10 +2,9 @@
 //!
 //! The task-parallel applications (cholesky, raytrace, volrend, radiosity)
 //! feed themselves from shared pools. Splash-3 guards a linked list or array
-//! with a lock ([`LockedQueue`]); Splash-4 replaces it with lock-free
-//! structures: a CAS-based [`TreiberStack`] for dynamic task sets and an
-//! atomic [`TicketDispenser`] for static ones (tiled images, prebuilt task
-//! arrays).
+//! with a lock ([`LockedQueue`]); Splash-4 replaces it with a lock-free
+//! CAS-based [`TreiberStack`]. (The kernels' unbounded pools with real node
+//! reclamation build on the same [`TaskQueue`] trait in `splash4-reclaim`.)
 //!
 //! The Treiber stack never frees a node before the stack itself is dropped
 //! (popped nodes go onto a retired list), which rules out both use-after-free
@@ -16,7 +15,7 @@
 use crate::backoff::Backoff;
 use crate::lock::{RawLock, SleepLock};
 use crate::pad::CachePadded;
-use crate::spec::{RingSpec, TicketSpec, TreiberSpec};
+use crate::spec::{RingSpec, TreiberSpec};
 use crate::stats::{Counter, SyncCounters};
 use crate::trace::TraceEvent;
 use std::cell::UnsafeCell;
@@ -240,84 +239,6 @@ impl<T> fmt::Debug for TreiberStack<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TreiberStack")
             .field("len", &self.len.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-/// Atomic ticket dispenser over a prebuilt task array (Splash-4's replacement
-/// for lock-protected static work lists: tiles, rows, prebuilt task graphs).
-///
-/// `claim` hands out each slot exactly once via `fetch_add`; the task data
-/// itself stays shared and immutable.
-pub struct TicketDispenser<T> {
-    tasks: Vec<T>,
-    next: AtomicUsize,
-    stats: Arc<SyncCounters>,
-}
-
-impl<T: Sync> TicketDispenser<T> {
-    /// Dispenser over `tasks` reporting into `stats`.
-    pub fn new(tasks: Vec<T>, stats: Arc<SyncCounters>) -> TicketDispenser<T> {
-        TicketDispenser {
-            tasks,
-            next: AtomicUsize::new(0),
-            stats,
-        }
-    }
-
-    /// Claim the next task, or `None` when all are claimed.
-    pub fn claim(&self) -> Option<&T> {
-        self.stats.bump(Counter::QueueOps);
-        self.stats.bump(Counter::AtomicRmws);
-        self.stats.trace(TraceEvent::Dequeue);
-        let i = self.next.fetch_add(1, TicketSpec::SPLASH4.claim_rmw);
-        self.tasks.get(i)
-    }
-
-    /// Number of claim attempts so far (may exceed [`TicketDispenser::len`]
-    /// once the dispenser is drained). Exact only when quiescent.
-    pub fn claimed(&self) -> usize {
-        self.next.load(Ordering::Acquire)
-    }
-
-    /// Total number of tasks.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// `true` if the dispenser was built with no tasks.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// Reset so all tasks can be claimed again (between phases).
-    ///
-    /// # Quiescence
-    ///
-    /// `reset` must only be called while no thread can concurrently
-    /// [`TicketDispenser::claim`] — in the suite this always holds because
-    /// resets sit between barrier-separated phases. A claim racing with the
-    /// reset could be handed the same slot twice (once against the old
-    /// counter, once against the zeroed one). Debug builds assert that the
-    /// claimed count is stable across the reset so such misuse fails loudly;
-    /// the `splash4-check` shadow dispenser performs the same check under the
-    /// model checker, where every racy interleaving is actually explored.
-    pub fn reset(&self) {
-        const S: TicketSpec = TicketSpec::SPLASH4;
-        let before = self.next.load(S.reset_load);
-        let seen = self.next.swap(0, S.reset_swap);
-        debug_assert_eq!(
-            before, seen,
-            "TicketDispenser::reset raced with claim(); reset requires quiescence"
-        );
-    }
-}
-
-impl<T> fmt::Debug for TicketDispenser<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TicketDispenser")
-            .field("total", &self.tasks.len())
-            .field("claimed", &self.next.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -760,32 +681,6 @@ mod tests {
         }
         // 1 popped + 4 left on the stack at drop time.
         assert_eq!(drops.load(Ordering::SeqCst), 5);
-    }
-
-    #[test]
-    fn ticket_dispenser_claims_each_once() {
-        let stats = Arc::new(SyncCounters::new());
-        let d = Arc::new(TicketDispenser::new((0..100).collect(), stats));
-        let seen = Mutex::new(HashSet::new());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let d = Arc::clone(&d);
-                let seen = &seen;
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    while let Some(&v) = d.claim() {
-                        local.push(v);
-                    }
-                    let mut set = seen.lock().unwrap();
-                    for v in local {
-                        assert!(set.insert(v));
-                    }
-                });
-            }
-        });
-        assert_eq!(seen.into_inner().unwrap().len(), 100);
-        d.reset();
-        assert_eq!(d.claim(), Some(&0));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Global reductions (lock-protected accumulators in Splash-3, CAS-loop
-//! atomics in Splash-4).
+//! atomics in Splash-4, combiner-folded accumulators in Splash-4x), all one
+//! [`Reducer`] type.
 //!
 //! The suite's kernels accumulate global energies, residual errors and
 //! checksums from every thread each iteration. Splash-3 guards a shared
@@ -7,8 +8,8 @@
 //! pattern (C11 `atomic_compare_exchange_weak` on a `_Atomic double` — here an
 //! [`AtomicU64`] holding `f64::to_bits`).
 
-use crate::lock::{RawLock, SleepLock};
-use crate::mode::ConstructClass;
+use crate::mode::{ConstructClass, SyncMode};
+use crate::serial::Serial;
 use crate::stats::{Counter, SyncCounters};
 use crate::trace::TraceEvent;
 use std::fmt;
@@ -39,92 +40,6 @@ pub trait ReduceU64: Send + Sync + fmt::Debug {
     fn load(&self) -> u64;
     /// Reset to `v` (between phases).
     fn store(&self, v: u64);
-}
-
-/// Lock-protected accumulator (Splash-3).
-pub struct LockedReducer {
-    lock: SleepLock,
-    value: std::cell::UnsafeCell<f64>,
-    value_u: std::cell::UnsafeCell<u64>,
-    stats: Arc<SyncCounters>,
-}
-
-// SAFETY: both cells are only touched with `lock` held.
-unsafe impl Sync for LockedReducer {}
-unsafe impl Send for LockedReducer {}
-
-impl LockedReducer {
-    /// Zero-initialized reducer reporting into `stats`.
-    pub fn new(stats: Arc<SyncCounters>) -> LockedReducer {
-        LockedReducer {
-            lock: SleepLock::new(Arc::clone(&stats)),
-            value: std::cell::UnsafeCell::new(0.0),
-            value_u: std::cell::UnsafeCell::new(0),
-            stats,
-        }
-    }
-
-    fn update(&self, f: impl FnOnce(&mut f64, &mut u64)) {
-        self.stats.bump(Counter::ReduceOps);
-        self.stats.trace(TraceEvent::Rmw {
-            class: ConstructClass::Reduction,
-            n: 1,
-        });
-        self.lock.acquire();
-        // SAFETY: lock held.
-        unsafe { f(&mut *self.value.get(), &mut *self.value_u.get()) };
-        self.lock.release();
-    }
-}
-
-impl ReduceF64 for LockedReducer {
-    fn add(&self, v: f64) {
-        self.update(|x, _| *x += v);
-    }
-    fn max(&self, v: f64) {
-        self.update(|x, _| *x = x.max(v));
-    }
-    fn min(&self, v: f64) {
-        self.update(|x, _| *x = x.min(v));
-    }
-    fn load(&self) -> f64 {
-        self.lock.acquire();
-        // SAFETY: lock held.
-        let v = unsafe { *self.value.get() };
-        self.lock.release();
-        v
-    }
-    fn store(&self, v: f64) {
-        self.lock.acquire();
-        // SAFETY: lock held.
-        unsafe { *self.value.get() = v };
-        self.lock.release();
-    }
-}
-
-impl ReduceU64 for LockedReducer {
-    fn add(&self, v: u64) {
-        self.update(|_, x| *x += v);
-    }
-    fn load(&self) -> u64 {
-        self.lock.acquire();
-        // SAFETY: lock held.
-        let v = unsafe { *self.value_u.get() };
-        self.lock.release();
-        v
-    }
-    fn store(&self, v: u64) {
-        self.lock.acquire();
-        // SAFETY: lock held.
-        unsafe { *self.value_u.get() = v };
-        self.lock.release();
-    }
-}
-
-impl fmt::Debug for LockedReducer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LockedReducer").finish_non_exhaustive()
-    }
 }
 
 /// An `f64` stored in an [`AtomicU64`] with CAS-loop read-modify-write.
@@ -192,166 +107,157 @@ impl fmt::Debug for AtomicF64 {
     }
 }
 
-/// CAS-loop reducer (Splash-4): an [`AtomicF64`] plus an integer cell.
-pub struct AtomicReducer {
-    float: AtomicF64,
-    int: AtomicU64,
-    stats: Arc<SyncCounters>,
+struct ReduceState {
+    f: f64,
+    u: u64,
 }
 
-impl AtomicReducer {
-    /// Zero-initialized reducer reporting into `stats`.
-    pub fn new(stats: Arc<SyncCounters>) -> AtomicReducer {
-        AtomicReducer {
-            float: AtomicF64::new(0.0, Arc::clone(&stats)),
-            int: AtomicU64::new(0),
-            stats,
+const OP_FADD: u64 = 1;
+const OP_FMAX: u64 = 2;
+const OP_FMIN: u64 = 3;
+const OP_FLOAD: u64 = 4;
+const OP_FSTORE: u64 = 5;
+const OP_UADD: u64 = 6;
+const OP_ULOAD: u64 = 7;
+const OP_USTORE: u64 = 8;
+
+fn apply_reduce(s: &mut ReduceState, op: u64, arg: u64) -> u64 {
+    match op {
+        OP_FADD => {
+            s.f += f64::from_bits(arg);
+            0
+        }
+        OP_FMAX => {
+            s.f = s.f.max(f64::from_bits(arg));
+            0
+        }
+        OP_FMIN => {
+            s.f = s.f.min(f64::from_bits(arg));
+            0
+        }
+        OP_FLOAD => s.f.to_bits(),
+        OP_FSTORE => {
+            s.f = f64::from_bits(arg);
+            0
+        }
+        OP_UADD => {
+            s.u += arg;
+            0
+        }
+        OP_ULOAD => s.u,
+        _ => {
+            s.u = arg;
+            0
         }
     }
 }
 
-impl ReduceF64 for AtomicReducer {
-    fn add(&self, v: f64) {
+enum Cells {
+    /// Splash-4: a CAS-loop [`AtomicF64`] plus a `fetch_add` integer cell.
+    Atomic { float: AtomicF64, int: AtomicU64 },
+    /// Splash-3 / Splash-4x: [`apply_reduce`] under the serial executor.
+    Serial(Serial<ReduceState>),
+}
+
+/// The suite's global reduction cell: one float and one integer
+/// accumulator, viewed through [`ReduceF64`] or [`ReduceU64`]. The
+/// expansion is its private cell strategy — sequential accumulators run by
+/// the crate's serial executor (under a lock in Splash-3, by a combiner in
+/// Splash-4x) or native atomics (Splash-4).
+pub struct Reducer {
+    cells: Cells,
+    stats: Arc<SyncCounters>,
+}
+
+impl Reducer {
+    /// Zero-initialized reducer expanded per `mode` for a team of
+    /// `nthreads`, reporting into `stats`.
+    pub(crate) fn new(mode: SyncMode, nthreads: usize, stats: Arc<SyncCounters>) -> Reducer {
+        let state = ReduceState { f: 0.0, u: 0 };
+        let cells = match Serial::for_mode(mode, nthreads, state, apply_reduce, &stats) {
+            Some(serial) => Cells::Serial(serial),
+            None => Cells::Atomic {
+                float: AtomicF64::new(0.0, Arc::clone(&stats)),
+                int: AtomicU64::new(0),
+            },
+        };
+        Reducer { cells, stats }
+    }
+
+    #[inline]
+    fn run(&self, op: u64, arg: u64) -> u64 {
+        let (float, int) = match &self.cells {
+            Cells::Serial(serial) => return serial.run(op, arg),
+            Cells::Atomic { float, int } => (float, int),
+        };
+        let v = f64::from_bits(arg);
+        match op {
+            OP_FADD => float.add(v),
+            OP_FMAX => float.fetch_update(|x| x.max(v)),
+            OP_FMIN => float.fetch_update(|x| x.min(v)),
+            OP_FLOAD => return float.load().to_bits(),
+            OP_FSTORE => float.store(v),
+            OP_UADD => {
+                self.stats.bump(Counter::AtomicRmws);
+                int.fetch_add(arg, Ordering::AcqRel);
+            }
+            OP_ULOAD => return int.load(Ordering::Acquire),
+            _ => int.store(arg, Ordering::Release),
+        }
+        0
+    }
+
+    /// One logical reduction contribution (`add`/`max`/`min`).
+    #[inline]
+    fn contribute(&self, op: u64, arg: u64) {
         self.stats.bump(Counter::ReduceOps);
         self.stats.trace(TraceEvent::Rmw {
             class: ConstructClass::Reduction,
             n: 1,
         });
-        self.float.add(v);
+        self.run(op, arg);
+    }
+}
+
+impl ReduceF64 for Reducer {
+    fn add(&self, v: f64) {
+        self.contribute(OP_FADD, v.to_bits());
     }
     fn max(&self, v: f64) {
-        self.stats.bump(Counter::ReduceOps);
-        self.stats.trace(TraceEvent::Rmw {
-            class: ConstructClass::Reduction,
-            n: 1,
-        });
-        self.float.fetch_update(|x| x.max(v));
+        self.contribute(OP_FMAX, v.to_bits());
     }
     fn min(&self, v: f64) {
-        self.stats.bump(Counter::ReduceOps);
-        self.stats.trace(TraceEvent::Rmw {
-            class: ConstructClass::Reduction,
-            n: 1,
-        });
-        self.float.fetch_update(|x| x.min(v));
+        self.contribute(OP_FMIN, v.to_bits());
     }
     fn load(&self) -> f64 {
-        self.float.load()
+        f64::from_bits(self.run(OP_FLOAD, 0))
     }
     fn store(&self, v: f64) {
-        self.float.store(v);
+        self.run(OP_FSTORE, v.to_bits());
     }
 }
 
-impl ReduceU64 for AtomicReducer {
+impl ReduceU64 for Reducer {
     fn add(&self, v: u64) {
-        self.stats.bump(Counter::ReduceOps);
-        self.stats.bump(Counter::AtomicRmws);
-        self.stats.trace(TraceEvent::Rmw {
-            class: ConstructClass::Reduction,
-            n: 1,
-        });
-        self.int.fetch_add(v, Ordering::AcqRel);
+        self.contribute(OP_UADD, v);
     }
     fn load(&self) -> u64 {
-        self.int.load(Ordering::Acquire)
+        self.run(OP_ULOAD, 0)
     }
     fn store(&self, v: u64) {
-        self.int.store(v, Ordering::Release);
+        self.run(OP_USTORE, v);
     }
 }
 
-impl fmt::Debug for AtomicReducer {
+impl fmt::Debug for Reducer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AtomicReducer")
-            .field("float", &self.float.load())
-            .field("int", &self.int.load(Ordering::Relaxed))
-            .finish()
+        f.debug_struct("Reducer").finish_non_exhaustive()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn concurrent_sum(r: Arc<dyn ReduceF64>, threads: usize, per: usize) -> f64 {
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let r = Arc::clone(&r);
-                s.spawn(move || {
-                    for i in 0..per {
-                        r.add((t * per + i) as f64);
-                    }
-                });
-            }
-        });
-        r.load()
-    }
-
-    #[test]
-    fn locked_reducer_sums_exactly() {
-        let stats = Arc::new(SyncCounters::new());
-        let r: Arc<dyn ReduceF64> = Arc::new(LockedReducer::new(stats));
-        let total = concurrent_sum(Arc::clone(&r), 4, 250);
-        assert_eq!(total, (0..1000).sum::<usize>() as f64);
-    }
-
-    #[test]
-    fn atomic_reducer_sums_exactly() {
-        // Integer-valued adds are exact in f64, so CAS-loop order cannot
-        // change the total.
-        let stats = Arc::new(SyncCounters::new());
-        let r: Arc<dyn ReduceF64> = Arc::new(AtomicReducer::new(stats));
-        let total = concurrent_sum(Arc::clone(&r), 4, 250);
-        assert_eq!(total, (0..1000).sum::<usize>() as f64);
-    }
-
-    #[test]
-    fn max_min_fold() {
-        let stats = Arc::new(SyncCounters::new());
-        for r in [
-            Arc::new(LockedReducer::new(Arc::clone(&stats))) as Arc<dyn ReduceF64>,
-            Arc::new(AtomicReducer::new(Arc::clone(&stats))) as Arc<dyn ReduceF64>,
-        ] {
-            r.store(f64::NEG_INFINITY);
-            std::thread::scope(|s| {
-                for t in 0..4 {
-                    let r = Arc::clone(&r);
-                    s.spawn(move || {
-                        for i in 0..100 {
-                            r.max((t * 100 + i) as f64);
-                        }
-                    });
-                }
-            });
-            assert_eq!(r.load(), 399.0);
-            r.store(f64::INFINITY);
-            r.min(-3.0);
-            r.min(5.0);
-            assert_eq!(r.load(), -3.0);
-        }
-    }
-
-    #[test]
-    fn u64_reduction() {
-        let stats = Arc::new(SyncCounters::new());
-        for r in [
-            Arc::new(LockedReducer::new(Arc::clone(&stats))) as Arc<dyn ReduceU64>,
-            Arc::new(AtomicReducer::new(Arc::clone(&stats))) as Arc<dyn ReduceU64>,
-        ] {
-            std::thread::scope(|s| {
-                for _ in 0..4 {
-                    let r = Arc::clone(&r);
-                    s.spawn(move || {
-                        for _ in 0..100 {
-                            r.add(3);
-                        }
-                    });
-                }
-            });
-            assert_eq!(r.load(), 1200);
-        }
-    }
 
     #[test]
     fn atomic_f64_fetch_update_applies() {
@@ -360,22 +266,5 @@ mod tests {
         a.fetch_update(|x| x * 10.0);
         assert_eq!(a.load(), 20.0);
         assert!(stats.snapshot().atomic_rmws >= 1);
-    }
-
-    #[test]
-    fn backend_instrumentation_differs() {
-        let s3 = Arc::new(SyncCounters::new());
-        let r3 = LockedReducer::new(Arc::clone(&s3));
-        ReduceF64::add(&r3, 1.0);
-        let p3 = s3.snapshot();
-        assert_eq!(p3.lock_acquires, 1);
-        assert_eq!(p3.atomic_rmws, 0);
-
-        let s4 = Arc::new(SyncCounters::new());
-        let r4 = AtomicReducer::new(Arc::clone(&s4));
-        ReduceF64::add(&r4, 1.0);
-        let p4 = s4.snapshot();
-        assert_eq!(p4.lock_acquires, 0);
-        assert!(p4.atomic_rmws >= 1);
     }
 }

@@ -4,7 +4,7 @@
 //! the `std::sync::atomic::Ordering` it uses. The real primitives
 //! ([`crate::queue::TreiberStack`], [`crate::barrier::SenseBarrier`],
 //! [`crate::reduce::AtomicF64`], [`crate::flag::AtomicFlag`],
-//! [`crate::counter::AtomicCounter`], [`crate::queue::TicketDispenser`]) read
+//! [`crate::counter::IndexCounter`]) read
 //! their orderings from these constants instead of hard-coding them, and the
 //! `splash4-check` model checker drives *shadow* re-implementations of the
 //! same state machines from the same spec structs. That closes the loop: if a
@@ -130,8 +130,8 @@ impl FlagSpec {
     };
 }
 
-/// Orderings used by the `fetch_add` index counter (`counter::AtomicCounter`)
-/// and the ticket dispenser (`queue::TicketDispenser`).
+/// Orderings used by the `fetch_add` arm of the index counter
+/// (`counter::IndexCounter`).
 ///
 /// `Relaxed` is correct for the claim itself: each grabbed index is
 /// independent and the task data is immutable and published before the team
@@ -140,18 +140,12 @@ impl FlagSpec {
 pub struct TicketSpec {
     /// The claiming `fetch_add`.
     pub claim_rmw: Ordering,
-    /// `reset`'s pre-read of the claim counter (quiescence check).
-    pub reset_load: Ordering,
-    /// `reset`'s swap back to zero.
-    pub reset_swap: Ordering,
 }
 
 impl TicketSpec {
-    /// The orderings the Splash-4 dispensers ship with.
+    /// The ordering the Splash-4 counter ships with.
     pub const SPLASH4: TicketSpec = TicketSpec {
         claim_rmw: Ordering::Relaxed,
-        reset_load: Ordering::Acquire,
-        reset_swap: Ordering::AcqRel,
     };
 }
 
@@ -394,8 +388,8 @@ impl RingSpec {
 }
 
 /// Orderings used by the flat-combining core (`combining::CombiningCore`)
-/// that backs the Splash-4x (`SyncMode::Combining`) counters, reductions,
-/// dispensers and barrier arrival phase.
+/// that backs the Splash-4x (`SyncMode::Combining`) counters, reductions
+/// and barrier arrival phase.
 ///
 /// The protocol has two publication edges the orderings must keep intact:
 ///

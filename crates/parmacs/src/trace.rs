@@ -15,8 +15,7 @@
 //! observations.
 //!
 //! Tracing is disabled by default and costs one branch on an unset pointer
-//! per sync op; [`NoopSink`] is a zero-sized stand-in for explicit "attached
-//! but discard" configurations.
+//! per sync op.
 
 use crate::mode::ConstructClass;
 use std::sync::OnceLock;
@@ -97,16 +96,6 @@ pub trait TraceSink: Send + Sync + std::fmt::Debug {
     fn record(&self, tid: usize, event: TraceEvent);
 }
 
-/// Zero-sized sink that discards every event: the "tracing disabled"
-/// configuration with the same static shape as a real sink.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    #[inline]
-    fn record(&self, _tid: usize, _event: TraceEvent) {}
-}
-
 /// Nanoseconds since the process-wide trace epoch (first call). Monotonic;
 /// shared by the runtime's hold-time measurement and the recorder's
 /// timestamps so both land on one time base.
@@ -119,11 +108,6 @@ pub fn now_ns() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn noop_sink_is_zero_sized() {
-        assert_eq!(std::mem::size_of::<NoopSink>(), 0);
-    }
 
     #[test]
     fn events_are_compact() {

@@ -1,12 +1,11 @@
 //! Safe memory reclamation and dynamic lock-free task pools.
 //!
-//! The suite's original lock-free pools ([`TreiberStack`] and
-//! [`TicketDispenser`] in `splash4-parmacs`) dodge the hard half of
-//! lock-free programming — deciding when a popped node may be freed — by
-//! never freeing: popped nodes go onto a retired list that lives until the
-//! structure is dropped. That is sound and fast, but it caps peak memory at
-//! total-pushes and keeps the task-parallel kernels on fixed-capacity index
-//! pools. This crate supplies the missing half:
+//! The suite's original lock-free pool ([`TreiberStack`] in
+//! `splash4-parmacs`) dodges the hard half of lock-free programming —
+//! deciding when a popped node may be freed — by never freeing: popped
+//! nodes go onto a retired list that lives until the structure is dropped.
+//! That is sound and fast, but it holds peak memory at total-pushes. This
+//! crate supplies the missing half:
 //!
 //! - two reclamation back-ends behind one [`Reclaimer`] trait —
 //!   [`EpochReclaimer`] (per-thread epoch announcements, per-slot
@@ -33,7 +32,6 @@
 //! no-leak-at-quiescence per instance.
 //!
 //! [`TreiberStack`]: splash4_parmacs::TreiberStack
-//! [`TicketDispenser`]: splash4_parmacs::TicketDispenser
 //! [`TaskQueue`]: splash4_parmacs::TaskQueue
 //! [`EpochSpec`]: splash4_parmacs::EpochSpec
 //! [`HazardSpec`]: splash4_parmacs::HazardSpec

@@ -91,7 +91,7 @@ impl SimResult {
 }
 
 /// Number of tree-barrier combining levels for `n` participants (arity 4,
-/// minimum one level) — mirrors `TreeBarrier` in the runtime.
+/// minimum one level).
 fn tree_levels(n: usize) -> u64 {
     let mut levels = 0u64;
     let mut w = n;
