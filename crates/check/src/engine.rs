@@ -2,12 +2,17 @@
 //!
 //! A *scenario* is a handful of virtual threads operating on shadow
 //! primitives. Each virtual thread runs on an OS thread, but only ever one
-//! at a time: every shared-memory operation ([`ThreadCtx::op_load`] & co.)
-//! is a **schedule point** where the running thread parks and the controller
-//! picks, via a [`Driver`], who performs the next operation. All
-//! nondeterminism is thereby funnelled through the driver, so a sequence of
-//! driver choices *is* a schedule: replaying the same choices reproduces the
-//! same execution bit for bit.
+//! at a time — the one holding the **token**. Every shared-memory operation
+//! ([`ThreadCtx::op_load`] & co.) is a **schedule point**: the token holder
+//! records its own status, picks — via a [`Driver`], under the one state
+//! lock — who performs the next operation, and either keeps running (it
+//! picked itself: no thread switch at all) or wakes exactly the chosen
+//! thread and parks until the token comes back. There is no scheduler
+//! thread: the thread that arrives runs the scheduling step itself, so a
+//! modelled operation costs at most one hand-off between OS threads. All
+//! nondeterminism is funnelled through the driver, so a sequence of driver
+//! choices *is* a schedule: replaying the same choices reproduces the same
+//! execution bit for bit.
 //!
 //! On top of the interleaving semantics the engine models the C11 ordering
 //! annotations with vector clocks: release stores/RMWs publish the writer's
@@ -20,10 +25,12 @@
 //!
 //! Blocking (spin loops, lock waits) is modelled explicitly: a thread that
 //! would spin parks on the location via [`ThreadCtx::block_on`] and is
-//! re-enabled by the next write to it. When every unfinished thread is
-//! parked the controller reports a **deadlock** (which is also how lost
-//! wakeups surface, since a wakeup that never comes leaves its waiter
-//! parked forever).
+//! re-enabled by the next write to it. A thread that gives the token up and
+//! finds every unfinished thread parked on a location reports a **deadlock**
+//! (which is also how lost wakeups surface, since a wakeup that never comes
+//! leaves its waiter parked forever). A failure is the one event that wakes
+//! everybody: each parked thread unwinds out of its body, so no OS thread
+//! outlives its execution.
 //!
 //! # Weak-memory exploration
 //!
@@ -113,15 +120,12 @@ impl fmt::Display for Failure {
     }
 }
 
-/// Scheduling status of a virtual thread.
+/// Scheduling status of a virtual thread, as of the last time it gave the
+/// token up (the holder rewrites its own entry before every pick).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
-    /// Spawned but not yet parked at its initial schedule point.
-    NotStarted,
-    /// Parked at a schedule point; eligible to run.
+    /// At a schedule point (or not yet started); eligible to run.
     Ready,
-    /// Holds the token and is executing.
-    Running,
     /// Parked on a location; re-enabled by the next write to it.
     Blocked(usize),
     /// Body returned (or unwound during an abort).
@@ -233,13 +237,18 @@ pub(crate) enum HistEvent {
 }
 
 /// Mutable engine state, guarded by the single engine mutex.
-#[derive(Debug)]
 struct EngineState {
     status: Vec<Status>,
     clocks: Vec<VClock>,
     atomics: Vec<AtomicMeta>,
     data: Vec<DataMeta>,
-    active: Option<usize>,
+    /// The thread allowed to run; also the driver's `prev` at the next pick.
+    token: Option<usize>,
+    /// One condition variable per virtual thread, so a hand-off wakes only
+    /// the thread it hands to.
+    wakers: Vec<Arc<Condvar>>,
+    driver: Box<dyn Driver>,
+    decisions: Vec<Decision>,
     aborting: bool,
     failure: Option<Failure>,
     steps: u64,
@@ -248,34 +257,93 @@ struct EngineState {
     memory: MemoryModel,
     /// Remaining stale reads this execution (weak mode only).
     stale_budget: u32,
-    /// A weak load asking the controller to pick among `window` admissible
-    /// records: `(tid, window)`. Served before any thread scheduling.
-    value_request: Option<(usize, usize)>,
-    /// The controller's answer: offset from the latest record (0 = latest).
-    value_reply: Option<usize>,
 }
 
-/// Shared engine handle: state mutex plus the single condition variable all
-/// parties wait on (every transition uses `notify_all`; predicates decide
-/// who proceeds).
-#[derive(Debug)]
+impl EngineState {
+    /// Take one branching decision through the driver and log it. `enabled`
+    /// is a set of runnable threads, or the offsets `0..window` of a weak
+    /// load's admissible records (0 = latest) — so every driver branches
+    /// over values exactly as it branches over threads.
+    fn choose(&mut self, enabled: Vec<usize>) -> usize {
+        let chosen = self
+            .driver
+            .choose(self.decisions.len(), &enabled, self.token);
+        debug_assert!(enabled.contains(&chosen), "driver chose outside `enabled`");
+        self.decisions.push(Decision {
+            enabled,
+            prev: self.token,
+            chosen,
+        });
+        chosen
+    }
+
+    /// Pass the token on. Called by the holder once it has recorded its own
+    /// status: forced when one thread is runnable, a [`Decision`] when more
+    /// are, a deadlock when none is but some thread is unfinished. Picking
+    /// the holder again wakes nobody.
+    fn pick_next(&mut self) {
+        let enabled: Vec<usize> = (0..self.status.len())
+            .filter(|&t| self.status[t] == Status::Ready)
+            .collect();
+        let chosen = match enabled[..] {
+            [] => {
+                let blocked: Vec<String> = self
+                    .status
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(t, s)| match s {
+                        Status::Blocked(loc) => {
+                            Some(format!("t{t} blocked on `{}`", self.atomics[*loc].name))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                if !blocked.is_empty() {
+                    self.abort(Failure::Deadlock {
+                        what: blocked.join(", "),
+                    });
+                }
+                return;
+            }
+            [only] => only,
+            _ => self.choose(enabled),
+        };
+        if self.token != Some(chosen) {
+            self.token = Some(chosen);
+            self.wakers[chosen].notify_one();
+        }
+    }
+
+    /// Record the first failure and wake every parked thread to unwind.
+    fn abort(&mut self, failure: Failure) {
+        self.failure.get_or_insert(failure);
+        self.aborting = true;
+        for waker in &self.wakers {
+            waker.notify_one();
+        }
+    }
+}
+
+/// Shared engine handle: the state mutex every party serializes on.
 pub(crate) struct Shared {
     state: Mutex<EngineState>,
-    cv: Condvar,
 }
 
 /// Panic payload used to unwind virtual threads when an execution aborts.
 struct AbortToken;
 
 impl Shared {
-    fn new(max_steps: u64, memory: MemoryModel) -> Shared {
+    fn new(driver: Box<dyn Driver>, max_steps: u64, memory: MemoryModel) -> Shared {
         Shared {
             state: Mutex::new(EngineState {
                 status: Vec::new(),
                 clocks: Vec::new(),
                 atomics: Vec::new(),
                 data: Vec::new(),
-                active: None,
+                token: None,
+                wakers: Vec::new(),
+                driver,
+                decisions: Vec::new(),
                 aborting: false,
                 failure: None,
                 steps: 0,
@@ -283,10 +351,7 @@ impl Shared {
                 history: Vec::new(),
                 memory,
                 stale_budget: memory.stale_budget(),
-                value_request: None,
-                value_reply: None,
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -297,7 +362,7 @@ impl Shared {
     }
 }
 
-/// A decision the controller made at a branching schedule point.
+/// A decision taken at a branching schedule point.
 #[derive(Debug, Clone)]
 pub struct Decision {
     /// Threads that were eligible (sorted ascending, length ≥ 2).
@@ -317,8 +382,9 @@ pub(crate) struct RunOutcome {
     pub steps: u64,
 }
 
-/// Chooses the next thread at each branching schedule point.
-pub(crate) trait Driver {
+/// Chooses the next thread at each branching schedule point. `Send`
+/// because whichever virtual thread reaches the schedule point calls it.
+pub(crate) trait Driver: Send {
     /// `idx` counts branching decisions from 0; `enabled` is sorted and has
     /// at least two entries; `prev` is the last thread that ran.
     fn choose(&mut self, idx: usize, enabled: &[usize], prev: Option<usize>) -> usize;
@@ -414,6 +480,7 @@ impl Peek {
 pub struct ThreadCtx {
     shared: Arc<Shared>,
     tid: usize,
+    waker: Arc<Condvar>,
 }
 
 impl fmt::Debug for ThreadCtx {
@@ -436,16 +503,15 @@ impl ThreadCtx {
         self.tid
     }
 
-    /// Park at a schedule point and wait to be granted the token.
-    fn schedule_point(&self) {
-        let mut st = self.shared.lock();
-        st.status[self.tid] = Status::Ready;
-        st.active = None;
-        self.shared.cv.notify_all();
-        while !st.aborting && st.active != Some(self.tid) {
+    /// Park until this thread holds the token — the engine's only wait
+    /// loop — or unwind if the execution aborted meanwhile.
+    fn await_token<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, EngineState>,
+    ) -> MutexGuard<'a, EngineState> {
+        while !st.aborting && st.token != Some(self.tid) {
             st = self
-                .shared
-                .cv
+                .waker
                 .wait(st)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
@@ -453,23 +519,31 @@ impl ThreadCtx {
             drop(st);
             resume_unwind(Box::new(AbortToken));
         }
+        st
+    }
+
+    /// Give the token up as `status`, pick the successor, and return once
+    /// the token is back (immediately, when the pick was this thread).
+    fn hand_over<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, EngineState>,
+        status: Status,
+    ) -> MutexGuard<'a, EngineState> {
+        st.status[self.tid] = status;
+        st.pick_next();
+        self.await_token(st)
     }
 
     /// Record a failure and unwind every virtual thread.
     fn fail(&self, st: &mut EngineState, failure: Failure) -> ! {
-        if st.failure.is_none() {
-            st.failure = Some(failure);
-        }
-        st.aborting = true;
-        self.shared.cv.notify_all();
+        st.abort(failure);
         resume_unwind(Box::new(AbortToken));
     }
 
     /// Begin a modelled operation: take a scheduling turn, bump the step
     /// counter and this thread's clock, and return the locked state.
     fn begin_op(&self) -> MutexGuard<'_, EngineState> {
-        self.schedule_point();
-        let mut st = self.shared.lock();
+        let mut st = self.hand_over(self.shared.lock(), Status::Ready);
         st.steps += 1;
         if st.steps > st.max_steps {
             self.fail(&mut st, Failure::StepLimit);
@@ -514,47 +588,15 @@ impl ThreadCtx {
         self.raise_floor(st, loc, latest);
     }
 
-    /// Ask the controller to pick among `window` admissible records. The
-    /// choice is recorded as an ordinary [`Decision`] whose "enabled" set is
-    /// the offsets `0..window` (0 = latest record), so every driver —
-    /// DFS, PCT, replay prefixes — branches over values exactly as it
-    /// branches over threads. Returns the chosen offset.
-    fn choose_value<'a>(
-        &'a self,
-        mut st: MutexGuard<'a, EngineState>,
-        window: usize,
-    ) -> (MutexGuard<'a, EngineState>, usize) {
-        st.value_request = Some((self.tid, window));
-        st.active = None;
-        self.shared.cv.notify_all();
-        while !st.aborting && st.value_reply.is_none() {
-            st = self
-                .shared
-                .cv
-                .wait(st)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        if st.aborting {
-            drop(st);
-            resume_unwind(Box::new(AbortToken));
-        }
-        let off = st.value_reply.take().expect("reply checked above");
-        (st, off)
-    }
-
     /// Weak-memory load: pick a record from the admissible window.
     ///
     /// The window runs from the newest record the reader is already bound to
     /// — the later of its coherence floor and its happens-before floor (the
     /// newest record whose writer's clock the reader has joined) — up to the
     /// latest, capped at [`STALE_WINDOW`]. `SeqCst` loads and an exhausted
-    /// stale budget collapse the window to the latest record.
-    fn weak_load<'a>(
-        &'a self,
-        mut st: MutexGuard<'a, EngineState>,
-        loc: usize,
-        ord: Ordering,
-    ) -> u64 {
+    /// stale budget collapse the window to the latest record; a wider
+    /// window is a branching decision, taken inline by the loading thread.
+    fn weak_load(&self, mut st: MutexGuard<'_, EngineState>, loc: usize, ord: Ordering) -> u64 {
         let tid = self.tid;
         let latest = st.atomics[loc].history.len() - 1;
         let floor_coh = st.atomics[loc].read_floor.get(tid).copied().unwrap_or(0);
@@ -576,9 +618,7 @@ impl ThreadCtx {
         }
         let window = latest - lo + 1;
         let offset = if window > 1 {
-            let (guard, off) = self.choose_value(st, window);
-            st = guard;
-            off
+            st.choose((0..window).collect())
         } else {
             0
         };
@@ -687,7 +727,7 @@ impl ThreadCtx {
     /// Park until another thread writes `loc` (spin-loop model). The caller
     /// re-checks its predicate after waking.
     pub(crate) fn block_on(&self, loc: usize) {
-        let mut st = self.shared.lock();
+        let st = self.shared.lock();
         if st.memory.is_weak() {
             let latest = st.atomics[loc].history.len() - 1;
             let floor = st.atomics[loc]
@@ -704,20 +744,7 @@ impl ThreadCtx {
                 return;
             }
         }
-        st.status[self.tid] = Status::Blocked(loc);
-        st.active = None;
-        self.shared.cv.notify_all();
-        while !st.aborting && st.active != Some(self.tid) {
-            st = self
-                .shared
-                .cv
-                .wait(st)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        if st.aborting {
-            drop(st);
-            resume_unwind(Box::new(AbortToken));
-        }
+        drop(self.hand_over(st, Status::Blocked(loc)));
     }
 
     /// Plain-data read with happens-before race checking. Not a schedule
@@ -849,15 +876,16 @@ fn collect_history(events: &[HistEvent]) -> Vec<OpRecord> {
 /// Run one execution of the scenario under `driver`.
 ///
 /// `factory` builds a fresh scenario (shadow state + thread bodies) each
-/// call; the engine spawns the virtual threads, drives them to completion
-/// (or failure), then runs the finale and the linearizability check.
+/// call; the engine takes the first pick, spawns the virtual threads, which
+/// pass the token among themselves until the last one finishes (or one
+/// fails), then runs the finale and the linearizability check.
 pub(crate) fn run_one(
     factory: &(dyn Fn(&mut Sandbox) + Sync),
-    driver: &mut dyn Driver,
+    driver: Box<dyn Driver>,
     max_steps: u64,
     memory: MemoryModel,
 ) -> RunOutcome {
-    let shared = Arc::new(Shared::new(max_steps, memory));
+    let shared = Arc::new(Shared::new(driver, max_steps, memory));
     let mut sandbox = Sandbox {
         shared: Arc::clone(&shared),
         threads: Vec::new(),
@@ -873,136 +901,60 @@ pub(crate) fn run_one(
     } = sandbox;
     let n = threads.len();
     assert!(n > 0, "scenario needs at least one thread");
+    let wakers: Vec<Arc<Condvar>> = (0..n).map(|_| Arc::default()).collect();
     {
         let mut st = shared.lock();
-        st.status = vec![Status::NotStarted; n];
+        st.status = vec![Status::Ready; n];
         st.clocks = (0..n).map(|_| VClock::new(n)).collect();
+        st.wakers = wakers.clone();
+        // The first pick is taken before any thread exists, and a body runs
+        // only while it holds the token, so neither spawn order nor start-up
+        // timing can leak into the schedule.
+        st.pick_next();
     }
 
-    let handles: Vec<_> = threads
-        .into_iter()
-        .enumerate()
-        .map(|(tid, body)| {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                let mut ctx = ThreadCtx {
-                    shared: Arc::clone(&shared),
-                    tid,
-                };
+    std::thread::scope(|scope| {
+        for (tid, (body, waker)) in threads.into_iter().zip(wakers).enumerate() {
+            let mut ctx = ThreadCtx {
+                shared: Arc::clone(&shared),
+                tid,
+                waker,
+            };
+            scope.spawn(move || {
+                // The exit-time pick runs the driver too, so it sits inside
+                // the `catch_unwind`: a panic there must abort the execution
+                // like one in the body, not strand the parked threads.
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    // Park before running any user code so that spawn order
-                    // cannot leak into the schedule.
-                    ctx.schedule_point();
+                    drop(ctx.await_token(ctx.shared.lock()));
                     body(&mut ctx);
+                    let mut st = ctx.shared.lock();
+                    st.status[tid] = Status::Finished;
+                    st.pick_next();
                 }));
-                let mut st = shared.lock();
-                st.status[tid] = Status::Finished;
-                if st.active == Some(tid) {
-                    st.active = None;
-                }
-                if let Err(payload) = result {
-                    if !payload.is::<AbortToken>() && st.failure.is_none() {
+                match result {
+                    Ok(()) => {}
+                    Err(payload) if payload.is::<AbortToken>() => {}
+                    Err(payload) => {
                         let what = payload
                             .downcast_ref::<&str>()
                             .map(|s| s.to_string())
                             .or_else(|| payload.downcast_ref::<String>().cloned())
                             .unwrap_or_else(|| "opaque panic payload".into());
-                        st.failure = Some(Failure::Panic { what });
-                        st.aborting = true;
+                        ctx.shared.lock().abort(Failure::Panic { what });
                     }
                 }
-                shared.cv.notify_all();
-            })
-        })
-        .collect();
-
-    // Controller: grant the token one operation at a time.
-    let mut decisions: Vec<Decision> = Vec::new();
-    let mut prev: Option<usize> = None;
-    {
-        let mut st = shared.lock();
-        loop {
-            while !st.aborting && (st.active.is_some() || st.status.contains(&Status::NotStarted)) {
-                st = shared
-                    .cv
-                    .wait(st)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            if st.aborting {
-                break;
-            }
-            if let Some((tid, window)) = st.value_request.take() {
-                // Serve a weak load's value choice before any scheduling:
-                // the requesting thread still holds its turn, it just needs
-                // a branch taken. Offsets count back from the latest record.
-                let choices: Vec<usize> = (0..window).collect();
-                let c = driver.choose(decisions.len(), &choices, prev);
-                debug_assert!(c < window, "driver chose an inadmissible record");
-                decisions.push(Decision {
-                    enabled: choices,
-                    prev,
-                    chosen: c,
-                });
-                st.value_reply = Some(c);
-                st.active = Some(tid);
-                shared.cv.notify_all();
-                continue;
-            }
-            let enabled: Vec<usize> = st
-                .status
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| **s == Status::Ready)
-                .map(|(t, _)| t)
-                .collect();
-            if enabled.is_empty() {
-                if st.status.iter().all(|s| *s == Status::Finished) {
-                    break;
-                }
-                let what: Vec<String> = st
-                    .status
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(t, s)| match s {
-                        Status::Blocked(loc) => {
-                            Some(format!("t{t} blocked on `{}`", st.atomics[*loc].name))
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                st.failure = Some(Failure::Deadlock {
-                    what: what.join(", "),
-                });
-                st.aborting = true;
-                shared.cv.notify_all();
-                break;
-            }
-            let chosen = if enabled.len() == 1 {
-                enabled[0]
-            } else {
-                let c = driver.choose(decisions.len(), &enabled, prev);
-                debug_assert!(enabled.contains(&c), "driver chose a disabled thread");
-                decisions.push(Decision {
-                    enabled: enabled.clone(),
-                    prev,
-                    chosen: c,
-                });
-                c
-            };
-            st.status[chosen] = Status::Running;
-            st.active = Some(chosen);
-            prev = Some(chosen);
-            shared.cv.notify_all();
+            });
         }
-    }
+    });
 
-    for h in handles {
-        let _ = h.join();
-    }
-
-    let (mut failure, history, steps) = {
+    let (mut failure, history, steps, decisions) = {
         let mut st = shared.lock();
-        (st.failure.take(), std::mem::take(&mut st.history), st.steps)
+        (
+            st.failure.take(),
+            std::mem::take(&mut st.history),
+            st.steps,
+            std::mem::take(&mut st.decisions),
+        )
     };
     let history = collect_history(&history);
 
@@ -1044,6 +996,160 @@ mod tests {
         }
     }
 
+    /// Follows a fixed list of choices, then the lowest enabled entry.
+    struct Script(Vec<usize>);
+    impl Driver for Script {
+        fn choose(&mut self, idx: usize, enabled: &[usize], _prev: Option<usize>) -> usize {
+            match self.0.get(idx) {
+                Some(c) if enabled.contains(c) => *c,
+                _ => enabled[0],
+            }
+        }
+    }
+
+    #[test]
+    fn threads_that_never_overlap_decide_only_who_starts() {
+        // t0 has no schedule point, so once it is picked every later step is
+        // forced: it finishes, t1 is the only thread left. The initial pick
+        // is the one branching decision two threads cannot avoid.
+        let out = run_one(
+            &|sb: &mut Sandbox| {
+                let x = sb.alloc_atomic("x", 0);
+                let d = sb.alloc_data("cell", 0);
+                sb.thread(move |ctx| ctx.data_write(d, 1));
+                sb.thread(move |ctx| {
+                    for _ in 0..3 {
+                        ctx.op_rmw(x, Ordering::AcqRel, |v| v + 1);
+                    }
+                });
+            },
+            Box::new(Sticky),
+            1000,
+            MemoryModel::Sc,
+        );
+        assert!(out.failure.is_none(), "{:?}", out.failure);
+        assert_eq!(out.steps, 3);
+        let [first] = &out.decisions[..] else {
+            panic!("forced steps were recorded: {:?}", out.decisions);
+        };
+        assert_eq!(
+            (&first.enabled[..], first.prev, first.chosen),
+            (&[0, 1][..], None, 0)
+        );
+    }
+
+    #[test]
+    fn value_window_choice_is_a_recorded_decision() {
+        // Three records of `x` (initial, 1, 2) are admissible to t1's relaxed
+        // load: the loading thread itself asks the driver, and the answer is
+        // logged like a thread choice with the offsets as its enabled set.
+        let out = run_one(
+            &|sb: &mut Sandbox| {
+                let x = sb.alloc_atomic("x", 0);
+                sb.thread(move |ctx| {
+                    ctx.op_store(x, 1, Ordering::Relaxed);
+                    ctx.op_store(x, 2, Ordering::Relaxed);
+                });
+                sb.thread(move |ctx| {
+                    let v = ctx.op_load(x, Ordering::Relaxed);
+                    ctx.check(v == 1, "offset 1 is the record before the latest");
+                });
+            },
+            Box::new(Script(vec![0, 0, 0, 1])),
+            1000,
+            MemoryModel::Weak { stale_reads: 4 },
+        );
+        assert!(out.failure.is_none(), "{:?}", out.failure);
+        assert_eq!(out.decisions.len(), 4, "{:?}", out.decisions);
+        let value = &out.decisions[3];
+        assert_eq!(
+            (&value.enabled[..], value.prev, value.chosen),
+            (&[0, 1, 2][..], Some(1), 1)
+        );
+    }
+
+    #[test]
+    fn a_failure_unwinds_every_parked_thread() {
+        // When t0 fails, t1 is parked at a schedule point inside its body and
+        // t2 is parked on `flag`; both must unwind (running their drops) and
+        // exit before `run_one` returns.
+        struct Unwound(Arc<std::sync::atomic::AtomicUsize>);
+        impl Drop for Unwound {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let unwound = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counter = Arc::clone(&unwound);
+        let out = run_one(
+            &move |sb: &mut Sandbox| {
+                let x = sb.alloc_atomic("x", 0);
+                let flag = sb.alloc_atomic("flag", 0);
+                let guard = |c: &Arc<_>| Unwound(Arc::clone(c));
+                let (g0, g1, g2) = (guard(&counter), guard(&counter), guard(&counter));
+                sb.thread(move |ctx| {
+                    let _g = g0;
+                    ctx.op_load(x, Ordering::Relaxed);
+                    ctx.check(false, "boom");
+                });
+                sb.thread(move |ctx| {
+                    let _g = g1;
+                    ctx.op_load(x, Ordering::Relaxed);
+                    ctx.op_load(x, Ordering::Relaxed);
+                    unreachable!("t1 is never scheduled again");
+                });
+                sb.thread(move |ctx| {
+                    let _g = g2;
+                    while ctx.op_load(flag, Ordering::Acquire) == 0 {
+                        ctx.block_on(flag);
+                    }
+                    unreachable!("nobody sets the flag");
+                });
+            },
+            Box::new(Script(vec![2, 2, 1, 1, 0, 0])),
+            1000,
+            MemoryModel::Sc,
+        );
+        assert_eq!(
+            out.failure,
+            Some(Failure::Invariant {
+                what: "t0: boom".into()
+            })
+        );
+        assert_eq!(out.steps, 3, "t2's load, t1's first load, t0's load");
+        assert_eq!(unwound.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn a_driver_panic_at_thread_exit_aborts_instead_of_hanging() {
+        // No thread has a schedule point, so decision 1 is taken by t0 as it
+        // exits, with t1 and t2 still parked at their initial wait.
+        struct PanicsAt(usize);
+        impl Driver for PanicsAt {
+            fn choose(&mut self, idx: usize, enabled: &[usize], _prev: Option<usize>) -> usize {
+                assert!(idx != self.0, "driver gave up");
+                enabled[0]
+            }
+        }
+        let out = run_one(
+            &|sb: &mut Sandbox| {
+                for _ in 0..3 {
+                    sb.thread(|_ctx| {});
+                }
+            },
+            Box::new(PanicsAt(1)),
+            1000,
+            MemoryModel::Sc,
+        );
+        assert_eq!(
+            out.failure,
+            Some(Failure::Panic {
+                what: "driver gave up".into()
+            })
+        );
+        assert_eq!(out.decisions.len(), 1, "{:?}", out.decisions);
+    }
+
     #[test]
     fn single_thread_runs_to_completion() {
         let out = run_one(
@@ -1055,7 +1161,7 @@ mod tests {
                     ctx.check(v == 7, "stored value visible");
                 });
             },
-            &mut Sticky,
+            Box::new(Sticky),
             1000,
             MemoryModel::Sc,
         );
@@ -1080,7 +1186,7 @@ mod tests {
                     });
                 }
             },
-            &mut Sticky,
+            Box::new(Sticky),
             1000,
             MemoryModel::Sc,
         );
@@ -1109,7 +1215,7 @@ mod tests {
                     ctx.check(v == 42, "payload visible after acquire");
                 });
             },
-            &mut Sticky,
+            Box::new(Sticky),
             1000,
             MemoryModel::Sc,
         );
@@ -1127,7 +1233,7 @@ mod tests {
                     }
                 });
             },
-            &mut Sticky,
+            Box::new(Sticky),
             1000,
             MemoryModel::Sc,
         );

@@ -308,7 +308,7 @@ impl<'a> Explorer<'a> {
             || self.seen.len() >= self.budget.max_schedules
     }
 
-    fn run(&mut self, driver: &mut dyn Driver) -> RunOutcome {
+    fn run(&mut self, driver: Box<dyn Driver>) -> RunOutcome {
         self.executions += 1;
         let out = run_one(
             self.factory,
@@ -324,7 +324,7 @@ impl<'a> Explorer<'a> {
         let mut stack: Vec<DfsNode> = Vec::new();
         loop {
             let prefix: Vec<u32> = stack.iter().map(|n| n.chosen as u32).collect();
-            let out = self.run(&mut PrefixDriver { prefix });
+            let out = self.run(Box::new(PrefixDriver { prefix }));
             if self.failing.is_some() {
                 return DfsEnd::Failed;
             }
@@ -405,8 +405,11 @@ pub fn explore(factory: &Scenario, budget: &Budget) -> ExploreReport {
         && round < budget.max_executions as u64
     {
         let seed = budget.seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut driver = PctDriver::new(seed, budget.pct_depth, budget.pct_len);
-        ex.run(&mut driver);
+        ex.run(Box::new(PctDriver::new(
+            seed,
+            budget.pct_depth,
+            budget.pct_len,
+        )));
         round += 1;
     }
 
@@ -438,10 +441,10 @@ pub fn replay_under(
     max_steps: u64,
     memory: MemoryModel,
 ) -> Replayed {
-    let mut driver = PrefixDriver {
+    let driver = Box::new(PrefixDriver {
         prefix: schedule.0.clone(),
-    };
-    let out = run_one(factory, &mut driver, max_steps, memory);
+    });
+    let out = run_one(factory, driver, max_steps, memory);
     Replayed {
         failure: out.failure,
         schedule: Schedule(out.decisions.iter().map(|d| d.chosen as u32).collect()),

@@ -11,8 +11,10 @@
 //!
 //! * [`engine`] runs *shadow* re-implementations of the parmacs primitives
 //!   under a cooperative scheduler with a preemption point at every atomic
-//!   operation, modelling acquire/release edges with vector clocks (plain
-//!   data unordered by happens-before is a **data race**), blocking
+//!   operation — the virtual threads pass one token among themselves, the
+//!   thread at a schedule point picking its successor, with no scheduler
+//!   thread in between — modelling acquire/release edges with vector clocks
+//!   (plain data unordered by happens-before is a **data race**), blocking
 //!   explicitly (**deadlock** and lost-wakeup detection), and recording an
 //!   invocation/response history.
 //! * [`shadow`] holds those shadow constructs; they read their orderings

@@ -306,8 +306,10 @@ impl ShadowCounter {
     }
 }
 
-/// Shadow of a test-and-set spinlock (the lock under
-/// [`splash4_parmacs::LockedQueue`]).
+/// Shadow of [`splash4_parmacs::SleepLock`]'s held flag (the lock under
+/// [`splash4_parmacs::LockedQueue`]): acquire takes it 0→1 with acquire
+/// ordering and, like the sleeping mutex, *parks* while it is held — woken
+/// by the release store — instead of spinning.
 #[derive(Debug, Clone, Copy)]
 pub struct ShadowLock {
     locked: usize,
@@ -337,7 +339,7 @@ impl ShadowLock {
     }
 }
 
-/// Shadow of [`splash4_parmacs::LockedQueue`]: a spinlock around a
+/// Shadow of [`splash4_parmacs::LockedQueue`]: a [`ShadowLock`] around a
 /// `VecDeque`, with a plain-data canary touched inside the critical section
 /// so a broken lock shows up as a data race.
 #[derive(Debug, Clone)]

@@ -114,62 +114,164 @@ impl ExperimentCtx {
     }
 }
 
-/// All known experiment ids, in presentation order.
-pub const ALL_EXPERIMENTS: [&str; 18] = [
-    "T1-inputs",
-    "T2-changes",
-    "T3-syncops",
-    "F1-native",
-    "F2-sim-epyc",
-    "F3-sim-icelake",
-    "F4-scalability",
-    "F5-sync-breakdown",
-    "F6-ablation",
-    "F8-trace-replay",
-    "F9-combining",
-    "S1-sensitivity",
-    "V1-check",
-    "V2-kernel-check",
-    "C1-combining",
-    "R1-reclaim",
-    "W1-weakmem",
-    "D1-diversity",
+/// A mutant verdict with, for catalogs that also run the SC-only control
+/// search, whether that search missed the bug.
+type CheckedMutant = (splash4_check::MutantReport, Option<bool>);
+
+fn sc_blind(muts: Vec<splash4_check::MutantReport>) -> Vec<CheckedMutant> {
+    muts.into_iter().map(|m| (m, None)).collect()
+}
+
+type Runner = fn(&'static str, &ExperimentCtx) -> Report;
+
+/// Every experiment in presentation order, with the function that regenerates
+/// it (handed its id): the id list, the dispatcher and `--list` derive from it.
+const EXPERIMENTS: [(&str, Runner); 18] = [
+    ("T1-inputs", t1_inputs),
+    ("T2-changes", t2_changes),
+    ("T3-syncops", t3_syncops),
+    ("F1-native", f1_native),
+    ("F2-sim-epyc", |id, ctx| {
+        sim_normalized(id, MachineParams::epyc_like, ctx)
+    }),
+    ("F3-sim-icelake", |id, ctx| {
+        sim_normalized(id, MachineParams::icelake_like, ctx)
+    }),
+    ("F4-scalability", f4_scalability),
+    ("F5-sync-breakdown", f5_breakdown),
+    ("F6-ablation", f6_ablation),
+    ("F8-trace-replay", f8_trace_replay),
+    ("F9-combining", f9_combining),
+    ("S1-sensitivity", s1_sensitivity),
+    // `V1-check` (extension): deterministic model checking of every
+    // lock-free construct the suite's macro layer ships. Each construct
+    // class runs a closed scenario under the `splash4-check` cooperative
+    // scheduler: bounded-preemption DFS plus seeded PCT random schedules,
+    // with happens-before race detection, deadlock detection, invariants,
+    // and linearizability against a sequential spec. The second table
+    // re-runs the checker against the mutant catalog (weakened ordering,
+    // missed sense flip, lost-update window) and reports the minimized
+    // counterexample schedule that exposes each injected bug.
+    ("V1-check", |id, _| {
+        check_report(
+            id,
+            "Model checking the lock-free constructs",
+            "construct",
+            splash4_check::check_suite,
+            |b| sc_blind(splash4_check::check_mutants(b)),
+        )
+    }),
+    // `V2-kernel-check` (extension): the model checker applied to real
+    // kernel bodies at `Check` scale. Where `V1-check` verifies each
+    // lock-free construct in isolation, this experiment explores the
+    // constructs *as the kernels compose them*: radix's pass-0 rank
+    // dispensing (GETSUB bucket claims + barrier + per-bucket `fetch_add`)
+    // over the kernel's real key array, and water-nsquared's CAS-loop energy
+    // reduction over the real Lennard-Jones pair energies. The mutation
+    // table seeds kernel-shaped bugs — a lost rank, a lost CAS retry — that
+    // the checker must catch with a minimized counterexample schedule.
+    ("V2-kernel-check", |id, _| {
+        check_report(
+            id,
+            "Model checking real kernel bodies at Check scale",
+            "scenario",
+            splash4_check::check_kernels,
+            |b| sc_blind(splash4_check::check_kernel_mutants(b)),
+        )
+    }),
+    // `C1-combining` (extension): model checking the flat-combining core and
+    // every construct that plugs into it. Shadow replicas of the combined
+    // reducer cells (u64 and f64), `GETSUB` cursor, and barrier arrival run
+    // under the checker with the protocol's record arguments and results
+    // modeled as *plain data*: the real core keeps them in `Relaxed` atomics
+    // ordered only by the publish→scan and complete→wait edges, so any
+    // weakening of those edges surfaces as a vector-clock data race rather
+    // than a silently narrowed search. The mutant table seeds the three
+    // flat-combining protocol bugs — a lost publication record, a combiner
+    // that exits before draining, and a stale result handoff — plus a
+    // relaxed scan, each of which must fall with a replayable
+    // counterexample schedule.
+    ("C1-combining", |id, _| {
+        check_report(
+            id,
+            "Model checking the flat-combining sync generation",
+            "scenario",
+            splash4_check::check_combining,
+            |b| sc_blind(splash4_check::check_combining_mutants(b)),
+        )
+    }),
+    // `R1-reclaim` (extension): model checking the reclamation layer and the
+    // dynamic task pools built on it. Shadow replicas of the Michael-Scott
+    // queue and the elimination-backoff exchange run against FIFO/LIFO
+    // linearizability specs, and two protocol scenarios model the
+    // reclamation invariants directly: a free is a poison write, so a
+    // premature free is a data race or a poisoned-value invariant failure,
+    // and a retire that never frees fails the leak-at-quiescence finale.
+    // The mutant table seeds exactly those bugs — premature free,
+    // never-retire leak, lost tail-link CAS, duplicate elimination take,
+    // skipped hazard validation — and each must fall with a replayable
+    // counterexample schedule.
+    ("R1-reclaim", |id, _| {
+        check_report(
+            id,
+            "Model checking memory reclamation and dynamic task pools",
+            "scenario",
+            splash4_check::check_reclaim,
+            |b| sc_blind(splash4_check::check_reclaim_mutants(b)),
+        )
+    }),
+    // `W1-weakmem` (extension): weak-memory value exploration in the
+    // checker. The V1/V2/C1/R1 suites explore *interleavings* under
+    // sequentially consistent values, so an ordering bug only surfaces
+    // through the data race it causes on plain data. This experiment runs
+    // the checker's weak-memory mode: every atomic keeps its store history
+    // and non-`SeqCst` loads branch over the stale records the C11 orderings
+    // admit. The first table verifies the shipped Splash-4 annotations pass
+    // under weak memory; the mutant table seeds one-ordering downgrades
+    // (relaxed flag waits, `SeqCst → Acquire` store-buffering windows, a
+    // relaxed barrier spin) and reports, per mutant, both the weak-memory
+    // detection *and* whether SC-only exploration missed the bug —
+    // `sc-missed = yes` on every row is the point: these are exactly the
+    // bugs interleaving-only search cannot find.
+    ("W1-weakmem", |id, _| {
+        check_report(
+            id,
+            "Weak-memory exploration: stale-read windows the C11 orderings admit",
+            "scenario",
+            splash4_check::check_weakmem,
+            |b| {
+                splash4_check::check_weakmem_mutants(b)
+                    .into_iter()
+                    .map(|w| (w.report, Some(w.sc_missed)))
+                    .collect()
+            },
+        )
+    }),
+    ("D1-diversity", d1_diversity),
 ];
+
+/// All known experiment ids, in presentation order.
+pub const ALL_EXPERIMENTS: [&str; 18] = {
+    let mut ids = [""; 18];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = EXPERIMENTS[i].0;
+        i += 1;
+    }
+    ids
+};
 
 /// Dispatch an experiment by id.
 ///
 /// # Errors
 /// Returns an error message for unknown ids.
 pub fn run_experiment(id: &str, ctx: &ExperimentCtx) -> Result<Report, String> {
-    match id {
-        "T1-inputs" => Ok(t1_inputs(ctx)),
-        "T2-changes" => Ok(t2_changes(ctx)),
-        "T3-syncops" => Ok(t3_syncops(ctx)),
-        "F1-native" => Ok(f1_native(ctx)),
-        "F2-sim-epyc" => Ok(sim_normalized(
-            "F2-sim-epyc",
-            ctx.machine.unwrap_or_else(MachineParams::epyc_like),
-            ctx,
+    match EXPERIMENTS.iter().find(|(known, _)| *known == id) {
+        Some(&(id, run)) => Ok(run(id, ctx)),
+        None => Err(format!(
+            "unknown experiment '{id}'; known: {}",
+            ALL_EXPERIMENTS.join(", ")
         )),
-        "F3-sim-icelake" => Ok(sim_normalized(
-            "F3-sim-icelake",
-            ctx.machine.unwrap_or_else(MachineParams::icelake_like),
-            ctx,
-        )),
-        "F4-scalability" => Ok(f4_scalability(ctx)),
-        "F5-sync-breakdown" => Ok(f5_breakdown(ctx)),
-        "F6-ablation" => Ok(f6_ablation(ctx)),
-        "F8-trace-replay" => Ok(f8_trace_replay(ctx)),
-        "F9-combining" => Ok(f9_combining(ctx)),
-        "S1-sensitivity" => Ok(s1_sensitivity(ctx)),
-        "D1-diversity" => Ok(d1_diversity(ctx)),
-        _ => match CHECK_EXPERIMENTS.iter().find(|e| e.id == id) {
-            Some(e) => Ok(check_report(e)),
-            None => Err(format!(
-                "unknown experiment '{id}'; known: {}",
-                ALL_EXPERIMENTS.join(", ")
-            )),
-        },
     }
 }
 
@@ -212,7 +314,7 @@ pub fn record_trace(
 }
 
 /// `T1-inputs`: the suite/workload/input table.
-fn t1_inputs(ctx: &ExperimentCtx) -> Report {
+fn t1_inputs(id: &str, ctx: &ExperimentCtx) -> Report {
     let mut t = Table::new(vec!["benchmark", "test", "small", "native"]);
     let mut rows = Vec::new();
     for b in ctx.benchmarks() {
@@ -231,17 +333,16 @@ fn t1_inputs(ctx: &ExperimentCtx) -> Report {
             cells[2].clone(),
         ]);
     }
-    Report {
-        id: "T1-inputs".into(),
-        title: "Workloads and input parameters per class".into(),
-        text: t.render(),
-        json: json!({ "rows": rows }),
-        csv: t.to_csv(),
-    }
+    Report::of_table(
+        id,
+        "Workloads and input parameters per class",
+        &t,
+        json!({ "rows": rows }),
+    )
 }
 
 /// `T2-changes`: per-benchmark summary of what the modernization replaces.
-fn t2_changes(ctx: &ExperimentCtx) -> Report {
+fn t2_changes(id: &str, ctx: &ExperimentCtx) -> Report {
     let mut t = Table::new(vec![
         "benchmark",
         "locks(S3)",
@@ -273,17 +374,16 @@ fn t2_changes(ctx: &ExperimentCtx) -> Report {
             "splash3": lb, "splash4": lf,
         }));
     }
-    Report {
-        id: "T2-changes".into(),
-        title: "Dynamic sync constructs replaced by the modernization (2 threads)".into(),
-        text: t.render(),
-        json: json!({ "class": ctx.class.label(), "rows": rows }),
-        csv: t.to_csv(),
-    }
+    Report::of_table(
+        id,
+        "Dynamic sync constructs replaced by the modernization (2 threads)",
+        &t,
+        json!({ "class": ctx.class.label(), "rows": rows }),
+    )
 }
 
 /// `T3-syncops`: full dynamic sync-operation counts, both modes.
-fn t3_syncops(ctx: &ExperimentCtx) -> Report {
+fn t3_syncops(id: &str, ctx: &ExperimentCtx) -> Report {
     let mut t = Table::new(vec![
         "benchmark",
         "mode",
@@ -317,120 +417,125 @@ fn t3_syncops(ctx: &ExperimentCtx) -> Report {
             rows.push(json!({ "benchmark": b.name(), "mode": mode.label(), "profile": p }));
         }
     }
-    Report {
-        id: "T3-syncops".into(),
-        title: "Dynamic synchronization operations (4 threads)".into(),
-        text: t.render(),
-        json: json!({ "class": ctx.class.label(), "rows": rows }),
-        csv: t.to_csv(),
+    Report::of_table(
+        id,
+        "Dynamic synchronization operations (4 threads)",
+        &t,
+        json!({ "class": ctx.class.label(), "rows": rows }),
+    )
+}
+
+/// The benchmark × axis grid of normalized-time ratios that F1, F2/F3 and F9
+/// tabulate: a `benchmark, {axis}={p}…` header, one `{ratio:.3}` cell and one
+/// JSON point per grid cell (both from `cell(b, p)`), and a closing geomean
+/// row. Returns the table, the per-benchmark JSON rows and the per-column
+/// geomeans.
+fn ratio_grid(
+    ctx: &ExperimentCtx,
+    axis: &str,
+    points: &[usize],
+    mut cell: impl FnMut(BenchmarkId, usize) -> (f64, Json),
+) -> (Table, Vec<Json>, Vec<f64>) {
+    let mut header = vec!["benchmark".to_string()];
+    header.extend(points.iter().map(|p| format!("{axis}={p}")));
+    let mut t = Table::new(header);
+    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); points.len()];
+    let mut rows = Vec::new();
+    for b in ctx.benchmarks() {
+        let mut cells = vec![b.name().to_string()];
+        let mut jpoints = Vec::new();
+        for (column, &p) in columns.iter_mut().zip(points) {
+            let (ratio, point) = cell(b, p);
+            column.push(ratio);
+            cells.push(format!("{ratio:.3}"));
+            jpoints.push(point);
+        }
+        t.row(cells);
+        rows.push(json!({ "benchmark": b.name(), "points": jpoints }));
     }
+    let means: Vec<f64> = columns.iter().map(|c| geomean(c)).collect();
+    let mut mean_cells = vec!["geomean".to_string()];
+    mean_cells.extend(means.iter().map(|g| format!("{g:.3}")));
+    t.row(mean_cells);
+    (t, rows, means)
+}
+
+/// [`ratio_grid`] over the simulated core counts on `machine`: simulated
+/// time under `mode` over time under `base`, each exported as
+/// `<generation label>_ns` beside the ratio.
+fn sim_ratio_grid(
+    ctx: &ExperimentCtx,
+    machine: MachineParams,
+    mode: SyncMode,
+    base: SyncMode,
+) -> (Table, Vec<Json>, Vec<f64>) {
+    let mut sim = Simulator::new(machine);
+    ratio_grid(ctx, "p", &ctx.sim_threads, |b, p| {
+        let work = ctx.work_model(b);
+        let base_ns = sim.simulate(&work, base, p).total_ns;
+        let mode_ns = sim.simulate(&work, mode, p).total_ns;
+        let ratio = mode_ns as f64 / base_ns.max(1) as f64;
+        let point = Json::Object(vec![
+            ("cores".into(), json!(p)),
+            (format!("{}_ns", base.label()), json!(base_ns)),
+            (format!("{}_ns", mode.label()), json!(mode_ns)),
+            ("ratio".into(), json!(ratio)),
+        ]);
+        (ratio, point)
+    })
 }
 
 /// `F1-native`: normalized execution time on the host.
-fn f1_native(ctx: &ExperimentCtx) -> Report {
-    let mut header = vec!["benchmark".to_string()];
-    for &p in &ctx.native_threads {
-        header.push(format!("t={p}"));
-    }
-    let mut t = Table::new(header);
-    let mut per_thread_ratios: Vec<Vec<f64>> = vec![Vec::new(); ctx.native_threads.len()];
-    let mut rows = Vec::new();
-    for b in ctx.benchmarks() {
-        let mut cells = vec![b.name().to_string()];
-        let mut jrow = vec![];
-        for (i, &p) in ctx.native_threads.iter().enumerate() {
-            let lb = b.run(ctx.class, &SyncEnv::new(SyncMode::LockBased, p));
-            let lf = b.run(ctx.class, &SyncEnv::new(SyncMode::LockFree, p));
-            let ratio = lf.elapsed.as_secs_f64() / lb.elapsed.as_secs_f64().max(1e-12);
-            per_thread_ratios[i].push(ratio);
-            cells.push(format!("{ratio:.3}"));
-            jrow.push(json!({
-                "threads": p,
-                "splash3_ns": lb.elapsed_ns(),
-                "splash4_ns": lf.elapsed_ns(),
-                "ratio": ratio,
-            }));
-        }
-        t.row(cells);
-        rows.push(json!({ "benchmark": b.name(), "points": jrow }));
-    }
-    let mut mean_cells = vec!["geomean".to_string()];
-    for r in &per_thread_ratios {
-        mean_cells.push(format!("{:.3}", geomean(r)));
-    }
-    t.row(mean_cells);
-    Report {
-        id: "F1-native".into(),
-        title: format!(
+fn f1_native(id: &str, ctx: &ExperimentCtx) -> Report {
+    let (t, rows, _) = ratio_grid(ctx, "t", &ctx.native_threads, |b, p| {
+        let lb = b.run(ctx.class, &SyncEnv::new(SyncMode::LockBased, p));
+        let lf = b.run(ctx.class, &SyncEnv::new(SyncMode::LockFree, p));
+        let ratio = lf.elapsed.as_secs_f64() / lb.elapsed.as_secs_f64().max(1e-12);
+        let point = json!({
+            "threads": p,
+            "splash3_ns": lb.elapsed_ns(),
+            "splash4_ns": lf.elapsed_ns(),
+            "ratio": ratio,
+        });
+        (ratio, point)
+    });
+    Report::of_table(
+        id,
+        format!(
             "Normalized execution time (Splash-4 / Splash-3), host runs, class={}",
             ctx.class.label()
         ),
-        text: t.render(),
-        json: json!({ "class": ctx.class.label(), "rows": rows }),
-        csv: t.to_csv(),
-    }
+        &t,
+        json!({ "class": ctx.class.label(), "rows": rows }),
+    )
 }
 
-/// `F2`/`F3`: normalized execution time on a simulated machine.
-fn sim_normalized(id: &str, machine: MachineParams, ctx: &ExperimentCtx) -> Report {
-    let mut header = vec!["benchmark".to_string()];
-    for &p in &ctx.sim_threads {
-        header.push(format!("p={p}"));
-    }
-    let mut t = Table::new(header);
-    let mut per_core_ratios: Vec<Vec<f64>> = vec![Vec::new(); ctx.sim_threads.len()];
-    let mut rows = Vec::new();
-    let mut sim = Simulator::new(machine);
-    for b in ctx.benchmarks() {
-        let work = ctx.work_model(b);
-        let mut cells = vec![b.name().to_string()];
-        let mut jrow = vec![];
-        for (i, &p) in ctx.sim_threads.iter().enumerate() {
-            let lb = sim.simulate(&work, SyncMode::LockBased, p);
-            let lf = sim.simulate(&work, SyncMode::LockFree, p);
-            let ratio = lf.total_ns as f64 / lb.total_ns.max(1) as f64;
-            per_core_ratios[i].push(ratio);
-            cells.push(format!("{ratio:.3}"));
-            jrow.push(json!({
-                "cores": p,
-                "splash3_ns": lb.total_ns,
-                "splash4_ns": lf.total_ns,
-                "ratio": ratio,
-            }));
-        }
-        t.row(cells);
-        rows.push(json!({ "benchmark": b.name(), "points": jrow }));
-    }
-    let mut mean_cells = vec!["geomean".to_string()];
-    let mut means = vec![];
-    for r in &per_core_ratios {
-        let g = geomean(r);
-        means.push(g);
-        mean_cells.push(format!("{g:.3}"));
-    }
-    t.row(mean_cells);
+/// `F2`/`F3`: normalized execution time on a simulated machine (`preset`
+/// unless the ctx overrides it).
+fn sim_normalized(id: &str, preset: fn() -> MachineParams, ctx: &ExperimentCtx) -> Report {
+    let machine = ctx.machine.unwrap_or_else(preset);
+    let (t, rows, means) = sim_ratio_grid(ctx, machine, SyncMode::LockFree, SyncMode::LockBased);
     let headline = means.last().copied().unwrap_or(f64::NAN);
-    Report {
-        id: id.into(),
-        title: format!(
+    Report::of_table(
+        id,
+        format!(
             "Normalized execution time (Splash-4 / Splash-3) on {} — {} at {} cores",
             machine.name,
             pct_change(headline),
             ctx.sim_threads.last().copied().unwrap_or(0),
         ),
-        text: t.render(),
-        json: json!({
+        &t,
+        json!({
             "machine": machine.name,
             "class": ctx.class.label(),
             "rows": rows,
             "geomeans": means,
         }),
-        csv: t.to_csv(),
-    }
+    )
 }
 
 /// `F4-scalability`: self-relative simulated speedup curves.
-fn f4_scalability(ctx: &ExperimentCtx) -> Report {
+fn f4_scalability(id: &str, ctx: &ExperimentCtx) -> Report {
     let machine = ctx.machine.unwrap_or_else(MachineParams::epyc_like);
     let mut header = vec!["benchmark".to_string(), "suite".to_string()];
     for &p in &ctx.sim_threads {
@@ -455,18 +560,17 @@ fn f4_scalability(ctx: &ExperimentCtx) -> Report {
             rows.push(json!({ "benchmark": b.name(), "suite": mode.label(), "speedup": speeds }));
         }
     }
-    Report {
-        id: "F4-scalability".into(),
-        title: format!("Simulated self-relative speedup ({})", machine.name),
-        text: t.render(),
-        json: json!({ "machine": machine.name, "rows": rows }),
-        csv: t.to_csv(),
-    }
+    Report::of_table(
+        id,
+        format!("Simulated self-relative speedup ({})", machine.name),
+        &t,
+        json!({ "machine": machine.name, "rows": rows }),
+    )
 }
 
 /// `F5-sync-breakdown`: where simulated core-time goes at the snapshot core
 /// count.
-fn f5_breakdown(ctx: &ExperimentCtx) -> Report {
+fn f5_breakdown(id: &str, ctx: &ExperimentCtx) -> Report {
     let machine = ctx.machine.unwrap_or_else(MachineParams::epyc_like);
     let p = ctx.snapshot_cores;
     let mut t = Table::new(vec![
@@ -500,17 +604,16 @@ fn f5_breakdown(ctx: &ExperimentCtx) -> Report {
             }));
         }
     }
-    Report {
-        id: "F5-sync-breakdown".into(),
-        title: format!("Simulated time breakdown at {p} cores ({})", machine.name),
-        text: t.render(),
-        json: json!({ "machine": machine.name, "cores": p, "rows": rows }),
-        csv: t.to_csv(),
-    }
+    Report::of_table(
+        id,
+        format!("Simulated time breakdown at {p} cores ({})", machine.name),
+        &t,
+        json!({ "machine": machine.name, "cores": p, "rows": rows }),
+    )
 }
 
 /// `F6-ablation`: modernize one construct class at a time.
-fn f6_ablation(ctx: &ExperimentCtx) -> Report {
+fn f6_ablation(id: &str, ctx: &ExperimentCtx) -> Report {
     let machine = MachineParams::epyc_like();
     let p = ctx.snapshot_cores;
     let classes = ConstructClass::ALL;
@@ -547,16 +650,15 @@ fn f6_ablation(ctx: &ExperimentCtx) -> Report {
         mean_cells.push(format!("{:.3}", geomean(r)));
     }
     t.row(mean_cells);
-    Report {
-        id: "F6-ablation".into(),
-        title: format!(
+    Report::of_table(
+        id,
+        format!(
             "Per-construct modernization: time vs Splash-3 baseline at {p} cores ({})",
             machine.name
         ),
-        text: t.render(),
-        json: json!({ "machine": machine.name, "cores": p, "rows": rows }),
-        csv: t.to_csv(),
-    }
+        &t,
+        json!({ "machine": machine.name, "cores": p, "rows": rows }),
+    )
 }
 
 /// `F8-trace-replay` (extension): trace-driven replay vs the analytic model.
@@ -567,7 +669,7 @@ fn f6_ablation(ctx: &ExperimentCtx) -> Report {
 /// scheduled work, so a 4-thread recording drives 1–64-core sweeps) under
 /// both sync policies. The resulting Splash-4/Splash-3 normalized times are
 /// tabulated next to the analytic model's prediction from the same run.
-fn f8_trace_replay(ctx: &ExperimentCtx) -> Report {
+fn f8_trace_replay(id: &str, ctx: &ExperimentCtx) -> Report {
     /// Native thread count for the traced runs.
     const TRACE_THREADS: usize = 4;
     /// Simulated core counts for the replay sweep.
@@ -658,22 +760,21 @@ fn f8_trace_replay(ctx: &ExperimentCtx) -> Report {
         }));
     }
 
-    Report {
-        id: "F8-trace-replay".into(),
-        title: format!(
+    Report::of_table(
+        id,
+        format!(
             "Trace-driven replay vs analytic model ({TRACE_THREADS}-thread native traces, class={})",
             ctx.class.label()
         ),
-        text: t.render(),
-        json: json!({
+        &t,
+        json!({
             "class": ctx.class.label(),
             "trace_threads": TRACE_THREADS,
             "cores": REPLAY_CORES.to_vec(),
             "rows": rows,
             "geomeans": jmeans,
         }),
-        csv: t.to_csv(),
-    }
+    )
 }
 
 /// `F9-combining` (extension): the flat-combining crossover sweep.
@@ -689,44 +790,9 @@ fn f8_trace_replay(ctx: &ExperimentCtx) -> Report {
 /// (combining / lock-free, lower favors combining): the interesting output
 /// is the crossover core count where the geomean dips below parity and the
 /// speedup the batching buys at full scale.
-fn f9_combining(ctx: &ExperimentCtx) -> Report {
+fn f9_combining(id: &str, ctx: &ExperimentCtx) -> Report {
     let machine = MachineParams::epyc_like();
-    let mut header = vec!["benchmark".to_string()];
-    for &p in &ctx.sim_threads {
-        header.push(format!("p={p}"));
-    }
-    let mut t = Table::new(header);
-    let mut per_core_ratios: Vec<Vec<f64>> = vec![Vec::new(); ctx.sim_threads.len()];
-    let mut rows = Vec::new();
-    let mut sim = Simulator::new(machine);
-    for b in ctx.benchmarks() {
-        let work = ctx.work_model(b);
-        let mut cells = vec![b.name().to_string()];
-        let mut jrow = vec![];
-        for (i, &p) in ctx.sim_threads.iter().enumerate() {
-            let lf = sim.simulate(&work, SyncMode::LockFree, p);
-            let cb = sim.simulate(&work, SyncMode::Combining, p);
-            let ratio = cb.total_ns as f64 / lf.total_ns.max(1) as f64;
-            per_core_ratios[i].push(ratio);
-            cells.push(format!("{ratio:.3}"));
-            jrow.push(json!({
-                "cores": p,
-                "splash4_ns": lf.total_ns,
-                "splash4x_ns": cb.total_ns,
-                "ratio": ratio,
-            }));
-        }
-        t.row(cells);
-        rows.push(json!({ "benchmark": b.name(), "points": jrow }));
-    }
-    let mut mean_cells = vec!["geomean".to_string()];
-    let mut means = vec![];
-    for r in &per_core_ratios {
-        let g = geomean(r);
-        means.push(g);
-        mean_cells.push(format!("{g:.3}"));
-    }
-    t.row(mean_cells);
+    let (t, rows, means) = sim_ratio_grid(ctx, machine, SyncMode::Combining, SyncMode::LockFree);
     // Speedup convention for the headline and the gate: lock-free time over
     // combining time, > 1.0 means combining wins.
     let speedups: Vec<f64> = means.iter().map(|&g| 1.0 / g.max(1e-12)).collect();
@@ -737,16 +803,16 @@ fn f9_combining(ctx: &ExperimentCtx) -> Report {
         .zip(&means)
         .find(|&(_, &g)| g < 1.0)
         .map(|(&p, _)| p);
-    Report {
-        id: "F9-combining".into(),
-        title: format!(
+    Report::of_table(
+        id,
+        format!(
             "Flat combining vs lock-free on {} — {headline:.2}x at {} cores, crossover at {}",
             machine.name,
             ctx.sim_threads.last().copied().unwrap_or(0),
             crossover.map_or_else(|| "none".to_string(), |p| format!("p={p}")),
         ),
-        text: t.render(),
-        json: json!({
+        &t,
+        json!({
             "machine": machine.name,
             "class": ctx.class.label(),
             "cores": ctx.sim_threads.clone(),
@@ -755,8 +821,7 @@ fn f9_combining(ctx: &ExperimentCtx) -> Report {
             "combining_vs_lockfree": speedups,
             "crossover_cores": crossover,
         }),
-        csv: t.to_csv(),
-    }
+    )
 }
 
 /// `S1-sensitivity` (extension): robustness of the headline result to the
@@ -767,7 +832,7 @@ fn f9_combining(ctx: &ExperimentCtx) -> Report {
 /// doubles each and reports the 64-core suite geomean for every combination:
 /// the conclusion ("Splash-4 wins substantially at scale") should survive
 /// the entire grid.
-fn s1_sensitivity(ctx: &ExperimentCtx) -> Report {
+fn s1_sensitivity(id: &str, ctx: &ExperimentCtx) -> Report {
     let base = MachineParams::epyc_like();
     let cores = *ctx.sim_threads.iter().max().unwrap_or(&64);
     let works: Vec<WorkModel> = ctx.benchmarks().map(|b| ctx.work_model(b)).collect();
@@ -800,135 +865,16 @@ fn s1_sensitivity(ctx: &ExperimentCtx) -> Report {
             rows.push(json!({ "convoy_scale": cs, "condvar_scale": ws, "geomean": g }));
         }
     }
-    Report {
-        id: "S1-sensitivity".into(),
-        title: format!(
+    Report::of_table(
+        id,
+        format!(
             "Headline sensitivity to calibrated parameters ({} cores, {})",
             cores, base.name
         ),
-        text: t.render(),
-        json: json!({ "cores": cores, "rows": rows }),
-        csv: t.to_csv(),
-    }
+        &t,
+        json!({ "cores": cores, "rows": rows }),
+    )
 }
-
-/// One model-checker experiment: a shipped-construct suite plus its seeded
-/// mutant catalog, both run at the default [`splash4_check::CheckBudget`]
-/// and rendered by [`check_report`].
-struct CheckExperiment {
-    id: &'static str,
-    /// Report title up to the budget parenthesis.
-    title: &'static str,
-    /// What the title counts the schedule minimum per.
-    per: &'static str,
-    suite: fn(&splash4_check::CheckBudget) -> Vec<splash4_check::ConstructReport>,
-    mutants: fn(&splash4_check::CheckBudget) -> Vec<CheckedMutant>,
-}
-
-/// A mutant verdict with, for catalogs that also run the SC-only control
-/// search, whether that search missed the bug.
-type CheckedMutant = (splash4_check::MutantReport, Option<bool>);
-
-fn sc_blind(muts: Vec<splash4_check::MutantReport>) -> Vec<CheckedMutant> {
-    muts.into_iter().map(|m| (m, None)).collect()
-}
-
-const CHECK_EXPERIMENTS: [CheckExperiment; 5] = [
-    // `V1-check` (extension): deterministic model checking of every
-    // lock-free construct the suite's macro layer ships. Each construct
-    // class runs a closed scenario under the `splash4-check` cooperative
-    // scheduler: bounded-preemption DFS plus seeded PCT random schedules,
-    // with happens-before race detection, deadlock detection, invariants,
-    // and linearizability against a sequential spec. The second table
-    // re-runs the checker against the mutant catalog (weakened ordering,
-    // missed sense flip, lost-update window) and reports the minimized
-    // counterexample schedule that exposes each injected bug.
-    CheckExperiment {
-        id: "V1-check",
-        title: "Model checking the lock-free constructs",
-        per: "construct",
-        suite: splash4_check::check_suite,
-        mutants: |b| sc_blind(splash4_check::check_mutants(b)),
-    },
-    // `V2-kernel-check` (extension): the model checker applied to real
-    // kernel bodies at `Check` scale. Where `V1-check` verifies each
-    // lock-free construct in isolation, this experiment explores the
-    // constructs *as the kernels compose them*: radix's pass-0 rank
-    // dispensing (GETSUB bucket claims + barrier + per-bucket `fetch_add`)
-    // over the kernel's real key array, and water-nsquared's CAS-loop energy
-    // reduction over the real Lennard-Jones pair energies. The mutation
-    // table seeds kernel-shaped bugs — a lost rank, a lost CAS retry — that
-    // the checker must catch with a minimized counterexample schedule.
-    CheckExperiment {
-        id: "V2-kernel-check",
-        title: "Model checking real kernel bodies at Check scale",
-        per: "scenario",
-        suite: splash4_check::check_kernels,
-        mutants: |b| sc_blind(splash4_check::check_kernel_mutants(b)),
-    },
-    // `C1-combining` (extension): model checking the flat-combining core and
-    // every construct that plugs into it. Shadow replicas of the combined
-    // reducer cells (u64 and f64), `GETSUB` cursor, and barrier arrival run
-    // under the checker with the protocol's record arguments and results
-    // modeled as *plain data*: the real core keeps them in `Relaxed` atomics
-    // ordered only by the publish→scan and complete→wait edges, so any
-    // weakening of those edges surfaces as a vector-clock data race rather
-    // than a silently narrowed search. The mutant table seeds the three
-    // flat-combining protocol bugs — a lost publication record, a combiner
-    // that exits before draining, and a stale result handoff — plus a
-    // relaxed scan, each of which must fall with a replayable
-    // counterexample schedule.
-    CheckExperiment {
-        id: "C1-combining",
-        title: "Model checking the flat-combining sync generation",
-        per: "scenario",
-        suite: splash4_check::check_combining,
-        mutants: |b| sc_blind(splash4_check::check_combining_mutants(b)),
-    },
-    // `R1-reclaim` (extension): model checking the reclamation layer and the
-    // dynamic task pools built on it. Shadow replicas of the Michael-Scott
-    // queue and the elimination-backoff exchange run against FIFO/LIFO
-    // linearizability specs, and two protocol scenarios model the
-    // reclamation invariants directly: a free is a poison write, so a
-    // premature free is a data race or a poisoned-value invariant failure,
-    // and a retire that never frees fails the leak-at-quiescence finale.
-    // The mutant table seeds exactly those bugs — premature free,
-    // never-retire leak, lost tail-link CAS, duplicate elimination take,
-    // skipped hazard validation — and each must fall with a replayable
-    // counterexample schedule.
-    CheckExperiment {
-        id: "R1-reclaim",
-        title: "Model checking memory reclamation and dynamic task pools",
-        per: "scenario",
-        suite: splash4_check::check_reclaim,
-        mutants: |b| sc_blind(splash4_check::check_reclaim_mutants(b)),
-    },
-    // `W1-weakmem` (extension): weak-memory value exploration in the
-    // checker. The V1/V2/C1/R1 suites explore *interleavings* under
-    // sequentially consistent values, so an ordering bug only surfaces
-    // through the data race it causes on plain data. This experiment runs
-    // the checker's weak-memory mode: every atomic keeps its store history
-    // and non-`SeqCst` loads branch over the stale records the C11 orderings
-    // admit. The first table verifies the shipped Splash-4 annotations pass
-    // under weak memory; the mutant table seeds one-ordering downgrades
-    // (relaxed flag waits, `SeqCst → Acquire` store-buffering windows, a
-    // relaxed barrier spin) and reports, per mutant, both the weak-memory
-    // detection *and* whether SC-only exploration missed the bug —
-    // `sc-missed = yes` on every row is the point: these are exactly the
-    // bugs interleaving-only search cannot find.
-    CheckExperiment {
-        id: "W1-weakmem",
-        title: "Weak-memory exploration: stale-read windows the C11 orderings admit",
-        per: "scenario",
-        suite: splash4_check::check_weakmem,
-        mutants: |b| {
-            splash4_check::check_weakmem_mutants(b)
-                .into_iter()
-                .map(|w| (w.report, Some(w.sc_missed)))
-                .collect()
-        },
-    },
-];
 
 /// The sync-op mix dimensions of the `D1-diversity` vectors, in order.
 pub const D1_MIX_DIMS: [&str; 8] = [
@@ -1018,7 +964,7 @@ impl DiversityPoint {
 /// claim: `cmap` and `stream` occupy mix/timeline regions none of the
 /// original kernels do, so each sits farther from its nearest original
 /// than any original sits from its own nearest sibling.
-fn d1_diversity(ctx: &ExperimentCtx) -> Report {
+fn d1_diversity(id: &str, ctx: &ExperimentCtx) -> Report {
     let threads = ctx.native_threads.iter().copied().max().unwrap_or(2);
     let points: Vec<DiversityPoint> = ctx
         .benchmarks()
@@ -1079,7 +1025,7 @@ fn d1_diversity(ctx: &ExperimentCtx) -> Report {
         mt.render()
     );
     Report {
-        id: "D1-diversity".into(),
+        id: id.into(),
         title: format!(
             "Workload diversity: sync-op mix and contention-timeline distances \
              ({} workloads, {} class, {} threads)",
@@ -1101,10 +1047,16 @@ fn d1_diversity(ctx: &ExperimentCtx) -> Report {
 /// Run one checker experiment and render its construct and mutant tables.
 /// A catalog that reports `sc-missed` is a weak-memory run: its mutant table
 /// gains that column and its header the stale-read budget.
-fn check_report(e: &CheckExperiment) -> Report {
+fn check_report(
+    id: &str,
+    title: &str,
+    per: &str,
+    suite: fn(&splash4_check::CheckBudget) -> Vec<splash4_check::ConstructReport>,
+    mutants: fn(&splash4_check::CheckBudget) -> Vec<CheckedMutant>,
+) -> Report {
     let budget = splash4_check::CheckBudget::default();
-    let rows = (e.suite)(&budget);
-    let muts = (e.mutants)(&budget);
+    let rows = suite(&budget);
+    let muts = mutants(&budget);
     let weak = muts.iter().any(|(_, sc_missed)| sc_missed.is_some());
     let yes_no = |b: bool| if b { "yes" } else { "NO" }.to_string();
 
@@ -1185,10 +1137,10 @@ fn check_report(e: &CheckExperiment) -> Report {
         fields.insert(1, ("stale_reads".to_string(), stale));
     }
     Report {
-        id: e.id.into(),
+        id: id.into(),
         title: format!(
-            "{} ({} schedules/{} minimum, {stale_title}seed {:#x})",
-            e.title, budget.min_schedules, e.per, budget.seed
+            "{title} ({} schedules/{per} minimum, {stale_title}seed {:#x})",
+            budget.min_schedules, budget.seed
         ),
         text: format!("{}\n{mutants_heading}:\n{}", t.render(), mt.render()),
         json: j,
@@ -1228,6 +1180,34 @@ mod tests {
     #[test]
     fn unknown_experiment_is_an_error() {
         assert!(run_experiment("F9-nope", &quick_ctx()).is_err());
+    }
+
+    #[test]
+    fn experiment_ids_keep_their_presentation_order() {
+        // `--list` and the out-of-workspace benchmark read this order.
+        assert_eq!(
+            ALL_EXPERIMENTS,
+            [
+                "T1-inputs",
+                "T2-changes",
+                "T3-syncops",
+                "F1-native",
+                "F2-sim-epyc",
+                "F3-sim-icelake",
+                "F4-scalability",
+                "F5-sync-breakdown",
+                "F6-ablation",
+                "F8-trace-replay",
+                "F9-combining",
+                "S1-sensitivity",
+                "V1-check",
+                "V2-kernel-check",
+                "C1-combining",
+                "R1-reclaim",
+                "W1-weakmem",
+                "D1-diversity",
+            ]
+        );
     }
 
     #[test]

@@ -20,6 +20,17 @@ pub struct Report {
 }
 
 impl Report {
+    /// A report whose text and CSV are the two renderings of one table.
+    pub(crate) fn of_table(id: &str, title: impl Into<String>, t: &Table, json: Json) -> Report {
+        Report {
+            id: id.into(),
+            title: title.into(),
+            text: t.render(),
+            json,
+            csv: t.to_csv(),
+        }
+    }
+
     /// Render id, title and body for terminal output.
     pub fn to_terminal(&self) -> String {
         format!("== {} — {} ==\n{}\n", self.id, self.title, self.text)

@@ -552,10 +552,6 @@ impl Workload for Barnes {
         format!("{} bodies, {} steps, θ={}", c.n, c.steps, c.theta)
     }
 
-    fn phases(&self) -> &'static [&'static str] {
-        &["build", "com", "forces", "advance", "checksum"]
-    }
-
     fn run(&self, class: InputClass, env: &SyncEnv) -> KernelResult {
         run(&BarnesConfig::class(class), env)
     }

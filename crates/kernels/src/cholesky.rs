@@ -414,10 +414,6 @@ impl Workload for Cholesky {
         format!("{0}×{0} SPD matrix, {1}×{1} blocks", c.n, c.block)
     }
 
-    fn phases(&self) -> &'static [&'static str] {
-        &["tasks", "checksum"]
-    }
-
     fn run(&self, class: InputClass, env: &SyncEnv) -> KernelResult {
         run(&CholeskyConfig::class(class), env)
     }

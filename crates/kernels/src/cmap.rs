@@ -602,10 +602,6 @@ impl Workload for CMap {
         )
     }
 
-    fn phases(&self) -> &'static [&'static str] {
-        &["churn", "scan"]
-    }
-
     fn run(&self, class: InputClass, env: &SyncEnv) -> KernelResult {
         run(&CMapConfig::class(class), env)
     }

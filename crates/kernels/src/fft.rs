@@ -281,18 +281,6 @@ impl Workload for Fft {
         format!("{} complex points (√n={})", c.n(), c.m)
     }
 
-    fn phases(&self) -> &'static [&'static str] {
-        &[
-            "transpose1",
-            "fft1",
-            "twiddle",
-            "transpose2",
-            "fft2",
-            "transpose3",
-            "checksum",
-        ]
-    }
-
     fn run(&self, class: InputClass, env: &SyncEnv) -> KernelResult {
         run(&FftConfig::class(class), env)
     }

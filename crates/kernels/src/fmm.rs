@@ -444,10 +444,6 @@ impl Workload for Fmm {
         format!("{} particles, depth {}, p={}", c.n, c.levels, c.order)
     }
 
-    fn phases(&self) -> &'static [&'static str] {
-        &["bin", "p2m", "m2m", "m2l", "l2p+p2p"]
-    }
-
     fn run(&self, class: InputClass, env: &SyncEnv) -> KernelResult {
         run(&FmmConfig::class(class), env)
     }

@@ -360,10 +360,6 @@ impl Workload for Lu {
         format!("{0}×{0} matrix, {1}×{1} blocks", c.n, c.block)
     }
 
-    fn phases(&self) -> &'static [&'static str] {
-        &["diag", "perimeter", "interior", "checksum"]
-    }
-
     fn run(&self, class: InputClass, env: &SyncEnv) -> KernelResult {
         run(&LuConfig::class(class), env)
     }
@@ -381,10 +377,6 @@ impl Workload for LuNoncont {
     fn input_description(&self, class: InputClass) -> String {
         let c = LuConfig::class_noncont(class);
         format!("{0}×{0} matrix, {1}×{1} blocks, row-major", c.n, c.block)
-    }
-
-    fn phases(&self) -> &'static [&'static str] {
-        &["diag", "perimeter", "interior", "checksum"]
     }
 
     fn run(&self, class: InputClass, env: &SyncEnv) -> KernelResult {

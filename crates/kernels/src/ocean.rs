@@ -498,10 +498,6 @@ impl Workload for Ocean {
         format!("{0}×{0} grid, tol {1:.0e}", c.n, c.tolerance)
     }
 
-    fn phases(&self) -> &'static [&'static str] {
-        &["red", "black", "reduce+check", "checksum"]
-    }
-
     fn run(&self, class: InputClass, env: &SyncEnv) -> KernelResult {
         run(&OceanConfig::class(class), env)
     }
@@ -519,10 +515,6 @@ impl Workload for OceanNoncont {
     fn input_description(&self, class: InputClass) -> String {
         let c = OceanConfig::class_noncont(class);
         format!("{0}×{0} grid, tol {1:.0e}, row arrays", c.n, c.tolerance)
-    }
-
-    fn phases(&self) -> &'static [&'static str] {
-        &["red", "black", "reduce+check", "checksum"]
     }
 
     fn run(&self, class: InputClass, env: &SyncEnv) -> KernelResult {

@@ -346,10 +346,6 @@ impl Workload for Radiosity {
         format!("{} patches (6 walls × {}²)", c.patches(), c.m)
     }
 
-    fn phases(&self) -> &'static [&'static str] {
-        &["shoot", "select"]
-    }
-
     fn run(&self, class: InputClass, env: &SyncEnv) -> KernelResult {
         run(&RadiosityConfig::class(class), env)
     }

@@ -225,10 +225,6 @@ impl Workload for Radix {
         format!("{} keys, radix {}", c.n, c.buckets())
     }
 
-    fn phases(&self) -> &'static [&'static str] {
-        &["histogram", "prefix", "rank", "permute", "checksum"]
-    }
-
     fn run(&self, class: InputClass, env: &SyncEnv) -> KernelResult {
         run(&RadixConfig::class(class), env)
     }

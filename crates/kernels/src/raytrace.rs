@@ -309,10 +309,6 @@ impl Workload for Raytrace {
         format!("{0}×{0} image, depth {1}", c.size, c.max_depth)
     }
 
-    fn phases(&self) -> &'static [&'static str] {
-        &["render"]
-    }
-
     fn run(&self, class: InputClass, env: &SyncEnv) -> KernelResult {
         run(&RaytraceConfig::class(class), env)
     }

@@ -223,10 +223,6 @@ impl Workload for Stream {
         format!("{} items through {} stages", c.items, c.stages)
     }
 
-    fn phases(&self) -> &'static [&'static str] {
-        &["produce", "relay", "handoff"]
-    }
-
     fn run(&self, class: InputClass, env: &SyncEnv) -> KernelResult {
         run(&StreamConfig::class(class), env)
     }

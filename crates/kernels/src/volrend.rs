@@ -238,10 +238,6 @@ impl Workload for Volrend {
         format!("{0}³ volume → {1}² image", c.volume, c.image)
     }
 
-    fn phases(&self) -> &'static [&'static str] {
-        &["opacity", "macrocells", "render"]
-    }
-
     fn run(&self, class: InputClass, env: &SyncEnv) -> KernelResult {
         run(&VolrendConfig::class(class), env)
     }

@@ -292,10 +292,6 @@ impl Workload for WaterNsquared {
         format!("{} molecules, {} steps", c.n, c.steps)
     }
 
-    fn phases(&self) -> &'static [&'static str] {
-        &["forces", "integrate", "checksum"]
-    }
-
     fn run(&self, class: InputClass, env: &SyncEnv) -> KernelResult {
         run(&WaterNsqConfig::class(class), env)
     }

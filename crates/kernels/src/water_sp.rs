@@ -301,10 +301,6 @@ impl Workload for WaterSpatial {
         format!("{} molecules, {} steps, cell lists", c.n, c.steps)
     }
 
-    fn phases(&self) -> &'static [&'static str] {
-        &["rebin", "forces", "integrate", "checksum"]
-    }
-
     fn run(&self, class: InputClass, env: &SyncEnv) -> KernelResult {
         run(&WaterSpConfig::class(class), env)
     }

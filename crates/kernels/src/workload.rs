@@ -3,11 +3,12 @@
 //! The paper's core claim is that the *same* workloads run under both
 //! synchronization generations; this module turns that sameness from a
 //! convention into a structure. Every kernel implements [`Workload`] —
-//! name, input description, phase structure, and a `run` whose parallel
-//! region goes through the shared [`driver`] — and appears in the process
-//! registry. Everything downstream (the harness registry, experiments,
-//! perf bench, trace capture, the model checker's kernel scenarios, the
-//! experiment service) consumes workloads through this one seam *by
+//! name, input description, and a `run` whose parallel region goes through
+//! the shared [`driver`] and whose result carries the phase structure as
+//! its [`WorkModel`] — and appears in the process registry. Everything
+//! downstream (the harness registry, experiments, perf bench, trace capture,
+//! the model checker's kernel scenarios, the experiment service) consumes
+//! workloads through this one seam *by
 //! iteration, not by count*: the suite size appears in exactly one place
 //! (the [`BUILTIN`] table below), so adding a workload is one kernel file
 //! plus one registration line — or, for out-of-tree workloads, a single
@@ -32,11 +33,6 @@ pub trait Workload: Sync {
     /// Human description of the configured input at `class` (the
     /// `T1-inputs` table content).
     fn input_description(&self, class: InputClass) -> String;
-
-    /// Names of the ROI phases, in execution order. These match the phase
-    /// names of the [`WorkModel`] every run exports, which is pinned by a
-    /// registry test.
-    fn phases(&self) -> &'static [&'static str];
 
     /// Run the workload at `class` under `env`.
     fn run(&self, class: InputClass, env: &SyncEnv) -> KernelResult;
@@ -217,7 +213,6 @@ mod tests {
                 "{} is not canonical",
                 w.name()
             );
-            assert!(!w.phases().is_empty(), "{} exports no phases", w.name());
         }
     }
 
@@ -251,9 +246,6 @@ mod tests {
             fn input_description(&self, _class: InputClass) -> String {
                 String::new()
             }
-            fn phases(&self) -> &'static [&'static str] {
-                &["noop"]
-            }
             fn run(&self, _class: InputClass, _env: &SyncEnv) -> KernelResult {
                 unreachable!("never registered")
             }
@@ -273,16 +265,6 @@ mod tests {
                 let r = w.run(InputClass::Check, &env);
                 assert!(r.validated, "{} failed at check scale, {mode}", w.name());
             }
-        }
-    }
-
-    #[test]
-    fn work_model_phases_match_declared_phases() {
-        for w in suite() {
-            let env = SyncEnv::new(SyncMode::LockFree, 1);
-            let r = w.run(InputClass::Test, &env);
-            let got: Vec<&str> = r.work.phases.iter().map(|p| p.name.as_str()).collect();
-            assert_eq!(got, w.phases(), "{} phase list drifted", w.name());
         }
     }
 }

@@ -70,22 +70,6 @@ pub enum TraceEvent {
     Dequeue,
 }
 
-impl TraceEvent {
-    /// Short label for summaries and JSON export.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TraceEvent::Compute { .. } => "compute",
-            TraceEvent::Rmw { .. } => "rmw",
-            TraceEvent::LockAcq { .. } => "lock_acq",
-            TraceEvent::BarrierEnter { .. } => "barrier_enter",
-            TraceEvent::BarrierExit { .. } => "barrier_exit",
-            TraceEvent::Getsub { .. } => "getsub",
-            TraceEvent::Enqueue => "enqueue",
-            TraceEvent::Dequeue => "dequeue",
-        }
-    }
-}
-
 /// Receiver for the runtime's event stream.
 ///
 /// `record` is called from kernel threads on synchronization hot paths;
@@ -120,27 +104,5 @@ mod tests {
         let a = now_ns();
         let b = now_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn labels_are_distinct() {
-        let events = [
-            TraceEvent::Compute { ns: 1 },
-            TraceEvent::Rmw {
-                class: ConstructClass::Reduction,
-                n: 1,
-            },
-            TraceEvent::LockAcq {
-                contended: false,
-                hold_ns: 0,
-            },
-            TraceEvent::BarrierEnter { id: 0 },
-            TraceEvent::BarrierExit { id: 0 },
-            TraceEvent::Getsub { n: 1 },
-            TraceEvent::Enqueue,
-            TraceEvent::Dequeue,
-        ];
-        let labels: std::collections::HashSet<_> = events.iter().map(|e| e.label()).collect();
-        assert_eq!(labels.len(), events.len());
     }
 }

@@ -15,7 +15,7 @@ use splash4_serve::{Client, Server, ServerConfig};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tiny_ctx() -> ExperimentCtx {
     ExperimentCtx {
@@ -260,7 +260,12 @@ fn shutdown_drains_in_flight_and_rejects_new_submissions() {
         })
     };
     let mut survivor = Client::connect(&addr).expect("connect before shutdown");
-    thread::sleep(Duration::from_millis(10));
+    // "In flight" means the pool has accepted the job, not that time passed.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while survivor.stats().expect("stats")["submitted"].as_u64() == Some(0) {
+        assert!(Instant::now() < deadline, "the pool never accepted the job");
+        thread::sleep(Duration::from_millis(1));
+    }
 
     let mut stopper = Client::connect(&addr).expect("connect stopper");
     stopper.shutdown_server().expect("shutdown ack");

@@ -1,4 +1,4 @@
-//! Trace serialization: a compact binary format and a JSON form.
+//! Trace serialization: a compact binary format.
 //!
 //! Binary layout (all integers little-endian):
 //!
@@ -17,11 +17,10 @@
 //! `payload` carries the 64-bit field of `Compute`/`LockAcq`; `n` carries
 //! counts and barrier ids; `class` indexes
 //! [`ConstructClass::ALL`](splash4_parmacs::ConstructClass::ALL) (0xFF when
-//! unused). The JSON form mirrors the same fields with event `op` labels from
-//! [`TraceEvent::label`], and round-trips through either codec losslessly.
+//! unused). The round trip is lossless.
 
 use crate::{Stamped, Trace};
-use splash4_parmacs::{ConstructClass, Json, TraceEvent};
+use splash4_parmacs::{ConstructClass, TraceEvent};
 
 /// Binary format magic.
 pub const MAGIC: &[u8; 4] = b"S4TR";
@@ -29,7 +28,7 @@ pub const MAGIC: &[u8; 4] = b"S4TR";
 pub const VERSION: u32 = 1;
 const RECORD_BYTES: usize = 24;
 
-/// A malformed input to [`decode`] or [`from_json`].
+/// A malformed input to [`decode`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodecError(pub String);
 
@@ -194,127 +193,6 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, CodecError> {
     Ok(Trace::from_parts(name, threads, dropped))
 }
 
-fn event_to_json(s: &Stamped) -> Json {
-    let mut fields: Vec<(String, Json)> = vec![
-        ("t".into(), Json::Num(s.ts_ns as f64)),
-        ("op".into(), Json::Str(s.event.label().into())),
-    ];
-    match s.event {
-        TraceEvent::Compute { ns } => fields.push(("ns".into(), Json::Num(ns as f64))),
-        TraceEvent::Rmw { class, n } => {
-            fields.push(("class".into(), Json::Str(class.label().into())));
-            fields.push(("n".into(), Json::Num(f64::from(n))));
-        }
-        TraceEvent::LockAcq { contended, hold_ns } => {
-            fields.push(("contended".into(), Json::Bool(contended)));
-            fields.push(("hold_ns".into(), Json::Num(hold_ns as f64)));
-        }
-        TraceEvent::BarrierEnter { id } | TraceEvent::BarrierExit { id } => {
-            fields.push(("id".into(), Json::Num(f64::from(id))));
-        }
-        TraceEvent::Getsub { n } => fields.push(("n".into(), Json::Num(f64::from(n)))),
-        TraceEvent::Enqueue | TraceEvent::Dequeue => {}
-    }
-    Json::Object(fields)
-}
-
-fn event_from_json(v: &Json) -> Result<Stamped, CodecError> {
-    let ts_ns = v
-        .get("t")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| CodecError("event missing timestamp".into()))?;
-    let op = v
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| CodecError("event missing op".into()))?;
-    let num = |key: &str| -> Result<u64, CodecError> {
-        v.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| CodecError(format!("{op} event missing {key}")))
-    };
-    let event = match op {
-        "compute" => TraceEvent::Compute { ns: num("ns")? },
-        "rmw" => {
-            let label = v
-                .get("class")
-                .and_then(Json::as_str)
-                .ok_or_else(|| CodecError("rmw event missing class".into()))?;
-            TraceEvent::Rmw {
-                class: ConstructClass::from_label(label)
-                    .ok_or_else(|| CodecError(format!("unknown class {label:?}")))?,
-                n: num("n")? as u32,
-            }
-        }
-        "lock_acq" => TraceEvent::LockAcq {
-            contended: v.get("contended").and_then(Json::as_bool).unwrap_or(false),
-            hold_ns: num("hold_ns")?,
-        },
-        "barrier_enter" => TraceEvent::BarrierEnter {
-            id: num("id")? as u32,
-        },
-        "barrier_exit" => TraceEvent::BarrierExit {
-            id: num("id")? as u32,
-        },
-        "getsub" => TraceEvent::Getsub {
-            n: num("n")? as u32,
-        },
-        "enqueue" => TraceEvent::Enqueue,
-        "dequeue" => TraceEvent::Dequeue,
-        other => return err(format!("unknown op {other:?}")),
-    };
-    Ok(Stamped { ts_ns, event })
-}
-
-/// Export `trace` as a JSON value.
-pub fn to_json(trace: &Trace) -> Json {
-    Json::Object(vec![
-        ("name".into(), Json::Str(trace.name().into())),
-        ("nthreads".into(), Json::Num(trace.nthreads() as f64)),
-        ("dropped".into(), Json::Num(trace.dropped() as f64)),
-        (
-            "threads".into(),
-            Json::Array(
-                trace
-                    .threads()
-                    .iter()
-                    .map(|evs| Json::Array(evs.iter().map(event_to_json).collect()))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Import a trace from its JSON form (as produced by [`to_json`]).
-pub fn from_json(v: &Json) -> Result<Trace, CodecError> {
-    let name = v
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or_else(|| CodecError("trace missing name".into()))?;
-    let dropped = v.get("dropped").and_then(Json::as_u64).unwrap_or(0);
-    let threads_json = v
-        .get("threads")
-        .and_then(Json::as_array)
-        .ok_or_else(|| CodecError("trace missing threads".into()))?;
-    let mut threads = Vec::with_capacity(threads_json.len());
-    for tj in threads_json {
-        let evs_json = tj
-            .as_array()
-            .ok_or_else(|| CodecError("thread stream is not an array".into()))?;
-        threads.push(
-            evs_json
-                .iter()
-                .map(event_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        );
-    }
-    if let Some(n) = v.get("nthreads").and_then(Json::as_u64) {
-        if n as usize != threads.len() {
-            return err("nthreads disagrees with stream count");
-        }
-    }
-    Ok(Trace::from_parts(name, threads, dropped))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,22 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_is_lossless_through_text() {
-        let t = sample();
-        let text = to_json(&t).to_string();
-        let back = from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn binary_and_json_agree() {
-        let t = sample();
-        let via_bin = decode(&encode(&t)).unwrap();
-        let via_json = from_json(&to_json(&t)).unwrap();
-        assert_eq!(via_bin, via_json);
-    }
-
-    #[test]
     fn malformed_binary_is_rejected() {
         assert!(decode(b"").is_err());
         assert!(decode(b"NOPE").is_err());
@@ -399,14 +261,5 @@ mod tests {
         // Event count far beyond the buffer must fail fast, not OOM.
         let truncated = &encode(&sample())[..30];
         assert!(decode(truncated).is_err());
-    }
-
-    #[test]
-    fn malformed_json_is_rejected() {
-        assert!(from_json(&Json::parse("{}").unwrap()).is_err());
-        let bad_op = r#"{"name":"x","dropped":0,"threads":[[{"t":1,"op":"warp"}]]}"#;
-        assert!(from_json(&Json::parse(bad_op).unwrap()).is_err());
-        let bad_class = r#"{"name":"x","threads":[[{"t":1,"op":"rmw","class":"zz","n":1}]]}"#;
-        assert!(from_json(&Json::parse(bad_class).unwrap()).is_err());
     }
 }

@@ -9,7 +9,7 @@
 //!   thread, [`ring::SpscRing`]) that timestamps events and counts drops on
 //!   overflow instead of blocking the traced program;
 //! * [`Trace`] — the merged, per-thread event streams a finished recorder
-//!   yields, with a compact binary codec and JSON import/export ([`codec`]);
+//!   yields, with a compact binary codec ([`codec`]);
 //! * [`lower`] — conversion of a recorded trace into a simulator
 //!   [`Program`](splash4_sim::Program), re-dealing dynamically-scheduled work
 //!   across any simulated core count so a 4-thread native trace can drive

@@ -40,10 +40,6 @@ impl Workload for SpinMill {
         format!("{} milled indices", mill_items(class))
     }
 
-    fn phases(&self) -> &'static [&'static str] {
-        &["mill"]
-    }
-
     fn run(&self, class: InputClass, env: &SyncEnv) -> KernelResult {
         let n = mill_items(class);
         let counter = env.counter("mill.index", 0..n);
