@@ -7,36 +7,36 @@
 //! splash4-report --experiment F1-native --threads 1,2,4
 //! splash4-report --all --only fft,radix
 //! splash4-report --all --csv-dir results/csv
-//! splash4-report --bench [--quick] [--bench-out BENCH_results.json] [--force]
-//! splash4-report --bench atomics [--quick] [--bench-out atomics.json]
-//! splash4-report --validate BENCH_results.json
-//! splash4-report --compare results/BENCH_results.json BENCH_results.json
+//! splash4-report --bench [atomics] [--quick] [--bench-out atomics.json] [--force]
+//! splash4-report --validate atomics.json
+//! splash4-report --compare before.json after.json
 //! splash4-report --calibrate atomics.json [--profile-base epyc] [--profile-out host-profile.json]
 //! splash4-report --experiment F2-sim-epyc --machine host-profile.json
 //! ```
 //!
+//! The suite's performance is measured by the `benchmark/` package
+//! (`BENCHMARK.json`), not here. `--bench` (the word `atomics` after it is
+//! accepted and changes nothing) runs the one measurement nothing else
+//! takes: the host's atomic cost matrix (CAS/FAA/SWP/load/store across
+//! contention levels and cache-line padding), written as a
+//! `splash4-bench-v2` document. `--calibrate` lowers such a document's
+//! measured medians into a simulator machine profile, and `--machine`
+//! points any simulation-driven experiment at a preset name, inline profile
+//! JSON, or a profile file (see `splash4_sim::MachineParams::resolve`).
+//!
 //! `--validate` checks a bench document's schema and statistical invariants
-//! (exit 1 on any violation); `--compare` runs the noise-aware regression
-//! gate and exits non-zero only on a statistically resolvable regression —
-//! the same binary serves local perf work and CI gating, with no Python on
-//! the runners.
+//! (exit 1 on any violation); `--compare` runs the noise-aware verdict over
+//! two documents and exits non-zero only on a statistically resolvable
+//! regression.
 //!
-//! `--bench atomics` runs only the atomic cost matrix (CAS/FAA/SWP/load/
-//! store across contention levels and cache-line padding) and emits a subset
-//! bench document; `--calibrate` lowers such a document's measured medians
-//! into a simulator machine profile, and `--machine` points any
-//! simulation-driven experiment at a preset name, inline profile JSON, or a
-//! profile file (see `splash4_sim::MachineParams::resolve`).
-//!
-//! `--only` narrows the per-workload experiments (and the `--bench`
-//! end-to-end wall benchmark) to a comma list of workload names, resolved
-//! leniently through the registry (`FFT`, `water-nsquared`, and
-//! `Water_NSquared` all work); `--list` prints both the experiment ids and
-//! the workload names those filters accept.
+//! `--only` narrows the per-workload experiments to a comma list of
+//! workload names, resolved leniently through the registry (`FFT`,
+//! `water-nsquared`, and `Water_NSquared` all work); `--list` prints both
+//! the experiment ids and the workload names those filters accept.
 
 use splash4_harness::{
-    compare_texts, run_bench, run_bench_atomics, run_experiment, validate, write_guarded,
-    BenchConfig, BenchmarkId, ExperimentCtx, ALL_EXPERIMENTS,
+    compare_texts, run_bench_atomics, run_experiment, validate, write_guarded, BenchConfig,
+    BenchmarkId, ExperimentCtx, ALL_EXPERIMENTS,
 };
 use splash4_kernels::InputClass;
 use splash4_parmacs::{json, Json};
@@ -60,7 +60,6 @@ fn main() -> ExitCode {
     let mut all = false;
     let mut list = false;
     let mut bench = false;
-    let mut bench_atomics = false;
     let mut quick = false;
     let mut force = false;
     let mut calibrate_path: Option<String> = None;
@@ -110,12 +109,10 @@ fn main() -> ExitCode {
             "--all" => all = true,
             "--bench" => {
                 bench = true;
-                // `--bench atomics` narrows the run to the atomic cost
-                // matrix; the optional group name is peeked so a following
-                // flag is left for the main loop.
+                // The matrix is the only group; its name is still accepted
+                // (peeked, so a following flag is left for the main loop).
                 if it.clone().next().map(String::as_str) == Some("atomics") {
                     it.next();
-                    bench_atomics = true;
                 }
             }
             "--quick" => quick = true,
@@ -378,33 +375,25 @@ fn main() -> ExitCode {
     }
 
     if bench {
-        let mut cfg = if quick {
+        let cfg = if quick {
             BenchConfig::quick()
         } else {
             BenchConfig::full()
         };
-        if let Some(benches) = &only {
-            cfg.benchmarks = benches.clone();
-        }
-        // Refuse to clobber an existing results file before spending minutes
+        // Refuse to clobber an existing results file before spending time
         // measuring; the same guard runs again at write time.
         if Path::new(&bench_out).exists() && !force {
             eprintln!("refusing to overwrite existing {bench_out} (pass --force to replace it)");
             return ExitCode::FAILURE;
         }
         eprintln!(
-            "running perf bench ({}{} mode, {}-{} adaptive reps, CI target ±{:.0}%)...",
-            if bench_atomics { "atomics group, " } else { "" },
+            "running the atomic cost matrix ({} mode, {}-{} adaptive reps, CI target ±{:.0}%)...",
             if quick { "quick" } else { "full" },
             cfg.measure.min_reps,
             cfg.measure.max_reps,
             cfg.measure.target_rci * 100.0
         );
-        let (text, doc) = if bench_atomics {
-            run_bench_atomics(&cfg)
-        } else {
-            run_bench(&cfg)
-        };
+        let (text, doc) = run_bench_atomics(&cfg);
         print!("{text}");
         if let Err(e) = write_guarded(Path::new(&bench_out), &doc.to_string_pretty(), force) {
             eprintln!("{e}");

@@ -76,7 +76,7 @@ impl MetricClass {
 /// One named, classed, summarized metric.
 #[derive(Debug, Clone)]
 pub struct Metric {
-    /// Flattened name, e.g. `reducer_ops_per_sec/splash4`.
+    /// Flattened name, e.g. `atomics/faa_c4_ns`.
     pub name: String,
     /// Regression semantics.
     pub class: MetricClass,
@@ -93,42 +93,28 @@ pub struct BenchDoc {
     pub metrics: Vec<Metric>,
 }
 
-/// The per-backend metric groups every document must carry.
-const BACKEND_METRICS: [&str; 3] = [
-    "reducer_ops_per_sec",
-    "counter_grabs_per_sec",
-    "barrier_crossings_per_sec",
-];
-
-/// The sync back-end labels every document must carry as JSON keys. The
-/// third generation (`splash4x`, flat combining) arrived later and decodes
-/// optionally — see [`OPTIONAL_BACKEND`].
-const BACKENDS: [&str; 2] = ["splash3", "splash4"];
-
-/// Back-end key that is decoded when present but not required, so documents
-/// written before the combining generation keep validating and comparing.
-const OPTIONAL_BACKEND: &str = "splash4x";
-
-/// Per-backend groups for the registry-extension workload families, shaped
-/// exactly like [`BACKEND_METRICS`] but optional: baselines written before
-/// the `cmap`/`stream` families keep validating and comparing.
-const FAMILY_METRICS: [&str; 2] = ["cmap", "stream"];
-
 /// Config keys that define the workload shape; absolute metrics are only
-/// gateable when these match between baseline and candidate. The two serve
-/// keys decode as `Null` in documents predating the serve subsystem, so
-/// old-vs-old comparisons still match (`Null == Null`) while old-vs-new
-/// correctly demote absolute metrics to info-only.
-const SHAPE_KEYS: [&str; 8] = [
-    "quick",
-    "threads",
-    "sync_ops",
-    "barrier_crossings",
-    "sim_cores",
-    "sim_ops_per_core",
-    "serve_sim_cores",
-    "serve_requests",
-];
+/// gateable when these match between baseline and candidate. A key a
+/// document does not carry decodes as `Null`, so two documents that both
+/// lack it still match.
+const SHAPE_KEYS: [&str; 3] = ["quick", "threads", "atomic_ops"];
+
+impl MetricClass {
+    /// The class a metric's own name declares: `…ratio` / `…speedup` are
+    /// same-host quotients, `…_ns` / `…_secs` are times, everything else is
+    /// a rate. The atomic cost matrix is all `_ns` and deliberately so: per
+    /// the paper, contended-atomic costs *are* host properties — they feed
+    /// `sim::calibrate`, not a cross-host gate.
+    fn of(member: &str) -> MetricClass {
+        if member.ends_with("ratio") || member.ends_with("speedup") {
+            MetricClass::Ratio
+        } else if member.ends_with("_ns") || member.ends_with("_secs") {
+            MetricClass::Wall
+        } else {
+            MetricClass::Throughput
+        }
+    }
+}
 
 impl BenchDoc {
     /// Parse and validate bench JSON text.
@@ -146,6 +132,12 @@ impl BenchDoc {
         }
     }
 
+    /// Every entry under `metrics` is either a summary or an object of
+    /// summaries; the latter flatten to `group/member`. No group or member
+    /// name is known in advance — the atomic matrix's cell set depends on
+    /// the measured thread count — so the class comes from the name
+    /// ([`MetricClass::of`]) and anything that is not a well-formed summary
+    /// is an error naming the metric.
     fn decode(doc: &Json) -> Result<BenchDoc, String> {
         let config = doc["config"].clone();
         if config.as_object().is_none() {
@@ -154,231 +146,39 @@ impl BenchDoc {
         if config["quick"].as_bool().is_none() {
             return Err("config has no boolean `quick`".into());
         }
-        let metrics_json = &doc["metrics"];
-        if metrics_json.as_object().is_none() {
+        let Some(entries) = doc["metrics"].as_object() else {
             return Err("document has no `metrics` object".into());
-        }
-        let read = |v: &Json, what: &str| -> Result<Summary, String> {
-            let s = Summary::from_json(v).map_err(|e| format!("metric `{what}`: {e}"))?;
-            if !(s.median.is_finite() && s.median > 0.0) {
-                return Err(format!("metric `{what}`: median must be positive"));
-            }
-            Ok(s)
         };
-
-        // The core groups (per-backend sync throughput, sim engine rates,
-        // report wall) are all-or-nothing: a full bench document must carry
-        // every one of them, so a run that silently lost a group still fails
-        // validation. Subset documents (`--bench atomics` writes config +
-        // the `atomics` matrix only, as calibration input) carry *none* of
-        // the core groups and decode to just the groups they have.
-        let has_core = BACKEND_METRICS.iter().any(|g| !metrics_json[*g].is_null())
-            || !metrics_json["sim_events_per_sec"].is_null()
-            || !metrics_json["report_wall_secs"].is_null();
-
         let mut metrics = Vec::new();
-        if has_core {
-            for group in BACKEND_METRICS {
-                let g = &metrics_json[group];
-                if g.as_object().is_none() {
-                    return Err(format!("missing metric group `{group}`"));
-                }
-                for backend in BACKENDS {
-                    let name = format!("{group}/{backend}");
-                    metrics.push(Metric {
-                        summary: read(&g[backend], &name)?,
-                        name,
-                        class: MetricClass::Throughput,
-                    });
-                }
-                // The combining generation, when the document carries it.
-                if !g[OPTIONAL_BACKEND].is_null() {
-                    let name = format!("{group}/{OPTIONAL_BACKEND}");
-                    metrics.push(Metric {
-                        name: name.clone(),
-                        class: MetricClass::Throughput,
-                        summary: read(&g[OPTIONAL_BACKEND], &name)?,
-                    });
-                }
-                // Lock-free over lock-based: the host-normalized form of the
-                // group.
-                let ratio = match &g["ratio"] {
-                    Json::Null => return Err(format!("metric group `{group}` missing `ratio`")),
-                    v => read(v, &format!("{group}/ratio"))?,
-                };
-                metrics.push(Metric {
-                    name: format!("{group}/ratio"),
-                    class: MetricClass::Ratio,
-                    summary: ratio,
-                });
-            }
-
-            let sim = &metrics_json["sim_events_per_sec"];
-            if sim.as_object().is_none() {
-                return Err("missing metric group `sim_events_per_sec`".into());
-            }
-            for part in ["engine", "reference"] {
-                metrics.push(Metric {
-                    name: format!("sim_events_per_sec/{part}"),
-                    class: MetricClass::Throughput,
-                    summary: read(&sim[part], &format!("sim_events_per_sec/{part}"))?,
-                });
+        let mut read = |name: String, member: &str, v: &Json| -> Result<(), String> {
+            let summary = Summary::from_json(v).map_err(|e| format!("metric `{name}`: {e}"))?;
+            if summary.median <= 0.0 {
+                return Err(format!("metric `{name}`: median must be positive"));
             }
             metrics.push(Metric {
-                name: "sim_events_per_sec/speedup".into(),
-                class: MetricClass::Ratio,
-                summary: read(&sim["speedup"], "sim_events_per_sec/speedup")?,
+                name,
+                class: MetricClass::of(member),
+                summary,
             });
-            metrics.push(Metric {
-                name: "report_wall_secs".into(),
-                class: MetricClass::Wall,
-                summary: read(&metrics_json["report_wall_secs"], "report_wall_secs")?,
-            });
-        }
-
-        // The serve group (experiment-service throughput and the many-core
-        // barrier-release retime ratio) arrived after v2 shipped; it is
-        // optional so pre-serve documents keep validating and comparing.
-        // When both sides carry it, `compare` picks it up by name like any
-        // other metric.
-        let serve = &metrics_json["serve"];
-        if serve.as_object().is_some() {
-            for (part, class) in [
-                ("requests_per_sec", MetricClass::Throughput),
-                ("events_per_sec_p1024", MetricClass::Throughput),
-                ("retime_speedup", MetricClass::Ratio),
-            ] {
-                metrics.push(Metric {
-                    name: format!("serve/{part}"),
-                    class,
-                    summary: read(&serve[part], &format!("serve/{part}"))?,
-                });
-            }
-        } else if !serve.is_null() {
-            return Err("`serve` metric group must be an object when present".into());
-        }
-
-        // The reclaim group (dynamic-pool churn vs the index-based stack,
-        // and the EBR/HP crossover ratio) is optional for the same reason:
-        // baselines written before the reclamation layer keep validating
-        // and comparing on the metrics both sides carry.
-        let reclaim = &metrics_json["reclaim"];
-        if reclaim.as_object().is_some() {
-            for (part, class) in [
-                ("index_pool_ops_per_sec", MetricClass::Throughput),
-                ("epoch_pool_ops_per_sec", MetricClass::Throughput),
-                ("hazard_pool_ops_per_sec", MetricClass::Throughput),
-                ("epoch_vs_index_ratio", MetricClass::Ratio),
-                ("epoch_vs_hazard_ratio", MetricClass::Ratio),
-            ] {
-                metrics.push(Metric {
-                    name: format!("reclaim/{part}"),
-                    class,
-                    summary: read(&reclaim[part], &format!("reclaim/{part}"))?,
-                });
-            }
-        } else if !reclaim.is_null() {
-            return Err("`reclaim` metric group must be an object when present".into());
-        }
-
-        // The combining group (third-generation flat-combining primitives
-        // against the lock-free generation) is optional for the same
-        // reason. Every member is a host-normalized ratio, so all of it
-        // gates cross-host; `combining_vs_lockfree_ratio` is the paired
-        // headline the CI `--compare` step watches.
-        let combining = &metrics_json["combining"];
-        if combining.as_object().is_some() {
-            for part in [
-                "reducer_vs_lockfree_ratio",
-                "counter_vs_lockfree_ratio",
-                "barrier_vs_lockfree_ratio",
-                "combining_vs_lockfree_ratio",
-            ] {
-                metrics.push(Metric {
-                    name: format!("combining/{part}"),
-                    class: MetricClass::Ratio,
-                    summary: read(&combining[part], &format!("combining/{part}"))?,
-                });
-            }
-        } else if !combining.is_null() {
-            return Err("`combining` metric group must be an object when present".into());
-        }
-
-        // The registry-extension workload families bench whole-kernel churn
-        // per back-end (`cmap` map operations/sec, `stream` pipeline
-        // items/sec). Optional so pre-extension baselines keep validating;
-        // shape and classes mirror the core per-backend groups, so each
-        // family's lockfree/lockbased ratio gates cross-host and the raw
-        // rates gate between matching hosts.
-        for group in FAMILY_METRICS {
-            let g = &metrics_json[group];
-            if g.as_object().is_none() {
-                if !g.is_null() {
+            Ok(())
+        };
+        for (group, v) in entries {
+            match v.as_object() {
+                Some(_) if !v["median"].is_null() => read(group.clone(), group, v)?,
+                Some(members) if !members.is_empty() => {
+                    for (member, mv) in members {
+                        read(format!("{group}/{member}"), member, mv)?;
+                    }
+                }
+                _ => {
                     return Err(format!(
-                        "`{group}` metric group must be an object when present"
-                    ));
+                        "metric `{group}`: neither a summary nor a non-empty group of summaries"
+                    ))
                 }
-                continue;
             }
-            for backend in BACKENDS {
-                let name = format!("{group}/{backend}");
-                metrics.push(Metric {
-                    name: name.clone(),
-                    class: MetricClass::Throughput,
-                    summary: read(&g[backend], &name)?,
-                });
-            }
-            if !g[OPTIONAL_BACKEND].is_null() {
-                let name = format!("{group}/{OPTIONAL_BACKEND}");
-                metrics.push(Metric {
-                    name: name.clone(),
-                    class: MetricClass::Throughput,
-                    summary: read(&g[OPTIONAL_BACKEND], &name)?,
-                });
-            }
-            let name = format!("{group}/ratio");
-            metrics.push(Metric {
-                name: name.clone(),
-                class: MetricClass::Ratio,
-                summary: read(&g["ratio"], &name)?,
-            });
         }
-
-        // The atomic cost matrix (`--bench atomics`). Unlike every group
-        // above, its cell set is open-ended — contention levels depend on
-        // the measured thread count — so the decode is dynamic: every entry
-        // must be a summary, and every cell is host-absolute nanoseconds
-        // per op (`Wall`: lower is better, gate-eligible only between
-        // matching configs, informational otherwise). Deliberately no
-        // ratio-class atomics: per the paper, contended-atomic costs *are*
-        // host properties — they feed `sim::calibrate`, not a cross-host
-        // gate.
-        let atomics = &metrics_json["atomics"];
-        if let Some(entries) = atomics.as_object() {
-            if entries.is_empty() {
-                return Err("`atomics` metric group is empty".into());
-            }
-            for (cell, v) in entries {
-                let name = format!("atomics/{cell}");
-                let summary = read(v, &name)?;
-                metrics.push(Metric {
-                    name,
-                    class: MetricClass::Wall,
-                    summary,
-                });
-            }
-        } else if !atomics.is_null() {
-            return Err("`atomics` metric group must be an object when present".into());
-        }
-
         if metrics.is_empty() {
             return Err("document carries no metric groups".into());
-        }
-
-        for m in &metrics {
-            m.summary
-                .check()
-                .map_err(|e| format!("metric `{}`: {e}", m.name))?;
         }
         Ok(BenchDoc { config, metrics })
     }
@@ -675,52 +475,24 @@ mod tests {
     use crate::measure::Summary;
     use splash4_parmacs::json;
 
-    /// A minimal, structurally complete v2 document where every rate metric
-    /// scales with `scale`, every CI is ±`rci`·median, and 5 reps.
+    /// A summary object with a ±`rci`·median interval and 5 reps.
+    fn summary(median: f64, rci: f64) -> Json {
+        Summary {
+            median,
+            ci_lo: median * (1.0 - rci),
+            ci_hi: median * (1.0 + rci),
+            reps: 5,
+            cv: rci,
+            samples: vec![median; 5],
+        }
+        .to_json()
+    }
+
+    /// A v2 document in the shape the retired full bench wrote (per-backend
+    /// groups, a top-level wall summary, ratio members): every rate metric
+    /// scales with `scale`, every CI is ±`rci`·median.
     fn synth_v2(scale: f64, rci: f64, quick: bool) -> String {
-        synth_v2_with(scale, rci, quick, 30.0 / 17.0)
-    }
-
-    fn synth_v2_with(scale: f64, rci: f64, quick: bool, speedup: f64) -> String {
-        synth_v2_serve(scale, rci, quick, speedup, 1.6)
-    }
-
-    fn synth_v2_serve(scale: f64, rci: f64, quick: bool, speedup: f64, retime: f64) -> String {
-        synth_v2_reclaim(scale, rci, quick, speedup, retime, 8.0 / 5.0)
-    }
-
-    fn synth_v2_reclaim(
-        scale: f64,
-        rci: f64,
-        quick: bool,
-        speedup: f64,
-        retime: f64,
-        crossover: f64,
-    ) -> String {
-        synth_v2_combining(scale, rci, quick, speedup, retime, crossover, 1.3)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn synth_v2_combining(
-        scale: f64,
-        rci: f64,
-        quick: bool,
-        speedup: f64,
-        retime: f64,
-        crossover: f64,
-        combining: f64,
-    ) -> String {
-        let s = |median: f64| -> Json {
-            Summary {
-                median,
-                ci_lo: median * (1.0 - rci),
-                ci_hi: median * (1.0 + rci),
-                reps: 5,
-                cv: rci,
-                samples: vec![median; 5],
-            }
-            .to_json()
-        };
+        let s = |median: f64| summary(median, rci);
         let group = |m3: f64, m4: f64| {
             json!({
                 "splash3": s(m3 * scale),
@@ -749,30 +521,60 @@ mod tests {
                 "sim_events_per_sec": json!({
                     "engine": s(30.0e6 * scale),
                     "reference": s(17.0e6 * scale),
-                    "speedup": s(speedup),
+                    "speedup": s(30.0 / 17.0),
                 }),
                 "report_wall_secs": s(0.25 / scale),
                 "serve": json!({
                     "requests_per_sec": s(120.0 * scale),
                     "events_per_sec_p1024": s(2.0e6 * scale),
-                    "retime_speedup": s(retime),
+                    "retime_speedup": s(1.6),
                 }),
                 "reclaim": json!({
                     "index_pool_ops_per_sec": s(12.0e6 * scale),
                     "epoch_pool_ops_per_sec": s(8.0e6 * scale),
                     "hazard_pool_ops_per_sec": s(5.0e6 * scale),
                     "epoch_vs_index_ratio": s(8.0 / 12.0),
-                    "epoch_vs_hazard_ratio": s(crossover),
+                    "epoch_vs_hazard_ratio": s(8.0 / 5.0),
                 }),
                 "combining": json!({
                     "reducer_vs_lockfree_ratio": s(0.8),
                     "counter_vs_lockfree_ratio": s(0.8),
                     "barrier_vs_lockfree_ratio": s(0.8),
-                    "combining_vs_lockfree_ratio": s(combining),
+                    "combining_vs_lockfree_ratio": s(1.3),
                 }),
             }),
         })
         .to_string_pretty()
+    }
+
+    /// `text` with its `metrics` object rewritten by `edit`.
+    fn edit_metrics(text: &str, edit: impl FnOnce(&mut Vec<(String, Json)>)) -> String {
+        let doc = Json::parse(text).unwrap();
+        let mut metrics = doc["metrics"].as_object().unwrap().to_vec();
+        edit(&mut metrics);
+        json!({
+            "schema": "splash4-bench-v2",
+            "config": doc["config"].clone(),
+            "metrics": Json::Object(metrics),
+        })
+        .to_string_pretty()
+    }
+
+    /// `text` with the member `group/member` replaced by `value`.
+    fn with_member(text: &str, name: &str, value: Json) -> String {
+        let (group, member) = name.split_once('/').unwrap();
+        edit_metrics(text, |metrics| {
+            let g = metrics.iter_mut().find(|(k, _)| k == group).unwrap();
+            let Json::Object(members) = &mut g.1 else {
+                panic!("{group} is a group");
+            };
+            members.iter_mut().find(|(k, _)| k == member).unwrap().1 = value;
+        })
+    }
+
+    /// `text` with one more metric group appended.
+    fn with_group(text: &str, group: &str, members: Json) -> String {
+        edit_metrics(text, |metrics| metrics.push((group.into(), members)))
     }
 
     #[test]
@@ -784,207 +586,111 @@ mod tests {
         // 3 backend groups of (splash3, splash4, splash4x, ratio), then sim,
         // wall, serve, reclaim, combining.
         assert_eq!(doc.metrics.len(), 3 * 4 + 3 + 1 + 3 + 5 + 4);
-        assert!(doc.metric("reducer_ops_per_sec/ratio").is_some());
-        assert_eq!(
-            doc.metric("counter_grabs_per_sec/splash4x").unwrap().class,
-            MetricClass::Throughput
-        );
-        assert_eq!(
-            doc.metric("combining/combining_vs_lockfree_ratio")
-                .unwrap()
-                .class,
-            MetricClass::Ratio
-        );
-        assert_eq!(
-            doc.metric("reclaim/epoch_vs_hazard_ratio").unwrap().class,
-            MetricClass::Ratio
-        );
-        assert_eq!(
-            doc.metric("reclaim/epoch_pool_ops_per_sec").unwrap().class,
-            MetricClass::Throughput
-        );
-        assert_eq!(
-            doc.metric("serve/retime_speedup").unwrap().class,
-            MetricClass::Ratio
-        );
-        assert_eq!(
-            doc.metric("serve/requests_per_sec").unwrap().class,
-            MetricClass::Throughput
-        );
+        for (name, class) in [
+            ("reducer_ops_per_sec/ratio", MetricClass::Ratio),
+            ("counter_grabs_per_sec/splash4x", MetricClass::Throughput),
+            ("sim_events_per_sec/speedup", MetricClass::Ratio),
+            ("report_wall_secs", MetricClass::Wall),
+            ("combining/combining_vs_lockfree_ratio", MetricClass::Ratio),
+            ("reclaim/epoch_vs_hazard_ratio", MetricClass::Ratio),
+            ("reclaim/epoch_pool_ops_per_sec", MetricClass::Throughput),
+            ("serve/retime_speedup", MetricClass::Ratio),
+            ("serve/requests_per_sec", MetricClass::Throughput),
+        ] {
+            assert_eq!(doc.metric(name).expect(name).class, class, "{name}");
+        }
     }
 
     #[test]
-    fn pre_serve_v2_documents_still_validate_and_compare() {
-        // Strip the serve group and its config keys: the shape a pre-serve
-        // checkout wrote.
-        let doc = Json::parse(&synth_v2(1.0, 0.03, false)).unwrap();
-        let prune = |v: &Json, dead: &[&str]| {
-            Json::Object(
-                v.as_object()
-                    .unwrap()
-                    .iter()
-                    .filter(|(k, _)| !dead.contains(&k.as_str()))
-                    .cloned()
-                    .collect(),
-            )
-        };
-        let old = json!({
-            "schema": "splash4-bench-v2",
-            "config": prune(&doc["config"], &["serve_sim_cores", "serve_requests"]),
-            "metrics": prune(&doc["metrics"], &["serve"]),
-        })
-        .to_string_pretty();
-        let parsed = BenchDoc::parse(&old).expect("pre-serve documents must keep decoding");
-        assert!(parsed.metric("serve/requests_per_sec").is_none());
-        // Old vs old still shape-matches (Null == Null on the serve keys)…
-        let r = compare_texts(&old, &old).expect("old self-compare");
-        assert!(r.configs_match && r.pass());
-        // …while old vs new correctly demotes absolute metrics.
-        let r = compare_texts(&old, &synth_v2(1.0, 0.03, false)).expect("old vs new");
-        assert!(!r.configs_match);
-        assert!(r.pass(), "regressions: {:?}", r.regressions());
-    }
-
-    #[test]
-    fn pre_reclaim_v2_documents_still_validate_and_compare() {
-        // The shape a pre-reclaim checkout wrote: no `reclaim` group (its
-        // churn knob reuses `sync_ops`, so the config is untouched).
-        let doc = Json::parse(&synth_v2(1.0, 0.03, false)).unwrap();
-        let metrics = Json::Object(
-            doc["metrics"]
-                .as_object()
-                .unwrap()
-                .iter()
-                .filter(|(k, _)| k != "reclaim")
-                .cloned()
-                .collect(),
+    fn unknown_groups_decode_by_name_and_gate_in_their_own_direction() {
+        // No group or member name is known to the decoder: a group it has
+        // never heard of validates, and each member's class — hence the
+        // direction a slowdown gates in — comes from its name alone.
+        let base = with_group(
+            &synth_v2(1.0, 0.02, false),
+            "widgets",
+            json!({
+                "spin_per_sec": summary(1.0e6, 0.02),
+                "lockfree_ratio": summary(1.5, 0.02),
+                "hop_ns": summary(80.0, 0.02),
+            }),
         );
-        let old = json!({
-            "schema": "splash4-bench-v2",
-            "config": doc["config"].clone(),
-            "metrics": metrics,
-        })
-        .to_string_pretty();
-        let parsed = BenchDoc::parse(&old).expect("pre-reclaim documents must keep decoding");
-        assert!(parsed.metric("reclaim/epoch_vs_index_ratio").is_none());
-        let r = compare_texts(&old, &old).expect("old self-compare");
-        assert!(r.configs_match && r.pass());
-        // Old baseline vs new candidate: the reclaim metrics are simply not
-        // shared, and everything both sides carry still gates.
-        let r = compare_texts(&old, &synth_v2(1.0, 0.03, false)).expect("old vs new");
-        assert!(r.configs_match, "reclaim adds no shape keys");
-        assert!(r.pass(), "regressions: {:?}", r.regressions());
+        validate(&base).expect("unknown group validates");
+        let doc = BenchDoc::parse(&base).unwrap();
+        for (name, class, slower, faster) in [
+            (
+                "widgets/spin_per_sec",
+                MetricClass::Throughput,
+                0.5e6,
+                2.0e6,
+            ),
+            ("widgets/lockfree_ratio", MetricClass::Ratio, 0.75, 3.0),
+            ("widgets/hop_ns", MetricClass::Wall, 160.0, 40.0),
+        ] {
+            assert_eq!(doc.metric(name).expect(name).class, class, "{name}");
+            let cand = with_member(&base, name, summary(slower, 0.02));
+            let r = compare_texts(&base, &cand).expect("compares");
+            assert_eq!(r.regressions(), [name], "2x slowdown must gate");
+            let cand = with_member(&base, name, summary(faster, 0.02));
+            let r = compare_texts(&base, &cand).expect("compares");
+            assert!(r.pass(), "2x gain must not gate: {:?}", r.regressions());
+            let d = r.deltas.iter().find(|d| d.name == name).unwrap();
+            assert_eq!(d.verdict, Verdict::Improved, "{name}");
+        }
     }
 
     #[test]
-    fn pre_combining_v2_documents_still_validate_and_compare() {
-        // The shape a pre-combining checkout wrote: no `splash4x` entries in
-        // the backend groups and no `combining` group (the generation adds
-        // no shape keys — same threads, same sync_ops).
-        let doc = Json::parse(&synth_v2(1.0, 0.03, false)).unwrap();
-        let strip_group = |v: &Json| {
-            Json::Object(
-                v.as_object()
-                    .unwrap()
-                    .iter()
-                    .filter(|(k, _)| k != "splash4x")
-                    .cloned()
-                    .collect(),
-            )
-        };
-        let metrics = Json::Object(
-            doc["metrics"]
-                .as_object()
-                .unwrap()
-                .iter()
-                .filter(|(k, _)| k != "combining")
-                .map(|(k, v)| {
-                    if BACKEND_METRICS.contains(&k.as_str()) {
-                        (k.clone(), strip_group(v))
-                    } else {
-                        (k.clone(), v.clone())
-                    }
-                })
-                .collect(),
-        );
-        let old = json!({
-            "schema": "splash4-bench-v2",
-            "config": doc["config"].clone(),
-            "metrics": metrics,
-        })
-        .to_string_pretty();
-        let parsed = BenchDoc::parse(&old).expect("pre-combining documents must keep decoding");
-        assert!(parsed.metric("counter_grabs_per_sec/splash4x").is_none());
-        assert!(parsed
-            .metric("combining/combining_vs_lockfree_ratio")
-            .is_none());
-        let r = compare_texts(&old, &old).expect("old self-compare");
-        assert!(r.configs_match && r.pass());
-        // Old baseline vs new candidate: combining metrics simply aren't
-        // shared; everything both sides carry still gates.
-        let r = compare_texts(&old, &synth_v2(1.0, 0.03, false)).expect("old vs new");
-        assert!(r.configs_match, "combining adds no shape keys");
-        assert!(r.pass(), "regressions: {:?}", r.regressions());
+    fn documents_missing_a_group_still_validate_and_compare() {
+        // A baseline that lacks a group the candidate carries (written by an
+        // older checkout, or a subset run): it decodes, self-compares, and
+        // against the fuller candidate the extra rows are `New`, never an
+        // error or a regression.
+        let full = synth_v2(1.0, 0.03, false);
+        for (group, probe) in [
+            ("serve", "serve/requests_per_sec"),
+            ("reclaim", "reclaim/epoch_vs_index_ratio"),
+            ("combining", "combining/combining_vs_lockfree_ratio"),
+            ("report_wall_secs", "report_wall_secs"),
+        ] {
+            let old = edit_metrics(&full, |m| m.retain(|(k, _)| k != group));
+            let parsed = BenchDoc::parse(&old).expect("subset documents decode");
+            assert!(parsed.metric(probe).is_none());
+            let r = compare_texts(&old, &old).expect("old self-compare");
+            assert!(r.configs_match && r.pass());
+            let r = compare_texts(&old, &full).expect("old vs new");
+            assert!(r.configs_match, "a group adds no shape keys");
+            assert!(r.pass(), "regressions: {:?}", r.regressions());
+            let probed = r.deltas.iter().find(|d| d.name == probe).unwrap();
+            assert_eq!(probed.verdict, Verdict::New);
+        }
     }
 
     #[test]
-    fn combining_ratio_collapse_gates_even_cross_config() {
+    fn ratio_collapse_gates_even_cross_config() {
+        // Ratio-class metrics are host-normalized: a collapse must gate even
+        // when the candidate ran a different (quick) config, whatever group
+        // the ratio lives in.
         let base = synth_v2(1.0, 0.02, false);
-        // The paired splash4x/splash4 drain ratio is host-normalized: a
-        // combining core that falls from 1.3× to 1.0× of the lock-free
-        // counter must gate even when the bench sizes differ.
-        let cand = synth_v2_combining(1.0, 0.02, true, 30.0 / 17.0, 1.6, 8.0 / 5.0, 1.0);
-        let r = compare_texts(&base, &cand).expect("compares");
-        assert!(r
-            .regressions()
-            .contains(&"combining/combining_vs_lockfree_ratio"));
+        for (name, collapsed) in [
+            ("sim_events_per_sec/speedup", 1.05),
+            ("serve/retime_speedup", 1.0),
+            ("reclaim/epoch_vs_hazard_ratio", 1.0),
+            ("combining/combining_vs_lockfree_ratio", 1.0),
+        ] {
+            let cand = with_member(&synth_v2(1.0, 0.02, true), name, summary(collapsed, 0.02));
+            let r = compare_texts(&base, &cand).expect("compares");
+            assert!(!r.configs_match);
+            assert_eq!(r.regressions(), [name]);
+        }
     }
 
-    #[test]
-    fn epoch_hazard_crossover_collapse_gates_even_cross_config() {
-        let base = synth_v2(1.0, 0.02, false);
-        // The EBR/HP crossover is host-normalized: an epoch back-end that
-        // drops to hazard-pointer speed must gate even across bench sizes.
-        let cand = synth_v2_reclaim(1.0, 0.02, true, 30.0 / 17.0, 1.6, 1.0);
-        let r = compare_texts(&base, &cand).expect("compares");
-        assert!(r.regressions().contains(&"reclaim/epoch_vs_hazard_ratio"));
-    }
-
-    #[test]
-    fn serve_retime_collapse_gates_even_cross_config() {
-        let base = synth_v2(1.0, 0.02, false);
-        // Different shape (quick), but the barrier-release retime ratio is
-        // host-normalized: collapsing from 1.6× to 1.0× must gate.
-        let cand = synth_v2_serve(1.0, 0.02, true, 30.0 / 17.0, 1.0);
-        let r = compare_texts(&base, &cand).expect("compares");
-        assert!(r.regressions().contains(&"serve/retime_speedup"));
-    }
-
-    /// `doc` with an `atomics` group of two cells spliced into `metrics`.
+    /// `text` with an `atomics` group of two cells spliced into `metrics`.
     fn with_atomics(text: &str) -> String {
-        let doc = Json::parse(text).unwrap();
-        let s = |median: f64| -> Json {
-            Summary {
-                median,
-                ci_lo: median * 0.98,
-                ci_hi: median * 1.02,
-                reps: 5,
-                cv: 0.02,
-                samples: vec![median; 5],
-            }
-            .to_json()
-        };
-        let mut metrics = doc["metrics"].as_object().unwrap().to_vec();
-        metrics.push((
-            "atomics".into(),
-            json!({"faa_c1_ns": s(14.0), "faa_c4_ns": s(92.0)}),
-        ));
-        json!({
-            "schema": "splash4-bench-v2",
-            "config": doc["config"].clone(),
-            "metrics": Json::Object(metrics),
-        })
-        .to_string_pretty()
+        with_group(
+            text,
+            "atomics",
+            json!({"faa_c1_ns": summary(14.0, 0.02), "faa_c4_ns": summary(92.0, 0.02)}),
+        )
     }
 
     #[test]
@@ -1014,11 +720,9 @@ mod tests {
     }
 
     #[test]
-    fn atomics_only_subset_documents_validate_and_decode() {
-        // The `--bench atomics` shape: config + the atomics group, no core
-        // groups at all. It must validate (it is the calibration input CI
-        // uploads) while a document with *some* core groups but not all of
-        // them must still be rejected.
+    fn atomics_only_documents_validate_and_decode() {
+        // The `--bench` shape: config + the atomics group and nothing else —
+        // the calibration input CI uploads.
         let full = Json::parse(&with_atomics(&synth_v2(1.0, 0.02, false))).unwrap();
         let subset = json!({
             "schema": "splash4-bench-v2",
@@ -1026,30 +730,12 @@ mod tests {
             "metrics": json!({"atomics": full["metrics"]["atomics"].clone()}),
         })
         .to_string_pretty();
-        let doc = BenchDoc::parse(&subset).expect("atomics-only subset decodes");
+        let doc = BenchDoc::parse(&subset).expect("atomics-only document decodes");
         assert_eq!(doc.metrics.len(), 2);
         assert_eq!(
             doc.metric("atomics/faa_c1_ns").unwrap().class,
             MetricClass::Wall
         );
-        // Empty metrics: rejected.
-        let empty = json!({
-            "schema": "splash4-bench-v2",
-            "config": full["config"].clone(),
-            "metrics": json!({}),
-        })
-        .to_string_pretty();
-        assert!(BenchDoc::parse(&empty)
-            .unwrap_err()
-            .contains("no metric groups"));
-        // A malformed atomics group (not an object) is rejected.
-        let bad = json!({
-            "schema": "splash4-bench-v2",
-            "config": full["config"].clone(),
-            "metrics": json!({"atomics": 3.0}),
-        })
-        .to_string_pretty();
-        assert!(BenchDoc::parse(&bad).unwrap_err().contains("atomics"));
     }
 
     #[test]
@@ -1063,13 +749,35 @@ mod tests {
                 .unwrap_err()
                 .contains("unknown bench schema"));
         }
-        // Drop a required group.
-        let text = synth_v2(1.0, 0.03, false).replace("report_wall_secs", "renamed");
-        assert!(validate(&text).is_err());
-        // CI that does not bracket the median.
-        let mut s = Summary::point(1.0);
-        s.ci_lo = 2.0;
-        assert!(s.check().is_err());
+        // Every rejection names the metric by its flattened name: a member
+        // that is not a summary, a group that is not an object, an empty
+        // group, a summary whose CI does not bracket its median.
+        let good = synth_v2(1.0, 0.03, false);
+        let mut inverted = Summary::point(1.0);
+        inverted.ci_lo = 2.0;
+        assert!(inverted.check().is_err());
+        for (bad, named) in [
+            (
+                with_group(&good, "widgets", json!({"x": 3u64})),
+                "`widgets/x`",
+            ),
+            (with_group(&good, "widgets", json!(3.0)), "`widgets`"),
+            (with_group(&good, "widgets", json!({})), "`widgets`"),
+            (
+                with_member(&good, "serve/requests_per_sec", inverted.to_json()),
+                "`serve/requests_per_sec`",
+            ),
+            (
+                with_member(&good, "serve/requests_per_sec", summary(-1.0, 0.0)),
+                "`serve/requests_per_sec`",
+            ),
+        ] {
+            let err = validate(&bad).unwrap_err();
+            assert!(err.contains(named), "{err}");
+        }
+        // No metrics at all is not a document.
+        let empty = edit_metrics(&good, Vec::clear);
+        assert!(validate(&empty).unwrap_err().contains("no metric groups"));
     }
 
     #[test]
@@ -1116,16 +824,6 @@ mod tests {
         assert!(r.pass(), "regressions: {:?}", r.regressions());
         assert!(r.deltas.iter().any(|d| d.verdict == Verdict::Informational));
         assert!(r.to_text().contains("info-only"));
-    }
-
-    #[test]
-    fn ratio_regression_gates_even_cross_config() {
-        let base = synth_v2(1.0, 0.02, false);
-        // Candidate from a different config (quick) — but the engine speedup
-        // collapsed from 1.76× to 1.05×, which is host-normalized and gates.
-        let cand = synth_v2_with(1.0, 0.02, true, 1.05);
-        let r = compare_texts(&base, &cand).expect("compares");
-        assert!(r.regressions().contains(&"sim_events_per_sec/speedup"));
     }
 
     #[test]

@@ -24,10 +24,11 @@ pub use experiments::{
     record_trace, run_experiment, work_model, ExperimentCtx, ModelCache, ALL_EXPERIMENTS,
 };
 pub use measure::{bootstrap_ci, measure_adaptive, time_adaptive, MeasureConfig, Summary};
-pub use perfbench::{run_bench, run_bench_atomics, synthetic_program, BenchConfig};
+pub use perfbench::{run_bench_atomics, BenchConfig};
 pub use registry::BenchmarkId;
 pub use service::{
-    dispatch, drain_events, run_loadgen, JobCtl, JobEvent, LoadgenReport, Request, RequestKind,
-    ServiceConfig, WorkerPool,
+    dispatch, drain_events, JobCtl, JobEvent, Request, RequestKind, ServiceConfig, WorkerPool,
 };
+// `benchmark/` imports the program builder from here; it lives in the sim.
+pub use splash4_sim::synthetic_program;
 pub use tables::{geomean, pct_change, Report, Table};

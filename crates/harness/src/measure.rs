@@ -139,22 +139,6 @@ impl Summary {
         }
     }
 
-    /// Convert a seconds summary into an ops/sec rate summary for
-    /// `total_ops` operations. The interval endpoints swap (more seconds =
-    /// fewer ops/sec); per-sample rates are recomputed so the recorded
-    /// samples stay consistent with the summarized unit.
-    pub fn to_rate(&self, total_ops: u64) -> Summary {
-        let inv = |secs: f64| total_ops as f64 / secs.max(1e-12);
-        Summary {
-            median: inv(self.median),
-            ci_lo: inv(self.ci_hi),
-            ci_hi: inv(self.ci_lo),
-            reps: self.reps,
-            cv: self.cv,
-            samples: self.samples.iter().map(|&s| inv(s)).collect(),
-        }
-    }
-
     /// Linearly rescale into a different unit (e.g. seconds per timed pass
     /// into nanoseconds per operation): median, interval endpoints, and the
     /// recorded samples all multiply by `k`. The factor must be positive so
@@ -171,26 +155,6 @@ impl Summary {
             reps: self.reps,
             cv: self.cv,
             samples: self.samples.iter().map(|&s| s * k).collect(),
-        }
-    }
-
-    /// Ratio of two summaries (`self / denom`) with a conservative interval:
-    /// the ratio CI spans the extreme quotients of the two input CIs. Not as
-    /// tight as a paired per-repetition ratio (use [`Summary::from_samples`]
-    /// on per-rep ratios when pairing is possible) but always valid.
-    pub fn ratio_vs(&self, denom: &Summary) -> Summary {
-        let lo = self.ci_lo / denom.ci_hi.max(1e-300);
-        let hi = self.ci_hi / denom.ci_lo.max(1e-300);
-        let med = self.median / denom.median.max(1e-300);
-        Summary {
-            median: med,
-            ci_lo: lo,
-            ci_hi: hi,
-            reps: self.reps.min(denom.reps),
-            cv: (self.cv * self.cv + denom.cv * denom.cv).sqrt(),
-            // A derived ratio has no per-repetition samples of its own (the
-            // two sides were not paired); record none rather than fake one.
-            samples: Vec::new(),
         }
     }
 
@@ -425,26 +389,6 @@ mod tests {
         assert_eq!(ns.reps, secs.reps);
         assert_eq!(ns.cv, secs.cv);
         ns.check().expect("scaled summary valid");
-    }
-
-    #[test]
-    fn rate_conversion_flips_interval() {
-        let secs = Summary::from_samples(&[0.5, 0.55, 0.45, 0.5, 0.52], 300);
-        let rate = secs.to_rate(1_000_000);
-        assert!((rate.median - 2.0e6).abs() < 1e-6);
-        assert!(rate.ci_lo <= rate.median && rate.median <= rate.ci_hi);
-        rate.check().expect("rate summary valid");
-        assert_eq!(rate.samples.len(), secs.samples.len());
-    }
-
-    #[test]
-    fn ratio_interval_is_conservative() {
-        let a = Summary::from_samples(&[2.0, 2.1, 1.9, 2.0, 2.05], 300);
-        let b = Summary::from_samples(&[1.0, 1.05, 0.95, 1.0, 1.02], 300);
-        let r = a.ratio_vs(&b);
-        assert!((r.median - a.median / b.median).abs() < 1e-12);
-        assert!(r.ci_lo <= r.median && r.median <= r.ci_hi);
-        assert!(r.ci_lo <= a.ci_lo / b.ci_hi + 1e-12);
     }
 
     #[test]

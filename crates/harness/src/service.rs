@@ -1,5 +1,4 @@
-//! Experiment service core: request model, job dispatch, worker pool and
-//! load generator.
+//! Experiment service core: request model, job dispatch and worker pool.
 //!
 //! This module is the network-free heart of `splash4-serve` (`DESIGN.md`
 //! §13). The serve crate handles sockets and framing; everything about *what
@@ -15,17 +14,13 @@
 //!   callback + deadline),
 //! - [`WorkerPool`]: a configurable worker team fed by the lock-free
 //!   [`BoundedMpmcQueue`], deduping identical configs through the shared
-//!   cache and draining gracefully on shutdown,
-//! - [`run_loadgen`]: the scale-out load generator behind the
-//!   `serve/requests_per_sec` and `serve/events_per_sec_p1024` bench
-//!   metrics.
+//!   cache and draining gracefully on shutdown.
 
 use crate::cache::{fnv1a, ResultCache};
 use crate::experiments::{run_experiment, ExperimentCtx};
-use crate::perfbench::synthetic_program;
 use crate::registry::BenchmarkId;
 use splash4_parmacs::{json, Backoff, BoundedMpmcQueue, Json, SyncCounters, SyncEnv, SyncMode};
-use splash4_sim::{engine, BarrierKind, MachineParams};
+use splash4_sim::{engine, synthetic_program, BarrierKind, MachineParams};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -727,118 +722,6 @@ pub fn drain_events(rx: &mpsc::Receiver<JobEvent>) -> Vec<JobEvent> {
     events
 }
 
-/// What [`run_loadgen`] measured.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadgenReport {
-    /// Requests submitted (and completed).
-    pub requests: usize,
-    /// Distinct request configs among them.
-    pub distinct: usize,
-    /// Wall seconds from first submission to last terminal event.
-    pub wall_secs: f64,
-    /// Completed requests per second.
-    pub requests_per_sec: f64,
-    /// Simulated events carried by the completed results.
-    pub sim_events: u64,
-    /// Simulated events served per second.
-    pub events_per_sec: f64,
-    /// `Done` events served from cache.
-    pub cache_hits: usize,
-    /// `Done` events that actually computed.
-    pub cache_misses: usize,
-}
-
-/// Drive `requests` many-core sim requests through `pool` from `clients`
-/// concurrent submitters and measure service throughput.
-///
-/// Every config is requested twice (seeds cycle through `requests / 2`
-/// distinct values), so the run exercises the dedup path deterministically:
-/// exactly `distinct` computations happen, the rest are cache hits.
-///
-/// # Errors
-/// Fails if any job errors or a stream ends without a terminal event.
-pub fn run_loadgen(
-    pool: &WorkerPool,
-    requests: usize,
-    clients: usize,
-    sim_cores: usize,
-    ops_per_core: usize,
-) -> Result<LoadgenReport, String> {
-    let requests = requests.max(1);
-    let clients = clients.clamp(1, requests);
-    let distinct = requests.div_ceil(2);
-    let kinds = ["sense", "tree", "condvar"];
-    let reqs: Vec<Request> = (0..requests)
-        .map(|i| {
-            let variant = i % distinct;
-            Request::new(RequestKind::Sim {
-                cores: sim_cores,
-                ops_per_core,
-                barrier: kinds[variant % kinds.len()].to_string(),
-                seed: 0x10ad + variant as u64,
-                machine: None,
-            })
-        })
-        .collect();
-
-    let t0 = Instant::now();
-    let outcomes: Vec<Result<Vec<JobEvent>, String>> = thread::scope(|scope| {
-        let pool = &pool;
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let my_reqs: Vec<Request> = reqs.iter().skip(c).step_by(clients).cloned().collect();
-                scope.spawn(move || {
-                    let mut streams = Vec::new();
-                    for r in my_reqs {
-                        let (_, rx) = pool.submit(r)?;
-                        streams.push(drain_events(&rx));
-                    }
-                    Ok(streams)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| match h.join().expect("loadgen client panicked") {
-                Ok(streams) => streams.into_iter().map(Ok).collect::<Vec<_>>(),
-                Err(e) => vec![Err(e)],
-            })
-            .collect()
-    });
-    let wall_secs = t0.elapsed().as_secs_f64().max(1e-9);
-
-    let mut sim_events = 0u64;
-    let mut cache_hits = 0usize;
-    let mut cache_misses = 0usize;
-    for outcome in outcomes {
-        let events = outcome?;
-        match events.last() {
-            Some(JobEvent::Done { cached, result, .. }) => {
-                if *cached {
-                    cache_hits += 1;
-                } else {
-                    cache_misses += 1;
-                }
-                sim_events += result.get("events").and_then(Json::as_u64).unwrap_or(0);
-            }
-            Some(JobEvent::Error { message, .. }) => {
-                return Err(format!("loadgen job failed: {message}"));
-            }
-            _ => return Err("loadgen stream ended without a terminal event".to_string()),
-        }
-    }
-    Ok(LoadgenReport {
-        requests,
-        distinct,
-        wall_secs,
-        requests_per_sec: requests as f64 / wall_secs,
-        sim_events,
-        events_per_sec: sim_events as f64 / wall_secs,
-        cache_hits,
-        cache_misses,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1141,40 +1024,37 @@ mod tests {
 
     #[test]
     fn concurrent_duplicates_compute_exactly_once() {
-        let pool = Arc::new(tiny_pool(4));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let pool = Arc::clone(&pool);
-                thread::spawn(move || {
-                    let (_, rx) = pool.submit(sim_request(1234)).unwrap();
-                    drain_events(&rx)
+        // (distinct configs, submissions of each), always from 4 workers:
+        // every config computes once however its duplicates interleave, and
+        // every other submission is a hit.
+        for (distinct, copies) in [(1u64, 8u64), (4, 2)] {
+            let pool = Arc::new(tiny_pool(4));
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let pool = Arc::clone(&pool);
+                    thread::spawn(move || {
+                        (t..distinct * copies)
+                            .step_by(4)
+                            .map(|i| {
+                                let request = sim_request(1234 + i % distinct);
+                                let (_, rx) = pool.submit(request).unwrap();
+                                drain_events(&rx)
+                            })
+                            .collect::<Vec<_>>()
+                    })
                 })
-            })
-            .collect();
-        let mut computed = 0;
-        for h in handles {
-            let events = h.join().unwrap();
-            match events.last() {
-                Some(JobEvent::Done { cached: false, .. }) => computed += 1,
-                Some(JobEvent::Done { cached: true, .. }) => {}
-                other => panic!("job must complete: {other:?}"),
+                .collect();
+            let mut computed = 0;
+            for events in handles.into_iter().flat_map(|h| h.join().unwrap()) {
+                match events.last() {
+                    Some(JobEvent::Done { cached: false, .. }) => computed += 1,
+                    Some(JobEvent::Done { cached: true, .. }) => {}
+                    other => panic!("job must complete: {other:?}"),
+                }
             }
+            assert_eq!(computed, distinct, "each config computes exactly once");
+            assert_eq!(pool.profile().cache_misses, distinct);
+            assert_eq!(pool.profile().cache_hits, distinct * (copies - 1));
         }
-        assert_eq!(computed, 1, "identical configs must compute exactly once");
-        assert_eq!(pool.profile().cache_misses, 1);
-        assert_eq!(pool.profile().cache_hits, 7);
-    }
-
-    #[test]
-    fn loadgen_measures_throughput_and_dedup() {
-        let pool = tiny_pool(4);
-        let report = run_loadgen(&pool, 8, 4, 128, 30).unwrap();
-        assert_eq!(report.requests, 8);
-        assert_eq!(report.distinct, 4);
-        assert_eq!(report.cache_misses, report.distinct);
-        assert_eq!(report.cache_hits, report.requests - report.distinct);
-        assert!(report.requests_per_sec > 0.0);
-        assert!(report.sim_events > 0);
-        assert!(report.events_per_sec > 0.0);
     }
 }

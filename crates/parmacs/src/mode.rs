@@ -266,9 +266,9 @@ mod tests {
 
     #[test]
     fn mode_count_is_pinned() {
-        // Tables, JSON schemas and the bench/compare gate all iterate
+        // Tables, JSON schemas and the benchmark's per-mode rungs all iterate
         // SyncMode::ALL; a fourth generation must consciously revisit every
-        // consumer (perfbench groups, sim cost model, suite parity tests)
+        // consumer (sim cost model, suite parity tests, BENCHMARK.json)
         // rather than silently growing their arrays.
         assert_eq!(SyncMode::ALL.len(), 3);
         assert_eq!(

@@ -26,8 +26,9 @@
 //! reusable scratch buffers inside the `Engine`, so a core-count sweep
 //! allocates nothing in the event loop. The original heap-based engine is
 //! preserved as [`run_reference`]; the equivalence tests and the
-//! `splash4-report --bench` harness hold the two implementations
-//! result-identical while measuring the speedup.
+//! `benchmark/` package's oracle hold the two implementations
+//! result-identical, and its `sim.engine_ns_per_event.*` /
+//! `sim.reference_ns_per_event.p1024` rungs measure the speedup.
 
 use crate::machine::MachineParams;
 use crate::program::{BarrierKind, Op, Program};
@@ -150,11 +151,6 @@ pub struct Engine {
     /// lowest-core tie-break — so a release can template-fill the tree
     /// without any compare chains (see [`Engine::tree_fill_uniform`]).
     uniform_win: Vec<u32>,
-    /// Test knob: force the full compare-based rebuild on every barrier
-    /// release instead of the uniform template fill. The equivalence tests
-    /// pin both paths to identical results up to p=1024; results are
-    /// identical either way.
-    full_rebuild_release: bool,
     /// Flattened op streams, all cores back to back, with runs of adjacent
     /// `Compute` ops fused into one (identical timing: back-to-back local
     /// compute interacts with nothing, so the intermediate event is pure
@@ -214,14 +210,6 @@ impl Engine {
         }
     }
 
-    /// Force the O(2p) compare-based [`Engine::tree_rebuild`] on every
-    /// barrier release instead of the uniform template fill. Results are
-    /// bit-identical on both paths; the equivalence tests use this knob to
-    /// pin the template fill against the rebuild at high core counts.
-    pub fn set_full_rebuild_release(&mut self, force: bool) {
-        self.full_rebuild_release = force;
-    }
-
     /// Retime `core`, keeping the winner tree (when active) in sync.
     #[inline]
     fn set_ready(&mut self, core: usize, v: u64) {
@@ -231,10 +219,9 @@ impl Engine {
         }
     }
 
-    /// Recompute the whole winner tree from `ready`. Used at reset, after
+    /// Recompute the whole winner tree from `ready`. Used at reset and after
     /// condvar-barrier releases (per-core resume times differ, so there is
-    /// no shared value to template-fill), and on the test-only
-    /// `full_rebuild_release` path.
+    /// no shared value to template-fill).
     fn tree_rebuild(&mut self) {
         let n = self.tsize;
         for c in 0..n {
@@ -497,10 +484,8 @@ impl Engine {
                     // per-core resume times differ, rebuild with compares.
                     if self.tsize > 0 {
                         match uniform_resume {
-                            Some(resume) if !self.full_rebuild_release => {
-                                self.tree_fill_uniform(resume);
-                            }
-                            _ => self.tree_rebuild(),
+                            Some(resume) => self.tree_fill_uniform(resume),
+                            None => self.tree_rebuild(),
                         }
                     }
                 }
@@ -530,8 +515,9 @@ pub fn run(program: &Program, machine: &MachineParams) -> SimResult {
 }
 
 /// The original heap-based engine, preserved verbatim as the reference
-/// implementation: the equivalence tests pin [`Engine::run`] to its results,
-/// and `splash4-report --bench` measures the new engine's speedup against it.
+/// implementation: the equivalence tests and the `benchmark/` package's
+/// oracle pin [`Engine::run`] to its results, and its
+/// `sim.reference_ns_per_event.p1024` rung times it against the engine.
 ///
 /// # Panics
 /// Panics if the program fails [`Program::validate`].
@@ -946,34 +932,13 @@ mod tests {
         let m = MachineParams::manycore(1024);
         let mut engine = Engine::new();
         for kind in [BarrierKind::Sense, BarrierKind::Condvar, BarrierKind::Tree] {
-            for p in [100, 256, 512, 777, 1024] {
+            for p in [33, 100, 256, 512, 777, 1024] {
                 let prog = stress_program(p, kind, 11);
                 let fast = engine.run(&prog, &m);
                 let reference = run_reference(&prog, &m);
                 assert_eq!(
                     fast, reference,
                     "engine diverged from reference: kind {kind:?}, p {p}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn uniform_release_fill_matches_full_rebuild() {
-        // The template-fill release path and the preserved compare-based
-        // rebuild are two implementations of the same retime; the bench
-        // knob must never change results.
-        let m = MachineParams::manycore(1024);
-        let mut filled = Engine::new();
-        let mut rebuilt = Engine::new();
-        rebuilt.set_full_rebuild_release(true);
-        for kind in [BarrierKind::Sense, BarrierKind::Tree, BarrierKind::Condvar] {
-            for p in [33, 100, 512, 1024] {
-                let prog = stress_program(p, kind, 7);
-                assert_eq!(
-                    filled.run(&prog, &m),
-                    rebuilt.run(&prog, &m),
-                    "fill/rebuild divergence: kind {kind:?}, p {p}"
                 );
             }
         }

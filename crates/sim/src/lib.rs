@@ -52,7 +52,7 @@ pub use calibrate::{calibrate, contention_levels, synthesize_bench};
 pub use engine::{CoreBreakdown, Engine, SimResult};
 pub use machine::{MachineParams, PROFILE_SCHEMA};
 pub use model::{class_cost, OpCost};
-pub use program::{BarrierKind, Op, Program};
+pub use program::{synthetic_program, BarrierKind, Op, Program};
 
 use splash4_parmacs::{PhaseSpec, SyncPolicy, WorkModel};
 use std::collections::HashMap;

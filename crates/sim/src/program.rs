@@ -103,6 +103,73 @@ impl Program {
     }
 }
 
+/// Deterministic synthetic simulator program: staggered compute, a mix of
+/// shared and private server accesses with occasional contention penalties,
+/// and periodic barriers — the op mix the experiment sweeps produce, built
+/// from a seeded LCG so every caller replays the same program. The serve
+/// service's `sim` requests are defined as exactly these programs (same
+/// seed → same program → content-hashable result), which
+/// `synthetic_program_is_pinned` holds still.
+pub fn synthetic_program(
+    cores: usize,
+    ops_per_core: usize,
+    kind: BarrierKind,
+    seed: u64,
+) -> Program {
+    let mut state = seed
+        .wrapping_mul(2862933555777941757)
+        .wrapping_add(3037000493);
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let barrier_every = 97; // prime, so barriers don't phase-lock with the mix
+    let mut program = Program {
+        name: "perfbench-synthetic".into(),
+        cores: vec![Vec::with_capacity(ops_per_core); cores],
+        barriers: Vec::new(),
+    };
+    let mut ops_emitted = vec![0usize; cores];
+    let mut slot = 0usize;
+    while ops_emitted.iter().any(|&n| n < ops_per_core) {
+        slot += 1;
+        let place_barrier = slot.is_multiple_of(barrier_every);
+        if place_barrier {
+            let id = program.barriers.len() as u32;
+            program.barriers.push(kind);
+            for (c, stream) in program.cores.iter_mut().enumerate() {
+                stream.push(Op::Barrier { id });
+                ops_emitted[c] += 1;
+            }
+            continue;
+        }
+        for (c, stream) in program.cores.iter_mut().enumerate() {
+            if ops_emitted[c] >= ops_per_core {
+                continue;
+            }
+            let r = next();
+            let op = if r % 5 == 0 {
+                Op::Access {
+                    server: (r % 3) as u32, // 3 shared servers → real queueing
+                    n: 1 + r % 4,
+                    service_ns: 40 + r % 60,
+                    local_ns: 15,
+                    contended_ns: if r % 7 == 0 { 400 } else { 0 },
+                }
+            } else {
+                Op::Compute {
+                    ns: 50 + (r % 900) + c as u64 * 3,
+                }
+            };
+            stream.push(op);
+            ops_emitted[c] += 1;
+        }
+    }
+    program
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,5 +206,32 @@ mod tests {
             barriers: vec![BarrierKind::Sense],
         };
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn synthetic_program_is_deterministic_and_valid() {
+        let a = synthetic_program(8, 200, BarrierKind::Sense, 42);
+        let b = synthetic_program(8, 200, BarrierKind::Sense, 42);
+        assert_eq!(a, b, "same seed must build the same program");
+        a.validate().expect("program validates");
+        let c = synthetic_program(8, 200, BarrierKind::Sense, 43);
+        assert_ne!(a, c, "seed must matter");
+    }
+
+    #[test]
+    fn synthetic_program_is_pinned() {
+        // Served `sim` results and their content-hash cache keys are defined
+        // as "exactly these programs": constants captured before the
+        // function moved here from the harness.
+        use crate::{engine, MachineParams};
+        for (cores, ops, kind, seed, total_ops, total_ns) in [
+            (64, 400, BarrierKind::Tree, 11, 25_600, 631_033),
+            (1024, 100, BarrierKind::Sense, 0xba5e, 102_400, 2_295_866),
+        ] {
+            let p = synthetic_program(cores, ops, kind, seed);
+            assert_eq!(p.total_ops(), total_ops, "p={cores}");
+            let r = engine::run(&p, &MachineParams::manycore(cores));
+            assert_eq!(r.total_ns, total_ns, "p={cores}");
+        }
     }
 }

@@ -86,16 +86,15 @@ pub use splash4_check::{
     check_weakmem_mutants, CheckBudget, MemoryModel,
 };
 pub use splash4_harness::{
-    compare_texts as compare_bench_docs, geomean, pct_change, record_trace, run_bench,
-    run_bench_atomics, run_experiment, validate as validate_bench_doc, BenchConfig, BenchDoc,
-    CompareReport, ExperimentCtx, MeasureConfig, MetricClass, ModelCache, Report, Summary, Table,
-    ALL_EXPERIMENTS,
+    compare_texts as compare_bench_docs, geomean, pct_change, record_trace, run_bench_atomics,
+    run_experiment, validate as validate_bench_doc, BenchConfig, BenchDoc, CompareReport,
+    ExperimentCtx, MeasureConfig, MetricClass, ModelCache, Report, Summary, Table, ALL_EXPERIMENTS,
 };
 // The experiment service's network-free core (DESIGN.md §13); the
 // `splash4-serve` crate wraps this in the JSON-over-TCP front end.
 pub use splash4_harness::{
-    dispatch, drain_events, run_loadgen, JobCtl, JobEvent, LoadgenReport, Request, RequestKind,
-    ResultCache, ServiceConfig, WorkerPool,
+    dispatch, drain_events, JobCtl, JobEvent, Request, RequestKind, ResultCache, ServiceConfig,
+    WorkerPool,
 };
 pub use splash4_kernels::{
     barnes, cholesky, close, cmap, fft, fmm, lu, ocean, radiosity, radix, raytrace, stream, suite,
