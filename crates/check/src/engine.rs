@@ -1,7 +1,8 @@
 //! Deterministic cooperative execution engine.
 //!
-//! A *scenario* is a handful of virtual threads operating on shadow
-//! primitives. Each virtual thread runs on an OS thread, but only ever one
+//! A *scenario* is a handful of virtual threads operating on the shipped
+//! constructs (through [`crate::model::Model`]) or on raw engine cells. Each
+//! virtual thread runs on an OS thread, but only ever one
 //! at a time — the one holding the **token**. Every shared-memory operation
 //! ([`ThreadCtx::op_load`] & co.) is a **schedule point**: the token holder
 //! records its own status, picks — via a [`Driver`], under the one state
@@ -54,8 +55,12 @@
 
 use crate::clock::VClock;
 use crate::linearize::{Op, OpRecord, RetVal, SpecModel};
+use std::any::Any;
+use std::cell::Cell;
 use std::fmt;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::ptr;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -163,6 +168,20 @@ impl MemoryModel {
     }
 }
 
+/// A structural bug the model injects at every word of one name
+/// ([`Sandbox::fault`]). A spec override mutates *which ordering* an
+/// operation carries, a fault *what the operation does*; either way the
+/// construct under test stays the shipped code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// An RMW executes as load · schedule point · store, and a CAS stores
+    /// without comparing: the lost-update window.
+    Torn,
+    /// A store, RMW or CAS reads the word and writes nothing: the forgotten
+    /// update.
+    Dropped,
+}
+
 /// Oldest-reachable cap on the admissible window of a weak load: a load may
 /// look at most this many records back in the modification order. Bounds the
 /// per-load branching factor the explorer has to enumerate.
@@ -257,6 +276,10 @@ struct EngineState {
     memory: MemoryModel,
     /// Remaining stale reads this execution (weak mode only).
     stale_budget: u32,
+    /// Ordering tables the scenario installed over the shipped ones.
+    specs: Vec<Box<dyn Any + Send>>,
+    /// Faults the scenario injects, by word name.
+    faults: Vec<(&'static str, Fault)>,
 }
 
 impl EngineState {
@@ -351,6 +374,8 @@ impl Shared {
                 history: Vec::new(),
                 memory,
                 stale_budget: memory.stale_budget(),
+                specs: Vec::new(),
+                faults: Vec::new(),
             }),
         }
     }
@@ -360,6 +385,92 @@ impl Shared {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
+
+    /// Allocate an atomic location; also reports the fault injected at
+    /// `name`, if any. Not a schedule point.
+    pub(crate) fn alloc_atomic(&self, name: &'static str, init: u64) -> (usize, Option<Fault>) {
+        let mut st = self.lock();
+        let meta = AtomicMeta::new(name, init, st.memory);
+        st.atomics.push(meta);
+        let fault = st.faults.iter().find(|(n, _)| *n == name).map(|(_, f)| *f);
+        (st.atomics.len() - 1, fault)
+    }
+
+    /// Allocate a plain-data location. Not a schedule point.
+    pub(crate) fn alloc_data(&self, name: &'static str, init: u64) -> usize {
+        let mut st = self.lock();
+        st.data.push(DataMeta {
+            name,
+            value: init,
+            last_write: None,
+            reads: Vec::new(),
+        });
+        st.data.len() - 1
+    }
+
+    /// Act on an atomic's current value outside the schedule (set-up,
+    /// finale, drop): no step, no clock, no store history.
+    pub(crate) fn raw<R>(&self, loc: usize, f: impl FnOnce(&mut u64) -> R) -> R {
+        f(&mut self.lock().atomics[loc].value)
+    }
+
+    /// The table of type `S` the scenario installed, if it installed one.
+    pub(crate) fn installed_spec<S: Copy + 'static>(&self) -> Option<S> {
+        let st = self.lock();
+        st.specs.iter().find_map(|s| s.downcast_ref::<S>().copied())
+    }
+}
+
+/// An execution as one OS thread sees it: building or finishing it (no
+/// virtual thread), or running one of its virtual threads.
+type Current = (Arc<Shared>, Option<ThreadCtx>);
+
+thread_local! {
+    /// The execution the calling OS thread is in: how the words and cells
+    /// of [`crate::model::Model`], which the shipped constructs create and
+    /// use with no engine handle, find the engine. A pointer to a value on
+    /// the thread's stack, not the value: a thread-local with a destructor
+    /// makes every virtual thread (a fresh OS thread per execution) register
+    /// it with the C runtime, a measured tenth of an execution's wall time.
+    static CURRENT: Cell<*const Current> = const { Cell::new(ptr::null()) };
+}
+
+/// Keeps [`CURRENT`] pointing at a [`Current`] while it is borrowed.
+struct Entered<'a>(PhantomData<&'a Current>);
+
+impl<'a> Entered<'a> {
+    fn new(here: &'a Current) -> Entered<'a> {
+        CURRENT.set(here);
+        Entered(PhantomData)
+    }
+}
+
+impl Drop for Entered<'_> {
+    fn drop(&mut self) {
+        CURRENT.set(ptr::null());
+    }
+}
+
+/// Run `f` on the calling OS thread's execution (`None` outside
+/// [`run_one`]) and, inside one of its virtual threads, that thread's
+/// context.
+pub(crate) fn with_current<R>(
+    f: impl FnOnce(Option<(&Arc<Shared>, Option<&ThreadCtx>)>) -> R,
+) -> R {
+    // SAFETY: `CURRENT` is non-null only while an `Entered` on this thread's
+    // stack borrows the pointee, and `f` returns before that guard can drop.
+    let here = unsafe { CURRENT.get().as_ref() };
+    f(here.map(|(shared, ctx)| (shared, ctx.as_ref())))
+}
+
+/// Run `f` on the virtual thread the caller runs as: `None` during set-up
+/// and finale, and while unwinding, when an operation must not wait for the
+/// token.
+pub(crate) fn with_running<R>(f: impl FnOnce(Option<&ThreadCtx>) -> R) -> R {
+    if std::thread::panicking() {
+        return f(None);
+    }
+    with_current(|c| f(c.and_then(|(_, ctx)| ctx)))
 }
 
 /// A decision taken at a branching schedule point.
@@ -426,22 +537,23 @@ impl Sandbox {
         self.spec = Some(spec);
     }
 
+    /// Run the scenario's constructs with `spec` in place of the shipped
+    /// table of its type: an ordering mutant is this with one field changed.
+    pub fn override_spec<S: Copy + Send + 'static>(&mut self, spec: S) {
+        self.shared.lock().specs.push(Box::new(spec));
+    }
+
+    /// Inject `fault` at every word named `cell` created from here on.
+    pub fn fault(&mut self, cell: &'static str, fault: Fault) {
+        self.shared.lock().faults.push((cell, fault));
+    }
+
     pub(crate) fn alloc_atomic(&self, name: &'static str, init: u64) -> usize {
-        let mut st = self.shared.lock();
-        let meta = AtomicMeta::new(name, init, st.memory);
-        st.atomics.push(meta);
-        st.atomics.len() - 1
+        self.shared.alloc_atomic(name, init).0
     }
 
     pub(crate) fn alloc_data(&self, name: &'static str, init: u64) -> usize {
-        let mut st = self.shared.lock();
-        st.data.push(DataMeta {
-            name,
-            value: init,
-            last_write: None,
-            reads: Vec::new(),
-        });
-        st.data.len() - 1
+        self.shared.alloc_data(name, init)
     }
 
     /// Read-only view of the final shadow memory, for finale invariants.
@@ -473,10 +585,19 @@ impl Peek {
     pub(crate) fn data(&self, loc: usize) -> u64 {
         self.shared.lock().data[loc].value
     }
+
+    /// Final values of the atomic words named `name`, in creation order —
+    /// the way to a shipped construct's private words.
+    pub fn words(&self, name: &str) -> Vec<u64> {
+        let st = self.shared.lock();
+        let named = st.atomics.iter().filter(|a| a.name == name);
+        named.map(|a| a.value).collect()
+    }
 }
 
 /// Per-thread handle used inside thread bodies to perform modelled
 /// operations. Every `op_*` call is a schedule point.
+#[derive(Clone)]
 pub struct ThreadCtx {
     shared: Arc<Shared>,
     tid: usize,
@@ -802,33 +923,23 @@ impl ThreadCtx {
     /// Allocate a fresh plain-data location mid-execution (e.g. a stack
     /// node). Not a schedule point.
     pub(crate) fn alloc_data(&self, name: &'static str, init: u64) -> usize {
-        let mut st = self.shared.lock();
-        st.data.push(DataMeta {
-            name,
-            value: init,
-            last_write: None,
-            reads: Vec::new(),
-        });
-        st.data.len() - 1
+        self.shared.alloc_data(name, init)
     }
 
     /// Allocate a fresh atomic location mid-execution (e.g. the `next` link
     /// of a dynamically allocated queue node). Not a schedule point.
     pub(crate) fn alloc_atomic(&self, name: &'static str, init: u64) -> usize {
-        let mut st = self.shared.lock();
-        let meta = AtomicMeta::new(name, init, st.memory);
-        st.atomics.push(meta);
-        st.atomics.len() - 1
+        self.shared.alloc_atomic(name, init).0
     }
 
     /// Record an operation invocation for the linearizability history.
-    pub(crate) fn invoke(&self, op: Op) {
+    pub fn invoke(&self, op: Op) {
         let mut st = self.shared.lock();
         st.history.push(HistEvent::Invoke(self.tid, op));
     }
 
     /// Record the matching operation response.
-    pub(crate) fn ret(&self, val: RetVal) {
+    pub fn ret(&self, val: RetVal) {
         let mut st = self.shared.lock();
         st.history.push(HistEvent::Return(self.tid, val));
     }
@@ -886,6 +997,8 @@ pub(crate) fn run_one(
     memory: MemoryModel,
 ) -> RunOutcome {
     let shared = Arc::new(Shared::new(driver, max_steps, memory));
+    let here = (Arc::clone(&shared), None);
+    let _entered = Entered::new(&here);
     let mut sandbox = Sandbox {
         shared: Arc::clone(&shared),
         threads: Vec::new(),
@@ -921,6 +1034,8 @@ pub(crate) fn run_one(
                 waker,
             };
             scope.spawn(move || {
+                let here = (Arc::clone(&ctx.shared), Some(ctx.clone()));
+                let _entered = Entered::new(&here);
                 // The exit-time pick runs the driver too, so it sits inside
                 // the `catch_unwind`: a panic there must abort the execution
                 // like one in the body, not strand the parked threads.

@@ -26,19 +26,27 @@
 //!   payloads between two producers and a consumer purely on the
 //!   `publish_store`/`seq_load` handoff.
 //!
-//! Both read their orderings from the same `splash4_parmacs::spec` structs
-//! the native kernels consume, so mutating one spec field — or swapping the
-//! CAS loop for a blind store — turns a scenario into a kernel-shaped
-//! mutation test ([`kernel_mutants`]).
+//! Radix, water and stream run the shipped `parmacs` constructs over
+//! [`Model`], so one mutated spec field or one injected [`Fault`] makes a
+//! kernel-shaped mutation test ([`kernel_mutants`]). The cmap chain unlinks
+//! nodes, which needs modelled allocation to run for real: it stays a
+//! skeleton over raw engine cells, reading the shipped [`CMapSpec`].
 
-use crate::engine::{Sandbox, ThreadCtx};
-use crate::explore::Scenario;
-use crate::linearize::SpecModel;
-use crate::shadow::{ShadowAtomicF64, ShadowCounter, ShadowSenseBarrier};
-use crate::suite::{run_construct, run_mutant_catalog, CheckBudget, ConstructReport, MutantReport};
+use crate::engine::{Fault, Sandbox, ThreadCtx};
+use crate::linearize::{Op, SpecModel};
+use crate::model::{Model, ModelWord};
+use crate::suite::{
+    mutated, recorded, run_mutant_catalog, run_rows, spawn, CheckBudget, ConstructReport,
+    MutantCatalog, MutantReport, Rows,
+};
 use splash4_kernels::{radix, stream, water_nsq, InputClass};
-use splash4_parmacs::{CMapSpec, CasF64Spec, RingSpec, SenseBarrierSpec, TicketSpec};
+use splash4_parmacs::atomics::{Atomics, IntWord, Word};
+use splash4_parmacs::{
+    Barrier, BoundedMpmcQueue, CMapSpec, IndexCounter, ReduceF64, Reducer, RingSpec, SenseBarrier,
+    SyncMode, TaskQueue, TicketSpec,
+};
 use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 
 /// Number of scheduler threads the kernel scenarios run (mirrors the
 /// three-thread shape of the V1-check scenarios).
@@ -47,10 +55,10 @@ const NTHREADS: usize = 3;
 /// Radix pass-0 at `Check` scale: bucket claims → barrier → rank
 /// dispensing → permutation, over the kernel's real key array.
 ///
-/// With `lost_rank`, the per-bucket `fetch_add` is weakened to a
+/// [`Fault::Torn`] at `radix.rank` weakens the per-bucket `fetch_add` to a
 /// load/compute/store pair — the lost-CAS-retry bug class — which the
 /// checker must catch as a duplicate-slot data race or a finale violation.
-pub fn radix_rank_scenario(lost_rank: bool) -> impl Fn(&mut Sandbox) + Sync {
+pub fn radix_rank_scenario() -> impl Fn(&mut Sandbox) + Sync {
     let cfg = radix::RadixConfig::class(InputClass::Check);
     let keys = radix::generate_keys(&cfg);
     let r = cfg.buckets();
@@ -66,12 +74,18 @@ pub fn radix_rank_scenario(lost_rank: bool) -> impl Fn(&mut Sandbox) + Sync {
         starts[d + 1] += starts[d];
     }
     let n = keys.len();
+    let input = Arc::new((keys, digits, starts));
 
     move |sb: &mut Sandbox| {
-        let spec = TicketSpec::SPLASH4;
-        let bucket_claims = ShadowCounter::new(sb, r as u64, spec);
-        let barrier = ShadowSenseBarrier::new(sb, NTHREADS, SenseBarrierSpec::SPLASH4);
-        let ranks: Vec<usize> = (0..r).map(|_| sb.alloc_atomic("radix.rank", 0)).collect();
+        // What pass 0 synchronizes through: `GETSUB` over the buckets, the
+        // phase barrier, and the per-bucket rank dispensers (raw `fetch_add`
+        // words in the kernel).
+        let ranks: Vec<ModelWord<usize>> = (0..r).map(|_| Word::new("radix.rank", 0)).collect();
+        let sync = Arc::new((
+            IndexCounter::<Model>::new(SyncMode::LockFree, 0..r, NTHREADS, Arc::default()),
+            SenseBarrier::<Model>::new(NTHREADS, Arc::default()),
+            ranks,
+        ));
         // Bucket starts are *published* by whichever thread claims the
         // bucket (plain data: the barrier's release/acquire edge is what
         // makes the permute phase's reads race-free, as in the kernel).
@@ -83,30 +97,21 @@ pub fn radix_rank_scenario(lost_rank: bool) -> impl Fn(&mut Sandbox) + Sync {
             .collect();
 
         for tid in 0..NTHREADS {
-            let keys = keys.clone();
-            let digits = digits.clone();
-            let starts = starts.clone();
-            let ranks = ranks.clone();
-            let published = published.clone();
-            let out = out.clone();
-            sb.thread(move |ctx| {
+            let (input, published, out) = (Arc::clone(&input), published.clone(), out.clone());
+            spawn(sb, &sync, move |ctx, (bucket_claims, barrier, ranks)| {
+                let (keys, digits, starts) = &*input;
                 // Rank phase: claim buckets dynamically (GETSUB), publish
                 // each claimed bucket's start offset.
-                while let Some(d) = bucket_claims.next(ctx) {
-                    ctx.data_write(published[d as usize], starts[d as usize]);
+                while let Some(d) = bucket_claims.next() {
+                    ctx.data_write(published[d], starts[d]);
                 }
-                barrier.wait(ctx);
+                barrier.wait(tid);
                 // Permute phase: cyclic key ownership, one fetch_add rank
                 // per key, write into the claimed slot.
+                let claim_rmw = Model::spec(TicketSpec::SPLASH4).claim_rmw;
                 for i in (tid..n).step_by(NTHREADS) {
                     let d = digits[i];
-                    let rank = if lost_rank {
-                        let v = ctx.op_load(ranks[d], Ordering::Acquire);
-                        ctx.op_store(ranks[d], v + 1, Ordering::Release);
-                        v
-                    } else {
-                        ctx.op_rmw(ranks[d], spec.claim_rmw, |v| v + 1)
-                    };
+                    let rank = ranks[d].fetch_add(1, claim_rmw) as u64;
                     let base = ctx.data_read(published[d]);
                     let slot = (base + rank) as usize;
                     ctx.check(
@@ -118,12 +123,10 @@ pub fn radix_rank_scenario(lost_rank: bool) -> impl Fn(&mut Sandbox) + Sync {
             });
         }
 
-        let peek = sb.peek();
-        let keys_f = keys.clone();
-        let starts_f = starts.clone();
-        let out_f = out.clone();
+        let (peek, input) = (sb.peek(), Arc::clone(&input));
         sb.finale(move || {
-            let got: Vec<u64> = out_f.iter().map(|&c| peek.data(c)).collect();
+            let (keys_f, _, starts_f) = &*input;
+            let got: Vec<u64> = out.iter().map(|&c| peek.data(c)).collect();
             if got.contains(&u64::MAX) {
                 return Err("radix: an output slot was never written (lost rank)".to_string());
             }
@@ -150,12 +153,13 @@ pub fn radix_rank_scenario(lost_rank: bool) -> impl Fn(&mut Sandbox) + Sync {
 }
 
 /// Water-nsquared's energy reduction at `Check` scale: the real fluid's
-/// Lennard-Jones pair energies accumulate into the CAS-loop `AtomicF64`
-/// under a concurrent reader; the finale demands the sequential sum.
+/// Lennard-Jones pair energies accumulate into the kernel's `reducer_f64`
+/// cell — the CAS-loop `AtomicF64` of a Splash-4 [`Reducer`] — under a
+/// concurrent reader; the finale demands the sequential sum.
 ///
-/// With `lost_update`, the CAS loop degrades to load/compute/store — the
-/// seeded lost-CAS-retry mutant the checker must catch.
-pub fn water_energy_scenario(lost_update: bool) -> impl Fn(&mut Sandbox) + Sync {
+/// [`Fault::Torn`] at `reduce.f64` degrades the CAS to load/compute/store —
+/// the seeded lost-CAS-retry mutant the checker must catch.
+pub fn water_energy_scenario() -> impl Fn(&mut Sandbox) + Sync {
     let cfg = water_nsq::WaterNsqConfig::class(InputClass::Check);
     let fluid = water_nsq::initialize(cfg.n, cfg.seed);
     let side = fluid.side;
@@ -177,29 +181,26 @@ pub fn water_energy_scenario(lost_update: bool) -> impl Fn(&mut Sandbox) + Sync 
     let expected: f64 = deltas.iter().sum();
 
     move |sb: &mut Sandbox| {
-        let mut cell = ShadowAtomicF64::new(sb, 0.0, CasF64Spec::SPLASH4);
-        if lost_update {
-            cell = cell.with_lost_update();
-        }
+        let cell = Arc::new(Reducer::<Model>::new(SyncMode::LockFree, 3, Arc::default()));
         sb.spec(SpecModel::SumF64(0f64.to_bits()));
-        let peek = sb.peek();
         // Two force threads with cyclic pair ownership (as `ctx.cyclic`
         // splits the kernel's pair loop), plus the kernel's per-step
         // energy reader.
         for tid in 0..2usize {
             let mine: Vec<f64> = deltas.iter().copied().skip(tid).step_by(2).collect();
-            sb.thread(move |ctx| {
+            spawn(sb, &cell, move |ctx, cell| {
                 for &u in &mine {
-                    cell.fetch_add(ctx, u);
+                    recorded(ctx, Op::AddF(u.to_bits()), || ReduceF64::add(cell, u));
                 }
             });
         }
-        sb.thread(move |ctx| {
-            cell.load(ctx);
-            cell.load(ctx);
+        spawn(sb, &cell, |ctx, cell| {
+            for _ in 0..2 {
+                recorded(ctx, Op::LoadF, || ReduceF64::load(cell).to_bits());
+            }
         });
         sb.finale(move || {
-            let v = cell.final_value(&peek);
+            let v = ReduceF64::load(&*cell);
             let tol = 1e-9 * expected.abs().max(1.0);
             if (v - expected).abs() <= tol {
                 Ok(())
@@ -436,176 +437,121 @@ pub fn cmap_chain_scenario(spec: CMapSpec, blind_mark: bool) -> impl Fn(&mut San
 // stream: one bounded ring stage under two producers and a consumer.
 // ---------------------------------------------------------------------------
 
-/// One stage queue of the `stream` pipeline at `Check` scale: a
-/// two-slot Vyukov ring (the kernel's `BoundedMpmcQueue`) carrying
-/// plainly-written payloads from two producers to a consumer, with every
-/// ordering taken from [`RingSpec`] as `queue.rs` consumes it. The seq
-/// handoff (`publish_store` release → `seq_load` acquire) is the only
-/// thing keeping the payload reads race-free, so any weakening falls out
-/// as a vector-clock data race; the finale checks the consumer drained
-/// each producer's items in FIFO order with nothing lost or duplicated.
+/// One stage queue of the `stream` pipeline at `Check` scale: the
+/// kernel's [`BoundedMpmcQueue`] with two slots, carrying plainly-written
+/// payloads from two producers to a consumer, under `spec` in place of the
+/// shipped [`RingSpec`]. The seq handoff (`publish_store` release →
+/// `seq_load` acquire) is the only thing keeping the payload reads
+/// race-free, so any weakening falls out as a vector-clock data race; the
+/// finale checks the consumer drained each producer's items in FIFO order
+/// with nothing lost or duplicated.
+///
+/// Producers use the ring's own blocking `push`. The kernel's consumer
+/// polls `try_pop` with a backoff of its own; here it parks on a relaxed
+/// doorbell word the producers ring after each push, which orders nothing.
 pub fn stream_ring_scenario(spec: RingSpec) -> impl Fn(&mut Sandbox) + Sync {
-    const CAP: u64 = 2;
     // Per-producer item values from the kernel's own stage transform.
     let feeds: [[u64; 2]; 2] = [
         [stream::transform(1, 0), stream::transform(2, 0)],
         [stream::transform(3, 0), stream::transform(4, 0)],
     ];
-    move |sb: &mut Sandbox| {
-        let seqs = [
-            sb.alloc_atomic("ring.seq0", 0),
-            sb.alloc_atomic("ring.seq1", 1),
-        ];
-        let slots = [
-            sb.alloc_data("ring.slot0", 0),
-            sb.alloc_data("ring.slot1", 0),
-        ];
-        let enq = sb.alloc_atomic("ring.enq", 0);
-        let deq = sb.alloc_atomic("ring.deq", 0);
-        let rec: Vec<usize> = (0..4)
-            .map(|_| sb.alloc_data("ring.rec", u64::MAX))
-            .collect();
+    let scenario = move |sb: &mut Sandbox| {
+        let ring = Arc::new(BoundedMpmcQueue::<u64, Model>::new(2, Arc::default()));
+        let pushed = sb.alloc_atomic("stream.pushed", 0);
+        let received = Arc::new(Mutex::new(Vec::new()));
 
         for feed in feeds {
-            sb.thread(move |ctx| {
+            spawn(sb, &ring, move |ctx, ring| {
                 for v in feed {
-                    loop {
-                        let pos = ctx.op_load(enq, spec.cursor_load);
-                        let slot = (pos % CAP) as usize;
-                        let seq = ctx.op_load(seqs[slot], spec.seq_load);
-                        if seq == pos {
-                            if ctx
-                                .op_cas(enq, pos, pos + 1, spec.cursor_cas_ok, spec.cursor_cas_fail)
-                                .is_ok()
-                            {
-                                ctx.data_write(slots[slot], v);
-                                ctx.op_store(seqs[slot], pos + 1, spec.publish_store);
-                                break;
-                            }
-                        } else if seq < pos {
-                            // Slot not yet recycled (ring full): wait for
-                            // the consumer's publish on this slot. seq > pos
-                            // instead means `pos` is stale — reload the
-                            // cursor, exactly like queue.rs's diff > 0 arm.
-                            ctx.block_on(seqs[slot]);
-                        }
-                    }
+                    ring.push(v);
+                    ctx.op_rmw(pushed, Ordering::Relaxed, |n| n + 1);
                 }
             });
         }
 
-        let rec_cells = rec.clone();
-        sb.thread(move |ctx| {
-            for r in rec_cells {
-                loop {
-                    let pos = ctx.op_load(deq, spec.cursor_load);
-                    let slot = (pos % CAP) as usize;
-                    let seq = ctx.op_load(seqs[slot], spec.seq_load);
-                    if seq == pos + 1 {
-                        if ctx
-                            .op_cas(deq, pos, pos + 1, spec.cursor_cas_ok, spec.cursor_cas_fail)
-                            .is_ok()
-                        {
-                            let v = ctx.data_read(slots[slot]);
-                            ctx.data_write(r, v);
-                            ctx.op_store(seqs[slot], pos + CAP, spec.publish_store);
-                            break;
-                        }
-                    } else if seq < pos + 1 {
-                        // Slot not yet published (ring empty): wait for a
-                        // producer. seq > pos + 1 means `pos` is stale.
-                        ctx.block_on(seqs[slot]);
+        let sink = Arc::clone(&received);
+        spawn(sb, &ring, move |ctx, ring| {
+            for _ in 0..4 {
+                let v = loop {
+                    match ring.try_pop() {
+                        Some(v) => break v,
+                        None => ctx.block_on(pushed),
                     }
-                }
+                };
+                sink.lock().expect("sink poisoned").push(v);
             }
         });
 
-        let peek = sb.peek();
         sb.finale(move || {
-            let got: Vec<u64> = rec.iter().map(|&c| peek.data(c)).collect();
-            if got.contains(&u64::MAX) {
-                return Err("stream: the consumer lost an item".into());
-            }
+            let got = std::mem::take(&mut *received.lock().expect("sink poisoned"));
             for feed in feeds {
-                let a = got.iter().position(|&v| v == feed[0]);
-                let b = got.iter().position(|&v| v == feed[1]);
-                match (a, b) {
-                    (Some(a), Some(b)) if a < b => {}
-                    (Some(_), Some(_)) => {
-                        return Err("stream: a producer's items arrived out of order".into())
-                    }
-                    _ => return Err("stream: an item vanished from the ring".into()),
+                let mine: Vec<u64> = got.iter().copied().filter(|v| feed.contains(v)).collect();
+                if mine != feed {
+                    return Err(format!(
+                        "stream: a producer sent {feed:?} and the consumer got {mine:?} \
+                         (lost, duplicated or out of order)"
+                    ));
                 }
-            }
-            let mut sorted = got;
-            sorted.sort_unstable();
-            sorted.dedup();
-            if sorted.len() != 4 {
-                return Err("stream: an item was consumed twice".into());
             }
             Ok(())
         });
-    }
+    };
+    mutated(move |sb| sb.override_spec(spec), scenario)
 }
 
 /// Check the kernel-body scenarios (the `V2-kernel-check` table).
 /// Deterministic for a fixed budget, like [`crate::check_suite`].
 pub fn check_kernels(budget: &CheckBudget) -> Vec<ConstructReport> {
-    let rows: Vec<(&'static str, &'static str, Box<Scenario>)> = vec![
+    let rows: Rows = vec![
         (
+            200,
             "kernel/radix-rank",
             "pass-0 permutation: every key lands once in its bucket",
-            Box::new(radix_rank_scenario(false)),
+            Box::new(radix_rank_scenario()),
         ),
         (
+            201,
             "kernel/water-energy",
             "linearizable energy sum, no lost updates",
-            Box::new(water_energy_scenario(false)),
+            Box::new(water_energy_scenario()),
         ),
         (
+            202,
             "kernel/cmap-chain",
             "HM bucket: no lost insert, single snip, published payloads",
             Box::new(cmap_chain_scenario(CMapSpec::SPLASH4, false)),
         ),
         (
+            203,
             "kernel/stream-ring",
             "ring stage: FIFO per producer, race-free payload handoff",
             Box::new(stream_ring_scenario(RingSpec::SPLASH4)),
         ),
     ];
-    rows.into_iter()
-        .enumerate()
-        .map(|(i, (construct, property, scenario))| {
-            run_construct(
-                construct,
-                property,
-                &*scenario,
-                &budget.to_budget(200 + i as u64),
-            )
-        })
-        .collect()
+    run_rows(rows, budget)
 }
 
 /// The kernel-scenario mutant catalog: the same bug classes as
 /// [`crate::mutants`], seeded inside real kernel bodies.
-pub fn kernel_mutants() -> Vec<(
-    &'static str,
-    &'static str,
-    &'static [&'static str],
-    Box<Scenario>,
-)> {
+pub fn kernel_mutants() -> MutantCatalog {
     vec![
         (
             "radix-lost-rank",
             "radix rank dispensing weakened: fetch_add -> load/store",
             &["data-race", "invariant"] as &[_],
-            Box::new(radix_rank_scenario(true)),
+            Box::new(mutated(
+                |sb| sb.fault("radix.rank", Fault::Torn),
+                radix_rank_scenario(),
+            )),
         ),
         (
             "water-lost-cas-retry",
             "water energy CAS loop drops the retry: load/compute/store",
             &["invariant", "not-linearizable"] as &[_],
-            Box::new(water_energy_scenario(true)),
+            Box::new(mutated(
+                |sb| sb.fault("reduce.f64", Fault::Torn),
+                water_energy_scenario(),
+            )),
         ),
         (
             "cmap-blind-mark",

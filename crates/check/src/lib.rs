@@ -9,18 +9,26 @@
 //! interleavings the OS scheduler may never produce. This crate makes those
 //! interleavings first-class:
 //!
-//! * [`engine`] runs *shadow* re-implementations of the parmacs primitives
-//!   under a cooperative scheduler with a preemption point at every atomic
-//!   operation — the virtual threads pass one token among themselves, the
-//!   thread at a schedule point picking its successor, with no scheduler
-//!   thread in between — modelling acquire/release edges with vector clocks
-//!   (plain data unordered by happens-before is a **data race**), blocking
-//!   explicitly (**deadlock** and lost-wakeup detection), and recording an
-//!   invocation/response history.
-//! * [`shadow`] holds those shadow constructs; they read their orderings
-//!   from the same [`splash4_parmacs::spec`] structs the real primitives
-//!   consume, so the checker explores exactly the shipped state machines —
-//!   and a one-field spec override is a mutation test.
+//! * [`engine`] runs scenario threads under a cooperative scheduler with a
+//!   preemption point at every atomic operation — the virtual threads pass
+//!   one token among themselves, the thread at a schedule point picking its
+//!   successor, with no scheduler thread in between — modelling
+//!   acquire/release edges with vector clocks (plain data unordered by
+//!   happens-before is a **data race**), blocking explicitly (**deadlock**
+//!   and lost-wakeup detection), and recording an invocation/response
+//!   history.
+//! * [`model`] implements the `parmacs` [`Atomics`](splash4_parmacs::Atomics)
+//!   facade for that engine, so the scenarios instantiate the **shipped**
+//!   `TreiberStack`, `SenseBarrier`, `AtomicF64`, `Reducer`, `AtomicFlag`,
+//!   `IndexCounter`, `CombiningCore` and `BoundedMpmcQueue`: the code that
+//!   runs in production is the code explored. A mutation test overrides one
+//!   field of a [`splash4_parmacs::spec`] table or injects a [`Fault`] at
+//!   one named word; neither edits a construct.
+//! * [`shadow`] holds what cannot take that road: the Splash-3 sleeping
+//!   lock (a `Mutex` + `Condvar`, no atomics to swap) and its queue.
+//!   [`reclaim`] and the `cmap` chain of [`kernel`] also still check
+//!   skeletons: a premature-free mutant of the real reclaimer would be a
+//!   use-after-free in the checker itself until allocation is modelled.
 //! * [`explore`] enumerates schedules: bounded-preemption DFS plus a seeded
 //!   PCT-style random scheduler, with counterexample minimization and
 //!   replay — a failing interleaving prints as a deterministic schedule
@@ -29,10 +37,11 @@
 //!   (Wing & Gong search with memoization).
 //! * [`suite`] packages one scenario per construct class into the
 //!   `V1-check` experiment table, plus the mutant catalog.
-//! * [`combining`] shadows the flat-combining core behind the third sync
-//!   generation (`splash4x`), modelling its record arguments and results as
-//!   plain data so any weakening of the publish/complete edges surfaces as
-//!   a data race — the `C1-combining` experiment table.
+//! * [`combining`] runs the same scenario bodies under
+//!   `SyncMode::Combining`, over the shipped flat-combining core of the
+//!   third sync generation (`splash4x`): its record arguments and results
+//!   are plain data, so a weakened publish/complete edge surfaces as a data
+//!   race — the `C1-combining` experiment table.
 //! * [`kernel`] lifts the same machinery to real kernel bodies at
 //!   [`splash4_kernels::InputClass::Check`] scale — radix's fetch-add rank
 //!   dispensing and water-nsquared's CAS-loop energy reduction — for the
@@ -48,6 +57,8 @@
 //! use splash4_check::{explore, Budget, treiber_scenario};
 //! use splash4_parmacs::TreiberSpec;
 //!
+//! // The shipped `TreiberStack`, three threads: every explored schedule
+//! // must be race-free and linearizable.
 //! let scenario = treiber_scenario(TreiberSpec::SPLASH4);
 //! let report = explore(&scenario, &Budget::small(1));
 //! assert!(report.counterexample.is_none());
@@ -63,19 +74,15 @@ pub mod engine;
 pub mod explore;
 pub mod kernel;
 pub mod linearize;
+pub mod model;
 pub mod reclaim;
 pub mod shadow;
 pub mod suite;
 pub mod weakmem;
 
 pub use clock::VClock;
-pub use combining::{
-    check_combining, check_combining_mutants, combining_barrier_scenario,
-    combining_getsub_scenario, combining_mutants, combining_reduce_f64_scenario,
-    combining_reduce_scenario, ShadowCombinedBarrier, ShadowCombinedCounter, ShadowCombinedF64,
-    ShadowCombinedReducer,
-};
-pub use engine::{Failure, MemoryModel, Peek, Sandbox, ThreadCtx};
+pub use combining::{check_combining, check_combining_mutants, combining_mutants};
+pub use engine::{Failure, Fault, MemoryModel, Peek, Sandbox, ThreadCtx};
 pub use explore::{
     explore, replay, replay_under, Budget, CounterExample, ExploreReport, Replayed, Schedule,
 };
@@ -84,19 +91,17 @@ pub use kernel::{
     stream_ring_scenario, water_energy_scenario,
 };
 pub use linearize::{check_history, Op, OpRecord, RetVal, SpecModel};
+pub use model::Model;
 pub use reclaim::{
     check_reclaim, check_reclaim_mutants, elimination_scenario, epoch_reclaim_scenario,
     hazard_reclaim_scenario, ms_queue_scenario, reclaim_mutants, ShadowEliminationStack,
     ShadowMsQueue,
 };
-pub use shadow::{
-    ShadowAtomicF64, ShadowCounter, ShadowFlag, ShadowLock, ShadowLockedQueue, ShadowReduceU64,
-    ShadowSenseBarrier, ShadowTreiberStack,
-};
+pub use shadow::{ShadowLock, ShadowLockedQueue};
 pub use suite::{
     check_mutants, check_suite, flag_scenario, getsub_scenario, locked_queue_scenario, mutants,
-    reduce_f64_scenario, reduce_u64_scenario, sense_barrier_scenario, treiber_scenario,
-    CheckBudget, ConstructReport, MutantReport, Verdict,
+    mutated, reduce_f64_scenario, reduce_u64_scenario, sense_barrier_scenario, treiber_scenario,
+    CheckBudget, ConstructReport, MutantCatalog, MutantReport, Verdict,
 };
 pub use weakmem::{
     barrier_handshake_scenario, check_weakmem, check_weakmem_mutants, cmap_pin_scan_scenario,

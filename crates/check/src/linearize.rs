@@ -67,6 +67,24 @@ pub enum RetVal {
     Empty,
 }
 
+impl From<()> for RetVal {
+    fn from((): ()) -> RetVal {
+        RetVal::Unit
+    }
+}
+
+impl From<u64> for RetVal {
+    fn from(v: u64) -> RetVal {
+        RetVal::Val(v)
+    }
+}
+
+impl From<Option<u64>> for RetVal {
+    fn from(v: Option<u64>) -> RetVal {
+        v.map_or(RetVal::Empty, RetVal::Val)
+    }
+}
+
 impl fmt::Display for RetVal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {

@@ -27,9 +27,10 @@
 //! hazard-pointer revalidation).
 
 use crate::engine::{Peek, Sandbox, ThreadCtx};
-use crate::explore::Scenario;
 use crate::linearize::{Op, RetVal, SpecModel};
-use crate::suite::{run_construct, run_mutant_catalog, CheckBudget, ConstructReport, MutantReport};
+use crate::suite::{
+    run_mutant_catalog, run_rows, CheckBudget, ConstructReport, MutantCatalog, MutantReport, Rows,
+};
 use splash4_parmacs::{EliminationSpec, EpochSpec, HazardSpec, MsQueueSpec, TreiberSpec};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -518,50 +519,39 @@ pub fn hazard_reclaim_scenario(skip_validation: bool) -> impl Fn(&mut Sandbox) +
 /// Check the reclaim subsystem's constructs. Deterministic for a fixed
 /// budget, like [`crate::check_suite`].
 pub fn check_reclaim(budget: &CheckBudget) -> Vec<ConstructReport> {
-    let rows: Vec<(&'static str, &'static str, Box<Scenario>)> = vec![
+    // Indices sit past the V1 constructs' so the seeds differ.
+    let rows: Rows = vec![
         (
+            20,
             "pool/ms-queue",
             "linearizable FIFO, value conservation",
             Box::new(ms_queue_scenario(false)),
         ),
         (
+            21,
             "pool/elimination",
             "linearizable LIFO with exchange, race-free",
             Box::new(elimination_scenario(false)),
         ),
         (
+            22,
             "reclaim/epoch",
             "no use-after-free, no leak at quiescence",
             Box::new(epoch_reclaim_scenario(false, false)),
         ),
         (
+            23,
             "reclaim/hazard",
             "no use-after-free, no leak at quiescence",
             Box::new(hazard_reclaim_scenario(false)),
         ),
     ];
-    rows.into_iter()
-        .enumerate()
-        .map(|(i, (construct, property, scenario))| {
-            run_construct(
-                construct,
-                property,
-                &*scenario,
-                // Offset past the V1 construct indices so seeds differ.
-                &budget.to_budget(20 + i as u64),
-            )
-        })
-        .collect()
+    run_rows(rows, budget)
 }
 
 /// The reclaim mutant catalog: the four seeded bug classes of the
 /// subsystem, plus a skipped hazard revalidation.
-pub fn reclaim_mutants() -> Vec<(
-    &'static str,
-    &'static str,
-    &'static [&'static str],
-    Box<Scenario>,
-)> {
+pub fn reclaim_mutants() -> MutantCatalog {
     vec![
         (
             "epoch-premature-free",

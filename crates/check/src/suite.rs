@@ -2,24 +2,30 @@
 //! plus the mutant catalog for the checker's own mutation tests.
 //!
 //! Each scenario is a small closed workload (a few threads, a handful of
-//! operations) chosen so its interleaving space comfortably exceeds the
-//! distinct-schedule target while every operation of the construct — fast
-//! paths, retries, exhaustion, blocking — is reachable. [`check_suite`]
+//! operations) on the *shipped* construct, instantiated over
+//! [`Model`] and built the way `SyncEnv` builds it, chosen so its
+//! interleaving space comfortably exceeds the distinct-schedule target
+//! while every operation of the construct — fast paths, retries,
+//! exhaustion, blocking — is reachable. The mode-dependent constructs take
+//! a [`SyncMode`], so the same body is the `V1-check` row under
+//! `LockFree` and the `C1-combining` row under `Combining`. [`check_suite`]
 //! explores every scenario and reports construct × property × schedules ×
 //! verdict; [`check_mutants`] does the same for deliberately broken specs
 //! and reports whether the injected bug was caught.
 
-use crate::engine::Sandbox;
+use crate::engine::{Fault, Sandbox, ThreadCtx};
 use crate::explore::{explore, Budget, Scenario};
-use crate::linearize::SpecModel;
-use crate::shadow::{
-    ShadowAtomicF64, ShadowCounter, ShadowFlag, ShadowLockedQueue, ShadowReduceU64,
-    ShadowSenseBarrier, ShadowTreiberStack,
+use crate::linearize::{Op, RetVal, SpecModel};
+use crate::model::Model;
+use crate::shadow::ShadowLockedQueue;
+use splash4_parmacs::{
+    AtomicFlag, Barrier, FlagSpec, IndexCounter, PauseVar, ReduceF64, ReduceU64, Reducer,
+    SenseBarrier, SyncMode, TaskQueue, TreiberSpec, TreiberStack,
 };
-use splash4_parmacs::{CasF64Spec, FlagSpec, SenseBarrierSpec, TicketSpec, TreiberSpec};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// Exploration budget for a suite run.
 #[derive(Debug, Clone)]
@@ -119,43 +125,82 @@ pub struct MutantReport {
     pub counterexample: String,
 }
 
+/// Add a virtual thread that shares `shared` with its siblings.
+pub(crate) fn spawn<C: Send + Sync + 'static>(
+    sb: &mut Sandbox,
+    shared: &Arc<C>,
+    body: impl FnOnce(&ThreadCtx, &C) + Send + 'static,
+) {
+    let shared = Arc::clone(shared);
+    sb.thread(move |ctx| body(ctx, &shared));
+}
+
+/// Run `call` as one operation of the history the Wing–Gong tester checks.
+pub(crate) fn recorded<R: Copy + Into<RetVal>>(
+    ctx: &ThreadCtx,
+    op: Op,
+    call: impl FnOnce() -> R,
+) -> R {
+    ctx.invoke(op);
+    let result = call();
+    ctx.ret(result.into());
+    result
+}
+
+/// `scenario` run after `mutation` has set the sandbox up: an ordering
+/// mutant of the shipped construct installs a spec with one field changed
+/// ([`Sandbox::override_spec`]), a structural one injects a fault at a named
+/// word ([`Sandbox::fault`]).
+pub fn mutated(
+    mutation: impl Fn(&mut Sandbox) + Sync,
+    scenario: impl Fn(&mut Sandbox) + Sync,
+) -> impl Fn(&mut Sandbox) + Sync {
+    move |sb: &mut Sandbox| {
+        mutation(sb);
+        scenario(sb);
+    }
+}
+
 /// Treiber-stack workload: three threads mixing pushes and pops.
 pub fn treiber_scenario(spec: TreiberSpec) -> impl Fn(&mut Sandbox) + Sync {
-    move |sb: &mut Sandbox| {
-        let stack = ShadowTreiberStack::new(sb, spec);
+    let scenario = |sb: &mut Sandbox| {
+        let stack = Arc::new(TreiberStack::<u64, Model>::new(Arc::default()));
         sb.spec(SpecModel::Stack(Vec::new()));
-        sb.thread(move |ctx| {
-            stack.push(ctx, 1);
-            stack.push(ctx, 2);
+        spawn(sb, &stack, |ctx, stack| {
+            recorded(ctx, Op::Push(1), || stack.push(1));
+            recorded(ctx, Op::Push(2), || stack.push(2));
         });
-        sb.thread(move |ctx| {
-            stack.push(ctx, 3);
-            stack.pop(ctx);
+        spawn(sb, &stack, |ctx, stack| {
+            recorded(ctx, Op::Push(3), || stack.push(3));
+            recorded(ctx, Op::Pop, || stack.pop());
         });
-        sb.thread(move |ctx| {
-            stack.pop(ctx);
-            stack.pop(ctx);
+        spawn(sb, &stack, |ctx, stack| {
+            recorded(ctx, Op::Pop, || stack.pop());
+            recorded(ctx, Op::Pop, || stack.pop());
         });
-    }
+    };
+    mutated(move |sb| sb.override_spec(spec), scenario)
 }
 
 /// Sense-barrier workload: three threads, two double-barrier episodes with
 /// a plain-data phase cell written between the barriers of each episode.
-pub fn sense_barrier_scenario(missing_flip: bool) -> impl Fn(&mut Sandbox) + Sync {
+/// `mode` picks the arrival: `fetch_add` (V1) or combined (C1).
+pub fn sense_barrier_scenario(mode: SyncMode) -> impl Fn(&mut Sandbox) + Sync {
     move |sb: &mut Sandbox| {
-        let mut bar = ShadowSenseBarrier::new(sb, 3, SenseBarrierSpec::SPLASH4);
-        if missing_flip {
-            bar = bar.with_missing_flip();
-        }
+        let bar: Arc<SenseBarrier<Model>> = Arc::new(match mode {
+            SyncMode::LockBased => panic!("the Splash-3 barrier sleeps on a condvar: not modelled"),
+            SyncMode::LockFree => SenseBarrier::new(3, Arc::default()),
+            SyncMode::Combining => SenseBarrier::combining(3, Arc::default()),
+        });
         let phase = sb.alloc_data("phase", 0);
         for tid in 0..3usize {
-            sb.thread(move |ctx| {
+            spawn(sb, &bar, move |ctx, bar| {
                 for e in 0..2u64 {
-                    bar.wait(ctx);
+                    bar.wait(tid);
                     if tid == 0 {
                         ctx.data_write(phase, e + 1);
                     }
-                    bar.wait(ctx);
+                    bar.wait(tid);
                     let p = ctx.data_read(phase);
                     ctx.check(p == e + 1, "barrier separates the phase write from readers");
                 }
@@ -164,66 +209,59 @@ pub fn sense_barrier_scenario(missing_flip: bool) -> impl Fn(&mut Sandbox) + Syn
     }
 }
 
-/// CAS-loop f64 reduction workload: two adders, one concurrent reader, and
-/// a finale asserting no update was lost.
-pub fn reduce_f64_scenario(lost_update: bool) -> impl Fn(&mut Sandbox) + Sync {
+/// f64 reduction workload: two adders, one concurrent reader, and a finale
+/// asserting no update was lost. `mode` picks the cell: the CAS loop (V1)
+/// or the combined accumulator (C1).
+pub fn reduce_f64_scenario(mode: SyncMode) -> impl Fn(&mut Sandbox) + Sync {
     move |sb: &mut Sandbox| {
-        let mut cell = ShadowAtomicF64::new(sb, 0.0, CasF64Spec::SPLASH4);
-        if lost_update {
-            cell = cell.with_lost_update();
-        }
+        let cell = Arc::new(Reducer::<Model>::new(mode, 3, Arc::default()));
         sb.spec(SpecModel::SumF64(0f64.to_bits()));
-        let peek = sb.peek();
-        sb.thread(move |ctx| {
-            cell.fetch_add(ctx, 1.0);
-            cell.fetch_add(ctx, 1.0);
-        });
-        sb.thread(move |ctx| {
-            cell.fetch_add(ctx, 0.25);
-            cell.fetch_add(ctx, 0.25);
-        });
-        sb.thread(move |ctx| {
-            cell.load(ctx);
-            cell.load(ctx);
-        });
-        sb.finale(move || {
-            let v = cell.final_value(&peek);
-            if v == 2.5 {
-                Ok(())
-            } else {
-                Err(format!(
-                    "f64 reduction lost updates: final sum {v}, want 2.5"
-                ))
+        for delta in [1.0f64, 0.25] {
+            spawn(sb, &cell, move |ctx, cell| {
+                for _ in 0..2 {
+                    recorded(ctx, Op::AddF(delta.to_bits()), || {
+                        ReduceF64::add(cell, delta)
+                    });
+                }
+            });
+        }
+        spawn(sb, &cell, |ctx, cell| {
+            for _ in 0..2 {
+                recorded(ctx, Op::LoadF, || ReduceF64::load(cell).to_bits());
             }
+        });
+        sb.finale(move || match ReduceF64::load(&*cell) {
+            2.5 => Ok(()),
+            v => Err(format!(
+                "f64 reduction lost updates: final sum {v}, want 2.5"
+            )),
         });
     }
 }
 
 /// Integer reduction workload: three adders, one reader, exact-sum finale.
-pub fn reduce_u64_scenario() -> impl Fn(&mut Sandbox) + Sync {
+/// `mode` picks the cell: `fetch_add` (V1) or the combined accumulator (C1).
+pub fn reduce_u64_scenario(mode: SyncMode) -> impl Fn(&mut Sandbox) + Sync {
     move |sb: &mut Sandbox| {
-        let cell = ShadowReduceU64::new(sb, 0);
+        let cell = Arc::new(Reducer::<Model>::new(mode, 4, Arc::default()));
         sb.spec(SpecModel::SumU64(0));
-        let peek = sb.peek();
         for v in [1u64, 2, 4] {
-            sb.thread(move |ctx| {
-                cell.add(ctx, v);
-                cell.add(ctx, v);
+            spawn(sb, &cell, move |ctx, cell| {
+                for _ in 0..2 {
+                    recorded(ctx, Op::AddU(v), || ReduceU64::add(cell, v));
+                }
             });
         }
-        sb.thread(move |ctx| {
-            cell.load(ctx);
-            cell.load(ctx);
-        });
-        sb.finale(move || {
-            let v = cell.final_value(&peek);
-            if v == 14 {
-                Ok(())
-            } else {
-                Err(format!(
-                    "u64 reduction lost updates: final sum {v}, want 14"
-                ))
+        spawn(sb, &cell, |ctx, cell| {
+            for _ in 0..2 {
+                recorded(ctx, Op::LoadU, || ReduceU64::load(cell));
             }
+        });
+        sb.finale(move || match ReduceU64::load(&*cell) {
+            14 => Ok(()),
+            v => Err(format!(
+                "u64 reduction lost updates: final sum {v}, want 14"
+            )),
         });
     }
 }
@@ -231,45 +269,61 @@ pub fn reduce_u64_scenario() -> impl Fn(&mut Sandbox) + Sync {
 /// PAUSE/SETPAUSE workload: cross-handoff of two payloads through two flags
 /// while a third thread polls and finally reads both payloads.
 pub fn flag_scenario(spec: FlagSpec) -> impl Fn(&mut Sandbox) + Sync {
-    move |sb: &mut Sandbox| {
-        let fa = ShadowFlag::new(sb, spec);
-        let fb = ShadowFlag::new(sb, spec);
+    let scenario = |sb: &mut Sandbox| {
+        let flags = Arc::new([
+            AtomicFlag::<Model>::new(Arc::default()),
+            AtomicFlag::<Model>::new(Arc::default()),
+        ]);
         let d0 = sb.alloc_data("payload0", 0);
         let d1 = sb.alloc_data("payload1", 0);
-        sb.thread(move |ctx| {
+        spawn(sb, &flags, move |ctx, [fa, fb]| {
             ctx.data_write(d0, 10);
-            fa.set(ctx);
-            fb.wait(ctx);
+            fa.set();
+            fb.wait();
             let v = ctx.data_read(d1);
             ctx.check(v == 20, "flag publication: t0 sees t1's payload");
         });
-        sb.thread(move |ctx| {
+        spawn(sb, &flags, move |ctx, [fa, fb]| {
             ctx.data_write(d1, 20);
-            fb.set(ctx);
-            fa.wait(ctx);
+            fb.set();
+            fa.wait();
             let v = ctx.data_read(d0);
             ctx.check(v == 10, "flag publication: t1 sees t0's payload");
         });
-        sb.thread(move |ctx| {
+        spawn(sb, &flags, move |ctx, [fa, fb]| {
             for _ in 0..3 {
-                fa.is_set(ctx);
-                fb.is_set(ctx);
+                fa.is_set();
+                fb.is_set();
             }
-            fa.wait(ctx);
-            fb.wait(ctx);
+            fa.wait();
+            fb.wait();
             let sum = ctx.data_read(d0) + ctx.data_read(d1);
             ctx.check(sum == 30, "flag publication: t2 sees both payloads");
         });
-    }
+    };
+    mutated(move |sb| sb.override_spec(spec), scenario)
 }
 
 /// `GETSUB` counter workload: three threads drain a shared index range.
-pub fn getsub_scenario(spec: TicketSpec) -> impl Fn(&mut Sandbox) + Sync {
+/// `mode` picks the cursor: `fetch_add` (V1) or the combined grab (C1).
+pub fn getsub_scenario(mode: SyncMode) -> impl Fn(&mut Sandbox) + Sync {
+    const TOTAL: usize = 4;
     move |sb: &mut Sandbox| {
-        let counter = ShadowCounter::new(sb, 8, spec);
-        sb.spec(SpecModel::Ticket { total: 8, next: 0 });
+        let counter = Arc::new(IndexCounter::<Model>::new(
+            mode,
+            0..TOTAL,
+            3,
+            Arc::default(),
+        ));
+        sb.spec(SpecModel::Ticket {
+            total: TOTAL as u64,
+            next: 0,
+        });
         for _ in 0..3 {
-            sb.thread(move |ctx| while counter.next(ctx).is_some() {});
+            spawn(sb, &counter, |ctx, counter| {
+                let next = || counter.next().map(|i| i as u64);
+                while recorded(ctx, Op::Next, next).is_some() {}
+            });
         }
     }
 }
@@ -279,10 +333,9 @@ pub fn getsub_scenario(spec: TicketSpec) -> impl Fn(&mut Sandbox) + Sync {
 /// lock.
 pub fn locked_queue_scenario() -> impl Fn(&mut Sandbox) + Sync {
     move |sb: &mut Sandbox| {
-        let q = ShadowLockedQueue::new(sb);
+        let q = Arc::new(ShadowLockedQueue::new(sb));
         sb.spec(SpecModel::Fifo(VecDeque::new()));
-        let peek = sb.peek();
-        let qf = q.clone();
+        let (peek, qf) = (sb.peek(), Arc::clone(&q));
         sb.finale(move || {
             let c = qf.final_canary(&peek);
             if c == 6 {
@@ -291,21 +344,40 @@ pub fn locked_queue_scenario() -> impl Fn(&mut Sandbox) + Sync {
                 Err(format!("lock canary saw {c} critical sections, want 6"))
             }
         });
-        let q0 = q.clone();
-        sb.thread(move |ctx| {
-            q0.enqueue(ctx, 1);
-            q0.enqueue(ctx, 2);
+        spawn(sb, &q, |ctx, q| {
+            q.enqueue(ctx, 1);
+            q.enqueue(ctx, 2);
         });
-        let q1 = q.clone();
-        sb.thread(move |ctx| {
-            q1.enqueue(ctx, 3);
-            q1.dequeue(ctx);
+        spawn(sb, &q, |ctx, q| {
+            q.enqueue(ctx, 3);
+            q.dequeue(ctx);
         });
-        sb.thread(move |ctx| {
+        spawn(sb, &q, |ctx, q| {
             q.dequeue(ctx);
             q.dequeue(ctx);
         });
     }
+}
+
+/// Rows of a construct table: budget index (part of a row's identity, so
+/// rows keep theirs when a neighbour is retired), id, property, scenario.
+pub(crate) type Rows = Vec<(u64, &'static str, &'static str, Box<Scenario>)>;
+
+/// A mutant catalog: id, description, failure classes that catch it, scenario.
+pub type MutantCatalog = Vec<(
+    &'static str,
+    &'static str,
+    &'static [&'static str],
+    Box<Scenario>,
+)>;
+
+/// Explore every row under its own budget. Deterministic for a fixed
+/// budget: same seed → same schedule counts and verdicts.
+pub(crate) fn run_rows(rows: Rows, budget: &CheckBudget) -> Vec<ConstructReport> {
+    let run = |(idx, construct, property, scenario): (u64, _, _, Box<Scenario>)| {
+        run_construct(construct, property, &*scenario, &budget.to_budget(idx))
+    };
+    rows.into_iter().map(run).collect()
 }
 
 pub(crate) fn run_construct(
@@ -332,9 +404,7 @@ pub(crate) fn run_construct(
 /// Check every lock-free construct of the suite. Deterministic for a fixed
 /// budget: same seed → same schedule counts and verdicts.
 pub fn check_suite(budget: &CheckBudget) -> Vec<ConstructReport> {
-    // The leading index seeds the row's budget; it is part of the row's
-    // identity, so rows keep theirs when a neighbour is retired.
-    let rows: Vec<(u64, &'static str, &'static str, Box<Scenario>)> = vec![
+    let rows: Rows = vec![
         (
             0,
             "queue/treiber",
@@ -351,25 +421,25 @@ pub fn check_suite(budget: &CheckBudget) -> Vec<ConstructReport> {
             3,
             "barrier/sense",
             "phase separation, deadlock-free",
-            Box::new(sense_barrier_scenario(false)),
+            Box::new(sense_barrier_scenario(SyncMode::LockFree)),
         ),
         (
             4,
             "counter/getsub",
             "linearizable index grab, race-free",
-            Box::new(getsub_scenario(TicketSpec::SPLASH4)),
+            Box::new(getsub_scenario(SyncMode::LockFree)),
         ),
         (
             5,
             "reduce/f64-cas",
             "linearizable sum, no lost updates",
-            Box::new(reduce_f64_scenario(false)),
+            Box::new(reduce_f64_scenario(SyncMode::LockFree)),
         ),
         (
             6,
             "reduce/u64",
             "linearizable sum, no lost updates",
-            Box::new(reduce_u64_scenario()),
+            Box::new(reduce_u64_scenario(SyncMode::LockFree)),
         ),
         (
             7,
@@ -378,21 +448,13 @@ pub fn check_suite(budget: &CheckBudget) -> Vec<ConstructReport> {
             Box::new(flag_scenario(FlagSpec::SPLASH4)),
         ),
     ];
-    rows.into_iter()
-        .map(|(idx, construct, property, scenario)| {
-            run_construct(construct, property, &*scenario, &budget.to_budget(idx))
-        })
-        .collect()
+    run_rows(rows, budget)
 }
 
-/// The mutant catalog: deliberately broken constructs the checker must
-/// catch (one per bug class: weakened ordering, lost wakeup, lost update).
-pub fn mutants() -> Vec<(
-    &'static str,
-    &'static str,
-    &'static [&'static str],
-    Box<Scenario>,
-)> {
+/// The mutant catalog: the shipped constructs under one mutated ordering
+/// table or one injected fault, which the checker must catch (one per bug
+/// class: weakened ordering, lost wakeup, lost update).
+pub fn mutants() -> MutantCatalog {
     vec![
         (
             "treiber-relaxed-pop",
@@ -408,13 +470,19 @@ pub fn mutants() -> Vec<(
             "barrier-missing-flip",
             "SenseBarrier winner forgets the generation flip",
             &["deadlock"] as &[_],
-            Box::new(sense_barrier_scenario(true)),
+            Box::new(mutated(
+                |sb| sb.fault("barrier.generation", Fault::Dropped),
+                sense_barrier_scenario(SyncMode::LockFree),
+            )),
         ),
         (
             "reduce-lost-update",
-            "AtomicF64 CAS loop replaced by load/compute/store",
+            "AtomicF64 CAS executes as load/compute/store",
             &["invariant", "not-linearizable"] as &[_],
-            Box::new(reduce_f64_scenario(true)),
+            Box::new(mutated(
+                |sb| sb.fault("reduce.f64", Fault::Torn),
+                reduce_f64_scenario(SyncMode::LockFree),
+            )),
         ),
     ]
 }
@@ -426,12 +494,7 @@ pub fn check_mutants(budget: &CheckBudget) -> Vec<MutantReport> {
 
 /// Shared mutant-catalog driver (also used by the kernel-scenario catalog).
 pub(crate) fn run_mutant_catalog(
-    catalog: Vec<(
-        &'static str,
-        &'static str,
-        &'static [&'static str],
-        Box<Scenario>,
-    )>,
+    catalog: MutantCatalog,
     budget: &CheckBudget,
     base_idx: u64,
 ) -> Vec<MutantReport> {

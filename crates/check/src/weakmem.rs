@@ -22,7 +22,7 @@
 
 use crate::engine::{MemoryModel, Sandbox};
 use crate::explore::{explore, Budget, Scenario};
-use crate::suite::{run_construct, CheckBudget, ConstructReport, MutantReport};
+use crate::suite::{run_construct, CheckBudget, ConstructReport, MutantCatalog, MutantReport};
 use splash4_parmacs::{CMapSpec, EpochSpec, FlagSpec, HazardSpec, SenseBarrierSpec};
 use std::sync::atomic::Ordering;
 
@@ -260,12 +260,7 @@ pub fn check_weakmem(budget: &CheckBudget) -> Vec<ConstructReport> {
 /// The W1 mutant catalog: one flipped ordering per entry, every one
 /// invisible to SC interleaving search (no plain data to race, values always
 /// latest) and catchable only through weak-memory value exploration.
-pub fn weakmem_mutants() -> Vec<(
-    &'static str,
-    &'static str,
-    &'static [&'static str],
-    Box<Scenario>,
-)> {
+pub fn weakmem_mutants() -> MutantCatalog {
     vec![
         (
             "flag-wait-relaxed",

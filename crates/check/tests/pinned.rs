@@ -1,16 +1,19 @@
 //! The decision sequence of a (scenario, driver) pair is part of the
 //! checker's contract: schedule strings in reports and bug trackers replay
 //! only while the engine takes the same decisions in the same order. These
-//! constants were captured at the commit *before* scheduling moved from a
-//! controller thread into the virtual threads, so they pin that move (and
-//! any later engine change) to the old decision sequence.
+//! constants pin the *engine*, so every scenario here is built from raw
+//! engine cells and contains no construct code — a refactor of a shipped
+//! construct changes its own schedule points, never these. The `mp_flag`
+//! rows were captured at the commit before scheduling moved from a
+//! controller thread into the virtual threads; the locked-queue and cmap
+//! rows at the commit before the scenarios began to run the shipped
+//! constructs through the `Atomics` facade.
 
 use splash4_check::{
-    explore, mp_flag_scenario, replay, replay_under, treiber_scenario, Budget, MemoryModel,
-    Schedule, WEAK_STALE_READS,
+    cmap_chain_scenario, explore, locked_queue_scenario, mp_flag_scenario, replay, replay_under,
+    Budget, MemoryModel, Schedule, WEAK_STALE_READS,
 };
-use splash4_parmacs::{FlagSpec, TreiberSpec};
-use std::sync::atomic::Ordering;
+use splash4_parmacs::{CMapSpec, FlagSpec};
 
 const WEAK: MemoryModel = MemoryModel::Weak {
     stale_reads: WEAK_STALE_READS,
@@ -18,7 +21,7 @@ const WEAK: MemoryModel = MemoryModel::Weak {
 
 #[test]
 fn decisions_are_pinned() {
-    let sc = explore(&treiber_scenario(TreiberSpec::SPLASH4), &Budget::small(1));
+    let sc = explore(&locked_queue_scenario(), &Budget::small(1));
     assert!(sc.counterexample.is_none());
     assert_eq!((sc.distinct_schedules, sc.executions), (512, 512));
 
@@ -30,30 +33,32 @@ fn decisions_are_pinned() {
     assert!(wk.counterexample.is_none());
     assert_eq!((wk.distinct_schedules, wk.executions), (29, 2000));
 
-    let mutant = treiber_scenario(TreiberSpec {
-        pop_load: Ordering::Relaxed,
-        pop_cas_fail: Ordering::Relaxed,
-        ..TreiberSpec::SPLASH4
-    });
-    let cex = explore(&mutant, &Budget::small(1))
+    let mutant = explore(
+        &cmap_chain_scenario(CMapSpec::SPLASH4, true),
+        &Budget::small(1),
+    );
+    assert_eq!((mutant.distinct_schedules, mutant.executions), (221, 221));
+    let cex = mutant
         .counterexample
-        .expect("treiber-relaxed-pop must be caught");
-    assert_eq!(cex.schedule.to_string(), "0*5,1*5");
+        .expect("cmap-blind-mark must be caught");
+    assert_eq!(cex.schedule.to_string(), "0*3,1*6,0*5");
 }
 
-/// Both explorations above run into a cap, so their counts alone would
+/// The clean explorations above run into a cap, so their counts alone would
 /// survive a reordering of decisions; a replayed prefix and the default-policy
 /// tail the engine appends to it pin the sequence itself — thread choices
 /// under `Sc`, thread and value-window choices interleaved under `Weak`.
 #[test]
 fn replayed_prefixes_are_pinned() {
-    let treiber = treiber_scenario(TreiberSpec::SPLASH4);
+    let locked = locked_queue_scenario();
     for (prefix, full, steps) in [
         ("-", "0*5,1*5", 12),
-        ("1,2,0,1,2,0", "1,2,0,1,2,0*4,1*4", 12),
-        ("2*3,1*2,0*4,2", "2*3,1*2,0*5", 11),
+        ("1,2,0,1,2,0", "1,2,0,1,2,0,1*2,0*5", 14),
+        ("2*3,1*2,0*4,2", "2*3,1*2,0*2,1,0,2*2,0*4", 13),
+        ("0,1,0,1,2,2,0", "0,1,0,1,2*2,0*2,1*5", 14),
     ] {
-        let re = replay(&treiber, &Schedule::parse(prefix).unwrap(), 20_000);
+        let re = replay(&locked, &Schedule::parse(prefix).unwrap(), 20_000);
+        assert!(re.failure.is_none(), "{prefix}: {:?}", re.failure);
         assert_eq!((re.schedule.to_string().as_str(), re.steps), (full, steps));
     }
     let mp_flag = mp_flag_scenario(FlagSpec::SPLASH4);

@@ -180,17 +180,17 @@ const EXPERIMENTS: [(&str, Runner); 18] = [
         )
     }),
     // `C1-combining` (extension): model checking the flat-combining core and
-    // every construct that plugs into it. Shadow replicas of the combined
-    // reducer cells (u64 and f64), `GETSUB` cursor, and barrier arrival run
-    // under the checker with the protocol's record arguments and results
-    // modeled as *plain data*: the real core keeps them in `Relaxed` atomics
-    // ordered only by the publish→scan and complete→wait edges, so any
-    // weakening of those edges surfaces as a vector-clock data race rather
-    // than a silently narrowed search. The mutant table seeds the three
-    // flat-combining protocol bugs — a lost publication record, a combiner
-    // that exits before draining, and a stale result handoff — plus a
-    // relaxed scan, each of which must fall with a replayable
-    // counterexample schedule.
+    // every construct that plugs into it. The shipped combined reducer cells
+    // (u64 and f64), `GETSUB` cursor, and barrier arrival run under the
+    // checker — the `V1-check` scenario bodies built with
+    // `SyncMode::Combining` — with the protocol's record arguments and
+    // results being what they are in the core, *plain data* ordered only by
+    // the publish→scan and complete→wait edges, so any weakening of those
+    // edges surfaces as a vector-clock data race rather than a silently
+    // narrowed search. The mutant table seeds the flat-combining protocol
+    // bugs — a lost publication record, a relaxed scan, a dropped publish,
+    // and a stale result handoff — each of which must fall with a
+    // replayable counterexample schedule.
     ("C1-combining", |id, _| {
         check_report(
             id,
@@ -201,8 +201,10 @@ const EXPERIMENTS: [(&str, Runner); 18] = [
         )
     }),
     // `R1-reclaim` (extension): model checking the reclamation layer and the
-    // dynamic task pools built on it. Shadow replicas of the Michael-Scott
-    // queue and the elimination-backoff exchange run against FIFO/LIFO
+    // dynamic task pools built on it. Hand-written skeletons of the
+    // Michael-Scott queue and the elimination-backoff exchange (these free
+    // memory, so they are not yet run for real like the `parmacs`
+    // constructs of V1/V2/C1) run against FIFO/LIFO
     // linearizability specs, and two protocol scenarios model the
     // reclamation invariants directly: a free is a poison write, so a
     // premature free is a data race or a poisoned-value invariant failure,

@@ -7,11 +7,10 @@
 //! truncation limit, then fall back to [`std::thread::yield_now`] so
 //! oversubscribed hosts (more runnable threads than cores) stay live.
 //!
-//! The policy is deliberately *not* randomized: the runtime's check shadows
-//! (`crates/check`) replay schedules deterministically, and the memory
-//! orderings of the loops using `Backoff` are pinned by `crate::spec` tables
-//! — backoff only shapes *when* the next load happens, never *what* it
-//! observes.
+//! The policy is deliberately *not* randomized, and it only shapes *when*
+//! the next load happens, never *what* it observes: the orderings of the
+//! loops using `Backoff` are pinned by `crate::spec` tables, and under the
+//! model checker the wait is a park on the awaited word instead.
 
 /// Exponential spin/yield backoff state for one wait episode.
 ///

@@ -13,13 +13,13 @@
 //! Both are reusable (cyclic) and instrumented through a shared
 //! [`SyncCounters`].
 
+use crate::atomics::{Atomics, IntWord, Std, Word};
 use crate::backoff::Backoff;
 use crate::combining::CombiningCore;
 use crate::spec::SenseBarrierSpec;
 use crate::stats::{Counter, SyncCounters};
 use crate::trace::TraceEvent;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// A reusable (cyclic) phase barrier for a fixed set of participants.
@@ -96,12 +96,12 @@ impl fmt::Debug for CondvarBarrier {
 }
 
 /// How a [`SenseBarrier`] counts arrivals.
-enum Arrival {
+enum Arrival<A: Atomics> {
     /// Splash-4: every arriver `fetch_add`s one central counter.
-    FetchAdd(AtomicUsize),
+    FetchAdd(A::Usize),
     /// Splash-4x: one combiner counts a whole batch of arrivals in its cache
     /// instead of `n` threads hitting the same counter line.
-    Combined(CombiningCore<u64>),
+    Combined(CombiningCore<u64, A>),
 }
 
 /// Combiner-side arrival count: `arg` is the participant count; the result
@@ -125,22 +125,23 @@ const OP_ARRIVE: u64 = 1;
 /// The classic per-thread "local sense" is replaced by an equivalent
 /// generation counter, which keeps the barrier free of per-thread state and
 /// therefore shareable behind `&self`.
-pub struct SenseBarrier {
+pub struct SenseBarrier<A: Atomics = Std> {
     n: usize,
-    arrival: Arrival,
-    generation: AtomicU64,
+    arrival: Arrival<A>,
+    generation: A::U64,
     stats: Arc<SyncCounters>,
     trace_id: u32,
 }
 
-impl SenseBarrier {
+impl<A: Atomics> SenseBarrier<A> {
     /// Barrier for `n` participants arriving by `fetch_add`, reporting into
     /// `stats`.
     ///
     /// # Panics
     /// Panics if `n == 0`.
-    pub fn new(n: usize, stats: Arc<SyncCounters>) -> SenseBarrier {
-        SenseBarrier::with_arrival(n, Arrival::FetchAdd(AtomicUsize::new(0)), stats)
+    pub fn new(n: usize, stats: Arc<SyncCounters>) -> SenseBarrier<A> {
+        let arrived = A::Usize::new("barrier.arrived", 0);
+        SenseBarrier::with_arrival(n, Arrival::FetchAdd(arrived), stats)
     }
 
     /// Barrier for `n` participants whose arrivals are batched through a
@@ -148,17 +149,17 @@ impl SenseBarrier {
     ///
     /// # Panics
     /// Panics if `n == 0`.
-    pub(crate) fn combining(n: usize, stats: Arc<SyncCounters>) -> SenseBarrier {
-        let core = CombiningCore::new(n, 0, apply_arrive, Arc::clone(&stats));
+    pub fn combining(n: usize, stats: Arc<SyncCounters>) -> SenseBarrier<A> {
+        let core = CombiningCore::new_in(n, 0, apply_arrive, Arc::clone(&stats));
         SenseBarrier::with_arrival(n, Arrival::Combined(core), stats)
     }
 
-    fn with_arrival(n: usize, arrival: Arrival, stats: Arc<SyncCounters>) -> SenseBarrier {
+    fn with_arrival(n: usize, arrival: Arrival<A>, stats: Arc<SyncCounters>) -> SenseBarrier<A> {
         assert!(n > 0, "barrier needs at least one participant");
         SenseBarrier {
             n,
             arrival,
-            generation: AtomicU64::new(0),
+            generation: A::U64::new("barrier.generation", 0),
             trace_id: stats.alloc_barrier_id(),
             stats,
         }
@@ -166,14 +167,13 @@ impl SenseBarrier {
 
     /// Count one arrival; `true` for the arrival that completes the episode
     /// (wherever a combiner applied it).
-    fn arrive(&self) -> bool {
-        const S: SenseBarrierSpec = SenseBarrierSpec::SPLASH4;
+    fn arrive(&self, s: SenseBarrierSpec) -> bool {
         match &self.arrival {
             Arrival::FetchAdd(arrived) => {
                 self.stats.bump(Counter::AtomicRmws);
-                let last = arrived.fetch_add(1, S.arrive_rmw) == self.n - 1;
+                let last = arrived.fetch_add(1, s.arrive_rmw) == self.n - 1;
                 if last {
-                    arrived.store(0, S.arrived_reset);
+                    arrived.store(0, s.arrived_reset);
                 }
                 last
             }
@@ -182,21 +182,21 @@ impl SenseBarrier {
     }
 }
 
-impl Barrier for SenseBarrier {
+impl<A: Atomics> Barrier for SenseBarrier<A> {
     fn wait(&self, _tid: usize) {
-        const S: SenseBarrierSpec = SenseBarrierSpec::SPLASH4;
+        let s = A::spec(SenseBarrierSpec::SPLASH4);
         self.stats.bump(Counter::BarrierWaits);
         self.stats
             .trace(TraceEvent::BarrierEnter { id: self.trace_id });
         self.stats.timed(Counter::BarrierWaitNs, || {
-            let gen = self.generation.load(S.generation_load);
-            if self.arrive() {
+            let gen = self.generation.load(s.generation_load);
+            if self.arrive(s) {
                 // Last arriver: release everyone.
-                self.generation.fetch_add(1, S.generation_bump);
+                self.generation.fetch_add(1, s.generation_bump);
             } else {
                 let mut backoff = Backoff::new();
-                while self.generation.load(S.spin_load) == gen {
-                    backoff.snooze();
+                while self.generation.load(s.spin_load) == gen {
+                    self.generation.snooze(&mut backoff);
                 }
             }
         });
@@ -209,7 +209,7 @@ impl Barrier for SenseBarrier {
     }
 }
 
-impl fmt::Debug for SenseBarrier {
+impl<A: Atomics> fmt::Debug for SenseBarrier<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SenseBarrier").field("n", &self.n).finish()
     }

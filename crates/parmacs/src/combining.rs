@@ -17,17 +17,18 @@
 //! [`Reducer`](crate::reduce::Reducer) through the crate's serial executor,
 //! [`SenseBarrier`](crate::barrier::SenseBarrier) as its arrival phase.
 //! Every atomic ordering comes from
-//! [`CombiningSpec`](crate::spec::CombiningSpec), and `splash4-check` drives
-//! shadow replicas of the same protocol from the same spec (`C1-combining`).
+//! [`CombiningSpec`](crate::spec::CombiningSpec); arguments, results and the
+//! combined state are plain data ([`DataCell`]) ordered only by the
+//! protocol's edges, and `splash4-check` runs this core over its own
+//! [`Atomics`] to check exactly that (`C1-combining`).
 
+use crate::atomics::{Atomics, DataCell, Std, Word};
 use crate::backoff::Backoff;
 use crate::pad::CachePadded;
 use crate::spec::CombiningSpec;
 use crate::stats::{Counter, SyncCounters};
 use crate::team::current_tid;
-use std::cell::UnsafeCell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Opcode value meaning "no request pending" in a publication record.
@@ -41,25 +42,26 @@ const MAX_COMBINE_PASSES: usize = 4;
 
 /// One per-thread publication record. Padded so a waiter spinning on its own
 /// record never shares a line with another thread's record or the lock word.
-#[derive(Debug)]
-struct Record {
+struct Record<A: Atomics> {
     /// Claim flag: 0 free, 1 owned by the thread currently running an op.
-    busy: AtomicU64,
+    busy: A::U64,
     /// Pending opcode ([`EMPTY`] when no request is published).
-    req: AtomicU64,
-    /// Request argument (bit pattern; meaning is opcode-specific).
-    arg: AtomicU64,
-    /// Operation result, valid once `req` returns to [`EMPTY`].
-    result: AtomicU64,
+    req: A::U64,
+    /// Request argument (bit pattern; meaning is opcode-specific). Written
+    /// by the record's owner before it publishes `req`.
+    arg: A::Cell<u64>,
+    /// Operation result, written by the combiner before it returns `req` to
+    /// [`EMPTY`].
+    result: A::Cell<u64>,
 }
 
-impl Record {
-    fn new() -> Record {
+impl<A: Atomics> Record<A> {
+    fn new() -> Record<A> {
         Record {
-            busy: AtomicU64::new(0),
-            req: AtomicU64::new(EMPTY),
-            arg: AtomicU64::new(0),
-            result: AtomicU64::new(0),
+            busy: A::U64::new("combining.busy", 0),
+            req: A::U64::new("combining.req", EMPTY),
+            arg: A::Cell::new("combining.arg", 0),
+            result: A::Cell::new("combining.result", 0),
         }
     }
 }
@@ -70,22 +72,23 @@ impl Record {
 /// result`. It runs only on the thread holding the combiner lock, so it may
 /// mutate state freely; opcodes are opaque to the core (each construct
 /// defines its own, all non-zero).
-pub struct CombiningCore<T> {
+pub struct CombiningCore<T, A: Atomics = Std> {
     /// Combiner lock word: 0 free, 1 held. Padded away from the records, and
     /// boxed so the core itself stays a few words however it is embedded.
-    lock: Box<CachePadded<AtomicU64>>,
+    lock: Box<CachePadded<A::U64>>,
     /// One publication record per expected thread.
-    records: Box<[CachePadded<Record>]>,
+    records: Box<[CachePadded<Record<A>>]>,
     /// Combiner-owned state; only touched with `lock` held.
-    state: UnsafeCell<T>,
+    state: A::Cell<T>,
     apply: fn(&mut T, u64, u64) -> u64,
     stats: Arc<SyncCounters>,
 }
 
 // SAFETY: `state` is only accessed by the thread holding the combiner lock
-// (see `combine`), and records are individually atomic.
-unsafe impl<T: Send> Sync for CombiningCore<T> {}
-unsafe impl<T: Send> Send for CombiningCore<T> {}
+// (see `combine`); a record's `arg` and `result` only by its owner or, while
+// `req` is published, by the combiner; everything else is a `Word`.
+unsafe impl<T: Send, A: Atomics> Sync for CombiningCore<T, A> {}
+unsafe impl<T: Send, A: Atomics> Send for CombiningCore<T, A> {}
 
 impl<T> CombiningCore<T> {
     /// Core for up to `nthreads` concurrent publishers (clamped to at least
@@ -96,11 +99,23 @@ impl<T> CombiningCore<T> {
         apply: fn(&mut T, u64, u64) -> u64,
         stats: Arc<SyncCounters>,
     ) -> CombiningCore<T> {
+        CombiningCore::new_in(nthreads, state, apply, stats)
+    }
+}
+
+impl<T, A: Atomics> CombiningCore<T, A> {
+    /// [`CombiningCore::new`] over any [`Atomics`].
+    pub fn new_in(
+        nthreads: usize,
+        state: T,
+        apply: fn(&mut T, u64, u64) -> u64,
+        stats: Arc<SyncCounters>,
+    ) -> CombiningCore<T, A> {
         let n = nthreads.max(1);
         CombiningCore {
-            lock: Box::new(CachePadded::new(AtomicU64::new(0))),
+            lock: Box::new(CachePadded::new(A::U64::new("combining.lock", 0))),
             records: (0..n).map(|_| CachePadded::new(Record::new())).collect(),
-            state: UnsafeCell::new(state),
+            state: A::Cell::new("combining.state", state),
             apply,
             stats,
         }
@@ -109,7 +124,8 @@ impl<T> CombiningCore<T> {
     /// Claim a free publication record, preferring the caller's team slot.
     /// Oversubscribed or out-of-team threads probe linearly; with as many
     /// records as team members a record is always eventually free.
-    fn claim_record(&self) -> &Record {
+    fn claim_record(&self) -> &Record<A> {
+        let s = A::spec(CombiningSpec::SPLASH4X);
         let n = self.records.len();
         let start = current_tid() % n;
         let mut backoff = Backoff::new();
@@ -118,20 +134,22 @@ impl<T> CombiningCore<T> {
                 let rec = &*self.records[(start + i) % n];
                 if rec
                     .busy
-                    .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
+                    .compare_exchange(0, 1, s.claim_cas_ok, s.claim_cas_fail)
                     .is_ok()
                 {
                     return rec;
                 }
             }
-            backoff.snooze();
+            // Wait on the record probed last: its failed CAS is the check
+            // this wait directly follows.
+            self.records[(start + n - 1) % n].busy.snooze(&mut backoff);
         }
     }
 
     /// Execute `(op, arg)` through the combining protocol and return its
     /// result. `op` must be non-zero.
     pub fn run(&self, op: u64, arg: u64) -> u64 {
-        const S: CombiningSpec = CombiningSpec::SPLASH4X;
+        let s = A::spec(CombiningSpec::SPLASH4X);
         debug_assert_ne!(op, EMPTY, "opcode 0 is reserved for empty records");
         self.stats.bump(Counter::CombineOps);
         // The publication itself is the op's one guaranteed atomic RMW-class
@@ -139,46 +157,53 @@ impl<T> CombiningCore<T> {
         // work, and are deliberately not multiplied into the tally).
         self.stats.bump(Counter::AtomicRmws);
         let rec = self.claim_record();
-        rec.arg.store(arg, S.arg_store);
-        rec.req.store(op, S.publish_store);
+        // SAFETY: we own the record and `req` is EMPTY, so no combiner
+        // reads `arg` before the publish store below.
+        unsafe { rec.arg.with_mut(|a| *a = arg) };
+        rec.req.store(op, s.publish_store);
         let mut backoff = Backoff::new();
         loop {
-            if rec.req.load(S.wait_load) == EMPTY {
+            if rec.req.load(s.wait_load) == EMPTY {
                 break; // a combiner served us
             }
             if self
                 .lock
-                .compare_exchange(0, 1, S.lock_cas_ok, S.lock_cas_fail)
+                .compare_exchange(0, 1, s.lock_cas_ok, s.lock_cas_fail)
                 .is_ok()
             {
-                // We are the combiner; our own record is drained too.
-                self.combine();
-                self.lock.store(0, S.lock_release);
-                debug_assert_eq!(rec.req.load(Ordering::Relaxed), EMPTY);
+                // We are the combiner; our own record is drained too (it
+                // was published before the first pass).
+                self.combine(s);
+                self.lock.store(0, s.lock_release);
                 break;
             }
-            backoff.snooze();
+            self.lock.snooze(&mut backoff);
         }
-        let out = rec.result.load(S.result_load);
-        rec.busy.store(0, Ordering::Release);
+        // SAFETY: `req` went back to EMPTY, so the combiner's write of
+        // `result` happened before (or we were the combiner).
+        let out = unsafe { rec.result.with(|r| *r) };
+        rec.busy.store(0, s.claim_release);
         out
     }
 
     /// Drain pending publication records. Caller must hold the lock.
-    fn combine(&self) {
-        const S: CombiningSpec = CombiningSpec::SPLASH4X;
+    fn combine(&self, s: CombiningSpec) {
         self.stats.bump(Counter::CombineBatches);
-        // SAFETY: combiner lock held — exclusive access to the state.
-        let state = unsafe { &mut *self.state.get() };
         for _pass in 0..MAX_COMBINE_PASSES {
             let mut served = 0usize;
             for rec in self.records.iter() {
-                let req = rec.req.load(S.scan_load);
+                let req = rec.req.load(s.scan_load);
                 if req != EMPTY {
-                    let arg = rec.arg.load(Ordering::Relaxed);
-                    let out = (self.apply)(state, req, arg);
-                    rec.result.store(out, S.result_store);
-                    rec.req.store(EMPTY, S.complete_store);
+                    // SAFETY: combiner lock held — exclusive access to the
+                    // state, and to `arg`/`result` of a record whose `req`
+                    // reads non-EMPTY (its owner waits for the completion
+                    // store below).
+                    unsafe {
+                        let arg = rec.arg.with(|a| *a);
+                        let out = self.state.with_mut(|state| (self.apply)(state, req, arg));
+                        rec.result.with_mut(|r| *r = out);
+                    }
+                    rec.req.store(EMPTY, s.complete_store);
                     served += 1;
                 }
             }
@@ -194,7 +219,7 @@ impl<T> CombiningCore<T> {
     }
 }
 
-impl<T> fmt::Debug for CombiningCore<T> {
+impl<T, A: Atomics> fmt::Debug for CombiningCore<T, A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CombiningCore")
             .field("records", &self.records.len())

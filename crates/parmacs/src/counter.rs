@@ -14,6 +14,7 @@
 //! reports exhaustion. Chunked grabs ([`IndexCounter::next_chunk`]) model
 //! the block-`GETSUB` variant some kernels use.
 
+use crate::atomics::{Atomics, IntWord, Std, Word};
 use crate::mode::SyncMode;
 use crate::serial::Serial;
 use crate::spec::TicketSpec;
@@ -21,7 +22,7 @@ use crate::stats::{Counter, SyncCounters};
 use crate::trace::TraceEvent;
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Sequential cursor state: the dispensing cursor plus its range bounds
@@ -49,29 +50,29 @@ fn apply_counter(s: &mut CounterState, op: u64, arg: u64) -> u64 {
     }
 }
 
-enum Cursor {
+enum Cursor<A: Atomics> {
     /// Splash-4: one `fetch_add` per grab.
-    FetchAdd(AtomicUsize),
+    FetchAdd(A::Usize),
     /// Splash-3 / Splash-4x: [`apply_counter`] under the serial executor.
-    Serial(Serial<CounterState>),
+    Serial(Serial<CounterState, A>),
 }
 
 /// A work-index dispenser over a half-open range (the `GETSUB` construct).
-pub struct IndexCounter {
+pub struct IndexCounter<A: Atomics = Std> {
     range: Range<usize>,
-    cursor: Cursor,
+    cursor: Cursor<A>,
     stats: Arc<SyncCounters>,
 }
 
-impl IndexCounter {
+impl<A: Atomics> IndexCounter<A> {
     /// Dispenser over `range` expanded per `mode` for a team of `nthreads`,
     /// reporting into `stats`.
-    pub(crate) fn new(
+    pub fn new(
         mode: SyncMode,
         range: Range<usize>,
         nthreads: usize,
         stats: Arc<SyncCounters>,
-    ) -> IndexCounter {
+    ) -> IndexCounter<A> {
         let state = CounterState {
             next: range.start as u64,
             start: range.start as u64,
@@ -79,7 +80,7 @@ impl IndexCounter {
         };
         let cursor = match Serial::for_mode(mode, nthreads, state, apply_counter, &stats) {
             Some(serial) => Cursor::Serial(serial),
-            None => Cursor::FetchAdd(AtomicUsize::new(range.start)),
+            None => Cursor::FetchAdd(A::Usize::new("counter.next", range.start)),
         };
         IndexCounter {
             range,
@@ -134,10 +135,10 @@ impl IndexCounter {
     /// large `chunk` is the raw value overshoots the end by no more than one
     /// range length per in-flight grab before [`IndexCounter::clamp`] pulls
     /// it back — it cannot wrap and re-issue an index.
-    fn fetch_add(&self, value: &AtomicUsize, chunk: usize) -> usize {
+    fn fetch_add(&self, value: &A::Usize, chunk: usize) -> usize {
         self.stats.bump(Counter::AtomicRmws);
         let step = chunk.min(self.range.len());
-        let raw = value.fetch_add(step, TicketSpec::SPLASH4.claim_rmw);
+        let raw = value.fetch_add(step, A::spec(TicketSpec::SPLASH4).claim_rmw);
         let after = raw.wrapping_add(step);
         if after > self.range.end {
             self.clamp(value, after);
@@ -155,7 +156,7 @@ impl IndexCounter {
     /// is deliberately *not* instrumented — it is bookkeeping, not a logical
     /// `GETSUB` operation, so `T2`/`T3` op counts are unchanged.
     #[cold]
-    fn clamp(&self, value: &AtomicUsize, observed: usize) {
+    fn clamp(&self, value: &A::Usize, observed: usize) {
         let end = self.range.end;
         let mut cur = observed;
         for _ in 0..8 {
@@ -170,7 +171,7 @@ impl IndexCounter {
     }
 }
 
-impl fmt::Debug for IndexCounter {
+impl<A: Atomics> fmt::Debug for IndexCounter<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("IndexCounter")
             .field("range", &self.range)
@@ -192,7 +193,8 @@ mod tests {
         // lives here rather than in the `SyncEnv`-level suite.
         let stats = Arc::new(SyncCounters::new());
         const THREADS: usize = 4;
-        let c = IndexCounter::new(SyncMode::LockFree, 0..10, THREADS, Arc::clone(&stats));
+        let c: IndexCounter =
+            IndexCounter::new(SyncMode::LockFree, 0..10, THREADS, Arc::clone(&stats));
         let Cursor::FetchAdd(raw) = &c.cursor else {
             panic!("lock-free mode must use the fetch_add cursor");
         };

@@ -6,6 +6,7 @@
 //! That single indirection is the entire difference between running a kernel
 //! "as Splash-3" and "as Splash-4" — the algorithmic code is byte-identical.
 
+use crate::atomics::Std;
 use crate::barrier::{Barrier, CondvarBarrier, SenseBarrier};
 use crate::counter::IndexCounter;
 use crate::flag::{AtomicFlag, CondvarFlag, PauseVar};
@@ -125,8 +126,8 @@ impl SyncEnv {
         let stats = Arc::clone(&self.stats);
         match self.mode_for(ConstructClass::Barrier) {
             SyncMode::LockBased => Arc::new(CondvarBarrier::new(n, stats)),
-            SyncMode::LockFree => Arc::new(SenseBarrier::new(n, stats)),
-            SyncMode::Combining => Arc::new(SenseBarrier::combining(n, stats)),
+            SyncMode::LockFree => Arc::new(SenseBarrier::<Std>::new(n, stats)),
+            SyncMode::Combining => Arc::new(SenseBarrier::<Std>::combining(n, stats)),
         }
     }
 
@@ -179,7 +180,7 @@ impl SyncEnv {
         match self.mode_for(ConstructClass::Flag) {
             SyncMode::LockBased => Arc::new(CondvarFlag::new(Arc::clone(&self.stats))),
             SyncMode::LockFree | SyncMode::Combining => {
-                Arc::new(AtomicFlag::new(Arc::clone(&self.stats)))
+                Arc::new(AtomicFlag::<Std>::new(Arc::clone(&self.stats)))
             }
         }
     }
@@ -197,7 +198,7 @@ impl SyncEnv {
         match self.mode_for(ConstructClass::Queue) {
             SyncMode::LockBased => Arc::new(LockedQueue::new(Arc::clone(&self.stats))),
             SyncMode::LockFree | SyncMode::Combining => {
-                Arc::new(TreiberStack::new(Arc::clone(&self.stats)))
+                Arc::new(TreiberStack::<T>::new(Arc::clone(&self.stats)))
             }
         }
     }

@@ -6,11 +6,14 @@
 //! ordering ([`AtomicFlag`]). The `lu` and `cholesky` kernels use arrays of
 //! these as column/block "done" signals.
 
+use crate::atomics::{Atomics, Std, Word};
+use crate::backoff::Backoff;
 use crate::mode::ConstructClass;
+use crate::spec::FlagSpec;
 use crate::stats::{Counter, SyncCounters};
 use crate::trace::TraceEvent;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// One-way signalling flag.
@@ -85,46 +88,45 @@ impl fmt::Debug for CondvarFlag {
 }
 
 /// Atomic pause variable (Splash-4): release store, acquire spin.
-pub struct AtomicFlag {
-    set: AtomicBool,
+pub struct AtomicFlag<A: Atomics = Std> {
+    set: A::Bool,
     stats: Arc<SyncCounters>,
 }
 
-impl AtomicFlag {
+impl<A: Atomics> AtomicFlag<A> {
     /// New unset flag reporting into `stats`.
-    pub fn new(stats: Arc<SyncCounters>) -> AtomicFlag {
+    pub fn new(stats: Arc<SyncCounters>) -> AtomicFlag<A> {
         AtomicFlag {
-            set: AtomicBool::new(false),
+            set: A::Bool::new("flag", false),
             stats,
         }
     }
 }
 
-impl PauseVar for AtomicFlag {
+impl<A: Atomics> PauseVar for AtomicFlag<A> {
     fn set(&self) {
         self.stats.trace(TraceEvent::Rmw {
             class: ConstructClass::Flag,
             n: 1,
         });
-        self.set
-            .store(true, crate::spec::FlagSpec::SPLASH4.set_store);
+        self.set.store(true, A::spec(FlagSpec::SPLASH4).set_store);
     }
 
     fn wait(&self) {
-        const S: crate::spec::FlagSpec = crate::spec::FlagSpec::SPLASH4;
-        if !self.set.load(S.wait_load) {
+        let s = A::spec(FlagSpec::SPLASH4);
+        if !self.set.load(s.wait_load) {
             self.stats.bump(Counter::FlagWaits);
             self.stats.timed(Counter::FlagWaitNs, || {
-                let mut backoff = crate::backoff::Backoff::new();
-                while !self.set.load(S.wait_load) {
-                    backoff.snooze();
+                let mut backoff = Backoff::new();
+                while !self.set.load(s.wait_load) {
+                    self.set.snooze(&mut backoff);
                 }
             });
         }
     }
 
     fn is_set(&self) -> bool {
-        self.set.load(crate::spec::FlagSpec::SPLASH4.wait_load)
+        self.set.load(A::spec(FlagSpec::SPLASH4).wait_load)
     }
 
     fn clear(&self) {
@@ -132,7 +134,7 @@ impl PauseVar for AtomicFlag {
     }
 }
 
-impl fmt::Debug for AtomicFlag {
+impl<A: Atomics> fmt::Debug for AtomicFlag<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AtomicFlag")
             .field("set", &self.is_set())
@@ -174,7 +176,7 @@ mod tests {
     #[test]
     fn atomic_flag_hands_off() {
         let stats = Arc::new(SyncCounters::new());
-        let flag: Arc<dyn PauseVar> = Arc::new(AtomicFlag::new(Arc::clone(&stats)));
+        let flag: Arc<dyn PauseVar> = Arc::new(AtomicFlag::<Std>::new(Arc::clone(&stats)));
         handoff(flag);
         assert_eq!(stats.snapshot().flag_waits, 1);
     }
@@ -183,7 +185,7 @@ mod tests {
     fn already_set_does_not_count_as_wait() {
         for flag in [
             Arc::new(CondvarFlag::new(Arc::new(SyncCounters::new()))) as Arc<dyn PauseVar>,
-            Arc::new(AtomicFlag::new(Arc::new(SyncCounters::new()))) as Arc<dyn PauseVar>,
+            Arc::new(AtomicFlag::<Std>::new(Arc::new(SyncCounters::new()))) as Arc<dyn PauseVar>,
         ] {
             assert!(!flag.is_set());
             flag.set();

@@ -58,6 +58,7 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod atomics;
 pub mod backoff;
 pub mod barrier;
 pub mod combining;
@@ -78,6 +79,7 @@ pub mod team;
 pub mod trace;
 pub mod workload;
 
+pub use atomics::{Atomics, Std};
 pub use backoff::Backoff;
 pub use barrier::{Barrier, CondvarBarrier, SenseBarrier};
 pub use combining::CombiningCore;

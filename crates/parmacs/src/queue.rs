@@ -12,18 +12,18 @@
 //! cost of peak memory proportional to total pushes, which is bounded and
 //! small for the suite's workloads.
 
+use crate::atomics::{Atomics, DataCell, Std, Word};
 use crate::backoff::Backoff;
 use crate::lock::{RawLock, SleepLock};
 use crate::pad::CachePadded;
 use crate::spec::{RingSpec, TreiberSpec};
 use crate::stats::{Counter, SyncCounters};
 use crate::trace::TraceEvent;
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// An unordered MPMC pool of tasks. Ordering (LIFO vs FIFO) is an
@@ -98,44 +98,52 @@ impl<T> fmt::Debug for LockedQueue<T> {
     }
 }
 
-struct Node<T> {
-    value: ManuallyDrop<T>,
-    next: *mut Node<T>,
+struct Node<T, A: Atomics> {
+    /// Plain data: written by the pusher before the publishing CAS, moved
+    /// out by the one popper whose CAS unlinked the node.
+    value: A::Cell<ManuallyDrop<T>>,
+    /// Plain data: written by the pusher before the publishing CAS and never
+    /// again, so a popper still holding a stale head may read it at any time.
+    next: A::Cell<*mut Node<T, A>>,
+    /// Link of the retired list, written by that one popper. Not `next`
+    /// re-used: a stale reader of `next` would race with this write.
+    retired_next: A::Cell<*mut Node<T, A>>,
 }
 
 /// Lock-free LIFO stack (Splash-4), Treiber's algorithm with
 /// retire-until-drop reclamation.
-pub struct TreiberStack<T> {
-    head: AtomicPtr<Node<T>>,
-    retired: AtomicPtr<Node<T>>,
+pub struct TreiberStack<T, A: Atomics = Std> {
+    head: A::Ptr<Node<T, A>>,
+    retired: A::Ptr<Node<T, A>>,
     len: AtomicUsize,
     stats: Arc<SyncCounters>,
 }
 
 // SAFETY: nodes are heap-allocated and only the owning stack frees them; `T`
 // moves across threads through push/pop.
-unsafe impl<T: Send> Sync for TreiberStack<T> {}
-unsafe impl<T: Send> Send for TreiberStack<T> {}
+unsafe impl<T: Send, A: Atomics> Sync for TreiberStack<T, A> {}
+unsafe impl<T: Send, A: Atomics> Send for TreiberStack<T, A> {}
 
-impl<T> TreiberStack<T> {
+impl<T, A: Atomics> TreiberStack<T, A> {
     /// New empty stack reporting into `stats`.
-    pub fn new(stats: Arc<SyncCounters>) -> TreiberStack<T> {
+    pub fn new(stats: Arc<SyncCounters>) -> TreiberStack<T, A> {
         TreiberStack {
-            head: AtomicPtr::new(ptr::null_mut()),
-            retired: AtomicPtr::new(ptr::null_mut()),
+            head: A::Ptr::new("stack.head", ptr::null_mut()),
+            retired: A::Ptr::new("stack.retired", ptr::null_mut()),
             len: AtomicUsize::new(0),
             stats,
         }
     }
 
-    fn retire(&self, node: *mut Node<T>) {
-        let mut cur = self.retired.load(Ordering::Relaxed);
+    fn retire(&self, node: *mut Node<T, A>, s: TreiberSpec) {
+        let mut cur = self.retired.load(s.retire_load);
         loop {
-            // SAFETY: we exclusively own `node` after a successful pop.
-            unsafe { (*node).next = cur };
+            // SAFETY: we exclusively own `node` after a successful pop, and
+            // nothing else touches `retired_next` before the stack drops.
+            unsafe { (*node).retired_next.with_mut(|n| *n = cur) };
             match self
                 .retired
-                .compare_exchange_weak(cur, node, Ordering::AcqRel, Ordering::Relaxed)
+                .compare_exchange_weak(cur, node, s.retire_cas_ok, s.retire_cas_fail)
             {
                 Ok(_) => return,
                 Err(actual) => cur = actual,
@@ -144,23 +152,24 @@ impl<T> TreiberStack<T> {
     }
 }
 
-impl<T: Send> TaskQueue<T> for TreiberStack<T> {
+impl<T: Send, A: Atomics> TaskQueue<T> for TreiberStack<T, A> {
     fn push(&self, task: T) {
-        const S: TreiberSpec = TreiberSpec::SPLASH4;
+        let s = A::spec(TreiberSpec::SPLASH4);
         self.stats.bump(Counter::QueueOps);
         self.stats.trace(TraceEvent::Enqueue);
-        let node = Box::into_raw(Box::new(Node {
-            value: ManuallyDrop::new(task),
-            next: ptr::null_mut(),
+        let node: *mut Node<T, A> = Box::into_raw(Box::new(Node {
+            value: A::Cell::new("stack.node.value", ManuallyDrop::new(task)),
+            next: A::Cell::new("stack.node.next", ptr::null_mut()),
+            retired_next: A::Cell::new("stack.node.retired", ptr::null_mut()),
         }));
-        let mut cur = self.head.load(S.push_load);
+        let mut cur = self.head.load(s.push_load);
         loop {
             // SAFETY: node not yet published; we own it.
-            unsafe { (*node).next = cur };
+            unsafe { (*node).next.with_mut(|n| *n = cur) };
             self.stats.bump(Counter::AtomicRmws);
             match self
                 .head
-                .compare_exchange_weak(cur, node, S.push_cas_ok, S.push_cas_fail)
+                .compare_exchange_weak(cur, node, s.push_cas_ok, s.push_cas_fail)
             {
                 Ok(_) => break,
                 Err(actual) => {
@@ -173,10 +182,10 @@ impl<T: Send> TaskQueue<T> for TreiberStack<T> {
     }
 
     fn pop(&self) -> Option<T> {
-        const S: TreiberSpec = TreiberSpec::SPLASH4;
+        let s = A::spec(TreiberSpec::SPLASH4);
         self.stats.bump(Counter::QueueOps);
         self.stats.trace(TraceEvent::Dequeue);
-        let mut cur = self.head.load(S.pop_load);
+        let mut cur = self.head.load(s.pop_load);
         loop {
             if cur.is_null() {
                 return None;
@@ -184,18 +193,18 @@ impl<T: Send> TaskQueue<T> for TreiberStack<T> {
             // SAFETY: nodes reachable from head are never freed while the
             // stack is alive (retire-until-drop), so reading `next` from a
             // stale head is safe even if another thread popped it first.
-            let next = unsafe { (*cur).next };
+            let next = unsafe { (*cur).next.with(|n| *n) };
             self.stats.bump(Counter::AtomicRmws);
             match self
                 .head
-                .compare_exchange_weak(cur, next, S.pop_cas_ok, S.pop_cas_fail)
+                .compare_exchange_weak(cur, next, s.pop_cas_ok, s.pop_cas_fail)
             {
                 Ok(_) => {
                     self.len.fetch_sub(1, Ordering::Relaxed);
                     // SAFETY: successful CAS makes us the unique owner of
                     // `cur`; the value is moved out exactly once.
-                    let value = unsafe { ManuallyDrop::take(&mut (*cur).value) };
-                    self.retire(cur);
+                    let value = unsafe { (*cur).value.with_mut(|v| ManuallyDrop::take(v)) };
+                    self.retire(cur, s);
                     return Some(value);
                 }
                 Err(actual) => {
@@ -211,31 +220,31 @@ impl<T: Send> TaskQueue<T> for TreiberStack<T> {
     }
 }
 
-impl<T> Drop for TreiberStack<T> {
+impl<T, A: Atomics> Drop for TreiberStack<T, A> {
     fn drop(&mut self) {
         // Live nodes: drop values and boxes.
-        let mut cur = *self.head.get_mut();
+        let mut cur = self.head.load_mut();
         while !cur.is_null() {
             // SAFETY: exclusive access in Drop; nodes were Box-allocated.
             unsafe {
                 let mut boxed = Box::from_raw(cur);
-                ManuallyDrop::drop(&mut boxed.value);
-                cur = boxed.next;
+                ManuallyDrop::drop(boxed.value.get_mut());
+                cur = *boxed.next.get_mut();
             }
         }
         // Retired nodes: values were already moved out; free boxes only.
-        let mut cur = *self.retired.get_mut();
+        let mut cur = self.retired.load_mut();
         while !cur.is_null() {
             // SAFETY: as above; `value` must not be dropped again.
             unsafe {
-                let boxed = Box::from_raw(cur);
-                cur = boxed.next;
+                let mut boxed = Box::from_raw(cur);
+                cur = *boxed.retired_next.get_mut();
             }
         }
     }
 }
 
-impl<T> fmt::Debug for TreiberStack<T> {
+impl<T, A: Atomics> fmt::Debug for TreiberStack<T, A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TreiberStack")
             .field("len", &self.len.load(Ordering::Relaxed))
@@ -247,9 +256,9 @@ impl<T> fmt::Debug for TreiberStack<T> {
 /// slot's lifecycle (writable at `pos`, readable at `pos + 1`, writable
 /// again at `pos + capacity`) and doubles as the publication fence for the
 /// payload.
-struct MpmcSlot<T> {
-    seq: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<T>>,
+struct MpmcSlot<T, A: Atomics> {
+    seq: A::Usize,
+    value: A::Cell<MaybeUninit<T>>,
 }
 
 /// Lock-free bounded MPMC FIFO ring (Vyukov's array queue): each slot
@@ -265,40 +274,40 @@ struct MpmcSlot<T> {
 /// error instead of queueing unboundedly. The [`TaskQueue`] `push` spins
 /// with [`Backoff`] until space frees, preserving the trait's unconditional
 /// contract for the suite's workloads.
-pub struct BoundedMpmcQueue<T> {
-    buf: Box<[MpmcSlot<T>]>,
+pub struct BoundedMpmcQueue<T, A: Atomics = Std> {
+    buf: Box<[MpmcSlot<T, A>]>,
     /// `capacity - 1`; capacity is a power of two so `pos & mask` indexes.
     mask: usize,
     /// Next ticket to produce. Padded: producers and consumers would
     /// otherwise false-share one line.
-    enqueue_pos: CachePadded<AtomicUsize>,
+    enqueue_pos: CachePadded<A::Usize>,
     /// Next ticket to consume.
-    dequeue_pos: CachePadded<AtomicUsize>,
+    dequeue_pos: CachePadded<A::Usize>,
     stats: Arc<SyncCounters>,
 }
 
 // SAFETY: slots transfer `T` by value between threads; a slot's payload is
 // only touched by the single thread whose CAS claimed its ticket, with the
 // seq store/load pair ordering the handoff.
-unsafe impl<T: Send> Sync for BoundedMpmcQueue<T> {}
-unsafe impl<T: Send> Send for BoundedMpmcQueue<T> {}
+unsafe impl<T: Send, A: Atomics> Sync for BoundedMpmcQueue<T, A> {}
+unsafe impl<T: Send, A: Atomics> Send for BoundedMpmcQueue<T, A> {}
 
-impl<T> BoundedMpmcQueue<T> {
+impl<T, A: Atomics> BoundedMpmcQueue<T, A> {
     /// New empty queue holding at most `capacity` tasks (rounded up to a
     /// power of two, minimum 2), reporting into `stats`.
-    pub fn new(capacity: usize, stats: Arc<SyncCounters>) -> BoundedMpmcQueue<T> {
+    pub fn new(capacity: usize, stats: Arc<SyncCounters>) -> BoundedMpmcQueue<T, A> {
         let capacity = capacity.max(2).next_power_of_two();
         let buf = (0..capacity)
             .map(|i| MpmcSlot {
-                seq: AtomicUsize::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
+                seq: A::Usize::new("ring.seq", i),
+                value: A::Cell::new("ring.slot", MaybeUninit::uninit()),
             })
             .collect();
         BoundedMpmcQueue {
             buf,
             mask: capacity - 1,
-            enqueue_pos: CachePadded::new(AtomicUsize::new(0)),
-            dequeue_pos: CachePadded::new(AtomicUsize::new(0)),
+            enqueue_pos: CachePadded::new(A::Usize::new("ring.enq", 0)),
+            dequeue_pos: CachePadded::new(A::Usize::new("ring.deq", 0)),
             stats,
         }
     }
@@ -312,13 +321,19 @@ impl<T> BoundedMpmcQueue<T> {
     /// (bounded admission: the caller decides whether to reject, retry or
     /// block).
     pub fn try_push(&self, task: T) -> Result<(), T> {
-        const S: RingSpec = RingSpec::SPLASH4;
+        self.push_or_full(task).map_err(|(task, _)| task)
+    }
+
+    /// [`BoundedMpmcQueue::try_push`] that also names the sequence word of
+    /// the slot found full — the word whose next store frees it.
+    fn push_or_full(&self, task: T) -> Result<(), (T, &A::Usize)> {
+        let s = A::spec(RingSpec::SPLASH4);
         self.stats.bump(Counter::QueueOps);
         self.stats.trace(TraceEvent::Enqueue);
-        let mut pos = self.enqueue_pos.load(S.cursor_load);
+        let mut pos = self.enqueue_pos.load(s.cursor_load);
         loop {
             let slot = &self.buf[pos & self.mask];
-            let seq = slot.seq.load(S.seq_load);
+            let seq = slot.seq.load(s.seq_load);
             let diff = seq as isize - pos as isize;
             if diff == 0 {
                 // Slot is writable at this ticket: claim it.
@@ -326,15 +341,19 @@ impl<T> BoundedMpmcQueue<T> {
                 match self.enqueue_pos.compare_exchange_weak(
                     pos,
                     pos.wrapping_add(1),
-                    S.cursor_cas_ok,
-                    S.cursor_cas_fail,
+                    s.cursor_cas_ok,
+                    s.cursor_cas_fail,
                 ) {
                     Ok(_) => {
                         // SAFETY: the CAS granted this thread exclusive
                         // ownership of the slot for ticket `pos`; the
                         // release store below publishes the write.
-                        unsafe { (*slot.value.get()).write(task) };
-                        slot.seq.store(pos.wrapping_add(1), S.publish_store);
+                        unsafe {
+                            slot.value.with_mut(|v| {
+                                v.write(task);
+                            })
+                        };
+                        slot.seq.store(pos.wrapping_add(1), s.publish_store);
                         return Ok(());
                     }
                     Err(actual) => {
@@ -344,39 +363,39 @@ impl<T> BoundedMpmcQueue<T> {
                 }
             } else if diff < 0 {
                 // The slot still holds the value from one lap ago: full.
-                return Err(task);
+                return Err((task, &slot.seq));
             } else {
                 // Another producer claimed this ticket; chase the cursor.
-                pos = self.enqueue_pos.load(S.cursor_load);
+                pos = self.enqueue_pos.load(s.cursor_load);
             }
         }
     }
 
     /// Dequeue some task, or `None` when the ring is currently empty.
     pub fn try_pop(&self) -> Option<T> {
-        const S: RingSpec = RingSpec::SPLASH4;
+        let s = A::spec(RingSpec::SPLASH4);
         self.stats.bump(Counter::QueueOps);
         self.stats.trace(TraceEvent::Dequeue);
-        let mut pos = self.dequeue_pos.load(S.cursor_load);
+        let mut pos = self.dequeue_pos.load(s.cursor_load);
         loop {
             let slot = &self.buf[pos & self.mask];
-            let seq = slot.seq.load(S.seq_load);
+            let seq = slot.seq.load(s.seq_load);
             let diff = seq as isize - pos.wrapping_add(1) as isize;
             if diff == 0 {
                 self.stats.bump(Counter::AtomicRmws);
                 match self.dequeue_pos.compare_exchange_weak(
                     pos,
                     pos.wrapping_add(1),
-                    S.cursor_cas_ok,
-                    S.cursor_cas_fail,
+                    s.cursor_cas_ok,
+                    s.cursor_cas_fail,
                 ) {
                     Ok(_) => {
                         // SAFETY: the CAS granted exclusive ownership of the
                         // published value; the acquire load of `seq` above
                         // synchronized with the producer's release store.
-                        let value = unsafe { (*slot.value.get()).assume_init_read() };
+                        let value = unsafe { slot.value.with(|v| v.assume_init_read()) };
                         slot.seq
-                            .store(pos.wrapping_add(self.mask + 1), S.publish_store);
+                            .store(pos.wrapping_add(self.mask + 1), s.publish_store);
                         return Some(value);
                     }
                     Err(actual) => {
@@ -388,13 +407,13 @@ impl<T> BoundedMpmcQueue<T> {
                 // Slot not yet published for this lap: empty.
                 return None;
             } else {
-                pos = self.dequeue_pos.load(S.cursor_load);
+                pos = self.dequeue_pos.load(s.cursor_load);
             }
         }
     }
 }
 
-impl<T: Send> TaskQueue<T> for BoundedMpmcQueue<T> {
+impl<T: Send, A: Atomics> TaskQueue<T> for BoundedMpmcQueue<T, A> {
     /// Enqueue, spinning with [`Backoff`] while the ring is full. Callers
     /// that need back-pressure instead of blocking should use
     /// [`BoundedMpmcQueue::try_push`].
@@ -402,11 +421,11 @@ impl<T: Send> TaskQueue<T> for BoundedMpmcQueue<T> {
         let mut task = task;
         let mut backoff = Backoff::new();
         loop {
-            match self.try_push(task) {
+            match self.push_or_full(task) {
                 Ok(()) => return,
-                Err(back) => {
+                Err((back, seq)) => {
                     task = back;
-                    backoff.snooze();
+                    seq.snooze(&mut backoff);
                 }
             }
         }
@@ -424,7 +443,7 @@ impl<T: Send> TaskQueue<T> for BoundedMpmcQueue<T> {
     }
 }
 
-impl<T> Drop for BoundedMpmcQueue<T> {
+impl<T, A: Atomics> Drop for BoundedMpmcQueue<T, A> {
     fn drop(&mut self) {
         // Exclusive access in Drop: drain remaining published values so
         // their destructors run.
@@ -432,7 +451,7 @@ impl<T> Drop for BoundedMpmcQueue<T> {
     }
 }
 
-impl<T> fmt::Debug for BoundedMpmcQueue<T> {
+impl<T, A: Atomics> fmt::Debug for BoundedMpmcQueue<T, A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let tail = self.enqueue_pos.load(Ordering::Relaxed);
         let head = self.dequeue_pos.load(Ordering::Relaxed);
@@ -563,19 +582,19 @@ mod tests {
     #[test]
     fn treiber_stack_mpmc() {
         let stats = Arc::new(SyncCounters::new());
-        mpmc_exercise(Arc::new(TreiberStack::new(stats)), 3, 200);
+        mpmc_exercise(Arc::new(TreiberStack::<_>::new(stats)), 3, 200);
     }
 
     #[test]
     fn bounded_mpmc_queue_mpmc() {
         let stats = Arc::new(SyncCounters::new());
-        mpmc_exercise(Arc::new(BoundedMpmcQueue::new(1024, stats)), 3, 200);
+        mpmc_exercise(Arc::new(BoundedMpmcQueue::<_>::new(1024, stats)), 3, 200);
     }
 
     #[test]
     fn bounded_mpmc_queue_is_fifo_when_sequential() {
         let stats = Arc::new(SyncCounters::new());
-        let q = BoundedMpmcQueue::new(8, stats);
+        let q = BoundedMpmcQueue::<_>::new(8, stats);
         q.push(1);
         q.push(2);
         q.push(3);
@@ -588,7 +607,7 @@ mod tests {
     #[test]
     fn bounded_mpmc_queue_reports_full_and_wraps_laps() {
         let stats = Arc::new(SyncCounters::new());
-        let q = BoundedMpmcQueue::new(4, stats);
+        let q = BoundedMpmcQueue::<_>::new(4, stats);
         assert_eq!(q.capacity(), 4);
         for i in 0..4 {
             q.try_push(i).expect("fits");
@@ -620,7 +639,7 @@ mod tests {
         let drops = Arc::new(AtomicUsize::new(0));
         let stats = Arc::new(SyncCounters::new());
         {
-            let q = BoundedMpmcQueue::new(8, stats);
+            let q = BoundedMpmcQueue::<_>::new(8, stats);
             for _ in 0..5 {
                 q.push(Canary(Arc::clone(&drops)));
             }
@@ -634,7 +653,7 @@ mod tests {
     #[test]
     fn bounded_mpmc_queue_is_instrumented() {
         let stats = Arc::new(SyncCounters::new());
-        let q = BoundedMpmcQueue::new(8, Arc::clone(&stats));
+        let q = BoundedMpmcQueue::<_>::new(8, Arc::clone(&stats));
         q.push(1);
         let _ = q.pop();
         let _ = q.pop();
@@ -650,7 +669,7 @@ mod tests {
     #[test]
     fn treiber_stack_is_lifo_when_sequential() {
         let stats = Arc::new(SyncCounters::new());
-        let s = TreiberStack::new(stats);
+        let s = TreiberStack::<_>::new(stats);
         s.push(1);
         s.push(2);
         s.push(3);
@@ -671,7 +690,7 @@ mod tests {
         let drops = Arc::new(AtomicUsize::new(0));
         let stats = Arc::new(SyncCounters::new());
         {
-            let s = TreiberStack::new(stats);
+            let s = TreiberStack::<_>::new(stats);
             for _ in 0..5 {
                 s.push(Canary(Arc::clone(&drops)));
             }
@@ -687,7 +706,9 @@ mod tests {
     fn steal_pool_drains_all_tasks_from_any_worker() {
         let stats = Arc::new(SyncCounters::new());
         let queues: Vec<Arc<dyn TaskQueue<u32>>> = (0..3)
-            .map(|_| Arc::new(TreiberStack::new(Arc::clone(&stats))) as Arc<dyn TaskQueue<u32>>)
+            .map(|_| {
+                Arc::new(TreiberStack::<_>::new(Arc::clone(&stats))) as Arc<dyn TaskQueue<u32>>
+            })
             .collect();
         let pool = StealPool::new(queues);
         // All tasks land on worker 0's queue; workers 1 and 2 must steal.
@@ -738,7 +759,7 @@ mod tests {
     #[test]
     fn queue_ops_are_instrumented() {
         let stats = Arc::new(SyncCounters::new());
-        let q = TreiberStack::new(Arc::clone(&stats));
+        let q = TreiberStack::<_>::new(Arc::clone(&stats));
         q.push(1);
         let _ = q.pop();
         let _ = q.pop();

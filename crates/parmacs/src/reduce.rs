@@ -5,15 +5,17 @@
 //! The suite's kernels accumulate global energies, residual errors and
 //! checksums from every thread each iteration. Splash-3 guards a shared
 //! `double` with a lock; Splash-4 performs a compare-exchange loop on the bit
-//! pattern (C11 `atomic_compare_exchange_weak` on a `_Atomic double` — here an
-//! [`AtomicU64`] holding `f64::to_bits`).
+//! pattern (C11 `atomic_compare_exchange_weak` on a `_Atomic double` — here a
+//! 64-bit word holding `f64::to_bits`).
 
+use crate::atomics::{Atomics, IntWord, Std, Word};
 use crate::mode::{ConstructClass, SyncMode};
 use crate::serial::Serial;
+use crate::spec::CasF64Spec;
 use crate::stats::{Counter, SyncCounters};
 use crate::trace::TraceEvent;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A shared floating-point reduction cell.
@@ -42,36 +44,43 @@ pub trait ReduceU64: Send + Sync + fmt::Debug {
     fn store(&self, v: u64);
 }
 
-/// An `f64` stored in an [`AtomicU64`] with CAS-loop read-modify-write.
+/// An `f64` stored in a 64-bit atomic word with CAS-loop read-modify-write.
 ///
 /// This is the building block the Splash-4 paper's "lock-free constructs"
 /// headline refers to for reductions. Exposed directly (not only through the
 /// [`ReduceF64`] trait) because several kernels use it for fine-grained
 /// per-element force/energy accumulation in data structures.
-pub struct AtomicF64 {
-    bits: AtomicU64,
+pub struct AtomicF64<A: Atomics = Std> {
+    bits: A::U64,
     stats: Arc<SyncCounters>,
 }
 
 impl AtomicF64 {
     /// New cell holding `v`, reporting into `stats`.
     pub fn new(v: f64, stats: Arc<SyncCounters>) -> AtomicF64 {
+        AtomicF64::new_in(v, stats)
+    }
+}
+
+impl<A: Atomics> AtomicF64<A> {
+    /// [`AtomicF64::new`] over any [`Atomics`].
+    pub fn new_in(v: f64, stats: Arc<SyncCounters>) -> AtomicF64<A> {
         AtomicF64 {
-            bits: AtomicU64::new(v.to_bits()),
+            bits: A::U64::new("reduce.f64", v.to_bits()),
             stats,
         }
     }
 
     /// Apply `f` atomically via a compare-exchange loop.
     pub fn fetch_update(&self, f: impl Fn(f64) -> f64) {
-        const S: crate::spec::CasF64Spec = crate::spec::CasF64Spec::SPLASH4;
+        let s = A::spec(CasF64Spec::SPLASH4);
         self.stats.bump(Counter::AtomicRmws);
-        let mut cur = self.bits.load(S.load);
+        let mut cur = self.bits.load(s.load);
         loop {
             let new = f(f64::from_bits(cur)).to_bits();
             match self
                 .bits
-                .compare_exchange_weak(cur, new, S.cas_ok, S.cas_fail)
+                .compare_exchange_weak(cur, new, s.cas_ok, s.cas_fail)
             {
                 Ok(_) => return,
                 Err(actual) => {
@@ -99,7 +108,7 @@ impl AtomicF64 {
     }
 }
 
-impl fmt::Debug for AtomicF64 {
+impl<A: Atomics> fmt::Debug for AtomicF64<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AtomicF64")
             .field("value", &self.load())
@@ -152,11 +161,11 @@ fn apply_reduce(s: &mut ReduceState, op: u64, arg: u64) -> u64 {
     }
 }
 
-enum Cells {
+enum Cells<A: Atomics> {
     /// Splash-4: a CAS-loop [`AtomicF64`] plus a `fetch_add` integer cell.
-    Atomic { float: AtomicF64, int: AtomicU64 },
+    Atomic { float: AtomicF64<A>, int: A::U64 },
     /// Splash-3 / Splash-4x: [`apply_reduce`] under the serial executor.
-    Serial(Serial<ReduceState>),
+    Serial(Serial<ReduceState, A>),
 }
 
 /// The suite's global reduction cell: one float and one integer
@@ -164,21 +173,21 @@ enum Cells {
 /// expansion is its private cell strategy — sequential accumulators run by
 /// the crate's serial executor (under a lock in Splash-3, by a combiner in
 /// Splash-4x) or native atomics (Splash-4).
-pub struct Reducer {
-    cells: Cells,
+pub struct Reducer<A: Atomics = Std> {
+    cells: Cells<A>,
     stats: Arc<SyncCounters>,
 }
 
-impl Reducer {
+impl<A: Atomics> Reducer<A> {
     /// Zero-initialized reducer expanded per `mode` for a team of
     /// `nthreads`, reporting into `stats`.
-    pub(crate) fn new(mode: SyncMode, nthreads: usize, stats: Arc<SyncCounters>) -> Reducer {
+    pub fn new(mode: SyncMode, nthreads: usize, stats: Arc<SyncCounters>) -> Reducer<A> {
         let state = ReduceState { f: 0.0, u: 0 };
         let cells = match Serial::for_mode(mode, nthreads, state, apply_reduce, &stats) {
             Some(serial) => Cells::Serial(serial),
             None => Cells::Atomic {
-                float: AtomicF64::new(0.0, Arc::clone(&stats)),
-                int: AtomicU64::new(0),
+                float: AtomicF64::new_in(0.0, Arc::clone(&stats)),
+                int: A::U64::new("reduce.u64", 0),
             },
         };
         Reducer { cells, stats }
@@ -219,7 +228,7 @@ impl Reducer {
     }
 }
 
-impl ReduceF64 for Reducer {
+impl<A: Atomics> ReduceF64 for Reducer<A> {
     fn add(&self, v: f64) {
         self.contribute(OP_FADD, v.to_bits());
     }
@@ -237,7 +246,7 @@ impl ReduceF64 for Reducer {
     }
 }
 
-impl ReduceU64 for Reducer {
+impl<A: Atomics> ReduceU64 for Reducer<A> {
     fn add(&self, v: u64) {
         self.contribute(OP_UADD, v);
     }
@@ -249,7 +258,7 @@ impl ReduceU64 for Reducer {
     }
 }
 
-impl fmt::Debug for Reducer {
+impl<A: Atomics> fmt::Debug for Reducer<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Reducer").finish_non_exhaustive()
     }

@@ -9,6 +9,7 @@
 //! [`Reducer`](crate::reduce::Reducer) state their interpreter once and the
 //! Splash-4 expansion stays a native atomic arm beside it.
 
+use crate::atomics::{Atomics, Std};
 use crate::combining::CombiningCore;
 use crate::lock::{RawLock, SleepLock};
 use crate::mode::SyncMode;
@@ -22,40 +23,46 @@ use std::sync::Arc;
 pub(crate) type Apply<T> = fn(&mut T, u64, u64) -> u64;
 
 /// A state value `T` whose interpreter runs one request at a time.
-pub(crate) struct Serial<T>(Exec<T>);
+pub(crate) struct Serial<T, A: Atomics = Std>(Exec<T, A>);
 
-enum Exec<T> {
+enum Exec<T, A: Atomics> {
     Locked {
         lock: SleepLock,
         state: UnsafeCell<T>,
         apply: Apply<T>,
     },
-    Combining(CombiningCore<T>),
+    Combining(CombiningCore<T, A>),
 }
 
 // SAFETY: the `Locked` state is only touched with `lock` held, in `run`;
-// `CombiningCore<T>` is `Sync` for `T: Send`.
-unsafe impl<T: Send> Sync for Serial<T> {}
+// `CombiningCore<T, A>` is `Sync` for `T: Send`.
+unsafe impl<T: Send, A: Atomics> Sync for Serial<T, A> {}
 
-impl<T> Serial<T> {
+impl<T, A: Atomics> Serial<T, A> {
     /// The serial strategy `mode` selects, or `None` for
     /// [`SyncMode::LockFree`], whose constructs use native atomics instead.
-    /// `nthreads` sizes the combining core's publication list.
+    /// `nthreads` sizes the combining core's publication list. Panics for
+    /// [`SyncMode::LockBased`] unless [`Atomics::OS_BLOCKING`].
     pub(crate) fn for_mode(
         mode: SyncMode,
         nthreads: usize,
         state: T,
         apply: Apply<T>,
         stats: &Arc<SyncCounters>,
-    ) -> Option<Serial<T>> {
+    ) -> Option<Serial<T, A>> {
         match mode {
-            SyncMode::LockBased => Some(Serial(Exec::Locked {
-                lock: SleepLock::new(Arc::clone(stats)),
-                state: UnsafeCell::new(state),
-                apply,
-            })),
+            SyncMode::LockBased => {
+                let sleeps =
+                    "SyncMode::LockBased sleeps on a mutex, which these atomics cannot schedule";
+                assert!(A::OS_BLOCKING, "{sleeps}");
+                Some(Serial(Exec::Locked {
+                    lock: SleepLock::new(Arc::clone(stats)),
+                    state: UnsafeCell::new(state),
+                    apply,
+                }))
+            }
             SyncMode::LockFree => None,
-            SyncMode::Combining => Some(Serial(Exec::Combining(CombiningCore::new(
+            SyncMode::Combining => Some(Serial(Exec::Combining(CombiningCore::new_in(
                 nthreads,
                 state,
                 apply,

@@ -1,20 +1,20 @@
 //! Memory-ordering specifications for the lock-free constructs.
 //!
 //! Every atomic operation the Splash-4 back-ends perform is named here, with
-//! the `std::sync::atomic::Ordering` it uses. The real primitives
+//! the `std::sync::atomic::Ordering` it uses. The primitives
 //! ([`crate::queue::TreiberStack`], [`crate::barrier::SenseBarrier`],
 //! [`crate::reduce::AtomicF64`], [`crate::flag::AtomicFlag`],
-//! [`crate::counter::IndexCounter`]) read
-//! their orderings from these constants instead of hard-coding them, and the
-//! `splash4-check` model checker drives *shadow* re-implementations of the
-//! same state machines from the same spec structs. That closes the loop: if a
-//! future edit weakens an ordering here, the checker's race detector fails on
-//! the next `V1-check` run; if a checker mutation test overrides a field
-//! (e.g. `pop_load: Relaxed`), it is exploring exactly the state machine the
-//! real construct would execute with that ordering.
-//!
-//! The structs are plain `Copy` data so a checker scenario can take a spec,
-//! tweak one field, and hand it to a shadow construct.
+//! [`crate::counter::IndexCounter`], [`crate::combining::CombiningCore`],
+//! [`crate::queue::BoundedMpmcQueue`]) hand their table to
+//! [`Atomics::spec`](crate::atomics::Atomics::spec) instead of hard-coding
+//! orderings: production gets the constant back, and the `splash4-check`
+//! model checker, which runs the same primitives over its own `Atomics`,
+//! the table a scenario installed. That closes the loop: if a future edit
+//! weakens an ordering here, the checker's race detector fails on the next
+//! `V1-check` run; if a mutation test overrides a field (e.g. `pop_load:
+//! Relaxed`), it explores the shipped construct with that ordering changed.
+//! (The reclamation and `cmap` tables are still read by hand-written
+//! checker skeletons.)
 //!
 //! Not every ordering downgrade surfaces as a data race: weakening a
 //! `SeqCst` fence-pair to `Acquire`/`Release`, or an `Acquire` spin to
@@ -46,6 +46,13 @@ pub struct TreiberSpec {
     /// Failure ordering of the unlinking CAS in `pop` (the reloaded head is
     /// dereferenced on the next iteration, so `Acquire`).
     pub pop_cas_fail: Ordering,
+    /// Initial load of the retired-list head (the CAS validates it).
+    pub retire_load: Ordering,
+    /// Success ordering of the CAS that links a popped node onto the
+    /// retired list.
+    pub retire_cas_ok: Ordering,
+    /// Failure ordering of the retire CAS.
+    pub retire_cas_fail: Ordering,
 }
 
 impl TreiberSpec {
@@ -57,6 +64,9 @@ impl TreiberSpec {
         pop_load: Ordering::Acquire,
         pop_cas_ok: Ordering::AcqRel,
         pop_cas_fail: Ordering::Acquire,
+        retire_load: Ordering::Relaxed,
+        retire_cas_ok: Ordering::AcqRel,
+        retire_cas_fail: Ordering::Relaxed,
     };
 }
 
@@ -393,14 +403,14 @@ impl RingSpec {
 ///
 /// The protocol has two publication edges the orderings must keep intact:
 ///
-/// 1. *Request publication*: a thread stores its argument into its record
-///    (plain for the checker's race model, relaxed-atomic in the real core)
-///    and then publishes the opcode with [`CombiningSpec::publish_store`];
+/// 1. *Request publication*: a thread writes its argument into its record
+///    (plain data) and then publishes the opcode with
+///    [`CombiningSpec::publish_store`];
 ///    the combiner's [`CombiningSpec::scan_load`] acquires it before reading
 ///    the argument. Weakening either side is the "lost publication record"
 ///    family of bugs.
-/// 2. *Result handoff*: the combiner stores the result, then marks the
-///    record complete with [`CombiningSpec::complete_store`]; the waiter's
+/// 2. *Result handoff*: the combiner writes the result (plain data), then
+///    marks the record complete with [`CombiningSpec::complete_store`]; the waiter's
 ///    [`CombiningSpec::wait_load`] acquires the completion before reading
 ///    the result. Weakening either side is the "stale result handoff"
 ///    family.
@@ -411,24 +421,25 @@ pub struct CombiningSpec {
     pub lock_cas_ok: Ordering,
     /// Failure ordering of the combiner-lock CAS (the loser just spins).
     pub lock_cas_fail: Ordering,
-    /// Store of the request argument into the publication record (validated
-    /// by the publish/scan edge, so `Relaxed`).
-    pub arg_store: Ordering,
     /// The opcode store that publishes the record to the combiner.
     pub publish_store: Ordering,
     /// The combiner's scan load of each record's opcode.
     pub scan_load: Ordering,
-    /// The combiner's store of the operation result into the record.
-    pub result_store: Ordering,
     /// The combiner's completion store (opcode back to empty) that releases
     /// the result to the waiting thread.
     pub complete_store: Ordering,
     /// The waiter's spin load on its record's opcode.
     pub wait_load: Ordering,
-    /// The waiter's read of the result after observing completion.
-    pub result_load: Ordering,
     /// The combiner's release store of the combiner lock.
     pub lock_release: Ordering,
+    /// Success ordering of the CAS that claims a publication record.
+    /// `Acquire`: the claimant overwrites the argument and result the
+    /// previous owner was still reading when it released the record.
+    pub claim_cas_ok: Ordering,
+    /// Failure ordering of the claim CAS (the loser probes the next record).
+    pub claim_cas_fail: Ordering,
+    /// The owner's store that frees its record after reading the result.
+    pub claim_release: Ordering,
 }
 
 impl CombiningSpec {
@@ -436,14 +447,14 @@ impl CombiningSpec {
     pub const SPLASH4X: CombiningSpec = CombiningSpec {
         lock_cas_ok: Ordering::Acquire,
         lock_cas_fail: Ordering::Relaxed,
-        arg_store: Ordering::Relaxed,
         publish_store: Ordering::Release,
         scan_load: Ordering::Acquire,
-        result_store: Ordering::Relaxed,
         complete_store: Ordering::Release,
         wait_load: Ordering::Acquire,
-        result_load: Ordering::Relaxed,
         lock_release: Ordering::Release,
+        claim_cas_ok: Ordering::Acquire,
+        claim_cas_fail: Ordering::Relaxed,
+        claim_release: Ordering::Release,
     };
 }
 
