@@ -33,6 +33,15 @@
 //! everybody: each parked thread unwinds out of its body, so no OS thread
 //! outlives its execution.
 //!
+//! The nodes a construct allocates through the facade are on record
+//! (`Shared::alloc`), and one it frees (`Shared::free`) stays allocated —
+//! **quarantined** — so an address is never reused within an execution and
+//! an operation on a word or cell of a freed node fails as a
+//! **use-after-free** instead of being one. The free is also a write to the
+//! node's cells: an earlier read it is unordered with is a data race. When
+//! the execution ends every node on record is destroyed, freed or not, so a
+//! failing execution, whose threads unwind mid-operation, leaks nothing.
+//!
 //! # Weak-memory exploration
 //!
 //! Under [`MemoryModel::Sc`] (the default) values are sequentially
@@ -88,6 +97,12 @@ pub enum Failure {
         /// Rendering of the offending history.
         what: String,
     },
+    /// A word or cell was used, or freed again, after the allocation it
+    /// lies in was freed through the facade.
+    UseAfterFree {
+        /// Description: the word, the accessing and the freeing thread.
+        what: String,
+    },
     /// The execution exceeded the step budget (runaway interleaving).
     StepLimit,
     /// A virtual thread panicked outside the engine's control.
@@ -106,6 +121,7 @@ impl Failure {
             Failure::Deadlock { .. } => "deadlock",
             Failure::Invariant { .. } => "invariant",
             Failure::NotLinearizable { .. } => "not-linearizable",
+            Failure::UseAfterFree { .. } => "use-after-free",
             Failure::StepLimit => "step-limit",
             Failure::Panic { .. } => "panic",
         }
@@ -119,6 +135,7 @@ impl fmt::Display for Failure {
             | Failure::Deadlock { what }
             | Failure::Invariant { what }
             | Failure::NotLinearizable { what }
+            | Failure::UseAfterFree { what }
             | Failure::Panic { what } => write!(f, "{}: {}", self.kind(), what),
             Failure::StepLimit => write!(f, "step-limit exceeded"),
         }
@@ -246,6 +263,32 @@ struct DataMeta {
     last_write: Option<(usize, u32)>,
     /// Per-thread component of each thread's latest read since that write.
     reads: Vec<u32>,
+    /// Where the cell lives, once a virtual thread accessed it in place (0
+    /// before): how a free finds the cells of its allocation.
+    addr: usize,
+}
+
+/// A node allocated through the facade, destroyed when the execution ends.
+struct Node {
+    start: usize,
+    end: usize,
+    drop_fn: unsafe fn(*mut u8),
+    /// Once freed (quarantined): by which virtual thread (`None`: set-up,
+    /// finale or a drop).
+    freed: Option<Option<usize>>,
+}
+
+// SAFETY: nodes are destroyed on any thread (`Atomics::free`'s contract).
+unsafe impl Send for Node {}
+
+impl Node {
+    /// Who freed the node, if `addr` lies in it and it was freed.
+    fn freed_at(&self, addr: usize) -> Option<String> {
+        let by = self
+            .freed
+            .filter(|_| (self.start..self.end).contains(&addr))?;
+        Some(by.map_or("the harness".into(), |t| format!("t{t}")))
+    }
 }
 
 /// One recorded history event.
@@ -280,6 +323,8 @@ struct EngineState {
     specs: Vec<Box<dyn Any + Send>>,
     /// Faults the scenario injects, by word name.
     faults: Vec<(&'static str, Fault)>,
+    /// The nodes allocated through the facade, the quarantine among them.
+    nodes: Vec<Node>,
 }
 
 impl EngineState {
@@ -376,6 +421,7 @@ impl Shared {
                 stale_budget: memory.stale_budget(),
                 specs: Vec::new(),
                 faults: Vec::new(),
+                nodes: Vec::new(),
             }),
         }
     }
@@ -404,8 +450,62 @@ impl Shared {
             value: init,
             last_write: None,
             reads: Vec::new(),
+            addr: 0,
         });
         st.data.len() - 1
+    }
+
+    /// Put the `size`-byte node at `ptr`, which `drop_fn` destroys, on
+    /// record.
+    pub(crate) fn alloc(&self, ptr: *mut u8, size: usize, drop_fn: unsafe fn(*mut u8)) {
+        let (start, end) = (ptr as usize, ptr as usize + size);
+        self.lock().nodes.push(Node {
+            start,
+            end,
+            drop_fn,
+            freed: None,
+        });
+    }
+
+    /// Quarantine the node at `ptr`; `false` if it is not on record. From a
+    /// virtual thread (`by`) this is a write to every cell of the node, and
+    /// freeing it a second time fails the execution; outside one the second
+    /// free is only ignored.
+    pub(crate) fn free(&self, by: Option<&ThreadCtx>, ptr: *mut u8) -> bool {
+        let mut st = self.lock();
+        let Some(node) = st.nodes.iter_mut().find(|n| n.start == ptr as usize) else {
+            return false;
+        };
+        let (start, end) = (node.start, node.end);
+        if let Some(first) = node.freed_at(start) {
+            let Some(ctx) = by else { return true };
+            let what = format!("t{} frees memory {first} freed", ctx.tid);
+            ctx.fail(&mut st, Failure::UseAfterFree { what });
+        }
+        node.freed = Some(by.map(|ctx| ctx.tid));
+        if let Some(ctx) = by {
+            for loc in 0..st.data.len() {
+                if (start..end).contains(&st.data[loc].addr) {
+                    ctx.write_to(&mut st, loc);
+                }
+            }
+        }
+        true
+    }
+
+    /// Destroy the nodes on record. They stay on it meanwhile: a payload's
+    /// drop may free a node, which is then only marked, whichever comes first.
+    fn release_nodes(&self) {
+        let nth = |i: usize| self.lock().nodes.get(i).map(|n| (n.drop_fn, n.start));
+        for i in 0.. {
+            let Some((drop_fn, start)) = nth(i) else {
+                break;
+            };
+            // SAFETY: `alloc` recorded `drop_fn` with the node's type, and
+            // the record is walked once.
+            unsafe { drop_fn(start as *mut u8) };
+        }
+        self.lock().nodes.clear();
     }
 
     /// Act on an atomic's current value outside the schedule (set-up,
@@ -756,6 +856,30 @@ impl ThreadCtx {
         value
     }
 
+    /// One poll of a bounded spin on `loc`: a load at which the thread
+    /// offers its turn, so running another thread there is no preemption.
+    pub(crate) fn op_poll(&self, loc: usize, ord: Ordering) -> u64 {
+        // With no previous thread on record the pick starts afresh.
+        self.shared.lock().token = None;
+        self.op_load(loc, ord)
+    }
+
+    /// Fail as a use-after-free if the word (or, `data`, the cell) `loc`,
+    /// which lives at `addr`, lies in memory freed in this execution.
+    pub(crate) fn touch(&self, loc: usize, data: bool, addr: usize) {
+        let mut st = self.shared.lock();
+        let name = if data {
+            st.data[loc].addr = addr;
+            st.data[loc].name
+        } else {
+            st.atomics[loc].name
+        };
+        if let Some(by) = st.nodes.iter().find_map(|n| n.freed_at(addr)) {
+            let what = format!("t{} touches `{name}` in memory {by} freed", self.tid);
+            self.fail(&mut st, Failure::UseAfterFree { what });
+        }
+    }
+
     /// Atomic load with `ord` semantics.
     pub(crate) fn op_load(&self, loc: usize, ord: Ordering) -> u64 {
         let mut st = self.begin_op();
@@ -894,13 +1018,19 @@ impl ThreadCtx {
     /// Plain-data write with happens-before race checking.
     pub(crate) fn data_write(&self, loc: usize, v: u64) {
         let mut st = self.shared.lock();
+        self.write_to(&mut st, loc);
+        st.data[loc].value = v;
+    }
+
+    /// The race check and the bookkeeping of a write to `loc`.
+    fn write_to(&self, st: &mut EngineState, loc: usize) {
         if let Some((w, at)) = st.data[loc].last_write {
             if w != self.tid && st.clocks[self.tid].get(w) < at {
                 let what = format!(
                     "write of `{}` by t{} races with write by t{}",
                     st.data[loc].name, self.tid, w
                 );
-                self.fail(&mut st, Failure::DataRace { what });
+                self.fail(st, Failure::DataRace { what });
             }
         }
         for u in 0..st.clocks.len() {
@@ -911,25 +1041,12 @@ impl ThreadCtx {
                     "write of `{}` by t{} races with read by t{}",
                     st.data[loc].name, self.tid, u
                 );
-                self.fail(&mut st, Failure::DataRace { what });
+                self.fail(st, Failure::DataRace { what });
             }
         }
         let epoch = st.clocks[self.tid].get(self.tid);
         st.data[loc].last_write = Some((self.tid, epoch));
         st.data[loc].reads.clear();
-        st.data[loc].value = v;
-    }
-
-    /// Allocate a fresh plain-data location mid-execution (e.g. a stack
-    /// node). Not a schedule point.
-    pub(crate) fn alloc_data(&self, name: &'static str, init: u64) -> usize {
-        self.shared.alloc_data(name, init)
-    }
-
-    /// Allocate a fresh atomic location mid-execution (e.g. the `next` link
-    /// of a dynamically allocated queue node). Not a schedule point.
-    pub(crate) fn alloc_atomic(&self, name: &'static str, init: u64) -> usize {
-        self.shared.alloc_atomic(name, init).0
     }
 
     /// Record an operation invocation for the linearizability history.
@@ -1073,13 +1190,13 @@ pub(crate) fn run_one(
     };
     let history = collect_history(&history);
 
-    if failure.is_none() {
-        if let Some(f) = finale {
-            if let Err(what) = f() {
-                failure = Some(Failure::Invariant { what });
-            }
-        }
+    // Run or dropped, the finale is the last owner of what the scenario
+    // built: past this statement every construct has died — inside the
+    // execution, so what its `Drop` freed is still quarantined.
+    if let Some(Err(what)) = finale.filter(|_| failure.is_none()).map(|f| f()) {
+        failure = Some(Failure::Invariant { what });
     }
+    shared.release_nodes();
     if failure.is_none() {
         if let Some(spec) = spec {
             if let Err(what) = crate::linearize::check_history(&spec, &history) {

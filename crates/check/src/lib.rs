@@ -20,15 +20,17 @@
 //! * [`model`] implements the `parmacs` [`Atomics`](splash4_parmacs::Atomics)
 //!   facade for that engine, so the scenarios instantiate the **shipped**
 //!   `TreiberStack`, `SenseBarrier`, `AtomicF64`, `Reducer`, `AtomicFlag`,
-//!   `IndexCounter`, `CombiningCore` and `BoundedMpmcQueue`: the code that
-//!   runs in production is the code explored. A mutation test overrides one
-//!   field of a [`splash4_parmacs::spec`] table or injects a [`Fault`] at
-//!   one named word; neither edits a construct.
+//!   `IndexCounter`, `CombiningCore` and `BoundedMpmcQueue`, and the
+//!   `splash4-reclaim` pools and reclaimers: the code that runs in
+//!   production is the code explored. The facade's `alloc`/`free` are
+//!   modelled too: a freed node stays quarantined until its execution ends,
+//!   and touching it is a **use-after-free** failure, not one executed. A
+//!   mutation test overrides one field of a [`splash4_parmacs::spec`] table
+//!   or injects a [`Fault`] at one named word; neither edits a construct.
 //! * [`shadow`] holds what cannot take that road: the Splash-3 sleeping
-//!   lock (a `Mutex` + `Condvar`, no atomics to swap) and its queue.
-//!   [`reclaim`] and the `cmap` chain of [`kernel`] also still check
-//!   skeletons: a premature-free mutant of the real reclaimer would be a
-//!   use-after-free in the checker itself until allocation is modelled.
+//!   lock (a `Mutex` + `Condvar`, no atomics to swap) and its queue. The
+//!   `cmap` chain of [`kernel`] and the litmus tests of [`weakmem`] are
+//!   still skeletons on raw engine cells.
 //! * [`explore`] enumerates schedules: bounded-preemption DFS plus a seeded
 //!   PCT-style random scheduler, with counterexample minimization and
 //!   replay — a failing interleaving prints as a deterministic schedule
@@ -46,6 +48,9 @@
 //!   [`splash4_kernels::InputClass::Check`] scale — radix's fetch-add rank
 //!   dispensing and water-nsquared's CAS-loop energy reduction — for the
 //!   `V2-kernel-check` experiment.
+//! * [`reclaim`] runs the shipped `MsQueue` and `EliminationStack` over the
+//!   shipped `EpochReclaimer` and `HazardReclaimer` — the `R1-reclaim`
+//!   experiment table and its five mutants.
 //! * [`weakmem`] goes beyond sequentially consistent values: under
 //!   [`engine::MemoryModel::Weak`] the engine also branches over the stale
 //!   reads the C11 orderings admit on the atomics themselves, catching
@@ -93,9 +98,7 @@ pub use kernel::{
 pub use linearize::{check_history, Op, OpRecord, RetVal, SpecModel};
 pub use model::Model;
 pub use reclaim::{
-    check_reclaim, check_reclaim_mutants, elimination_scenario, epoch_reclaim_scenario,
-    hazard_reclaim_scenario, ms_queue_scenario, reclaim_mutants, ShadowEliminationStack,
-    ShadowMsQueue,
+    check_reclaim, check_reclaim_mutants, pool_scenario, reclaim_mutants, Scripts, Step,
 };
 pub use shadow::{ShadowLock, ShadowLockedQueue};
 pub use suite::{

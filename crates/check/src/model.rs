@@ -10,13 +10,17 @@
 //! access to the race detector. Both find the engine through the
 //! thread-local it sets around an execution; outside a virtual thread
 //! (set-up, finale, drops) they act on the current value directly, so a
-//! finale may call the construct's own `load`.
+//! finale may call the construct's own `load`. Both also tell the engine
+//! where they live each time a virtual thread uses them: a node of
+//! [`Model::alloc`](Atomics::alloc) that is freed stays quarantined until
+//! the execution ends, and using a word or cell inside it fails as a
+//! use-after-free.
 //!
 //! Mutants never edit a construct: [`Sandbox::override_spec`](crate::Sandbox)
 //! replaces the table [`Model::spec`] returns, and
 //! [`Sandbox::fault`](crate::Sandbox) makes the words of one name misbehave.
 
-use crate::engine::{with_current, with_running, Fault, Shared};
+use crate::engine::{with_current, with_running, Fault, Shared, ThreadCtx};
 use splash4_parmacs::atomics::{Atomics, DataCell, IntWord, Word};
 use splash4_parmacs::Backoff;
 use std::cell::UnsafeCell;
@@ -40,6 +44,31 @@ impl Atomics for Model {
     fn spec<S: Copy + Send + 'static>(shipped: S) -> S {
         let installed = with_current(|c| c.and_then(|(shared, _)| shared.installed_spec()));
         installed.unwrap_or(shipped)
+    }
+
+    fn alloc<T>(node: T) -> *mut T {
+        unsafe fn drop_box<T>(p: *mut u8) {
+            // SAFETY: the record holds `p` with the `T` it was boxed as.
+            drop(unsafe { Box::from_raw(p.cast::<T>()) });
+        }
+        let p = Box::into_raw(Box::new(node));
+        let size = std::mem::size_of::<T>();
+        // Outside an execution, or with no address range to watch, the node
+        // is an ordinary box.
+        if size > 0 {
+            with_current(|c| c.map(|(shared, _)| shared.alloc(p.cast(), size, drop_box::<T>)));
+        }
+        p
+    }
+
+    unsafe fn free<T>(p: *mut T) {
+        let on_record = with_current(|c| {
+            c.is_some_and(|(shared, _)| with_running(|ctx| shared.free(ctx, p.cast())))
+        });
+        if !on_record {
+            // SAFETY: `free`'s contract is `Box::from_raw`'s.
+            drop(unsafe { Box::from_raw(p) });
+        }
     }
 }
 
@@ -105,10 +134,23 @@ impl<V> fmt::Debug for ModelWord<V> {
 }
 
 impl<V: Bits> ModelWord<V> {
+    /// Run `op` as the calling virtual thread (`None` outside one), which
+    /// must not find this word in freed memory. Checked once the operation
+    /// is through: the thread kept its turn since.
+    fn on<R>(&self, op: impl FnOnce(Option<&ThreadCtx>) -> R) -> R {
+        with_running(|ctx| {
+            let result = op(ctx);
+            if let Some(ctx) = ctx {
+                ctx.touch(self.loc, false, self as *const Self as usize);
+            }
+            result
+        })
+    }
+
     /// Read-modify-write under this word's fault, scheduled from a virtual
     /// thread and direct outside one. Returns the value read.
     fn rmw(&self, ord: Ordering, f: impl Fn(u64) -> u64) -> u64 {
-        with_running(|ctx| match (ctx, self.fault) {
+        self.on(|ctx| match (ctx, self.fault) {
             (None, _) => self.shared.raw(self.loc, |v| std::mem::replace(v, f(*v))),
             (Some(ctx), None) => ctx.op_rmw(self.loc, ord, f),
             (Some(ctx), Some(Fault::Torn)) => {
@@ -135,14 +177,14 @@ impl<V: Bits> Word<V> for ModelWord<V> {
     }
 
     fn load(&self, ord: Ordering) -> V {
-        V::from_bits(with_running(|ctx| match ctx {
+        V::from_bits(self.on(|ctx| match ctx {
             Some(ctx) => ctx.op_load(self.loc, ord),
             None => self.shared.raw(self.loc, |v| *v),
         }))
     }
 
     fn store(&self, v: V, ord: Ordering) {
-        with_running(|ctx| match (ctx, self.fault) {
+        self.on(|ctx| match (ctx, self.fault) {
             (None, _) => self.shared.raw(self.loc, |cur| *cur = v.bits()),
             (Some(ctx), Some(Fault::Dropped)) => drop(ctx.op_load(self.loc, ord)),
             (Some(ctx), _) => ctx.op_store(self.loc, v.bits(), ord),
@@ -151,7 +193,7 @@ impl<V: Bits> Word<V> for ModelWord<V> {
 
     fn compare_exchange(&self, cur: V, new: V, ok: Ordering, fail: Ordering) -> Result<V, V> {
         let (cur, new) = (cur.bits(), new.bits());
-        let result = with_running(|ctx| match (ctx, self.fault) {
+        let result = self.on(|ctx| match (ctx, self.fault) {
             (Some(ctx), None) => ctx.op_cas(self.loc, cur, new, ok, fail),
             // The compare is what a torn CAS loses and a dropped one fakes.
             (Some(ctx), Some(Fault::Torn)) => {
@@ -186,7 +228,15 @@ impl<V: Bits> Word<V> for ModelWord<V> {
     fn snooze(&self, _backoff: &mut Backoff) {
         with_running(|ctx| {
             let ctx = ctx.expect("a wait loop outside the schedule can never be released");
+            ctx.touch(self.loc, false, self as *const Self as usize);
             ctx.block_on(self.loc);
+        });
+    }
+
+    fn poll_while(&self, _cur: V, _polls: usize, ord: Ordering) {
+        // Outside the schedule nobody else can run: nothing to wait for.
+        self.on(|ctx| {
+            ctx.map(|ctx| ctx.op_poll(self.loc, ord));
         });
     }
 }
@@ -197,6 +247,19 @@ impl<V: Bits> Word<V> for ModelWord<V> {
 pub struct ModelCell<T> {
     loc: usize,
     value: UnsafeCell<T>,
+}
+
+impl<T> ModelCell<T> {
+    /// Report an access to the calling virtual thread's engine, if any: the
+    /// cell must not lie in freed memory, then `access` checks for races.
+    fn accessed(&self, access: impl FnOnce(&ThreadCtx)) {
+        with_running(|ctx| {
+            if let Some(ctx) = ctx {
+                ctx.touch(self.loc, true, self as *const Self as usize);
+                access(ctx);
+            }
+        });
+    }
 }
 
 impl<T> DataCell<T> for ModelCell<T> {
@@ -219,14 +282,16 @@ impl<T> DataCell<T> for ModelCell<T> {
     }
 
     unsafe fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        with_running(|ctx| ctx.map(|ctx| ctx.data_read(self.loc)));
+        self.accessed(|ctx| {
+            ctx.data_read(self.loc);
+        });
         // SAFETY: one virtual thread runs at a time, and `data_read` unwound
         // if a write is unordered with this read.
         f(unsafe { &*self.value.get() })
     }
 
     unsafe fn with_mut<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        with_running(|ctx| ctx.map(|ctx| ctx.data_write(self.loc, 0)));
+        self.accessed(|ctx| ctx.data_write(self.loc, 0));
         // SAFETY: as in `with`, for any other access.
         f(unsafe { &mut *self.value.get() })
     }

@@ -150,7 +150,7 @@ pub fn sb_hazard_scenario(spec: HazardSpec) -> impl Fn(&mut Sandbox) + Sync {
 /// node's value cell is atomic — so only weak-memory value exploration
 /// can catch it.
 pub fn cmap_pin_scan_scenario(spec: EpochSpec) -> impl Fn(&mut Sandbox) + Sync {
-    const POISON: u64 = 0xDEAD;
+    const FREED: u64 = 0xDEAD;
     move |sb: &mut Sandbox| {
         let pin = sb.alloc_atomic("cmap.pin", 0);
         let retired = sb.alloc_atomic("cmap.retired", 0);
@@ -163,7 +163,7 @@ pub fn cmap_pin_scan_scenario(spec: EpochSpec) -> impl Fn(&mut Sandbox) + Sync {
             let seen_retired = ctx.op_load(retired, spec.global_load);
             if seen_retired == 0 {
                 let v = ctx.op_load(value, cmap.value_load);
-                ctx.check(v != POISON, "cmap: pinned reader never sees a freed node");
+                ctx.check(v != FREED, "cmap: pinned reader never sees a freed node");
             }
             ctx.op_store(pin, 0, spec.quiesce_store);
         });
@@ -171,7 +171,7 @@ pub fn cmap_pin_scan_scenario(spec: EpochSpec) -> impl Fn(&mut Sandbox) + Sync {
             ctx.op_store(retired, 1, Ordering::SeqCst);
             let pinned = ctx.op_load(pin, spec.scan_load);
             if pinned == 0 {
-                ctx.op_store(value, POISON, Ordering::Relaxed);
+                ctx.op_store(value, FREED, Ordering::Relaxed);
             }
         });
     }

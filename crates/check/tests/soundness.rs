@@ -3,12 +3,13 @@
 //! scenarios run the shipped constructs, cover what no transcription could.
 
 use splash4_check::{
-    explore, mutants, reduce_f64_scenario, replay, sense_barrier_scenario, treiber_scenario,
-    Budget, Model, Op, RetVal, Sandbox, Schedule, SpecModel,
+    explore, mutants, mutated, pool_scenario, reduce_f64_scenario, replay, sense_barrier_scenario,
+    treiber_scenario, Budget, Fault, Model, Op, RetVal, Sandbox, Schedule, SpecModel, Step,
 };
-use splash4_parmacs::atomics::{Atomics, Std};
+use splash4_parmacs::atomics::{Atomics, DataCell, Std, Word};
 use splash4_parmacs::{CombiningCore, IndexCounter, ReduceU64, Reducer, SyncMode, TreiberSpec};
-use std::sync::atomic::Ordering;
+use splash4_reclaim::{PoolShape, ReclaimKind, TaskPool};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 fn budget(seed: u64) -> Budget {
@@ -266,4 +267,211 @@ fn one_generic_body_agrees_on_real_threads_and_under_the_explorer() {
         "{:?}",
         report.counterexample
     );
+}
+
+/// The contract of the model's `alloc`/`free`: a freed node stays allocated,
+/// its payload undropped, until the execution ends; touching one of its
+/// words afterwards is a use-after-free with a replayable schedule; and the
+/// free is a write to its cells, so an unordered earlier read is a race.
+#[test]
+fn a_freed_node_is_quarantined_and_touching_it_is_a_use_after_free() {
+    struct Counted(Arc<AtomicUsize>);
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    struct Node {
+        word: <Model as Atomics>::Usize,
+        cell: <Model as Atomics>::Cell<Counted>,
+    }
+    /// A raw node pointer that may cross into a thread body.
+    #[derive(Clone, Copy)]
+    struct Shared(*mut Node);
+    // SAFETY: the scenario below hands the node to the model's `free` once.
+    unsafe impl Send for Shared {}
+
+    let drops = Arc::new(AtomicUsize::new(0));
+    // t0 frees the node; t1 uses its word (and, `read_cell`, its cell).
+    let scenario = |read_cell: bool| {
+        let drops = Arc::clone(&drops);
+        move |sb: &mut Sandbox| {
+            let node = Shared(Model::alloc(Node {
+                word: Word::new("probe.word", 7),
+                cell: DataCell::new("probe.cell", Counted(Arc::clone(&drops))),
+            }));
+            let before = drops.load(Ordering::SeqCst);
+            // SAFETY: allocated above, freed here and nowhere else.
+            sb.thread(move |_ctx| unsafe { Model::free({ node }.0) });
+            sb.thread(move |_ctx| {
+                // SAFETY: the node is quarantined, not deallocated, and the
+                // model unwinds out of a racing or dangling access.
+                let node = unsafe { &*{ node }.0 };
+                node.word.load(Ordering::Acquire);
+                if read_cell {
+                    unsafe { node.cell.with(|_| ()) };
+                }
+            });
+            let drops = Arc::clone(&drops);
+            sb.finale(move || match drops.load(Ordering::SeqCst) - before {
+                0 => Ok(()),
+                n => Err(format!("payload dropped {n} times inside the execution")),
+            });
+        }
+    };
+
+    // The load first, then the free: passes, with the payload dropped once,
+    // and only after the finale saw it undropped.
+    let before = drops.load(Ordering::SeqCst);
+    let load_first = Schedule::parse("1*2").unwrap();
+    let re = replay(&scenario(false), &load_first, 1000);
+    assert!(re.failure.is_none(), "{:?}", re.failure);
+    assert_eq!(drops.load(Ordering::SeqCst) - before, 1);
+
+    // Some schedule frees first.
+    let cex = explore(&scenario(false), &budget(12)).counterexample;
+    let cex = cex.expect("the load can come after the free");
+    assert_eq!(cex.failure.kind(), "use-after-free", "{cex}");
+    let what = cex.failure.to_string();
+    assert!(
+        what.contains("t1 touches `probe.word` in memory t0 freed"),
+        "{what}"
+    );
+    let before = drops.load(Ordering::SeqCst);
+    let parsed = Schedule::parse(&cex.schedule.to_string()).unwrap();
+    let again = replay(&scenario(false), &parsed, 1000);
+    assert_eq!(again.failure, Some(cex.failure));
+    assert_eq!(drops.load(Ordering::SeqCst) - before, 1);
+
+    // A cell read the free is not ordered after races with it.
+    let re = replay(&scenario(true), &load_first, 1000);
+    let what = re.failure.expect("unordered read, then free").to_string();
+    assert!(
+        what.contains("data-race: write of `probe.cell` by t0"),
+        "{what}"
+    );
+}
+
+/// One body over `A` — three threads pushing, popping and flushing a
+/// `TaskPool` — on real threads with `Std` and under the explorer with
+/// `Model`: both conserve the pushed multiset and leave nothing pending.
+#[test]
+fn one_task_pool_body_runs_on_real_threads_and_under_the_explorer() {
+    type Pool<A> = TaskPool<u64, A>;
+    fn build<A: Atomics>(shape: PoolShape, kind: ReclaimKind) -> Arc<Pool<A>> {
+        // Three workers, and the thread that drains at the end.
+        Arc::new(Pool::new_in(shape, kind, 4, Arc::default()))
+    }
+    fn body<A: Atomics>(pool: &Pool<A>, tid: u64) -> Vec<u64> {
+        pool.push(10 * tid);
+        pool.push(10 * tid + 1);
+        let got = [pool.pop(), pool.pop()];
+        pool.flush();
+        got.into_iter().flatten().collect()
+    }
+    fn settle<A: Atomics>(pool: &Pool<A>, mut got: Vec<u64>) -> Result<(), String> {
+        got.extend(std::iter::from_fn(|| pool.pop()));
+        got.sort_unstable();
+        pool.flush();
+        match (&got[..], pool.reclaim_stats().pending()) {
+            ([0, 1, 10, 11, 20, 21], 0) => Ok(()),
+            (got, pending) => Err(format!("popped {got:?}, {pending} pending")),
+        }
+    }
+
+    for shape in [PoolShape::Fifo, PoolShape::Lifo] {
+        for kind in [ReclaimKind::Epoch, ReclaimKind::Hazard] {
+            let native = build::<Std>(shape, kind);
+            let got = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..3)
+                    .map(|tid| {
+                        let pool = &native;
+                        s.spawn(move || body(pool, tid))
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .flat_map(|w| w.join().unwrap())
+                    .collect()
+            });
+            settle(&native, got).unwrap_or_else(|e| panic!("{shape:?}/{kind:?}: {e}"));
+
+            let scenario = move |sb: &mut Sandbox| {
+                let pool = build::<Model>(shape, kind);
+                let got = Arc::new(Mutex::new(Vec::new()));
+                for tid in 0..3 {
+                    let (pool, got) = (Arc::clone(&pool), Arc::clone(&got));
+                    sb.thread(move |_ctx| {
+                        let mine = body(&pool, tid);
+                        got.lock().unwrap().extend(mine);
+                    });
+                }
+                sb.finale(move || settle(&pool, std::mem::take(&mut *got.lock().unwrap())));
+            };
+            let report = explore(&scenario, &budget(13));
+            assert!(
+                report.counterexample.is_none(),
+                "{shape:?}/{kind:?}: {:?}",
+                report.counterexample
+            );
+        }
+    }
+}
+
+/// The two-hazard case only the real queue has: `MsQueue::pop` protects
+/// `head` and `next` while a second popper retires and a third thread
+/// flushes. Sound as shipped — which takes a scan that reads the hazard
+/// records *after* it took the retirees out of the bag: with the records
+/// read first, as they were before the reclaimers shared one `Bag`, a node
+/// retired in between is freed on a stale snapshot, and this search (three
+/// preemptions deep) reports the free as a race with the first popper's
+/// take. With the publication dropped, the scan frees a node the first
+/// popper validated.
+#[test]
+fn ms_queue_pop_holds_two_hazards_against_a_concurrent_flush() {
+    use Step::{Flush, Pop};
+    let scenario = || {
+        pool_scenario(
+            PoolShape::Fifo,
+            ReclaimKind::Hazard,
+            &[1, 2],
+            &[&[Pop], &[Pop], &[Flush]],
+        )
+    };
+    let wide = Budget {
+        max_preemptions: 3,
+        max_schedules: 2500,
+        max_executions: 5000,
+        ..budget(14)
+    };
+    let report = explore(&scenario(), &wide);
+    assert!(
+        report.counterexample.is_none(),
+        "{:?}",
+        report.counterexample
+    );
+    assert!(
+        report.distinct_schedules >= 2500,
+        "{}",
+        report.distinct_schedules
+    );
+
+    // The records no longer carry an edge from a popper to the scan either,
+    // so the search meets the free as a race with a finished pop first.
+    let unprotected = mutated(|sb| sb.fault("hazard.hp", Fault::Dropped), scenario());
+    let cex = explore(&unprotected, &wide).counterexample;
+    let cex = cex.expect("an unpublished hazard protects nothing");
+    assert!(cex.failure.to_string().contains("msq.node"), "{cex}");
+
+    // t0 validates `head`, t1 pops and retires that node, t2's flush frees
+    // it, and t0 goes on to read the node's link.
+    let stale_head = Schedule::parse("0*4,1*11,2*9").unwrap();
+    let re = replay(&unprotected, &stale_head, 1000);
+    assert_eq!(re.schedule, stale_head);
+    let what = re.failure.expect("t0 reads a freed node").to_string();
+    assert_eq!(
+        what,
+        "use-after-free: t0 touches `msq.node.next` in memory t2 freed"
+    );
+    assert!(replay(&scenario(), &stale_head, 1000).failure.is_none());
 }

@@ -201,18 +201,18 @@ const EXPERIMENTS: [(&str, Runner); 18] = [
         )
     }),
     // `R1-reclaim` (extension): model checking the reclamation layer and the
-    // dynamic task pools built on it. Hand-written skeletons of the
-    // Michael-Scott queue and the elimination-backoff exchange (these free
-    // memory, so they are not yet run for real like the `parmacs`
-    // constructs of V1/V2/C1) run against FIFO/LIFO
-    // linearizability specs, and two protocol scenarios model the
-    // reclamation invariants directly: a free is a poison write, so a
-    // premature free is a data race or a poisoned-value invariant failure,
-    // and a retire that never frees fails the leak-at-quiescence finale.
-    // The mutant table seeds exactly those bugs — premature free,
-    // never-retire leak, lost tail-link CAS, duplicate elimination take,
-    // skipped hazard validation — and each must fall with a replayable
-    // counterexample schedule.
+    // dynamic task pools built on it. The shipped Michael-Scott queue and
+    // elimination-backoff stack run over the shipped epoch and hazard-pointer
+    // reclaimers, all instantiated over the checker's model, against
+    // FIFO/LIFO linearizability specs; the nodes they free go through the
+    // model's `free`, which quarantines them, so a premature free is a
+    // use-after-free (or a data race with the reader's last access) at the
+    // operation that would have read freed memory, and a node still pending
+    // after the quiescent flush fails the leak-at-quiescence finale. The
+    // mutant table breaks one named word per bug class — dropped epoch
+    // announcement, dropped epoch advance, torn tail-link CAS, torn
+    // exchange-slot CAS, dropped hazard publication — and each must fall
+    // with a replayable counterexample schedule.
     ("R1-reclaim", |id, _| {
         check_report(
             id,

@@ -41,6 +41,21 @@ pub trait Word<V: Copy>: Send + Sync {
     /// no other [`Word`] operation in between, or the model may park after
     /// the write that would have released the loop.
     fn snooze(&self, backoff: &mut Backoff);
+    /// A bounded wait: poll until the word stops holding `cur`, `polls`
+    /// times at most. The model polls once and offers its turn there: what
+    /// a spin window does is let the other threads run.
+    #[inline]
+    fn poll_while(&self, cur: V, polls: usize, ord: Ordering)
+    where
+        V: PartialEq,
+    {
+        for _ in 0..polls {
+            if self.load(ord) != cur {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+    }
 }
 
 /// A [`Word`] of an integer type.
@@ -81,7 +96,7 @@ pub trait Atomics: Sized + 'static {
     /// 64-bit word.
     type U64: IntWord<u64>;
     /// Pointer-sized integer word.
-    type Usize: IntWord<usize>;
+    type Usize: IntWord<usize> + 'static;
     /// Boolean word.
     type Bool: Word<bool>;
     /// Pointer word.
@@ -92,6 +107,16 @@ pub trait Atomics: Sized + 'static {
     /// `shipped` constant it passes in, unless a checker scenario installed
     /// a mutated table of that type.
     fn spec<S: Copy + Send + 'static>(shipped: S) -> S;
+    /// Allocate a node that other threads will reach through a [`Word`].
+    fn alloc<T>(node: T) -> *mut T;
+    /// Give a node of [`Atomics::alloc`] back. The model checker keeps the
+    /// memory until its execution ends instead, so that a free that came too
+    /// early is reported, not executed.
+    ///
+    /// # Safety
+    /// `p` must come from [`Atomics::alloc`], be freed once, and be out of
+    /// every other thread's reach; `T` must be safe to drop on any thread.
+    unsafe fn free<T>(p: *mut T);
 }
 
 /// Production [`Atomics`]: `std::sync::atomic`, zero cost.
@@ -108,6 +133,15 @@ impl Atomics for Std {
     #[inline]
     fn spec<S: Copy + Send + 'static>(shipped: S) -> S {
         shipped
+    }
+    #[inline]
+    fn alloc<T>(node: T) -> *mut T {
+        Box::into_raw(Box::new(node))
+    }
+    #[inline]
+    unsafe fn free<T>(p: *mut T) {
+        // SAFETY: `p` is `alloc`'s `Box::into_raw`, given back once.
+        drop(unsafe { Box::from_raw(p) });
     }
 }
 

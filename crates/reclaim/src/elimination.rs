@@ -18,66 +18,56 @@
 //! install/withdraw window, so under hazard-pointer reclamation the node
 //! cannot be freed-and-reallocated into a colliding offer before the
 //! withdraw CAS resolves the handshake.
+//!
+//! `head`, the slot and the nodes' links are [`Atomics`] words and the
+//! payloads cells, so `splash4-check` (experiment `R1-reclaim`) explores
+//! this stack itself over both reclaimers; a slot CAS torn into a blind
+//! store — offer taken *and* withdrawn — is its duplicate-take mutant.
 
 use crate::node::Node;
 use crate::Reclaimer;
+use splash4_parmacs::atomics::{Atomics, Std, Word};
 use splash4_parmacs::{
     CachePadded, Counter, EliminationSpec, SyncCounters, TaskQueue, TraceEvent, TreiberSpec,
 };
 use std::fmt;
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Spin iterations a pusher leaves its offer in the exchange slot.
 const ELIM_WINDOW: usize = 64;
 
+/// What the model checker calls a node's payload cell and its link.
+const NODE: [&str; 2] = ["elim.node.value", "elim.node.next"];
+
 /// Elimination-backoff LIFO stack (see the module docs).
-pub struct EliminationStack<T> {
-    head: CachePadded<AtomicPtr<Node<T>>>,
+pub struct EliminationStack<T, A: Atomics = Std> {
+    head: CachePadded<A::Ptr<Node<T, A>>>,
     /// The exchange slot: null, or a pusher's offered node.
-    slot: CachePadded<AtomicPtr<Node<T>>>,
+    slot: CachePadded<A::Ptr<Node<T, A>>>,
     /// Approximate length: incremented before a push publishes, decremented
     /// after a successful pop. Exact at quiescence.
     len: CachePadded<AtomicUsize>,
     reclaimer: Arc<dyn Reclaimer>,
-    spec: TreiberSpec,
-    elim: EliminationSpec,
     stats: Arc<SyncCounters>,
 }
 
 // SAFETY: each value moves from one pushing thread to exactly one popping
 // thread (`T: Send`); node lifetime follows the reclamation protocol.
-unsafe impl<T: Send> Send for EliminationStack<T> {}
-unsafe impl<T: Send> Sync for EliminationStack<T> {}
+unsafe impl<T: Send, A: Atomics> Send for EliminationStack<T, A> {}
+unsafe impl<T: Send, A: Atomics> Sync for EliminationStack<T, A> {}
 
-impl<T: Send> EliminationStack<T> {
+impl<T: Send, A: Atomics> EliminationStack<T, A> {
     /// Empty stack whose nodes are reclaimed through `reclaimer`, shipping
     /// [`TreiberSpec::SPLASH4`] + [`EliminationSpec::SPLASH4`] orderings
     /// and reporting into `stats`.
-    pub fn new(reclaimer: Arc<dyn Reclaimer>, stats: Arc<SyncCounters>) -> EliminationStack<T> {
-        EliminationStack::with_spec(
-            reclaimer,
-            stats,
-            TreiberSpec::SPLASH4,
-            EliminationSpec::SPLASH4,
-        )
-    }
-
-    /// Stack with explicit orderings (ordering-sensitivity tests).
-    pub fn with_spec(
-        reclaimer: Arc<dyn Reclaimer>,
-        stats: Arc<SyncCounters>,
-        spec: TreiberSpec,
-        elim: EliminationSpec,
-    ) -> EliminationStack<T> {
+    pub fn new(reclaimer: Arc<dyn Reclaimer>, stats: Arc<SyncCounters>) -> EliminationStack<T, A> {
         EliminationStack {
-            head: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
-            slot: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
+            head: CachePadded::new(A::Ptr::new("elim.head", ptr::null_mut())),
+            slot: CachePadded::new(A::Ptr::new("elim.slot", ptr::null_mut())),
             len: CachePadded::new(AtomicUsize::new(0)),
             reclaimer,
-            spec,
-            elim,
             stats,
         }
     }
@@ -86,8 +76,8 @@ impl<T: Send> EliminationStack<T> {
     pub fn push(&self, value: T) {
         self.stats.bump(Counter::QueueOps);
         self.stats.trace(TraceEvent::Enqueue);
-        let s = self.spec;
-        let node = Node::boxed(Some(value));
+        let s = A::spec(TreiberSpec::SPLASH4);
+        let node: *mut Node<T, A> = Node::boxed(NODE, Some(value));
         // Count before publishing (either path): increment happens-before
         // the publishing CAS, which happens-before the matching pop's
         // decrement — no underflow.
@@ -119,7 +109,7 @@ impl<T: Send> EliminationStack<T> {
     pub fn pop(&self) -> Option<T> {
         self.stats.bump(Counter::QueueOps);
         self.stats.trace(TraceEvent::Dequeue);
-        let s = self.spec;
+        let s = A::spec(TreiberSpec::SPLASH4);
         let slot = self.reclaimer.enter();
         let result = loop {
             let head = self.head.load(s.pop_load);
@@ -147,7 +137,7 @@ impl<T: Send> EliminationStack<T> {
                 // SAFETY: unlinked by the winning CAS, retired once.
                 unsafe {
                     self.reclaimer
-                        .retire(slot, head.cast(), Node::<T>::drop_erased)
+                        .retire(slot, head.cast(), Node::<T, A>::drop_erased)
                 };
                 break value;
             }
@@ -161,8 +151,8 @@ impl<T: Send> EliminationStack<T> {
     }
 
     /// Offer `node` in the exchange slot for one window; true on handoff.
-    fn try_eliminate_push(&self, slot: usize, node: *mut Node<T>) -> bool {
-        let e = self.elim;
+    fn try_eliminate_push(&self, slot: usize, node: *mut Node<T, A>) -> bool {
+        let e = A::spec(EliminationSpec::SPLASH4);
         // Keep a hazard on our own offer: a popper may take and retire it,
         // and the withdraw CAS below must not race a free-and-realloc of
         // this address (epoch back-ends cover this with the open region).
@@ -178,13 +168,8 @@ impl<T: Send> EliminationStack<T> {
             self.reclaimer.protect(slot, 0, ptr::null_mut());
             return false;
         }
-        for _ in 0..ELIM_WINDOW {
-            if self.slot.load(e.slot_load) != node {
-                // Taken mid-window; the withdraw below just confirms.
-                break;
-            }
-            std::hint::spin_loop();
-        }
+        // Leave early when taken mid-window; the withdraw below confirms.
+        self.slot.poll_while(node, ELIM_WINDOW, e.slot_load);
         self.stats.bump(Counter::AtomicRmws);
         let withdrawn = self
             .slot
@@ -209,7 +194,7 @@ impl<T: Send> EliminationStack<T> {
 
     /// Claim a pending exchange offer, if any.
     fn try_eliminate_pop(&self, slot: usize) -> Option<T> {
-        let e = self.elim;
+        let e = A::spec(EliminationSpec::SPLASH4);
         let offer = self.slot.load(e.slot_load);
         if offer.is_null() {
             return None;
@@ -238,7 +223,7 @@ impl<T: Send> EliminationStack<T> {
             // claimant alone retires it.
             unsafe {
                 self.reclaimer
-                    .retire(slot, offer.cast(), Node::<T>::drop_erased)
+                    .retire(slot, offer.cast(), Node::<T, A>::drop_erased)
             };
             value
         } else {
@@ -271,7 +256,7 @@ impl<T: Send> EliminationStack<T> {
     }
 }
 
-impl<T: Send> TaskQueue<T> for EliminationStack<T> {
+impl<T: Send, A: Atomics> TaskQueue<T> for EliminationStack<T, A> {
     fn push(&self, task: T) {
         EliminationStack::push(self, task)
     }
@@ -285,25 +270,23 @@ impl<T: Send> TaskQueue<T> for EliminationStack<T> {
     }
 }
 
-impl<T> Drop for EliminationStack<T> {
+impl<T, A: Atomics> Drop for EliminationStack<T, A> {
     fn drop(&mut self) {
         // Exclusive access: free the chain and any unpaired offer inline.
-        let mut p = *self.head.get_mut();
-        while !p.is_null() {
-            // SAFETY: `&mut self` — each node owned by the chain, freed once.
-            let boxed = unsafe { Box::from_raw(p) };
-            p = boxed.next.load(Ordering::Relaxed);
-        }
-        let offer = *self.slot.get_mut();
-        if !offer.is_null() {
-            // SAFETY: an offer still in the slot is owned by the stack now
-            // that no pusher thread can be live (`&mut self`).
-            drop(unsafe { Box::from_raw(offer) });
+        // SAFETY: `&mut self` — each node is owned by the chain, and an
+        // offer still in the slot by the stack, now that no pusher thread
+        // can be live; an offer's link is null or stale, never followed.
+        unsafe {
+            Node::free_chain(self.head.load_mut());
+            let offer = self.slot.load_mut();
+            if !offer.is_null() {
+                A::free(offer);
+            }
         }
     }
 }
 
-impl<T> fmt::Debug for EliminationStack<T> {
+impl<T, A: Atomics> fmt::Debug for EliminationStack<T, A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EliminationStack")
             .field("len", &self.len.load(Ordering::Relaxed))

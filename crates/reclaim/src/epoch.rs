@@ -10,16 +10,21 @@
 //! `e + 2`: two advances prove every thread pinned during `e` has left its
 //! protected region at least once, so no reference can survive.
 //!
-//! All orderings come from [`EpochSpec`]; the `splash4-check` shadow
-//! replica (`R1-reclaim`) explores the same state machine and catches the
-//! premature-free and never-retire mutants.
+//! All orderings come from [`EpochSpec`]. The global epoch and the
+//! announcements are [`Atomics`] words, so `splash4-check` (`R1-reclaim`)
+//! runs this reclaimer itself under its model: with an announcement store
+//! dropped the two-epoch rule frees under a pinned reader, which the model
+//! reports as a use-after-free; with the advance dropped nothing is ever
+//! freed, a leak at quiescence.
 
+use crate::bag::{Bag, Retired};
 use crate::registry::{self, SlotHolder};
-use crate::{ReclaimStats, Reclaimer, Retired, StatCells};
-use splash4_parmacs::{CachePadded, Counter, EpochSpec, SyncCounters};
+use crate::{ReclaimStats, Reclaimer, StatCells};
+use splash4_parmacs::atomics::{Atomics, Std, Word};
+use splash4_parmacs::{CachePadded, EpochSpec, SyncCounters};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Announcement value of a thread outside any protected region.
 const QUIESCENT: usize = usize::MAX;
@@ -28,25 +33,21 @@ const QUIESCENT: usize = usize::MAX;
 const RETIRE_THRESHOLD: usize = 64;
 
 /// One thread's record: the epoch announcement plus the defer-destroy bag.
-struct EpochSlot {
-    announce: CachePadded<AtomicUsize>,
-    /// `std::sync::Mutex`, deliberately uninstrumented: reclamation
-    /// bookkeeping must not show up as `lock_acquires` in kernel profiles.
-    /// Contention is nil — only the owning thread pushes; other threads
-    /// touch foreign bags only in [`EpochReclaimer::flush`].
-    bag: Mutex<Vec<Retired>>,
+struct EpochSlot<A: Atomics> {
+    announce: CachePadded<A::Usize>,
+    bag: Bag,
 }
 
-struct Inner {
-    global: CachePadded<AtomicUsize>,
-    slots: Box<[EpochSlot]>,
+struct Inner<A: Atomics> {
+    global: CachePadded<A::Usize>,
+    slots: Box<[EpochSlot<A>]>,
     in_use: Box<[AtomicBool]>,
-    spec: EpochSpec,
-    stats: Arc<SyncCounters>,
-    local: StatCells,
+    /// Slot claims so far (see [`registry::thread_slot`]).
+    claims: AtomicUsize,
+    stats: StatCells,
 }
 
-impl SlotHolder for Inner {
+impl<A: Atomics> SlotHolder for Inner<A> {
     fn vacate(&self, slot: usize) {
         // The bag stays: a later thread leasing this slot (or a flush)
         // inherits and eventually destroys its contents.
@@ -57,64 +58,22 @@ impl SlotHolder for Inner {
     }
 }
 
-/// Epoch-based reclaimer (see the module docs for the protocol).
-pub struct EpochReclaimer {
-    registry_id: usize,
-    inner: Arc<Inner>,
-    holder: Arc<dyn SlotHolder>,
-}
-
-impl EpochReclaimer {
-    /// Reclaimer with room for `capacity` concurrently live threads,
-    /// shipping [`EpochSpec::SPLASH4`] orderings and reporting into
-    /// `stats`.
-    pub fn new(capacity: usize, stats: Arc<SyncCounters>) -> EpochReclaimer {
-        EpochReclaimer::with_spec(capacity, stats, EpochSpec::SPLASH4)
-    }
-
-    /// Reclaimer with explicit orderings (ordering-sensitivity tests).
-    pub fn with_spec(capacity: usize, stats: Arc<SyncCounters>, spec: EpochSpec) -> EpochReclaimer {
-        let capacity = capacity.max(1);
-        let inner = Arc::new(Inner {
-            global: CachePadded::new(AtomicUsize::new(0)),
-            slots: (0..capacity)
-                .map(|_| EpochSlot {
-                    announce: CachePadded::new(AtomicUsize::new(QUIESCENT)),
-                    bag: Mutex::new(Vec::new()),
-                })
-                .collect(),
-            in_use: (0..capacity).map(|_| AtomicBool::new(false)).collect(),
-            spec,
-            stats,
-            local: StatCells::default(),
-        });
-        EpochReclaimer {
-            registry_id: registry::new_registry_id(),
-            holder: inner.clone(),
-            inner,
-        }
-    }
-
-    fn slot(&self) -> usize {
-        registry::thread_slot(self.registry_id, &self.holder, &self.inner.in_use)
-    }
-
+impl<A: Atomics> Inner<A> {
     /// Try to advance the global epoch; returns the (possibly new) epoch.
     ///
     /// Advance is legal only when every *active* announcement equals the
     /// current global epoch — a thread still announcing an older epoch may
     /// hold references retired under it.
     fn try_advance(&self) -> usize {
-        let s = self.inner.spec;
-        let e = self.inner.global.load(s.global_load);
-        for slot in self.inner.slots.iter() {
+        let s = A::spec(EpochSpec::SPLASH4);
+        let e = self.global.load(s.global_load);
+        for slot in self.slots.iter() {
             let a = slot.announce.load(s.scan_load);
             if a != QUIESCENT && a != e {
                 return e;
             }
         }
         match self
-            .inner
             .global
             .compare_exchange(e, e + 1, s.advance_cas_ok, s.advance_cas_fail)
         {
@@ -123,55 +82,76 @@ impl EpochReclaimer {
         }
     }
 
-    /// Destroy `slot`'s bag entries old enough for the two-epoch rule.
-    fn collect(&self, slot: usize) {
-        self.inner.local.scans.fetch_add(1, Ordering::Relaxed);
-        self.inner.stats.bump(Counter::ReclaimScans);
-        let global = self.try_advance();
-        let mut bag = self.inner.slots[slot]
-            .bag
-            .lock()
-            .expect("epoch bag poisoned");
-        let mut freed = 0u64;
-        bag.retain(|r| {
-            if r.epoch.saturating_add(2) <= global {
-                // SAFETY: retired under epoch `r.epoch`; the global epoch
-                // has advanced twice since, so every thread pinned at
-                // retirement has since quiesced — no reference survives.
-                unsafe { std::ptr::read(r).free() };
-                freed += 1;
-                false
-            } else {
-                true
-            }
+    /// Destroy the entries of `bag` old enough for the two-epoch rule.
+    fn sweep(&self, bag: &Bag, global: usize) {
+        // SAFETY: a rejected entry was retired under `r.epoch` and the
+        // global epoch has advanced twice since, so every thread pinned at
+        // retirement has since quiesced — no reference survives.
+        unsafe { bag.sweep(&self.stats, |r| r.epoch.saturating_add(2) > global) };
+    }
+}
+
+/// Epoch-based reclaimer (see the module docs for the protocol).
+pub struct EpochReclaimer<A: Atomics = Std> {
+    registry_id: usize,
+    inner: Arc<Inner<A>>,
+    holder: Arc<dyn SlotHolder>,
+}
+
+impl EpochReclaimer {
+    /// Reclaimer with room for `capacity` concurrently live threads,
+    /// shipping [`EpochSpec::SPLASH4`] orderings and reporting into
+    /// `stats`.
+    pub fn new(capacity: usize, stats: Arc<SyncCounters>) -> EpochReclaimer {
+        EpochReclaimer::new_in(capacity, stats)
+    }
+}
+
+impl<A: Atomics> EpochReclaimer<A> {
+    /// [`EpochReclaimer::new`] over any [`Atomics`].
+    pub fn new_in(capacity: usize, stats: Arc<SyncCounters>) -> EpochReclaimer<A> {
+        let capacity = capacity.max(1);
+        let inner = Arc::new(Inner::<A> {
+            global: CachePadded::new(A::Usize::new("epoch.global", 0)),
+            slots: (0..capacity)
+                .map(|_| EpochSlot {
+                    announce: CachePadded::new(A::Usize::new("epoch.announce", QUIESCENT)),
+                    bag: Bag::default(),
+                })
+                .collect(),
+            in_use: (0..capacity).map(|_| AtomicBool::new(false)).collect(),
+            claims: AtomicUsize::new(0),
+            stats: StatCells::new(stats),
         });
-        drop(bag);
-        if freed > 0 {
-            self.inner.local.frees.fetch_add(freed, Ordering::Relaxed);
-            self.inner.stats.add(Counter::ReclaimFrees, freed);
+        EpochReclaimer {
+            registry_id: registry::new_registry_id(),
+            holder: inner.clone(),
+            inner,
         }
     }
 }
 
-impl Reclaimer for EpochReclaimer {
+impl<A: Atomics> Reclaimer for EpochReclaimer<A> {
     fn enter(&self) -> usize {
-        let slot = self.slot();
-        let s = self.inner.spec;
-        let announce = &self.inner.slots[slot].announce;
+        let inner = &self.inner;
+        let slot =
+            registry::thread_slot(self.registry_id, &self.holder, &inner.in_use, &inner.claims);
+        let s = A::spec(EpochSpec::SPLASH4);
+        let announce = &inner.slots[slot].announce;
         // Announce-and-revalidate: settle only once the announced epoch is
         // the current global epoch, so the collector's scan can never
         // observe this thread behind an epoch it missed.
         loop {
-            let e = self.inner.global.load(s.global_load);
+            let e = inner.global.load(s.global_load);
             announce.store(e, s.announce_store);
-            if self.inner.global.load(s.global_load) == e {
+            if inner.global.load(s.global_load) == e {
                 return slot;
             }
         }
     }
 
     fn exit(&self, slot: usize) {
-        let s = self.inner.spec;
+        let s = A::spec(EpochSpec::SPLASH4);
         self.inner.slots[slot]
             .announce
             .store(QUIESCENT, s.quiesce_store);
@@ -182,23 +162,20 @@ impl Reclaimer for EpochReclaimer {
     }
 
     unsafe fn retire(&self, slot: usize, ptr: *mut u8, drop_fn: unsafe fn(*mut u8)) {
-        let epoch = self.inner.global.load(self.inner.spec.global_load);
-        self.inner.local.retires.fetch_add(1, Ordering::Relaxed);
-        self.inner.stats.bump(Counter::ReclaimRetires);
-        let pending = {
-            let mut bag = self.inner.slots[slot]
-                .bag
-                .lock()
-                .expect("epoch bag poisoned");
-            bag.push(Retired {
-                ptr,
-                drop_fn,
-                epoch,
-            });
-            bag.len()
-        };
+        let epoch = self
+            .inner
+            .global
+            .load(A::spec(EpochSpec::SPLASH4).global_load);
+        self.inner.stats.retired();
+        let bag = &self.inner.slots[slot].bag;
+        let pending = bag.push(Retired {
+            ptr,
+            drop_fn,
+            epoch,
+        });
         if pending >= RETIRE_THRESHOLD {
-            self.collect(slot);
+            self.inner.stats.scanned();
+            self.inner.sweep(bag, self.inner.try_advance());
         }
     }
 
@@ -206,52 +183,31 @@ impl Reclaimer for EpochReclaimer {
         // Advance as far as the active announcements allow, then apply the
         // two-epoch rule to every bag (not just the caller's). At
         // quiescence two advances always succeed, so everything frees.
-        self.inner.local.scans.fetch_add(1, Ordering::Relaxed);
-        self.inner.stats.bump(Counter::ReclaimScans);
-        let mut global = self.try_advance();
-        global = self.try_advance().max(global);
-        let mut freed = 0u64;
+        self.inner.stats.scanned();
+        let global = self.inner.try_advance();
+        let global = self.inner.try_advance().max(global);
         for slot in self.inner.slots.iter() {
-            let mut bag = slot.bag.lock().expect("epoch bag poisoned");
-            bag.retain(|r| {
-                if r.epoch.saturating_add(2) <= global {
-                    // SAFETY: same two-epoch argument as `collect`.
-                    unsafe { std::ptr::read(r).free() };
-                    freed += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        if freed > 0 {
-            self.inner.local.frees.fetch_add(freed, Ordering::Relaxed);
-            self.inner.stats.add(Counter::ReclaimFrees, freed);
+            self.inner.sweep(&slot.bag, global);
         }
     }
 
     fn reclaim_stats(&self) -> ReclaimStats {
-        self.inner.local.snapshot()
+        self.inner.stats.snapshot()
     }
 }
 
-impl Drop for EpochReclaimer {
+impl<A: Atomics> Drop for EpochReclaimer<A> {
     fn drop(&mut self) {
         // Last owner going away: nothing can hold protected references, so
         // destroy every remaining bag entry unconditionally.
         for slot in self.inner.slots.iter() {
-            let mut bag = slot.bag.lock().expect("epoch bag poisoned");
-            for r in bag.drain(..) {
-                self.inner.local.frees.fetch_add(1, Ordering::Relaxed);
-                self.inner.stats.bump(Counter::ReclaimFrees);
-                // SAFETY: `&mut self` on the sole owner — quiescent.
-                unsafe { r.free() };
-            }
+            // SAFETY: `&mut self` on the sole owner — quiescent.
+            unsafe { slot.bag.sweep(&self.inner.stats, |_| false) };
         }
     }
 }
 
-impl fmt::Debug for EpochReclaimer {
+impl<A: Atomics> fmt::Debug for EpochReclaimer<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EpochReclaimer")
             .field("capacity", &self.inner.slots.len())

@@ -16,14 +16,18 @@
 //! load are both SeqCst because the protocol is a Dekker-style store/load
 //! handshake (publisher stores hazard then re-reads the structure; scanner
 //! "stores" the unlink first — the linearizing CAS — then reads hazards).
+//! The records are [`Atomics`] words holding the protected address, so
+//! `splash4-check` (`R1-reclaim`) runs this reclaimer itself under its
+//! model, where a dropped publication is a use-after-free.
 
+use crate::bag::{Bag, Retired};
 use crate::registry::{self, SlotHolder};
-use crate::{ReclaimStats, Reclaimer, Retired, StatCells};
-use splash4_parmacs::{CachePadded, Counter, HazardSpec, SyncCounters};
+use crate::{ReclaimStats, Reclaimer, StatCells};
+use splash4_parmacs::atomics::{Atomics, Std, Word};
+use splash4_parmacs::{CachePadded, HazardSpec, SyncCounters};
 use std::fmt;
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Hazard records per thread slot. Two suffice for every structure in this
 /// crate (Michael-Scott dequeue protects head and next simultaneously).
@@ -32,38 +36,66 @@ pub const HAZARDS_PER_SLOT: usize = 2;
 /// Retire-bag length that triggers a scan.
 const RETIRE_THRESHOLD: usize = 64;
 
-/// One thread's hazard row plus its retired bag.
-struct HazardSlot {
-    hazards: CachePadded<[AtomicPtr<u8>; HAZARDS_PER_SLOT]>,
-    /// Uninstrumented `std::sync::Mutex` for the same reason as the epoch
-    /// bags: reclamation bookkeeping must not perturb kernel lock profiles,
-    /// and only the owning thread pushes.
-    bag: Mutex<Vec<Retired>>,
+/// One thread's hazard row (protected addresses, 0 for none) plus its
+/// retired bag.
+struct HazardSlot<A: Atomics> {
+    hazards: CachePadded<[A::Usize; HAZARDS_PER_SLOT]>,
+    bag: Bag,
 }
 
-struct Inner {
-    slots: Box<[HazardSlot]>,
+struct Inner<A: Atomics> {
+    slots: Box<[HazardSlot<A>]>,
     in_use: Box<[AtomicBool]>,
-    spec: HazardSpec,
-    stats: Arc<SyncCounters>,
-    local: StatCells,
+    /// Slot claims so far (see [`registry::thread_slot`]).
+    claims: AtomicUsize,
+    stats: StatCells,
 }
 
-impl SlotHolder for Inner {
+impl<A: Atomics> SlotHolder for Inner<A> {
     fn vacate(&self, slot: usize) {
         // Clear the departing thread's hazards so they stop pinning nodes;
         // its bag stays for the next lease-holder (or `flush`) to drain.
         for hp in self.slots[slot].hazards.iter() {
-            hp.store(ptr::null_mut(), Ordering::Release);
+            hp.store(0, Ordering::Release);
         }
         self.in_use[slot].store(false, Ordering::Release);
     }
 }
 
+impl<A: Atomics> Inner<A> {
+    /// Scan every hazard record and destroy `slot`'s unprotected retirees.
+    fn scan(&self, slot: usize) {
+        self.stats.scanned();
+        let s = A::spec(HazardSpec::SPLASH4);
+        // Read on the first entry judged: after every entry has left the bag
+        // (an entry retired once the records were read could be protected
+        // by a publication the snapshot missed), and not at all for an
+        // empty bag.
+        let mut protected: Option<Vec<usize>> = None;
+        let mut snapshot = || {
+            let records = self.slots.iter().flat_map(|row| row.hazards.iter());
+            let mut addrs: Vec<usize> = records.map(|hp| hp.load(s.scan_load)).collect();
+            addrs.retain(|a| *a != 0);
+            addrs.sort_unstable();
+            addrs
+        };
+        // SAFETY: a rejected entry was unlinked before retirement and no
+        // hazard record named it *after* the unlink became visible (SeqCst
+        // store/load pair), so no thread can still hold a validated
+        // reference.
+        unsafe {
+            self.slots[slot].bag.sweep(&self.stats, |r| {
+                let protected = protected.get_or_insert_with(&mut snapshot);
+                protected.binary_search(&(r.ptr as usize)).is_ok()
+            })
+        };
+    }
+}
+
 /// Hazard-pointer reclaimer (see the module docs for the protocol).
-pub struct HazardReclaimer {
+pub struct HazardReclaimer<A: Atomics = Std> {
     registry_id: usize,
-    inner: Arc<Inner>,
+    inner: Arc<Inner<A>>,
     holder: Arc<dyn SlotHolder>,
 }
 
@@ -72,29 +104,26 @@ impl HazardReclaimer {
     /// shipping [`HazardSpec::SPLASH4`] orderings and reporting into
     /// `stats`.
     pub fn new(capacity: usize, stats: Arc<SyncCounters>) -> HazardReclaimer {
-        HazardReclaimer::with_spec(capacity, stats, HazardSpec::SPLASH4)
+        HazardReclaimer::new_in(capacity, stats)
     }
+}
 
-    /// Reclaimer with explicit orderings (ordering-sensitivity tests).
-    pub fn with_spec(
-        capacity: usize,
-        stats: Arc<SyncCounters>,
-        spec: HazardSpec,
-    ) -> HazardReclaimer {
+impl<A: Atomics> HazardReclaimer<A> {
+    /// [`HazardReclaimer::new`] over any [`Atomics`].
+    pub fn new_in(capacity: usize, stats: Arc<SyncCounters>) -> HazardReclaimer<A> {
         let capacity = capacity.max(1);
-        let inner = Arc::new(Inner {
+        let inner = Arc::new(Inner::<A> {
             slots: (0..capacity)
                 .map(|_| HazardSlot {
                     hazards: CachePadded::new(std::array::from_fn(|_| {
-                        AtomicPtr::new(ptr::null_mut())
+                        A::Usize::new("hazard.hp", 0)
                     })),
-                    bag: Mutex::new(Vec::new()),
+                    bag: Bag::default(),
                 })
                 .collect(),
             in_use: (0..capacity).map(|_| AtomicBool::new(false)).collect(),
-            spec,
-            stats,
-            local: StatCells::default(),
+            claims: AtomicUsize::new(0),
+            stats: StatCells::new(stats),
         });
         HazardReclaimer {
             registry_id: registry::new_registry_id(),
@@ -102,87 +131,35 @@ impl HazardReclaimer {
             inner,
         }
     }
-
-    fn slot(&self) -> usize {
-        registry::thread_slot(self.registry_id, &self.holder, &self.inner.in_use)
-    }
-
-    /// Scan every hazard record and destroy `slot`'s unprotected retirees.
-    fn scan(&self, slot: usize) {
-        self.inner.local.scans.fetch_add(1, Ordering::Relaxed);
-        self.inner.stats.bump(Counter::ReclaimScans);
-        let s = self.inner.spec;
-        let mut protected: Vec<*mut u8> =
-            Vec::with_capacity(self.inner.slots.len() * HAZARDS_PER_SLOT);
-        for row in self.inner.slots.iter() {
-            for hp in row.hazards.iter() {
-                let p = hp.load(s.scan_load);
-                if !p.is_null() {
-                    protected.push(p);
-                }
-            }
-        }
-        protected.sort_unstable();
-        let mut bag = self.inner.slots[slot]
-            .bag
-            .lock()
-            .expect("hazard bag poisoned");
-        let mut freed = 0u64;
-        bag.retain(|r| {
-            if protected.binary_search(&r.ptr).is_ok() {
-                true
-            } else {
-                // SAFETY: `r.ptr` was unlinked before retirement and no
-                // hazard record named it *after* the unlink became visible
-                // (SeqCst store/load pair), so no thread can still hold a
-                // validated reference.
-                unsafe { std::ptr::read(r).free() };
-                freed += 1;
-                false
-            }
-        });
-        drop(bag);
-        if freed > 0 {
-            self.inner.local.frees.fetch_add(freed, Ordering::Relaxed);
-            self.inner.stats.add(Counter::ReclaimFrees, freed);
-        }
-    }
 }
 
-impl Reclaimer for HazardReclaimer {
+impl<A: Atomics> Reclaimer for HazardReclaimer<A> {
     fn enter(&self) -> usize {
-        self.slot()
+        let inner = &self.inner;
+        registry::thread_slot(self.registry_id, &self.holder, &inner.in_use, &inner.claims)
     }
 
     fn exit(&self, slot: usize) {
-        let s = self.inner.spec;
+        let s = A::spec(HazardSpec::SPLASH4);
         for hp in self.inner.slots[slot].hazards.iter() {
-            hp.store(ptr::null_mut(), s.clear_store);
+            hp.store(0, s.clear_store);
         }
     }
 
     fn protect(&self, slot: usize, hp: usize, ptr: *mut u8) {
-        let s = self.inner.spec;
-        self.inner.slots[slot].hazards[hp].store(ptr, s.publish_store);
+        let s = A::spec(HazardSpec::SPLASH4);
+        self.inner.slots[slot].hazards[hp].store(ptr as usize, s.publish_store);
     }
 
     unsafe fn retire(&self, slot: usize, ptr: *mut u8, drop_fn: unsafe fn(*mut u8)) {
-        self.inner.local.retires.fetch_add(1, Ordering::Relaxed);
-        self.inner.stats.bump(Counter::ReclaimRetires);
-        let pending = {
-            let mut bag = self.inner.slots[slot]
-                .bag
-                .lock()
-                .expect("hazard bag poisoned");
-            bag.push(Retired {
-                ptr,
-                drop_fn,
-                epoch: 0,
-            });
-            bag.len()
-        };
+        self.inner.stats.retired();
+        let pending = self.inner.slots[slot].bag.push(Retired {
+            ptr,
+            drop_fn,
+            epoch: 0,
+        });
         if pending >= RETIRE_THRESHOLD {
-            self.scan(slot);
+            self.inner.scan(slot);
         }
     }
 
@@ -190,31 +167,26 @@ impl Reclaimer for HazardReclaimer {
         // One scan per slot drains every bag of its unprotected entries; at
         // quiescence all hazards are null, so everything frees.
         for slot in 0..self.inner.slots.len() {
-            self.scan(slot);
+            self.inner.scan(slot);
         }
     }
 
     fn reclaim_stats(&self) -> ReclaimStats {
-        self.inner.local.snapshot()
+        self.inner.stats.snapshot()
     }
 }
 
-impl Drop for HazardReclaimer {
+impl<A: Atomics> Drop for HazardReclaimer<A> {
     fn drop(&mut self) {
         // Last owner: no thread can hold a validated reference anymore.
         for slot in self.inner.slots.iter() {
-            let mut bag = slot.bag.lock().expect("hazard bag poisoned");
-            for r in bag.drain(..) {
-                self.inner.local.frees.fetch_add(1, Ordering::Relaxed);
-                self.inner.stats.bump(Counter::ReclaimFrees);
-                // SAFETY: `&mut self` on the sole owner — quiescent.
-                unsafe { r.free() };
-            }
+            // SAFETY: `&mut self` on the sole owner — quiescent.
+            unsafe { slot.bag.sweep(&self.inner.stats, |_| false) };
         }
     }
 }
 
-impl fmt::Debug for HazardReclaimer {
+impl<A: Atomics> fmt::Debug for HazardReclaimer<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HazardReclaimer")
             .field("capacity", &self.inner.slots.len())

@@ -21,9 +21,11 @@
 //! The public API is entirely safe: `unsafe` is confined to the node
 //! management inside this crate, every atomic reads its ordering from the
 //! `splash4_parmacs::spec` tables ([`EpochSpec`], [`HazardSpec`],
-//! [`MsQueueSpec`], [`EliminationSpec`]), and the `splash4-check` model
-//! checker drives shadow replicas of the same state machines (experiment
-//! `R1-reclaim`), including seeded premature-free and never-retire mutants.
+//! [`MsQueueSpec`], [`EliminationSpec`]). Pools and reclaimers are generic
+//! over the `parmacs` [`Atomics`] facade, [`Std`] by default, and free nodes
+//! through its hook alone, so the `splash4-check` model checker explores
+//! these types themselves (experiment `R1-reclaim`): a free that comes too
+//! early under a seeded fault is reported there as a use-after-free.
 //!
 //! Retire/scan/free traffic is instrumented into the shared
 //! [`SyncCounters`] block (`reclaim_retires`, `reclaim_scans`,
@@ -38,11 +40,14 @@
 //! [`MsQueueSpec`]: splash4_parmacs::MsQueueSpec
 //! [`EliminationSpec`]: splash4_parmacs::EliminationSpec
 //! [`SyncCounters`]: splash4_parmacs::SyncCounters
+//! [`Atomics`]: splash4_parmacs::Atomics
+//! [`Std`]: splash4_parmacs::atomics::Std
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub(crate) mod bag;
 pub mod elimination;
 pub mod epoch;
 pub mod hazard;
@@ -57,44 +62,10 @@ pub use hazard::HazardReclaimer;
 pub use ms_queue::MsQueue;
 pub use pool::{PoolShape, ReclaimKind, TaskPool};
 
+use splash4_parmacs::{Counter, SyncCounters};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A type-erased deferred destruction request.
-///
-/// `ptr` is an owned heap allocation whose real type only `drop_fn` knows;
-/// `epoch` tags the global epoch at retirement (unused by hazard pointers).
-pub(crate) struct Retired {
-    pub(crate) ptr: *mut u8,
-    pub(crate) drop_fn: unsafe fn(*mut u8),
-    pub(crate) epoch: usize,
-}
-
-// SAFETY: a retired node is unlinked and owned exclusively by the bag it
-// sits in; the bag hands it to exactly one `drop_fn` call on any thread.
-unsafe impl Send for Retired {}
-
-impl Retired {
-    /// Destroy the retired allocation.
-    ///
-    /// # Safety
-    /// Must be called at most once, after no thread can still hold a
-    /// protected reference to `ptr` (the reclamation protocol's whole job).
-    pub(crate) unsafe fn free(self) {
-        // SAFETY: forwarded contract; `drop_fn` was captured with `ptr`'s
-        // real type at retirement.
-        unsafe { (self.drop_fn)(self.ptr) }
-    }
-}
-
-impl fmt::Debug for Retired {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Retired")
-            .field("ptr", &self.ptr)
-            .field("epoch", &self.epoch)
-            .finish()
-    }
-}
+use std::sync::Arc;
 
 /// Exact per-reclaimer reclamation tallies (monotonic).
 ///
@@ -119,15 +90,43 @@ impl ReclaimStats {
     }
 }
 
-/// Internal tally block shared by both reclaimers.
-#[derive(Debug, Default)]
+/// Internal tally block shared by both reclaimers: the exact local counts
+/// plus the `SyncEnv`-wide fold they also report into.
+#[derive(Debug)]
 pub(crate) struct StatCells {
-    pub(crate) retires: AtomicU64,
-    pub(crate) scans: AtomicU64,
-    pub(crate) frees: AtomicU64,
+    retires: AtomicU64,
+    scans: AtomicU64,
+    frees: AtomicU64,
+    shared: Arc<SyncCounters>,
 }
 
 impl StatCells {
+    pub(crate) fn new(shared: Arc<SyncCounters>) -> StatCells {
+        StatCells {
+            retires: AtomicU64::new(0),
+            scans: AtomicU64::new(0),
+            frees: AtomicU64::new(0),
+            shared,
+        }
+    }
+
+    pub(crate) fn retired(&self) {
+        self.retires.fetch_add(1, Ordering::Relaxed);
+        self.shared.bump(Counter::ReclaimRetires);
+    }
+
+    pub(crate) fn scanned(&self) {
+        self.scans.fetch_add(1, Ordering::Relaxed);
+        self.shared.bump(Counter::ReclaimScans);
+    }
+
+    pub(crate) fn freed(&self, n: u64) {
+        if n > 0 {
+            self.frees.fetch_add(n, Ordering::Relaxed);
+            self.shared.add(Counter::ReclaimFrees, n);
+        }
+    }
+
     pub(crate) fn snapshot(&self) -> ReclaimStats {
         // Load frees before retires: a concurrent retire+free between the
         // two loads can then only under-report frees, never show
@@ -190,4 +189,23 @@ pub trait Reclaimer: Send + Sync + fmt::Debug {
 
     /// Exact tallies for this reclaimer instance.
     fn reclaim_stats(&self) -> ReclaimStats;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use splash4_parmacs::atomics::Std;
+    use std::mem::size_of;
+
+    #[test]
+    fn std_pools_and_reclaimers_keep_their_pre_facade_size() {
+        // Sizes at the commit before the facade (x86-64): `A = Std` adds no
+        // byte to a node, a pool or a reclaimer.
+        assert_eq!(size_of::<node::Node<u64, Std>>(), 24);
+        assert_eq!(size_of::<MsQueue<u64>>(), 512);
+        assert_eq!(size_of::<EliminationStack<u64>>(), 512);
+        assert_eq!(size_of::<EpochReclaimer>(), 32);
+        assert_eq!(size_of::<HazardReclaimer>(), 32);
+        assert_eq!(size_of::<TaskPool<u64>>(), 768);
+    }
 }

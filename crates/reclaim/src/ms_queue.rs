@@ -13,56 +13,51 @@
 //!   (and retires) it concurrently;
 //! - the popped dummy is retired, never freed inline.
 //!
-//! Orderings come from [`MsQueueSpec`]; the `splash4-check` shadow replica
-//! (experiment `R1-reclaim`) model-checks the same state machine and the
-//! seeded lost-link-CAS mutant.
+//! Orderings come from [`MsQueueSpec`]; `head`, `tail` and the nodes' links
+//! are [`Atomics`] words and the payloads cells, so `splash4-check`
+//! (experiment `R1-reclaim`) explores this queue itself over both
+//! reclaimers, and a link CAS torn into a blind store is its lost-link
+//! mutant.
 
 use crate::node::Node;
 use crate::Reclaimer;
+use splash4_parmacs::atomics::{Atomics, Std, Word};
 use splash4_parmacs::{CachePadded, Counter, MsQueueSpec, SyncCounters, TaskQueue, TraceEvent};
 use std::fmt;
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+/// What the model checker calls a node's payload cell and its link.
+const NODE: [&str; 2] = ["msq.node.value", "msq.node.next"];
+
 /// Michael-Scott FIFO queue (see the module docs).
-pub struct MsQueue<T> {
-    head: CachePadded<AtomicPtr<Node<T>>>,
-    tail: CachePadded<AtomicPtr<Node<T>>>,
+pub struct MsQueue<T, A: Atomics = Std> {
+    head: CachePadded<A::Ptr<Node<T, A>>>,
+    tail: CachePadded<A::Ptr<Node<T, A>>>,
     /// Approximate length: incremented before a push links its node,
     /// decremented after a successful pop. Exact at quiescence.
     len: CachePadded<AtomicUsize>,
     reclaimer: Arc<dyn Reclaimer>,
-    spec: MsQueueSpec,
     stats: Arc<SyncCounters>,
 }
 
 // SAFETY: the queue hands each value from one pushing thread to exactly one
 // popping thread (`T: Send`); all shared-node management follows the
 // reclamation protocol.
-unsafe impl<T: Send> Send for MsQueue<T> {}
-unsafe impl<T: Send> Sync for MsQueue<T> {}
+unsafe impl<T: Send, A: Atomics> Send for MsQueue<T, A> {}
+unsafe impl<T: Send, A: Atomics> Sync for MsQueue<T, A> {}
 
-impl<T: Send> MsQueue<T> {
+impl<T: Send, A: Atomics> MsQueue<T, A> {
     /// Empty queue whose nodes are reclaimed through `reclaimer`, shipping
     /// [`MsQueueSpec::SPLASH4`] orderings and reporting into `stats`.
-    pub fn new(reclaimer: Arc<dyn Reclaimer>, stats: Arc<SyncCounters>) -> MsQueue<T> {
-        MsQueue::with_spec(reclaimer, stats, MsQueueSpec::SPLASH4)
-    }
-
-    /// Queue with explicit orderings (ordering-sensitivity tests).
-    pub fn with_spec(
-        reclaimer: Arc<dyn Reclaimer>,
-        stats: Arc<SyncCounters>,
-        spec: MsQueueSpec,
-    ) -> MsQueue<T> {
-        let dummy = Node::boxed(None);
+    pub fn new(reclaimer: Arc<dyn Reclaimer>, stats: Arc<SyncCounters>) -> MsQueue<T, A> {
+        let dummy = Node::boxed(NODE, None);
         MsQueue {
-            head: CachePadded::new(AtomicPtr::new(dummy)),
-            tail: CachePadded::new(AtomicPtr::new(dummy)),
+            head: CachePadded::new(A::Ptr::new("msq.head", dummy)),
+            tail: CachePadded::new(A::Ptr::new("msq.tail", dummy)),
             len: CachePadded::new(AtomicUsize::new(0)),
             reclaimer,
-            spec,
             stats,
         }
     }
@@ -71,8 +66,8 @@ impl<T: Send> MsQueue<T> {
     pub fn push(&self, value: T) {
         self.stats.bump(Counter::QueueOps);
         self.stats.trace(TraceEvent::Enqueue);
-        let s = self.spec;
-        let node = Node::boxed(Some(value));
+        let s = A::spec(MsQueueSpec::SPLASH4);
+        let node: *mut Node<T, A> = Node::boxed(NODE, Some(value));
         // Count before linking: the increment happens-before the link CAS,
         // which happens-before any pop of this node and its decrement, so
         // the counter never underflows.
@@ -130,7 +125,7 @@ impl<T: Send> MsQueue<T> {
     pub fn pop(&self) -> Option<T> {
         self.stats.bump(Counter::QueueOps);
         self.stats.trace(TraceEvent::Dequeue);
-        let s = self.spec;
+        let s = A::spec(MsQueueSpec::SPLASH4);
         let slot = self.reclaimer.enter();
         let result = loop {
             let head = self.head.load(s.ptr_load);
@@ -181,7 +176,7 @@ impl<T: Send> MsQueue<T> {
                 // beyond the box.
                 unsafe {
                     self.reclaimer
-                        .retire(slot, head.cast(), Node::<T>::drop_erased)
+                        .retire(slot, head.cast(), Node::<T, A>::drop_erased)
                 };
                 break value;
             }
@@ -213,7 +208,7 @@ impl<T: Send> MsQueue<T> {
     }
 }
 
-impl<T: Send> TaskQueue<T> for MsQueue<T> {
+impl<T: Send, A: Atomics> TaskQueue<T> for MsQueue<T, A> {
     fn push(&self, task: T) {
         MsQueue::push(self, task)
     }
@@ -227,21 +222,17 @@ impl<T: Send> TaskQueue<T> for MsQueue<T> {
     }
 }
 
-impl<T> Drop for MsQueue<T> {
+impl<T, A: Atomics> Drop for MsQueue<T, A> {
     fn drop(&mut self) {
         // Exclusive access: walk the chain and free everything inline,
         // including the dummy. Values still queued drop here.
-        let mut p = *self.head.get_mut();
-        while !p.is_null() {
-            // SAFETY: `&mut self` — no concurrent access; each node is
-            // owned by the chain and freed once.
-            let boxed = unsafe { Box::from_raw(p) };
-            p = boxed.next.load(Ordering::Relaxed);
-        }
+        // SAFETY: `&mut self` — no concurrent access; each node is owned by
+        // the chain.
+        unsafe { Node::free_chain(self.head.load_mut()) };
     }
 }
 
-impl<T> fmt::Debug for MsQueue<T> {
+impl<T, A: Atomics> fmt::Debug for MsQueue<T, A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MsQueue")
             .field("len", &self.len.load(Ordering::Relaxed))

@@ -12,6 +12,7 @@ use crate::epoch::EpochReclaimer;
 use crate::hazard::HazardReclaimer;
 use crate::ms_queue::MsQueue;
 use crate::{ReclaimStats, Reclaimer};
+use splash4_parmacs::atomics::{Atomics, Std};
 use splash4_parmacs::{SyncCounters, TaskQueue};
 use std::fmt;
 use std::sync::Arc;
@@ -37,14 +38,14 @@ pub enum PoolShape {
     Lifo,
 }
 
-enum Backend<T: Send> {
-    Fifo(MsQueue<T>),
-    Lifo(EliminationStack<T>),
+enum Backend<T: Send, A: Atomics> {
+    Fifo(MsQueue<T, A>),
+    Lifo(EliminationStack<T, A>),
 }
 
 /// A dynamic, unbounded task pool with safe memory reclamation.
-pub struct TaskPool<T: Send> {
-    backend: Backend<T>,
+pub struct TaskPool<T: Send, A: Atomics = Std> {
+    backend: Backend<T, A>,
     reclaimer: Arc<dyn Reclaimer>,
 }
 
@@ -57,9 +58,21 @@ impl<T: Send> TaskPool<T> {
         threads: usize,
         stats: Arc<SyncCounters>,
     ) -> TaskPool<T> {
+        TaskPool::new_in(shape, kind, threads, stats)
+    }
+}
+
+impl<T: Send, A: Atomics> TaskPool<T, A> {
+    /// [`TaskPool::new`] over any [`Atomics`].
+    pub fn new_in(
+        shape: PoolShape,
+        kind: ReclaimKind,
+        threads: usize,
+        stats: Arc<SyncCounters>,
+    ) -> TaskPool<T, A> {
         let reclaimer: Arc<dyn Reclaimer> = match kind {
-            ReclaimKind::Epoch => Arc::new(EpochReclaimer::new(threads, stats.clone())),
-            ReclaimKind::Hazard => Arc::new(HazardReclaimer::new(threads, stats.clone())),
+            ReclaimKind::Epoch => Arc::new(EpochReclaimer::<A>::new_in(threads, stats.clone())),
+            ReclaimKind::Hazard => Arc::new(HazardReclaimer::<A>::new_in(threads, stats.clone())),
         };
         let backend = match shape {
             PoolShape::Fifo => Backend::Fifo(MsQueue::new(reclaimer.clone(), stats)),
@@ -109,7 +122,7 @@ impl<T: Send> TaskPool<T> {
     }
 }
 
-impl<T: Send> TaskQueue<T> for TaskPool<T> {
+impl<T: Send, A: Atomics> TaskQueue<T> for TaskPool<T, A> {
     fn push(&self, task: T) {
         TaskPool::push(self, task)
     }
@@ -123,7 +136,7 @@ impl<T: Send> TaskQueue<T> for TaskPool<T> {
     }
 }
 
-impl<T: Send> fmt::Debug for TaskPool<T> {
+impl<T: Send, A: Atomics> fmt::Debug for TaskPool<T, A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let shape = match &self.backend {
             Backend::Fifo(_) => PoolShape::Fifo,

@@ -8,6 +8,10 @@
 //! team index that is 0 outside any team and repeats across teams, while
 //! hazard-pointer soundness requires every concurrently live thread to own
 //! a distinct record.
+//!
+//! The lease flags are bookkeeping and stay on `std` under every
+//! [`Atomics`](splash4_parmacs::Atomics): which record a thread holds is
+//! not part of either protocol.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -51,7 +55,10 @@ thread_local! {
 }
 
 /// The calling thread's slot in `holder`'s registry, claiming a free one
-/// via `in_use` on first use.
+/// via `in_use` on first use. `claims` counts the registry's claims: each
+/// starts looking one record further on, so which record a thread gets is
+/// settled by the order of the claims, not by how far the TLS destructor of
+/// a thread that just exited has come.
 ///
 /// # Panics
 /// Panics when more threads are concurrently live than the registry has
@@ -60,13 +67,16 @@ pub(crate) fn thread_slot(
     registry_id: usize,
     holder: &Arc<dyn SlotHolder>,
     in_use: &[AtomicBool],
+    claims: &AtomicUsize,
 ) -> usize {
     LEASES.with(|leases| {
         let mut leases = leases.borrow_mut();
         if let Some(lease) = leases.iter().find(|l| l.registry_id == registry_id) {
             return lease.slot;
         }
-        let slot = claim(in_use);
+        // A long-lived thread outlives many reclaimers: forget theirs.
+        leases.retain(|l| l.holder.strong_count() > 0);
+        let slot = claim(in_use, claims.fetch_add(1, Ordering::Relaxed));
         leases.push(Lease {
             registry_id,
             slot,
@@ -76,7 +86,7 @@ pub(crate) fn thread_slot(
     })
 }
 
-fn claim(in_use: &[AtomicBool]) -> usize {
+fn claim(in_use: &[AtomicBool], start: usize) -> usize {
     // A full registry is usually transient: `std::thread::scope` unblocks
     // as soon as the scoped closures return, *before* the exiting threads
     // run their TLS destructors — so a fresh team can race the previous
@@ -84,8 +94,8 @@ fn claim(in_use: &[AtomicBool]) -> usize {
     // genuinely oversubscribed registry panics.
     const EXHAUSTED_YIELDS: usize = 100_000;
     for attempt in 0..EXHAUSTED_YIELDS {
-        for (i, flag) in in_use.iter().enumerate() {
-            if flag
+        for i in (0..in_use.len()).map(|k| (start + k) % in_use.len()) {
+            if in_use[i]
                 .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
             {
@@ -111,6 +121,7 @@ mod tests {
     #[derive(Debug)]
     struct Recorder {
         in_use: Vec<AtomicBool>,
+        claims: AtomicUsize,
         vacated: Mutex<Vec<usize>>,
     }
 
@@ -124,19 +135,28 @@ mod tests {
     fn recorder(slots: usize) -> Arc<Recorder> {
         Arc::new(Recorder {
             in_use: (0..slots).map(|_| AtomicBool::new(false)).collect(),
+            claims: AtomicUsize::new(0),
             vacated: Mutex::new(Vec::new()),
         })
+    }
+
+    fn leased(r: &Recorder, slot: usize) -> bool {
+        r.in_use[slot].load(Ordering::Acquire)
+    }
+
+    fn lease(id: usize, r: &Arc<Recorder>) -> usize {
+        let holder: Arc<dyn SlotHolder> = r.clone();
+        thread_slot(id, &holder, &r.in_use, &r.claims)
     }
 
     #[test]
     fn same_thread_reuses_its_lease() {
         let r = recorder(4);
         let id = new_registry_id();
-        let holder: Arc<dyn SlotHolder> = r.clone();
-        let a = thread_slot(id, &holder, &r.in_use);
-        let b = thread_slot(id, &holder, &r.in_use);
+        let a = lease(id, &r);
+        let b = lease(id, &r);
         assert_eq!(a, b);
-        assert!(r.in_use[a].load(Ordering::Acquire));
+        assert!(leased(&r, a));
     }
 
     #[test]
@@ -153,8 +173,7 @@ mod tests {
                     let r = r.clone();
                     let gate = gate.clone();
                     s.spawn(move || {
-                        let holder: Arc<dyn SlotHolder> = r.clone();
-                        let slot = thread_slot(id, &holder, &r.in_use);
+                        let slot = lease(id, &r);
                         gate.wait();
                         slot
                     })
@@ -170,7 +189,7 @@ mod tests {
         assert_eq!(sorted.len(), 8, "live threads must own distinct slots");
         // All threads exited: every slot was vacated and is leasable again.
         assert_eq!(r.vacated.lock().unwrap().len(), 8);
-        assert!(r.in_use.iter().all(|f| !f.load(Ordering::Acquire)));
+        assert!((0..8).all(|slot| !leased(&r, slot)));
     }
 
     #[test]
@@ -178,12 +197,33 @@ mod tests {
         let r1 = recorder(2);
         let r2 = recorder(2);
         let (id1, id2) = (new_registry_id(), new_registry_id());
-        let h1: Arc<dyn SlotHolder> = r1.clone();
-        let h2: Arc<dyn SlotHolder> = r2.clone();
-        let s1 = thread_slot(id1, &h1, &r1.in_use);
-        let s2 = thread_slot(id2, &h2, &r2.in_use);
-        assert!(r1.in_use[s1].load(Ordering::Acquire));
-        assert!(r2.in_use[s2].load(Ordering::Acquire));
-        assert_eq!(thread_slot(id1, &h1, &r1.in_use), s1);
+        let s1 = lease(id1, &r1);
+        let s2 = lease(id2, &r2);
+        assert!(leased(&r1, s1));
+        assert!(leased(&r2, s2));
+        assert_eq!(lease(id1, &r1), s1);
+    }
+
+    #[test]
+    fn claims_rotate_past_a_record_that_was_just_vacated() {
+        // Which record the second thread gets must not depend on whether the
+        // first thread's TLS destructor has run yet: the model checker
+        // replays executions whose threads come and go.
+        let r = recorder(3);
+        let id = new_registry_id();
+        let claim = || {
+            let r = r.clone();
+            std::thread::spawn(move || lease(id, &r)).join().unwrap()
+        };
+        assert_eq!([claim(), claim(), claim(), claim()], [0, 1, 2, 0]);
+    }
+
+    #[test]
+    fn a_long_lived_thread_forgets_the_leases_of_dead_registries() {
+        for _ in 0..100 {
+            lease(new_registry_id(), &recorder(1));
+        }
+        let kept = LEASES.with(|leases| leases.borrow().len());
+        assert!(kept <= 2, "{kept} leases kept for 100 dead registries");
     }
 }

@@ -251,3 +251,65 @@ fn stress_lifo_pool_under_epoch_reclamation() {
 fn stress_lifo_pool_under_hazard_reclamation() {
     stress(PoolShape::Lifo, ReclaimKind::Hazard);
 }
+
+/// A payload whose `Drop` panics while a reclaimer frees it must cost that
+/// one sweep and nothing else: the bag is neither poisoned nor left holding
+/// the entry it already destroyed, every other payload still drops exactly
+/// once, and the same thread goes on retiring, pushing, popping and flushing.
+fn survives_a_panicking_payload(kind: ReclaimKind) {
+    struct PanicsOnce {
+        armed: bool,
+        _count: Counted,
+    }
+    impl Drop for PanicsOnce {
+        fn drop(&mut self) {
+            assert!(!std::mem::take(&mut self.armed), "payload drop panics");
+        }
+    }
+    unsafe fn drop_payload(p: *mut u8) {
+        // SAFETY: `retire_payload` below boxed a `PanicsOnce` behind `p`.
+        drop(unsafe { Box::from_raw(p.cast::<PanicsOnce>()) });
+    }
+    let stats = counters();
+    let rec = reclaimer(kind, stats.clone());
+    let live = Arc::new(AtomicU64::new(0));
+    let retire_payload = |tag: u64| {
+        let payload = Box::new(PanicsOnce {
+            armed: tag == 2,
+            _count: Counted::new(&live, tag),
+        });
+        let slot = rec.enter();
+        // SAFETY: a fresh box, reachable from nowhere else, retired once.
+        unsafe { rec.retire(slot, Box::into_raw(payload).cast(), drop_payload) };
+        rec.exit(slot);
+    };
+    (0..5).for_each(retire_payload);
+
+    let flushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rec.flush()));
+    assert!(flushed.is_err(), "{kind:?}: the armed payload must unwind");
+
+    // Same thread, same slot, same bag.
+    retire_payload(5);
+    let q: MsQueue<Counted> = MsQueue::new(rec.clone(), stats);
+    q.push(Counted::new(&live, 6));
+    drop(q.pop());
+    rec.flush();
+    let st = rec.reclaim_stats();
+    assert_eq!(st.retires, 7, "{kind:?}: six payloads and one queue dummy");
+    assert_eq!(st.pending(), 0, "{kind:?}: nothing left after the panic");
+    assert_eq!(
+        live.load(Ordering::Relaxed),
+        0,
+        "{kind:?}: every payload dropped exactly once"
+    );
+}
+
+#[test]
+fn epoch_reclaimer_survives_a_payload_whose_drop_panics() {
+    survives_a_panicking_payload(ReclaimKind::Epoch);
+}
+
+#[test]
+fn hazard_reclaimer_survives_a_payload_whose_drop_panics() {
+    survives_a_panicking_payload(ReclaimKind::Hazard);
+}

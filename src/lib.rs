@@ -82,8 +82,8 @@
 
 pub use splash4_check as check;
 pub use splash4_check::{
-    check_kernel_mutants, check_kernels, check_mutants, check_suite, check_weakmem,
-    check_weakmem_mutants, CheckBudget, MemoryModel,
+    check_kernel_mutants, check_kernels, check_mutants, check_reclaim, check_reclaim_mutants,
+    check_suite, check_weakmem, check_weakmem_mutants, CheckBudget, MemoryModel,
 };
 pub use splash4_harness::{
     compare_texts as compare_bench_docs, geomean, pct_change, record_trace, run_bench_atomics,

@@ -6,7 +6,7 @@ use splash4::check::{
     OpRecord, RetVal, SpecModel, Verdict,
 };
 use splash4::parmacs::FlagSpec;
-use splash4::{check_mutants, check_suite};
+use splash4::{check_mutants, check_reclaim, check_reclaim_mutants, check_suite};
 
 #[test]
 fn suite_and_mutants_through_the_facade() {
@@ -24,6 +24,33 @@ fn suite_and_mutants_through_the_facade() {
     for m in check_mutants(&budget) {
         assert!(m.detected, "{} escaped: {}", m.name, m.counterexample);
     }
+}
+
+/// The shipped `splash4-reclaim` pools and reclaimers, run under the model:
+/// tier-1's own look at R1.
+#[test]
+fn shipped_reclaimers_verify_and_their_mutants_fall() {
+    let started = std::time::Instant::now();
+    let budget = CheckBudget::small(103);
+    let rows = check_reclaim(&budget);
+    assert_eq!(rows.len(), 4);
+    for row in rows {
+        assert_eq!(
+            row.verdict,
+            Verdict::Pass,
+            "{} failed: {}",
+            row.construct,
+            row.counterexample
+        );
+        assert!(row.schedules >= budget.min_schedules, "{}", row.construct);
+    }
+    let mutants = check_reclaim_mutants(&budget);
+    assert_eq!(mutants.len(), 5);
+    for m in mutants {
+        assert!(m.detected, "{} escaped: {}", m.name, m.counterexample);
+    }
+    let took = started.elapsed();
+    assert!(took.as_secs() < 5, "R1 at the small budget took {took:?}");
 }
 
 #[test]
