@@ -235,22 +235,30 @@ struct AtomicMeta {
 
 impl AtomicMeta {
     fn new(name: &'static str, init: u64, memory: MemoryModel) -> AtomicMeta {
-        AtomicMeta {
+        let mut word = AtomicMeta {
             name,
             value: init,
             release: VClock::default(),
-            history: if memory.is_weak() {
-                vec![StoreRecord {
-                    value: init,
-                    release: VClock::default(),
-                    writer: usize::MAX,
-                    at: 0,
-                }]
-            } else {
-                Vec::new()
-            },
+            history: Vec::new(),
             read_floor: Vec::new(),
+        };
+        if memory.is_weak() {
+            word.restart_history();
         }
+        word
+    }
+
+    /// Make the current value the word's one record, which every thread may
+    /// read: the value it is created with, or the one a write outside the
+    /// schedule leaves.
+    fn restart_history(&mut self) {
+        self.history = vec![StoreRecord {
+            value: self.value,
+            release: self.release.clone(),
+            writer: usize::MAX,
+            at: 0,
+        }];
+        self.read_floor.clear();
     }
 }
 
@@ -509,9 +517,21 @@ impl Shared {
     }
 
     /// Act on an atomic's current value outside the schedule (set-up,
-    /// finale, drop): no step, no clock, no store history.
+    /// finale, drop): no step, no clock. Under weak memory what `f` leaves
+    /// at set-up, before any virtual thread exists, is the word's only
+    /// record — a construct stocked there is read as stocked, not as
+    /// created. Later on nothing reads the history behind a direct write
+    /// (the finale's loads are direct too), and it must not move under an
+    /// exited thread's destructors, which run beside the schedule.
     pub(crate) fn raw<R>(&self, loc: usize, f: impl FnOnce(&mut u64) -> R) -> R {
-        f(&mut self.lock().atomics[loc].value)
+        let mut st = self.lock();
+        let set_up = st.memory.is_weak() && st.status.is_empty();
+        let word = &mut st.atomics[loc];
+        let result = f(&mut word.value);
+        if set_up {
+            word.restart_history();
+        }
+        result
     }
 
     /// The table of type `S` the scenario installed, if it installed one.
@@ -1135,7 +1155,13 @@ pub(crate) fn run_one(
     {
         let mut st = shared.lock();
         st.status = vec![Status::Ready; n];
-        st.clocks = (0..n).map(|_| VClock::new(n)).collect();
+        // A thread's clock starts at its first tick, not at zero: the plain
+        // accesses it makes before its first operation must be unordered
+        // with a thread that has acquired nothing from it.
+        st.clocks = vec![VClock::new(n); n];
+        for (tid, clock) in st.clocks.iter_mut().enumerate() {
+            clock.tick(tid);
+        }
         st.wakers = wakers.clone();
         // The first pick is taken before any thread exists, and a body runs
         // only while it holds the token, so neither spawn order nor start-up

@@ -476,9 +476,14 @@ fn minimize(
     for _pass in 0..10 {
         let mut improved = false;
         // Truncation: drop the tail, let the default policy finish.
-        for i in 0..best.0.len() {
+        let mut i = 0;
+        while i < best.0.len() {
             let cand = Schedule(best.0[..i].to_vec());
             let re = replay_under(factory, &cand, max_steps, memory);
+            // A longer prefix of `best` that the default policy rebuilt here
+            // replays to this very execution: skip past what they share.
+            let same = |(a, b): &(&u32, &u32)| a == b;
+            let shared = re.schedule.0.iter().zip(&best.0).take_while(same).count();
             if let Some(f) = re.failure {
                 if f.kind() == want && metric(&re.schedule) < metric(&best) {
                     best = re.schedule;
@@ -487,6 +492,7 @@ fn minimize(
                     break;
                 }
             }
+            i = shared.max(i) + 1;
         }
         if !improved {
             // Run extension: absorb a switch into the preceding run.

@@ -16,29 +16,30 @@
 //!   (cyclic pair ownership, exactly as `ctx.cyclic` splits them) flow into
 //!   the **CAS-loop `AtomicF64`** with a concurrent reader, and the finale
 //!   demands the sequential sum.
-//! * [`cmap_chain_scenario`] re-enacts one bucket of the `cmap` workload's
-//!   **Harris–Michael chain**: a remover marks-then-snips a node while an
-//!   inserter links a new node into the same region and a reader chases the
-//!   published payload; the finale demands the exact surviving key set and
-//!   a single physical snip.
+//! * [`cmap_chain_scenario`] runs one bucket of the `cmap` workload's
+//!   shipped [`LockFreeMap`] — a **Harris–Michael chain** over the shipped
+//!   epoch reclaimer: a remover marks-then-snips a node while an inserter
+//!   links a new node into the same region and a reader chases the
+//!   published key; the history must linearize to a sequential map, and
+//!   the finale demands the exact surviving key set and a single retire.
 //! * [`stream_ring_scenario`] re-enacts one stage queue of the `stream`
 //!   pipeline: the kernel's **bounded Vyukov ring** carries plainly-written
 //!   payloads between two producers and a consumer purely on the
 //!   `publish_store`/`seq_load` handoff.
 //!
-//! Radix, water and stream run the shipped `parmacs` constructs over
-//! [`Model`], so one mutated spec field or one injected [`Fault`] makes a
-//! kernel-shaped mutation test ([`kernel_mutants`]). The cmap chain unlinks
-//! nodes, which needs modelled allocation to run for real: it stays a
-//! skeleton over raw engine cells, reading the shipped [`CMapSpec`].
+//! All four run shipped code over [`Model`] — the `parmacs` constructs, and
+//! `cmap`'s map with the nodes it allocates, unlinks and retires — so one
+//! mutated spec field or one injected [`Fault`] makes a kernel-shaped
+//! mutation test ([`kernel_mutants`]).
 
-use crate::engine::{Fault, Sandbox, ThreadCtx};
+use crate::engine::{Fault, Sandbox};
 use crate::linearize::{Op, SpecModel};
 use crate::model::{Model, ModelWord};
 use crate::suite::{
     mutated, recorded, run_mutant_catalog, run_rows, spawn, CheckBudget, ConstructReport,
     MutantCatalog, MutantReport, Rows,
 };
+use splash4_kernels::cmap::{self, LockFreeMap};
 use splash4_kernels::{radix, stream, water_nsq, InputClass};
 use splash4_parmacs::atomics::{Atomics, IntWord, Word};
 use splash4_parmacs::{
@@ -217,218 +218,47 @@ pub fn water_energy_scenario() -> impl Fn(&mut Sandbox) + Sync {
 // cmap: one bucket's Harris–Michael chain under concurrent insert/remove.
 // ---------------------------------------------------------------------------
 
-/// Pointer encoding for the shadow chain: node `id` ⇒ `(id + 1) << 1`,
-/// mark bit in bit 0 (exactly the kernel's low-bit tag on `next`).
-fn nptr(id: usize) -> u64 {
-    ((id + 1) as u64) << 1
-}
-fn nid(p: u64) -> usize {
-    ((p >> 1) - 1) as usize
-}
-fn nmarked(p: u64) -> bool {
-    p & 1 == 1
-}
-fn nunmark(p: u64) -> u64 {
-    p & !1
-}
-
-/// Sorted keys of the shadow chain's three nodes (A, B, C). A and B start
-/// linked (`head → A(2) → B(4)`); C(3) is inserted between them while A is
-/// removed. Keys live inside the `cmap` kernel's `Check`-scale universe.
-const CHAIN_KEYS: [u64; 3] = [2, 4, 3];
-
-/// The shadow chain's shared cells: the bucket head plus one `next` word
-/// and one plain payload cell per node.
-#[derive(Clone, Copy)]
-struct ChainCells {
-    head: usize,
-    next: [usize; 3],
-    val: [usize; 3],
-}
-
-/// The kernel's `find`: walk from the head, snipping marked nodes via the
-/// unmarked-expected-value CAS (restarting from the head when the CAS
-/// loses), and stop at the first key `>= key`. Returns
-/// `(prev_cell, cur_ptr, cur_next)` with `cur_ptr == 0` at the tail.
-/// Successful snips are counted into `snips` (the kernel retires there).
-fn chain_find(
-    ctx: &mut ThreadCtx,
-    ch: &ChainCells,
-    spec: CMapSpec,
-    key: u64,
-    snips: &mut u64,
-) -> (usize, u64, u64) {
-    'retry: loop {
-        let mut prev_cell = ch.head;
-        let mut raw = ctx.op_load(ch.head, spec.head_load);
-        loop {
-            if nmarked(raw) {
-                // The node owning `prev_cell` was logically deleted under
-                // us; its successor pointer is tainted — restart.
-                continue 'retry;
-            }
-            if raw == 0 {
-                return (prev_cell, 0, 0);
-            }
-            let id = nid(raw);
-            let nxt = ctx.op_load(ch.next[id], spec.next_load);
-            if nmarked(nxt) {
-                // `raw` is deleted: snip it. The expected value carries no
-                // mark bit, so this CAS fails if `prev`'s owner was itself
-                // marked — unmarked nodes are never unlinked.
-                match ctx.op_cas(
-                    prev_cell,
-                    raw,
-                    nunmark(nxt),
-                    spec.unlink_cas_ok,
-                    spec.unlink_cas_fail,
-                ) {
-                    Ok(_) => {
-                        *snips += 1;
-                        raw = nunmark(nxt);
-                        continue;
-                    }
-                    Err(_) => continue 'retry,
-                }
-            }
-            if CHAIN_KEYS[id] >= key {
-                return (prev_cell, raw, nxt);
-            }
-            prev_cell = ch.next[id];
-            raw = nxt;
-        }
-    }
-}
-
-/// One bucket of the `cmap` kernel at `Check` scale: a remover marks then
-/// snips node A while an inserter links node C into the same chain region
-/// and a reader looks C up, reading its plainly-written payload through
-/// the link CAS's publication edge. Orderings come from [`CMapSpec`]
-/// exactly as `cmap.rs` consumes them.
-///
-/// With `blind_mark`, the remover's mark-CAS degrades to a load/store pair
-/// — the lost-update window that can overwrite a concurrent insert — which
-/// the finale catches as a lost key.
-pub fn cmap_chain_scenario(spec: CMapSpec, blind_mark: bool) -> impl Fn(&mut Sandbox) + Sync {
+/// One bucket of the `cmap` kernel at `Check` scale: the shipped
+/// [`LockFreeMap`] over [`Model`], stocked with keys 2 and 4 at set-up. A
+/// remover marks then snips key 2 while an inserter links key 3 into the
+/// same chain region and a reader looks key 3 up, reading the node's plain
+/// key through the link CAS's publication edge. The history must agree with
+/// a sequential map; the finale demands the surviving key set `[3, 4]`,
+/// exactly one retired node, and nothing pending after a quiescent flush.
+pub fn cmap_chain_scenario() -> impl Fn(&mut Sandbox) + Sync {
+    // Keys inside the kernel's `Check`-scale universe.
+    let universe = cmap::CMapConfig::class(InputClass::Check).universe;
     move |sb: &mut Sandbox| {
-        let ch = ChainCells {
-            head: sb.alloc_atomic("cmap.head", nptr(0)),
-            next: [
-                sb.alloc_atomic("cmap.next.a", nptr(1)),
-                sb.alloc_atomic("cmap.next.b", 0),
-                sb.alloc_atomic("cmap.next.c", 0),
-            ],
-            val: [
-                sb.alloc_data("cmap.val.a", 20),
-                sb.alloc_data("cmap.val.b", 40),
-                sb.alloc_data("cmap.val.c", 0),
-            ],
-        };
-        let snip_counts: Vec<usize> = (0..NTHREADS)
-            .map(|_| sb.alloc_data("cmap.snips", 0))
-            .collect();
-
-        // Thread 0 — remover of key 2 (node A): mark, then re-find so the
-        // marked node is physically snipped (by this thread or a helper).
-        let snips0 = snip_counts[0];
-        sb.thread(move |ctx| {
-            let mut my_snips = 0u64;
-            loop {
-                let (_, cur, nxt) = chain_find(ctx, &ch, spec, 2, &mut my_snips);
-                if cur == 0 || CHAIN_KEYS[nid(cur)] != 2 {
-                    break; // already removed and snipped
-                }
-                let id = nid(cur);
-                if blind_mark {
-                    // Seeded bug: mark without the CAS — a stale `nxt` here
-                    // silently unlinks a concurrently inserted node.
-                    ctx.op_store(ch.next[id], nxt | 1, spec.mark_cas_ok);
-                    break;
-                }
-                match ctx.op_cas(
-                    ch.next[id],
-                    nxt,
-                    nxt | 1,
-                    spec.mark_cas_ok,
-                    spec.mark_cas_fail,
-                ) {
-                    Ok(_) => break,
-                    Err(_) => continue, // an insert moved A.next: re-find
-                }
-            }
-            // Snip pass: traverse until key 2 is physically gone.
-            loop {
-                let (_, cur, _) = chain_find(ctx, &ch, spec, 2, &mut my_snips);
-                if cur == 0 || CHAIN_KEYS[nid(cur)] != 2 {
-                    break;
-                }
-            }
-            ctx.data_write(snips0, my_snips);
+        // One record per virtual thread and one for the harness thread.
+        let map = Arc::new(LockFreeMap::<Model>::new(1, NTHREADS + 1, Arc::default()));
+        map.insert(2, 20);
+        map.insert(4, 40);
+        sb.spec(SpecModel::Map([(2, 20), (4, 40)].into()));
+        spawn(sb, &map, |ctx, map| {
+            recorded(ctx, Op::Lookup(3), || map.lookup(3));
         });
-
-        // Thread 1 — inserter of key 3 (node C): plain payload write, then
-        // the link CAS publishes the node (cmap's insert path).
-        let snips1 = snip_counts[1];
-        sb.thread(move |ctx| {
-            let mut my_snips = 0u64;
-            let mut wrote = false;
-            loop {
-                let (prev, cur, _) = chain_find(ctx, &ch, spec, 3, &mut my_snips);
-                ctx.check(
-                    cur == 0 || CHAIN_KEYS[nid(cur)] != 3,
-                    "cmap: key 3 already present mid-insert",
-                );
-                if !wrote {
-                    ctx.data_write(ch.val[2], 30);
-                    wrote = true;
-                }
-                ctx.op_store(ch.next[2], cur, Ordering::Relaxed);
-                match ctx.op_cas(prev, cur, nptr(2), spec.link_cas_ok, spec.link_cas_fail) {
-                    Ok(_) => break,
-                    Err(_) => continue,
-                }
-            }
-            ctx.data_write(snips1, my_snips);
+        spawn(sb, &map, |ctx, map| {
+            recorded(ctx, Op::Remove(2), || map.remove(2));
         });
-
-        // Thread 2 — reader: look key 3 up; if found, the payload read must
-        // be ordered after the inserter's plain write by the link edge.
-        let snips2 = snip_counts[2];
-        sb.thread(move |ctx| {
-            let mut my_snips = 0u64;
-            let (_, cur, nxt) = chain_find(ctx, &ch, spec, 3, &mut my_snips);
-            if cur != 0 && CHAIN_KEYS[nid(cur)] == 3 && !nmarked(nxt) {
-                let v = ctx.data_read(ch.val[2]);
-                ctx.check(v == 30, "cmap: lookup sees the inserted value");
-            }
-            ctx.data_write(snips2, my_snips);
+        spawn(sb, &map, |ctx, map| {
+            recorded(ctx, Op::Insert(3, 30), || map.insert(3, 30));
         });
-
-        let peek = sb.peek();
         sb.finale(move || {
-            // Walk the final chain: exactly keys [3, 4], sorted, unmarked.
-            let mut got = Vec::new();
-            let mut p = peek.atomic(ch.head);
-            while p != 0 {
-                if nmarked(p) {
-                    return Err("cmap: a marked pointer is reachable from the head".into());
-                }
-                got.push(CHAIN_KEYS[nid(p)]);
-                p = peek.atomic(ch.next[nid(p)]);
-            }
-            if got != [3, 4] {
+            let live: Vec<u64> = (0..universe).filter(|k| map.lookup(*k).is_some()).collect();
+            if live != [3, 4] {
                 return Err(format!(
-                    "cmap: final chain holds keys {got:?}, want [3, 4] \
+                    "cmap: the map holds keys {live:?}, want [3, 4] \
                      (a lost insert or lost remove)"
                 ));
             }
-            let total: u64 = snip_counts.iter().map(|&c| peek.data(c)).sum();
-            if total != 1 {
-                return Err(format!(
-                    "cmap: node A snipped {total} times, want exactly 1 (double retire)"
-                ));
+            map.flush();
+            match map.reclaim_stats() {
+                st if st.retires == 1 && st.pending() == 0 => Ok(()),
+                st => Err(format!(
+                    "cmap: {} nodes retired and {} freed, want one of each",
+                    st.retires, st.frees
+                )),
             }
-            Ok(())
         });
     }
 }
@@ -518,8 +348,8 @@ pub fn check_kernels(budget: &CheckBudget) -> Vec<ConstructReport> {
         (
             202,
             "kernel/cmap-chain",
-            "HM bucket: no lost insert, single snip, published payloads",
-            Box::new(cmap_chain_scenario(CMapSpec::SPLASH4, false)),
+            "HM bucket: linearizable map, single retire, published keys",
+            Box::new(cmap_chain_scenario()),
         ),
         (
             203,
@@ -555,20 +385,25 @@ pub fn kernel_mutants() -> MutantCatalog {
         ),
         (
             "cmap-blind-mark",
-            "cmap remove marks via load/store: overwrites a racing insert",
-            &["invariant"] as &[_],
-            Box::new(cmap_chain_scenario(CMapSpec::SPLASH4, true)),
+            "cmap CAS on a node's link torn into a store: a mark overwrites a racing insert",
+            &["invariant", "not-linearizable"] as &[_],
+            Box::new(mutated(
+                |sb| sb.fault("cmap.node.next", Fault::Torn),
+                cmap_chain_scenario(),
+            )),
         ),
         (
             "cmap-link-relaxed",
-            "cmap insert link CAS AcqRel -> Relaxed: payload unpublished",
+            "cmap insert link CAS AcqRel -> Relaxed: key unpublished",
             &["data-race"] as &[_],
-            Box::new(cmap_chain_scenario(
-                CMapSpec {
-                    link_cas_ok: Ordering::Relaxed,
-                    ..CMapSpec::SPLASH4
+            Box::new(mutated(
+                |sb| {
+                    sb.override_spec(CMapSpec {
+                        link_cas_ok: Ordering::Relaxed,
+                        ..CMapSpec::SPLASH4
+                    })
                 },
-                false,
+                cmap_chain_scenario(),
             )),
         ),
         (

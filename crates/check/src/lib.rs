@@ -20,17 +20,18 @@
 //! * [`model`] implements the `parmacs` [`Atomics`](splash4_parmacs::Atomics)
 //!   facade for that engine, so the scenarios instantiate the **shipped**
 //!   `TreiberStack`, `SenseBarrier`, `AtomicF64`, `Reducer`, `AtomicFlag`,
-//!   `IndexCounter`, `CombiningCore` and `BoundedMpmcQueue`, and the
-//!   `splash4-reclaim` pools and reclaimers: the code that runs in
+//!   `IndexCounter`, `CombiningCore` and `BoundedMpmcQueue`, the
+//!   `splash4-reclaim` pools and reclaimers and the `cmap` kernel's
+//!   `LockFreeMap`: the code that runs in
 //!   production is the code explored. The facade's `alloc`/`free` are
 //!   modelled too: a freed node stays quarantined until its execution ends,
 //!   and touching it is a **use-after-free** failure, not one executed. A
 //!   mutation test overrides one field of a [`splash4_parmacs::spec`] table
 //!   or injects a [`Fault`] at one named word; neither edits a construct.
 //! * [`shadow`] holds what cannot take that road: the Splash-3 sleeping
-//!   lock (a `Mutex` + `Condvar`, no atomics to swap) and its queue. The
-//!   `cmap` chain of [`kernel`] and the litmus tests of [`weakmem`] are
-//!   still skeletons on raw engine cells.
+//!   lock (a `Mutex` + `Condvar`, no atomics to swap) and its queue. No
+//!   other construct is re-enacted on raw engine cells; the two textbook
+//!   litmus shapes [`weakmem`] keeps there are tests of the engine.
 //! * [`explore`] enumerates schedules: bounded-preemption DFS plus a seeded
 //!   PCT-style random scheduler, with counterexample minimization and
 //!   replay — a failing interleaving prints as a deterministic schedule
@@ -46,7 +47,8 @@
 //!   race — the `C1-combining` experiment table.
 //! * [`kernel`] lifts the same machinery to real kernel bodies at
 //!   [`splash4_kernels::InputClass::Check`] scale — radix's fetch-add rank
-//!   dispensing and water-nsquared's CAS-loop energy reduction — for the
+//!   dispensing, water-nsquared's CAS-loop energy reduction, one bucket of
+//!   `cmap`'s Harris–Michael map and a stage queue of `stream` — for the
 //!   `V2-kernel-check` experiment.
 //! * [`reclaim`] runs the shipped `MsQueue` and `EliminationStack` over the
 //!   shipped `EpochReclaimer` and `HazardReclaimer` — the `R1-reclaim`
@@ -56,7 +58,8 @@
 //!   reads the C11 orderings admit on the atomics themselves, catching
 //!   ordering downgrades (e.g. a `SeqCst → Acquire` store-buffering window)
 //!   that cause no data race and are invisible to interleaving-only search —
-//!   the `W1-weakmem` experiment table.
+//!   the `W1-weakmem` experiment table, whose rows are the shipped flag,
+//!   barrier, reclaimers (under a task pool) and map.
 //!
 //! ```
 //! use splash4_check::{explore, Budget, treiber_scenario};
@@ -107,7 +110,7 @@ pub use suite::{
     CheckBudget, ConstructReport, MutantCatalog, MutantReport, Verdict,
 };
 pub use weakmem::{
-    barrier_handshake_scenario, check_weakmem, check_weakmem_mutants, cmap_pin_scan_scenario,
-    mp_flag_scenario, sb_epoch_scenario, sb_hazard_scenario, weakmem_mutants, WeakMutantReport,
+    barrier_payload_scenario, check_weakmem, check_weakmem_mutants, cmap_pin_scenario,
+    flag_payload_scenario, mp_flag_scenario, sb_epoch_scenario, weakmem_mutants, WeakMutantReport,
     WEAK_STALE_READS,
 };

@@ -14,7 +14,7 @@
 //! histories here are small (a dozen operations), so the search is cheap
 //! even across thousands of explored schedules.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
 
 /// An operation invocation on a checked construct.
@@ -38,6 +38,12 @@ pub enum Op {
     AddU(u64),
     /// Integer reduction read.
     LoadU,
+    /// Map insert-or-update of a key with a value.
+    Insert(u64, u64),
+    /// Map remove of a key; returns whether it was present.
+    Remove(u64),
+    /// Map lookup of a key.
+    Lookup(u64),
 }
 
 impl fmt::Display for Op {
@@ -52,6 +58,9 @@ impl fmt::Display for Op {
             Op::LoadF => write!(f, "load"),
             Op::AddU(v) => write!(f, "add({v})"),
             Op::LoadU => write!(f, "load"),
+            Op::Insert(k, v) => write!(f, "insert({k}, {v})"),
+            Op::Remove(k) => write!(f, "remove({k})"),
+            Op::Lookup(k) => write!(f, "lookup({k})"),
         }
     }
 }
@@ -76,6 +85,12 @@ impl From<()> for RetVal {
 impl From<u64> for RetVal {
     fn from(v: u64) -> RetVal {
         RetVal::Val(v)
+    }
+}
+
+impl From<bool> for RetVal {
+    fn from(v: bool) -> RetVal {
+        RetVal::Val(u64::from(v))
     }
 }
 
@@ -117,6 +132,8 @@ pub enum SpecModel {
     SumF64(u64),
     /// Integer sum cell.
     SumU64(u64),
+    /// Keyed map (the `cmap` kernel's `LockFreeMap` spec).
+    Map(BTreeMap<u64, u64>),
 }
 
 impl SpecModel {
@@ -159,6 +176,12 @@ impl SpecModel {
                 RetVal::Unit
             }
             (SpecModel::SumU64(s), Op::LoadU) => RetVal::Val(*s),
+            (SpecModel::Map(m), Op::Insert(k, v)) => {
+                m.insert(*k, *v);
+                RetVal::Unit
+            }
+            (SpecModel::Map(m), Op::Remove(k)) => m.remove(k).is_some().into(),
+            (SpecModel::Map(m), Op::Lookup(k)) => m.get(k).copied().into(),
             (spec, op) => unreachable!("op {op} not part of spec {spec:?}"),
         }
     }
@@ -171,6 +194,7 @@ impl SpecModel {
             SpecModel::Ticket { next, .. } => vec![*next],
             SpecModel::SumF64(b) => vec![*b],
             SpecModel::SumU64(s) => vec![*s],
+            SpecModel::Map(m) => m.iter().flat_map(|(k, v)| [*k, *v]).collect(),
         }
     }
 }
@@ -320,6 +344,30 @@ mod tests {
             rec(0, Op::Push(7), RetVal::Unit, 2, 3),
         ];
         assert!(check_history(&SpecModel::Stack(Vec::new()), &h).is_err());
+    }
+
+    #[test]
+    fn map_history_must_agree_with_a_sequential_map() {
+        let stocked = || SpecModel::Map(BTreeMap::from([(2, 20), (4, 40)]));
+        // A lookup overlapping the insert may miss it or hit it; the remove
+        // of a stocked key hits.
+        for seen in [RetVal::Empty, RetVal::Val(30)] {
+            let h = vec![
+                rec(0, Op::Remove(2), RetVal::Val(1), 0, 5),
+                rec(1, Op::Insert(3, 30), RetVal::Unit, 1, 4),
+                rec(2, Op::Lookup(3), seen, 2, 3),
+            ];
+            assert!(check_history(&stocked(), &h).is_ok(), "{seen:?}");
+        }
+        // A lookup after the insert returned cannot miss it, and a remove
+        // cannot miss a key nobody else removes.
+        let late_miss = vec![
+            rec(1, Op::Insert(3, 30), RetVal::Unit, 0, 1),
+            rec(2, Op::Lookup(3), RetVal::Empty, 2, 3),
+        ];
+        assert!(check_history(&stocked(), &late_miss).is_err());
+        let lost_remove = vec![rec(0, Op::Remove(2), RetVal::Val(0), 0, 1)];
+        assert!(check_history(&stocked(), &lost_remove).is_err());
     }
 
     #[test]

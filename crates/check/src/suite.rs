@@ -363,13 +363,16 @@ pub fn locked_queue_scenario() -> impl Fn(&mut Sandbox) + Sync {
 /// rows keep theirs when a neighbour is retired), id, property, scenario.
 pub(crate) type Rows = Vec<(u64, &'static str, &'static str, Box<Scenario>)>;
 
-/// A mutant catalog: id, description, failure classes that catch it, scenario.
-pub type MutantCatalog = Vec<(
+/// A catalog entry: id, description, failure classes that catch it, scenario.
+pub(crate) type Mutant = (
     &'static str,
     &'static str,
     &'static [&'static str],
     Box<Scenario>,
-)>;
+);
+
+/// A mutant catalog.
+pub type MutantCatalog = Vec<Mutant>;
 
 /// Explore every row under its own budget. Deterministic for a fixed
 /// budget: same seed → same schedule counts and verdicts.
@@ -498,27 +501,33 @@ pub(crate) fn run_mutant_catalog(
     budget: &CheckBudget,
     base_idx: u64,
 ) -> Vec<MutantReport> {
+    let catalog = (base_idx..).zip(&catalog);
     catalog
-        .into_iter()
-        .enumerate()
-        .map(|(i, (name, description, expect, scenario))| {
-            let rep = explore(&*scenario, &budget.to_budget(base_idx + i as u64));
-            let (detected, counterexample) = match rep.counterexample {
-                Some(c) if expect.contains(&c.failure.kind()) => (true, c.to_string()),
-                Some(c) => (false, format!("unexpected {c}")),
-                None => (false, "-".to_string()),
-            };
-            MutantReport {
-                name,
-                description,
-                expect,
-                schedules: rep.distinct_schedules,
-                executions: rep.executions,
-                detected,
-                counterexample,
-            }
-        })
+        .map(|(idx, entry)| run_mutant(entry, &budget.to_budget(idx)))
         .collect()
+}
+
+/// Explore one catalog entry: caught when a failure of an expected class
+/// turns up.
+pub(crate) fn run_mutant(
+    (name, description, expect, scenario): &Mutant,
+    budget: &Budget,
+) -> MutantReport {
+    let rep = explore(&**scenario, budget);
+    let (detected, counterexample) = match rep.counterexample {
+        Some(c) if expect.contains(&c.failure.kind()) => (true, c.to_string()),
+        Some(c) => (false, format!("unexpected {c}")),
+        None => (false, "-".to_string()),
+    };
+    MutantReport {
+        name,
+        description,
+        expect,
+        schedules: rep.distinct_schedules,
+        executions: rep.executions,
+        detected,
+        counterexample,
+    }
 }
 
 #[cfg(test)]

@@ -9,26 +9,45 @@
 //! latest value — the bug is invisible to interleaving-only search. These
 //! scenarios close the hole: run under [`MemoryModel::Weak`], the engine also
 //! branches over the *stale values* the annotations admit, so an
-//! `Acquire → Relaxed` or `SeqCst → Acquire` downgrade produces an invariant
-//! violation with a replayable schedule, while the shipped Splash-4 orderings
-//! pass every explored execution.
+//! `Acquire → Relaxed` or `SeqCst → Acquire` downgrade produces a stale
+//! payload or a use-after-free with a replayable schedule, while the shipped
+//! Splash-4 orderings pass every explored execution.
 //!
-//! Each scenario reads its orderings from the same [`splash4_parmacs::spec`]
-//! structs the real primitives consume, so a one-field override is a mutation
-//! test — the [`weakmem_mutants`] catalog flips exactly one ordering per
-//! entry. [`check_weakmem_mutants`] additionally reruns every mutant under
+//! Every row runs shipped code over [`Model`]: [`AtomicFlag`] and
+//! [`SenseBarrier`] around an atomic payload word, the R1 [`pool_scenario`]
+//! body (a `TaskPool` over the epoch and the hazard reclaimer) and `cmap`'s
+//! [`LockFreeMap`] — so a mutant is the row's scenario with one field of one
+//! [`splash4_parmacs::spec`] table overridden ([`weakmem_mutants`]).
+//! [`check_weakmem_mutants`] additionally reruns every mutant under
 //! [`MemoryModel::Sc`] and reports `sc_missed`: the bugs this suite exists
-//! for are precisely the ones the SC pass cannot find.
+//! for are precisely the ones the SC pass cannot find. The two textbook
+//! shapes on raw engine cells, [`mp_flag_scenario`] and
+//! [`sb_epoch_scenario`], are tests of the engine, not rows of the suite.
 
 use crate::engine::{MemoryModel, Sandbox};
 use crate::explore::{explore, Budget, Scenario};
-use crate::suite::{run_construct, CheckBudget, ConstructReport, MutantCatalog, MutantReport};
-use splash4_parmacs::{CMapSpec, EpochSpec, FlagSpec, HazardSpec, SenseBarrierSpec};
-use std::sync::atomic::Ordering;
+use crate::model::{Model, ModelWord};
+use crate::reclaim::{pool_scenario, Step::Flush, Step::Pop};
+use crate::suite::{
+    mutated, run_construct, run_mutant, spawn, CheckBudget, ConstructReport, MutantCatalog,
+    MutantReport,
+};
+use splash4_kernels::cmap::LockFreeMap;
+use splash4_parmacs::atomics::Word;
+use splash4_parmacs::{
+    AtomicFlag, Barrier, EpochSpec, FlagSpec, HazardSpec, PauseVar, SenseBarrier, SenseBarrierSpec,
+};
+use splash4_reclaim::{
+    PoolShape,
+    ReclaimKind::{self, Epoch, Hazard},
+};
+use std::sync::atomic::Ordering::{Acquire, Relaxed};
+use std::sync::Arc;
 
-/// Per-execution stale-read budget the W1 suite explores with. Two stale
-/// reads suffice for every catalogued bug (one to get past a spin loop, one
-/// for the payload); four leaves headroom without blowing up the search.
+/// Per-execution stale-read budget the W1 suite explores with: what the
+/// deepest catalogued bug takes (an epoch pin in the past reads the global
+/// epoch stale twice to settle, and the old head twice, to take it and to
+/// validate it), and no more, to keep the search small.
 pub const WEAK_STALE_READS: u32 = 4;
 
 /// Construct-index base for W1 seeds (V1 uses 0.., mutants 100.., kernels
@@ -44,34 +63,34 @@ fn weak_budget(budget: &CheckBudget, idx: u64) -> Budget {
     }
 }
 
-/// Message-passing handshake with an **atomic** payload: the producer
+/// The message-passing litmus test on raw engine cells: the producer
 /// publishes a relaxed payload cell and sets the flag, the consumer waits on
-/// the flag and reads the payload. Unlike [`crate::flag_scenario`], nothing
-/// here is plain data, so a weakened flag ordering causes no data race —
-/// only a stale payload value, which SC value semantics never produce.
+/// the flag and reads the payload. Pins the engine's weak-memory decisions
+/// (`tests/pinned.rs`); the suite's row is [`flag_payload_scenario`].
 pub fn mp_flag_scenario(spec: FlagSpec) -> impl Fn(&mut Sandbox) + Sync {
     move |sb: &mut Sandbox| {
         let flag = sb.alloc_atomic("flag", 0);
         let payload = sb.alloc_atomic("payload", 0);
         sb.thread(move |ctx| {
-            ctx.op_store(payload, 42, Ordering::Relaxed);
+            ctx.op_store(payload, 42, Relaxed);
             ctx.op_store(flag, 1, spec.set_store);
         });
         sb.thread(move |ctx| {
             while ctx.op_load(flag, spec.wait_load) == 0 {
                 ctx.block_on(flag);
             }
-            let v = ctx.op_load(payload, Ordering::Relaxed);
+            let v = ctx.op_load(payload, Relaxed);
             ctx.check(v == 42, "payload visible after flag handshake");
         });
     }
 }
 
-/// Store-buffering core of the epoch pin/scan protocol: each side announces
-/// (stores its slot) then reads the other side's slot. With the shipped
-/// `SeqCst` annotations at least one side must observe the other; any
-/// load-side downgrade admits the both-read-zero outcome — the exact shape
-/// of "the collector misses a freshly pinned thread and frees under it".
+/// The store-buffering litmus test on raw engine cells, with the epoch
+/// table's orderings: each side announces (stores its slot) then reads the
+/// other side's slot. With `SeqCst` at least one side must observe the
+/// other; any load-side downgrade admits the both-read-zero outcome. Pins
+/// the engine's value-window decisions (`tests/pinned.rs`); the suite's rows
+/// run the reclaimers themselves.
 pub fn sb_epoch_scenario(spec: EpochSpec) -> impl Fn(&mut Sandbox) + Sync {
     move |sb: &mut Sandbox| {
         let announce0 = sb.alloc_atomic("announce0", 0);
@@ -82,12 +101,12 @@ pub fn sb_epoch_scenario(spec: EpochSpec) -> impl Fn(&mut Sandbox) + Sync {
         sb.thread(move |ctx| {
             ctx.op_store(announce0, 1, spec.announce_store);
             let v = ctx.op_load(announce1, spec.global_load);
-            ctx.op_store(r0, v, Ordering::Relaxed);
+            ctx.op_store(r0, v, Relaxed);
         });
         sb.thread(move |ctx| {
             ctx.op_store(announce1, 1, spec.announce_store);
             let v = ctx.op_load(announce0, spec.scan_load);
-            ctx.op_store(r1, v, Ordering::Relaxed);
+            ctx.op_store(r1, v, Relaxed);
         });
         sb.finale(move || {
             if peek.atomic(r0) == 0 && peek.atomic(r1) == 0 {
@@ -99,231 +118,203 @@ pub fn sb_epoch_scenario(spec: EpochSpec) -> impl Fn(&mut Sandbox) + Sync {
     }
 }
 
-/// Hazard-pointer publish/validate vs retire/scan handshake. The reader
-/// publishes its hazard then validates the object is not retired; the
-/// reclaimer retires then scans the hazard slots. Both proceeding — the
-/// reader using the object the reclaimer freed — requires the validate (or
-/// scan) load to miss the other side's store, which `SeqCst` forbids and an
-/// `Acquire` downgrade admits.
-pub fn sb_hazard_scenario(spec: HazardSpec) -> impl Fn(&mut Sandbox) + Sync {
-    move |sb: &mut Sandbox| {
-        let hazard = sb.alloc_atomic("hazard", 0);
-        let retired = sb.alloc_atomic("retired", 0);
-        let used = sb.alloc_atomic("used", 0);
-        let freed = sb.alloc_atomic("freed", 0);
-        let peek = sb.peek();
-        sb.thread(move |ctx| {
-            ctx.op_store(hazard, 1, spec.publish_store);
-            let dead = ctx.op_load(retired, spec.validate_load);
-            if dead == 0 {
-                ctx.op_store(used, 1, Ordering::Relaxed);
-            }
+/// Message passing through the shipped [`AtomicFlag`] with an **atomic**
+/// payload: the producer stores a relaxed payload word and sets the flag,
+/// the consumer waits on the flag and reads the payload. Unlike
+/// [`crate::flag_scenario`], nothing here is plain data, so a weakened flag
+/// ordering causes no data race — only a stale payload value, which SC
+/// value semantics never produce.
+pub fn flag_payload_scenario() -> impl Fn(&mut Sandbox) + Sync {
+    |sb: &mut Sandbox| {
+        let flag = AtomicFlag::<Model>::new(Arc::default());
+        let shared = Arc::new((flag, ModelWord::<u64>::new("payload", 0)));
+        spawn(sb, &shared, |ctx, (flag, payload)| {
+            flag.wait();
+            let v = payload.load(Relaxed);
+            ctx.check(v == 42, "payload visible after flag handshake");
         });
-        sb.thread(move |ctx| {
-            ctx.op_store(retired, 1, Ordering::SeqCst);
-            let hp = ctx.op_load(hazard, spec.scan_load);
-            if hp == 0 {
-                ctx.op_store(freed, 1, Ordering::Relaxed);
-            }
-        });
-        sb.finale(move || {
-            if peek.atomic(used) == 1 && peek.atomic(freed) == 1 {
-                Err("hazard validate raced the scan: object used after free".into())
-            } else {
-                Ok(())
-            }
+        spawn(sb, &shared, |_ctx, (flag, payload)| {
+            payload.store(42, Relaxed);
+            flag.set();
         });
     }
 }
 
-/// The `cmap` reader's epoch pin as the kernel composes it: announce the
-/// pin, **revalidate** that no retire intervened (the epoch pin's global
-/// load), then read the node's value cell through [`CMapSpec::value_load`];
-/// meanwhile the reclaimer retires the snipped node, scans the pin slots,
-/// and — seeing none — poisons the value (frees the node). The reclaim
-/// shadows in [`crate::reclaim`] explore this protocol under SC only;
-/// here the announce/revalidate pair runs under weak memory, where both
-/// sides reading stale (the store-buffering outcome) is exactly "the
-/// collector frees under a pinned reader". The shipped `SeqCst`
-/// revalidation forbids it; an `Acquire` downgrade (the
-/// `cmap-revalidate-acquire` mutant) admits it with no data race — the
-/// node's value cell is atomic — so only weak-memory value exploration
-/// can catch it.
-pub fn cmap_pin_scan_scenario(spec: EpochSpec) -> impl Fn(&mut Sandbox) + Sync {
-    const FREED: u64 = 0xDEAD;
-    move |sb: &mut Sandbox| {
-        let pin = sb.alloc_atomic("cmap.pin", 0);
-        let retired = sb.alloc_atomic("cmap.retired", 0);
-        let value = sb.alloc_atomic("cmap.value", 30);
-        let cmap = CMapSpec::SPLASH4;
-        sb.thread(move |ctx| {
-            ctx.op_store(pin, 1, spec.announce_store);
-            // Revalidation: the pin must be visible to any scan that could
-            // free what we are about to dereference.
-            let seen_retired = ctx.op_load(retired, spec.global_load);
-            if seen_retired == 0 {
-                let v = ctx.op_load(value, cmap.value_load);
-                ctx.check(v != FREED, "cmap: pinned reader never sees a freed node");
-            }
-            ctx.op_store(pin, 0, spec.quiesce_store);
-        });
-        sb.thread(move |ctx| {
-            ctx.op_store(retired, 1, Ordering::SeqCst);
-            let pinned = ctx.op_load(pin, spec.scan_load);
-            if pinned == 0 {
-                ctx.op_store(value, FREED, Ordering::Relaxed);
-            }
-        });
-    }
-}
-
-/// Two-thread centralized sense barrier with an atomic pre-barrier payload:
-/// thread 0 writes the payload and arrives; the last arriver bumps the
-/// generation, the other spins on it; thread 1 then reads the payload. The
-/// `AcqRel` arrive/bump RMWs and `Acquire` spin load carry the payload
-/// across the episode; a `Relaxed` spin load lets the waiter leave the
-/// barrier with a stale payload in hand.
-pub fn barrier_handshake_scenario(spec: SenseBarrierSpec) -> impl Fn(&mut Sandbox) + Sync {
-    move |sb: &mut Sandbox| {
-        let payload = sb.alloc_atomic("payload", 0);
-        let arrived = sb.alloc_atomic("arrived", 0);
-        let generation = sb.alloc_atomic("generation", 0);
-        sb.thread(move |ctx| {
-            ctx.op_store(payload, 7, Ordering::Relaxed);
-            let prev = ctx.op_rmw(arrived, spec.arrive_rmw, |v| v + 1);
-            if prev == 1 {
-                ctx.op_rmw(generation, spec.generation_bump, |v| v + 1);
-            } else {
-                while ctx.op_load(generation, spec.spin_load) == 0 {
-                    ctx.block_on(generation);
-                }
-            }
-        });
-        sb.thread(move |ctx| {
-            let prev = ctx.op_rmw(arrived, spec.arrive_rmw, |v| v + 1);
-            if prev == 1 {
-                ctx.op_rmw(generation, spec.generation_bump, |v| v + 1);
-            } else {
-                while ctx.op_load(generation, spec.spin_load) == 0 {
-                    ctx.block_on(generation);
-                }
-            }
-            let v = ctx.op_load(payload, Ordering::Relaxed);
+/// One episode of the shipped two-thread [`SenseBarrier`] with an atomic
+/// pre-barrier payload: one thread writes the payload and arrives, the
+/// other arrives and then reads it. The `AcqRel` arrive/bump RMWs and the
+/// `Acquire` spin load carry the payload across the episode; a `Relaxed`
+/// spin load lets the waiter leave the barrier with a stale payload in
+/// hand.
+pub fn barrier_payload_scenario() -> impl Fn(&mut Sandbox) + Sync {
+    |sb: &mut Sandbox| {
+        let barrier = SenseBarrier::<Model>::new(2, Arc::default());
+        let shared = Arc::new((barrier, ModelWord::<u64>::new("payload", 0)));
+        spawn(sb, &shared, |ctx, (barrier, payload)| {
+            barrier.wait(0);
+            let v = payload.load(Relaxed);
             ctx.check(v == 7, "pre-barrier payload visible after the episode");
         });
+        spawn(sb, &shared, |_ctx, (barrier, payload)| {
+            payload.store(7, Relaxed);
+            barrier.wait(1);
+        });
     }
 }
 
-/// Explore the shipped orderings of every W1 scenario under weak memory.
-/// All four must pass: the Splash-4 annotations are exactly strong enough.
-pub fn check_weakmem(budget: &CheckBudget) -> Vec<ConstructReport> {
-    let rows: Vec<(&'static str, &'static str, Box<Scenario>)> = vec![
+/// The `cmap` reader's epoch pin as the kernel composes it: the shipped
+/// [`LockFreeMap`], stocked with keys 2 and 4. One thread removes key 2 and
+/// collects through the map's `flush`, which frees the snipped node once
+/// two epoch advances found nobody pinned before them; the other looks key
+/// 4 up, walking over that node with no validation but its pin. The pin's
+/// `SeqCst` global load is what keeps a reader that pins after the advances
+/// from walking a chain older than they are; an `Acquire` one admits a pin
+/// in the past, and the walk reaches the freed node — no data race (the
+/// chain is all atomic words), so only weak-memory value exploration can
+/// catch it.
+pub fn cmap_pin_scenario() -> impl Fn(&mut Sandbox) + Sync {
+    |sb: &mut Sandbox| {
+        // One record per virtual thread and one for the harness thread.
+        let map = Arc::new(LockFreeMap::<Model>::new(1, 3, Arc::default()));
+        map.insert(2, 20);
+        map.insert(4, 40);
+        spawn(sb, &map, |_ctx, map| {
+            map.remove(2);
+            map.flush();
+        });
+        spawn(sb, &map, |ctx, map| {
+            let v = map.lookup(4);
+            ctx.check(v == Some(40), "cmap: an untouched key stays visible");
+        });
+        // The last owner: the map dies after every thread, as it does after
+        // a kernel's team.
+        sb.finale(move || match map.lookup(2) {
+            None => Ok(()),
+            Some(v) => Err(format!("cmap: removed key 2 still maps to {v}")),
+        });
+    }
+}
+
+/// A reclaimer row: the R1 [`pool_scenario`] body under the weak budget, on
+/// the stack over epochs or the queue over hazards. One popper pops and
+/// collects; the other starts once the popped node is freed, and must not
+/// pin in the past (publish too late) and take the old head for the head.
+/// The stack holds a second node for it to pop: the one a collector whose
+/// scan misses that popper's pin frees under it.
+fn reclaim_row(kind: ReclaimKind) -> Box<Scenario> {
+    let (shape, stock): (_, &[u64]) = match kind {
+        Epoch => (PoolShape::Lifo, &[1, 2]),
+        Hazard => (PoolShape::Fifo, &[1]),
+    };
+    Box::new(pool_scenario(shape, kind, stock, &[&[Pop, Flush], &[Pop]]))
+}
+
+/// The five rows: id, property, scenario.
+fn rows() -> Vec<(&'static str, &'static str, Box<Scenario>)> {
+    vec![
         (
             "weakmem/mp-flag",
             "atomic payload visible across the flag handshake",
-            Box::new(mp_flag_scenario(FlagSpec::SPLASH4)),
+            Box::new(flag_payload_scenario()),
         ),
         (
             "weakmem/sb-epoch",
             "no store-buffering between announce and scan",
-            Box::new(sb_epoch_scenario(EpochSpec::SPLASH4)),
+            reclaim_row(Epoch),
         ),
         (
             "weakmem/sb-hazard",
             "validate or scan observes the other side",
-            Box::new(sb_hazard_scenario(HazardSpec::SPLASH4)),
+            reclaim_row(Hazard),
         ),
         (
             "weakmem/barrier",
             "pre-barrier payload visible after the episode",
-            Box::new(barrier_handshake_scenario(SenseBarrierSpec::SPLASH4)),
+            Box::new(barrier_payload_scenario()),
         ),
         (
             "weakmem/cmap-pin",
             "pinned cmap reader never observes a freed node",
-            Box::new(cmap_pin_scan_scenario(EpochSpec::SPLASH4)),
+            Box::new(cmap_pin_scenario()),
         ),
-    ];
-    rows.into_iter()
-        .enumerate()
-        .map(|(i, (construct, property, scenario))| {
-            run_construct(
-                construct,
-                property,
-                &*scenario,
-                &weak_budget(budget, WEAK_BASE_IDX + i as u64),
-            )
-        })
-        .collect()
+    ]
 }
 
-/// The W1 mutant catalog: one flipped ordering per entry, every one
-/// invisible to SC interleaving search (no plain data to race, values always
-/// latest) and catchable only through weak-memory value exploration.
+/// Explore the shipped orderings of every W1 scenario under weak memory.
+/// All five must pass: the Splash-4 annotations are exactly strong enough.
+pub fn check_weakmem(budget: &CheckBudget) -> Vec<ConstructReport> {
+    let rows = (WEAK_BASE_IDX..).zip(rows());
+    rows.map(|(idx, (construct, property, scenario))| {
+        run_construct(construct, property, &*scenario, &weak_budget(budget, idx))
+    })
+    .collect()
+}
+
+/// `scenario` under the shipped table `spec` with one ordering flipped.
+fn flipped<S: Copy + Send + Sync + 'static>(
+    scenario: impl Fn(&mut Sandbox) + Sync + 'static,
+    mut spec: S,
+    flip: impl Fn(&mut S),
+) -> Box<Scenario> {
+    flip(&mut spec);
+    Box::new(mutated(move |sb| sb.override_spec(spec), scenario))
+}
+
+/// The W1 mutant catalog: a row's scenario with one ordering of one shipped
+/// table flipped per entry, every one invisible to SC interleaving search
+/// (no plain data to race, values always latest) and catchable only through
+/// weak-memory value exploration — as a stale payload, or as the use of a
+/// node freed too early (which the search may meet first as the free's race
+/// with that use).
 pub fn weakmem_mutants() -> MutantCatalog {
+    const STALE: &[&str] = &["invariant"];
+    const FREED: &[&str] = &["use-after-free", "data-race"];
+    let (flag, epoch) = (FlagSpec::SPLASH4, EpochSpec::SPLASH4);
+    let (hazard, barrier) = (HazardSpec::SPLASH4, SenseBarrierSpec::SPLASH4);
     vec![
         (
             "flag-wait-relaxed",
             "flag wait load Acquire -> Relaxed: sees the flag, not the payload",
-            &["invariant"] as &[_],
-            Box::new(mp_flag_scenario(FlagSpec {
-                wait_load: Ordering::Relaxed,
-                ..FlagSpec::SPLASH4
-            })),
+            STALE,
+            flipped(flag_payload_scenario(), flag, |s| s.wait_load = Relaxed),
         ),
         (
             "flag-set-relaxed",
             "flag set store Release -> Relaxed: publishes nothing",
-            &["invariant"] as &[_],
-            Box::new(mp_flag_scenario(FlagSpec {
-                set_store: Ordering::Relaxed,
-                ..FlagSpec::SPLASH4
-            })),
+            STALE,
+            flipped(flag_payload_scenario(), flag, |s| s.set_store = Relaxed),
         ),
         (
             "epoch-pin-load-acquire",
-            "epoch pin's global load SeqCst -> Acquire: store-buffering window",
-            &["invariant"] as &[_],
-            Box::new(sb_epoch_scenario(EpochSpec {
-                global_load: Ordering::Acquire,
-                ..EpochSpec::SPLASH4
-            })),
+            "epoch pin's global load SeqCst -> Acquire: a pin in the past walks a freed node",
+            FREED,
+            flipped(reclaim_row(Epoch), epoch, |s| s.global_load = Acquire),
         ),
         (
             "epoch-scan-acquire",
             "epoch collector scan SeqCst -> Acquire: misses a fresh pin",
-            &["invariant"] as &[_],
-            Box::new(sb_epoch_scenario(EpochSpec {
-                scan_load: Ordering::Acquire,
-                ..EpochSpec::SPLASH4
-            })),
+            FREED,
+            flipped(reclaim_row(Epoch), epoch, |s| s.scan_load = Acquire),
         ),
         (
             "hazard-validate-acquire",
             "hazard validate load SeqCst -> Acquire: misses the retire mark",
-            &["invariant"] as &[_],
-            Box::new(sb_hazard_scenario(HazardSpec {
-                validate_load: Ordering::Acquire,
-                ..HazardSpec::SPLASH4
-            })),
+            FREED,
+            flipped(reclaim_row(Hazard), hazard, |s| s.validate_load = Acquire),
         ),
         (
             "barrier-spin-relaxed",
             "barrier spin load Acquire -> Relaxed: leaves with a stale payload",
-            &["invariant"] as &[_],
-            Box::new(barrier_handshake_scenario(SenseBarrierSpec {
-                spin_load: Ordering::Relaxed,
-                ..SenseBarrierSpec::SPLASH4
-            })),
+            STALE,
+            flipped(barrier_payload_scenario(), barrier, |s| {
+                s.spin_load = Relaxed
+            }),
         ),
         (
             "cmap-revalidate-acquire",
             "cmap pin revalidation SeqCst -> Acquire: reads a freed node",
-            &["invariant"] as &[_],
-            Box::new(cmap_pin_scan_scenario(EpochSpec {
-                global_load: Ordering::Acquire,
-                ..EpochSpec::SPLASH4
-            })),
+            FREED,
+            flipped(cmap_pin_scenario(), epoch, |s| s.global_load = Acquire),
         ),
     ]
 }
@@ -343,30 +334,13 @@ pub struct WeakMutantReport {
 /// Run the W1 mutant catalog twice per entry: under weak memory (must catch
 /// the bug) and under SC (must miss it — that is the point of the suite).
 pub fn check_weakmem_mutants(budget: &CheckBudget) -> Vec<WeakMutantReport> {
-    weakmem_mutants()
-        .into_iter()
-        .enumerate()
-        .map(|(i, (name, description, expect, scenario))| {
-            let idx = WEAK_BASE_IDX + 100 + i as u64;
-            let weak_rep = explore(&*scenario, &weak_budget(budget, idx));
-            let (detected, counterexample) = match weak_rep.counterexample {
-                Some(c) if expect.contains(&c.failure.kind()) => (true, c.to_string()),
-                Some(c) => (false, format!("unexpected {c}")),
-                None => (false, "-".to_string()),
-            };
-            let sc_rep = explore(&*scenario, &budget.to_budget(idx));
-            WeakMutantReport {
-                report: MutantReport {
-                    name,
-                    description,
-                    expect,
-                    schedules: weak_rep.distinct_schedules,
-                    executions: weak_rep.executions,
-                    detected,
-                    counterexample,
-                },
-                sc_missed: sc_rep.counterexample.is_none(),
-            }
+    let catalog = (WEAK_BASE_IDX + 100..).zip(weakmem_mutants());
+    catalog
+        .map(|(idx, entry)| WeakMutantReport {
+            report: run_mutant(&entry, &weak_budget(budget, idx)),
+            sc_missed: explore(&*entry.3, &budget.to_budget(idx))
+                .counterexample
+                .is_none(),
         })
         .collect()
 }
@@ -419,20 +393,14 @@ mod tests {
     fn weak_counterexample_replays_under_the_same_model() {
         let budget = CheckBudget::small(23);
         let scenario = mp_flag_scenario(FlagSpec {
-            wait_load: Ordering::Relaxed,
+            wait_load: Relaxed,
             ..FlagSpec::SPLASH4
         });
         let rep = explore(&scenario, &weak_budget(&budget, 1));
         let cex = rep.counterexample.expect("mutant must fail");
         assert_eq!(cex.failure.kind(), "invariant");
-        let re = replay_under(
-            &scenario,
-            &cex.schedule,
-            20_000,
-            MemoryModel::Weak {
-                stale_reads: WEAK_STALE_READS,
-            },
-        );
+        let weak = weak_budget(&budget, 1).memory;
+        let re = replay_under(&scenario, &cex.schedule, 20_000, weak);
         assert_eq!(
             re.failure.expect("replay reproduces the failure").kind(),
             "invariant"

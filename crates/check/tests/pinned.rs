@@ -5,15 +5,20 @@
 //! engine cells and contains no construct code — a refactor of a shipped
 //! construct changes its own schedule points, never these. The `mp_flag`
 //! rows were captured at the commit before scheduling moved from a
-//! controller thread into the virtual threads; the locked-queue and cmap
-//! rows at the commit before the scenarios began to run the shipped
-//! constructs through the `Atomics` facade.
+//! controller thread into the virtual threads; the locked-queue rows at the
+//! commit before the scenarios began to run the shipped constructs through
+//! the `Atomics` facade. The mutant row moved once: it was `cmap-blind-mark`
+//! on the raw-cell chain skeleton until `cmap_chain_scenario` began to run
+//! the shipped `LockFreeMap` (whose schedule points are its own, pinned in
+//! `soundness.rs`), and is the raw store-buffering litmus under weak memory
+//! since, captured at the last commit that had the skeleton.
 
 use splash4_check::{
-    cmap_chain_scenario, explore, locked_queue_scenario, mp_flag_scenario, replay, replay_under,
+    explore, locked_queue_scenario, mp_flag_scenario, replay, replay_under, sb_epoch_scenario,
     Budget, MemoryModel, Schedule, WEAK_STALE_READS,
 };
-use splash4_parmacs::{CMapSpec, FlagSpec};
+use splash4_parmacs::{EpochSpec, FlagSpec};
+use std::sync::atomic::Ordering;
 
 const WEAK: MemoryModel = MemoryModel::Weak {
     stale_reads: WEAK_STALE_READS,
@@ -33,15 +38,18 @@ fn decisions_are_pinned() {
     assert!(wk.counterexample.is_none());
     assert_eq!((wk.distinct_schedules, wk.executions), (29, 2000));
 
-    let mutant = explore(
-        &cmap_chain_scenario(CMapSpec::SPLASH4, true),
-        &Budget::small(1),
-    );
-    assert_eq!((mutant.distinct_schedules, mutant.executions), (221, 221));
+    // A search that fails, and the minimisation of what it found: thread and
+    // value-window choices interleaved in one counterexample.
+    let pin_load_acquire = sb_epoch_scenario(EpochSpec {
+        global_load: Ordering::Acquire,
+        ..EpochSpec::SPLASH4
+    });
+    let mutant = explore(&pin_load_acquire, &weak);
+    assert_eq!((mutant.distinct_schedules, mutant.executions), (12, 12));
     let cex = mutant
         .counterexample
-        .expect("cmap-blind-mark must be caught");
-    assert_eq!(cex.schedule.to_string(), "0*3,1*6,0*5");
+        .expect("the store-buffering window must be found");
+    assert_eq!(cex.schedule.to_string(), "0,1*5");
 }
 
 /// The clean explorations above run into a cap, so their counts alone would

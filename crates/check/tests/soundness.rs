@@ -3,9 +3,11 @@
 //! scenarios run the shipped constructs, cover what no transcription could.
 
 use splash4_check::{
-    explore, mutants, mutated, pool_scenario, reduce_f64_scenario, replay, sense_barrier_scenario,
-    treiber_scenario, Budget, Fault, Model, Op, RetVal, Sandbox, Schedule, SpecModel, Step,
+    cmap_chain_scenario, explore, mutants, mutated, pool_scenario, reduce_f64_scenario, replay,
+    sense_barrier_scenario, treiber_scenario, Budget, Fault, Model, Op, RetVal, Sandbox, Schedule,
+    SpecModel, Step,
 };
+use splash4_kernels::cmap::LockFreeMap;
 use splash4_parmacs::atomics::{Atomics, DataCell, Std, Word};
 use splash4_parmacs::{CombiningCore, IndexCounter, ReduceU64, Reducer, SyncMode, TreiberSpec};
 use splash4_reclaim::{PoolShape, ReclaimKind, TaskPool};
@@ -474,4 +476,140 @@ fn ms_queue_pop_holds_two_hazards_against_a_concurrent_flush() {
         "use-after-free: t0 touches `msq.node.next` in memory t2 freed"
     );
     assert!(replay(&scenario(), &stale_head, 1000).failure.is_none());
+}
+
+/// A thread's clock starts at its first tick: the plain write t0 makes
+/// before its first operation is not ordered before a thread that acquired
+/// nothing from t0. (Stamped zero, as it was, the write raced with nothing:
+/// the cell-initialising write of a node a thread allocates as its first
+/// action could be published by a relaxed store unnoticed.)
+#[test]
+fn a_plain_access_before_a_threads_first_operation_still_races() {
+    struct Handoff {
+        flag: <Model as Atomics>::Bool,
+        cell: <Model as Atomics>::Cell<u64>,
+    }
+    // SAFETY: one virtual thread runs at a time, and the model unwinds out
+    // of an access to `cell` that races.
+    unsafe impl Sync for Handoff {}
+
+    let scenario = |sb: &mut Sandbox| {
+        let shared = Arc::new(Handoff {
+            flag: Word::new("handoff.flag", false),
+            cell: DataCell::new("handoff.cell", 0),
+        });
+        let writer = Arc::clone(&shared);
+        sb.thread(move |_ctx| {
+            // SAFETY: see `Handoff`.
+            unsafe { writer.cell.with_mut(|v| *v = 1) };
+            writer.flag.store(true, Ordering::Relaxed);
+        });
+        sb.thread(move |_ctx| {
+            if shared.flag.load(Ordering::Relaxed) {
+                // SAFETY: see `Handoff`.
+                unsafe { shared.cell.with(|v| *v) };
+            }
+        });
+    };
+    // The default schedule: t0 to its end, then t1, which sees the flag.
+    let re = replay(&scenario, &Schedule(Vec::new()), 1000);
+    let what = re
+        .failure
+        .expect("a relaxed flag orders nothing")
+        .to_string();
+    assert_eq!(
+        what,
+        "data-race: read of `handoff.cell` by t1 races with write by t0"
+    );
+}
+
+/// One body over `A` — three threads, each inserting, removing and looking
+/// up the keys it owns in a stocked `LockFreeMap` — on real threads with
+/// `Std` and under the explorer with `Model`: both leave the same key set,
+/// retire the two removed nodes and have nothing pending after a flush. And
+/// the `cmap-blind-mark` counterexample, a fact about `LockFreeMap::{find,
+/// remove, insert}` like the Treiber string above is one about the stack:
+/// re-capture it when one of them gains or loses an atomic operation.
+#[test]
+fn one_lock_free_map_body_runs_on_real_threads_and_under_the_explorer() {
+    fn build<A: Atomics>() -> Arc<LockFreeMap<A>> {
+        // Three workers, and the thread that stocks and settles.
+        let map = LockFreeMap::new(2, 4, Arc::default());
+        map.insert(2, 20);
+        map.insert(4, 40);
+        Arc::new(map)
+    }
+    fn body<A: Atomics>(map: &LockFreeMap<A>, tid: u64) {
+        match tid {
+            0 => {
+                assert!(map.remove(2));
+                assert_eq!(map.lookup(2), None);
+            }
+            1 => {
+                map.insert(3, 30);
+                map.insert(3, 31);
+                assert_eq!(map.lookup(3), Some(31));
+            }
+            _ => {
+                map.insert(1, 10);
+                assert!(map.remove(4));
+                assert!(!map.remove(4));
+            }
+        }
+    }
+    fn settle<A: Atomics>(map: &LockFreeMap<A>) -> Result<(), String> {
+        let live: Vec<_> = (0..6).filter_map(|k| Some((k, map.lookup(k)?))).collect();
+        map.flush();
+        let st = map.reclaim_stats();
+        match (&live[..], st.retires, st.pending()) {
+            ([(1, 10), (3, 31)], 2, 0) => Ok(()),
+            _ => Err(format!("live {live:?}, reclaimer {st:?}")),
+        }
+    }
+
+    let native = build::<Std>();
+    std::thread::scope(|s| {
+        for tid in 0..3 {
+            let map = &native;
+            s.spawn(move || body(map, tid));
+        }
+    });
+    settle(&native).unwrap();
+
+    let scenario = |sb: &mut Sandbox| {
+        let map = build::<Model>();
+        for tid in 0..3 {
+            let map = Arc::clone(&map);
+            sb.thread(move |_ctx| body(&map, tid));
+        }
+        sb.finale(move || settle(&map));
+    };
+    let report = explore(&scenario, &budget(15));
+    assert!(
+        report.counterexample.is_none(),
+        "{:?}",
+        report.counterexample
+    );
+
+    // The reader runs, the remover stops between reading key 2's link and
+    // marking it, the inserter links key 3 behind key 2, and the torn mark
+    // CAS stores the stale link over it.
+    let torn_mark = mutated(
+        |sb| sb.fault("cmap.node.next", Fault::Torn),
+        cmap_chain_scenario(),
+    );
+    let cex = explore(&torn_mark, &budget(16)).counterexample;
+    let cex = cex.expect("a blind mark loses a racing insert");
+    assert_eq!(cex.schedule.to_string(), "0*8,1*7,2*9");
+    let parsed = Schedule::parse("0*8,1*7,2*9").unwrap();
+    let re = replay(&torn_mark, &parsed, 1000);
+    assert_eq!(re.failure, Some(cex.failure));
+    let what = re.failure.unwrap().to_string();
+    assert!(
+        what.contains("the map holds keys [4], want [3, 4]"),
+        "{what}"
+    );
+    assert!(replay(&cmap_chain_scenario(), &parsed, 1000)
+        .failure
+        .is_none());
 }

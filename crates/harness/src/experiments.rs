@@ -166,10 +166,13 @@ const EXPERIMENTS: [(&str, Runner); 18] = [
     // lock-free construct in isolation, this experiment explores the
     // constructs *as the kernels compose them*: radix's pass-0 rank
     // dispensing (GETSUB bucket claims + barrier + per-bucket `fetch_add`)
-    // over the kernel's real key array, and water-nsquared's CAS-loop energy
-    // reduction over the real Lennard-Jones pair energies. The mutation
-    // table seeds kernel-shaped bugs — a lost rank, a lost CAS retry — that
-    // the checker must catch with a minimized counterexample schedule.
+    // over the kernel's real key array, water-nsquared's CAS-loop energy
+    // reduction over the real Lennard-Jones pair energies, one bucket of
+    // `cmap`'s own `LockFreeMap` (remove ‖ insert ‖ lookup against a
+    // sequential map) and a stage ring of `stream`. The mutation table seeds
+    // kernel-shaped bugs — a lost rank, a lost CAS retry, a blind mark, an
+    // unpublished key or slot — that the checker must catch with a minimized
+    // counterexample schedule.
     ("V2-kernel-check", |id, _| {
         check_report(
             id,
@@ -228,10 +231,12 @@ const EXPERIMENTS: [(&str, Runner); 18] = [
     // through the data race it causes on plain data. This experiment runs
     // the checker's weak-memory mode: every atomic keeps its store history
     // and non-`SeqCst` loads branch over the stale records the C11 orderings
-    // admit. The first table verifies the shipped Splash-4 annotations pass
-    // under weak memory; the mutant table seeds one-ordering downgrades
-    // (relaxed flag waits, `SeqCst → Acquire` store-buffering windows, a
-    // relaxed barrier spin) and reports, per mutant, both the weak-memory
+    // admit. The first table verifies that the shipped flag, barrier,
+    // reclaimers (under a task pool) and `cmap` map pass under weak memory
+    // with the shipped Splash-4 annotations; the mutant table overrides one
+    // ordering of one table each (relaxed flag waits, `SeqCst → Acquire`
+    // store-buffering windows that end in a use-after-free, a relaxed
+    // barrier spin) and reports, per mutant, both the weak-memory
     // detection *and* whether SC-only exploration missed the bug —
     // `sc-missed = yes` on every row is the point: these are exactly the
     // bugs interleaving-only search cannot find.

@@ -8,8 +8,9 @@
 //! logically deleted nodes) with **epoch-based safe memory reclamation**
 //! from `splash4-reclaim`; the lock-based variant banks each bucket's
 //! `Vec` behind an `ALOCK`-style lock array. All atomic orderings come
-//! from [`CMapSpec`]; the `splash4-check` shadow replica explores the same
-//! mark/unlink/retire protocol.
+//! from [`CMapSpec`], and [`LockFreeMap`] is generic over the `parmacs`
+//! `Atomics` facade: `splash4-check` explores the mark/unlink/retire
+//! protocol on this type itself (`V2-kernel-check`, `W1-weakmem`).
 //!
 //! Determinism: every key has one owner thread (`owner(key) % nthreads`);
 //! the owner executes all of that key's operations in global program
@@ -26,13 +27,13 @@
 use crate::common::{close, KernelResult, SharedSlice};
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
+use splash4_parmacs::atomics::{Atomics, DataCell, Std, Word};
 use splash4_parmacs::{
     CMapSpec, ConstructClass, Counter, PhaseSpec, RawLock, SmallRng, SyncCounters, SyncEnv,
     TraceEvent, WorkModel,
 };
-use splash4_reclaim::{EpochReclaimer, Reclaimer};
+use splash4_reclaim::{EpochReclaimer, ReclaimStats, Reclaimer};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicPtr, AtomicU64};
 use std::sync::Arc;
 
 /// One map operation in the generated churn stream.
@@ -70,8 +71,8 @@ pub struct CMapConfig {
 impl CMapConfig {
     /// Standard configuration for an input class.
     pub fn class(class: InputClass) -> CMapConfig {
-        // `Check` keeps the universe at 6 keys over 2 buckets so the
-        // shadow replica's schedules stay exhaustively explorable.
+        // `Check` keeps the universe at 6 keys over 2 buckets: the scale
+        // of the checker's scenario on one `LockFreeMap` bucket.
         let (universe, buckets, ops) = match class {
             InputClass::Check => (6, 2, 24),
             InputClass::Test => (512, 64, 24_000),
@@ -140,52 +141,62 @@ pub fn oracle(ops: &[MapOp]) -> (u64, u64, f64) {
 
 // --- lock-free variant: Harris–Michael list per bucket ------------------
 
-struct Node {
-    key: u64,
-    val: AtomicU64,
-    next: AtomicPtr<Node>,
+struct Node<A: Atomics> {
+    /// Plain data, written once before the link CAS publishes the node.
+    key: A::Cell<u64>,
+    val: A::U64,
+    next: A::Ptr<Node<A>>,
+}
+
+impl<A: Atomics> Node<A> {
+    /// # Safety
+    /// The caller must have reached the node through an acquiring load of a
+    /// pointer to it, inside a protected region.
+    unsafe fn key(&self) -> u64 {
+        // SAFETY: the key is never written after the link CAS released it.
+        unsafe { self.key.with(|k| *k) }
+    }
 }
 
 /// Low-bit mark tag: a set bit on a node's `next` pointer marks the node
 /// as logically deleted.
-fn marked(p: *mut Node) -> *mut Node {
-    (p as usize | 1) as *mut Node
+fn marked<T>(p: *mut T) -> *mut T {
+    (p as usize | 1) as *mut T
 }
 
-fn unmark(p: *mut Node) -> *mut Node {
-    (p as usize & !1) as *mut Node
+fn unmark<T>(p: *mut T) -> *mut T {
+    (p as usize & !1) as *mut T
 }
 
-fn is_marked(p: *mut Node) -> bool {
+fn is_marked<T>(p: *mut T) -> bool {
     (p as usize & 1) == 1
 }
 
-unsafe fn drop_node(p: *mut u8) {
-    // SAFETY: `p` was produced by `Box::into_raw` on a `Node` and the
-    // reclaimer's two-epoch rule proves no reference survives.
-    drop(unsafe { Box::from_raw(p as *mut Node) });
+unsafe fn drop_node<A: Atomics>(p: *mut u8) {
+    // SAFETY: `p` is a `Node<A>` of `A::alloc` and the reclaimer's
+    // two-epoch rule proves no reference survives.
+    unsafe { A::free(p.cast::<Node<A>>()) };
 }
 
-struct LockFreeMap {
-    heads: Vec<AtomicPtr<Node>>,
-    reclaimer: EpochReclaimer,
-    spec: CMapSpec,
+/// The lock-free map: one Harris–Michael list per bucket over an embedded
+/// epoch reclaimer. Generic over the `parmacs` [`Atomics`] facade, [`Std`]
+/// in the kernel, so `splash4-check` explores this type itself. Every
+/// operation pins its own protected region.
+pub struct LockFreeMap<A: Atomics = Std> {
+    heads: Vec<A::Ptr<Node<A>>>,
+    reclaimer: EpochReclaimer<A>,
     stats: Arc<SyncCounters>,
 }
 
-// SAFETY: all shared mutation goes through the atomics; node ownership
-// transfers through the reclaimer's retire protocol.
-unsafe impl Send for LockFreeMap {}
-unsafe impl Sync for LockFreeMap {}
-
-impl LockFreeMap {
-    fn new(buckets: usize, capacity: usize, stats: Arc<SyncCounters>) -> LockFreeMap {
+impl<A: Atomics> LockFreeMap<A> {
+    /// Empty map of `buckets` chains with room for `capacity` concurrently
+    /// live threads, reporting into `stats`.
+    pub fn new(buckets: usize, capacity: usize, stats: Arc<SyncCounters>) -> LockFreeMap<A> {
         LockFreeMap {
             heads: (0..buckets)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
+                .map(|_| A::Ptr::new("cmap.head", std::ptr::null_mut()))
                 .collect(),
-            reclaimer: EpochReclaimer::new(capacity, Arc::clone(&stats)),
-            spec: CMapSpec::SPLASH4,
+            reclaimer: EpochReclaimer::new_in(capacity, Arc::clone(&stats)),
             stats,
         }
     }
@@ -198,6 +209,14 @@ impl LockFreeMap {
         });
     }
 
+    /// Run `op` inside a protected region of the calling thread.
+    fn pinned<R>(&self, op: impl FnOnce(usize) -> R) -> R {
+        let slot = self.reclaimer.enter();
+        let result = op(slot);
+        self.reclaimer.exit(slot);
+        result
+    }
+
     /// Harris–Michael `find`: returns `(prev_link, cur)` where `cur` is
     /// the first unmarked node with `node.key >= key` (null at list end)
     /// and `prev_link` is the pointer field that leads to it. Marked nodes
@@ -207,11 +226,11 @@ impl LockFreeMap {
     /// # Safety
     /// The calling thread must be inside a protected region (`slot` from
     /// `reclaimer.enter()`), which keeps every traversed node alive.
-    unsafe fn find(&self, slot: usize, key: u64) -> (&AtomicPtr<Node>, *mut Node) {
-        let s = self.spec;
+    unsafe fn find(&self, slot: usize, key: u64) -> (&A::Ptr<Node<A>>, *mut Node<A>) {
+        let s = A::spec(CMapSpec::SPLASH4);
         let head = &self.heads[bucket_of(key, self.heads.len())];
         'retry: loop {
-            let mut prev: &AtomicPtr<Node> = head;
+            let mut prev: &A::Ptr<Node<A>> = head;
             let mut cur = unmark(prev.load(s.head_load));
             loop {
                 if cur.is_null() {
@@ -232,7 +251,7 @@ impl LockFreeMap {
                             // SAFETY: the CAS made this thread the unique
                             // unlinker; hand the node to the reclaimer.
                             unsafe {
-                                self.reclaimer.retire(slot, cur as *mut u8, drop_node);
+                                self.reclaimer.retire(slot, cur.cast(), drop_node::<A>);
                             }
                             cur = next;
                         }
@@ -241,61 +260,65 @@ impl LockFreeMap {
                             continue 'retry;
                         }
                     }
-                } else if cur_ref.key >= key {
-                    return (prev, cur);
-                } else {
-                    prev = &cur_ref.next;
-                    cur = next;
+                    continue;
                 }
+                // SAFETY: `cur` was reached through an acquiring load.
+                if unsafe { cur_ref.key() } >= key {
+                    return (prev, cur);
+                }
+                prev = &cur_ref.next;
+                cur = next;
             }
         }
     }
 
-    /// Insert-or-update. Only the key's owner thread calls this.
-    fn insert(&self, slot: usize, key: u64, val: u64) {
-        let s = self.spec;
-        loop {
-            // SAFETY: caller holds the protected region for `slot`.
+    /// Insert-or-update. The kernel calls this from the key's owner thread
+    /// only, which is what makes its checksum schedule-independent.
+    pub fn insert(&self, key: u64, val: u64) {
+        let s = A::spec(CMapSpec::SPLASH4);
+        self.pinned(|slot| loop {
+            // SAFETY: inside the protected region of `slot`.
             let (prev, cur) = unsafe { self.find(slot, key) };
             if !cur.is_null() {
-                // SAFETY: `cur` is pinned by the epoch.
+                // SAFETY (both): `cur` is pinned by the epoch, and `find`
+                // reached it through an acquiring load.
                 let cur_ref = unsafe { &*cur };
-                if cur_ref.key == key {
+                if unsafe { cur_ref.key() } == key {
                     cur_ref.val.store(val, s.value_store);
                     return;
                 }
             }
-            let node = Box::into_raw(Box::new(Node {
-                key,
-                val: AtomicU64::new(val),
-                next: AtomicPtr::new(cur),
-            }));
+            let node = A::alloc(Node::<A> {
+                key: A::Cell::new("cmap.node.key", key),
+                val: A::U64::new("cmap.node.val", val),
+                next: A::Ptr::new("cmap.node.next", cur),
+            });
             self.rmw();
             match prev.compare_exchange(cur, node, s.link_cas_ok, s.link_cas_fail) {
                 Ok(_) => return,
                 Err(_) => {
                     self.stats.bump(Counter::CasFailures);
-                    // SAFETY: the node never became visible; reclaim it
+                    // SAFETY: the node never became visible; give it back
                     // directly and retry the whole find.
-                    drop(unsafe { Box::from_raw(node) });
+                    unsafe { A::free(node) };
                 }
             }
-        }
+        })
     }
 
     /// Logically delete `key` (mark), then help unlink. Returns `true` on
-    /// hit. Only the key's owner thread calls this.
-    fn remove(&self, slot: usize, key: u64) -> bool {
-        let s = self.spec;
-        loop {
-            // SAFETY: caller holds the protected region for `slot`.
+    /// hit. Called from the key's owner thread only, like `insert`.
+    pub fn remove(&self, key: u64) -> bool {
+        let s = A::spec(CMapSpec::SPLASH4);
+        self.pinned(|slot| loop {
+            // SAFETY: inside the protected region of `slot`.
             let (_prev, cur) = unsafe { self.find(slot, key) };
             if cur.is_null() {
                 return false;
             }
-            // SAFETY: pinned.
+            // SAFETY (both): pinned, and reached through an acquiring load.
             let cur_ref = unsafe { &*cur };
-            if cur_ref.key != key {
+            if unsafe { cur_ref.key() } != key {
                 return false;
             }
             let next_tagged = cur_ref.next.load(s.next_load);
@@ -326,63 +349,84 @@ impl LockFreeMap {
                     self.stats.bump(Counter::CasFailures);
                 }
             }
-        }
+        })
     }
 
     /// Lookup without helping. Returns the value on hit.
-    fn lookup(&self, _slot: usize, key: u64) -> Option<u64> {
-        let s = self.spec;
-        let mut cur = unmark(self.heads[bucket_of(key, self.heads.len())].load(s.head_load));
-        while !cur.is_null() {
-            // SAFETY: caller is pinned.
-            let cur_ref = unsafe { &*cur };
-            let next_tagged = cur_ref.next.load(s.next_load);
-            if cur_ref.key == key {
-                if is_marked(next_tagged) {
+    pub fn lookup(&self, key: u64) -> Option<u64> {
+        let s = A::spec(CMapSpec::SPLASH4);
+        self.pinned(|_slot| {
+            let mut cur = unmark(self.heads[bucket_of(key, self.heads.len())].load(s.head_load));
+            while !cur.is_null() {
+                // SAFETY (both): pinned, and reached through an acquiring
+                // load.
+                let cur_ref = unsafe { &*cur };
+                let next_tagged = cur_ref.next.load(s.next_load);
+                let cur_key = unsafe { cur_ref.key() };
+                if cur_key == key {
+                    if is_marked(next_tagged) {
+                        return None;
+                    }
+                    return Some(cur_ref.val.load(s.value_load));
+                }
+                if cur_key > key {
                     return None;
                 }
-                return Some(cur_ref.val.load(s.value_load));
+                cur = unmark(next_tagged);
             }
-            if cur_ref.key > key {
-                return None;
-            }
-            cur = unmark(next_tagged);
-        }
-        None
+            None
+        })
     }
 
-    /// Post-ROI scan of bucket `b`: (live count, live (k+1)·(v+1) sum).
-    /// Caller must be pinned or quiescent (between phases).
-    fn scan_bucket(&self, b: usize) -> (u64, f64) {
-        let s = self.spec;
-        let mut count = 0u64;
-        let mut sum = 0.0f64;
-        let mut cur = unmark(self.heads[b].load(s.head_load));
-        while !cur.is_null() {
-            // SAFETY: scan runs after the churn barrier; no node reachable
-            // from a head can be freed (only unlinked nodes get retired).
-            let cur_ref = unsafe { &*cur };
-            let next_tagged = cur_ref.next.load(s.next_load);
-            if !is_marked(next_tagged) {
-                count += 1;
-                sum += (cur_ref.key as f64 + 1.0) * (cur_ref.val.load(s.value_load) as f64 + 1.0);
+    /// Scan of bucket `b`: (live count, live (k+1)·(v+1) sum).
+    pub fn scan_bucket(&self, b: usize) -> (u64, f64) {
+        let s = A::spec(CMapSpec::SPLASH4);
+        self.pinned(|_slot| {
+            let mut count = 0u64;
+            let mut sum = 0.0f64;
+            let mut cur = unmark(self.heads[b].load(s.head_load));
+            while !cur.is_null() {
+                // SAFETY (both): pinned, and reached through an acquiring
+                // load.
+                let cur_ref = unsafe { &*cur };
+                let next_tagged = cur_ref.next.load(s.next_load);
+                if !is_marked(next_tagged) {
+                    let (k, v) = (unsafe { cur_ref.key() }, cur_ref.val.load(s.value_load));
+                    count += 1;
+                    sum += (k as f64 + 1.0) * (v as f64 + 1.0);
+                }
+                cur = unmark(next_tagged);
             }
-            cur = unmark(next_tagged);
-        }
-        (count, sum)
+            (count, sum)
+        })
+    }
+
+    /// Destroy every retired node the epoch protocol can prove unreachable
+    /// (everything, when callers are quiescent).
+    pub fn flush(&self) {
+        self.reclaimer.flush();
+    }
+
+    /// Exact reclamation tallies of this map's reclaimer.
+    pub fn reclaim_stats(&self) -> ReclaimStats {
+        self.reclaimer.reclaim_stats()
     }
 }
 
-impl Drop for LockFreeMap {
+impl<A: Atomics> Drop for LockFreeMap<A> {
     fn drop(&mut self) {
         // Retired nodes are off the lists (the reclaimer frees them);
         // everything still reachable — marked or not — is freed here.
         for head in &mut self.heads {
-            let mut cur = unmark(*head.get_mut());
+            let mut cur = unmark(head.load_mut());
             while !cur.is_null() {
-                // SAFETY: `&mut self` — no concurrent access remains.
-                let boxed = unsafe { Box::from_raw(cur) };
-                cur = unmark(boxed.next.load(std::sync::atomic::Ordering::Relaxed));
+                // SAFETY: `&mut self` — no concurrent access remains; each
+                // node is read, then freed once.
+                unsafe {
+                    let next = (*cur).next.load_mut();
+                    A::free(cur);
+                    cur = unmark(next);
+                }
             }
         }
     }
@@ -518,19 +562,17 @@ pub fn run(cfg: &CMapConfig, env: &SyncEnv) -> KernelResult {
             }
             MapImpl::LockFree(m) => {
                 for &op in &owned[ctx.tid] {
-                    let slot = m.reclaimer.enter();
                     match op {
-                        MapOp::Insert(k, v) => m.insert(slot, k, v),
+                        MapOp::Insert(k, v) => m.insert(k, v),
                         MapOp::Remove(k) => {
-                            m.remove(slot, k);
+                            m.remove(k);
                         }
                         MapOp::Lookup(k) => {
-                            if m.lookup(slot, k).is_some() {
+                            if m.lookup(k).is_some() {
                                 my_hits += 1;
                             }
                         }
                     }
-                    m.reclaimer.exit(slot);
                 }
             }
         }
@@ -555,7 +597,7 @@ pub fn run(cfg: &CMapConfig, env: &SyncEnv) -> KernelResult {
         // Drain the defer-destroy bags while the team is still up.
         if ctx.is_master() {
             if let MapImpl::LockFree(m) = &map {
-                m.reclaimer.flush();
+                m.flush();
             }
         }
         barrier.wait(ctx.tid);
@@ -667,6 +709,15 @@ mod tests {
         assert_eq!(r.profile.atomic_rmws, 0);
         assert!(r.profile.lock_acquires > 0);
         assert_eq!(r.profile.reclaim_retires, 0);
+    }
+
+    #[test]
+    fn std_map_and_node_keep_their_pre_facade_size() {
+        // At the commit before the facade (x86-64) a node was 24 bytes and
+        // the map 80, 16 of them the stored `CMapSpec` copy that is gone:
+        // `A = Std` adds no byte to either.
+        assert_eq!(std::mem::size_of::<Node<Std>>(), 24);
+        assert_eq!(std::mem::size_of::<LockFreeMap>(), 80 - 16);
     }
 
     #[test]

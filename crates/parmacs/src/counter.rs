@@ -22,7 +22,6 @@ use crate::stats::{Counter, SyncCounters};
 use crate::trace::TraceEvent;
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Sequential cursor state: the dispensing cursor plus its range bounds
@@ -126,7 +125,9 @@ impl<A: Atomics> IndexCounter<A> {
             Cursor::Serial(serial) => {
                 serial.run(OP_RESET, 0);
             }
-            Cursor::FetchAdd(value) => value.store(self.range.start, Ordering::Release),
+            Cursor::FetchAdd(value) => {
+                value.store(self.range.start, A::spec(TicketSpec::SPLASH4).reset_store);
+            }
         }
     }
 
@@ -158,12 +159,13 @@ impl<A: Atomics> IndexCounter<A> {
     #[cold]
     fn clamp(&self, value: &A::Usize, observed: usize) {
         let end = self.range.end;
+        let ord = A::spec(TicketSpec::SPLASH4).clamp_cas;
         let mut cur = observed;
         for _ in 0..8 {
             if cur <= end {
                 return;
             }
-            match value.compare_exchange_weak(cur, end, Ordering::Relaxed, Ordering::Relaxed) {
+            match value.compare_exchange_weak(cur, end, ord, ord) {
                 Ok(_) => return,
                 Err(now) => cur = now,
             }
@@ -182,6 +184,7 @@ impl<A: Atomics> fmt::Debug for IndexCounter<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn exhausted_fetch_add_cursor_does_not_drift() {

@@ -13,7 +13,6 @@ use crate::spec::FlagSpec;
 use crate::stats::{Counter, SyncCounters};
 use crate::trace::TraceEvent;
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// One-way signalling flag.
@@ -130,7 +129,8 @@ impl<A: Atomics> PauseVar for AtomicFlag<A> {
     }
 
     fn clear(&self) {
-        self.set.store(false, Ordering::Release);
+        self.set
+            .store(false, A::spec(FlagSpec::SPLASH4).clear_store);
     }
 }
 
@@ -146,6 +146,7 @@ impl<A: Atomics> fmt::Debug for AtomicFlag<A> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::Ordering;
 
     fn handoff(flag: Arc<dyn PauseVar>) {
         let order = AtomicU32::new(0);

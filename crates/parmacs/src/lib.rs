@@ -95,7 +95,7 @@ pub use reduce::{AtomicF64, ReduceF64, ReduceU64, Reducer};
 pub use rng::SmallRng;
 pub use spec::{
     CMapSpec, CasF64Spec, CombiningSpec, EliminationSpec, EpochSpec, FlagSpec, HazardSpec,
-    MsQueueSpec, RingSpec, SenseBarrierSpec, TicketSpec, TreiberSpec,
+    MsQueueSpec, RingSpec, SenseBarrierSpec, SumU64Spec, TicketSpec, TreiberSpec,
 };
 pub use stats::{Counter, SyncCounters, SyncProfile};
 pub use team::{chunk_range, current_tid, Team, TeamCtx};

@@ -11,11 +11,10 @@
 use crate::atomics::{Atomics, IntWord, Std, Word};
 use crate::mode::{ConstructClass, SyncMode};
 use crate::serial::Serial;
-use crate::spec::CasF64Spec;
+use crate::spec::{CasF64Spec, SumU64Spec};
 use crate::stats::{Counter, SyncCounters};
 use crate::trace::TraceEvent;
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A shared floating-point reduction cell.
@@ -99,12 +98,13 @@ impl<A: Atomics> AtomicF64<A> {
 
     /// Current value.
     pub fn load(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Acquire))
+        f64::from_bits(self.bits.load(A::spec(CasF64Spec::SPLASH4).value_load))
     }
 
     /// Overwrite the value.
     pub fn store(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Release);
+        self.bits
+            .store(v.to_bits(), A::spec(CasF64Spec::SPLASH4).value_store);
     }
 }
 
@@ -200,6 +200,7 @@ impl<A: Atomics> Reducer<A> {
             Cells::Atomic { float, int } => (float, int),
         };
         let v = f64::from_bits(arg);
+        let s = A::spec(SumU64Spec::SPLASH4);
         match op {
             OP_FADD => float.add(v),
             OP_FMAX => float.fetch_update(|x| x.max(v)),
@@ -208,10 +209,10 @@ impl<A: Atomics> Reducer<A> {
             OP_FSTORE => float.store(v),
             OP_UADD => {
                 self.stats.bump(Counter::AtomicRmws);
-                int.fetch_add(arg, Ordering::AcqRel);
+                int.fetch_add(arg, s.add_rmw);
             }
-            OP_ULOAD => return int.load(Ordering::Acquire),
-            _ => int.store(arg, Ordering::Release),
+            OP_ULOAD => return int.load(s.value_load),
+            _ => int.store(arg, s.value_store),
         }
         0
     }

@@ -13,8 +13,8 @@
 //! weakens an ordering here, the checker's race detector fails on the next
 //! `V1-check` run; if a mutation test overrides a field (e.g. `pop_load:
 //! Relaxed`), it explores the shipped construct with that ordering changed.
-//! (The reclamation and `cmap` tables are still read by hand-written
-//! checker skeletons.)
+//! The reclamation and `cmap` tables reach `splash4-reclaim`'s pools and
+//! reclaimers and `splash4-kernels`' `LockFreeMap` the same way.
 //!
 //! Not every ordering downgrade surfaces as a data race: weakening a
 //! `SeqCst` fence-pair to `Acquire`/`Release`, or an `Acquire` spin to
@@ -108,6 +108,10 @@ pub struct CasF64Spec {
     pub cas_ok: Ordering,
     /// Failure ordering of the update CAS.
     pub cas_fail: Ordering,
+    /// A reader's load of the accumulated value.
+    pub value_load: Ordering,
+    /// An overwrite of the value (between phases).
+    pub value_store: Ordering,
 }
 
 impl CasF64Spec {
@@ -116,6 +120,29 @@ impl CasF64Spec {
         load: Ordering::Relaxed,
         cas_ok: Ordering::AcqRel,
         cas_fail: Ordering::Relaxed,
+        value_load: Ordering::Acquire,
+        value_store: Ordering::Release,
+    };
+}
+
+/// Orderings used by the `fetch_add` integer cell of the Splash-4
+/// reduction (`reduce::Reducer`).
+#[derive(Debug, Clone, Copy)]
+pub struct SumU64Spec {
+    /// The contributing `fetch_add`.
+    pub add_rmw: Ordering,
+    /// A reader's load of the accumulated value.
+    pub value_load: Ordering,
+    /// An overwrite of the value (between phases).
+    pub value_store: Ordering,
+}
+
+impl SumU64Spec {
+    /// The orderings the Splash-4 reduction ships with.
+    pub const SPLASH4: SumU64Spec = SumU64Spec {
+        add_rmw: Ordering::AcqRel,
+        value_load: Ordering::Acquire,
+        value_store: Ordering::Release,
     };
 }
 
@@ -130,6 +157,9 @@ pub struct FlagSpec {
     /// The consumer's `wait`/`is_set` load. Must be `Acquire` to pair with
     /// `set_store` (`W1-weakmem` mutant `flag-wait-relaxed`).
     pub wait_load: Ordering,
+    /// The reset store of `clear` (between phases, under external
+    /// quiescence).
+    pub clear_store: Ordering,
 }
 
 impl FlagSpec {
@@ -137,6 +167,7 @@ impl FlagSpec {
     pub const SPLASH4: FlagSpec = FlagSpec {
         set_store: Ordering::Release,
         wait_load: Ordering::Acquire,
+        clear_store: Ordering::Release,
     };
 }
 
@@ -150,12 +181,19 @@ impl FlagSpec {
 pub struct TicketSpec {
     /// The claiming `fetch_add`.
     pub claim_rmw: Ordering,
+    /// The cursor store of `reset` (between barrier-separated phases).
+    pub reset_store: Ordering,
+    /// The CAS that pulls an overshot cursor back to the range end, both
+    /// outcomes: bookkeeping that publishes nothing.
+    pub clamp_cas: Ordering,
 }
 
 impl TicketSpec {
-    /// The ordering the Splash-4 counter ships with.
+    /// The orderings the Splash-4 counter ships with.
     pub const SPLASH4: TicketSpec = TicketSpec {
         claim_rmw: Ordering::Relaxed,
+        reset_store: Ordering::Release,
+        clamp_cas: Ordering::Relaxed,
     };
 }
 
@@ -180,12 +218,17 @@ pub struct EpochSpec {
     /// orders it against the collector's slot scan — with anything weaker
     /// the scan can miss a freshly pinned thread and free under it.
     pub announce_store: Ordering,
-    /// The unpin store of the quiescent sentinel.
+    /// The unpin store of the quiescent sentinel (also when the thread's
+    /// record is vacated).
     pub quiesce_store: Ordering,
     /// The collector's scan load of each announcement slot. `SeqCst` for
     /// the same store-buffering reason as `global_load` (`W1-weakmem`
     /// mutant `epoch-scan-acquire`).
     pub scan_load: Ordering,
+    /// The re-read a pool makes of a pointer after `protect`. The pin, not
+    /// this load, is what protects under epochs, so it only has to acquire
+    /// what the pointer load before it did.
+    pub validate_load: Ordering,
     /// The CAS that advances the global epoch.
     pub advance_cas_ok: Ordering,
     /// Failure ordering of the advance CAS (another collector advanced).
@@ -199,6 +242,7 @@ impl EpochSpec {
         announce_store: Ordering::SeqCst,
         quiesce_store: Ordering::Release,
         scan_load: Ordering::SeqCst,
+        validate_load: Ordering::Acquire,
         advance_cas_ok: Ordering::AcqRel,
         advance_cas_fail: Ordering::Acquire,
     };
@@ -214,12 +258,15 @@ impl EpochSpec {
 pub struct HazardSpec {
     /// The hazard publication store. `SeqCst` — see the struct docs.
     pub publish_store: Ordering,
-    /// The re-read that validates the protected pointer is still reachable.
+    /// The re-read that validates the protected pointer is still reachable
+    /// (the pools' re-reads of `head`, `tail` and the exchange slot, with
+    /// the ordering `protect` hands them).
     /// `SeqCst`: an `Acquire` validate may be satisfied by a stale
     /// pre-retirement value, letting use and free overlap (`W1-weakmem`
     /// mutant `hazard-validate-acquire`).
     pub validate_load: Ordering,
-    /// The hazard clear after the protected region ends.
+    /// The hazard clear after the protected region ends, or when the
+    /// thread's record is vacated.
     pub clear_store: Ordering,
     /// The reclaimer's scan load of every hazard slot.
     pub scan_load: Ordering,
@@ -295,6 +342,12 @@ pub struct EliminationSpec {
     pub take_cas_ok: Ordering,
     /// Failure ordering of the take CAS.
     pub take_cas_fail: Ordering,
+    /// A pusher's store of its still unpublished node's link (the head CAS
+    /// releases it).
+    pub next_store: Ordering,
+    /// A popper's load of the head node's link (the head load acquired the
+    /// node, the head CAS validates the link).
+    pub next_load: Ordering,
 }
 
 impl EliminationSpec {
@@ -307,6 +360,8 @@ impl EliminationSpec {
         withdraw_cas_fail: Ordering::Acquire,
         take_cas_ok: Ordering::AcqRel,
         take_cas_fail: Ordering::Acquire,
+        next_store: Ordering::Relaxed,
+        next_load: Ordering::Relaxed,
     };
 }
 

@@ -77,6 +77,7 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
         self.stats.bump(Counter::QueueOps);
         self.stats.trace(TraceEvent::Enqueue);
         let s = A::spec(TreiberSpec::SPLASH4);
+        let e = A::spec(EliminationSpec::SPLASH4);
         let node: *mut Node<T, A> = Node::boxed(NODE, Some(value));
         // Count before publishing (either path): increment happens-before
         // the publishing CAS, which happens-before the matching pop's
@@ -88,7 +89,7 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
             // The new node is unpublished: plain ordering suffices here,
             // the publishing CAS releases it.
             // SAFETY: `node` is owned by this thread until published.
-            unsafe { (*node).next.store(head, Ordering::Relaxed) };
+            unsafe { (*node).next.store(head, e.next_store) };
             self.stats.bump(Counter::AtomicRmws);
             if self
                 .head
@@ -110,6 +111,7 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
         self.stats.bump(Counter::QueueOps);
         self.stats.trace(TraceEvent::Dequeue);
         let s = A::spec(TreiberSpec::SPLASH4);
+        let e = A::spec(EliminationSpec::SPLASH4);
         let slot = self.reclaimer.enter();
         let result = loop {
             let head = self.head.load(s.pop_load);
@@ -119,12 +121,12 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
                 break self.try_eliminate_pop(slot);
             }
             // Publish-then-revalidate before dereferencing `head`.
-            self.reclaimer.protect(slot, 0, head.cast());
-            if self.head.load(s.pop_load) != head {
+            let validate = self.reclaimer.protect(slot, 0, head.cast());
+            if self.head.load(validate) != head {
                 continue;
             }
             // SAFETY: `head` is hazard-protected and re-validated above.
-            let next = unsafe { (*head).next.load(Ordering::Relaxed) };
+            let next = unsafe { (*head).next.load(e.next_load) };
             self.stats.bump(Counter::AtomicRmws);
             if self
                 .head
@@ -202,8 +204,8 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
         // Publish-then-revalidate: only an offer still installed after the
         // hazard store may be claimed (retire-not-free then keeps a stale
         // pointer harmless even if the revalidation races a withdraw).
-        self.reclaimer.protect(slot, 1, offer.cast());
-        if self.slot.load(e.slot_load) != offer {
+        let validate = self.reclaimer.protect(slot, 1, offer.cast());
+        if self.slot.load(validate) != offer {
             self.reclaimer.protect(slot, 1, ptr::null_mut());
             return None;
         }

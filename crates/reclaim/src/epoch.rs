@@ -15,7 +15,9 @@
 //! runs this reclaimer itself under its model: with an announcement store
 //! dropped the two-epoch rule frees under a pinned reader, which the model
 //! reports as a use-after-free; with the advance dropped nothing is ever
-//! freed, a leak at quiescence.
+//! freed, a leak at quiescence. `W1-weakmem` runs it again under weak-memory
+//! value exploration, where the pin's or the scan's `SeqCst` load weakened
+//! to `Acquire` ends in a free under a reader.
 
 use crate::bag::{Bag, Retired};
 use crate::registry::{self, SlotHolder};
@@ -51,9 +53,8 @@ impl<A: Atomics> SlotHolder for Inner<A> {
     fn vacate(&self, slot: usize) {
         // The bag stays: a later thread leasing this slot (or a flush)
         // inherits and eventually destroys its contents.
-        self.slots[slot]
-            .announce
-            .store(QUIESCENT, Ordering::Release);
+        let s = A::spec(EpochSpec::SPLASH4);
+        self.slots[slot].announce.store(QUIESCENT, s.quiesce_store);
         self.in_use[slot].store(false, Ordering::Release);
     }
 }
@@ -157,8 +158,9 @@ impl<A: Atomics> Reclaimer for EpochReclaimer<A> {
             .store(QUIESCENT, s.quiesce_store);
     }
 
-    fn protect(&self, _slot: usize, _hp: usize, _ptr: *mut u8) {
+    fn protect(&self, _slot: usize, _hp: usize, _ptr: *mut u8) -> Ordering {
         // Epoch reclamation protects whole regions, not single pointers.
+        A::spec(EpochSpec::SPLASH4).validate_load
     }
 
     unsafe fn retire(&self, slot: usize, ptr: *mut u8, drop_fn: unsafe fn(*mut u8)) {

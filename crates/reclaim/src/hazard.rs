@@ -12,13 +12,15 @@
 //! at once, so each bag never holds more than threshold + that many nodes —
 //! unlike epochs, a single stalled thread cannot delay unrelated frees.
 //!
-//! All orderings come from [`HazardSpec`]; the publish store and the scan
-//! load are both SeqCst because the protocol is a Dekker-style store/load
-//! handshake (publisher stores hazard then re-reads the structure; scanner
-//! "stores" the unlink first — the linearizing CAS — then reads hazards).
-//! The records are [`Atomics`] words holding the protected address, so
-//! `splash4-check` (`R1-reclaim`) runs this reclaimer itself under its
-//! model, where a dropped publication is a use-after-free.
+//! All orderings come from [`HazardSpec`]; the publish store, the
+//! re-validating load (`protect` hands its ordering to the structure that
+//! makes it) and the scan load are all SeqCst because the protocol is a
+//! Dekker-style store/load handshake (publisher stores hazard then re-reads
+//! the structure; scanner "stores" the unlink first — the linearizing CAS —
+//! then reads hazards). The records are [`Atomics`] words holding the
+//! protected address, so `splash4-check` runs this reclaimer itself under
+//! its model: in `R1-reclaim` a dropped publication is a use-after-free,
+//! in `W1-weakmem` so is a re-validation weakened to `Acquire`.
 
 use crate::bag::{Bag, Retired};
 use crate::registry::{self, SlotHolder};
@@ -55,8 +57,9 @@ impl<A: Atomics> SlotHolder for Inner<A> {
     fn vacate(&self, slot: usize) {
         // Clear the departing thread's hazards so they stop pinning nodes;
         // its bag stays for the next lease-holder (or `flush`) to drain.
+        let s = A::spec(HazardSpec::SPLASH4);
         for hp in self.slots[slot].hazards.iter() {
-            hp.store(0, Ordering::Release);
+            hp.store(0, s.clear_store);
         }
         self.in_use[slot].store(false, Ordering::Release);
     }
@@ -146,9 +149,10 @@ impl<A: Atomics> Reclaimer for HazardReclaimer<A> {
         }
     }
 
-    fn protect(&self, slot: usize, hp: usize, ptr: *mut u8) {
+    fn protect(&self, slot: usize, hp: usize, ptr: *mut u8) -> Ordering {
         let s = A::spec(HazardSpec::SPLASH4);
         self.inner.slots[slot].hazards[hp].store(ptr as usize, s.publish_store);
+        s.validate_load
     }
 
     unsafe fn retire(&self, slot: usize, ptr: *mut u8, drop_fn: unsafe fn(*mut u8)) {

@@ -24,8 +24,10 @@
 //! [`MsQueueSpec`], [`EliminationSpec`]). Pools and reclaimers are generic
 //! over the `parmacs` [`Atomics`] facade, [`Std`] by default, and free nodes
 //! through its hook alone, so the `splash4-check` model checker explores
-//! these types themselves (experiment `R1-reclaim`): a free that comes too
-//! early under a seeded fault is reported there as a use-after-free.
+//! these types themselves (experiments `R1-reclaim` and, under weak-memory
+//! value exploration, `W1-weakmem`): a free that comes too early under a
+//! seeded fault or a weakened ordering is reported there as a
+//! use-after-free.
 //!
 //! Retire/scan/free traffic is instrumented into the shared
 //! [`SyncCounters`] block (`reclaim_retires`, `reclaim_scans`,
@@ -149,10 +151,10 @@ impl StatCells {
 /// 1. [`enter`](Reclaimer::enter) before touching shared nodes; keep the
 ///    returned slot for the whole operation.
 /// 2. For every pointer that will be dereferenced, call
-///    [`protect`](Reclaimer::protect) and then **re-validate** that the
-///    pointer is still reachable from the structure before using it (the
-///    publish/re-check pair is what makes hazard pointers sound; epoch
-///    reclamation ignores it).
+///    [`protect`](Reclaimer::protect) and then **re-validate**, with the
+///    ordering it returns, that the pointer is still reachable from the
+///    structure before using it (the publish/re-check pair is what makes
+///    hazard pointers sound; epoch reclamation ignores it).
 /// 3. After unlinking a node, [`retire`](Reclaimer::retire) it instead of
 ///    freeing.
 /// 4. [`exit`](Reclaimer::exit) when done; destruction happens on later
@@ -170,9 +172,11 @@ pub trait Reclaimer: Send + Sync + fmt::Debug {
     fn exit(&self, slot: usize);
 
     /// Publish hazard record `hp` (0-based, at least two per slot) for
-    /// `ptr`. The caller must re-validate reachability afterwards; a no-op
-    /// under epoch reclamation.
-    fn protect(&self, slot: usize, hp: usize, ptr: *mut u8);
+    /// `ptr`; a no-op under epoch reclamation. The caller must re-validate
+    /// reachability afterwards, with a load of the returned ordering: the
+    /// publication and that re-read are one half of a store-buffering
+    /// handshake with the unlink and the scan.
+    fn protect(&self, slot: usize, hp: usize, ptr: *mut u8) -> Ordering;
 
     /// Defer destruction of `ptr` until no protected reference can remain.
     ///

@@ -7,7 +7,9 @@
 //!
 //! Reclamation contract (per [`Reclaimer`]):
 //! - every traversal runs inside an `enter`/`exit` region;
-//! - `head`/`tail` reads publish hazard 0 and re-validate before
+//! - `head`/`tail` reads publish hazard 0 and re-validate — a re-read with
+//!   the ordering `protect` returns: under hazard pointers `SeqCst` like
+//!   the publication, or the pair is a store-buffering window — before
 //!   dereferencing; the dequeue's `next` read publishes hazard 1 so the
 //!   value can be taken out of the new dummy even if another thread pops
 //!   (and retires) it concurrently;
@@ -77,8 +79,8 @@ impl<T: Send, A: Atomics> MsQueue<T, A> {
             let tail = self.tail.load(s.ptr_load);
             // Publish-then-revalidate: only a tail still installed after
             // the hazard store is safe to dereference.
-            self.reclaimer.protect(slot, 0, tail.cast());
-            if self.tail.load(s.ptr_load) != tail {
+            let validate = self.reclaimer.protect(slot, 0, tail.cast());
+            if self.tail.load(validate) != tail {
                 continue;
             }
             // SAFETY: `tail` is hazard-protected and re-validated above.
@@ -129,8 +131,8 @@ impl<T: Send, A: Atomics> MsQueue<T, A> {
         let slot = self.reclaimer.enter();
         let result = loop {
             let head = self.head.load(s.ptr_load);
-            self.reclaimer.protect(slot, 0, head.cast());
-            if self.head.load(s.ptr_load) != head {
+            let validate = self.reclaimer.protect(slot, 0, head.cast());
+            if self.head.load(validate) != head {
                 continue;
             }
             let tail = self.tail.load(s.ptr_load);
@@ -139,8 +141,8 @@ impl<T: Send, A: Atomics> MsQueue<T, A> {
             // Protect `next` too: after we win the head CAS, `next` becomes
             // the new dummy and a concurrent pop may retire it while we are
             // still reading its value.
-            self.reclaimer.protect(slot, 1, next.cast());
-            if self.head.load(s.ptr_load) != head {
+            let validate = self.reclaimer.protect(slot, 1, next.cast());
+            if self.head.load(validate) != head {
                 continue;
             }
             if next.is_null() {

@@ -2,16 +2,19 @@
 //! verdicts hold at a reduced budget.
 
 use splash4::check::{
-    check_history, explore, flag_scenario, locked_queue_scenario, Budget, CheckBudget, Op,
-    OpRecord, RetVal, SpecModel, Verdict,
+    check_history, explore, flag_scenario, locked_queue_scenario, Budget, CheckBudget,
+    ConstructReport, Op, OpRecord, RetVal, SpecModel, Verdict,
 };
 use splash4::parmacs::FlagSpec;
-use splash4::{check_mutants, check_reclaim, check_reclaim_mutants, check_suite};
+use splash4::{
+    check_kernel_mutants, check_kernels, check_mutants, check_reclaim, check_reclaim_mutants,
+    check_suite, check_weakmem, check_weakmem_mutants,
+};
 
-#[test]
-fn suite_and_mutants_through_the_facade() {
-    let budget = CheckBudget::small(101);
-    for row in check_suite(&budget) {
+/// `want` rows, every one verified over at least `min_schedules` schedules.
+fn all_pass(rows: Vec<ConstructReport>, want: usize, min_schedules: usize) {
+    assert_eq!(rows.len(), want);
+    for row in rows {
         assert_eq!(
             row.verdict,
             Verdict::Pass,
@@ -19,8 +22,14 @@ fn suite_and_mutants_through_the_facade() {
             row.construct,
             row.counterexample
         );
-        assert!(row.schedules >= budget.min_schedules, "{}", row.construct);
+        assert!(row.schedules >= min_schedules, "{}", row.construct);
     }
+}
+
+#[test]
+fn suite_and_mutants_through_the_facade() {
+    let budget = CheckBudget::small(101);
+    all_pass(check_suite(&budget), 7, budget.min_schedules);
     for m in check_mutants(&budget) {
         assert!(m.detected, "{} escaped: {}", m.name, m.counterexample);
     }
@@ -32,18 +41,7 @@ fn suite_and_mutants_through_the_facade() {
 fn shipped_reclaimers_verify_and_their_mutants_fall() {
     let started = std::time::Instant::now();
     let budget = CheckBudget::small(103);
-    let rows = check_reclaim(&budget);
-    assert_eq!(rows.len(), 4);
-    for row in rows {
-        assert_eq!(
-            row.verdict,
-            Verdict::Pass,
-            "{} failed: {}",
-            row.construct,
-            row.counterexample
-        );
-        assert!(row.schedules >= budget.min_schedules, "{}", row.construct);
-    }
+    all_pass(check_reclaim(&budget), 4, budget.min_schedules);
     let mutants = check_reclaim_mutants(&budget);
     assert_eq!(mutants.len(), 5);
     for m in mutants {
@@ -51,6 +49,41 @@ fn shipped_reclaimers_verify_and_their_mutants_fall() {
     }
     let took = started.elapsed();
     assert!(took.as_secs() < 5, "R1 at the small budget took {took:?}");
+}
+
+/// Kernel bodies over the shipped constructs — `cmap`'s `LockFreeMap`
+/// among them: tier-1's own look at V2.
+#[test]
+fn kernel_bodies_verify_and_their_mutants_fall() {
+    let started = std::time::Instant::now();
+    let budget = CheckBudget::small(105);
+    all_pass(check_kernels(&budget), 4, budget.min_schedules);
+    let mutants = check_kernel_mutants(&budget);
+    assert_eq!(mutants.len(), 6);
+    for m in mutants {
+        assert!(m.detected, "{} escaped: {}", m.name, m.counterexample);
+    }
+    let took = started.elapsed();
+    assert!(took.as_secs() < 5, "V2 at the small budget took {took:?}");
+}
+
+/// The shipped flag, barrier, reclaimers and map under weak memory: tier-1's
+/// own look at W1. Every mutant is one the SC search must miss.
+#[test]
+fn shipped_orderings_hold_under_weak_memory_and_their_mutants_fall() {
+    let started = std::time::Instant::now();
+    let budget = CheckBudget::small(107);
+    // The flag and barrier spaces are exhausted below any schedule target.
+    all_pass(check_weakmem(&budget), 5, 20);
+    let mutants = check_weakmem_mutants(&budget);
+    assert_eq!(mutants.len(), 7);
+    for m in mutants {
+        let (name, cex) = (m.report.name, m.report.counterexample);
+        assert!(m.report.detected, "{name} escaped: {cex}");
+        assert!(m.sc_missed, "{name} is not a weak-memory bug: SC finds it");
+    }
+    let took = started.elapsed();
+    assert!(took.as_secs() < 5, "W1 at the small budget took {took:?}");
 }
 
 #[test]
