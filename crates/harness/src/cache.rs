@@ -20,11 +20,18 @@
 //!   service can *prove* a duplicate was served from cache.
 //!
 //! Errors are not cached: a failed computation removes the in-flight marker
-//! and wakes the waiters, one of which retries the computation itself.
+//! and wakes the waiters, one of which retries the computation itself. One
+//! that *panics* does the same as it unwinds (the marker is a drop guard).
+//!
+//! There is one hit path, [`ResultCache::get_ready`] (clone, refresh the LRU
+//! order, count the hit); `get_or_try_compute` goes through it too, so a hit
+//! the service answers at submit is the hit a worker would have seen. The
+//! lock is poison-tolerant: every update is one map insert or remove, so a
+//! panicking `Clone` or `Drop` of a value leaves the map valid.
 
 use splash4_parmacs::{Counter, SyncCounters};
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// FNV-1a over `bytes`: the content hash used for cache keys.
 ///
@@ -57,6 +64,30 @@ struct CacheShared<V> {
     cond: Condvar,
     capacity: usize,
     stats: Arc<SyncCounters>,
+}
+
+impl<V> CacheShared<V> {
+    fn lock(&self) -> MutexGuard<'_, CacheInner<V>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// One computation's in-flight marker. Its drop — after success, on error or
+/// as a panic unwinds — removes an unresolved marker and wakes the waiters.
+struct InFlight<'a, V> {
+    shared: &'a CacheShared<V>,
+    key: u64,
+}
+
+impl<V> Drop for InFlight<'_, V> {
+    fn drop(&mut self) {
+        let mut inner = self.shared.lock();
+        if matches!(inner.map.get(&self.key), Some(Slot::InFlight)) {
+            inner.map.remove(&self.key);
+        }
+        drop(inner);
+        self.shared.cond.notify_all();
+    }
 }
 
 /// Shareable content-hashed result cache (clones share the same storage).
@@ -98,72 +129,70 @@ impl<V: Clone> ResultCache<V> {
         }
     }
 
+    /// The ready value for `key`, if there is one: the cache's one hit path.
+    /// Counts a hit and refreshes the entry's LRU order; never waits, never
+    /// computes — an in-flight or absent key is `None`.
+    pub fn get_ready(&self, key: u64) -> Option<V> {
+        self.ready(&mut self.shared.lock(), key)
+    }
+
+    fn ready(&self, inner: &mut CacheInner<V>, key: u64) -> Option<V> {
+        let CacheInner { map, tick } = inner;
+        let Some(Slot::Ready { value, last_used }) = map.get_mut(&key) else {
+            return None;
+        };
+        *tick += 1;
+        *last_used = *tick;
+        self.shared.stats.add(Counter::CacheHits, 1);
+        Some(value.clone())
+    }
+
     /// The value for `key`, computing it with `compute` on miss. Returns
     /// `(value, hit)`; `hit` is `true` when the value came from the cache —
     /// including when this call coalesced onto another caller's in-flight
     /// computation. A failed `compute` caches nothing and propagates the
-    /// error (waiters retry).
+    /// error (waiters retry); so does one that panics.
     pub fn get_or_try_compute<E>(
         &self,
         key: u64,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<(V, bool), E> {
-        let s = &self.shared;
-        let mut inner = s.inner.lock().expect("result cache poisoned");
+        let s = &*self.shared;
+        let mut inner = s.lock();
         loop {
-            match inner.map.get(&key) {
-                Some(Slot::Ready { value, .. }) => {
-                    let v = value.clone();
-                    inner.tick += 1;
-                    let tick = inner.tick;
-                    if let Some(Slot::Ready { last_used, .. }) = inner.map.get_mut(&key) {
-                        *last_used = tick;
-                    }
-                    drop(inner);
-                    s.stats.add(Counter::CacheHits, 1);
-                    return Ok((v, true));
-                }
-                Some(Slot::InFlight) => {
-                    // Coalesce: park until the computing caller resolves the
-                    // slot. On wake it is either Ready (hit) or gone (the
-                    // computation failed — loop around and take over).
-                    inner = s.cond.wait(inner).expect("result cache poisoned");
-                }
-                None => break,
+            if let Some(v) = self.ready(&mut inner, key) {
+                return Ok((v, true));
             }
+            if !inner.map.contains_key(&key) {
+                break;
+            }
+            // Coalesce: park until the computing caller resolves the slot —
+            // Ready (a hit) or gone (it failed: loop around and take over).
+            inner = s.cond.wait(inner).unwrap_or_else(PoisonError::into_inner);
         }
         inner.map.insert(key, Slot::InFlight);
         drop(inner);
         s.stats.add(Counter::CacheMisses, 1);
 
-        let computed = compute();
-        let mut inner = s.inner.lock().expect("result cache poisoned");
-        match computed {
-            Ok(v) => {
-                inner.tick += 1;
-                let tick = inner.tick;
-                inner.map.insert(
-                    key,
-                    Slot::Ready {
-                        value: v.clone(),
-                        last_used: tick,
-                    },
-                );
-                let evicted = Self::evict_over_capacity(&mut inner, s.capacity);
-                if evicted > 0 {
-                    s.stats.add(Counter::CacheEvictions, evicted);
-                }
-                drop(inner);
-                s.cond.notify_all();
-                Ok((v, false))
-            }
-            Err(e) => {
-                inner.map.remove(&key);
-                drop(inner);
-                s.cond.notify_all();
-                Err(e)
-            }
+        let marker = InFlight { shared: s, key };
+        let v = compute()?;
+        let mut inner = s.lock();
+        inner.tick += 1;
+        let tick = inner.tick;
+        inner.map.insert(
+            key,
+            Slot::Ready {
+                value: v.clone(),
+                last_used: tick,
+            },
+        );
+        let evicted = Self::evict_over_capacity(&mut inner, s.capacity);
+        if evicted > 0 {
+            s.stats.add(Counter::CacheEvictions, evicted);
         }
+        drop(inner);
+        drop(marker);
+        Ok((v, false))
     }
 
     /// Infallible convenience wrapper around [`Self::get_or_try_compute`].
@@ -179,12 +208,7 @@ impl<V: Clone> ResultCache<V> {
     fn evict_over_capacity(inner: &mut CacheInner<V>, capacity: usize) -> u64 {
         let mut evicted = 0;
         loop {
-            let ready = inner
-                .map
-                .values()
-                .filter(|s| matches!(s, Slot::Ready { .. }))
-                .count();
-            if ready <= capacity {
+            if inner.map.len() - Self::in_flight_of(inner) <= capacity {
                 return evicted;
             }
             let oldest = inner
@@ -211,17 +235,25 @@ impl<V> ResultCache<V> {
     /// `true` if `key` currently has a ready value (does not touch LRU
     /// order or counters).
     pub fn contains(&self, key: u64) -> bool {
-        let inner = self.shared.inner.lock().expect("result cache poisoned");
-        matches!(inner.map.get(&key), Some(Slot::Ready { .. }))
+        matches!(self.shared.lock().map.get(&key), Some(Slot::Ready { .. }))
     }
 
     /// Number of ready values currently cached.
     pub fn len(&self) -> usize {
-        let inner = self.shared.inner.lock().expect("result cache poisoned");
+        let inner = self.shared.lock();
+        inner.map.len() - Self::in_flight_of(&inner)
+    }
+
+    /// Number of computations in flight right now (distinct keys).
+    pub fn in_flight(&self) -> usize {
+        Self::in_flight_of(&self.shared.lock())
+    }
+
+    fn in_flight_of(inner: &CacheInner<V>) -> usize {
         inner
             .map
             .values()
-            .filter(|s| matches!(s, Slot::Ready { .. }))
+            .filter(|s| matches!(s, Slot::InFlight))
             .count()
     }
 
@@ -362,6 +394,47 @@ mod tests {
         });
         assert_eq!((v.as_str(), hit), ("recovered", false));
         assert_eq!(attempts.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn get_ready_is_a_counted_lru_touching_hit_and_nothing_else() {
+        let c = cache(2);
+        assert_eq!(c.get_ready(1), None);
+        c.get_or_compute(1, || "one".into());
+        c.get_or_compute(2, || "two".into());
+        // The hit-only lookup refreshes key 1, so key 2 is evicted next.
+        assert_eq!(c.get_ready(1).as_deref(), Some("one"));
+        c.get_or_compute(3, || "three".into());
+        assert!(c.contains(1) && !c.contains(2));
+        assert_eq!(c.get_ready(2), None, "an absent key is not computed");
+        assert_eq!((c.misses(), c.hits()), (3, 1));
+    }
+
+    #[test]
+    fn a_panicking_computation_leaves_no_marker_and_its_waiter_takes_over() {
+        let c = cache(8);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let c1 = c.clone();
+        let panicking = thread::spawn(move || {
+            c1.get_or_compute(9, move || {
+                started_tx.send(()).unwrap();
+                go_rx.recv().unwrap();
+                panic!("boom in compute");
+            })
+        });
+        started_rx.recv().unwrap();
+        assert_eq!(c.in_flight(), 1);
+        assert_eq!(c.get_ready(9), None, "an in-flight key is not ready");
+        let c2 = c.clone();
+        let waiter = thread::spawn(move || c2.get_or_compute(9, || "recovered".to_string()));
+        go_tx.send(()).unwrap();
+        assert!(panicking.join().is_err(), "the panic reaches its caller");
+        // Whether it had coalesced already or arrives after the unwind, the
+        // second caller finds no marker to wait on for ever and computes.
+        assert_eq!(waiter.join().unwrap(), ("recovered".to_string(), false));
+        assert_eq!(c.in_flight(), 0);
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

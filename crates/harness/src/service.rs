@@ -15,14 +15,24 @@
 //! - [`WorkerPool`]: a configurable worker team fed by the lock-free
 //!   [`BoundedMpmcQueue`], deduping identical configs through the shared
 //!   cache and draining gracefully on shutdown.
+//!
+//! Threading: [`WorkerPool::submit`] answers a request whose result is ready
+//! in the cache on the calling thread — same events, same counters, no
+//! hand-off — and queues only what must be computed or coalesced. A worker
+//! that finds the queue empty parks behind the pool's gate until a submit or
+//! the shutdown wakes it; nothing on the request path polls. A job that
+//! panics is one `error` event: the worker and the cache slot survive it.
 
 use crate::cache::{fnv1a, ResultCache};
 use crate::experiments::{run_experiment, ExperimentCtx};
 use crate::registry::BenchmarkId;
-use splash4_parmacs::{json, Backoff, BoundedMpmcQueue, Json, SyncCounters, SyncEnv, SyncMode};
+use splash4_parmacs::{
+    json, Backoff, BoundedMpmcQueue, Json, SyncCounters, SyncEnv, SyncMode, TaskQueue,
+};
 use splash4_sim::{engine, synthetic_program, BarrierKind, MachineParams};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -489,6 +499,7 @@ impl Default for ServiceConfig {
 
 struct Job {
     id: u64,
+    key: u64,
     request: Request,
     deadline: Option<Instant>,
     events: mpsc::Sender<JobEvent>,
@@ -496,12 +507,21 @@ struct Job {
 
 struct PoolShared {
     accepting: AtomicBool,
-    stop: AtomicBool,
     next_job: AtomicU64,
+    inline_hits: AtomicU64,
+    /// Idle workers wait on `wake` under this lock; the value counts them.
+    gate: Mutex<usize>,
+    wake: Condvar,
     ctx: ExperimentCtx,
     cache: ResultCache<Json>,
     stats: Arc<SyncCounters>,
     default_timeout_ms: Option<u64>,
+}
+
+impl PoolShared {
+    fn gate(&self) -> MutexGuard<'_, usize> {
+        self.gate.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The service's execution engine: `workers` threads draining a lock-free
@@ -513,7 +533,7 @@ struct PoolShared {
 pub struct WorkerPool {
     queue: Arc<BoundedMpmcQueue<Job>>,
     shared: Arc<PoolShared>,
-    workers: std::sync::Mutex<Vec<thread::JoinHandle<()>>>,
+    workers: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -534,8 +554,10 @@ impl WorkerPool {
         ));
         let shared = Arc::new(PoolShared {
             accepting: AtomicBool::new(true),
-            stop: AtomicBool::new(false),
             next_job: AtomicU64::new(0),
+            inline_hits: AtomicU64::new(0),
+            gate: Mutex::new(0),
+            wake: Condvar::new(),
             ctx: cfg.ctx,
             cache: ResultCache::new(cfg.cache_capacity, Arc::clone(&stats)),
             stats,
@@ -547,53 +569,90 @@ impl WorkerPool {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&queue, &shared))
+                    .spawn(move || {
+                        while let Some(job) = next_job(&queue, &shared) {
+                            run_job(&shared, job);
+                        }
+                    })
                     .expect("spawn worker")
             })
             .collect();
         WorkerPool {
             queue,
             shared,
-            workers: std::sync::Mutex::new(workers),
+            workers: Mutex::new(workers),
         }
     }
 
-    /// Submit a request. Returns the job id and the event stream (already
-    /// carrying the `Queued` event).
+    /// Submit a request. Returns the job id and the event stream, already
+    /// carrying the `Queued` event — and the whole lifecycle when the result
+    /// was ready in the cache: a hit is answered here, on the caller's thread.
     ///
     /// # Errors
     /// Rejected once shutdown has begun.
     pub fn submit(&self, request: Request) -> Result<(u64, mpsc::Receiver<JobEvent>), String> {
-        if !self.shared.accepting.load(Ordering::Acquire) {
+        let shared = &*self.shared;
+        if !shared.accepting.load(Ordering::Acquire) {
             return Err("service is shutting down; request rejected".to_string());
         }
-        let id = self.shared.next_job.fetch_add(1, Ordering::Relaxed) + 1;
+        let id = shared.next_job.fetch_add(1, Ordering::Relaxed) + 1;
         let (tx, rx) = mpsc::channel();
         let deadline = request
             .timeout_ms
-            .or(self.shared.default_timeout_ms)
+            .or(shared.default_timeout_ms)
             .map(|ms| Instant::now() + Duration::from_millis(ms));
         let _ = tx.send(JobEvent::Queued { job: id });
-        // Bounded admission: when the ring is full, spin with the shared
-        // truncated-exponential `Backoff` (the same discipline the worker
-        // drain loop uses) instead of a bare busy-wait — submissions under
-        // a saturated pool yield the core instead of burning it.
         let mut job = Job {
             id,
+            key: Self::key_for(&shared.ctx, &request),
             request,
             deadline,
             events: tx,
         };
+        // An expired job takes the queue like a miss: the worker's deadline
+        // check answers it, and it never counts as a hit.
+        let ready = match deadline {
+            Some(d) if Instant::now() >= d => None,
+            _ => shared.cache.get_ready(job.key),
+        };
+        if let Some(result) = ready {
+            shared.inline_hits.fetch_add(1, Ordering::Relaxed);
+            let _ = job.events.send(JobEvent::Running { job: id });
+            let _ = job.events.send(JobEvent::Done {
+                job: id,
+                cached: true,
+                result,
+            });
+            return Ok((id, rx));
+        }
+        // Bounded admission: a full ring is waited out with the shared
+        // truncated-exponential `Backoff`, which ends in yielding the core.
         let mut backoff = Backoff::new();
-        loop {
-            match self.queue.try_push(job) {
-                Ok(()) => return Ok((id, rx)),
-                Err(back) => {
-                    job = back;
-                    backoff.snooze();
-                }
+        while let Err(back) = self.queue.try_push(job) {
+            job = back;
+            backoff.snooze();
+        }
+        // Wake one parked worker. No wake-up is lost: a worker checks the
+        // queue a last time *under the gate* before it waits, and this
+        // thread takes the gate after its push. If this section comes first,
+        // the push happens-before that check (unlock → lock) and the worker
+        // finds the job; if the worker's came first it is already waiting
+        // (`Condvar::wait` gave the gate up atomically) and the notify
+        // reaches it. `shutdown` stores its flag under the gate, so a worker
+        // that left without seeing this push left before this section, and
+        // the flag read here is then set.
+        let stopping = {
+            let _gate = shared.gate();
+            !shared.accepting.load(Ordering::Relaxed)
+        };
+        shared.wake.notify_one();
+        if stopping {
+            // The workers may all be gone: run what is left where it arrived.
+            while let Some(job) = self.queue.try_pop() {
+                run_job(shared, job);
             }
         }
+        Ok((id, rx))
     }
 
     /// The cache key `request` resolves to in this pool (exposed so tests
@@ -620,6 +679,18 @@ impl WorkerPool {
         self.shared.next_job.load(Ordering::Relaxed)
     }
 
+    /// Live state for the `stats` op: cache hits answered at submit (a subset
+    /// of the profile's `cache_hits`), jobs waiting in the queue, distinct
+    /// computations running, and workers parked — each as of now.
+    pub fn live_stats(&self) -> Json {
+        json!({
+            "inline_hits": self.shared.inline_hits.load(Ordering::Relaxed),
+            "queue_depth": self.queue.len(),
+            "in_flight": self.shared.cache.in_flight(),
+            "workers_parked": *self.shared.gate(),
+        })
+    }
+
     /// Folded queue/cache instrumentation (queue ops, cache hits/misses…).
     pub fn profile(&self) -> splash4_parmacs::SyncProfile {
         self.shared.stats.snapshot()
@@ -629,12 +700,15 @@ impl WorkerPool {
     /// join the workers. Idempotent, and callable through a shared
     /// reference so a server can trigger it from any connection thread.
     pub fn shutdown(&self) {
-        self.shared.accepting.store(false, Ordering::Release);
-        self.shared.stop.store(true, Ordering::Release);
+        {
+            let _gate = self.shared.gate();
+            self.shared.accepting.store(false, Ordering::Release);
+        }
+        self.shared.wake.notify_all();
         let handles: Vec<_> = self
             .workers
             .lock()
-            .expect("worker pool poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .drain(..)
             .collect();
         for h in handles {
@@ -649,32 +723,33 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_loop(queue: &BoundedMpmcQueue<Job>, shared: &PoolShared) {
-    let mut backoff = Backoff::new();
+/// A worker's next job; `None` once the pool is shut down and drained. An
+/// idle worker parks here (see [`WorkerPool::submit`] for the handshake).
+fn next_job(queue: &BoundedMpmcQueue<Job>, shared: &PoolShared) -> Option<Job> {
+    if let Some(job) = queue.try_pop() {
+        return Some(job);
+    }
+    let mut parked = shared.gate();
     loop {
-        match queue.try_pop() {
-            Some(job) => {
-                backoff.reset();
-                run_job(shared, job);
-            }
-            None => {
-                if shared.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                if backoff.is_completed() {
-                    // Idle server: stop burning a core, poll gently.
-                    thread::sleep(Duration::from_micros(200));
-                } else {
-                    backoff.snooze();
-                }
-            }
+        if let Some(job) = queue.try_pop() {
+            return Some(job);
         }
+        if !shared.accepting.load(Ordering::Relaxed) {
+            return None;
+        }
+        *parked += 1;
+        parked = shared
+            .wake
+            .wait(parked)
+            .unwrap_or_else(PoisonError::into_inner);
+        *parked -= 1;
     }
 }
 
 fn run_job(shared: &PoolShared, job: Job) {
     let Job {
         id,
+        key,
         request,
         deadline,
         events,
@@ -687,26 +762,30 @@ fn run_job(shared: &PoolShared, job: Job) {
         return;
     }
     let _ = events.send(JobEvent::Running { job: id });
-    let key = WorkerPool::key_for(&shared.ctx, &request);
     let progress_tx = events.clone();
     let ctl = JobCtl::new(deadline, move |pct| {
         let _ = progress_tx.send(JobEvent::Progress { job: id, pct });
     });
-    match shared
-        .cache
-        .get_or_try_compute(key, || dispatch(&request, &shared.ctx, &ctl))
-    {
-        Ok((result, cached)) => {
-            let _ = events.send(JobEvent::Done {
-                job: id,
-                cached,
-                result,
-            });
-        }
-        Err(message) => {
-            let _ = events.send(JobEvent::Error { job: id, message });
-        }
-    }
+    // A panic in the job is the job's error: the cache drops its in-flight
+    // marker as the panic unwinds, and this thread lives on.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        shared
+            .cache
+            .get_or_try_compute(key, || dispatch(&request, &shared.ctx, &ctl))
+    }))
+    .unwrap_or_else(|panic| {
+        let text = panic.downcast_ref::<String>().map(String::as_str);
+        let text = text.or(panic.downcast_ref::<&str>().copied());
+        Err(format!("job panicked: {}", text.unwrap_or("(no message)")))
+    });
+    let _ = events.send(match outcome {
+        Ok((result, cached)) => JobEvent::Done {
+            job: id,
+            cached,
+            result,
+        },
+        Err(message) => JobEvent::Error { job: id, message },
+    });
 }
 
 /// Drain `rx` until the job's terminal event, returning everything received.

@@ -23,7 +23,7 @@
 //! <- {"event":"progress","job":1,"pct":40}
 //! <- {"event":"done","job":1,"cached":false,"result":{...}}
 //! -> {"op":"stats"}
-//! <- {"ok":true,"submitted":1,"cache_hits":0,"cache_misses":1,...}
+//! <- {"ok":true,"submitted":1,"cache_hits":0,"cache_misses":1,...,"workers_parked":4}
 //! -> {"op":"shutdown"}
 //! <- {"ok":true,"stopping":true}
 //! ```

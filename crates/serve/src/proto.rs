@@ -5,7 +5,9 @@
 //! framing layer stays trivial — no length prefixes, no escaping beyond
 //! JSON's own.
 
+use splash4_harness::JobEvent;
 use splash4_parmacs::Json;
+use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 
 /// Write one value as a frame and flush, so a waiting peer sees it
@@ -18,6 +20,24 @@ pub fn write_frame(w: &mut impl Write, v: &Json) -> io::Result<()> {
     line.push('\n');
     w.write_all(line.as_bytes())?;
     w.flush()
+}
+
+/// Append one event's frame — the text of `ev.to_json()`, then the newline —
+/// to `out`, so a burst of events can go out in one write. A `Done` event is
+/// written around its result in place; `to_json` would deep-clone it first.
+pub fn push_event_frame(out: &mut String, ev: &JobEvent) {
+    let _ = match ev {
+        JobEvent::Done {
+            job,
+            cached,
+            result,
+        } => write!(
+            out,
+            r#"{{"event":"done","job":{job},"cached":{cached},"result":{result}}}"#
+        ),
+        small => write!(out, "{}", small.to_json()),
+    };
+    out.push('\n');
 }
 
 /// Read the next frame. `Ok(None)` is a clean end-of-stream; blank lines are
@@ -64,6 +84,33 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), Some(a));
         assert_eq!(read_frame(&mut r).unwrap(), Some(b));
         assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn event_frames_are_the_text_of_to_json() {
+        let events = [
+            JobEvent::Queued { job: 1 },
+            JobEvent::Running { job: 2 },
+            JobEvent::Progress { job: 3, pct: 40 },
+            JobEvent::Done {
+                job: (1 << 53) - 1,
+                cached: true,
+                result: json!({ "text": "q\"uote\n☃", "n": 0.5, "list": json!([1, json!(null)]) }),
+            },
+            JobEvent::Error {
+                job: 5,
+                message: "a \"quoted\" cause".into(),
+            },
+        ];
+        let mut out = String::new();
+        for ev in &events {
+            push_event_frame(&mut out, ev);
+        }
+        let want: String = events
+            .iter()
+            .map(|e| format!("{}\n", e.to_json()))
+            .collect();
+        assert_eq!(out, want);
     }
 
     #[test]

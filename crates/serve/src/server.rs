@@ -1,23 +1,27 @@
 //! The TCP front end: accept loop, per-connection protocol handlers, and
 //! graceful shutdown around a shared [`WorkerPool`].
 //!
-//! Threading model: one nonblocking accept thread polling a stop flag, one
-//! thread per connection with a short read timeout so idle handlers also
-//! notice shutdown. Connection threads never own the pool — they share it
-//! through [`Server`]'s `Arc`, which is what lets a client-issued
-//! `{"op":"shutdown"}` drain the whole service from inside a handler.
+//! Threading model: one accept thread blocked in `accept` — [`Server::stop`]
+//! wakes it with a throw-away connection — and one thread per connection
+//! with a short read timeout so idle handlers notice shutdown. A connection
+//! thread *is* the request path of a cache hit: `WorkerPool::submit` answers
+//! it there, and the reply is one write (a burst of events already in the
+//! channel is one `write_all`; after a burst's first event nothing is waited
+//! for, so no frame is held back). Connection threads never own the pool —
+//! they share it through [`Server`]'s `Arc`, which is what lets a
+//! client-issued `{"op":"shutdown"}` drain the service from inside a handler.
 
-use crate::proto::write_frame;
-use splash4_harness::{Request, ServiceConfig, WorkerPool};
+use crate::proto::{push_event_frame, write_frame};
+use splash4_harness::{JobEvent, Request, ServiceConfig, WorkerPool};
 use splash4_parmacs::{json, Json};
 use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-/// How often blocked I/O paths re-check the stop flag.
+/// How often an idle connection's blocked read re-checks the `closed` flag.
 const POLL: Duration = Duration::from_millis(20);
 
 /// Server tuning: where to listen plus the worker-pool knobs.
@@ -77,7 +81,6 @@ impl Server {
     /// Propagates bind failures.
     pub fn start(cfg: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(ServerShared {
             stop: AtomicBool::new(false),
@@ -117,8 +120,8 @@ impl Server {
         self.shared.stop.load(Ordering::Acquire)
     }
 
-    /// Flag the server to stop without blocking (safe from any thread; the
-    /// accept loop and every connection notice within [`POLL`]).
+    /// Flag the server to stop without blocking (safe from any thread):
+    /// submissions are rejected from here on; [`Server::stop`] does the rest.
     pub fn request_stop(&self) {
         self.shared.stop.store(true, Ordering::Release);
     }
@@ -127,20 +130,19 @@ impl Server {
     /// Idempotent.
     pub fn stop(&self) {
         self.request_stop();
-        if let Some(h) = self.accept.lock().expect("accept handle poisoned").take() {
-            let _ = h.join();
+        if let Some(h) = lock(&self.accept).take() {
+            // The accept thread blocks in `accept`: a connection wakes it, and
+            // it drops whatever it accepts once `stop` is set. (Unreachable
+            // even from here, it is left blocked rather than joined.)
+            if TcpStream::connect(self.local_addr).is_ok() {
+                let _ = h.join();
+            }
         }
         // Drain before joining connections: an in-flight submit stream only
         // terminates once its job ran, and the pool drain guarantees that.
         self.shared.pool.shutdown();
         self.shared.closed.store(true, Ordering::Release);
-        let conns: Vec<_> = self
-            .shared
-            .conns
-            .lock()
-            .expect("connection registry poisoned")
-            .drain(..)
-            .collect();
+        let conns: Vec<_> = lock(&self.shared.conns).drain(..).collect();
         for c in conns {
             let _ = c.join();
         }
@@ -153,26 +155,29 @@ impl Drop for Server {
     }
 }
 
+/// Poison-tolerant: a handle registry is valid wherever its holder panicked.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_shared = Arc::clone(shared);
-                let handle = thread::Builder::new()
-                    .name("serve-conn".to_string())
-                    .spawn(move || {
-                        let _ = handle_connection(stream, &conn_shared);
-                    })
-                    .expect("spawn connection thread");
-                shared
-                    .conns
-                    .lock()
-                    .expect("connection registry poisoned")
-                    .push(handle);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(POLL),
-            Err(_) => thread::sleep(POLL),
+    for stream in listener.incoming() {
+        if shared.stop.load(Ordering::Acquire) {
+            return;
         }
+        let Ok(stream) = stream else {
+            // A failed accept (aborted peer, descriptor limit): on to the next.
+            thread::yield_now();
+            continue;
+        };
+        let conn_shared = Arc::clone(shared);
+        let handle = thread::Builder::new()
+            .name("serve-conn".to_string())
+            .spawn(move || {
+                let _ = handle_connection(stream, &conn_shared);
+            })
+            .expect("spawn connection thread");
+        lock(&shared.conns).push(handle);
     }
 }
 
@@ -238,12 +243,42 @@ fn reject(w: &mut impl Write, error: &str) -> io::Result<()> {
     write_frame(w, &json!({ "ok": false, "error": error.to_string() }))
 }
 
+/// Stream one job's events: block for an event, drain what the channel
+/// already holds into `out`, and issue one write for the burst. A stream that
+/// ends without a terminal event (its job died) is closed with an `error`.
+fn stream_events(
+    w: &mut impl Write,
+    job: u64,
+    rx: &mpsc::Receiver<JobEvent>,
+    out: &mut String,
+) -> io::Result<()> {
+    loop {
+        let mut next = Some(rx.recv().unwrap_or_else(|_| JobEvent::Error {
+            job,
+            message: "job ended without a terminal event".to_string(),
+        }));
+        let mut terminal = false;
+        out.clear();
+        while let Some(ev) = next {
+            terminal = ev.is_terminal();
+            push_event_frame(out, &ev);
+            next = if terminal { None } else { rx.try_recv().ok() };
+        }
+        w.write_all(out.as_bytes())?;
+        w.flush()?;
+        if terminal {
+            return Ok(());
+        }
+    }
+}
+
 fn handle_connection(stream: TcpStream, shared: &ServerShared) -> io::Result<()> {
     stream.set_read_timeout(Some(POLL))?;
     stream.set_nodelay(true).ok();
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut pending = Vec::new();
+    let mut out = String::new();
     loop {
         let op = match read_op(&mut reader, &mut pending, &shared.closed) {
             Ok(Frame::Value(v)) => v,
@@ -258,18 +293,21 @@ fn handle_connection(stream: TcpStream, shared: &ServerShared) -> io::Result<()>
             Some("ping") => write_frame(&mut writer, &json!({ "ok": true, "pong": true }))?,
             Some("stats") => {
                 let p = shared.pool.profile();
-                write_frame(
-                    &mut writer,
-                    &json!({
-                        "ok": true,
-                        "submitted": shared.pool.submitted(),
-                        "cache_hits": p.cache_hits,
-                        "cache_misses": p.cache_misses,
-                        "cache_evictions": p.cache_evictions,
-                        "queue_ops": p.queue_ops,
-                        "atomic_rmws": p.atomic_rmws,
-                    }),
-                )?;
+                let mut reply = json!({
+                    "ok": true,
+                    "submitted": shared.pool.submitted(),
+                    "cache_hits": p.cache_hits,
+                    "cache_misses": p.cache_misses,
+                    "cache_evictions": p.cache_evictions,
+                    "queue_ops": p.queue_ops,
+                    "atomic_rmws": p.atomic_rmws,
+                });
+                if let (Json::Object(all), Json::Object(live)) =
+                    (&mut reply, shared.pool.live_stats())
+                {
+                    all.extend(live);
+                }
+                write_frame(&mut writer, &reply)?;
             }
             Some("shutdown") => {
                 // Flag first: any op a client issues after seeing this reply
@@ -295,17 +333,7 @@ fn handle_connection(stream: TcpStream, shared: &ServerShared) -> io::Result<()>
                     }
                 };
                 match shared.pool.submit(request) {
-                    Ok((_, rx)) => {
-                        // Stream events as they happen — a client watching
-                        // progress must not wait for the terminal event.
-                        while let Ok(ev) = rx.recv() {
-                            let terminal = ev.is_terminal();
-                            write_frame(&mut writer, &ev.to_json())?;
-                            if terminal {
-                                break;
-                            }
-                        }
-                    }
+                    Ok((job, rx)) => stream_events(&mut writer, job, &rx, &mut out)?,
                     Err(e) => reject(&mut writer, &e)?,
                 }
             }
@@ -318,6 +346,58 @@ fn handle_connection(stream: TcpStream, shared: &ServerShared) -> io::Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Records each `write` call, to count the syscalls a stream would make.
+    #[derive(Default)]
+    struct Writes(Vec<String>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(String::from_utf8(buf.to_vec()).unwrap());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_burst_already_in_the_channel_is_one_write() {
+        let (tx, rx) = mpsc::channel();
+        let events = [
+            JobEvent::Queued { job: 7 },
+            JobEvent::Running { job: 7 },
+            JobEvent::Done {
+                job: 7,
+                cached: true,
+                result: json!({ "n": 1u64 }),
+            },
+        ];
+        for ev in &events {
+            tx.send(ev.clone()).unwrap();
+        }
+        let mut w = Writes::default();
+        stream_events(&mut w, 7, &rx, &mut String::new()).unwrap();
+        let want: String = events
+            .iter()
+            .map(|e| format!("{}\n", e.to_json()))
+            .collect();
+        assert_eq!(w.0, [want]);
+    }
+
+    #[test]
+    fn a_stream_that_dies_without_a_terminal_event_ends_in_an_error_frame() {
+        let (tx, rx) = mpsc::channel();
+        tx.send(JobEvent::Queued { job: 3 }).unwrap();
+        drop(tx);
+        let mut w = Writes::default();
+        stream_events(&mut w, 3, &rx, &mut String::new()).unwrap();
+        let last = Json::parse(w.0.last().unwrap().trim()).unwrap();
+        let Ok(JobEvent::Error { job: 3, message }) = JobEvent::from_json(&last) else {
+            panic!("want an error event for job 3: {last}");
+        };
+        assert!(message.contains("without a terminal event"), "{message}");
+    }
 
     #[test]
     fn server_binds_ephemeral_port_and_stops_cleanly() {
