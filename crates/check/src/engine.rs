@@ -1,37 +1,40 @@
 //! Deterministic cooperative execution engine.
 //!
 //! A *scenario* is a handful of virtual threads operating on the shipped
-//! constructs (through [`crate::model::Model`]) or on raw engine cells. Each
-//! virtual thread runs on an OS thread, but only ever one
-//! at a time — the one holding the **token**. Every shared-memory operation
-//! ([`ThreadCtx::op_load`] & co.) is a **schedule point**: the token holder
-//! records its own status, picks — via a [`Driver`], under the one state
+//! constructs (through [`crate::model::Model`]) or on raw engine cells.
+//! Virtual thread *t* runs on worker *t* of its explorer's `Workers`: OS
+//! threads that are started once, parked between executions and joined with
+//! the explorer, on the one CPU the explorer is on. Only ever one of them
+//! runs — the one holding the **token**. Every shared-memory operation
+//! (`ThreadCtx::op_load` & co.) is a **schedule point**: the token holder
+//! records its own status, picks — via a `Driver`, under the one state
 //! lock — who performs the next operation, and either keeps running (it
-//! picked itself: no thread switch at all) or wakes exactly the chosen
-//! thread and parks until the token comes back. There is no scheduler
+//! picked itself: no thread switch at all) or unparks exactly the chosen
+//! worker and parks until the token comes back. There is no scheduler
 //! thread: the thread that arrives runs the scheduling step itself, so a
-//! modelled operation costs at most one hand-off between OS threads. All
-//! nondeterminism is funnelled through the driver, so a sequence of driver
-//! choices *is* a schedule: replaying the same choices reproduces the same
-//! execution bit for bit.
+//! modelled operation costs at most one hand-off between OS threads, and an
+//! execution costs its hand-offs plus the one wake-up that tells the
+//! explorer it is over. All nondeterminism is funnelled through the driver,
+//! so a sequence of driver choices *is* a schedule: replaying the same
+//! choices reproduces the same execution bit for bit.
 //!
 //! On top of the interleaving semantics the engine models the C11 ordering
 //! annotations with vector clocks: release stores/RMWs publish the writer's
 //! clock on the location, acquire loads join it, and plain-data accesses
-//! ([`ThreadCtx::data_read`]/[`ThreadCtx::data_write`]) assert that they are
+//! (`ThreadCtx::data_read`/`ThreadCtx::data_write`) assert that they are
 //! ordered by happens-before — an unordered pair is a **data race** and
 //! fails the execution. Values stay sequentially consistent (the scheduler
 //! serializes operations); weak-memory bugs surface as the races they would
 //! cause, which is exactly how they corrupt real executions.
 //!
 //! Blocking (spin loops, lock waits) is modelled explicitly: a thread that
-//! would spin parks on the location via [`ThreadCtx::block_on`] and is
+//! would spin parks on the location via `ThreadCtx::block_on` and is
 //! re-enabled by the next write to it. A thread that gives the token up and
 //! finds every unfinished thread parked on a location reports a **deadlock**
 //! (which is also how lost wakeups surface, since a wakeup that never comes
 //! leaves its waiter parked forever). A failure is the one event that wakes
-//! everybody: each parked thread unwinds out of its body, so no OS thread
-//! outlives its execution.
+//! everybody: each parked thread unwinds out of its body, so no body
+//! outlives its execution, and no worker its explorer.
 //!
 //! The nodes a construct allocates through the facade are on record
 //! (`Shared::alloc`), and one it frees (`Shared::free`) stays allocated —
@@ -70,8 +73,9 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::ptr;
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle, Thread};
 
 /// Why an execution failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -314,9 +318,11 @@ struct EngineState {
     data: Vec<DataMeta>,
     /// The thread allowed to run; also the driver's `prev` at the next pick.
     token: Option<usize>,
-    /// One condition variable per virtual thread, so a hand-off wakes only
-    /// the thread it hands to.
-    wakers: Vec<Arc<Condvar>>,
+    /// The worker each virtual thread runs on, so a hand-off wakes only the
+    /// thread it hands to.
+    wakers: Vec<Thread>,
+    /// Token passes that woke another OS thread, the first grant included.
+    handoffs: u64,
     driver: Box<dyn Driver>,
     decisions: Vec<Decision>,
     aborting: bool,
@@ -355,8 +361,8 @@ impl EngineState {
 
     /// Pass the token on. Called by the holder once it has recorded its own
     /// status: forced when one thread is runnable, a [`Decision`] when more
-    /// are, a deadlock when none is but some thread is unfinished. Picking
-    /// the holder again wakes nobody.
+    /// are, a deadlock when none is but some thread is unfinished. Waking
+    /// the new holder is the caller's part, once it has let go of the state.
     fn pick_next(&mut self) {
         let enabled: Vec<usize> = (0..self.status.len())
             .filter(|&t| self.status[t] == Status::Ready)
@@ -384,19 +390,14 @@ impl EngineState {
             [only] => only,
             _ => self.choose(enabled),
         };
-        if self.token != Some(chosen) {
-            self.token = Some(chosen);
-            self.wakers[chosen].notify_one();
-        }
+        self.token = Some(chosen);
     }
 
     /// Record the first failure and wake every parked thread to unwind.
     fn abort(&mut self, failure: Failure) {
         self.failure.get_or_insert(failure);
         self.aborting = true;
-        for waker in &self.wakers {
-            waker.notify_one();
-        }
+        self.wakers.iter().for_each(Thread::unpark);
     }
 }
 
@@ -418,6 +419,7 @@ impl Shared {
                 data: Vec::new(),
                 token: None,
                 wakers: Vec::new(),
+                handoffs: 0,
                 driver,
                 decisions: Vec::new(),
                 aborting: false,
@@ -435,9 +437,7 @@ impl Shared {
     }
 
     fn lock(&self) -> MutexGuard<'_, EngineState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Allocate an atomic location; also reports the fault injected at
@@ -550,8 +550,8 @@ thread_local! {
     /// of [`crate::model::Model`], which the shipped constructs create and
     /// use with no engine handle, find the engine. A pointer to a value on
     /// the thread's stack, not the value: a thread-local with a destructor
-    /// makes every virtual thread (a fresh OS thread per execution) register
-    /// it with the C runtime, a measured tenth of an execution's wall time.
+    /// makes every fresh OS thread (a lone replay's workers still are)
+    /// register it with the C runtime, once a tenth of an execution's wall.
     static CURRENT: Cell<*const Current> = const { Cell::new(ptr::null()) };
 }
 
@@ -610,7 +610,10 @@ pub(crate) struct RunOutcome {
     pub decisions: Vec<Decision>,
     pub failure: Option<Failure>,
     pub history: Vec<OpRecord>,
+    /// Modelled operations executed.
     pub steps: u64,
+    /// Token passes that woke another OS thread (see `EngineState`).
+    pub handoffs: u64,
 }
 
 /// Chooses the next thread at each branching schedule point. `Send`
@@ -721,7 +724,6 @@ impl Peek {
 pub struct ThreadCtx {
     shared: Arc<Shared>,
     tid: usize,
-    waker: Arc<Condvar>,
 }
 
 impl fmt::Debug for ThreadCtx {
@@ -745,34 +747,45 @@ impl ThreadCtx {
     }
 
     /// Park until this thread holds the token — the engine's only wait
-    /// loop — or unwind if the execution aborted meanwhile.
-    fn await_token<'a>(
-        &'a self,
-        mut st: MutexGuard<'a, EngineState>,
-    ) -> MutexGuard<'a, EngineState> {
-        while !st.aborting && st.token != Some(self.tid) {
-            st = self
-                .waker
-                .wait(st)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        if st.aborting {
+    /// loop — or unwind if the execution aborted meanwhile. A wake-up is a
+    /// permit, so one that lands between the check and the park is kept.
+    fn await_token(&self) -> MutexGuard<'_, EngineState> {
+        loop {
+            let st = self.shared.lock();
+            if st.aborting {
+                drop(st);
+                resume_unwind(Box::new(AbortToken));
+            }
+            if st.token == Some(self.tid) {
+                return st;
+            }
             drop(st);
-            resume_unwind(Box::new(AbortToken));
+            thread::park();
         }
-        st
     }
 
-    /// Give the token up as `status`, pick the successor, and return once
-    /// the token is back (immediately, when the pick was this thread).
-    fn hand_over<'a>(
-        &'a self,
-        mut st: MutexGuard<'a, EngineState>,
-        status: Status,
-    ) -> MutexGuard<'a, EngineState> {
+    /// Give the token up as `status` and pick the successor: the worker to
+    /// wake, if that is another thread. The caller wakes it once it has let
+    /// go of the state, so the woken thread never finds the lock taken.
+    fn pass_token(&self, mut st: MutexGuard<'_, EngineState>, status: Status) -> Option<Thread> {
         st.status[self.tid] = status;
         st.pick_next();
-        self.await_token(st)
+        let next = st.token.filter(|&t| t != self.tid)?;
+        st.handoffs += 1;
+        Some(st.wakers[next].clone())
+    }
+
+    /// Give the token up as `status`, wake the successor, and return once
+    /// the token is back (without parking, when the pick was this thread).
+    fn hand_over(
+        &self,
+        st: MutexGuard<'_, EngineState>,
+        status: Status,
+    ) -> MutexGuard<'_, EngineState> {
+        if let Some(next) = self.pass_token(st, status) {
+            next.unpark();
+        }
+        self.await_token()
     }
 
     /// Record a failure and unwind every virtual thread.
@@ -1121,13 +1134,143 @@ fn collect_history(events: &[HistEvent]) -> Vec<OpRecord> {
     out
 }
 
-/// Run one execution of the scenario under `driver`.
+/// What a worker runs in one execution: a virtual thread and its body.
+type Job = (ThreadCtx, ThreadBody);
+/// Where a worker finds it. Filling the box wakes nobody: the first token
+/// pass to the worker does.
+type JobBox = Arc<Mutex<Option<Job>>>;
+
+/// What an explorer and its workers share besides their executions.
+struct Gate {
+    /// Virtual threads of the current execution still to report: a worker
+    /// reports with nothing of the execution left on it.
+    pending: AtomicUsize,
+    /// Whom the last report wakes: the thread the set was made on.
+    explorer: Thread,
+    /// Set when the explorer is through with its workers.
+    closed: AtomicBool,
+}
+
+/// The OS threads an explorer runs its virtual threads on: worker *t* is
+/// virtual thread *t* of every execution, parked in between, and joined
+/// when the set drops. Explorer and workers share one CPU while the set
+/// lives: a worker inherits the mask its explorer narrowed (`affinity`).
+pub(crate) struct Workers {
+    threads: Vec<(JobBox, JoinHandle<()>)>,
+    gate: Arc<Gate>,
+    _cpu: crate::affinity::Pinned,
+    /// Not `Send`: the gate wakes the thread the set was made on.
+    _here: PhantomData<*const ()>,
+}
+
+impl Workers {
+    pub(crate) fn new() -> Workers {
+        let gate = Gate {
+            pending: AtomicUsize::new(0),
+            explorer: thread::current(),
+            closed: AtomicBool::new(false),
+        };
+        Workers {
+            threads: Vec::new(),
+            gate: Arc::new(gate),
+            _cpu: crate::affinity::pin_here(),
+            _here: PhantomData,
+        }
+    }
+
+    /// Run `bodies` as the virtual threads of `shared`'s execution, whose
+    /// first pick is taken, and return when every one of them has reported.
+    fn run(&mut self, shared: &Arc<Shared>, bodies: Vec<ThreadBody>) {
+        while self.threads.len() < bodies.len() {
+            let (jobs, gate) = (JobBox::default(), Arc::clone(&self.gate));
+            let theirs = Arc::clone(&jobs);
+            let handle = thread::spawn(move || {
+                while !gate.closed.load(Ordering::Acquire) {
+                    let job = theirs.lock().unwrap_or_else(PoisonError::into_inner).take();
+                    let Some((ctx, body)) = job else {
+                        thread::park();
+                        continue;
+                    };
+                    ctx.run(body);
+                    if gate.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                        gate.explorer.unpark();
+                    }
+                }
+            });
+            self.threads.push((jobs, handle));
+        }
+        let workers = &self.threads[..bodies.len()];
+        self.gate.pending.store(workers.len(), Ordering::Release);
+        let mut st = shared.lock();
+        st.wakers = workers.iter().map(|w| w.1.thread().clone()).collect();
+        // Under the state lock, which a worker up early needs before it can
+        // run: nobody passes the token to a thread whose body is not there.
+        for (tid, (body, (jobs, _))) in bodies.into_iter().zip(workers).enumerate() {
+            let shared = Arc::clone(shared);
+            let job = Some((ThreadCtx { shared, tid }, body));
+            *jobs.lock().unwrap_or_else(PoisonError::into_inner) = job;
+        }
+        st.handoffs += 1;
+        let first = st.wakers[st.token.expect("the first pick is taken")].clone();
+        drop(st);
+        first.unpark();
+        while self.gate.pending.load(Ordering::Acquire) != 0 {
+            thread::park();
+        }
+    }
+}
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        self.gate.closed.store(true, Ordering::Release);
+        for (_, handle) in self.threads.drain(..) {
+            handle.thread().unpark();
+            // A worker catches what its bodies throw: nothing to re-raise.
+            let _ = handle.join();
+        }
+    }
+}
+
+impl ThreadCtx {
+    /// Run `body` as this virtual thread, on the calling worker: wait for
+    /// the token, run, pass the token on for good. An abort unwinds to here.
+    fn run(mut self, body: ThreadBody) {
+        let here = (Arc::clone(&self.shared), Some(self.clone()));
+        let _entered = Entered::new(&here);
+        // The exit-time pick runs the driver too, so it sits inside the
+        // `catch_unwind`: a panic there must abort the execution like one in
+        // the body, not strand the parked threads.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            drop(self.await_token());
+            body(&mut self);
+            if let Some(next) = self.pass_token(self.shared.lock(), Status::Finished) {
+                next.unpark();
+            }
+        }));
+        match result {
+            Ok(()) => {}
+            Err(payload) if payload.is::<AbortToken>() => {}
+            Err(payload) => {
+                let what = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "opaque panic payload".into());
+                self.shared.lock().abort(Failure::Panic { what });
+            }
+        }
+    }
+}
+
+/// Run one execution of the scenario under `driver`, on `workers`.
 ///
 /// `factory` builds a fresh scenario (shadow state + thread bodies) each
-/// call; the engine takes the first pick, spawns the virtual threads, which
-/// pass the token among themselves until the last one finishes (or one
-/// fails), then runs the finale and the linearizability check.
+/// call; the engine takes the first pick and hands each worker its body.
+/// The virtual threads pass the token among themselves until the last one
+/// finishes (or one fails); then come the finale and the linearizability
+/// check, on the calling thread like the factory.
 pub(crate) fn run_one(
+    workers: &mut Workers,
     factory: &(dyn Fn(&mut Sandbox) + Sync),
     driver: Box<dyn Driver>,
     max_steps: u64,
@@ -1151,7 +1294,6 @@ pub(crate) fn run_one(
     } = sandbox;
     let n = threads.len();
     assert!(n > 0, "scenario needs at least one thread");
-    let wakers: Vec<Arc<Condvar>> = (0..n).map(|_| Arc::default()).collect();
     {
         let mut st = shared.lock();
         st.status = vec![Status::Ready; n];
@@ -1162,55 +1304,20 @@ pub(crate) fn run_one(
         for (tid, clock) in st.clocks.iter_mut().enumerate() {
             clock.tick(tid);
         }
-        st.wakers = wakers.clone();
-        // The first pick is taken before any thread exists, and a body runs
-        // only while it holds the token, so neither spawn order nor start-up
-        // timing can leak into the schedule.
+        // The first pick is taken before any worker has its body, and a body
+        // runs only while it holds the token, so neither which worker wakes
+        // first nor how fast can leak into the schedule.
         st.pick_next();
     }
+    workers.run(&shared, threads);
 
-    std::thread::scope(|scope| {
-        for (tid, (body, waker)) in threads.into_iter().zip(wakers).enumerate() {
-            let mut ctx = ThreadCtx {
-                shared: Arc::clone(&shared),
-                tid,
-                waker,
-            };
-            scope.spawn(move || {
-                let here = (Arc::clone(&ctx.shared), Some(ctx.clone()));
-                let _entered = Entered::new(&here);
-                // The exit-time pick runs the driver too, so it sits inside
-                // the `catch_unwind`: a panic there must abort the execution
-                // like one in the body, not strand the parked threads.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    drop(ctx.await_token(ctx.shared.lock()));
-                    body(&mut ctx);
-                    let mut st = ctx.shared.lock();
-                    st.status[tid] = Status::Finished;
-                    st.pick_next();
-                }));
-                match result {
-                    Ok(()) => {}
-                    Err(payload) if payload.is::<AbortToken>() => {}
-                    Err(payload) => {
-                        let what = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "opaque panic payload".into());
-                        ctx.shared.lock().abort(Failure::Panic { what });
-                    }
-                }
-            });
-        }
-    });
-
-    let (mut failure, history, steps, decisions) = {
+    let (mut failure, history, steps, handoffs, decisions) = {
         let mut st = shared.lock();
         (
             st.failure.take(),
             std::mem::take(&mut st.history),
             st.steps,
+            st.handoffs,
             std::mem::take(&mut st.decisions),
         )
     };
@@ -1236,6 +1343,7 @@ pub(crate) fn run_one(
         failure,
         history,
         steps,
+        handoffs,
     }
 }
 
@@ -1271,6 +1379,7 @@ mod tests {
         // forced: it finishes, t1 is the only thread left. The initial pick
         // is the one branching decision two threads cannot avoid.
         let out = run_one(
+            &mut Workers::new(),
             &|sb: &mut Sandbox| {
                 let x = sb.alloc_atomic("x", 0);
                 let d = sb.alloc_data("cell", 0);
@@ -1302,6 +1411,7 @@ mod tests {
         // load: the loading thread itself asks the driver, and the answer is
         // logged like a thread choice with the offsets as its enabled set.
         let out = run_one(
+            &mut Workers::new(),
             &|sb: &mut Sandbox| {
                 let x = sb.alloc_atomic("x", 0);
                 sb.thread(move |ctx| {
@@ -1340,6 +1450,7 @@ mod tests {
         let unwound = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let counter = Arc::clone(&unwound);
         let out = run_one(
+            &mut Workers::new(),
             &move |sb: &mut Sandbox| {
                 let x = sb.alloc_atomic("x", 0);
                 let flag = sb.alloc_atomic("flag", 0);
@@ -1390,6 +1501,7 @@ mod tests {
             }
         }
         let out = run_one(
+            &mut Workers::new(),
             &|sb: &mut Sandbox| {
                 for _ in 0..3 {
                     sb.thread(|_ctx| {});
@@ -1409,8 +1521,79 @@ mod tests {
     }
 
     #[test]
+    fn workers_outlive_a_failure_a_body_panic_and_a_driver_panic() {
+        // One set of workers: each execution that ends badly — a failed
+        // check with a thread parked mid-body and one blocked, a panicking
+        // body, a driver that panics on the explorer's own thread at the
+        // first pick — is followed by one that passes on the same threads.
+        struct GivesUp;
+        impl Driver for GivesUp {
+            fn choose(&mut self, _idx: usize, _enabled: &[usize], _prev: Option<usize>) -> usize {
+                panic!("driver gave up")
+            }
+        }
+        fn scenario(t0: fn(&ThreadCtx)) -> impl Fn(&mut Sandbox) + Sync {
+            move |sb: &mut Sandbox| {
+                let x = sb.alloc_atomic("x", 0);
+                let flag = sb.alloc_atomic("flag", 0);
+                sb.thread(move |ctx| {
+                    ctx.op_rmw(x, Ordering::AcqRel, |v| v + 1);
+                    t0(ctx);
+                    ctx.op_store(flag, 1, Ordering::Release);
+                });
+                sb.thread(move |ctx| {
+                    ctx.op_rmw(x, Ordering::AcqRel, |v| v + 1);
+                    ctx.op_rmw(x, Ordering::AcqRel, |v| v + 1);
+                });
+                sb.thread(move |ctx| {
+                    while ctx.op_load(flag, Ordering::Acquire) == 0 {
+                        ctx.block_on(flag);
+                    }
+                });
+                let peek = sb.peek();
+                sb.finale(move || (peek.atomic(x) == 3).then_some(()).ok_or("lost".into()));
+            }
+        }
+        // t2 blocks, t1 stops mid-body, t0 runs to whatever `t0` does.
+        let script = || Box::new(Script(vec![2, 2, 1, 1, 0, 0]));
+        let cpus = crate::affinity::allowed();
+        let mut workers = Workers::new();
+        let passes = |workers: &mut Workers| {
+            let out = run_one(workers, &scenario(|_| {}), script(), 1000, MemoryModel::Sc);
+            assert_eq!((out.failure, out.steps), (None, 6));
+        };
+        passes(&mut workers);
+        let fails = scenario(|ctx| ctx.check(false, "boom"));
+        let out = run_one(&mut workers, &fails, script(), 1000, MemoryModel::Sc);
+        let what = "t0: boom".into();
+        assert_eq!(out.failure, Some(Failure::Invariant { what }));
+        passes(&mut workers);
+        let panics = scenario(|_| panic!("body gave up"));
+        let out = run_one(&mut workers, &panics, script(), 1000, MemoryModel::Sc);
+        let what = "body gave up".into();
+        assert_eq!(out.failure, Some(Failure::Panic { what }));
+        passes(&mut workers);
+        let thrown = catch_unwind(AssertUnwindSafe(|| {
+            let gives_up = Box::new(GivesUp);
+            run_one(
+                &mut workers,
+                &scenario(|_| {}),
+                gives_up,
+                1000,
+                MemoryModel::Sc,
+            )
+        }));
+        assert!(thrown.is_err());
+        passes(&mut workers);
+        assert_eq!(workers.threads.len(), 3, "no worker was replaced");
+        drop(workers);
+        assert_eq!(crate::affinity::allowed(), cpus);
+    }
+
+    #[test]
     fn single_thread_runs_to_completion() {
         let out = run_one(
+            &mut Workers::new(),
             &|sb: &mut Sandbox| {
                 let loc = sb.alloc_atomic("x", 0);
                 sb.thread(move |ctx| {
@@ -1434,6 +1617,7 @@ mod tests {
         // between them: no interleaving orders the pair, so every schedule
         // must report the race.
         let out = run_one(
+            &mut Workers::new(),
             &|sb: &mut Sandbox| {
                 let sync = sb.alloc_atomic("sync", 0);
                 let d = sb.alloc_data("cell", 0);
@@ -1458,6 +1642,7 @@ mod tests {
     #[test]
     fn release_acquire_orders_data() {
         let out = run_one(
+            &mut Workers::new(),
             &|sb: &mut Sandbox| {
                 let flag = sb.alloc_atomic("flag", 0);
                 let d = sb.alloc_data("payload", 0);
@@ -1483,6 +1668,7 @@ mod tests {
     #[test]
     fn blocked_forever_is_a_deadlock() {
         let out = run_one(
+            &mut Workers::new(),
             &|sb: &mut Sandbox| {
                 let flag = sb.alloc_atomic("flag", 0);
                 sb.thread(move |ctx| {

@@ -4,7 +4,10 @@
 //! (schedule points where ≥ 2 threads were runnable); forced steps are not
 //! recorded, so the same vector replayed through [`replay`] reproduces the
 //! execution exactly. Exploration is stateless (CHESS-style): every schedule
-//! is a fresh execution from the initial state driven down a chosen prefix.
+//! is a fresh execution from the initial state driven down a chosen prefix,
+//! on the worker threads its search owns: one [`explore`] call starts them,
+//! runs every execution and every minimization replay on them, and joins
+//! them before it returns; a lone [`replay`] starts its own.
 //!
 //! The systematic pass is a depth-first search over branching points with an
 //! **iterative preemption bound**: alternatives that preempt a runnable
@@ -22,7 +25,7 @@
 //! [`CounterExample`] whose rendered form (`"0*3,1*2,0"`) can be parsed back
 //! and replayed.
 
-use crate::engine::{run_one, Driver, Failure, MemoryModel, RunOutcome, Sandbox};
+use crate::engine::{run_one, Driver, Failure, MemoryModel, RunOutcome, Sandbox, Workers};
 use splash4_parmacs::SmallRng;
 use std::collections::HashSet;
 use std::fmt;
@@ -172,6 +175,11 @@ pub struct ExploreReport {
     pub distinct_schedules: usize,
     /// Executions performed (including duplicates and replays).
     pub executions: usize,
+    /// Modelled operations those executions performed.
+    pub steps: u64,
+    /// Token passes among them that woke another OS thread, each
+    /// execution's first grant included: the search's cost in wake-ups.
+    pub handoffs: u64,
     /// `true` when DFS exhausted the bounded space without hitting caps.
     pub exhausted: bool,
     /// The minimized failing schedule, if any execution failed.
@@ -287,8 +295,12 @@ enum DfsEnd {
 struct Explorer<'a> {
     factory: &'a Scenario,
     budget: &'a Budget,
+    /// The OS threads every execution of this search runs on.
+    workers: Workers,
     seen: HashSet<Vec<u32>>,
     executions: usize,
+    steps: u64,
+    handoffs: u64,
     failing: Option<(Vec<u32>, Failure)>,
 }
 
@@ -309,13 +321,11 @@ impl<'a> Explorer<'a> {
     }
 
     fn run(&mut self, driver: Box<dyn Driver>) -> RunOutcome {
+        let (max_steps, memory) = (self.budget.max_steps, self.budget.memory);
+        let out = run_one(&mut self.workers, self.factory, driver, max_steps, memory);
         self.executions += 1;
-        let out = run_one(
-            self.factory,
-            driver,
-            self.budget.max_steps,
-            self.budget.memory,
-        );
+        self.steps += out.steps;
+        self.handoffs += out.handoffs;
         self.record(&out);
         out
     }
@@ -379,8 +389,11 @@ pub fn explore(factory: &Scenario, budget: &Budget) -> ExploreReport {
     let mut ex = Explorer {
         factory,
         budget,
+        workers: Workers::new(),
         seen: HashSet::new(),
         executions: 0,
+        steps: 0,
+        handoffs: 0,
         failing: None,
     };
 
@@ -413,14 +426,16 @@ pub fn explore(factory: &Scenario, budget: &Budget) -> ExploreReport {
         round += 1;
     }
 
-    let counterexample = ex
-        .failing
-        .take()
-        .map(|(sched, failure)| minimize(factory, sched, failure, budget.max_steps, budget.memory));
+    let counterexample = ex.failing.take().map(|(sched, failure)| {
+        let (max_steps, memory) = (budget.max_steps, budget.memory);
+        minimize(&mut ex.workers, factory, sched, failure, max_steps, memory)
+    });
 
     ExploreReport {
         distinct_schedules: ex.seen.len(),
         executions: ex.executions,
+        steps: ex.steps,
+        handoffs: ex.handoffs,
         exhausted: exhausted && counterexample.is_none(),
         counterexample,
     }
@@ -434,8 +449,18 @@ pub fn replay(factory: &Scenario, schedule: &Schedule, max_steps: u64) -> Replay
     replay_under(factory, schedule, max_steps, MemoryModel::Sc)
 }
 
-/// Replay `schedule` under an explicit memory model.
+/// Replay `schedule` under an explicit memory model, on workers of its own.
 pub fn replay_under(
+    factory: &Scenario,
+    schedule: &Schedule,
+    max_steps: u64,
+    memory: MemoryModel,
+) -> Replayed {
+    replay_on(&mut Workers::new(), factory, schedule, max_steps, memory)
+}
+
+fn replay_on(
+    workers: &mut Workers,
     factory: &Scenario,
     schedule: &Schedule,
     max_steps: u64,
@@ -444,7 +469,7 @@ pub fn replay_under(
     let driver = Box::new(PrefixDriver {
         prefix: schedule.0.clone(),
     });
-    let out = run_one(factory, driver, max_steps, memory);
+    let out = run_one(workers, factory, driver, max_steps, memory);
     Replayed {
         failure: out.failure,
         schedule: Schedule(out.decisions.iter().map(|d| d.chosen as u32).collect()),
@@ -457,6 +482,7 @@ pub fn replay_under(
 /// adjacent runs, keeping any candidate whose replay reproduces the same
 /// failure class with strictly fewer switches (or same switches, shorter).
 fn minimize(
+    workers: &mut Workers,
     factory: &Scenario,
     initial: Vec<u32>,
     failure: Failure,
@@ -467,7 +493,8 @@ fn minimize(
     let metric = |s: &Schedule| (s.switches(), s.0.len());
 
     // Canonicalize to the full decision sequence of a replay.
-    let first = replay_under(factory, &Schedule(initial.clone()), max_steps, memory);
+    let mut replay = |s: &Schedule| replay_on(workers, factory, s, max_steps, memory);
+    let first = replay(&Schedule(initial.clone()));
     let (mut best, mut best_failure) = match first.failure {
         Some(f) if f.kind() == want => (first.schedule, f),
         _ => (Schedule(initial), failure),
@@ -479,7 +506,7 @@ fn minimize(
         let mut i = 0;
         while i < best.0.len() {
             let cand = Schedule(best.0[..i].to_vec());
-            let re = replay_under(factory, &cand, max_steps, memory);
+            let re = replay(&cand);
             // A longer prefix of `best` that the default policy rebuilt here
             // replays to this very execution: skip past what they share.
             let same = |(a, b): &(&u32, &u32)| a == b;
@@ -502,7 +529,7 @@ fn minimize(
                 }
                 let mut cand = best.0.clone();
                 cand[i] = cand[i - 1];
-                let re = replay_under(factory, &Schedule(cand), max_steps, memory);
+                let re = replay(&Schedule(cand));
                 if let Some(f) = re.failure {
                     if f.kind() == want && metric(&re.schedule) < metric(&best) {
                         best = re.schedule;

@@ -32,7 +32,7 @@
 //!   lock (a `Mutex` + `Condvar`, no atomics to swap) and its queue. No
 //!   other construct is re-enacted on raw engine cells; the two textbook
 //!   litmus shapes [`weakmem`] keeps there are tests of the engine.
-//! * [`explore`] enumerates schedules: bounded-preemption DFS plus a seeded
+//! * [`mod@explore`] enumerates schedules: bounded-preemption DFS plus a seeded
 //!   PCT-style random scheduler, with counterexample minimization and
 //!   replay — a failing interleaving prints as a deterministic schedule
 //!   string (`"0*3,1*2,0"`) that reruns the exact execution.
@@ -76,6 +76,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod affinity;
 pub mod clock;
 pub mod combining;
 pub mod engine;

@@ -5,8 +5,13 @@
 //! cargo run --release --example check_demo
 //! ```
 
-use splash4::check::{explore, replay, treiber_scenario, Budget, Schedule};
-use splash4::parmacs::TreiberSpec;
+use splash4::check::explore::Scenario;
+use splash4::check::{
+    cmap_chain_scenario, explore, pool_scenario, replay, sense_barrier_scenario, treiber_scenario,
+    Budget, Schedule, Step,
+};
+use splash4::parmacs::{SyncMode, TreiberSpec};
+use splash4::reclaim::{PoolShape, ReclaimKind};
 use std::sync::atomic::Ordering;
 
 fn main() {
@@ -67,4 +72,40 @@ fn main() {
     println!("replayed {} modelled ops -> {}", re.steps, f);
     assert_eq!(f.kind(), cex.failure.kind());
     println!("\nreplay deterministic: the schedule string is the bug report.");
+
+    // 4. What a search costs, from the search itself: modelled operations,
+    //    and hand-offs — token passes that woke another OS thread, the only
+    //    steps that enter the kernel. An execution's wake-ups are its
+    //    hand-offs plus the one that tells the explorer it is over.
+    println!("\n== per construct: executions, steps and hand-offs per execution ==");
+    let constructs: [(&str, Box<Scenario>); 4] = [
+        ("queue/treiber", Box::new(clean)),
+        (
+            "barrier/sense",
+            Box::new(sense_barrier_scenario(SyncMode::LockFree)),
+        ),
+        (
+            "reclaim/epoch",
+            Box::new(pool_scenario(
+                PoolShape::Lifo,
+                ReclaimKind::Epoch,
+                &[1, 2],
+                &[&[Step::Pop], &[Step::Pop, Step::Flush]],
+            )),
+        ),
+        ("kernel/cmap-chain", Box::new(cmap_chain_scenario())),
+    ];
+    for (name, scenario) in constructs {
+        let report = explore(&*scenario, &Budget::small(7));
+        assert!(report.counterexample.is_none(), "{name}: {report:?}");
+        let per = |total: u64| total as f64 / report.executions as f64;
+        println!(
+            "{name:<18} {:>5} executions {:>7} steps ({:>5.1} each) {:>6} hand-offs ({:>4.1} each)",
+            report.executions,
+            report.steps,
+            per(report.steps),
+            report.handoffs,
+            per(report.handoffs),
+        );
+    }
 }

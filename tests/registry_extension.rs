@@ -107,7 +107,7 @@ fn registered_workload_flows_through_every_layer() {
     // -- Trace layer ------------------------------------------------------
     let (traced, trace) = b.run_traced(InputClass::Test, SyncMode::LockFree, 2);
     assert!(traced.validated, "traced run must validate");
-    assert!(trace.len() > 0, "the mill's sync ops must be recorded");
+    assert!(!trace.is_empty(), "the mill's sync ops must be recorded");
     let prog = lower_trace(
         &trace,
         SyncPolicy::uniform(SyncMode::LockFree),
