@@ -29,7 +29,8 @@ use crate::registry::BenchmarkId;
 use splash4_parmacs::{
     json, Backoff, BoundedMpmcQueue, Json, SyncCounters, SyncEnv, SyncMode, TaskQueue,
 };
-use splash4_sim::{engine, synthetic_program, BarrierKind, MachineParams};
+use splash4_sim::{synthetic_program_in, BarrierKind, Engine, MachineParams, Op};
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -368,6 +369,21 @@ impl JobCtl {
     }
 }
 
+/// Op slots (40 B each) a thread keeps between `sim` requests: the streams
+/// of a 1024-core × 400-op program fit; a larger program's are freed.
+const SIM_SPARE_OPS_MAX: usize = 1 << 19;
+
+thread_local! {
+    /// The engine scratch and the op streams of this thread's last `sim`
+    /// program. Each cold request builds and simulates in memory the thread
+    /// already holds: freeing megabytes of streams per request lets the
+    /// allocator return them to the OS and fault them in again on the next
+    /// request, a kernel cost that depends on the heap's layout and so
+    /// differs from one process to the next. Any other request kind frees
+    /// them.
+    static SIM_SCRATCH: RefCell<(Engine, Vec<Vec<Op>>)> = RefCell::default();
+}
+
 /// Execute one request, reporting progress through `ctl`.
 ///
 /// Deterministic request kinds (experiment against a warm model cache, sim)
@@ -379,6 +395,11 @@ impl JobCtl {
 /// deadline overruns.
 pub fn dispatch(req: &Request, ctx: &ExperimentCtx, ctl: &JobCtl) -> Result<Json, String> {
     ctl.tick(5)?;
+    if !matches!(req.kind, RequestKind::Sim { .. }) {
+        // Kept streams would only raise the peak under this request's own
+        // allocations: give them back while no `sim` request is running.
+        SIM_SCRATCH.take();
+    }
     match &req.kind {
         RequestKind::Experiment { id } => {
             let report = run_experiment(id, ctx)?;
@@ -434,10 +455,17 @@ pub fn dispatch(req: &Request, ctx: &ExperimentCtx, ctl: &JobCtl) -> Result<Json
                 Some(spec) => MachineParams::resolve(spec)?,
                 None => MachineParams::manycore(*cores),
             };
-            let program = synthetic_program(*cores, *ops_per_core, kind, *seed);
-            ctl.tick(40)?;
-            let events = program.total_ops() as u64;
-            let result = engine::run(&program, &machine);
+            let (events, result) = SIM_SCRATCH.with_borrow_mut(|(engine, spare)| {
+                let program = synthetic_program_in(spare, *cores, *ops_per_core, kind, *seed);
+                ctl.tick(40)?;
+                let events = program.total_ops() as u64;
+                let result = engine.run(&program, &machine);
+                spare.extend(program.cores);
+                if spare.iter().map(Vec::capacity).sum::<usize>() > SIM_SPARE_OPS_MAX {
+                    spare.clear();
+                }
+                Ok::<_, String>((events, result))
+            })?;
             ctl.tick(90)?;
             let (compute, service, wait, sync_local, barrier_f) = result.fractions();
             Ok(json!({

@@ -16,16 +16,19 @@
 //! the classic `BinaryHeap` event queue is overkill: [`Engine`] keeps a flat
 //! `ready[core]` array (parked and finished cores at `u64::MAX`) and picks
 //! the next event with a linear min-scan at small core counts, switching to
-//! a flat winner (tournament) tree above [`SCAN_CORES_MAX`] cores — O(1)
-//! dispatch from the root, early-exiting O(log p) per retime, and a
-//! branch-light template fill per barrier release — while preserving the
+//! a flat winner (tournament) tree above `SCAN_CORES_MAX` cores — O(1)
+//! dispatch from the root, a branch-free O(log p) leaf-to-root retime, and
+//! a branch-light template fill per barrier release — while preserving the
 //! lowest-core-wins tie-break exactly.
 //! Unlike the heap, neither path ever allocates or moves `(time, core)`
-//! tuples through sift-up/sift-down. All per-run state (`ready`, program
-//! counters, per-core breakdowns, server clocks, barrier episodes) lives in
-//! reusable scratch buffers inside the `Engine`, so a core-count sweep
-//! allocates nothing in the event loop. The original heap-based engine is
-//! preserved as [`run_reference`]; the equivalence tests and the
+//! tuples through sift-up/sift-down. The op streams are read in place, with
+//! no load-time copy or pre-pass: a run of adjacent `Compute` ops is fused
+//! into one event when a core pops its first op, server clocks grow as ids
+//! are met, and a malformed program is caught as it runs. All per-run state
+//! (`ready`, program counters, per-core breakdowns, server clocks, barrier
+//! episodes) lives in reusable scratch buffers inside the `Engine`, so a
+//! warm engine allocates nothing in the event loop. The original heap-based
+//! engine is preserved as [`run_reference`]; the equivalence tests and the
 //! `benchmark/` package's oracle hold the two implementations
 //! result-identical, and its `sim.engine_ns_per_event.*` /
 //! `sim.reference_ns_per_event.p1024` rungs measure the speedup.
@@ -34,6 +37,7 @@ use crate::machine::MachineParams;
 use crate::program::{BarrierKind, Op, Program};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::hint;
 
 /// Per-core time attribution.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -111,7 +115,6 @@ const NEVER: u64 = u64::MAX;
 /// capacity).
 #[derive(Debug, Default)]
 struct BarrierScratch {
-    kind: Option<BarrierKind>,
     /// (core, arrival_time, arrival_done_time) of the current episode.
     arrived: Vec<(usize, u64, u64)>,
     /// Arrival-serialization server (sense counter line / condvar mutex).
@@ -124,8 +127,8 @@ const SCAN_CORES_MAX: usize = 16;
 
 /// Reusable simulation engine: owns every per-run buffer, so repeated
 /// [`Engine::run`] calls (a 1–64-core sweep, a repeat-capped phase loop)
-/// perform no allocation inside the event loop and only grow — never
-/// reallocate — their scratch.
+/// only grow their scratch: once it is large enough for a program, a run
+/// allocates nothing but its result.
 #[derive(Debug, Default)]
 pub struct Engine {
     /// Next ready time per core; [`NEVER`] = parked or finished.
@@ -151,13 +154,6 @@ pub struct Engine {
     /// lowest-core tie-break — so a release can template-fill the tree
     /// without any compare chains (see [`Engine::tree_fill_uniform`]).
     uniform_win: Vec<u32>,
-    /// Flattened op streams, all cores back to back, with runs of adjacent
-    /// `Compute` ops fused into one (identical timing: back-to-back local
-    /// compute interacts with nothing, so the intermediate event is pure
-    /// queue traffic). `pc[c]` indexes into this buffer.
-    ops: Vec<Op>,
-    /// Per-core end-of-stream index into `ops`.
-    stream_end: Vec<usize>,
 }
 
 impl Engine {
@@ -166,9 +162,10 @@ impl Engine {
         Engine::default()
     }
 
-    /// Reset scratch for a program with `p` cores, `nservers` servers and
-    /// the given barrier kinds, growing buffers as needed.
-    fn reset(&mut self, p: usize, nservers: usize, kinds: &[BarrierKind]) {
+    /// Reset scratch for a program with `p` cores and `nbarriers`
+    /// barriers, growing buffers as needed. Server clocks start empty and
+    /// grow as the run meets server ids.
+    fn reset(&mut self, p: usize, nbarriers: usize) {
         self.ready.clear();
         self.ready.resize(p, 0);
         self.pc.clear();
@@ -176,13 +173,11 @@ impl Engine {
         self.breakdown.clear();
         self.breakdown.resize(p, CoreBreakdown::default());
         self.servers.clear();
-        self.servers.resize(nservers, 0);
-        if self.barriers.len() < kinds.len() {
+        if self.barriers.len() < nbarriers {
             self.barriers
-                .resize_with(kinds.len(), BarrierScratch::default);
+                .resize_with(nbarriers, BarrierScratch::default);
         }
-        for (b, &kind) in self.barriers.iter_mut().zip(kinds) {
-            b.kind = Some(kind);
+        for b in &mut self.barriers[..nbarriers] {
             b.arrived.clear();
             b.server_free = 0;
         }
@@ -242,31 +237,24 @@ impl Engine {
         }
     }
 
-    /// Retime one leaf and replay its path to the root, stopping as soon as
-    /// a node's `(time, winner)` comes out unchanged: every ancestor is a
-    /// pure function of its children, and no other child changed, so the
-    /// rest of the path is already correct. After a uniform barrier release
-    /// most retimes stop at the first level (the sibling holds the same
-    /// resume time), which is what keeps per-event work flat as p grows to
-    /// 1024.
+    /// Retime one leaf and replay its whole path to the root, each level
+    /// keeping the earlier of the path's `(time, winner)` and its sibling's
+    /// (on a tie the left, lower core) by select, not branch: nearly every
+    /// retime is of the popped core, the root's winner, so the whole path
+    /// changes, and which side wins a level is a coin flip.
     #[inline]
     fn tree_update(&mut self, core: usize, v: u64) {
         let mut i = self.tsize + core;
+        let (mut t, mut w) = (v, core as u32);
         self.tree[i] = v;
-        i /= 2;
-        while i >= 1 {
-            let (l, r) = (2 * i, 2 * i + 1);
-            let (t, w) = if self.tree[l] <= self.tree[r] {
-                (self.tree[l], self.tree_win[l])
-            } else {
-                (self.tree[r], self.tree_win[r])
-            };
-            if self.tree[i] == t && self.tree_win[i] == w {
-                return;
-            }
+        while i > 1 {
+            let (st, sw) = (self.tree[i ^ 1], self.tree_win[i ^ 1]);
+            let keep = (t < st) | ((t == st) & (i & 1 == 0));
+            t = hint::select_unpredictable(keep, t, st);
+            w = hint::select_unpredictable(keep, w, sw);
+            i /= 2;
             self.tree[i] = t;
             self.tree_win[i] = w;
-            i /= 2;
         }
     }
 
@@ -299,47 +287,16 @@ impl Engine {
     /// engine), asserted by the equivalence test battery.
     ///
     /// # Panics
-    /// Panics if the program fails [`Program::validate`].
+    /// Panics with "invalid program" exactly when the program fails
+    /// [`Program::validate`], found as the run goes: an undefined barrier
+    /// id when a core reaches it (checked against `program`, not against
+    /// scratch of an earlier run), differing barrier sequences as a core
+    /// still parked when no core can move — every episode takes one arrival
+    /// from each core, so a run that ends with none parked crossed
+    /// identical sequences. The engine stays usable after the panic.
     pub fn run(&mut self, program: &Program, machine: &MachineParams) -> SimResult {
-        program
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid program: {e}"));
         let p = program.ncores();
-        let nservers = program
-            .cores
-            .iter()
-            .flatten()
-            .filter_map(|op| match op {
-                Op::Access { server, .. } => Some(*server as usize + 1),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
-        self.reset(p, nservers, &program.barriers);
-
-        // Flatten the per-core op vectors into one contiguous fused stream:
-        // one cache-friendly buffer instead of p separately-allocated
-        // vectors, and every run of adjacent `Compute` ops collapses into a
-        // single event (event fusion — the dominant op in model-expanded
-        // programs, where each batch contributes back-to-back compute).
-        self.ops.clear();
-        self.stream_end.clear();
-        for (c, core_ops) in program.cores.iter().enumerate() {
-            let start = self.ops.len();
-            self.pc[c] = start;
-            for &op in core_ops {
-                if self.ops.len() > start {
-                    if let (Op::Compute { ns }, Some(Op::Compute { ns: acc })) =
-                        (op, self.ops.last_mut())
-                    {
-                        *acc += ns;
-                        continue;
-                    }
-                }
-                self.ops.push(op);
-            }
-            self.stream_end.push(self.ops.len());
-        }
+        self.reset(p, program.barriers.len());
 
         loop {
             // Next event: earliest ready core, lowest id on ties. At small
@@ -367,17 +324,27 @@ impl Engine {
                 }
                 (t, core)
             };
+            let ops = &program.cores[core];
             let i = self.pc[core];
-            if i >= self.stream_end[core] {
+            let Some(&op) = ops.get(i) else {
                 let b = &mut self.breakdown[core];
                 b.end_ns = b.end_ns.max(t);
                 self.set_ready(core, NEVER);
                 continue;
-            }
-            let op = self.ops[i];
+            };
             self.pc[core] = i + 1;
             match op {
-                Op::Compute { ns } => {
+                Op::Compute { mut ns } => {
+                    // Event fusion: the run of `Compute`s that follows is
+                    // one event with the summed time. Back-to-back local
+                    // compute interacts with nothing, so the intermediate
+                    // events would be pure queue traffic.
+                    let mut j = i + 1;
+                    while let Some(&Op::Compute { ns: more }) = ops.get(j) {
+                        ns += more;
+                        j += 1;
+                    }
+                    self.pc[core] = j;
                     self.breakdown[core].compute_ns += ns;
                     self.set_ready(core, t + ns);
                 }
@@ -388,7 +355,11 @@ impl Engine {
                     local_ns,
                     contended_ns,
                 } => {
-                    let free = &mut self.servers[server as usize];
+                    let server = server as usize;
+                    if server >= self.servers.len() {
+                        self.servers.resize(server + 1, 0);
+                    }
+                    let free = &mut self.servers[server];
                     let start = (*free).max(t);
                     let queue_wait = start - t;
                     let busy = start > t;
@@ -407,8 +378,10 @@ impl Engine {
                     self.set_ready(core, start + service_total + local_total);
                 }
                 Op::Barrier { id } => {
+                    let Some(&kind) = program.barriers.get(id as usize) else {
+                        panic!("invalid program: core {core}: undefined barrier id {id}");
+                    };
                     let bar = &mut self.barriers[id as usize];
-                    let kind = bar.kind.expect("barrier scratch not initialized");
                     // Arrival cost by kind.
                     let arr_done = match kind {
                         BarrierKind::Sense => {
@@ -492,6 +465,13 @@ impl Engine {
             }
         }
 
+        let parked = self.barriers[..program.barriers.len()]
+            .iter()
+            .enumerate()
+            .find_map(|(id, b)| Some((b.arrived.first()?.0, id)));
+        if let Some((core, id)) = parked {
+            panic!("invalid program: core {core} is still parked at barrier {id}: barrier sequences differ");
+        }
         let total_ns = self.breakdown.iter().map(|b| b.end_ns).max().unwrap_or(0);
         SimResult {
             name: program.name.clone(),
@@ -956,5 +936,65 @@ mod tests {
         let reused = engine.run(&small, &m);
         let fresh = Engine::new().run(&small, &m);
         assert_eq!(reused, fresh);
+    }
+
+    #[test]
+    fn engine_rejects_what_validate_rejects_without_a_pre_pass() {
+        let m = machine();
+        let (b, c) = (|id| Op::Barrier { id }, Op::Compute { ns: 10 });
+        let program = |cores: Vec<Vec<Op>>, nbarriers| Program {
+            name: "bad".into(),
+            cores,
+            barriers: vec![BarrierKind::Sense; nbarriers],
+        };
+        // Leaves scratch for barriers 0 and 1 behind before each bad run.
+        let two_barriers = program(vec![vec![c, b(0), b(1)]; 3], 2);
+        let bad = [
+            ("undefined id", program(vec![vec![b(3)], vec![c, b(3)]], 1)),
+            (
+                "id defined only by the previous program",
+                program(vec![vec![b(0), b(1)]; 2], 1),
+            ),
+            (
+                "a core with fewer barriers",
+                program(vec![vec![b(0), c, b(0)], vec![c, b(0)]], 1),
+            ),
+            (
+                "a core with fewer barriers, winner tree",
+                program(
+                    (0..33)
+                        .map(|core| vec![b(0); if core == 5 { 1 } else { 2 }])
+                        .collect(),
+                    1,
+                ),
+            ),
+            (
+                "crossed sequences",
+                program(vec![vec![b(0), b(1)], vec![b(1), b(0)]], 2),
+            ),
+        ];
+        let mut engine = Engine::new();
+        for (what, bad) in &bad {
+            assert!(bad.validate().is_err(), "{what}");
+            engine.run(&two_barriers, &m);
+            let err =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run(bad, &m)))
+                    .expect_err(what);
+            let message = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(message.starts_with("invalid program"), "{what}: {message}");
+            // The engine a run panicked in is as good as a fresh one.
+            for (p, kind) in [(3, BarrierKind::Sense), (33, BarrierKind::Condvar)] {
+                let good = stress_program(p, kind, 4);
+                assert_eq!(
+                    engine.run(&good, &m),
+                    Engine::new().run(&good, &m),
+                    "{what}"
+                );
+            }
+        }
     }
 }

@@ -8,10 +8,10 @@
 //! The pipeline:
 //!
 //! 1. Kernels (crate `splash4-kernels`) describe their phase structure as a
-//!    mode-independent [`WorkModel`](splash4_parmacs::WorkModel), calibrated
+//!    mode-independent [`WorkModel`], calibrated
 //!    against their measured execution.
 //! 2. [`model::expand`] lowers the model under a concrete
-//!    [`SyncPolicy`](splash4_parmacs::SyncPolicy) — this is where lock-based
+//!    [`SyncPolicy`] — this is where lock-based
 //!    vs lock-free becomes different op streams.
 //! 3. [`engine::run`] executes the streams on a parameterized machine
 //!    ([`machine::MachineParams`]) and reports completion time plus a
@@ -19,7 +19,7 @@
 //!
 //! Machine parameters come from hand-set presets (`epyc_like`,
 //! `icelake_like`, `manycore`) or from *host-calibrated profiles*: the
-//! [`calibrate`] module lowers a measured `--bench atomics` document into a
+//! [`calibrate`](mod@calibrate) module lowers a measured `--bench atomics` document into a
 //! parameter table, and [`MachineParams::resolve`] loads such a profile
 //! anywhere a preset name is accepted.
 //!
@@ -52,7 +52,7 @@ pub use calibrate::{calibrate, contention_levels, synthesize_bench};
 pub use engine::{CoreBreakdown, Engine, SimResult};
 pub use machine::{MachineParams, PROFILE_SCHEMA};
 pub use model::{class_cost, OpCost};
-pub use program::{synthetic_program, BarrierKind, Op, Program};
+pub use program::{synthetic_program, synthetic_program_in, BarrierKind, Op, Program};
 
 use splash4_parmacs::{PhaseSpec, SyncPolicy, WorkModel};
 use std::collections::HashMap;
