@@ -481,24 +481,10 @@ pub fn run(cfg: &BarnesConfig, env: &SyncEnv) -> KernelResult {
     // stale positions is not possible, so accept the advect error in the
     // tolerance (θ error dominates for small dt).
     let validated = if n <= 2048 {
+        // SAFETY: simulation complete; single-threaded validation.
+        let pos: Vec<[f64; 3]> = (0..n).map(|i| unsafe { vpos.get(i) }).collect();
         let mut total_rel = 0.0f64;
-        for i in 0..n {
-            // SAFETY: simulation complete; single-threaded validation.
-            let pi = unsafe { vpos.get(i) };
-            let mut direct = [0.0f64; 3];
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                // SAFETY: as above.
-                let pj = unsafe { vpos.get(j) };
-                let dx = [pj[0] - pi[0], pj[1] - pi[1], pj[2] - pi[2]];
-                let d2 = dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2] + cfg.eps * cfg.eps;
-                let inv = mass / (d2 * d2.sqrt());
-                for d in 0..3 {
-                    direct[d] += inv * dx[d];
-                }
-            }
+        for (&pi, direct) in pos.iter().zip(direct_accels(&pos, mass, cfg.eps)) {
             let bh = tree_accel(pi, cfg.theta);
             let mag = (direct[0].powi(2) + direct[1].powi(2) + direct[2].powi(2)).sqrt();
             let err = ((bh[0] - direct[0]).powi(2)
@@ -538,6 +524,23 @@ pub fn run(cfg: &BarnesConfig, env: &SyncEnv) -> KernelResult {
     driver::finish(env, elapsed, checksum.load(), validated, work)
 }
 
+/// Softened direct-sum accelerations, visiting each unordered pair once.
+fn direct_accels(pos: &[[f64; 3]], mass: f64, eps: f64) -> Vec<[f64; 3]> {
+    let mut direct = vec![[0.0f64; 3]; pos.len()];
+    for (i, pi) in pos.iter().enumerate() {
+        for (j, pj) in pos.iter().enumerate().skip(i + 1) {
+            let dx = [pj[0] - pi[0], pj[1] - pi[1], pj[2] - pi[2]];
+            let d2 = dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2] + eps * eps;
+            let inv = mass / (d2 * d2.sqrt());
+            for d in 0..3 {
+                direct[i][d] += inv * dx[d];
+                direct[j][d] -= inv * dx[d];
+            }
+        }
+    }
+    direct
+}
+
 /// `barnes`'s suite registration.
 #[derive(Debug, Clone, Copy)]
 pub struct Barnes;
@@ -571,6 +574,46 @@ mod tests {
             dt: 0.005,
             eps: 0.05,
             seed: 11,
+        }
+    }
+
+    /// The previous direct sum: every ordered pair.
+    fn direct_accels_ordered(pos: &[[f64; 3]], mass: f64, eps: f64) -> Vec<[f64; 3]> {
+        pos.iter()
+            .enumerate()
+            .map(|(i, pi)| {
+                let mut direct = [0.0f64; 3];
+                for (j, pj) in pos.iter().enumerate() {
+                    if i == j {
+                        continue;
+                    }
+                    let dx = [pj[0] - pi[0], pj[1] - pi[1], pj[2] - pi[2]];
+                    let d2 = dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2] + eps * eps;
+                    let inv = mass / (d2 * d2.sqrt());
+                    for d in 0..3 {
+                        direct[d] += inv * dx[d];
+                    }
+                }
+                direct
+            })
+            .collect()
+    }
+
+    #[test]
+    fn direct_sum_matches_the_ordered_pair_reference() {
+        for (n, seed) in [(1, 1), (2, 2), (33, 3), (2048, 4)] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let pos: Vec<[f64; 3]> = (0..n)
+                .map(|_| std::array::from_fn(|_| rng.gen_range(0.0..1.0)))
+                .collect();
+            let mass = 1.0 / n as f64;
+            let got = direct_accels(&pos, mass, 0.05);
+            let want = direct_accels_ordered(&pos, mass, 0.05);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                let mag = w.iter().map(|x| x * x).sum::<f64>().sqrt();
+                let err = (0..3).map(|d| (g[d] - w[d]).powi(2)).sum::<f64>().sqrt();
+                assert!(err <= 1e-9 * mag, "n {n}, body {i}: {g:?} vs {w:?}");
+            }
         }
     }
 

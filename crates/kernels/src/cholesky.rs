@@ -193,31 +193,42 @@ fn successors(t: &Task, nb: usize) -> Vec<Task> {
 /// significant).
 pub fn generate_matrix(cfg: &CholeskyConfig) -> Vec<f64> {
     let n = cfg.n;
-    let b = cfg.block;
-    let nb = cfg.nblocks();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     // A = G·Gᵀ + n·I with G random in [-1, 1).
     let g: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    let ix = block_index(cfg);
     let mut a = vec![0.0f64; n * n];
     for i in 0..n {
-        for j in 0..=i {
-            let mut s = 0.0;
+        let gi = &g[i * n..(i + 1) * n];
+        for j0 in (0..=i).step_by(4) {
+            // Four entries (i, j0..j0+4) at once, each its own sequential sum
+            // in t order; past the diagonal the last row is repeated unused.
+            let w = (i + 1 - j0).min(4);
+            let gj: [&[f64]; 4] = std::array::from_fn(|k| {
+                let j = j0 + k.min(w - 1);
+                &g[j * n..(j + 1) * n]
+            });
+            let mut s = [0.0f64; 4];
             for t in 0..n {
-                s += g[i * n + t] * g[j * n + t];
+                for k in 0..4 {
+                    s[k] += gi[t] * gj[k][t];
+                }
             }
-            if i == j {
-                s += n as f64;
+            for (k, &s) in s.iter().enumerate().take(w) {
+                let j = j0 + k;
+                let s = if i == j { s + n as f64 } else { s };
+                a[ix(i, j)] = s;
+                a[ix(j, i)] = s; // Mirror for validation convenience.
             }
-            let (bi, ii) = (i / b, i % b);
-            let (bj, jj) = (j / b, j % b);
-            a[(bi * nb + bj) * b * b + ii * b + jj] = s;
-            // Mirror for validation convenience.
-            let (bi, ii) = (j / b, j % b);
-            let (bj, jj) = (i / b, i % b);
-            a[(bi * nb + bj) * b * b + ii * b + jj] = s;
         }
     }
     a
+}
+
+/// Flat index of element (i, j) in contiguous-block layout.
+fn block_index(cfg: &CholeskyConfig) -> impl Fn(usize, usize) -> usize {
+    let (b, nb) = (cfg.block, cfg.nblocks());
+    move |i, j| (i / b * nb + j / b) * b * b + i % b * b + j % b
 }
 
 /// In-place lower Cholesky of a B×B block.
@@ -370,11 +381,7 @@ pub fn run(cfg: &CholeskyConfig, env: &SyncEnv) -> KernelResult {
         barrier.wait(ctx.tid);
     });
 
-    let validated = if cfg.n <= 256 {
-        validate(cfg, &original, &a)
-    } else {
-        checksum.load().is_finite()
-    };
+    let validated = validate(cfg, &original, &a);
 
     let bb3 = (b as u64).pow(3);
     let n_potrf = nb as u64;
@@ -421,31 +428,31 @@ impl Workload for Cholesky {
 
 /// Check `L·Lᵀ ≈ A` on the lower triangle.
 fn validate(cfg: &CholeskyConfig, original: &[f64], factored: &[f64]) -> bool {
+    max_err(cfg, original, factored) < 1e-6 * cfg.n as f64
+}
+
+/// `max |L·Lᵀ − A|` over the lower triangle, from a dense row-major copy of
+/// L: entry (i, j) is the dot product of rows i and j over `t ≤ j`.
+fn max_err(cfg: &CholeskyConfig, original: &[f64], factored: &[f64]) -> f64 {
     let n = cfg.n;
-    let at = |m: &[f64], i: usize, j: usize| {
-        crate::lu::at(
-            &crate::lu::LuConfig {
-                n: cfg.n,
-                block: cfg.block,
-                seed: 0,
-                layout: crate::lu::LuLayout::Contiguous,
-            },
-            m,
-            i,
-            j,
-        )
-    };
+    let ix = block_index(cfg);
+    let mut l = vec![0.0f64; n * n];
+    for i in 0..n {
+        for j in 0..=i {
+            l[i * n + j] = factored[ix(i, j)];
+        }
+    }
     let mut max_err = 0.0f64;
     for i in 0..n {
         for j in 0..=i {
-            let mut s = 0.0;
-            for t in 0..=j {
-                s += at(factored, i, t) * at(factored, j, t);
-            }
-            max_err = max_err.max((s - at(original, i, j)).abs());
+            let s = l[i * n..=i * n + j]
+                .iter()
+                .zip(&l[j * n..=j * n + j])
+                .fold(0.0, |s, (x, y)| s + x * y);
+            max_err = max_err.max((s - original[ix(i, j)]).abs());
         }
     }
-    max_err < 1e-6 * n as f64
+    max_err
 }
 
 #[cfg(test)]
@@ -453,6 +460,137 @@ mod tests {
     use super::*;
     use crate::common::close;
     use splash4_parmacs::SyncMode;
+
+    /// The previous input builder: one dot product per entry.
+    fn generate_matrix_by_dot(cfg: &CholeskyConfig) -> Vec<f64> {
+        let n = cfg.n;
+        let b = cfg.block;
+        let nb = cfg.nblocks();
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let g: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut a = vec![0.0f64; n * n];
+        for i in 0..n {
+            for j in 0..=i {
+                let mut s = 0.0;
+                for t in 0..n {
+                    s += g[i * n + t] * g[j * n + t];
+                }
+                if i == j {
+                    s += n as f64;
+                }
+                let (bi, ii) = (i / b, i % b);
+                let (bj, jj) = (j / b, j % b);
+                a[(bi * nb + bj) * b * b + ii * b + jj] = s;
+                let (bi, ii) = (j / b, j % b);
+                let (bj, jj) = (i / b, i % b);
+                a[(bi * nb + bj) * b * b + ii * b + jj] = s;
+            }
+        }
+        a
+    }
+
+    /// The previous oracle: every element read through `lu::at`.
+    fn validate_by_index(cfg: &CholeskyConfig, original: &[f64], factored: &[f64]) -> f64 {
+        let n = cfg.n;
+        let at = |m: &[f64], i: usize, j: usize| {
+            crate::lu::at(
+                &crate::lu::LuConfig {
+                    n: cfg.n,
+                    block: cfg.block,
+                    seed: 0,
+                    layout: crate::lu::LuLayout::Contiguous,
+                },
+                m,
+                i,
+                j,
+            )
+        };
+        let mut max_err = 0.0f64;
+        for i in 0..n {
+            for j in 0..=i {
+                let mut s = 0.0;
+                for t in 0..=j {
+                    s += at(factored, i, t) * at(factored, j, t);
+                }
+                max_err = max_err.max((s - at(original, i, j)).abs());
+            }
+        }
+        max_err
+    }
+
+    /// Factor `cfg`'s matrix by running the task list in order; returns
+    /// (original, factored).
+    fn factor(cfg: &CholeskyConfig) -> (Vec<f64>, Vec<f64>) {
+        let original = generate_matrix(cfg);
+        let mut a = original.clone();
+        let (nb, bb) = (cfg.nblocks(), cfg.block * cfg.block);
+        let blk = |a: &[f64], i: usize, j: usize| a[(i * nb + j) * bb..][..bb].to_vec();
+        for t in build_tasks(nb).0 {
+            let mut out = blk(&a, t.i, t.j);
+            match t.kind {
+                TaskKind::Potrf => potrf(&mut out, cfg.block),
+                TaskKind::Trsm => trsm(&blk(&a, t.k, t.k), &mut out, cfg.block),
+                TaskKind::Gemm => {
+                    gemm_nt(&blk(&a, t.i, t.k), &blk(&a, t.j, t.k), &mut out, cfg.block)
+                }
+            }
+            a[(t.i * nb + t.j) * bb..][..bb].copy_from_slice(&out);
+        }
+        (original, a)
+    }
+
+    #[test]
+    fn generate_matrix_is_bit_identical_to_the_by_dot_reference() {
+        for class in [InputClass::Check].into_iter().chain(InputClass::ALL) {
+            let cfg = CholeskyConfig::class(class);
+            let got = generate_matrix(&cfg);
+            let want = generate_matrix_by_dot(&cfg);
+            assert!(
+                got.iter()
+                    .zip(&want)
+                    .all(|(g, w)| g.to_bits() == w.to_bits()),
+                "{class:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn max_err_is_bit_identical_to_the_by_index_reference() {
+        for class in [InputClass::Check, InputClass::Test] {
+            let cfg = CholeskyConfig::class(class);
+            let (original, mut factored) = factor(&cfg);
+            for _ in 0..2 {
+                let got = max_err(&cfg, &original, &factored);
+                let want = validate_by_index(&cfg, &original, &factored);
+                assert_eq!(got.to_bits(), want.to_bits(), "{class:?}");
+                // Then a perturbed factorization.
+                factored[block_index(&cfg)(cfg.n - 1, 1)] += 0.25;
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_one_entry_off_by_1e_3_relative() {
+        let cfg = CholeskyConfig::class(InputClass::Test);
+        let (original, factored) = factor(&cfg);
+        assert!(validate(&cfg, &original, &factored));
+        let n = cfg.n;
+        for (i, j) in [(0, 0), (n / 2, n / 2), (n - 1, 0), (n - 1, n - 2)] {
+            let mut bad = factored.clone();
+            bad[block_index(&cfg)(i, j)] *= 1.0 + 1e-3;
+            assert!(!validate(&cfg, &original, &bad), "({i}, {j})");
+        }
+    }
+
+    #[test]
+    #[ignore = "Native class: run in release with --ignored"]
+    fn validates_at_native() {
+        let cfg = CholeskyConfig::class(InputClass::Native);
+        for mode in SyncMode::ALL {
+            let r = run(&cfg, &SyncEnv::new(mode, 2));
+            assert!(r.validated, "mode {mode}");
+        }
+    }
 
     #[test]
     fn potrf_factors_identity_scaled() {

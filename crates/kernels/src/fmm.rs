@@ -379,21 +379,8 @@ pub fn run(cfg: &FmmConfig, env: &SyncEnv) -> KernelResult {
         barrier.wait(ctx.tid);
     });
 
-    // Validation against direct summation.
     let validated = if n <= 4096 {
-        let mut max_rel = 0.0f64;
-        let mut scale = 0.0f64;
-        for i in 0..n {
-            let mut direct = 0.0;
-            for j in 0..n {
-                if i != j {
-                    direct += charge[j] * pos[i].sub(pos[j]).abs().ln();
-                }
-            }
-            scale = scale.max(direct.abs());
-            max_rel = max_rel.max((phi_store[i] - direct).abs());
-        }
-        max_rel / scale.max(1e-12) < 1e-3
+        validate(&pos, &charge, &phi_store)
     } else {
         checksum.load().is_finite()
     };
@@ -430,6 +417,34 @@ pub fn run(cfg: &FmmConfig, env: &SyncEnv) -> KernelResult {
     driver::finish(env, elapsed, checksum.load(), validated, work)
 }
 
+/// Every potential against direct summation, relative to the largest.
+fn validate(pos: &[Cpx], charge: &[f64], phi: &[f64]) -> bool {
+    let direct = direct_potentials(pos, charge);
+    let scale = direct.iter().map(|d| d.abs()).fold(0.0, f64::max);
+    let max_rel = phi
+        .iter()
+        .zip(&direct)
+        .map(|(p, d)| (p - d).abs())
+        .fold(0.0, f64::max);
+    max_rel / scale.max(1e-12) < 1e-3
+}
+
+/// `φ_i = Σ_{j≠i} q_j ln|z_i − z_j|`, visiting each unordered pair once
+/// with `ln|d| = ½ ln|d|²`.
+fn direct_potentials(pos: &[Cpx], charge: &[f64]) -> Vec<f64> {
+    let n = pos.len();
+    let mut direct = vec![0.0f64; n];
+    for i in 0..n {
+        for j in i + 1..n {
+            let d = pos[i].sub(pos[j]);
+            let l = 0.5 * (d.re * d.re + d.im * d.im).ln();
+            direct[i] += charge[j] * l;
+            direct[j] += charge[i] * l;
+        }
+    }
+    direct
+}
+
 /// `fmm`'s suite registration.
 #[derive(Debug, Clone, Copy)]
 pub struct Fmm;
@@ -461,6 +476,58 @@ mod tests {
             levels: 3,
             order: 16,
             seed: 13,
+        }
+    }
+
+    /// The previous direct sum: every ordered pair, with a `sqrt` each.
+    fn direct_potentials_ordered(pos: &[Cpx], charge: &[f64]) -> Vec<f64> {
+        let n = pos.len();
+        (0..n)
+            .map(|i| {
+                let mut direct = 0.0;
+                for j in 0..n {
+                    if i != j {
+                        direct += charge[j] * pos[i].sub(pos[j]).abs().ln();
+                    }
+                }
+                direct
+            })
+            .collect()
+    }
+
+    fn particles(n: usize, seed: u64) -> (Vec<Cpx>, Vec<f64>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let pos = (0..n)
+            .map(|_| Cpx::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
+            .collect();
+        let charge = (0..n).map(|_| rng.gen_range(0.5..1.5)).collect();
+        (pos, charge)
+    }
+
+    #[test]
+    fn direct_sum_matches_the_ordered_pair_reference() {
+        for (n, seed) in [(1, 1), (2, 2), (33, 3), (2048, 4)] {
+            let (pos, charge) = particles(n, seed);
+            let got = direct_potentials(&pos, &charge);
+            let want = direct_potentials_ordered(&pos, &charge);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(close(*g, *w, 1e-9), "n {n}, particle {i}: {g} vs {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_one_potential_off_by_1e_3_of_the_largest() {
+        let (pos, charge) = particles(512, 5);
+        let phi = direct_potentials_ordered(&pos, &charge);
+        assert!(validate(&pos, &charge, &phi));
+        // The tolerance is relative to the largest potential, so that is
+        // the unit a perturbation is measured in.
+        let scale = phi.iter().fold(0.0f64, |m, p| m.max(p.abs()));
+        for i in [0, 255, 511] {
+            let mut bad = phi.clone();
+            bad[i] += 1.001e-3 * scale;
+            assert!(!validate(&pos, &charge, &bad), "particle {i}");
         }
     }
 

@@ -305,11 +305,7 @@ pub fn run(cfg: &LuConfig, env: &SyncEnv) -> KernelResult {
         barrier.wait(ctx.tid);
     });
 
-    let validated = if cfg.n <= 512 {
-        validate(cfg, &original, &a)
-    } else {
-        checksum.load().is_finite()
-    };
+    let validated = validate(cfg, &original, &a);
 
     let nbu = nb as u64;
     let bb3 = (b as u64).pow(3);
@@ -386,25 +382,35 @@ impl Workload for LuNoncont {
 
 /// Check `L·U ≈ A` element-wise.
 fn validate(cfg: &LuConfig, original: &[f64], factored: &[f64]) -> bool {
+    max_err(cfg, original, factored) < 1e-6 * cfg.n as f64
+}
+
+/// `max |L·U − A|`, built a row at a time from a dense row-major copy of
+/// `factored`: row i of L·U is `Σ_{t<i} L[i][t]·U[t][t..]` plus `U[i][i..]`
+/// (L unit lower, U upper), each entry summed in t order.
+fn max_err(cfg: &LuConfig, original: &[f64], factored: &[f64]) -> f64 {
     let n = cfg.n;
+    let f: Vec<f64> = (0..n * n)
+        .map(|e| at(cfg, factored, e / n, e % n))
+        .collect();
+    let mut row = vec![0.0f64; n];
     let mut max_err = 0.0f64;
     for i in 0..n {
-        for j in 0..n {
-            // (L·U)[i][j] = Σ_t L[i][t]·U[t][j], L unit lower, U upper.
-            let upper = i.min(j + 1); // t < i contributes L[i][t]; t == i has L=1
-            let mut sum = 0.0;
-            for t in 0..upper {
-                if t <= j {
-                    sum += at(cfg, factored, i, t) * at(cfg, factored, t, j);
-                }
+        row.fill(0.0);
+        for t in 0..i {
+            let l = f[i * n + t];
+            for (r, u) in row[t..].iter_mut().zip(&f[t * n + t..(t + 1) * n]) {
+                *r += l * u;
             }
-            if i <= j {
-                sum += at(cfg, factored, i, j); // L[i][i] = 1 times U[i][j]
-            }
-            max_err = max_err.max((sum - at(cfg, original, i, j)).abs());
+        }
+        for (r, u) in row[i..].iter_mut().zip(&f[i * n + i..(i + 1) * n]) {
+            *r += u;
+        }
+        for (j, r) in row.iter().enumerate() {
+            max_err = max_err.max((r - at(cfg, original, i, j)).abs());
         }
     }
-    max_err < 1e-6 * cfg.n as f64
+    max_err
 }
 
 #[cfg(test)]
@@ -412,6 +418,107 @@ mod tests {
     use super::*;
     use crate::common::close;
     use splash4_parmacs::SyncMode;
+
+    /// The previous oracle: every element read through `LuConfig::index`.
+    fn validate_by_index(cfg: &LuConfig, original: &[f64], factored: &[f64]) -> f64 {
+        let n = cfg.n;
+        let mut max_err = 0.0f64;
+        for i in 0..n {
+            for j in 0..n {
+                // (L·U)[i][j] = Σ_t L[i][t]·U[t][j], L unit lower, U upper.
+                let upper = i.min(j + 1); // t < i contributes L[i][t]; t == i has L=1
+                let mut sum = 0.0;
+                for t in 0..upper {
+                    if t <= j {
+                        sum += at(cfg, factored, i, t) * at(cfg, factored, t, j);
+                    }
+                }
+                if i <= j {
+                    sum += at(cfg, factored, i, j); // L[i][i] = 1 times U[i][j]
+                }
+                max_err = max_err.max((sum - at(cfg, original, i, j)).abs());
+            }
+        }
+        max_err
+    }
+
+    /// Factor `cfg`'s matrix single-threaded; returns (original, factored).
+    fn factor(cfg: &LuConfig) -> (Vec<f64>, Vec<f64>) {
+        let original = generate_matrix(cfg);
+        let mut a = original.clone();
+        let nb = cfg.nblocks();
+        let view = SharedSlice::new(&mut a);
+        let ix = |bi: usize, bj: usize| move |ii: usize, jj: usize| cfg.index(bi, bj, ii, jj);
+        // SAFETY: single-threaded test owns the whole matrix.
+        unsafe {
+            for k in 0..nb {
+                lu0(&view, &ix(k, k), cfg.block);
+                for t in k + 1..nb {
+                    bmodd(&view, &ix(k, k), &ix(k, t), cfg.block);
+                    bdiv(&view, &ix(k, k), &ix(t, k), cfg.block);
+                }
+                for bi in k + 1..nb {
+                    for bj in k + 1..nb {
+                        bmod(&view, &ix(bi, k), &ix(k, bj), &ix(bi, bj), cfg.block);
+                    }
+                }
+            }
+        }
+        (original, a)
+    }
+
+    #[test]
+    fn max_err_is_bit_identical_to_the_by_index_reference() {
+        for layout in [LuLayout::Contiguous, LuLayout::RowMajor] {
+            for class in [InputClass::Check, InputClass::Test] {
+                let cfg = LuConfig {
+                    layout,
+                    ..LuConfig::class(class)
+                };
+                let (original, mut factored) = factor(&cfg);
+                for _ in 0..2 {
+                    let got = max_err(&cfg, &original, &factored);
+                    let want = validate_by_index(&cfg, &original, &factored);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{layout:?} {class:?}");
+                    // Then a perturbed factorization.
+                    factored[cfg.index(0, 1, 1, 2)] += 0.25;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_one_entry_off_by_1e_3_relative() {
+        for layout in [LuLayout::Contiguous, LuLayout::RowMajor] {
+            let cfg = LuConfig {
+                layout,
+                ..LuConfig::class(InputClass::Test)
+            };
+            let (original, factored) = factor(&cfg);
+            assert!(validate(&cfg, &original, &factored), "{layout:?}");
+            let n = cfg.n;
+            for (i, j) in [(0, 0), (n / 2, n / 2), (n - 1, 0), (3, n - 1)] {
+                let mut bad = factored.clone();
+                let b = cfg.block;
+                bad[cfg.index(i / b, j / b, i % b, j % b)] *= 1.0 + 1e-3;
+                assert!(!validate(&cfg, &original, &bad), "{layout:?} ({i}, {j})");
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "Native class: run in release with --ignored"]
+    fn validates_at_native() {
+        for cfg in [
+            LuConfig::class(InputClass::Native),
+            LuConfig::class_noncont(InputClass::Native),
+        ] {
+            for mode in SyncMode::ALL {
+                let r = run(&cfg, &SyncEnv::new(mode, 2));
+                assert!(r.validated, "mode {mode}, {:?}", cfg.layout);
+            }
+        }
+    }
 
     fn cfg32(layout: LuLayout) -> LuConfig {
         LuConfig {

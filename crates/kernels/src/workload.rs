@@ -10,7 +10,7 @@
 //! the model checker's kernel scenarios, the experiment service) consumes
 //! workloads through this one seam *by
 //! iteration, not by count*: the suite size appears in exactly one place
-//! (the [`BUILTIN`] table below), so adding a workload is one kernel file
+//! (the `BUILTIN` table below), so adding a workload is one kernel file
 //! plus one registration line — or, for out-of-tree workloads, a single
 //! [`register`] call at startup.
 
@@ -147,9 +147,10 @@ pub fn known_names() -> Vec<&'static str> {
 /// duplicate around their parallel regions.
 ///
 /// A kernel `run` builds its inputs and shared state, hands the parallel
-/// region to [`roi`] (team spawn + ROI wall-clock timing), then hands its
-/// checksum, validation verdict and *uncalibrated* [`WorkModel`] to
-/// [`finish`] (profile snapshot + model calibration + result assembly).
+/// region to [`roi`](driver::roi) (team spawn + ROI wall-clock timing),
+/// then hands its checksum, validation verdict and *uncalibrated*
+/// [`WorkModel`] to [`finish`](driver::finish) (profile snapshot + model
+/// calibration + result assembly).
 /// The ROI timing convention — the team exists before the clock starts,
 /// input generation and validation are excluded — and the calibration rule
 /// live here, once.

@@ -17,7 +17,7 @@
 //! [`Reducer`](crate::reduce::Reducer) through the crate's serial executor,
 //! [`SenseBarrier`](crate::barrier::SenseBarrier) as its arrival phase.
 //! Every atomic ordering comes from
-//! [`CombiningSpec`](crate::spec::CombiningSpec); arguments, results and the
+//! [`CombiningSpec`]; arguments, results and the
 //! combined state are plain data ([`DataCell`]) ordered only by the
 //! protocol's edges, and `splash4-check` runs this core over its own
 //! [`Atomics`] to check exactly that (`C1-combining`).

@@ -10,7 +10,7 @@
 //! # Striping
 //!
 //! The counters are *striped*: the block holds one cache-line-padded lane of
-//! counters per team member (see [`CachePadded`](crate::pad::CachePadded)),
+//! counters per team member (see [`CachePadded`]),
 //! and each increment lands in the lane indexed by the calling thread's
 //! [`current_tid`]. A shared flat block would make every sync op from every
 //! thread RMW the *same* cache lines — exactly the contended-line ping-pong

@@ -71,7 +71,7 @@ use std::sync::Arc;
 
 /// Exact per-reclaimer reclamation tallies (monotonic).
 ///
-/// Unlike the shared [`SyncCounters`](splash4_parmacs::SyncCounters) fold —
+/// Unlike the shared [`SyncCounters`] fold —
 /// which mixes every pool wired to one `SyncEnv` — these belong to a single
 /// reclaimer instance, so tests can assert `frees == retires` at
 /// quiescence for exactly the structure under test.

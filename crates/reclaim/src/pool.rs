@@ -1,7 +1,7 @@
 //! Dynamic task pool: the suite-facing seam over the reclaiming structures.
 //!
 //! [`TaskPool`] implements the suite's
-//! [`TaskQueue`](splash4_parmacs::TaskQueue) trait, so the task-parallel
+//! [`TaskQueue`] trait, so the task-parallel
 //! kernels can swap their fixed-capacity index pools for a truly dynamic
 //! pool by constructing one of these — producers are unbounded and popped
 //! task nodes are recycled through a [`Reclaimer`] instead of accumulating
