@@ -27,10 +27,11 @@
 //! serializes operations); weak-memory bugs surface as the races they would
 //! cause, which is exactly how they corrupt real executions.
 //!
-//! Blocking (spin loops, lock waits) is modelled explicitly: a thread that
-//! would spin parks on the location via `ThreadCtx::block_on` and is
-//! re-enabled by the next write to it. A thread that gives the token up and
-//! finds every unfinished thread parked on a location reports a **deadlock**
+//! Blocking is modelled explicitly: a thread that would spin parks on the
+//! location via `ThreadCtx::block_on` and is re-enabled by the next write to
+//! it; a thread that sleeps on a futex word (`ThreadCtx::op_wait`) is
+//! re-enabled only by a `ThreadCtx::op_wake` on it. A thread that gives the
+//! token up and finds every unfinished thread parked reports a **deadlock**
 //! (which is also how lost wakeups surface, since a wakeup that never comes
 //! leaves its waiter parked forever). A failure is the one event that wakes
 //! everybody: each parked thread unwinds out of its body, so no body
@@ -154,6 +155,8 @@ enum Status {
     Ready,
     /// Parked on a location; re-enabled by the next write to it.
     Blocked(usize),
+    /// Asleep on a futex word; re-enabled only by a wake on it.
+    Waiting(usize),
     /// Body returned (or unwound during an abort).
     Finished,
 }
@@ -201,6 +204,8 @@ pub enum Fault {
     /// A store, RMW or CAS reads the word and writes nothing: the forgotten
     /// update.
     Dropped,
+    /// A wake on the word wakes nobody: the lost wake-up.
+    LostWake,
 }
 
 /// Oldest-reachable cap on the admissible window of a weak load: a load may
@@ -373,12 +378,12 @@ impl EngineState {
                     .status
                     .iter()
                     .enumerate()
-                    .filter_map(|(t, s)| match s {
-                        Status::Blocked(loc) => {
-                            Some(format!("t{t} blocked on `{}`", self.atomics[*loc].name))
-                        }
+                    .filter_map(|(t, s)| match *s {
+                        Status::Blocked(loc) => Some((t, "blocked on", loc)),
+                        Status::Waiting(loc) => Some((t, "waits on", loc)),
                         _ => None,
                     })
+                    .map(|(t, how, loc)| format!("t{t} {how} `{}`", self.atomics[loc].name))
                     .collect();
                 if !blocked.is_empty() {
                     self.abort(Failure::Deadlock {
@@ -1023,6 +1028,22 @@ impl ThreadCtx {
             }
         }
         drop(self.hand_over(st, Status::Blocked(loc)));
+    }
+
+    /// Futex wait: sleep if `loc`'s latest value is `expected`, until an
+    /// `op_wake` on `loc` (a store does not end it). The caller re-checks.
+    pub(crate) fn op_wait(&self, loc: usize, expected: u64) {
+        let st = self.begin_op();
+        if st.atomics[loc].value == expected {
+            drop(self.hand_over(st, Status::Waiting(loc)));
+        }
+    }
+
+    /// Futex wake: make the first `n` threads asleep on `loc` runnable.
+    pub(crate) fn op_wake(&self, loc: usize, n: usize) {
+        let mut st = self.begin_op();
+        let asleep = st.status.iter_mut().filter(|s| **s == Status::Waiting(loc));
+        asleep.take(n).for_each(|s| *s = Status::Ready);
     }
 
     /// Plain-data read with happens-before race checking. Not a schedule

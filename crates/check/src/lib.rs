@@ -20,18 +20,18 @@
 //! * [`model`] implements the `parmacs` [`Atomics`](splash4_parmacs::Atomics)
 //!   facade for that engine, so the scenarios instantiate the **shipped**
 //!   `TreiberStack`, `SenseBarrier`, `AtomicF64`, `Reducer`, `AtomicFlag`,
-//!   `IndexCounter`, `CombiningCore` and `BoundedMpmcQueue`, the
-//!   `splash4-reclaim` pools and reclaimers and the `cmap` kernel's
-//!   `LockFreeMap`: the code that runs in
-//!   production is the code explored. The facade's `alloc`/`free` are
-//!   modelled too: a freed node stays quarantined until its execution ends,
-//!   and touching it is a **use-after-free** failure, not one executed. A
-//!   mutation test overrides one field of a [`splash4_parmacs::spec`] table
-//!   or injects a [`Fault`] at one named word; neither edits a construct.
-//! * [`shadow`] holds what cannot take that road: the Splash-3 sleeping
-//!   lock (a `Mutex` + `Condvar`, no atomics to swap) and its queue. No
-//!   other construct is re-enacted on raw engine cells; the two textbook
-//!   litmus shapes [`weakmem`] keeps there are tests of the engine.
+//!   `IndexCounter`, `CombiningCore` and `BoundedMpmcQueue`, the Splash-3
+//!   `SleepLock`, `LockedQueue`, `CondvarBarrier` and `CondvarFlag` (whose
+//!   futex sleep is the facade's `wait`/`wake`), the `splash4-reclaim` pools
+//!   and reclaimers and the `cmap` kernel's `LockFreeMap`: the code that
+//!   runs in production is the code explored, and no construct is
+//!   re-enacted on raw engine cells (the two textbook litmus shapes
+//!   [`weakmem`] keeps there are tests of the engine). The facade's
+//!   `alloc`/`free` are modelled too: a freed node stays quarantined until
+//!   its execution ends, and touching it is a **use-after-free** failure,
+//!   not one executed. A mutation test overrides one field of a
+//!   [`splash4_parmacs::spec`] table or injects a [`Fault`] at one named
+//!   word; neither edits a construct.
 //! * [`mod@explore`] enumerates schedules: bounded-preemption DFS plus a seeded
 //!   PCT-style random scheduler, with counterexample minimization and
 //!   replay — a failing interleaving prints as a deterministic schedule
@@ -85,7 +85,6 @@ pub mod kernel;
 pub mod linearize;
 pub mod model;
 pub mod reclaim;
-pub mod shadow;
 pub mod suite;
 pub mod weakmem;
 
@@ -104,7 +103,6 @@ pub use model::Model;
 pub use reclaim::{
     check_reclaim, check_reclaim_mutants, pool_scenario, reclaim_mutants, Scripts, Step,
 };
-pub use shadow::{ShadowLock, ShadowLockedQueue};
 pub use suite::{
     check_mutants, check_suite, flag_scenario, getsub_scenario, locked_queue_scenario, mutants,
     mutated, reduce_f64_scenario, reduce_u64_scenario, sense_barrier_scenario, treiber_scenario,

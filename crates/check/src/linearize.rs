@@ -1,7 +1,7 @@
 //! Linearizability testing: concurrent histories against sequential specs.
 //!
 //! The engine records an *invocation/response history* for every execution:
-//! each shadow-construct operation logs an [`Op`] when it starts and a
+//! each recorded construct operation logs an [`Op`] when it starts and a
 //! [`RetVal`] when it completes, stamped with the global step order the
 //! cooperative scheduler already imposes. A history is **linearizable** when
 //! some total order of the operations (a) respects real-time order — an

@@ -6,8 +6,9 @@
 //! A [`ModelWord`] is an engine atomic: each operation on it from a virtual
 //! thread is a schedule point with the vector-clock semantics of
 //! [`crate::engine`], and [`Word::snooze`] parks the thread until the word
-//! is written. A [`ModelCell`] keeps its value in place and reports each
-//! access to the race detector. Both find the engine through the
+//! is written; [`Atomics::wait`] parks it until an [`Atomics::wake`] on the
+//! word, as the futex does. A [`ModelCell`] keeps its value in place and
+//! reports each access to the race detector. Both find the engine through the
 //! thread-local it sets around an execution; outside a virtual thread
 //! (set-up, finale, drops) they act on the current value directly, so a
 //! finale may call the construct's own `load`. Both also tell the engine
@@ -21,7 +22,7 @@
 //! [`Sandbox::fault`](crate::Sandbox) makes the words of one name misbehave.
 
 use crate::engine::{with_current, with_running, Fault, Shared, ThreadCtx};
-use splash4_parmacs::atomics::{Atomics, DataCell, IntWord, Word};
+use splash4_parmacs::atomics::{Atomics, DataCell, IntWord, Wake, Word};
 use splash4_parmacs::Backoff;
 use std::cell::UnsafeCell;
 use std::fmt;
@@ -34,12 +35,26 @@ use std::sync::Arc;
 pub struct Model;
 
 impl Atomics for Model {
-    const OS_BLOCKING: bool = false;
+    type U32 = ModelWord<u32>;
     type U64 = ModelWord<u64>;
     type Usize = ModelWord<usize>;
     type Bool = ModelWord<bool>;
     type Ptr<T> = ModelWord<*mut T>;
     type Cell<T> = ModelCell<T>;
+
+    fn wait(word: &ModelWord<u32>, expected: u32) {
+        word.on(|ctx| {
+            let ctx = ctx.expect("a wait outside the schedule can never be woken");
+            ctx.op_wait(word.loc, u64::from(expected));
+        });
+    }
+
+    fn wake(word: &ModelWord<u32>, whom: Wake) {
+        let lost = word.fault == Some(Fault::LostWake);
+        let n = if lost { 0 } else { whom as usize };
+        // Outside the schedule nobody can be asleep.
+        word.on(|ctx| ctx.map_or((), |ctx| ctx.op_wake(word.loc, n)));
+    }
 
     fn spec<S: Copy + Send + 'static>(shipped: S) -> S {
         let installed = with_current(|c| c.and_then(|(shared, _)| shared.installed_spec()));
@@ -99,7 +114,7 @@ macro_rules! int_word {
     )*};
 }
 
-int_word!(u64, usize);
+int_word!(u32, u64, usize);
 
 impl Bits for bool {
     fn bits(self) -> u64 {
@@ -152,13 +167,13 @@ impl<V: Bits> ModelWord<V> {
     fn rmw(&self, ord: Ordering, f: impl Fn(u64) -> u64) -> u64 {
         self.on(|ctx| match (ctx, self.fault) {
             (None, _) => self.shared.raw(self.loc, |v| std::mem::replace(v, f(*v))),
-            (Some(ctx), None) => ctx.op_rmw(self.loc, ord, f),
             (Some(ctx), Some(Fault::Torn)) => {
                 let old = ctx.op_load(self.loc, ord);
                 ctx.op_store(self.loc, f(old), ord);
                 old
             }
             (Some(ctx), Some(Fault::Dropped)) => ctx.op_load(self.loc, ord),
+            (Some(ctx), _) => ctx.op_rmw(self.loc, ord, f),
         })
     }
 }
@@ -191,10 +206,13 @@ impl<V: Bits> Word<V> for ModelWord<V> {
         })
     }
 
+    fn swap(&self, v: V, ord: Ordering) -> V {
+        V::from_bits(self.rmw(ord, |_| v.bits()))
+    }
+
     fn compare_exchange(&self, cur: V, new: V, ok: Ordering, fail: Ordering) -> Result<V, V> {
         let (cur, new) = (cur.bits(), new.bits());
         let result = self.on(|ctx| match (ctx, self.fault) {
-            (Some(ctx), None) => ctx.op_cas(self.loc, cur, new, ok, fail),
             // The compare is what a torn CAS loses and a dropped one fakes.
             (Some(ctx), Some(Fault::Torn)) => {
                 ctx.op_store(self.loc, new, ok);
@@ -204,6 +222,7 @@ impl<V: Bits> Word<V> for ModelWord<V> {
                 ctx.op_load(self.loc, ok);
                 Ok(cur)
             }
+            (Some(ctx), _) => ctx.op_cas(self.loc, cur, new, ok, fail),
             (None, _) => self.shared.raw(self.loc, |v| {
                 let old = *v;
                 if old == cur {

@@ -17,10 +17,9 @@ use crate::engine::{Fault, Sandbox, ThreadCtx};
 use crate::explore::{explore, Budget, Scenario};
 use crate::linearize::{Op, RetVal, SpecModel};
 use crate::model::Model;
-use crate::shadow::ShadowLockedQueue;
 use splash4_parmacs::{
-    AtomicFlag, Barrier, FlagSpec, IndexCounter, PauseVar, ReduceF64, ReduceU64, Reducer,
-    SenseBarrier, SyncMode, TaskQueue, TreiberSpec, TreiberStack,
+    AtomicFlag, Barrier, CondvarBarrier, FlagSpec, IndexCounter, LockedQueue, PauseVar, ReduceF64,
+    ReduceU64, Reducer, SenseBarrier, SyncMode, TaskQueue, TreiberSpec, TreiberStack,
 };
 use std::collections::VecDeque;
 use std::fmt;
@@ -126,7 +125,7 @@ pub struct MutantReport {
 }
 
 /// Add a virtual thread that shares `shared` with its siblings.
-pub(crate) fn spawn<C: Send + Sync + 'static>(
+pub(crate) fn spawn<C: ?Sized + Send + Sync + 'static>(
     sb: &mut Sandbox,
     shared: &Arc<C>,
     body: impl FnOnce(&ThreadCtx, &C) + Send + 'static,
@@ -184,14 +183,15 @@ pub fn treiber_scenario(spec: TreiberSpec) -> impl Fn(&mut Sandbox) + Sync {
 
 /// Sense-barrier workload: three threads, two double-barrier episodes with
 /// a plain-data phase cell written between the barriers of each episode.
-/// `mode` picks the arrival: `fetch_add` (V1) or combined (C1).
+/// `mode` picks the barrier: the futex barrier (Splash-3), or the sense
+/// barrier arriving by `fetch_add` (V1) or combined (C1).
 pub fn sense_barrier_scenario(mode: SyncMode) -> impl Fn(&mut Sandbox) + Sync {
     move |sb: &mut Sandbox| {
-        let bar: Arc<SenseBarrier<Model>> = Arc::new(match mode {
-            SyncMode::LockBased => panic!("the Splash-3 barrier sleeps on a condvar: not modelled"),
-            SyncMode::LockFree => SenseBarrier::new(3, Arc::default()),
-            SyncMode::Combining => SenseBarrier::combining(3, Arc::default()),
-        });
+        let bar: Arc<dyn Barrier> = match mode {
+            SyncMode::LockBased => Arc::new(CondvarBarrier::<Model>::new(3, Arc::default())),
+            SyncMode::LockFree => Arc::new(SenseBarrier::<Model>::new(3, Arc::default())),
+            SyncMode::Combining => Arc::new(SenseBarrier::<Model>::combining(3, Arc::default())),
+        };
         let phase = sb.alloc_data("phase", 0);
         for tid in 0..3usize {
             spawn(sb, &bar, move |ctx, bar| {
@@ -328,33 +328,24 @@ pub fn getsub_scenario(mode: SyncMode) -> impl Fn(&mut Sandbox) + Sync {
     }
 }
 
-/// Locked-queue workload: three threads mixing enqueues and dequeues, with
-/// the critical-section canary arming the race detector against a broken
-/// lock.
+/// Locked-queue workload: three threads mixing enqueues and dequeues on
+/// the shipped `LockedQueue`, whose items are a plain-data cell: a lock
+/// that fails to exclude shows as a data race.
 pub fn locked_queue_scenario() -> impl Fn(&mut Sandbox) + Sync {
     move |sb: &mut Sandbox| {
-        let q = Arc::new(ShadowLockedQueue::new(sb));
+        let q = Arc::new(LockedQueue::<u64, Model>::new(Arc::default()));
         sb.spec(SpecModel::Fifo(VecDeque::new()));
-        let (peek, qf) = (sb.peek(), Arc::clone(&q));
-        sb.finale(move || {
-            let c = qf.final_canary(&peek);
-            if c == 6 {
-                Ok(())
-            } else {
-                Err(format!("lock canary saw {c} critical sections, want 6"))
-            }
+        spawn(sb, &q, |ctx, q| {
+            recorded(ctx, Op::Enqueue(1), || q.push(1));
+            recorded(ctx, Op::Enqueue(2), || q.push(2));
         });
         spawn(sb, &q, |ctx, q| {
-            q.enqueue(ctx, 1);
-            q.enqueue(ctx, 2);
+            recorded(ctx, Op::Enqueue(3), || q.push(3));
+            recorded(ctx, Op::Dequeue, || q.pop());
         });
         spawn(sb, &q, |ctx, q| {
-            q.enqueue(ctx, 3);
-            q.dequeue(ctx);
-        });
-        spawn(sb, &q, |ctx, q| {
-            q.dequeue(ctx);
-            q.dequeue(ctx);
+            recorded(ctx, Op::Dequeue, || q.pop());
+            recorded(ctx, Op::Dequeue, || q.pop());
         });
     }
 }

@@ -3,19 +3,22 @@
 //! only while the engine takes the same decisions in the same order. These
 //! constants pin the *engine*, so every scenario here is built from raw
 //! engine cells and contains no construct code — a refactor of a shipped
-//! construct changes its own schedule points, never these. The `mp_flag`
-//! rows were captured at the commit before scheduling moved from a
-//! controller thread into the virtual threads; the locked-queue rows at the
-//! commit before the scenarios began to run the shipped constructs through
-//! the `Atomics` facade. The mutant row moved once: it was `cmap-blind-mark`
-//! on the raw-cell chain skeleton until `cmap_chain_scenario` began to run
-//! the shipped `LockFreeMap` (whose schedule points are its own, pinned in
-//! `soundness.rs`), and is the raw store-buffering litmus under weak memory
-//! since, captured at the last commit that had the skeleton.
+//! construct changes its own schedule points, never these. The weak
+//! `mp_flag` rows were captured at the commit before scheduling moved from
+//! a controller thread into the virtual threads. The `Sc` thread-choice
+//! rows were the locked queue's until `locked_queue_scenario` began to run
+//! the shipped `LockedQueue`; since then they are `mp_flag` under `Sc`
+//! (which parks through `block_on`), captured at the commit before the
+//! engine learned the futex pair (`op_wait`, `op_wake`). The mutant row
+//! moved once: it was `cmap-blind-mark` on the raw-cell chain skeleton
+//! until `cmap_chain_scenario` began to run the shipped `LockFreeMap`
+//! (whose schedule points are its own, pinned in `soundness.rs`), and is
+//! the raw store-buffering litmus under weak memory since, captured at the
+//! last commit that had the skeleton.
 
 use splash4_check::{
-    explore, locked_queue_scenario, mp_flag_scenario, replay, replay_under, sb_epoch_scenario,
-    Budget, MemoryModel, Schedule, WEAK_STALE_READS,
+    explore, mp_flag_scenario, replay, replay_under, sb_epoch_scenario, Budget, MemoryModel,
+    Schedule, WEAK_STALE_READS,
 };
 use splash4_parmacs::{EpochSpec, FlagSpec};
 use std::sync::atomic::Ordering;
@@ -26,9 +29,9 @@ const WEAK: MemoryModel = MemoryModel::Weak {
 
 #[test]
 fn decisions_are_pinned() {
-    let sc = explore(&locked_queue_scenario(), &Budget::small(1));
+    let sc = explore(&mp_flag_scenario(FlagSpec::SPLASH4), &Budget::small(1));
     assert!(sc.counterexample.is_none());
-    assert_eq!((sc.distinct_schedules, sc.executions), (512, 512));
+    assert_eq!((sc.distinct_schedules, sc.executions), (9, 2000));
 
     let weak = Budget {
         memory: WEAK,
@@ -58,18 +61,17 @@ fn decisions_are_pinned() {
 /// under `Sc`, thread and value-window choices interleaved under `Weak`.
 #[test]
 fn replayed_prefixes_are_pinned() {
-    let locked = locked_queue_scenario();
+    let mp_flag = mp_flag_scenario(FlagSpec::SPLASH4);
     for (prefix, full, steps) in [
-        ("-", "0*5,1*5", 12),
-        ("1,2,0,1,2,0", "1,2,0,1,2,0,1*2,0*5", 14),
-        ("2*3,1*2,0*4,2", "2*3,1*2,0*2,1,0,2*2,0*4", 13),
-        ("0,1,0,1,2,2,0", "0,1,0,1,2*2,0*2,1*5", 14),
+        ("-", "0*3", 4),
+        ("1,0,1", "1,0,1", 5),
+        ("1*3,0", "1*2", 5),
+        ("1,0,0,1,1", "1,0*2,1", 5),
     ] {
-        let re = replay(&locked, &Schedule::parse(prefix).unwrap(), 20_000);
+        let re = replay(&mp_flag, &Schedule::parse(prefix).unwrap(), 20_000);
         assert!(re.failure.is_none(), "{prefix}: {:?}", re.failure);
         assert_eq!((re.schedule.to_string().as_str(), re.steps), (full, steps));
     }
-    let mp_flag = mp_flag_scenario(FlagSpec::SPLASH4);
     for (prefix, full, steps) in [
         ("-", "0*3,1*4", 8),
         ("0*4,1", "0*4", 4),

@@ -3,13 +3,15 @@
 //! scenarios run the shipped constructs, cover what no transcription could.
 
 use splash4_check::{
-    cmap_chain_scenario, explore, mutants, mutated, pool_scenario, reduce_f64_scenario, replay,
-    sense_barrier_scenario, treiber_scenario, Budget, Fault, Model, Op, RetVal, Sandbox, Schedule,
-    SpecModel, Step,
+    cmap_chain_scenario, explore, getsub_scenario, locked_queue_scenario, mutants, mutated,
+    pool_scenario, reduce_f64_scenario, reduce_u64_scenario, replay, sense_barrier_scenario,
+    treiber_scenario, Budget, Fault, Model, Op, RetVal, Sandbox, Schedule, SpecModel, Step,
 };
 use splash4_kernels::cmap::LockFreeMap;
 use splash4_parmacs::atomics::{Atomics, DataCell, Std, Word};
-use splash4_parmacs::{CombiningCore, IndexCounter, ReduceU64, Reducer, SyncMode, TreiberSpec};
+use splash4_parmacs::{
+    CombiningCore, CondvarFlag, IndexCounter, PauseVar, ReduceU64, Reducer, SyncMode, TreiberSpec,
+};
 use splash4_reclaim::{PoolShape, ReclaimKind, TaskPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -89,12 +91,98 @@ fn exploration_is_deterministic_per_seed() {
     assert_eq!(a.counterexample.is_none(), b.counterexample.is_none());
 }
 
+/// A scenario under a name.
+type Row = (&'static str, Box<dyn Fn(&mut Sandbox) + Sync>);
+
+/// Two waiters take a payload from a setter through the shipped futex flag,
+/// whose word the waiters may sleep on.
+fn condvar_flag_scenario(sb: &mut Sandbox) {
+    struct Handoff {
+        flag: CondvarFlag<Model>,
+        payload: <Model as Atomics>::Cell<u64>,
+    }
+    // SAFETY: one virtual thread runs at a time, and the model unwinds out
+    // of an access to `payload` that races.
+    unsafe impl Sync for Handoff {}
+
+    let shared = Arc::new(Handoff {
+        flag: CondvarFlag::new(Arc::default()),
+        payload: DataCell::new("payload", 0),
+    });
+    for tid in 0..3 {
+        let h = Arc::clone(&shared);
+        sb.thread(move |ctx| {
+            if tid == 0 {
+                // SAFETY: see `Handoff`.
+                unsafe { h.payload.with_mut(|v| *v = 42) };
+                h.flag.set();
+            } else {
+                h.flag.wait();
+                // SAFETY: see `Handoff`.
+                let v = unsafe { h.payload.with(|v| *v) };
+                ctx.check(v == 42, "the flag publishes the payload");
+            }
+        });
+    }
+}
+
+/// The Splash-3 generation as shipped: the futex barrier, the flag, and the
+/// futex lock under `Serial`'s locked arm of the counter and reductions.
 #[test]
-#[should_panic(expected = "SyncMode::LockBased sleeps")]
-fn a_sleeping_primitive_under_the_model_fails_at_construction() {
-    // `SleepLock` is a mutex and a condvar: a virtual thread parked in the OS
-    // would hold the token forever. Loud, not hung.
-    explore(&reduce_f64_scenario(SyncMode::LockBased), &budget(8));
+fn the_splash3_constructs_pass_as_shipped() {
+    let rows: [Row; 5] = [
+        (
+            "barrier",
+            Box::new(sense_barrier_scenario(SyncMode::LockBased)),
+        ),
+        ("getsub", Box::new(getsub_scenario(SyncMode::LockBased))),
+        (
+            "reduce-f64",
+            Box::new(reduce_f64_scenario(SyncMode::LockBased)),
+        ),
+        (
+            "reduce-u64",
+            Box::new(reduce_u64_scenario(SyncMode::LockBased)),
+        ),
+        ("flag", Box::new(condvar_flag_scenario)),
+    ];
+    for (name, scenario) in rows {
+        let report = explore(&*scenario, &budget(8));
+        assert!(
+            report.counterexample.is_none(),
+            "{name}: {:?}",
+            report.counterexample
+        );
+        assert!(
+            report.distinct_schedules >= 64,
+            "{name}: {}",
+            report.distinct_schedules
+        );
+    }
+}
+
+/// A wake that never comes leaves its sleeper asleep: with every wake on one
+/// word lost, each futex construct deadlocks, and the report names the word.
+#[test]
+fn a_lost_wake_up_is_a_deadlock_naming_the_word() {
+    let rows: [Row; 3] = [
+        ("lock", Box::new(locked_queue_scenario())),
+        (
+            "barrier.generation",
+            Box::new(sense_barrier_scenario(SyncMode::LockBased)),
+        ),
+        ("flag", Box::new(condvar_flag_scenario)),
+    ];
+    for (word, scenario) in rows {
+        let lost = mutated(|sb| sb.fault(word, Fault::LostWake), scenario);
+        let report = explore(&lost, &budget(9));
+        let cex = report
+            .counterexample
+            .unwrap_or_else(|| panic!("a lost wake on `{word}` not detected"));
+        assert_eq!(cex.failure.kind(), "deadlock", "{cex}");
+        let what = cex.failure.to_string();
+        assert!(what.contains(&format!("waits on `{word}`")), "{what}");
+    }
 }
 
 /// The wrap-and-re-issue bug class: chunked grabs, single grabs and polls

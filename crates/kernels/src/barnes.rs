@@ -15,7 +15,7 @@ use crate::common::{KernelResult, SharedSlice};
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
 use splash4_parmacs::SmallRng;
-use splash4_parmacs::{Counter, Dispatch, PhaseSpec, RawLock, SyncEnv, WorkModel};
+use splash4_parmacs::{Counter, Dispatch, PhaseSpec, SyncEnv, WorkModel};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Barnes-Hut kernel configuration.

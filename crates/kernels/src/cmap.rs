@@ -29,7 +29,7 @@ use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
 use splash4_parmacs::atomics::{Atomics, DataCell, Std, Word};
 use splash4_parmacs::{
-    CMapSpec, ConstructClass, Counter, PhaseSpec, RawLock, SmallRng, SyncCounters, SyncEnv,
+    CMapSpec, ConstructClass, Counter, PhaseSpec, SleepLock, SmallRng, SyncCounters, SyncEnv,
     TraceEvent, WorkModel,
 };
 use splash4_reclaim::{EpochReclaimer, ReclaimStats, Reclaimer};
@@ -436,7 +436,7 @@ impl<A: Atomics> Drop for LockFreeMap<A> {
 
 struct LockedMap<'a> {
     buckets: SharedSlice<'a, Vec<(u64, u64)>>,
-    locks: Vec<Arc<dyn RawLock>>,
+    locks: Vec<SleepLock>,
     stats: Arc<SyncCounters>,
 }
 

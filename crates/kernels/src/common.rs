@@ -2,7 +2,7 @@
 //! dual-mode accumulator used for fine-grained force/energy updates.
 
 use splash4_parmacs::{
-    ConstructClass, Counter, RawLock, SyncCounters, SyncEnv, SyncProfile, TraceEvent, WorkModel,
+    ConstructClass, Counter, SleepLock, SyncCounters, SyncEnv, SyncProfile, TraceEvent, WorkModel,
 };
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,7 +139,7 @@ impl<T> std::fmt::Debug for SharedSlice<'_, T> {
 pub struct SharedAccum {
     cells: Vec<AtomicU64>,
     /// `Some` in lock-based mode: one lock per `bank` consecutive cells.
-    locks: Option<Vec<Arc<dyn RawLock>>>,
+    locks: Option<Vec<SleepLock>>,
     bank: usize,
     stats: Arc<SyncCounters>,
 }
@@ -235,7 +235,7 @@ impl SharedAccum {
 /// lock-free mode uses `fetch_add`.
 pub struct SharedCounters {
     cells: Vec<AtomicU64>,
-    locks: Option<Vec<Arc<dyn RawLock>>>,
+    locks: Option<Vec<SleepLock>>,
     bank: usize,
     stats: Arc<SyncCounters>,
 }

@@ -1,8 +1,8 @@
 //! The atomics facade: the one seam between the lock-free constructs and
 //! the memory they synchronize through.
 //!
-//! Every shipped lock-free construct is generic over an [`Atomics`], with
-//! [`Std`] as the default: `std::sync::atomic` behind `#[repr(transparent)]`,
+//! Every shipped construct is generic over an [`Atomics`], with [`Std`] as
+//! the default: `std::sync::atomic` behind `#[repr(transparent)]`,
 //! `#[inline]` wrappers, the shipped ordering tables as constants — what
 //! production code compiled to before the facade existed. The model checker
 //! (`splash4-check`) supplies the other implementation, whose words are
@@ -10,14 +10,15 @@
 //! that is how it checks *these* constructs and not a transcription.
 //!
 //! What goes through the facade is the protocol: the words a construct's
-//! correctness argument names, and the plain data other threads reach
-//! through them ([`DataCell`]). Telemetry — `len`,
-//! [`SyncCounters`](crate::SyncCounters), trace events — stays on `std`
-//! atomics and is never a schedule point.
+//! correctness argument names, the plain data other threads reach through
+//! them ([`DataCell`]), and the Splash-3 constructs' sleep ([`Atomics::wait`]
+//! and [`Atomics::wake`], the futex pair glibc builds pthreads objects
+//! from). Telemetry — `len`, [`SyncCounters`](crate::SyncCounters), trace
+//! events — stays on `std` atomics and is never a schedule point.
 
 use crate::backoff::Backoff;
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// One atomic word holding a `V`. `name` labels the word in the model
 /// checker's diagnostics and fault table; [`Std`] discards it.
@@ -28,6 +29,8 @@ pub trait Word<V: Copy>: Send + Sync {
     fn load(&self, ord: Ordering) -> V;
     /// Atomic store.
     fn store(&self, v: V, ord: Ordering);
+    /// Atomic swap; returns the previous value.
+    fn swap(&self, v: V, ord: Ordering) -> V;
     /// Atomic compare-exchange: `Ok(previous)` or `Err(actual)`.
     fn compare_exchange(&self, cur: V, new: V, ok: Ordering, fail: Ordering) -> Result<V, V>;
     /// [`Word::compare_exchange`] that may fail spuriously (for retry loops).
@@ -87,12 +90,20 @@ pub trait DataCell<T> {
     fn get_mut(&mut self) -> &mut T;
 }
 
-/// The memory a lock-free construct runs on.
+/// Whom [`Atomics::wake`] wakes; the discriminant is the futex wake count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u32)]
+pub enum Wake {
+    /// One sleeper, if any.
+    One = 1,
+    /// Every sleeper.
+    All = i32::MAX as u32,
+}
+
+/// The memory a construct runs on.
 pub trait Atomics: Sized + 'static {
-    /// `true` when a thread may sleep in the OS (mutex, condvar). The model
-    /// checker runs one virtual thread at a time and says `false`, so a
-    /// Splash-3 sleeping primitive over it fails at construction, not hangs.
-    const OS_BLOCKING: bool;
+    /// 32-bit word, the one a thread can sleep on.
+    type U32: IntWord<u32>;
     /// 64-bit word.
     type U64: IntWord<u64>;
     /// Pointer-sized integer word.
@@ -103,6 +114,11 @@ pub trait Atomics: Sized + 'static {
     type Ptr<T>: Word<*mut T>;
     /// Plain-data cell.
     type Cell<T>: DataCell<T>;
+    /// Sleep while `word` holds `expected` (futex wait), until a
+    /// [`Atomics::wake`] on it. May return spuriously: callers re-check.
+    fn wait(word: &Self::U32, expected: u32);
+    /// Wake threads sleeping in [`Atomics::wait`] on `word` (futex wake).
+    fn wake(word: &Self::U32, whom: Wake);
     /// The ordering table (of [`crate::spec`]) a construct runs with: the
     /// `shipped` constant it passes in, unless a checker scenario installed
     /// a mutated table of that type.
@@ -124,12 +140,20 @@ pub trait Atomics: Sized + 'static {
 pub struct Std;
 
 impl Atomics for Std {
-    const OS_BLOCKING: bool = true;
+    type U32 = StdU32;
     type U64 = StdU64;
     type Usize = StdUsize;
     type Bool = StdBool;
     type Ptr<T> = StdPtr<T>;
     type Cell<T> = StdCell<T>;
+    #[inline]
+    fn wait(word: &StdU32, expected: u32) {
+        futex(&word.0, FUTEX_WAIT_PRIVATE, expected);
+    }
+    #[inline]
+    fn wake(word: &StdU32, whom: Wake) {
+        futex(&word.0, FUTEX_WAKE_PRIVATE, whom as u32);
+    }
     #[inline]
     fn spec<S: Copy + Send + 'static>(shipped: S) -> S {
         shipped
@@ -166,6 +190,10 @@ macro_rules! std_word {
                 self.0.store(v, ord);
             }
             #[inline]
+            fn swap(&self, v: $v, ord: Ordering) -> $v {
+                self.0.swap(v, ord)
+            }
+            #[inline]
             fn compare_exchange(
                 &self,
                 cur: $v,
@@ -197,6 +225,7 @@ macro_rules! std_word {
     };
 }
 
+std_word!("[`Std`]'s 32-bit word.", StdU32, AtomicU32, u32);
 std_word!("[`Std`]'s 64-bit word.", StdU64, AtomicU64, u64);
 std_word!(
     "[`Std`]'s pointer-sized word.",
@@ -207,17 +236,54 @@ std_word!(
 std_word!("[`Std`]'s boolean word.", StdBool, AtomicBool, bool);
 std_word!("[`Std`]'s pointer word.", StdPtr<T>, AtomicPtr<T>, *mut T);
 
-impl IntWord<u64> for StdU64 {
-    #[inline]
-    fn fetch_add(&self, v: u64, ord: Ordering) -> u64 {
-        self.0.fetch_add(v, ord)
-    }
+macro_rules! std_int_word {
+    ($($name:ident: $v:ty),*) => {$(
+        impl IntWord<$v> for $name {
+            #[inline]
+            fn fetch_add(&self, v: $v, ord: Ordering) -> $v {
+                self.0.fetch_add(v, ord)
+            }
+        }
+    )*};
 }
 
-impl IntWord<usize> for StdUsize {
-    #[inline]
-    fn fetch_add(&self, v: usize, ord: Ordering) -> usize {
-        self.0.fetch_add(v, ord)
+std_int_word!(StdU32: u32, StdU64: u64, StdUsize: usize);
+
+const FUTEX_WAIT_PRIVATE: i32 = 128;
+const FUTEX_WAKE_PRIVATE: i32 = 129;
+
+/// One futex call on `word`: `val` is a wait's expected value or a wake's
+/// count. Linux on x86-64 or AArch64, whose `SYS_futex` numbers are known.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64"),
+    not(miri)
+))]
+fn futex(word: &AtomicU32, op: i32, val: u32) {
+    extern "C" {
+        fn syscall(number: i64, ...) -> i64;
+    }
+    #[cfg(target_arch = "x86_64")]
+    const SYS_FUTEX: i64 = 202;
+    #[cfg(target_arch = "aarch64")]
+    const SYS_FUTEX: i64 = 98;
+    // SAFETY: `word` is a live, aligned u32 for the whole call, and a null
+    // timeout sleeps until woken (a wake ignores it). An error (the word
+    // moved, a signal) is a spurious return, which callers re-check.
+    unsafe { syscall(SYS_FUTEX, word.as_ptr(), op, val, std::ptr::null::<u8>()) };
+}
+
+/// Where that call cannot run (other hosts, and Miri, which does not model
+/// `syscall`): a wait yields and a wake does nothing, which is correct
+/// because a wait may return spuriously.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64"),
+    not(miri)
+)))]
+fn futex(_word: &AtomicU32, op: i32, _val: u32) {
+    if op == FUTEX_WAIT_PRIVATE {
+        std::thread::yield_now();
     }
 }
 

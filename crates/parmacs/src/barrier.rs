@@ -2,9 +2,9 @@
 //!
 //! Two algorithms:
 //!
-//! * [`CondvarBarrier`] — mutex + condition-variable generation barrier; the
-//!   pthreads expansion used by Splash-3. Threads *sleep* while waiting, so
-//!   every episode pays wake-up latency proportional to the scheduler.
+//! * [`CondvarBarrier`] — futex generation barrier; the pthreads expansion
+//!   used by Splash-3. Threads *sleep* while waiting, so every episode pays
+//!   wake-up latency proportional to the scheduler.
 //! * [`SenseBarrier`] — sense-reversing, spin-with-backoff; the atomic
 //!   expansion used by Splash-4 (arrivals `fetch_add` a central counter) and
 //!   Splash-4x (arrivals batched through a combiner). Only the arrival
@@ -13,14 +13,15 @@
 //! Both are reusable (cyclic) and instrumented through a shared
 //! [`SyncCounters`].
 
-use crate::atomics::{Atomics, IntWord, Std, Word};
+use crate::atomics::{Atomics, IntWord, Std, Wake, Word};
 use crate::backoff::Backoff;
 use crate::combining::CombiningCore;
 use crate::spec::SenseBarrierSpec;
 use crate::stats::{Counter, SyncCounters};
 use crate::trace::TraceEvent;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// A reusable (cyclic) phase barrier for a fixed set of participants.
 pub trait Barrier: Send + Sync + fmt::Debug {
@@ -33,53 +34,58 @@ pub trait Barrier: Send + Sync + fmt::Debug {
     fn participants(&self) -> usize;
 }
 
-/// Mutex + condvar generation barrier (the Splash-3 / pthreads expansion).
-pub struct CondvarBarrier {
+/// One episode as every barrier here accounts it: counted, traced on entry
+/// and exit, and timed around `wait`.
+fn episode(stats: &SyncCounters, id: u32, wait: impl FnOnce()) {
+    stats.bump(Counter::BarrierWaits);
+    stats.trace(TraceEvent::BarrierEnter { id });
+    stats.timed(Counter::BarrierWaitNs, wait);
+    stats.trace(TraceEvent::BarrierExit { id });
+}
+
+/// Futex generation barrier (the Splash-3 / pthreads expansion): arrivals
+/// count on one word; the last arriver bumps a generation word and wakes
+/// every sleeper, the others sleep in [`Atomics::wait`] until it moves.
+pub struct CondvarBarrier<A: Atomics = Std> {
     n: usize,
-    state: Mutex<(usize, u64)>, // (arrived, generation)
-    cv: Condvar,
+    arrived: A::U32,
+    generation: A::U32,
     stats: Arc<SyncCounters>,
     trace_id: u32,
 }
 
-impl CondvarBarrier {
+impl<A: Atomics> CondvarBarrier<A> {
     /// Barrier for `n` participants reporting into `stats`.
     ///
     /// # Panics
     /// Panics if `n == 0`.
-    pub fn new(n: usize, stats: Arc<SyncCounters>) -> CondvarBarrier {
+    pub fn new(n: usize, stats: Arc<SyncCounters>) -> CondvarBarrier<A> {
         assert!(n > 0, "barrier needs at least one participant");
         CondvarBarrier {
             n,
-            state: Mutex::new((0, 0)),
-            cv: Condvar::new(),
+            arrived: A::U32::new("barrier.arrived", 0),
+            generation: A::U32::new("barrier.generation", 0),
             trace_id: stats.alloc_barrier_id(),
             stats,
         }
     }
 }
 
-impl Barrier for CondvarBarrier {
+impl<A: Atomics> Barrier for CondvarBarrier<A> {
     fn wait(&self, _tid: usize) {
-        self.stats.bump(Counter::BarrierWaits);
-        self.stats
-            .trace(TraceEvent::BarrierEnter { id: self.trace_id });
-        self.stats.timed(Counter::BarrierWaitNs, || {
-            let mut st = self.state.lock().expect("barrier mutex poisoned");
-            let gen = st.1;
-            st.0 += 1;
-            if st.0 == self.n {
-                st.0 = 0;
-                st.1 = st.1.wrapping_add(1);
-                self.cv.notify_all();
+        episode(&self.stats, self.trace_id, || {
+            let gen = self.generation.load(Ordering::Acquire);
+            if self.arrived.fetch_add(1, Ordering::AcqRel) as usize == self.n - 1 {
+                // Nobody arrives again before the bump releases them.
+                self.arrived.store(0, Ordering::Relaxed);
+                self.generation.fetch_add(1, Ordering::Release);
+                A::wake(&self.generation, Wake::All);
             } else {
-                while st.1 == gen {
-                    st = self.cv.wait(st).expect("barrier mutex poisoned");
+                while self.generation.load(Ordering::Acquire) == gen {
+                    A::wait(&self.generation, gen);
                 }
             }
         });
-        self.stats
-            .trace(TraceEvent::BarrierExit { id: self.trace_id });
     }
 
     fn participants(&self) -> usize {
@@ -87,7 +93,7 @@ impl Barrier for CondvarBarrier {
     }
 }
 
-impl fmt::Debug for CondvarBarrier {
+impl<A: Atomics> fmt::Debug for CondvarBarrier<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CondvarBarrier")
             .field("n", &self.n)
@@ -185,10 +191,7 @@ impl<A: Atomics> SenseBarrier<A> {
 impl<A: Atomics> Barrier for SenseBarrier<A> {
     fn wait(&self, _tid: usize) {
         let s = A::spec(SenseBarrierSpec::SPLASH4);
-        self.stats.bump(Counter::BarrierWaits);
-        self.stats
-            .trace(TraceEvent::BarrierEnter { id: self.trace_id });
-        self.stats.timed(Counter::BarrierWaitNs, || {
+        episode(&self.stats, self.trace_id, || {
             let gen = self.generation.load(s.generation_load);
             if self.arrive(s) {
                 // Last arriver: release everyone.
@@ -200,8 +203,6 @@ impl<A: Atomics> Barrier for SenseBarrier<A> {
                 }
             }
         });
-        self.stats
-            .trace(TraceEvent::BarrierExit { id: self.trace_id });
     }
 
     fn participants(&self) -> usize {

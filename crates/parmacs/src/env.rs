@@ -10,7 +10,7 @@ use crate::atomics::Std;
 use crate::barrier::{Barrier, CondvarBarrier, SenseBarrier};
 use crate::counter::IndexCounter;
 use crate::flag::{AtomicFlag, CondvarFlag, PauseVar};
-use crate::lock::{RawLock, SleepLock};
+use crate::lock::SleepLock;
 use crate::mode::{ConstructClass, SyncMode, SyncPolicy};
 use crate::queue::{LockedQueue, TaskQueue, TreiberStack};
 use crate::reduce::{ReduceF64, ReduceU64, Reducer};
@@ -125,7 +125,7 @@ impl SyncEnv {
     pub fn barrier_for(&self, n: usize) -> Arc<dyn Barrier> {
         let stats = Arc::clone(&self.stats);
         match self.mode_for(ConstructClass::Barrier) {
-            SyncMode::LockBased => Arc::new(CondvarBarrier::new(n, stats)),
+            SyncMode::LockBased => Arc::new(CondvarBarrier::<Std>::new(n, stats)),
             SyncMode::LockFree => Arc::new(SenseBarrier::<Std>::new(n, stats)),
             SyncMode::Combining => Arc::new(SenseBarrier::<Std>::combining(n, stats)),
         }
@@ -133,12 +133,12 @@ impl SyncEnv {
 
     /// A fine-grained data lock (always a sleeping lock: Splash-4 removes
     /// these rather than replacing them — see [`SyncEnv::data_locks`]).
-    pub fn lock(&self) -> Arc<dyn RawLock> {
-        Arc::new(SleepLock::new(Arc::clone(&self.stats)))
+    pub fn lock(&self) -> SleepLock {
+        SleepLock::new(Arc::clone(&self.stats))
     }
 
     /// An array of `n` data locks (the PARMACS `ALOCK` construct).
-    pub fn lock_array(&self, n: usize) -> Vec<Arc<dyn RawLock>> {
+    pub fn lock_array(&self, n: usize) -> Vec<SleepLock> {
         (0..n).map(|_| self.lock()).collect()
     }
 
@@ -178,7 +178,7 @@ impl SyncEnv {
     /// with nothing to batch, so flat combining would only add latency.
     pub fn flag(&self) -> Arc<dyn PauseVar> {
         match self.mode_for(ConstructClass::Flag) {
-            SyncMode::LockBased => Arc::new(CondvarFlag::new(Arc::clone(&self.stats))),
+            SyncMode::LockBased => Arc::new(CondvarFlag::<Std>::new(Arc::clone(&self.stats))),
             SyncMode::LockFree | SyncMode::Combining => {
                 Arc::new(AtomicFlag::<Std>::new(Arc::clone(&self.stats)))
             }
@@ -196,7 +196,7 @@ impl SyncEnv {
     /// traffic keeps the lock-free structure.
     pub fn task_queue<T: Send + 'static>(&self) -> Arc<dyn TaskQueue<T>> {
         match self.mode_for(ConstructClass::Queue) {
-            SyncMode::LockBased => Arc::new(LockedQueue::new(Arc::clone(&self.stats))),
+            SyncMode::LockBased => Arc::new(LockedQueue::<T, Std>::new(Arc::clone(&self.stats))),
             SyncMode::LockFree | SyncMode::Combining => {
                 Arc::new(TreiberStack::<T>::new(Arc::clone(&self.stats)))
             }

@@ -1,19 +1,20 @@
 //! Pause variables (`PAUSE` / `SETPAUSE` / `CLEARPAUSE` in PARMACS).
 //!
 //! A pause variable is a one-way condition: producers `set` it, consumers
-//! `wait` until it is set. Splash-3 expands it to a mutex + condvar pair
-//! ([`CondvarFlag`]); Splash-4 to an atomic flag with acquire/release
-//! ordering ([`AtomicFlag`]). The `lu` and `cholesky` kernels use arrays of
-//! these as column/block "done" signals.
+//! `wait` until it is set. Splash-3 expands it to a pthreads condvar, one
+//! futex word ([`CondvarFlag`]); Splash-4 to an atomic flag with
+//! acquire/release ordering ([`AtomicFlag`]). The `lu` and `cholesky`
+//! kernels use arrays of these as column/block "done" signals.
 
-use crate::atomics::{Atomics, Std, Word};
+use crate::atomics::{Atomics, Std, Wake, Word};
 use crate::backoff::Backoff;
 use crate::mode::ConstructClass;
 use crate::spec::FlagSpec;
 use crate::stats::{Counter, SyncCounters};
 use crate::trace::TraceEvent;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// One-way signalling flag.
 pub trait PauseVar: Send + Sync + fmt::Debug {
@@ -27,25 +28,28 @@ pub trait PauseVar: Send + Sync + fmt::Debug {
     fn clear(&self);
 }
 
-/// Mutex + condvar pause variable (Splash-3).
-pub struct CondvarFlag {
-    set: Mutex<bool>,
-    cv: Condvar,
+const UNSET: u32 = 0;
+const SET: u32 = 1;
+const SLEPT: u32 = 2;
+
+/// Futex pause variable (Splash-3): one word that is unset, set, or unset
+/// with a waiter asleep on it, so `set` wakes only when a waiter slept.
+pub struct CondvarFlag<A: Atomics = Std> {
+    word: A::U32,
     stats: Arc<SyncCounters>,
 }
 
-impl CondvarFlag {
+impl<A: Atomics> CondvarFlag<A> {
     /// New unset flag reporting into `stats`.
-    pub fn new(stats: Arc<SyncCounters>) -> CondvarFlag {
+    pub fn new(stats: Arc<SyncCounters>) -> CondvarFlag<A> {
         CondvarFlag {
-            set: Mutex::new(false),
-            cv: Condvar::new(),
+            word: A::U32::new("flag", UNSET),
             stats,
         }
     }
 }
 
-impl PauseVar for CondvarFlag {
+impl<A: Atomics> PauseVar for CondvarFlag<A> {
     fn set(&self) {
         // Emitted from `set` only: the wait side's fast path is
         // timing-dependent, so only the signal is a stable logical event.
@@ -53,34 +57,33 @@ impl PauseVar for CondvarFlag {
             class: ConstructClass::Flag,
             n: 1,
         });
-        let mut s = self.set.lock().expect("flag mutex poisoned");
-        *s = true;
-        drop(s);
-        self.cv.notify_all();
+        if self.word.swap(SET, Ordering::Release) == SLEPT {
+            A::wake(&self.word, Wake::All);
+        }
     }
 
     fn wait(&self) {
-        let mut s = self.set.lock().expect("flag mutex poisoned");
-        if !*s {
+        if !self.is_set() {
             self.stats.bump(Counter::FlagWaits);
             self.stats.timed(Counter::FlagWaitNs, || {
-                while !*s {
-                    s = self.cv.wait(s).expect("flag mutex poisoned");
+                let (acq, rlx) = (Ordering::Acquire, Ordering::Relaxed);
+                while self.word.compare_exchange(UNSET, SLEPT, rlx, acq) != Err(SET) {
+                    A::wait(&self.word, SLEPT);
                 }
             });
         }
     }
 
     fn is_set(&self) -> bool {
-        *self.set.lock().expect("flag mutex poisoned")
+        self.word.load(Ordering::Acquire) == SET
     }
 
     fn clear(&self) {
-        *self.set.lock().expect("flag mutex poisoned") = false;
+        self.word.store(UNSET, Ordering::Relaxed);
     }
 }
 
-impl fmt::Debug for CondvarFlag {
+impl<A: Atomics> fmt::Debug for CondvarFlag<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CondvarFlag").finish_non_exhaustive()
     }
@@ -169,7 +172,7 @@ mod tests {
     #[test]
     fn condvar_flag_hands_off() {
         let stats = Arc::new(SyncCounters::new());
-        let flag: Arc<dyn PauseVar> = Arc::new(CondvarFlag::new(Arc::clone(&stats)));
+        let flag: Arc<dyn PauseVar> = Arc::new(CondvarFlag::<Std>::new(Arc::clone(&stats)));
         handoff(flag);
         assert_eq!(stats.snapshot().flag_waits, 1);
     }
@@ -185,7 +188,7 @@ mod tests {
     #[test]
     fn already_set_does_not_count_as_wait() {
         for flag in [
-            Arc::new(CondvarFlag::new(Arc::new(SyncCounters::new()))) as Arc<dyn PauseVar>,
+            Arc::new(CondvarFlag::<Std>::new(Arc::new(SyncCounters::new()))) as Arc<dyn PauseVar>,
             Arc::new(AtomicFlag::<Std>::new(Arc::new(SyncCounters::new()))) as Arc<dyn PauseVar>,
         ] {
             assert!(!flag.is_set());

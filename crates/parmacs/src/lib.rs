@@ -2,9 +2,9 @@
 //!
 //! The original Splash benchmarks are written against the ANL/PARMACS macro set
 //! (`CREATE`, `BARRIER`, `LOCK`/`UNLOCK`, `GETSUB`, `PAUSE`/`SETPAUSE`, …).
-//! Splash-3 expands those macros to pthreads mutexes, condition variables and
-//! condvar barriers; **Splash-4's contribution is to re-expand them to C11
-//! atomic (lock-free) constructs** without touching the algorithms.
+//! Splash-3 expands those macros to pthreads mutexes, condvars and barriers
+//! (one futex word each); **Splash-4's contribution is to re-expand them to
+//! C11 atomic (lock-free) constructs** without touching the algorithms.
 //!
 //! This crate is that macro layer as a library. Every synchronization class the
 //! suite uses has interchangeable back-ends selected by [`SyncMode`]
@@ -14,12 +14,12 @@
 //!
 //! | construct | lock-based (≙ Splash-3) | lock-free (≙ Splash-4) | combining (splash4x) |
 //! |---|---|---|---|
-//! | barrier | mutex + condvar generation barrier | sense-reversing atomic barrier | same barrier, combined arrival |
-//! | lock | sleeping mutex (futex-style) | — (locks are what gets removed) | — |
+//! | barrier | futex generation barrier (arrival count + generation word, wake all) | sense-reversing atomic barrier | same barrier, combined arrival |
+//! | lock | three-state futex word, a wake only when a sleeper marked it | — (locks are what gets removed) | — |
 //! | `GETSUB` index counter | lock-protected counter | `fetch_add` | combined batch grab |
 //! | f64/u64 reduction | lock-protected accumulator | CAS-loop on atomic word | combined batch fold |
-//! | pause/flag variable | mutex + condvar | atomic flag, acquire/release | atomic flag (nothing to batch) |
-//! | task queue | mutex + `VecDeque` | Treiber stack | Treiber stack (nothing static to batch) |
+//! | pause/flag variable | futex word, a wake only when a waiter slept | atomic flag, acquire/release | atomic flag (nothing to batch) |
+//! | task queue | lock + `VecDeque` | Treiber stack | Treiber stack (nothing static to batch) |
 //!
 //! Each mode-dependent construct is one concrete type — [`IndexCounter`],
 //! [`reduce::Reducer`], [`SenseBarrier`] — whose only mode-specific step is
@@ -87,7 +87,7 @@ pub use counter::IndexCounter;
 pub use env::SyncEnv;
 pub use flag::{AtomicFlag, CondvarFlag, PauseVar};
 pub use json::{Json, ToJson};
-pub use lock::{RawLock, SleepLock};
+pub use lock::SleepLock;
 pub use mode::{ConstructClass, SyncMode, SyncPolicy};
 pub use pad::CachePadded;
 pub use queue::{BoundedMpmcQueue, LockedQueue, StealPool, TaskQueue, TreiberStack};

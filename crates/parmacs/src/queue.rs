@@ -14,7 +14,7 @@
 
 use crate::atomics::{Atomics, DataCell, Std, Word};
 use crate::backoff::Backoff;
-use crate::lock::{RawLock, SleepLock};
+use crate::lock::SleepLock;
 use crate::pad::CachePadded;
 use crate::spec::{RingSpec, TreiberSpec};
 use crate::stats::{Counter, SyncCounters};
@@ -42,57 +42,52 @@ pub trait TaskQueue<T>: Send + Sync + fmt::Debug {
 }
 
 /// Lock-protected FIFO queue (Splash-3).
-pub struct LockedQueue<T> {
-    lock: SleepLock,
-    items: std::cell::UnsafeCell<VecDeque<T>>,
+pub struct LockedQueue<T, A: Atomics = Std> {
+    lock: SleepLock<A>,
+    items: A::Cell<VecDeque<T>>,
     stats: Arc<SyncCounters>,
 }
 
-// SAFETY: `items` is only accessed with `lock` held.
-unsafe impl<T: Send> Sync for LockedQueue<T> {}
-unsafe impl<T: Send> Send for LockedQueue<T> {}
+// SAFETY: `items` is only accessed with `lock` held, which orders every
+// access after the previous holder's; the `T`s move across threads.
+unsafe impl<T: Send, A: Atomics> Sync for LockedQueue<T, A> {}
+unsafe impl<T: Send, A: Atomics> Send for LockedQueue<T, A> {}
 
-impl<T> LockedQueue<T> {
+impl<T, A: Atomics> LockedQueue<T, A> {
     /// New empty queue reporting into `stats`.
-    pub fn new(stats: Arc<SyncCounters>) -> LockedQueue<T> {
+    pub fn new(stats: Arc<SyncCounters>) -> LockedQueue<T, A> {
         LockedQueue {
             lock: SleepLock::new(Arc::clone(&stats)),
-            items: std::cell::UnsafeCell::new(VecDeque::new()),
+            items: A::Cell::new("queue.items", VecDeque::new()),
             stats,
         }
     }
 }
 
-impl<T: Send> TaskQueue<T> for LockedQueue<T> {
+impl<T: Send, A: Atomics> TaskQueue<T> for LockedQueue<T, A> {
     fn push(&self, task: T) {
         self.stats.bump(Counter::QueueOps);
         self.stats.trace(TraceEvent::Enqueue);
-        self.lock.acquire();
-        // SAFETY: lock held.
-        unsafe { (*self.items.get()).push_back(task) };
-        self.lock.release();
+        // SAFETY: the lock is held around the access.
+        self.lock
+            .with(|| unsafe { self.items.with_mut(|q| q.push_back(task)) });
     }
 
     fn pop(&self) -> Option<T> {
         self.stats.bump(Counter::QueueOps);
         self.stats.trace(TraceEvent::Dequeue);
-        self.lock.acquire();
-        // SAFETY: lock held.
-        let out = unsafe { (*self.items.get()).pop_front() };
-        self.lock.release();
-        out
+        // SAFETY: as in `push`.
+        self.lock
+            .with(|| unsafe { self.items.with_mut(VecDeque::pop_front) })
     }
 
     fn len(&self) -> usize {
-        self.lock.acquire();
-        // SAFETY: lock held.
-        let n = unsafe { (*self.items.get()).len() };
-        self.lock.release();
-        n
+        // SAFETY: as in `push`.
+        self.lock.with(|| unsafe { self.items.with(VecDeque::len) })
     }
 }
 
-impl<T> fmt::Debug for LockedQueue<T> {
+impl<T, A: Atomics> fmt::Debug for LockedQueue<T, A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LockedQueue").finish_non_exhaustive()
     }
@@ -576,7 +571,7 @@ mod tests {
     #[test]
     fn locked_queue_mpmc() {
         let stats = Arc::new(SyncCounters::new());
-        mpmc_exercise(Arc::new(LockedQueue::new(stats)), 3, 200);
+        mpmc_exercise(Arc::new(LockedQueue::<_, Std>::new(stats)), 3, 200);
     }
 
     #[test]
@@ -740,7 +735,9 @@ mod tests {
     fn steal_pool_prefers_own_queue() {
         let stats = Arc::new(SyncCounters::new());
         let queues: Vec<Arc<dyn TaskQueue<u32>>> = (0..2)
-            .map(|_| Arc::new(LockedQueue::new(Arc::clone(&stats))) as Arc<dyn TaskQueue<u32>>)
+            .map(|_| {
+                Arc::new(LockedQueue::<_, Std>::new(Arc::clone(&stats))) as Arc<dyn TaskQueue<u32>>
+            })
             .collect();
         let pool = StealPool::new(queues);
         pool.push(0, 100);

@@ -9,12 +9,11 @@
 //! [`Reducer`](crate::reduce::Reducer) state their interpreter once and the
 //! Splash-4 expansion stays a native atomic arm beside it.
 
-use crate::atomics::{Atomics, Std};
+use crate::atomics::{Atomics, DataCell, Std};
 use crate::combining::CombiningCore;
-use crate::lock::{RawLock, SleepLock};
+use crate::lock::SleepLock;
 use crate::mode::SyncMode;
 use crate::stats::SyncCounters;
-use std::cell::UnsafeCell;
 use std::sync::Arc;
 
 /// Sequential op interpreter: `(state, opcode, arg) -> result`. Opcodes are
@@ -27,22 +26,23 @@ pub(crate) struct Serial<T, A: Atomics = Std>(Exec<T, A>);
 
 enum Exec<T, A: Atomics> {
     Locked {
-        lock: SleepLock,
-        state: UnsafeCell<T>,
+        lock: SleepLock<A>,
+        state: A::Cell<T>,
         apply: Apply<T>,
     },
     Combining(CombiningCore<T, A>),
 }
 
-// SAFETY: the `Locked` state is only touched with `lock` held, in `run`;
-// `CombiningCore<T, A>` is `Sync` for `T: Send`.
+// SAFETY: the `Locked` state is only touched with `lock` held, in `run`, and
+// moves with the `Serial`; `CombiningCore<T, A>` is `Send + Sync` for
+// `T: Send`.
 unsafe impl<T: Send, A: Atomics> Sync for Serial<T, A> {}
+unsafe impl<T: Send, A: Atomics> Send for Serial<T, A> {}
 
 impl<T, A: Atomics> Serial<T, A> {
     /// The serial strategy `mode` selects, or `None` for
     /// [`SyncMode::LockFree`], whose constructs use native atomics instead.
-    /// `nthreads` sizes the combining core's publication list. Panics for
-    /// [`SyncMode::LockBased`] unless [`Atomics::OS_BLOCKING`].
+    /// `nthreads` sizes the combining core's publication list.
     pub(crate) fn for_mode(
         mode: SyncMode,
         nthreads: usize,
@@ -51,16 +51,11 @@ impl<T, A: Atomics> Serial<T, A> {
         stats: &Arc<SyncCounters>,
     ) -> Option<Serial<T, A>> {
         match mode {
-            SyncMode::LockBased => {
-                let sleeps =
-                    "SyncMode::LockBased sleeps on a mutex, which these atomics cannot schedule";
-                assert!(A::OS_BLOCKING, "{sleeps}");
-                Some(Serial(Exec::Locked {
-                    lock: SleepLock::new(Arc::clone(stats)),
-                    state: UnsafeCell::new(state),
-                    apply,
-                }))
-            }
+            SyncMode::LockBased => Some(Serial(Exec::Locked {
+                lock: SleepLock::new(Arc::clone(stats)),
+                state: A::Cell::new("serial.state", state),
+                apply,
+            })),
             SyncMode::LockFree => None,
             SyncMode::Combining => Some(Serial(Exec::Combining(CombiningCore::new_in(
                 nthreads,
@@ -78,7 +73,7 @@ impl<T, A: Atomics> Serial<T, A> {
             Exec::Locked { lock, state, apply } => {
                 // SAFETY: `with` holds the lock around the call — exclusive
                 // access to the state for its duration.
-                lock.with(|| apply(unsafe { &mut *state.get() }, op, arg))
+                lock.with(|| unsafe { state.with_mut(|s| apply(s, op, arg)) })
             }
             Exec::Combining(core) => core.run(op, arg),
         }

@@ -104,7 +104,7 @@ pub use splash4_kernels::{
 pub use splash4_parmacs as parmacs;
 pub use splash4_parmacs::{
     Backoff, Barrier, CachePadded, ConstructClass, Dispatch, IndexCounter, Json, PauseVar,
-    PhaseSpec, RawLock, ReduceF64, ReduceU64, SmallRng, SyncEnv, SyncMode, SyncPolicy, SyncProfile,
+    PhaseSpec, ReduceF64, ReduceU64, SmallRng, SyncEnv, SyncMode, SyncPolicy, SyncProfile,
     TaskQueue, Team, TeamCtx, ToJson, TraceEvent, TraceSink, WorkModel,
 };
 pub use splash4_reclaim as reclaim;
