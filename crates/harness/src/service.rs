@@ -369,8 +369,8 @@ impl JobCtl {
     }
 }
 
-/// Op slots (40 B each) a thread keeps between `sim` requests: the streams
-/// of a 1024-core × 400-op program fit; a larger program's are freed.
+/// Op slots (16 B each, so 8 MiB) a thread keeps between `sim` requests: the
+/// streams of a 1024-core × 400-op program fit; a larger program's are freed.
 const SIM_SPARE_OPS_MAX: usize = 1 << 19;
 
 thread_local! {

@@ -2,7 +2,8 @@
 //!
 //! Cores execute their op streams in virtual time. Shared resources are FCFS
 //! servers: a batch of `n` accesses occupies the resource for `n ×
-//! service_ns` starting when both the core and the resource are free — the
+//! service_ns` (from the access's row of the program's cost table,
+//! [`OpCost`]) starting when both the core and the resource are free — the
 //! standard way contended atomics (cache-line ownership) and contended locks
 //! (holder serialization) throttle throughput. Barriers park cores until the
 //! last arrival, then release them according to the barrier kind: broadcast
@@ -21,20 +22,21 @@
 //! a branch-light template fill per barrier release — while preserving the
 //! lowest-core-wins tie-break exactly.
 //! Unlike the heap, neither path ever allocates or moves `(time, core)`
-//! tuples through sift-up/sift-down. The op streams are read in place, with
-//! no load-time copy or pre-pass: a run of adjacent `Compute` ops is fused
-//! into one event when a core pops its first op, server clocks grow as ids
-//! are met, and a malformed program is caught as it runs. All per-run state
-//! (`ready`, program counters, per-core breakdowns, server clocks, barrier
-//! episodes) lives in reusable scratch buffers inside the `Engine`, so a
-//! warm engine allocates nothing in the event loop. The original heap-based
-//! engine is preserved as [`run_reference`]; the equivalence tests and the
-//! `benchmark/` package's oracle hold the two implementations
+//! tuples through sift-up/sift-down. The op streams of 16-byte [`Op`]s are
+//! read in place, with no load-time copy or pre-pass: a run of adjacent
+//! `Compute` ops is fused into one event when a core pops its first op, an
+//! access reads its costs from `program.costs` by id, server clocks grow as
+//! ids are met, and a malformed program is caught as it runs. All per-run
+//! state (`ready`, program counters, per-core breakdowns, server clocks,
+//! barrier episodes) lives in reusable scratch buffers inside the `Engine`,
+//! so a warm engine allocates nothing in the event loop. The original
+//! heap-based engine is preserved as [`run_reference`]; the equivalence
+//! tests and the `benchmark/` package's oracle hold the two implementations
 //! result-identical, and its `sim.engine_ns_per_event.*` /
 //! `sim.reference_ns_per_event.p1024` rungs measure the speedup.
 
 use crate::machine::MachineParams;
-use crate::program::{BarrierKind, Op, Program};
+use crate::program::{BarrierKind, Op, OpCost, Program};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hint;
@@ -289,10 +291,10 @@ impl Engine {
     /// # Panics
     /// Panics with "invalid program" exactly when the program fails
     /// [`Program::validate`], found as the run goes: an undefined barrier
-    /// id when a core reaches it (checked against `program`, not against
-    /// scratch of an earlier run), differing barrier sequences as a core
-    /// still parked when no core can move — every episode takes one arrival
-    /// from each core, so a run that ends with none parked crossed
+    /// or cost id when a core reaches it (checked against `program`, not
+    /// against scratch of an earlier run), differing barrier sequences as
+    /// a core still parked when no core can move — every episode takes one
+    /// arrival from each core, so a run that ends with none parked crossed
     /// identical sequences. The engine stays usable after the panic.
     pub fn run(&mut self, program: &Program, machine: &MachineParams) -> SimResult {
         let p = program.ncores();
@@ -348,13 +350,15 @@ impl Engine {
                     self.breakdown[core].compute_ns += ns;
                     self.set_ready(core, t + ns);
                 }
-                Op::Access {
-                    server,
-                    n,
-                    service_ns,
-                    local_ns,
-                    contended_ns,
-                } => {
+                Op::Access { server, cost, n } => {
+                    let Some(&OpCost {
+                        service_ns,
+                        local_ns,
+                        contended_ns,
+                    }) = program.costs.get(cost as usize)
+                    else {
+                        panic!("invalid program: core {core}: undefined cost id {cost}");
+                    };
                     let server = server as usize;
                     if server >= self.servers.len() {
                         self.servers.resize(server + 1, 0);
@@ -550,13 +554,12 @@ pub fn run_reference(program: &Program, machine: &MachineParams) -> SimResult {
                 breakdown[core].compute_ns += ns;
                 heap.push(Reverse((t + ns, core)));
             }
-            Op::Access {
-                server,
-                n,
-                service_ns,
-                local_ns,
-                contended_ns,
-            } => {
+            Op::Access { server, cost, n } => {
+                let OpCost {
+                    service_ns,
+                    local_ns,
+                    contended_ns,
+                } = program.costs[cost as usize];
                 let free = &mut servers[server as usize];
                 let start = (*free).max(t);
                 let queue_wait = start - t;
@@ -647,11 +650,23 @@ mod tests {
         MachineParams::icelake_like()
     }
 
+    /// A cost table, one `(service_ns, local_ns, contended_ns)` row per id.
+    fn costs(rows: &[(u64, u64, u64)]) -> Vec<OpCost> {
+        rows.iter()
+            .map(|&(service_ns, local_ns, contended_ns)| OpCost {
+                service_ns,
+                local_ns,
+                contended_ns,
+            })
+            .collect()
+    }
+
     #[test]
     fn single_core_compute_only() {
         let p = Program {
             name: "t".into(),
             cores: vec![vec![Op::Compute { ns: 1000 }, Op::Compute { ns: 500 }]],
+            costs: vec![],
             barriers: vec![],
         };
         let r = run(&p, &machine());
@@ -666,14 +681,13 @@ mod tests {
         // must queue behind the first → total ≥ 2000ns.
         let access = Op::Access {
             server: 0,
+            cost: 0,
             n: 10,
-            service_ns: 100,
-            local_ns: 0,
-            contended_ns: 0,
         };
         let p = Program {
             name: "t".into(),
             cores: vec![vec![access], vec![access]],
+            costs: costs(&[(100, 0, 0)]),
             barriers: vec![],
         };
         let r = run(&p, &machine());
@@ -689,19 +703,16 @@ mod tests {
             cores: vec![
                 vec![Op::Access {
                     server: 0,
+                    cost: 0,
                     n: 10,
-                    service_ns: 100,
-                    local_ns: 0,
-                    contended_ns: 0,
                 }],
                 vec![Op::Access {
                     server: 1,
+                    cost: 0,
                     n: 10,
-                    service_ns: 100,
-                    local_ns: 0,
-                    contended_ns: 0,
                 }],
             ],
+            costs: costs(&[(100, 0, 0)]),
             barriers: vec![],
         };
         let r = run(&p, &machine());
@@ -712,24 +723,22 @@ mod tests {
     fn contended_penalty_applies_only_when_busy() {
         let access = |srv| Op::Access {
             server: srv,
+            cost: 0,
             n: 1,
-            service_ns: 100,
-            local_ns: 0,
-            contended_ns: 5000,
         };
         // Same server: second comer pays the penalty.
         let p = Program {
             name: "t".into(),
             cores: vec![vec![access(0)], vec![access(0)]],
+            costs: costs(&[(100, 0, 5000)]),
             barriers: vec![],
         };
         let r = run(&p, &machine());
         assert_eq!(r.total_ns, 100 + 100 + 5000);
         // Different servers: nobody pays it.
         let p2 = Program {
-            name: "t".into(),
             cores: vec![vec![access(0)], vec![access(1)]],
-            barriers: vec![],
+            ..p
         };
         assert_eq!(run(&p2, &machine()).total_ns, 100);
     }
@@ -750,6 +759,7 @@ mod tests {
                     Op::Compute { ns: 5 },
                 ],
             ],
+            costs: vec![],
             barriers: vec![BarrierKind::Sense],
         };
         let r = run(&p, &machine());
@@ -769,6 +779,7 @@ mod tests {
             Program {
                 name: "t".into(),
                 cores,
+                costs: vec![],
                 barriers: vec![kind],
             }
         };
@@ -787,6 +798,7 @@ mod tests {
             Program {
                 name: "t".into(),
                 cores,
+                costs: vec![],
                 barriers: vec![kind],
             }
         };
@@ -803,10 +815,8 @@ mod tests {
                     Op::Compute { ns: 100 + c },
                     Op::Access {
                         server: 0,
+                        cost: 0,
                         n: 5,
-                        service_ns: 60,
-                        local_ns: 10,
-                        contended_ns: 0,
                     },
                     Op::Barrier { id: 0 },
                 ]
@@ -815,6 +825,7 @@ mod tests {
         let p = Program {
             name: "t".into(),
             cores,
+            costs: costs(&[(60, 10, 0)]),
             barriers: vec![BarrierKind::Condvar],
         };
         let a = run(&p, &machine());
@@ -836,6 +847,7 @@ mod tests {
         let p = Program {
             name: "t".into(),
             cores,
+            costs: vec![],
             barriers: vec![BarrierKind::Sense],
         };
         let r = run(&p, &machine());
@@ -845,7 +857,8 @@ mod tests {
 
     /// A deliberately heterogeneous program: staggered compute, shared and
     /// private servers, contention penalties, and every barrier kind in one
-    /// stream.
+    /// stream. Cost ids and servers cross: server 0 sees both cost ids, and
+    /// servers 0–2 share cost id 1.
     fn stress_program(p: usize, kind: BarrierKind, seed: u64) -> Program {
         let cores = (0..p)
             .map(|c| {
@@ -856,18 +869,14 @@ mod tests {
                     },
                     Op::Access {
                         server: 0,
+                        cost: 0,
                         n: 1 + c64 % 5,
-                        service_ns: 40,
-                        local_ns: 12,
-                        contended_ns: 90,
                     },
                     Op::Barrier { id: 0 },
                     Op::Access {
                         server: (c % 3) as u32,
+                        cost: 1,
                         n: 3,
-                        service_ns: 25,
-                        local_ns: 5,
-                        contended_ns: 0,
                     },
                     Op::Compute {
                         ns: (c64 * 13 + seed * 7) % 777,
@@ -880,6 +889,7 @@ mod tests {
         Program {
             name: "stress".into(),
             cores,
+            costs: costs(&[(40, 12, 90), (25, 5, 0)]),
             barriers: vec![kind, BarrierKind::Sense],
         }
     }
@@ -942,18 +952,31 @@ mod tests {
     fn engine_rejects_what_validate_rejects_without_a_pre_pass() {
         let m = machine();
         let (b, c) = (|id| Op::Barrier { id }, Op::Compute { ns: 10 });
+        let a = |cost| Op::Access {
+            server: 0,
+            cost,
+            n: 1,
+        };
         let program = |cores: Vec<Vec<Op>>, nbarriers| Program {
             name: "bad".into(),
             cores,
+            costs: costs(&[(10, 1, 0)]),
             barriers: vec![BarrierKind::Sense; nbarriers],
         };
-        // Leaves scratch for barriers 0 and 1 behind before each bad run.
-        let two_barriers = program(vec![vec![c, b(0), b(1)]; 3], 2);
+        // Runs barriers 0 and 1 and cost ids 0 and 1 before each bad run.
+        let two_barriers = Program {
+            costs: costs(&[(10, 1, 0), (20, 2, 0)]),
+            ..program(vec![vec![c, a(1), b(0), a(0), b(1)]; 3], 2)
+        };
         let bad = [
             ("undefined id", program(vec![vec![b(3)], vec![c, b(3)]], 1)),
             (
                 "id defined only by the previous program",
                 program(vec![vec![b(0), b(1)]; 2], 1),
+            ),
+            (
+                "cost id defined only by the previous program",
+                program(vec![vec![c, a(0)], vec![a(1), c]], 0),
             ),
             (
                 "a core with fewer barriers",
@@ -986,6 +1009,9 @@ mod tests {
                 .or_else(|| err.downcast_ref::<&str>().copied())
                 .unwrap_or_default();
             assert!(message.starts_with("invalid program"), "{what}: {message}");
+            if what.starts_with("cost id") {
+                assert_eq!(message, "invalid program: core 1: undefined cost id 1");
+            }
             // The engine a run panicked in is as good as a fresh one.
             for (p, kind) in [(3, BarrierKind::Sense), (33, BarrierKind::Condvar)] {
                 let good = stress_program(p, kind, 4);

@@ -51,8 +51,8 @@ pub mod program;
 pub use calibrate::{calibrate, contention_levels, synthesize_bench};
 pub use engine::{CoreBreakdown, Engine, SimResult};
 pub use machine::{MachineParams, PROFILE_SCHEMA};
-pub use model::{class_cost, OpCost};
-pub use program::{synthetic_program, synthetic_program_in, BarrierKind, Op, Program};
+pub use model::class_cost;
+pub use program::{synthetic_program, synthetic_program_in, BarrierKind, Op, OpCost, Program};
 
 use splash4_parmacs::{PhaseSpec, SyncPolicy, WorkModel};
 use std::collections::HashMap;

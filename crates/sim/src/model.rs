@@ -9,7 +9,7 @@
 //! they do in the real kernels.
 
 use crate::machine::MachineParams;
-use crate::program::{BarrierKind, Op, Program};
+use crate::program::{BarrierKind, Op, OpCost, Program};
 use splash4_parmacs::{ConstructClass, Dispatch, PhaseSpec, SyncMode, SyncPolicy, WorkModel};
 
 /// Maximum interleaving batches per (phase, thread). More batches model finer
@@ -29,17 +29,6 @@ impl ServerAlloc {
         self.next += 1;
         id
     }
-}
-
-/// Costs of one logical sync operation under a policy choice.
-#[derive(Debug, Clone, Copy)]
-pub struct OpCost {
-    /// Time the operation occupies its shared server (line or lock).
-    pub service_ns: u64,
-    /// Purely local latency paid by the issuing core.
-    pub local_ns: u64,
-    /// Extra per-waiter penalty when the server is busy on arrival.
-    pub contended_ns: u64,
 }
 
 /// Cost model for one construct class under `mode`. Public so trace-driven
@@ -102,15 +91,18 @@ pub fn class_cost(mode: SyncMode, m: &MachineParams, p: usize, hold_ns: u64) -> 
 pub fn expand(model: &WorkModel, policy: SyncPolicy, p: usize, machine: &MachineParams) -> Program {
     assert!(p > 0, "need at least one core");
     let mut alloc = ServerAlloc { next: 0 };
-    let mut barriers = Vec::new();
     // Combining barriers release through the same generation spin a sense
     // barrier uses; only the arrival phase differs, which class_cost prices.
     let barrier_kind = match policy.mode_for(ConstructClass::Barrier) {
         SyncMode::LockBased => BarrierKind::Condvar,
         SyncMode::LockFree | SyncMode::Combining => BarrierKind::Sense,
     };
-    let mut cores: Vec<Vec<Op>> = vec![Vec::new(); p];
-
+    let mut program = Program {
+        name: model.name.clone(),
+        cores: vec![Vec::new(); p],
+        costs: Vec::new(),
+        barriers: Vec::new(),
+    };
     for phase in &model.phases {
         expand_phase(
             phase,
@@ -118,29 +110,21 @@ pub fn expand(model: &WorkModel, policy: SyncPolicy, p: usize, machine: &Machine
             p,
             machine,
             &mut alloc,
-            &mut barriers,
             barrier_kind,
-            &mut cores,
+            &mut program,
         );
     }
-
-    Program {
-        name: model.name.clone(),
-        cores,
-        barriers,
-    }
+    program
 }
 
-#[allow(clippy::too_many_arguments)]
 fn expand_phase(
     phase: &PhaseSpec,
     policy: SyncPolicy,
     p: usize,
     m: &MachineParams,
     alloc: &mut ServerAlloc,
-    barriers: &mut Vec<BarrierKind>,
     barrier_kind: BarrierKind,
-    cores: &mut [Vec<Op>],
+    program: &mut Program,
 ) {
     // Per-phase shared resources.
     let dispatch_server = alloc.fresh();
@@ -151,18 +135,20 @@ fn expand_phase(
     // barriers are cyclic).
     let phase_barriers: Vec<u32> = (0..phase.barriers_after)
         .map(|_| {
-            barriers.push(barrier_kind);
-            (barriers.len() - 1) as u32
+            program.barriers.push(barrier_kind);
+            (program.barriers.len() - 1) as u32
         })
         .collect();
 
-    let counter_cost = class_cost(policy.mode_for(ConstructClass::Counter), m, p, 0);
-    let data_cost = class_cost(policy.mode_for(ConstructClass::DataLock), m, p, 0);
-    let reduce_cost = class_cost(policy.mode_for(ConstructClass::Reduction), m, p, 0);
-    let queue_cost = class_cost(policy.mode_for(ConstructClass::Queue), m, p, 0);
-    let flag_cost = class_cost(policy.mode_for(ConstructClass::Flag), m, p, 0);
+    // Cost ids, interned once per phase.
+    let mut cost = |class| program.intern(class_cost(policy.mode_for(class), m, p, 0));
+    let counter_cost = cost(ConstructClass::Counter);
+    let data_cost = cost(ConstructClass::DataLock);
+    let reduce_cost = cost(ConstructClass::Reduction);
+    let queue_cost = cost(ConstructClass::Queue);
+    let flag_cost = cost(ConstructClass::Flag);
 
-    for (tid, ops) in cores.iter_mut().enumerate() {
+    for (tid, ops) in program.cores.iter_mut().enumerate() {
         // Items this thread handles per repeat.
         let base = phase.items / p as u64;
         let extra = u64::from((tid as u64) < phase.items % p as u64);
@@ -203,10 +189,8 @@ fn expand_phase(
                     };
                     ops.push(Op::Access {
                         server: g_server,
+                        cost: g_cost,
                         n: g,
-                        service_ns: g_cost.service_ns,
-                        local_ns: g_cost.local_ns,
-                        contended_ns: g_cost.contended_ns,
                     });
                 }
                 let d = share(data_touches);
@@ -234,10 +218,8 @@ fn expand_phase(
                     if shared > 0 {
                         ops.push(Op::Access {
                             server: data_server,
+                            cost: data_cost,
                             n: shared,
-                            service_ns: data_cost.service_ns,
-                            local_ns: data_cost.local_ns,
-                            contended_ns: data_cost.contended_ns,
                         });
                     }
                 }
@@ -245,30 +227,24 @@ fn expand_phase(
                 if r > 0 {
                     ops.push(Op::Access {
                         server: reduce_server,
+                        cost: reduce_cost,
                         n: r,
-                        service_ns: reduce_cost.service_ns,
-                        local_ns: reduce_cost.local_ns,
-                        contended_ns: reduce_cost.contended_ns,
                     });
                 }
                 let q = share(pushes);
                 if q > 0 {
                     ops.push(Op::Access {
                         server: queue_server,
+                        cost: queue_cost,
                         n: q,
-                        service_ns: queue_cost.service_ns,
-                        local_ns: queue_cost.local_ns,
-                        contended_ns: queue_cost.contended_ns,
                     });
                 }
                 let f = share(flags);
                 if f > 0 {
                     ops.push(Op::Access {
                         server: data_server,
+                        cost: flag_cost,
                         n: f,
-                        service_ns: flag_cost.service_ns,
-                        local_ns: flag_cost.local_ns,
-                        contended_ns: flag_cost.contended_ns,
                     });
                 }
             }

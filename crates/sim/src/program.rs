@@ -6,6 +6,11 @@
 //! The engine knows nothing about locks vs atomics — only about compute,
 //! FCFS shared-resource accesses, and barriers; the *policy* difference is
 //! entirely encoded in the access costs and barrier kinds chosen here.
+//!
+//! An access's costs take a handful of distinct values per program, so they
+//! live once in [`Program::costs`] and each `Access` names its row by a
+//! 16-bit id. That keeps an [`Op`] at 16 bytes: a 1024-core × 400-op
+//! program's streams are 6.5 MB.
 
 /// One operation in a core's stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -15,28 +20,36 @@ pub enum Op {
         /// Duration in nanoseconds.
         ns: u64,
     },
-    /// `n` accesses to shared resource `server`, each occupying the resource
-    /// for `service_ns` (FCFS serialization) and costing the issuing core
-    /// `local_ns` of non-serialized latency. If the resource is busy when the
-    /// batch arrives, `contended_ns` is added per access (sleeping-lock wake
-    /// penalty; zero for spin/atomic resources).
+    /// `n` accesses to shared resource `server`, each priced by
+    /// [`Program::costs`]`[cost]`.
     Access {
         /// Shared resource id.
         server: u32,
+        /// Cost id (indexes [`Program::costs`]).
+        cost: u16,
         /// Number of accesses in this batch.
         n: u64,
-        /// Per-access resource occupancy (serialized).
-        service_ns: u64,
-        /// Per-access local latency (not serialized).
-        local_ns: u64,
-        /// Per-access penalty when the batch found the resource busy.
-        contended_ns: u64,
     },
     /// Arrive at barrier `id` and wait for all cores.
     Barrier {
         /// Barrier id (indexes [`Program::barriers`][crate::program::BarrierKind]).
         id: u32,
     },
+}
+
+const _: () = assert!(size_of::<Op>() == 16);
+
+/// Per-access costs of an [`Op::Access`]: FCFS server occupancy, local
+/// latency, and a penalty added when the batch found its server busy (a
+/// sleeping lock's wake; zero for spin/atomic resources).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OpCost {
+    /// Time the operation occupies its shared server (line or lock).
+    pub service_ns: u64,
+    /// Purely local latency paid by the issuing core.
+    pub local_ns: u64,
+    /// Extra per-waiter penalty when the server is busy on arrival.
+    pub contended_ns: u64,
 }
 
 /// How a barrier releases its waiters (what the sync policy chose).
@@ -60,6 +73,8 @@ pub struct Program {
     pub name: String,
     /// Op streams, one per core.
     pub cores: Vec<Vec<Op>>,
+    /// Access costs per cost id.
+    pub costs: Vec<OpCost>,
     /// Barrier kind per barrier id.
     pub barriers: Vec<BarrierKind>,
 }
@@ -75,19 +90,36 @@ impl Program {
         self.cores.iter().map(Vec::len).sum()
     }
 
-    /// Consistency check: every barrier id used is defined, and every core
-    /// crosses the same sequence of barriers (barrier episodes must involve
-    /// all cores). [`Engine::run`](crate::Engine::run) rejects the same
-    /// programs as it runs, without calling this.
+    /// The id of `cost` in [`Program::costs`], appended if it is new.
+    pub fn intern(&mut self, cost: OpCost) -> u16 {
+        let id = self
+            .costs
+            .iter()
+            .position(|&c| c == cost)
+            .unwrap_or_else(|| {
+                self.costs.push(cost);
+                self.costs.len() - 1
+            });
+        u16::try_from(id).expect("a program prices accesses with at most 65 536 costs")
+    }
+
+    /// Consistency check: every barrier and cost id used is defined, and
+    /// every core crosses the same sequence of barriers (barrier episodes
+    /// must involve all cores). [`Engine::run`](crate::Engine::run) rejects
+    /// the same programs as it runs, without calling this.
     pub fn validate(&self) -> Result<(), String> {
         let mut counts = vec![Vec::new(); self.cores.len()];
         for (c, ops) in self.cores.iter().enumerate() {
             for op in ops {
-                if let Op::Barrier { id } = op {
-                    if *id as usize >= self.barriers.len() {
+                match *op {
+                    Op::Barrier { id } if id as usize >= self.barriers.len() => {
                         return Err(format!("core {c}: undefined barrier id {id}"));
                     }
-                    counts[c].push(*id);
+                    Op::Barrier { id } => counts[c].push(id),
+                    Op::Access { cost, .. } if cost as usize >= self.costs.len() => {
+                        return Err(format!("core {c}: undefined cost id {cost}"));
+                    }
+                    _ => {}
                 }
             }
         }
@@ -166,10 +198,8 @@ pub fn synthetic_program_in(
                 if r.is_multiple_of(5) {
                     Op::Access {
                         server: (r % 3) as u32, // 3 shared servers → real queueing
+                        cost: ((r % 60) * 2 + u64::from(r.is_multiple_of(7))) as u16,
                         n: 1 + r % 4,
-                        service_ns: 40 + r % 60,
-                        local_ns: 15,
-                        contended_ns: if r.is_multiple_of(7) { 400 } else { 0 },
                     }
                 } else {
                     Op::Compute {
@@ -182,9 +212,18 @@ pub fn synthetic_program_in(
         .collect();
     // A program with no cores has no slots, so no barriers either.
     let nbarriers = usize::from(cores > 0) * (ops_per_core / BARRIER_EVERY);
+    // Accesses draw from 120 rows: service `40 + i / 2`, penalty on odd `i`.
+    let costs = (0..120)
+        .map(|i| OpCost {
+            service_ns: 40 + i / 2,
+            local_ns: 15,
+            contended_ns: 400 * (i % 2),
+        })
+        .collect();
     Program {
         name: "perfbench-synthetic".into(),
         cores: streams,
+        costs,
         barriers: vec![kind; nbarriers],
     }
 }
@@ -201,6 +240,7 @@ mod tests {
                 vec![Op::Compute { ns: 5 }, Op::Barrier { id: 0 }],
                 vec![Op::Compute { ns: 9 }, Op::Barrier { id: 0 }],
             ],
+            costs: Vec::new(),
             barriers: vec![BarrierKind::Sense],
         };
         assert!(p.validate().is_ok());
@@ -212,6 +252,7 @@ mod tests {
         let p = Program {
             name: "t".into(),
             cores: vec![vec![Op::Barrier { id: 3 }]],
+            costs: Vec::new(),
             barriers: vec![BarrierKind::Sense],
         };
         assert!(p.validate().is_err());
@@ -222,6 +263,7 @@ mod tests {
         let p = Program {
             name: "t".into(),
             cores: vec![vec![Op::Barrier { id: 0 }], vec![]],
+            costs: Vec::new(),
             barriers: vec![BarrierKind::Sense],
         };
         assert!(p.validate().is_err());
@@ -259,6 +301,7 @@ mod tests {
         let mut program = Program {
             name: "perfbench-synthetic".into(),
             cores: vec![Vec::with_capacity(ops_per_core); cores],
+            costs: Vec::new(),
             barriers: Vec::new(),
         };
         let mut ops_emitted = vec![0usize; cores];
@@ -275,29 +318,61 @@ mod tests {
                 }
                 continue;
             }
-            for (c, stream) in program.cores.iter_mut().enumerate() {
-                if ops_emitted[c] >= ops_per_core {
+            for (c, emitted) in ops_emitted.iter_mut().enumerate() {
+                if *emitted >= ops_per_core {
                     continue;
                 }
                 let r = next();
                 let op = if r.is_multiple_of(5) {
                     Op::Access {
                         server: (r % 3) as u32,
+                        cost: program.intern(OpCost {
+                            service_ns: 40 + r % 60,
+                            local_ns: 15,
+                            contended_ns: if r.is_multiple_of(7) { 400 } else { 0 },
+                        }),
                         n: 1 + r % 4,
-                        service_ns: 40 + r % 60,
-                        local_ns: 15,
-                        contended_ns: if r.is_multiple_of(7) { 400 } else { 0 },
                     }
                 } else {
                     Op::Compute {
                         ns: 50 + (r % 900) + c as u64 * 3,
                     }
                 };
-                stream.push(op);
-                ops_emitted[c] += 1;
+                program.cores[c].push(op);
+                *emitted += 1;
             }
         }
         program
+    }
+
+    /// `a` and `b` are the same program, each `Access` read through its own
+    /// program's cost table: the two may number their costs differently.
+    fn assert_same_resolved(a: &Program, b: &Program, what: &str) {
+        assert_eq!(
+            (&a.name, a.ncores(), &a.barriers),
+            (&b.name, b.ncores(), &b.barriers),
+            "{what}"
+        );
+        for (c, (x, y)) in a.cores.iter().zip(&b.cores).enumerate() {
+            assert_eq!(x.len(), y.len(), "{what}, core {c}");
+            for (i, (&x, &y)) in x.iter().zip(y).enumerate() {
+                match (x, y) {
+                    (
+                        Op::Access { server, cost, n },
+                        Op::Access {
+                            server: s,
+                            cost: k,
+                            n: m,
+                        },
+                    ) => assert_eq!(
+                        (server, n, a.costs[cost as usize]),
+                        (s, m, b.costs[k as usize]),
+                        "{what}, core {c}, op {i}"
+                    ),
+                    _ => assert_eq!(x, y, "{what}, core {c}, op {i}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -310,11 +385,8 @@ mod tests {
                     for seed in [0, 11, 0xba5e] {
                         let what = format!("cores {cores}, ops {ops}, {kind:?}, seed {seed}");
                         let p = synthetic_program(cores, ops, kind, seed);
-                        assert_eq!(
-                            p,
-                            synthetic_program_by_rows(cores, ops, kind, seed),
-                            "{what}"
-                        );
+                        let by_rows = synthetic_program_by_rows(cores, ops, kind, seed);
+                        assert_same_resolved(&p, &by_rows, &what);
                         // Every stream is one exact-size allocation: no
                         // doubling, no slack.
                         for stream in &p.cores {

@@ -243,10 +243,24 @@ mod proptest_suite {
 #[test]
 fn engine_rejects_malformed_programs() {
     let machine = MachineParams::epyc_like();
-    let bad = Program {
+    let missing_barrier = Program {
         name: "bad".into(),
         cores: vec![vec![Op::Barrier { id: 0 }], vec![]],
+        costs: vec![],
         barriers: vec![BarrierKind::Sense],
     };
-    assert!(std::panic::catch_unwind(|| engine::run(&bad, &machine)).is_err());
+    let undefined_cost = Program {
+        name: "bad".into(),
+        cores: vec![vec![Op::Access {
+            server: 0,
+            cost: 0,
+            n: 1,
+        }]],
+        costs: vec![],
+        barriers: vec![],
+    };
+    for bad in [missing_barrier, undefined_cost] {
+        assert!(bad.validate().is_err());
+        assert!(std::panic::catch_unwind(|| engine::run(&bad, &machine)).is_err());
+    }
 }

@@ -117,8 +117,12 @@ pub fn lower(
         SyncMode::LockFree | SyncMode::Combining => BarrierKind::Sense,
     };
     let episodes = segments.len() - 1;
-    let barriers = vec![barrier_kind; episodes];
-    let mut cores: Vec<Vec<Op>> = vec![Vec::new(); p];
+    let mut program = Program {
+        name: trace.name().to_owned(),
+        cores: vec![Vec::new(); p],
+        costs: Vec::new(),
+        barriers: vec![barrier_kind; episodes],
+    };
 
     // Mean observed hold time feeds the data-lock service cost; everything
     // else is priced exactly like the analytic expansion (hold 0).
@@ -127,16 +131,14 @@ pub fn lower(
         .fold((0, 0), |(a, h), s| (a + s.lock_acqs, h + s.lock_hold_ns));
     let hold_ns = total_hold.checked_div(total_acqs).unwrap_or(0);
 
-    let counter_cost = class_cost(policy.mode_for(ConstructClass::Counter), machine, p, 0);
-    let reduce_cost = class_cost(policy.mode_for(ConstructClass::Reduction), machine, p, 0);
-    let flag_cost = class_cost(policy.mode_for(ConstructClass::Flag), machine, p, 0);
-    let queue_cost = class_cost(policy.mode_for(ConstructClass::Queue), machine, p, 0);
-    let data_cost = class_cost(
-        policy.mode_for(ConstructClass::DataLock),
-        machine,
-        p,
-        hold_ns,
-    );
+    // Cost ids, interned once: every segment prices its ops alike.
+    let mut cost =
+        |class, hold_ns| program.intern(class_cost(policy.mode_for(class), machine, p, hold_ns));
+    let counter = cost(ConstructClass::Counter, 0);
+    let reduce = cost(ConstructClass::Reduction, 0);
+    let flag = cost(ConstructClass::Flag, 0);
+    let queue = cost(ConstructClass::Queue, 0);
+    let data = cost(ConstructClass::DataLock, hold_ns);
 
     let mut next_server = 0u32;
     for (seg_idx, seg) in segments.iter().enumerate() {
@@ -166,7 +168,7 @@ pub fn lower(
             + seg.rmws[rmw_idx(ConstructClass::Barrier)]
             + seg.rmws[rmw_idx(ConstructClass::Queue)];
 
-        for (tid, ops) in cores.iter_mut().enumerate() {
+        for (tid, ops) in program.cores.iter_mut().enumerate() {
             let tid = tid as u64;
             let my_compute = share(seg.wall_ns, tid, p as u64);
             let my_items = share(seg.getsub_items, tid, p as u64);
@@ -189,20 +191,14 @@ pub fn lower(
                     ops.push(Op::Compute { ns: c });
                 }
                 for (n, server, cost) in [
-                    (part(my_grabs), dispatch_server, counter_cost),
-                    (part(my_reduces), reduce_server, reduce_cost),
-                    (part(my_queue), queue_server, queue_cost),
-                    (part(my_data), data_server, data_cost),
-                    (part(my_flags), data_server, flag_cost),
+                    (part(my_grabs), dispatch_server, counter),
+                    (part(my_reduces), reduce_server, reduce),
+                    (part(my_queue), queue_server, queue),
+                    (part(my_data), data_server, data),
+                    (part(my_flags), data_server, flag),
                 ] {
                     if n > 0 {
-                        ops.push(Op::Access {
-                            server,
-                            n,
-                            service_ns: cost.service_ns,
-                            local_ns: cost.local_ns,
-                            contended_ns: cost.contended_ns,
-                        });
+                        ops.push(Op::Access { server, cost, n });
                     }
                 }
             }
@@ -211,12 +207,7 @@ pub fn lower(
             }
         }
     }
-
-    Program {
-        name: trace.name().to_owned(),
-        cores,
-        barriers,
-    }
+    program
 }
 
 #[cfg(test)]
