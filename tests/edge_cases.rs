@@ -69,7 +69,6 @@ fn volume_smaller_than_macrocell() {
 fn ocean_one_interior_row_per_thread() {
     let cfg = ocean::OceanConfig {
         n: 4,
-        omega: 1.5,
         tolerance: 1e-9,
         max_iters: 2000,
         layout: ocean::OceanLayout::RowArrays,
