@@ -8,8 +8,6 @@
 //! splash4-report --all --only fft,radix
 //! splash4-report --all --csv-dir results/csv
 //! splash4-report --bench [atomics] [--quick] [--bench-out atomics.json] [--force]
-//! splash4-report --validate atomics.json
-//! splash4-report --compare before.json after.json
 //! splash4-report --calibrate atomics.json [--profile-base epyc] [--profile-out host-profile.json]
 //! splash4-report --experiment F2-sim-epyc --machine host-profile.json
 //! ```
@@ -19,15 +17,15 @@
 //! accepted and changes nothing) runs the one measurement nothing else
 //! takes: the host's atomic cost matrix (CAS/FAA/SWP/load/store across
 //! contention levels and cache-line padding), written as a
-//! `splash4-bench-v2` document. `--calibrate` lowers such a document's
-//! measured medians into a simulator machine profile, and `--machine`
-//! points any simulation-driven experiment at a preset name, inline profile
-//! JSON, or a profile file (see `splash4_sim::MachineParams::resolve`).
+//! `splash4-bench-v2` document of per-cell medians. `--calibrate` lowers
+//! such a document's medians into a simulator machine profile and is also
+//! its input check: a missing cell, or a median that is not a finite
+//! positive number, exits 1 without writing anything. `--machine` points any
+//! simulation-driven experiment at a preset name, inline profile JSON, or a
+//! profile file (see `splash4_sim::MachineParams::resolve`).
 //!
-//! `--validate` checks a bench document's schema and statistical invariants
-//! (exit 1 on any violation); `--compare` runs the noise-aware verdict over
-//! two documents and exits non-zero only on a statistically resolvable
-//! regression.
+//! `--bench-out` and `--profile-out` never replace an existing file unless
+//! `--force` is given.
 //!
 //! `--only` narrows the per-workload experiments to a comma list of
 //! workload names, resolved leniently through the registry (`FFT`,
@@ -35,8 +33,7 @@
 //! the experiment ids and the workload names those filters accept.
 
 use splash4_harness::{
-    compare_texts, run_bench_atomics, run_experiment, validate, write_guarded, BenchConfig,
-    BenchmarkId, ExperimentCtx, ALL_EXPERIMENTS,
+    run_bench_atomics, run_experiment, BenchConfig, BenchmarkId, ExperimentCtx, ALL_EXPERIMENTS,
 };
 use splash4_kernels::InputClass;
 use splash4_parmacs::{json, Json};
@@ -46,7 +43,7 @@ use std::process::ExitCode;
 
 fn usage() -> &'static str {
     "usage: splash4-report (--list | --all | --experiment <id> | --bench [atomics] \
-     | --validate <file> | --compare <baseline> <candidate> | --calibrate <bench.json>) \
+     | --calibrate <bench.json>) \
      [--only bench[,bench...]] [--class test|small|native] \
      [--threads a,b,c] [--sim-threads a,b,c] [--machine <preset|file|json>] \
      [--snapshot-cores N] [--json-out FILE] [--csv-dir DIR] \
@@ -65,8 +62,6 @@ fn main() -> ExitCode {
     let mut calibrate_path: Option<String> = None;
     let mut profile_out = "host-profile.json".to_string();
     let mut profile_base = "epyc".to_string();
-    let mut validate_path: Option<String> = None;
-    let mut compare_paths: Option<(String, String)> = None;
     let mut bench_out = "BENCH_results.json".to_string();
     let mut ctx = ExperimentCtx::default();
     let mut json_out: Option<String> = None;
@@ -153,20 +148,6 @@ fn main() -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 }
-            }
-            "--validate" => {
-                let Some(path) = it.next() else {
-                    eprintln!("--validate needs a path\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                validate_path = Some(path.clone());
-            }
-            "--compare" => {
-                let (Some(base), Some(cand)) = (it.next(), it.next()) else {
-                    eprintln!("--compare needs <baseline> <candidate> paths\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                compare_paths = Some((base.clone(), cand.clone()));
             }
             "--bench-out" => {
                 let Some(path) = it.next() else {
@@ -263,48 +244,6 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if let Some(path) = validate_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("failed to read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate(&text) {
-            Ok(msg) => {
-                println!("{path}: {msg}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{path}: invalid bench document: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if let Some((base_path, cand_path)) = compare_paths {
-        let read =
-            |p: &str| std::fs::read_to_string(p).map_err(|e| format!("failed to read {p}: {e}"));
-        let report = read(&base_path)
-            .and_then(|b| read(&cand_path).map(|c| (b, c)))
-            .and_then(|(b, c)| compare_texts(&b, &c));
-        return match report {
-            Ok(r) => {
-                print!("{}", r.to_text());
-                if r.pass() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
     if let Some(path) = calibrate_path {
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
@@ -387,11 +326,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!(
-            "running the atomic cost matrix ({} mode, {}-{} adaptive reps, CI target ±{:.0}%)...",
+            "running the atomic cost matrix ({} mode, {} timed passes a cell)...",
             if quick { "quick" } else { "full" },
-            cfg.measure.min_reps,
-            cfg.measure.max_reps,
-            cfg.measure.target_rci * 100.0
+            cfg.reps
         );
         let (text, doc) = run_bench_atomics(&cfg);
         print!("{text}");
@@ -447,6 +384,18 @@ fn main() -> ExitCode {
         eprintln!("wrote {path}");
     }
     ExitCode::SUCCESS
+}
+
+/// Write `contents` to `path`, refusing to replace an existing file unless
+/// `force` is set.
+fn write_guarded(path: &Path, contents: &str, force: bool) -> Result<(), String> {
+    if path.exists() && !force {
+        return Err(format!(
+            "refusing to overwrite existing {} (pass --force to replace it)",
+            path.display()
+        ));
+    }
+    std::fs::write(path, contents).map_err(|e| format!("failed to write {}: {e}", path.display()))
 }
 
 fn parse_list(s: &str) -> Option<Vec<usize>> {

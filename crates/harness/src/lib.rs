@@ -8,22 +8,16 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod compare;
 pub mod experiments;
-pub mod measure;
 pub mod perfbench;
 pub mod registry;
 pub mod service;
 pub mod tables;
 
 pub use cache::{fnv1a, ResultCache};
-pub use compare::{
-    compare, compare_texts, validate, write_guarded, BenchDoc, CompareReport, MetricClass, Verdict,
-};
 pub use experiments::{
     record_trace, run_experiment, work_model, ExperimentCtx, ModelCache, ALL_EXPERIMENTS,
 };
-pub use measure::{bootstrap_ci, measure_adaptive, time_adaptive, MeasureConfig, Summary};
 pub use perfbench::{run_bench_atomics, BenchConfig};
 pub use registry::BenchmarkId;
 pub use service::{

@@ -6,21 +6,20 @@
 //! nothing else measures is the host's raw atomic cost (CAS/FAA/SWP/load/
 //! store × contention × padding), and that matrix is the only input
 //! `splash4-report --calibrate` has, so it stays as this module's whole
-//! job. Every cell is measured through [`crate::measure`]: adaptive
-//! repetition until the bootstrap 95 % CI of the median is tight (or a rep
-//! cap), summarized as `{median, ci_lo, ci_hi, reps, cv, samples}` in a
-//! `splash4-bench-v2` document that `--validate` checks and `--compare` can
-//! gate between two runs on the same host (`DESIGN.md` §11).
+//! job. Every cell gets one untimed warm-up pass and then a fixed number of
+//! timed passes ([`BenchConfig::reps`]); it is summarized as
+//! `{median, samples}` in a `splash4-bench-v2` document, which
+//! `--calibrate` checks as it lowers it (`DESIGN.md` §11).
 
-use crate::measure::{time_adaptive, MeasureConfig, Summary};
 use crate::tables::Table;
 use splash4_parmacs::{json, Json, Team};
+use std::time::Instant;
 
-/// Tuning knobs for one matrix run.
+/// The shape of one matrix run.
 #[derive(Debug, Clone)]
 pub struct BenchConfig {
-    /// Statistical stopping rule (reps, CI target, bootstrap size).
-    pub measure: MeasureConfig,
+    /// Timed passes per cell, after one untimed warm-up pass.
+    pub reps: usize,
     /// Largest contention level, and the team size of the padding pair.
     pub threads: usize,
     /// Per-thread operations in each cell.
@@ -33,21 +32,57 @@ impl BenchConfig {
     /// Full-size configuration (local calibration).
     pub fn full() -> BenchConfig {
         BenchConfig {
-            measure: MeasureConfig::full(),
+            reps: 15,
             threads: 4,
             atomic_ops: 200_000,
             quick: false,
         }
     }
 
-    /// CI-sized configuration: same shape, 10× less work, looser CI target.
+    /// CI-sized configuration: same shape, 10× less work, fewer passes.
     pub fn quick() -> BenchConfig {
         BenchConfig {
-            measure: MeasureConfig::quick(),
+            reps: 7,
             threads: 4,
             atomic_ops: 20_000,
             quick: true,
         }
+    }
+}
+
+/// One measured cell: its per-pass costs in ns/op, in the order they ran.
+struct Cell {
+    name: String,
+    samples: Vec<f64>,
+}
+
+impl Cell {
+    /// Time `pass` once untimed (faults pages, warms caches, resolves lazy
+    /// init), then `reps` times; each timed pass's seconds times `scale` is
+    /// one sample in ns/op.
+    fn time(name: String, reps: usize, scale: f64, mut pass: impl FnMut()) -> Cell {
+        pass();
+        let samples = (0..reps.max(1))
+            .map(|_| {
+                let t0 = Instant::now();
+                pass();
+                t0.elapsed().as_secs_f64() * scale
+            })
+            .collect();
+        Cell { name, samples }
+    }
+
+    /// `(median, min, max)` of the samples.
+    fn stats(&self) -> (f64, f64, f64) {
+        let mut v = self.samples.clone();
+        v.sort_by(f64::total_cmp);
+        let n = v.len();
+        let median = if n % 2 == 1 {
+            v[n / 2]
+        } else {
+            (v[n / 2 - 1] + v[n / 2]) / 2.0
+        };
+        (median, v[0], v[n - 1])
     }
 }
 
@@ -118,38 +153,42 @@ fn atomic_pass(op: &str, x: &std::sync::atomic::AtomicU64, n: usize) {
 /// - padding cells report the per-thread latency `elapsed / n`, since the
 ///   threads proceed in parallel on distinct locations.
 ///
-/// Every cell is host-absolute (classified `Wall` by the compare layer:
-/// gate-eligible only between matching configs on the same host,
-/// informational otherwise) — per Schweizer/Besta/Hoefler these costs *are*
-/// host properties, which is the reason they feed calibration instead of a
-/// cross-host gate.
-fn bench_atomics(cfg: &BenchConfig) -> Vec<(String, Summary)> {
+/// Every cell is host-absolute — per Schweizer/Besta/Hoefler these costs
+/// *are* host properties, which is why they feed calibration and nothing
+/// compares them across hosts.
+fn bench_atomics(cfg: &BenchConfig) -> Vec<Cell> {
     use splash4_parmacs::CachePadded;
     use std::sync::atomic::AtomicU64;
-    let n = cfg.atomic_ops;
-    let mut cells: Vec<(String, Summary)> = Vec::new();
+    let (n, reps) = (cfg.atomic_ops, cfg.reps);
+    let mut cells: Vec<Cell> = Vec::new();
     for op in ATOMIC_OPS {
         // True sharing: c threads on one padded location.
         for c in splash4_sim::contention_levels(cfg.threads) {
             let shared = CachePadded::new(AtomicU64::new(0));
-            let secs = time_adaptive(&cfg.measure, || {
-                Team::new(c).run(|_| atomic_pass(op, &shared, n));
-            });
-            cells.push((format!("{op}_c{c}_ns"), secs.scale(1e9 / (c * n) as f64)));
+            cells.push(Cell::time(
+                format!("{op}_c{c}_ns"),
+                reps,
+                1e9 / (c * n) as f64,
+                || Team::new(c).run(|_| atomic_pass(op, &shared, n)),
+            ));
         }
         // False sharing vs padded: per-thread slots, one line vs one line each.
         let packed: Vec<AtomicU64> = (0..cfg.threads).map(|_| AtomicU64::new(0)).collect();
-        let secs = time_adaptive(&cfg.measure, || {
-            Team::new(cfg.threads).run(|ctx| atomic_pass(op, &packed[ctx.tid], n));
-        });
-        cells.push((format!("{op}_falseshare_ns"), secs.scale(1e9 / n as f64)));
+        cells.push(Cell::time(
+            format!("{op}_falseshare_ns"),
+            reps,
+            1e9 / n as f64,
+            || Team::new(cfg.threads).run(|ctx| atomic_pass(op, &packed[ctx.tid], n)),
+        ));
         let padded: Vec<CachePadded<AtomicU64>> = (0..cfg.threads)
             .map(|_| CachePadded::new(AtomicU64::new(0)))
             .collect();
-        let secs = time_adaptive(&cfg.measure, || {
-            Team::new(cfg.threads).run(|ctx| atomic_pass(op, &padded[ctx.tid], n));
-        });
-        cells.push((format!("{op}_padded_ns"), secs.scale(1e9 / n as f64)));
+        cells.push(Cell::time(
+            format!("{op}_padded_ns"),
+            reps,
+            1e9 / n as f64,
+            || Team::new(cfg.threads).run(|ctx| atomic_pass(op, &padded[ctx.tid], n)),
+        ));
     }
     cells
 }
@@ -163,16 +202,17 @@ fn bench_atomics(cfg: &BenchConfig) -> Vec<(String, Summary)> {
 /// --calibrate` lowers into a host machine profile.
 pub fn run_bench_atomics(cfg: &BenchConfig) -> (String, Json) {
     let cells = bench_atomics(cfg);
-    let mut t = Table::new(vec!["metric", "backend", "median [95% CI]"]);
-    for (name, s) in &cells {
-        let trimmed = name.strip_suffix("_ns").unwrap_or(name);
-        let (op, cell) = trimmed.split_once('_').unwrap_or((trimmed, ""));
+    let mut t = Table::new(vec!["metric", "backend", "median [min, max]"]);
+    for cell in &cells {
+        let trimmed = cell.name.strip_suffix("_ns").unwrap_or(&cell.name);
+        let (op, backend) = trimmed.split_once('_').unwrap_or((trimmed, ""));
+        let (median, min, max) = cell.stats();
         t.row(vec![
             format!("atomic {op}"),
-            cell.into(),
+            backend.into(),
             format!(
-                "{:.3} [{:.3}, {:.3}] ns/op (n={})",
-                s.median, s.ci_lo, s.ci_hi, s.reps
+                "{median:.3} [{min:.3}, {max:.3}] ns/op (n={})",
+                cell.samples.len()
             ),
         ]);
     }
@@ -182,18 +222,19 @@ pub fn run_bench_atomics(cfg: &BenchConfig) -> (String, Json) {
             "quick": cfg.quick,
             "threads": cfg.threads as u64,
             "atomic_ops": cfg.atomic_ops as u64,
-            "measure": json!({
-                "min_reps": cfg.measure.min_reps as u64,
-                "max_reps": cfg.measure.max_reps as u64,
-                "target_rci": cfg.measure.target_rci,
-                "resamples": cfg.measure.resamples as u64,
-            }),
+            "reps": cfg.reps as u64,
         }),
         "metrics": json!({
             "atomics": Json::Object(
                 cells
                     .iter()
-                    .map(|(name, s)| (name.clone(), s.to_json()))
+                    .map(|cell| {
+                        let summary = json!({
+                            "median": cell.stats().0,
+                            "samples": Json::from_f64s(&cell.samples),
+                        });
+                        (cell.name.clone(), summary)
+                    })
                     .collect(),
             ),
         }),
@@ -204,42 +245,39 @@ pub fn run_bench_atomics(cfg: &BenchConfig) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compare::{compare_texts, validate, BenchDoc, MetricClass};
     use splash4_sim::MachineParams;
 
-    fn tiny() -> BenchConfig {
-        BenchConfig {
-            measure: MeasureConfig {
-                min_reps: 2,
-                max_reps: 3,
-                target_rci: 0.5,
-                resamples: 100,
-            },
+    #[test]
+    fn atomics_subset_document_calibrates_with_reps_samples_per_cell() {
+        let cfg = BenchConfig {
+            reps: 3,
             threads: 2,
             atomic_ops: 400,
             quick: true,
-        }
-    }
-
-    #[test]
-    fn atomics_subset_document_validates_and_calibrates() {
-        let (text, doc) = run_bench_atomics(&tiny());
+        };
+        let (text, doc) = run_bench_atomics(&cfg);
         assert!(text.contains("atomic cas"), "{text}");
         assert!(text.contains("falseshare"), "{text}");
+        assert!(text.contains("(n=3)"), "{text}");
         assert_eq!(doc["schema"].as_str(), Some("splash4-bench-v2"));
         assert_eq!(doc["config"]["atomic_ops"].as_u64(), Some(400));
-        let rendered = doc.to_string_pretty();
-        validate(&rendered).expect("atomics document validates");
-        let decoded = BenchDoc::parse(&rendered).expect("decodes");
-        // 5 ops × (contention levels {1, 2} at threads=2 + falseshare + padded),
-        // every cell host-absolute nanoseconds carrying real repetitions.
-        assert_eq!(decoded.metrics.len(), 5 * 4);
-        for m in &decoded.metrics {
-            assert!(m.name.starts_with("atomics/"), "{}", m.name);
-            assert_eq!(m.class, MetricClass::Wall, "{}", m.name);
-            assert!(m.summary.median > 0.0, "{} must be positive", m.name);
-            assert!(m.summary.reps >= 2, "{} must carry real reps", m.name);
-            assert_eq!(m.summary.samples.len(), m.summary.reps, "{}", m.name);
+        assert_eq!(doc["config"]["reps"].as_u64(), Some(3));
+        // 5 ops × (contention levels {1, 2} at threads=2 + falseshare + padded).
+        let cells = doc["metrics"]["atomics"]
+            .as_object()
+            .expect("atomics group");
+        assert_eq!(cells.len(), 5 * 4);
+        for (name, cell) in cells {
+            let samples = cell["samples"].as_f64_array().expect("samples");
+            assert_eq!(samples.len(), cfg.reps, "{name}");
+            let median = cell["median"].as_f64().expect("median");
+            assert!(median > 0.0, "{name} must be positive");
+            let lo = samples.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = samples.iter().copied().fold(0.0, f64::max);
+            assert!(
+                lo <= median && median <= hi,
+                "{name}: {median} outside samples"
+            );
         }
         for cell in [
             "cas_c1_ns",
@@ -247,18 +285,14 @@ mod tests {
             "store_padded_ns",
             "load_falseshare_ns",
         ] {
-            assert!(
-                decoded.metric(&format!("atomics/{cell}")).is_some(),
-                "{cell}"
-            );
+            assert!(cells.iter().any(|(k, _)| k == cell), "{cell}");
         }
-        // Self-comparison cannot gate (everything is Wall-class and the
-        // configs match).
-        let r = compare_texts(&rendered, &rendered).expect("self compare");
-        assert!(r.configs_match && r.pass());
-        // The document is exactly what `--calibrate` lowers.
+        // The document is exactly what `--calibrate` lowers, and it survives
+        // the text round trip the CLI puts it through.
         let base = MachineParams::epyc_like();
-        let cal = splash4_sim::calibrate(&doc, &base).unwrap();
+        let reparsed = Json::parse(&doc.to_string_pretty()).expect("round trip");
+        let cal = splash4_sim::calibrate(&reparsed, &base).unwrap();
+        assert_eq!(cal, splash4_sim::calibrate(&doc, &base).unwrap());
         assert!(cal.rmw_local_ns >= 1);
         assert!(cal.rmw_service_ns >= cal.rmw_local_ns);
         assert_eq!(cal.ghz, base.ghz);

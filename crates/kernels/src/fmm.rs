@@ -379,11 +379,7 @@ pub fn run(cfg: &FmmConfig, env: &SyncEnv) -> KernelResult {
         barrier.wait(ctx.tid);
     });
 
-    let validated = if n <= 4096 {
-        validate(&pos, &charge, &phi_store)
-    } else {
-        checksum.load().is_finite()
-    };
+    let validated = validate(&pos, &charge, &phi_store);
 
     let nu = n as u64;
     let cells2plus: u64 = (2..=lmax).map(|l| (side(l) * side(l)) as u64).sum();
@@ -604,6 +600,16 @@ mod tests {
         };
         let r = run(&cfg, &SyncEnv::new(SyncMode::LockFree, 2));
         assert!(r.validated);
+    }
+
+    #[test]
+    #[ignore = "Native class: run in release with --ignored"]
+    fn validates_at_native() {
+        let cfg = FmmConfig::class(InputClass::Native);
+        for mode in SyncMode::ALL {
+            let r = run(&cfg, &SyncEnv::new(mode, 2));
+            assert!(r.validated, "mode {mode}");
+        }
     }
 
     #[test]

@@ -42,12 +42,19 @@ pub const TOLERANCE: f64 = 0.10;
 /// Absolute tolerance floor of the round trip, in nanoseconds.
 pub const TOLERANCE_ABS_NS: u64 = 2;
 
-/// Median of the named metric inside an `atomics` metrics group. Accepts
-/// both full v2 summary objects (`{median, ci_lo, ...}`) and bare numbers
-/// (synthetic calibration-only documents).
-fn group_median(group: &Json, key: &str) -> Option<f64> {
-    let v = group.get(key)?;
-    v["median"].as_f64().or_else(|| v.as_f64())
+/// Median of the named cell inside an `atomics` metrics group: `Ok(None)`
+/// if the cell is absent, an error if it is not a finite positive number.
+/// Accepts both `{median, samples}` objects and bare numbers.
+fn group_median(group: &Json, key: &str) -> Result<Option<f64>, String> {
+    let Some(v) = group.get(key) else {
+        return Ok(None);
+    };
+    match v["median"].as_f64().or_else(|| v.as_f64()) {
+        Some(m) if m.is_finite() && m > 0.0 => Ok(Some(m)),
+        _ => Err(format!(
+            "atomics cell `{key}` must have a finite positive median"
+        )),
+    }
 }
 
 /// The highest contention level `c` for which the group has a `faa_c<c>_ns`
@@ -74,23 +81,22 @@ fn max_contention(group: &Json) -> Option<usize> {
 /// profile.
 ///
 /// # Errors
-/// Returns a message if the document lacks an `atomics` group or the group
-/// is missing the required cells (`faa_c1_ns`, `cas_c1_ns`, `store_c1_ns`).
+/// Returns a message if the document lacks an `atomics` group, the group
+/// is missing the required cells (`faa_c1_ns`, `cas_c1_ns`, `store_c1_ns`),
+/// or any cell the lowering reads has a median that is not a finite
+/// positive number.
 pub fn calibrate(bench: &Json, base: &MachineParams) -> Result<MachineParams, String> {
     let group = &bench["metrics"]["atomics"];
     if group.as_object().is_none() {
         return Err("bench document has no `metrics.atomics` group; run `--bench atomics`".into());
     }
     let need = |key: &str| {
-        group_median(group, key)
+        group_median(group, key)?
             .ok_or_else(|| format!("atomics group is missing required cell `{key}`"))
     };
     let faa_c1 = need("faa_c1_ns")?;
     let cas_c1 = need("cas_c1_ns")?;
     let store_c1 = need("store_c1_ns")?;
-    if !(faa_c1 > 0.0 && cas_c1 > 0.0 && store_c1 > 0.0) {
-        return Err("atomics medians must be positive".into());
-    }
 
     let rmw_local_ns = faa_c1.round().max(1.0) as u64;
     // Highest measured contention level: the serialized per-op service time
@@ -98,8 +104,7 @@ pub fn calibrate(bench: &Json, base: &MachineParams) -> Result<MachineParams, St
     // contention, so the base preset's value is retained.
     let cmax = max_contention(group).unwrap_or(1);
     let rmw_service_ns = if cmax > 1 {
-        let s = group_median(group, &format!("faa_c{cmax}_ns"))
-            .ok_or_else(|| format!("atomics group lost its `faa_c{cmax}_ns` cell"))?;
+        let s = need(&format!("faa_c{cmax}_ns"))?;
         (s.round().max(1.0) as u64).max(rmw_local_ns)
     } else {
         base.rmw_service_ns.max(rmw_local_ns)
@@ -108,7 +113,7 @@ pub fn calibrate(bench: &Json, base: &MachineParams) -> Result<MachineParams, St
     // Only meaningful when c=2 is not also the maximum measured level
     // (otherwise the same cell would have to be both the service time and
     // the local+transfer sum).
-    let line_transfer_ns = match group_median(group, "faa_c2_ns") {
+    let line_transfer_ns = match group_median(group, "faa_c2_ns")? {
         Some(c2) if cmax > 2 => ((c2 - faa_c1).round() as i64).max(1) as u64,
         _ => base.line_transfer_ns,
     };
@@ -136,9 +141,8 @@ pub fn host_profile_name(base: &MachineParams) -> &'static str {
 
 /// Generate a synthetic calibration document *from* a parameter table: the
 /// exact inverse of [`calibrate`]'s lowering. The document carries only what
-/// calibration reads (`config.threads` and a `metrics.atomics` group with
-/// zero-width intervals); it is not a full bench document and will not pass
-/// the bench `--validate` gate. `threads` is clamped to at least 4 so the
+/// calibration reads (`config.threads` and a `metrics.atomics` group of
+/// one-sample cells). `threads` is clamped to at least 4 so the
 /// c=2 cell (line transfer) and the top-contention cell (service time)
 /// remain distinct.
 pub fn synthesize_bench(m: &MachineParams, threads: usize) -> Json {
@@ -175,10 +179,6 @@ pub fn synthesize_bench(m: &MachineParams, threads: usize) -> Json {
     let summary = |v: f64| {
         json!({
             "median": v,
-            "ci_lo": v,
-            "ci_hi": v,
-            "reps": 1u64,
-            "cv": 0.0,
             "samples": Json::from_f64s(&[v]),
         })
     };
@@ -268,6 +268,51 @@ mod tests {
         assert_eq!(m.condvar_wake_ns, base.condvar_wake_ns);
         assert_eq!(m.ghz, base.ghz);
         assert_eq!(m.name, "host-epyc-7002-like");
+    }
+
+    #[test]
+    fn calibrate_rejects_non_finite_and_non_positive_medians() {
+        let base = MachineParams::epyc_like();
+        let cells = |key: &str, bad: f64| {
+            let mut cells = vec![
+                ("faa_c1_ns", 10.0),
+                ("faa_c2_ns", 60.0),
+                ("faa_c4_ns", 90.0),
+                ("cas_c1_ns", 20.0),
+                ("store_c1_ns", 5.0),
+            ];
+            for cell in &mut cells {
+                if cell.0 == key {
+                    cell.1 = bad;
+                }
+            }
+            let group = cells
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), json!({ "median": v })))
+                .collect();
+            json!({ "metrics": json!({ "atomics": Json::Object(group) }) })
+        };
+        assert!(calibrate(&cells("faa_c1_ns", 10.0), &base).is_ok());
+        // `1e999` in a document parses to infinity; each cell the lowering
+        // reads must refuse it, and zero or a negative cost, by name.
+        for key in [
+            "faa_c1_ns",
+            "cas_c1_ns",
+            "store_c1_ns",
+            "faa_c4_ns",
+            "faa_c2_ns",
+        ] {
+            for bad in [f64::INFINITY, f64::NEG_INFINITY, 0.0, -3.0] {
+                let err = calibrate(&cells(key, bad), &base).unwrap_err();
+                assert!(err.contains(key), "{key} = {bad}: {err}");
+            }
+        }
+        let parsed = Json::parse(
+            r#"{"metrics": {"atomics": {
+            "faa_c1_ns": 1e999, "cas_c1_ns": 20.0, "store_c1_ns": 5.0}}}"#,
+        )
+        .unwrap();
+        assert!(calibrate(&parsed, &base).is_err());
     }
 
     #[test]

@@ -86,9 +86,8 @@ pub use splash4_check::{
     check_suite, check_weakmem, check_weakmem_mutants, CheckBudget, MemoryModel,
 };
 pub use splash4_harness::{
-    compare_texts as compare_bench_docs, geomean, pct_change, record_trace, run_bench_atomics,
-    run_experiment, validate as validate_bench_doc, BenchConfig, BenchDoc, CompareReport,
-    ExperimentCtx, MeasureConfig, MetricClass, ModelCache, Report, Summary, Table, ALL_EXPERIMENTS,
+    geomean, pct_change, record_trace, run_bench_atomics, run_experiment, BenchConfig,
+    ExperimentCtx, ModelCache, Report, Table, ALL_EXPERIMENTS,
 };
 // The experiment service's network-free core (DESIGN.md §13); the
 // `splash4-serve` crate wraps this in the JSON-over-TCP front end.
