@@ -145,7 +145,7 @@ mod tests {
 
     #[test]
     fn combining_counterexamples_replay() {
-        use crate::explore::{explore, replay};
+        use crate::explore::{explore, replay, Budget};
         let scenario = mutated(
             |sb| sb.fault("combining.req", Fault::Dropped),
             reduce_u64_scenario(SyncMode::Combining),
@@ -153,7 +153,7 @@ mod tests {
         let budget = CheckBudget::small(23).to_budget(0);
         let rep = explore(&scenario, &budget);
         let cex = rep.counterexample.expect("a dropped publication must fail");
-        let replayed = replay(&scenario, &cex.schedule, budget.max_steps);
+        let replayed = replay(&scenario, &cex.schedule, Budget::MAX_STEPS);
         assert!(
             replayed.failure.is_some(),
             "minimized schedule must reproduce the failure"

@@ -45,12 +45,8 @@ pub struct Budget {
     pub max_executions: usize,
     /// Target number of distinct schedules (PCT tops up to this).
     pub min_schedules: usize,
-    /// Per-execution step limit.
-    pub max_steps: u64,
     /// Seed for the PCT pass.
     pub seed: u64,
-    /// PCT depth `d`: number of priority change points is `d - 1`.
-    pub pct_depth: u32,
     /// Horizon (in branching decisions) change points are drawn from.
     pub pct_len: u32,
     /// Memory model executions run under. [`MemoryModel::Weak`] adds
@@ -65,16 +61,21 @@ impl Default for Budget {
             max_schedules: 4096,
             max_executions: 20_000,
             min_schedules: 1000,
-            max_steps: 20_000,
             seed: 0xC0FF_EE00,
-            pct_depth: 3,
             pct_len: 64,
             memory: MemoryModel::Sc,
         }
     }
 }
 
+/// PCT depth `d`: the number of priority change points is `d - 1`.
+const PCT_DEPTH: u32 = 3;
+
 impl Budget {
+    /// Per-execution step limit of every exploration; pass it to [`replay`]
+    /// to reproduce a schedule a search found.
+    pub const MAX_STEPS: u64 = 20_000;
+
     /// A small budget for unit tests and demos.
     pub fn small(seed: u64) -> Budget {
         Budget {
@@ -321,7 +322,7 @@ impl<'a> Explorer<'a> {
     }
 
     fn run(&mut self, driver: Box<dyn Driver>) -> RunOutcome {
-        let (max_steps, memory) = (self.budget.max_steps, self.budget.memory);
+        let (max_steps, memory) = (Budget::MAX_STEPS, self.budget.memory);
         let out = run_one(&mut self.workers, self.factory, driver, max_steps, memory);
         self.executions += 1;
         self.steps += out.steps;
@@ -418,16 +419,12 @@ pub fn explore(factory: &Scenario, budget: &Budget) -> ExploreReport {
         && round < budget.max_executions as u64
     {
         let seed = budget.seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ex.run(Box::new(PctDriver::new(
-            seed,
-            budget.pct_depth,
-            budget.pct_len,
-        )));
+        ex.run(Box::new(PctDriver::new(seed, PCT_DEPTH, budget.pct_len)));
         round += 1;
     }
 
     let counterexample = ex.failing.take().map(|(sched, failure)| {
-        let (max_steps, memory) = (budget.max_steps, budget.memory);
+        let (max_steps, memory) = (Budget::MAX_STEPS, budget.memory);
         minimize(&mut ex.workers, factory, sched, failure, max_steps, memory)
     });
 
@@ -597,7 +594,7 @@ mod tests {
         assert_eq!(cex.failure.kind(), "invariant");
         // Replaying the rendered schedule reproduces the failure.
         let parsed = Schedule::parse(&cex.schedule.to_string()).unwrap();
-        let re = replay(&racy_scenario, &parsed, budget.max_steps);
+        let re = replay(&racy_scenario, &parsed, Budget::MAX_STEPS);
         assert_eq!(re.failure.expect("replay fails").kind(), "invariant");
     }
 

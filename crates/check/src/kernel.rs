@@ -15,7 +15,9 @@
 //!   the real Lennard-Jones pair energies of the `Check`-scale fluid
 //!   (cyclic pair ownership, exactly as `ctx.cyclic` splits them) flow into
 //!   the **CAS-loop `AtomicF64`** with a concurrent reader, and the finale
-//!   demands the sequential sum.
+//!   demands the sequential sum. The same cell, one per element, is the
+//!   kernel's force array (`SharedAccum<f64>`), so this CAS loop is the one
+//!   every Splash-4 force update runs.
 //! * [`cmap_chain_scenario`] runs one bucket of the `cmap` workload's
 //!   shipped [`LockFreeMap`] — a **Harris–Michael chain** over the shipped
 //!   epoch reclaimer: a remover marks-then-snips a node while an inserter
@@ -155,7 +157,8 @@ pub fn radix_rank_scenario() -> impl Fn(&mut Sandbox) + Sync {
 
 /// Water-nsquared's energy reduction at `Check` scale: the real fluid's
 /// Lennard-Jones pair energies accumulate into the kernel's `reducer_f64`
-/// cell — the CAS-loop `AtomicF64` of a Splash-4 [`Reducer`] — under a
+/// cell — the CAS-loop `AtomicF64` of a Splash-4 [`Reducer`], the cell the
+/// kernel's `SharedAccum<f64>` force array is built from — under a
 /// concurrent reader; the finale demands the sequential sum.
 ///
 /// [`Fault::Torn`] at `reduce.f64` degrades the CAS to load/compute/store —

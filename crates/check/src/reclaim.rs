@@ -297,14 +297,14 @@ mod tests {
 
     #[test]
     fn reclaim_counterexamples_replay_deterministically() {
-        use crate::explore::{explore, replay, Schedule};
+        use crate::explore::{explore, replay, Budget, Schedule};
         let budget = CheckBudget::small(23).to_budget(0);
         for (name, _, expect, scenario) in reclaim_mutants() {
             let cex = explore(&*scenario, &budget).counterexample;
             let cex = cex.unwrap_or_else(|| panic!("{name} not detected"));
             assert!(expect.contains(&cex.failure.kind()), "{name}: {cex}");
             let parsed = Schedule::parse(&cex.schedule.to_string()).unwrap();
-            let again = replay(&*scenario, &parsed, budget.max_steps);
+            let again = replay(&*scenario, &parsed, Budget::MAX_STEPS);
             assert_eq!(again.failure, Some(cex.failure), "{name}: replay diverged");
         }
     }

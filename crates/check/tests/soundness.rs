@@ -73,7 +73,7 @@ fn counterexamples_replay_from_their_rendered_schedule() {
         assert!(expect.contains(&cex.failure.kind()), "{name}: {cex}");
         // Round-trip the schedule through its string form and replay it.
         let parsed = Schedule::parse(&cex.schedule.to_string()).unwrap();
-        let re = replay(&scenario, &parsed, budget(7).max_steps);
+        let re = replay(&scenario, &parsed, Budget::MAX_STEPS);
         let f = re
             .failure
             .unwrap_or_else(|| panic!("{name}: replay did not fail"));

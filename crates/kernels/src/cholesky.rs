@@ -13,7 +13,7 @@
 //! counts; Splash-4 uses a lock-free stack and `fetch_sub`. Termination is a
 //! shared completed-task counter.
 
-use crate::common::{KernelResult, SharedCounters, SharedSlice};
+use crate::common::{KernelResult, SharedAccum, SharedSlice};
 use crate::dynpool::dynamic_task_queue;
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
@@ -298,7 +298,7 @@ pub fn run(cfg: &CholeskyConfig, env: &SyncEnv) -> KernelResult {
 
     let (tasks, index) = build_tasks(nb);
     let total = tasks.len();
-    let ready = SharedCounters::new(env, total, 8);
+    let ready = SharedAccum::<u64>::new(env, total, 8);
     for (id, t) in tasks.iter().enumerate() {
         ready.store(id, pred_count(t));
     }
@@ -306,7 +306,7 @@ pub fn run(cfg: &CholeskyConfig, env: &SyncEnv) -> KernelResult {
     // LIFO order, but nodes are allocated per push and reclaimed through
     // epochs, so the ready set is no longer capacity-bound.
     let queue = dynamic_task_queue::<usize>(env, PoolShape::Lifo, ReclaimKind::Epoch);
-    let done = SharedCounters::new(env, 1, 1);
+    let done = SharedAccum::<u64>::new(env, 1, 1);
     let checksum = env.reducer_f64();
     let barrier = env.barrier();
     queue.push(
@@ -355,12 +355,12 @@ pub fn run(cfg: &CholeskyConfig, env: &SyncEnv) -> KernelResult {
             // Ready-count successors; push the ones that became ready.
             for s in successors(&t, nb) {
                 let sid = index[&s];
-                let prev = ready.claim(sid, u64::MAX); // wrapping -1
+                let prev = ready.add(sid, u64::MAX); // wrapping -1
                 if prev == 1 {
                     queue.push(sid);
                 }
             }
-            done.claim(0, 1);
+            done.add(0, 1);
         }
         barrier.wait(ctx.tid);
         // Checksum over the lower triangle.

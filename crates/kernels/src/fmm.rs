@@ -12,7 +12,7 @@
 //! distributing the expensive M2L and leaf phases, and a global potential
 //! reduction.
 
-use crate::common::{KernelResult, SharedCounters, SharedSlice};
+use crate::common::{KernelResult, SharedAccum, SharedSlice};
 use crate::fft::Cpx;
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
@@ -139,7 +139,7 @@ pub fn run(cfg: &FmmConfig, env: &SyncEnv) -> KernelResult {
 
     // Leaf membership.
     let leaf_cap = (n / nleaf) * 8 + 32;
-    let occupancy = SharedCounters::new(env, nleaf, 1);
+    let occupancy = SharedAccum::<u64>::new(env, nleaf, 1);
     let mut members_store = vec![0u32; nleaf * leaf_cap];
     let members = SharedSlice::new(&mut members_store);
     let leaf_of = |z: Cpx| -> (usize, usize) {
@@ -180,7 +180,7 @@ pub fn run(cfg: &FmmConfig, env: &SyncEnv) -> KernelResult {
         for i in ctx.chunk(n) {
             let (ix, iy) = leaf_of(pos[i]);
             let cell = iy * side(lmax) + ix;
-            let slot = occupancy.claim(cell, 1) as usize;
+            let slot = occupancy.add(cell, 1) as usize;
             assert!(slot < leaf_cap, "leaf overflow: raise capacity");
             // SAFETY: unique claimed slot.
             unsafe { members.set(cell * leaf_cap + slot, i as u32) };

@@ -199,8 +199,8 @@ pub fn run(cfg: &RadiosityConfig, env: &SyncEnv) -> KernelResult {
 
     // Shared patch state: radiosity B and unshot energy ΔB (per unit area is
     // folded into totals here: we track *power*, area-weighted).
-    let radiosity = SharedAccum::new(env, np, 1);
-    let unshot = SharedAccum::new(env, np, 1);
+    let radiosity = SharedAccum::<f64>::new(env, np, 1);
+    let unshot = SharedAccum::<f64>::new(env, np, 1);
     let absorbed = env.reducer_f64();
     let mut emitted_total = 0.0;
     for (i, p) in patches.iter().enumerate() {

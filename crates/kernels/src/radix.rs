@@ -11,7 +11,7 @@
 //! array and the bucket claims with a locked counter; Splash-4 uses
 //! `fetch_add` for both. The paper reports radix among the biggest winners.
 
-use crate::common::{KernelResult, SharedCounters, SharedSlice};
+use crate::common::{KernelResult, SharedAccum, SharedSlice};
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
 use splash4_parmacs::SmallRng;
@@ -81,8 +81,9 @@ pub fn run(cfg: &RadixConfig, env: &SyncEnv) -> KernelResult {
     let vdst = SharedSlice::new(&mut dst);
 
     let barrier = env.barrier();
-    let hist = SharedCounters::new(env, r, 16); // global histogram, banked locks
-                                                // counts[t*r + d]: thread-private rows of the rank matrix.
+    // The global histogram, one lock per bank of 16 digits in Splash-3.
+    let hist = SharedAccum::<u64>::new(env, r, 16);
+    // counts[t*r + d]: thread-private rows of the rank matrix.
     let mut counts_store = vec![0u64; nthreads * r];
     let counts = SharedSlice::new(&mut counts_store);
     let mut starts_store = vec![0u64; r + 1];

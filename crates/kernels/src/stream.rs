@@ -21,7 +21,7 @@
 //! kernels (which queue at most a task list at startup) come close to
 //! (the `D1-diversity` claim).
 
-use crate::common::{KernelResult, SharedCounters, SharedSlice};
+use crate::common::{KernelResult, SharedAccum, SharedSlice};
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
 use splash4_parmacs::{
@@ -127,7 +127,7 @@ pub fn run(cfg: &StreamConfig, env: &SyncEnv) -> KernelResult {
         .collect();
 
     // sunk[0] counts items that completed the final stage.
-    let sunk = SharedCounters::new(env, 1, 1);
+    let sunk = SharedAccum::<u64>::new(env, 1, 1);
     // One-shot handoff: plain payload slots published by per-thread flags.
     let mut slot_store = vec![0u64; nthreads];
     let slots = SharedSlice::new(&mut slot_store);

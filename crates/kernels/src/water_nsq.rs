@@ -132,7 +132,7 @@ pub fn run(cfg: &WaterNsqConfig, env: &SyncEnv) -> KernelResult {
     let vpos = SharedSlice::new(&mut pos);
     let vvel = SharedSlice::new(&mut vel);
 
-    let forces = SharedAccum::new(env, 3 * n, 3); // one lock per molecule
+    let forces = SharedAccum::<f64>::new(env, 3 * n, 3); // one lock per molecule
     let barrier = env.barrier();
     let pot = env.reducer_f64();
     let kin = env.reducer_f64();
@@ -173,7 +173,7 @@ pub fn run(cfg: &WaterNsqConfig, env: &SyncEnv) -> KernelResult {
         let my = ctx.chunk(3 * n);
         // Initial force evaluation.
         for k in my.clone() {
-            forces.set(k, 0.0);
+            forces.store(k, 0.0);
         }
         barrier.wait(ctx.tid);
         let local_pot = compute_forces(&ctx);
@@ -205,7 +205,7 @@ pub fn run(cfg: &WaterNsqConfig, env: &SyncEnv) -> KernelResult {
                     x -= side;
                 }
                 unsafe { vpos.set(k, x) };
-                forces.set(k, 0.0);
+                forces.store(k, 0.0);
             }
             if ctx.is_master() {
                 pot.store(0.0);

@@ -8,7 +8,7 @@
 //! `fetch_add` — on top of the cross-thread force accumulation and per-step
 //! reductions shared with the n² version.
 
-use crate::common::{KernelResult, SharedAccum, SharedCounters, SharedSlice};
+use crate::common::{KernelResult, SharedAccum, SharedSlice};
 use crate::inputs::InputClass;
 use crate::water_nsq::{initialize, lj, min_image, CUTOFF};
 use crate::workload::{driver, Workload};
@@ -97,8 +97,8 @@ pub fn run(cfg: &WaterSpConfig, env: &SyncEnv) -> KernelResult {
     let vpos = SharedSlice::new(&mut pos);
     let vvel = SharedSlice::new(&mut vel);
 
-    let forces = SharedAccum::new(env, 3 * n, 3);
-    let occupancy = SharedCounters::new(env, ncells, 1); // one lock per cell
+    let forces = SharedAccum::<f64>::new(env, 3 * n, 3);
+    let occupancy = SharedAccum::<u64>::new(env, ncells, 1); // one lock per cell
     let mut members_store = vec![0u32; ncells * CELL_CAPACITY];
     let members = SharedSlice::new(&mut members_store);
 
@@ -117,7 +117,7 @@ pub fn run(cfg: &WaterSpConfig, env: &SyncEnv) -> KernelResult {
             let cy = cell_of(unsafe { vpos.get(3 * i + 1) }, side, nc);
             let cz = cell_of(unsafe { vpos.get(3 * i + 2) }, side, nc);
             let cell = (cx * nc + cy) * nc + cz;
-            let slot = occupancy.claim(cell, 1) as usize;
+            let slot = occupancy.add(cell, 1) as usize;
             assert!(slot < CELL_CAPACITY, "cell overflow: raise CELL_CAPACITY");
             // SAFETY: the claimed slot is unique.
             unsafe { members.set(cell * CELL_CAPACITY + slot, i as u32) };
@@ -169,7 +169,7 @@ pub fn run(cfg: &WaterSpConfig, env: &SyncEnv) -> KernelResult {
     let elapsed = driver::roi(env, |ctx| {
         let my = ctx.chunk(3 * n);
         for k in my.clone() {
-            forces.set(k, 0.0);
+            forces.store(k, 0.0);
         }
         for c in ctx.chunk(ncells) {
             occupancy.store(c, 0);
@@ -206,7 +206,7 @@ pub fn run(cfg: &WaterSpConfig, env: &SyncEnv) -> KernelResult {
                     x -= side;
                 }
                 unsafe { vpos.set(k, x) };
-                forces.set(k, 0.0);
+                forces.store(k, 0.0);
             }
             for c in ctx.chunk(ncells) {
                 occupancy.store(c, 0);

@@ -14,7 +14,7 @@ use crate::lock::SleepLock;
 use crate::mode::{ConstructClass, SyncMode, SyncPolicy};
 use crate::queue::{LockedQueue, TaskQueue, TreiberStack};
 use crate::reduce::{ReduceF64, ReduceU64, Reducer};
-use crate::stats::{Counter, SyncCounters, SyncProfile};
+use crate::stats::{SyncCounters, SyncProfile};
 use crate::trace::TraceSink;
 use std::fmt;
 use std::ops::Range;
@@ -108,12 +108,6 @@ impl SyncEnv {
     /// Snapshot of all instrumentation counters.
     pub fn profile(&self) -> SyncProfile {
         self.stats.snapshot()
-    }
-
-    /// Record `n` atomic read-modify-writes performed directly by kernel code
-    /// (lock-free fine-grained updates that bypass the factory primitives).
-    pub fn note_rmws(&self, n: u64) {
-        self.stats.add(Counter::AtomicRmws, n);
     }
 
     /// A phase barrier for the full team, per the barrier-class policy.

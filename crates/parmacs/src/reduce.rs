@@ -48,32 +48,33 @@ pub trait ReduceU64: Send + Sync + fmt::Debug {
 /// This is the building block the Splash-4 paper's "lock-free constructs"
 /// headline refers to for reductions. Exposed directly (not only through the
 /// [`ReduceF64`] trait) because several kernels use it for fine-grained
-/// per-element force/energy accumulation in data structures.
+/// per-element force/energy accumulation in data structures (the kernels'
+/// `SharedAccum<f64>` is an array of these). The cell is the bare word: an
+/// update counts into the [`SyncCounters`] block its caller passes.
 pub struct AtomicF64<A: Atomics = Std> {
     bits: A::U64,
-    stats: Arc<SyncCounters>,
 }
 
 impl AtomicF64 {
-    /// New cell holding `v`, reporting into `stats`.
-    pub fn new(v: f64, stats: Arc<SyncCounters>) -> AtomicF64 {
-        AtomicF64::new_in(v, stats)
+    /// New cell holding `v`.
+    pub fn new(v: f64) -> AtomicF64 {
+        AtomicF64::new_in(v)
     }
 }
 
 impl<A: Atomics> AtomicF64<A> {
     /// [`AtomicF64::new`] over any [`Atomics`].
-    pub fn new_in(v: f64, stats: Arc<SyncCounters>) -> AtomicF64<A> {
+    pub fn new_in(v: f64) -> AtomicF64<A> {
         AtomicF64 {
             bits: A::U64::new("reduce.f64", v.to_bits()),
-            stats,
         }
     }
 
-    /// Apply `f` atomically via a compare-exchange loop.
-    pub fn fetch_update(&self, f: impl Fn(f64) -> f64) {
+    /// Apply `f` atomically via a compare-exchange loop, counting the RMW
+    /// and every failed CAS into `stats`; returns the value it replaced.
+    pub fn fetch_update(&self, f: impl Fn(f64) -> f64, stats: &SyncCounters) -> f64 {
         let s = A::spec(CasF64Spec::SPLASH4);
-        self.stats.bump(Counter::AtomicRmws);
+        stats.bump(Counter::AtomicRmws);
         let mut cur = self.bits.load(s.load);
         loop {
             let new = f(f64::from_bits(cur)).to_bits();
@@ -81,19 +82,19 @@ impl<A: Atomics> AtomicF64<A> {
                 .bits
                 .compare_exchange_weak(cur, new, s.cas_ok, s.cas_fail)
             {
-                Ok(_) => return,
+                Ok(_) => return f64::from_bits(cur),
                 Err(actual) => {
-                    self.stats.bump(Counter::CasFailures);
-                    self.stats.bump(Counter::AtomicRmws);
+                    stats.bump(Counter::CasFailures);
+                    stats.bump(Counter::AtomicRmws);
                     cur = actual;
                 }
             }
         }
     }
 
-    /// Atomic add.
-    pub fn add(&self, v: f64) {
-        self.fetch_update(|x| x + v);
+    /// Atomic add; returns the previous value.
+    pub fn add(&self, v: f64, stats: &SyncCounters) -> f64 {
+        self.fetch_update(|x| x + v, stats)
     }
 
     /// Current value.
@@ -186,7 +187,7 @@ impl<A: Atomics> Reducer<A> {
         let cells = match Serial::for_mode(mode, nthreads, state, apply_reduce, &stats) {
             Some(serial) => Cells::Serial(serial),
             None => Cells::Atomic {
-                float: AtomicF64::new_in(0.0, Arc::clone(&stats)),
+                float: AtomicF64::new_in(0.0),
                 int: A::U64::new("reduce.u64", 0),
             },
         };
@@ -202,9 +203,9 @@ impl<A: Atomics> Reducer<A> {
         let v = f64::from_bits(arg);
         let s = A::spec(SumU64Spec::SPLASH4);
         match op {
-            OP_FADD => float.add(v),
-            OP_FMAX => float.fetch_update(|x| x.max(v)),
-            OP_FMIN => float.fetch_update(|x| x.min(v)),
+            OP_FADD => _ = float.add(v, &self.stats),
+            OP_FMAX => _ = float.fetch_update(|x| x.max(v), &self.stats),
+            OP_FMIN => _ = float.fetch_update(|x| x.min(v), &self.stats),
             OP_FLOAD => return float.load().to_bits(),
             OP_FSTORE => float.store(v),
             OP_UADD => {
@@ -271,10 +272,30 @@ mod tests {
 
     #[test]
     fn atomic_f64_fetch_update_applies() {
-        let stats = Arc::new(SyncCounters::new());
-        let a = AtomicF64::new(2.0, Arc::clone(&stats));
-        a.fetch_update(|x| x * 10.0);
+        let stats = SyncCounters::new();
+        let a = AtomicF64::new(2.0);
+        assert_eq!(a.fetch_update(|x| x * 10.0, &stats), 2.0);
         assert_eq!(a.load(), 20.0);
         assert!(stats.snapshot().atomic_rmws >= 1);
+    }
+
+    #[test]
+    fn atomic_f64_counts_into_the_block_its_caller_passes() {
+        let (a, b) = (SyncCounters::new(), SyncCounters::new());
+        let cell = AtomicF64::new(1.0);
+        assert_eq!(cell.add(2.0, &a), 1.0);
+        assert_eq!(cell.add(3.0, &b), 3.0);
+        assert_eq!(cell.load(), 6.0);
+        assert_eq!(a.snapshot().atomic_rmws, 1);
+        assert_eq!(b.snapshot().atomic_rmws, 1);
+
+        // The Splash-4 reducer passes its own block to its cell.
+        let stats = Arc::new(SyncCounters::new());
+        let r = Reducer::<Std>::new(SyncMode::LockFree, 2, Arc::clone(&stats));
+        ReduceF64::add(&r, 0.5);
+        ReduceF64::max(&r, 4.0);
+        assert_eq!(ReduceF64::load(&r), 4.0);
+        let p = stats.snapshot();
+        assert_eq!((p.reduce_ops, p.atomic_rmws, p.cas_failures), (2, 2, 0));
     }
 }

@@ -352,11 +352,6 @@ impl SyncProfile {
             + self.flag_waits
             + self.queue_ops
     }
-
-    /// Total nanoseconds attributed to blocking synchronization.
-    pub fn total_wait_ns(&self) -> u64 {
-        self.lock_wait_ns + self.barrier_wait_ns + self.flag_wait_ns
-    }
 }
 
 impl ToJson for SyncProfile {
@@ -591,6 +586,5 @@ mod tests {
             ..SyncProfile::default()
         };
         assert_eq!(p.total_ops(), 28);
-        assert_eq!(p.total_wait_ns(), 600);
     }
 }

@@ -326,14 +326,14 @@ fn check_chunk_range_partitions(total: usize, n: usize) {
 }
 
 fn check_atomic_f64_adds_linearize(values: &[i32], threads: usize) {
-    let stats = Arc::new(SyncCounters::new());
-    let cell = AtomicF64::new(0.0, stats);
+    let stats = SyncCounters::new();
+    let cell = AtomicF64::new(0.0);
     let chunk = values.len().div_ceil(threads);
     Team::new(threads).run(|ctx| {
         let lo = (ctx.tid * chunk).min(values.len());
         let hi = ((ctx.tid + 1) * chunk).min(values.len());
         for &v in &values[lo..hi] {
-            cell.add(v as f64);
+            cell.add(v as f64, &stats);
         }
     });
     let want: i64 = values.iter().map(|&v| i64::from(v)).sum();

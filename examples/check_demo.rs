@@ -67,7 +67,7 @@ fn main() {
     // 3. Replay it from the rendered schedule string: same failure, every
     //    time — paste the string into Schedule::parse to debug at will.
     let parsed = Schedule::parse(&cex.schedule.to_string()).expect("rendering round-trips");
-    let re = replay(&mutant, &parsed, budget.max_steps);
+    let re = replay(&mutant, &parsed, Budget::MAX_STEPS);
     let f = re.failure.expect("replay reproduces the failure");
     println!("replayed {} modelled ops -> {}", re.steps, f);
     assert_eq!(f.kind(), cex.failure.kind());
