@@ -19,8 +19,10 @@ pub struct KernelResult {
     /// Wall-clock time of the parallel region (excludes input generation and
     /// validation, matching the suite's `ROI` timing convention).
     pub elapsed: Duration,
-    /// Deterministic output digest; identical across sync modes and thread
-    /// counts for the same input.
+    /// Output digest. Run to run it is bit-identical at one thread; across
+    /// sync modes and thread counts, and between runs with several threads,
+    /// it agrees to rounding ([`close`], relative 1e-6), since a reduction
+    /// may add its threads' parts in schedule order.
     pub checksum: f64,
     /// `true` if the kernel's self-check (oracle comparison, conservation
     /// law, sortedness…) passed.

@@ -187,15 +187,25 @@ pub fn run(cfg: &FmmConfig, env: &SyncEnv) -> KernelResult {
         }
         barrier.wait(ctx.tid);
 
-        // Phase 2: P2M at leaves (static over cells).
+        // Phase 2: P2M at leaves (static over cells). The slot claims of
+        // phase 1 order a leaf's members by schedule; sorting them makes
+        // this sum and phase 5's near field run in one order on any run.
         for cell in ctx.chunk(nleaf) {
             let (iy, ix) = (cell / side(lmax), cell % side(lmax));
             let c = center(ix, iy, lmax);
             let cnt = occupancy.load(cell) as usize;
+            // SAFETY: binning complete (barrier).
+            let mut leaf: Vec<u32> = (0..cnt)
+                .map(|s| unsafe { members.get(cell * leaf_cap + s) })
+                .collect();
+            leaf.sort_unstable();
+            for (s, &j) in leaf.iter().enumerate() {
+                // SAFETY: cell-exclusive writes.
+                unsafe { members.set(cell * leaf_cap + s, j) };
+            }
             let mut coef = vec![Cpx::default(); p + 1];
-            for s in 0..cnt {
-                // SAFETY: binning complete (barrier).
-                let j = unsafe { members.get(cell * leaf_cap + s) } as usize;
+            for &j in &leaf {
+                let j = j as usize;
                 let q = charge[j];
                 let dz = pos[j].sub(c);
                 coef[0] = coef[0].add(Cpx::new(q, 0.0));
@@ -586,6 +596,21 @@ mod tests {
             for t in [1, 3] {
                 let r = run(&tiny(), &SyncEnv::new(mode, t));
                 assert!(close(r.checksum, base.checksum, 1e-9));
+            }
+        }
+    }
+
+    #[test]
+    fn two_thread_checksum_is_bit_stable_run_to_run() {
+        // A leaf's members are claimed in schedule order; unsorted, the
+        // P2M and near-field sums differed in the last ulps within a
+        // couple of runs at this size.
+        let cfg = FmmConfig::class(InputClass::Test);
+        for mode in SyncMode::ALL {
+            let first = run(&cfg, &SyncEnv::new(mode, 2)).checksum;
+            for _ in 0..12 {
+                let again = run(&cfg, &SyncEnv::new(mode, 2)).checksum;
+                assert_eq!(again.to_bits(), first.to_bits(), "mode {mode}");
             }
         }
     }

@@ -10,6 +10,8 @@
 //! for sense/tree barriers, a serialized wake-up chain for condvar barriers.
 //!
 //! The engine is deterministic: ties in virtual time are broken by core id.
+//! A phase the [`Simulator`](crate::Simulator) does not multiply runs in
+//! *laps*: `k` laps are the streams written out `k` times (`DESIGN.md` §8).
 //!
 //! # Implementation
 //!
@@ -128,7 +130,7 @@ struct BarrierScratch {
 const SCAN_CORES_MAX: usize = 16;
 
 /// Reusable simulation engine: owns every per-run buffer, so repeated
-/// [`Engine::run`] calls (a 1–64-core sweep, a repeat-capped phase loop)
+/// [`Engine::run`] calls (a 1–64-core sweep, a model's phases)
 /// only grow their scratch: once it is large enough for a program, a run
 /// allocates nothing but its result.
 #[derive(Debug, Default)]
@@ -143,6 +145,8 @@ pub struct Engine {
     servers: Vec<u64>,
     /// Per-barrier episode state.
     barriers: Vec<BarrierScratch>,
+    /// Laps each core runs after its current one.
+    laps_left: Vec<u64>,
     /// Winner-tree node times (implicit binary tree, leaves at
     /// `tsize..tsize+p`); only maintained when `p > SCAN_CORES_MAX`.
     tree: Vec<u64>,
@@ -164,14 +168,16 @@ impl Engine {
         Engine::default()
     }
 
-    /// Reset scratch for a program with `p` cores and `nbarriers`
-    /// barriers, growing buffers as needed. Server clocks start empty and
-    /// grow as the run meets server ids.
-    fn reset(&mut self, p: usize, nbarriers: usize) {
+    /// Reset scratch for `laps` laps of a program with `p` cores and
+    /// `nbarriers` barriers, growing buffers as needed. Server clocks start
+    /// empty and grow as the run meets server ids.
+    fn reset(&mut self, p: usize, nbarriers: usize, laps: u64) {
         self.ready.clear();
         self.ready.resize(p, 0);
         self.pc.clear();
         self.pc.resize(p, 0);
+        self.laps_left.clear();
+        self.laps_left.resize(p, laps.saturating_sub(1));
         self.breakdown.clear();
         self.breakdown.resize(p, CoreBreakdown::default());
         self.servers.clear();
@@ -297,8 +303,18 @@ impl Engine {
     /// arrival from each core, so a run that ends with none parked crossed
     /// identical sequences. The engine stays usable after the panic.
     pub fn run(&mut self, program: &Program, machine: &MachineParams) -> SimResult {
+        self.run_laps(program, machine, 1)
+    }
+
+    /// Run `program` as if each core's stream were written out `laps` times.
+    pub(crate) fn run_laps(
+        &mut self,
+        program: &Program,
+        machine: &MachineParams,
+        laps: u64,
+    ) -> SimResult {
         let p = program.ncores();
-        self.reset(p, program.barriers.len());
+        self.reset(p, program.barriers.len(), laps);
 
         loop {
             // Next event: earliest ready core, lowest id on ties. At small
@@ -327,7 +343,12 @@ impl Engine {
                 (t, core)
             };
             let ops = &program.cores[core];
-            let i = self.pc[core];
+            let mut i = self.pc[core];
+            if i == ops.len() && self.laps_left[core] > 0 {
+                // The stream ended with laps to go: this event opens the next.
+                self.laps_left[core] -= 1;
+                i = 0;
+            }
             let Some(&op) = ops.get(i) else {
                 let b = &mut self.breakdown[core];
                 b.end_ns = b.end_ns.max(t);
@@ -929,6 +950,59 @@ mod tests {
                 assert_eq!(
                     fast, reference,
                     "engine diverged from reference: kind {kind:?}, p {p}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn laps_equal_the_streams_written_out() {
+        let m = machine();
+        let mut engine = Engine::new();
+        let written_out = |prog: &Program, k: usize| Program {
+            cores: prog.cores.iter().map(|ops| ops.repeat(k)).collect(),
+            ..prog.clone()
+        };
+        // Streams that close and open with `Compute`: one stream fuses the
+        // two into one event, laps meet them in two.
+        let seam = |mut prog: Program| {
+            for (c, ops) in prog.cores.iter_mut().enumerate() {
+                ops.insert(0, Op::Compute { ns: 7 + c as u64 });
+                ops.push(Op::Compute { ns: 3 });
+            }
+            prog
+        };
+        let mut programs = vec![];
+        for kind in [BarrierKind::Sense, BarrierKind::Condvar, BarrierKind::Tree] {
+            for p in [1, 2, 3, 17, 33] {
+                programs.push(stress_program(p, kind, 2));
+                programs.push(seam(stress_program(p, kind, 6)));
+            }
+        }
+        // No barriers: an all-compute core fuses every lap into one event,
+        // and an empty core ends at 0 however many laps it is given.
+        let access = Op::Access {
+            server: 0,
+            cost: 0,
+            n: 2,
+        };
+        programs.push(Program {
+            name: "free".into(),
+            cores: vec![
+                vec![Op::Compute { ns: 5 }, Op::Compute { ns: 6 }],
+                vec![],
+                vec![access, Op::Compute { ns: 4 }],
+                vec![Op::Compute { ns: 9 }, access],
+            ],
+            costs: costs(&[(30, 2, 40)]),
+            barriers: vec![],
+        });
+        for prog in &programs {
+            for k in [1, 2, 5] {
+                assert_eq!(
+                    engine.run_laps(prog, &m, k),
+                    run(&written_out(prog, k as usize), &m),
+                    "{k} laps of {prog:?}"
                 );
             }
         }

@@ -3,7 +3,7 @@
 //! This crate is the repository's substitute for the paper's two evaluation
 //! platforms — a real 64-core AMD EPYC 7002 machine and an Intel Ice Lake
 //! configuration of gem5-20 — neither of which is available on the reference
-//! host (a single-core VM). See `DESIGN.md` §2 for the substitution argument.
+//! host (a 2-vCPU VM). See `DESIGN.md` §2 for the substitution argument.
 //!
 //! The pipeline:
 //!
@@ -57,15 +57,15 @@ pub use program::{synthetic_program, synthetic_program_in, BarrierKind, Op, OpCo
 use splash4_parmacs::{PhaseSpec, SyncPolicy, WorkModel};
 use std::collections::HashMap;
 
-/// Maximum repeats simulated per phase; longer phases are simulated at this
-/// depth and linearly extrapolated (phases are barrier-separated, so the
-/// steady-state per-repeat time is representative).
+/// Repeats simulated per phase at most (a [`Simulator`] lowers one, then
+/// multiplies it or replays it in laps); longer phases are extrapolated
+/// linearly, since barrier-separated phases repeat at a steady state.
 pub const MAX_SIM_REPEATS: u64 = 64;
 
-/// Key for one memoized lowered phase: the full (capped) phase content plus
-/// everything `model::expand` consumes. Keying on the complete `PhaseSpec`
-/// (not just its name) makes the cache exact — two same-named phases with
-/// different calibrations never alias.
+/// Key for one memoized lowered phase: the full one-repeat phase content
+/// plus everything `model::expand` consumes. Keying on the complete
+/// `PhaseSpec` (not just its name) makes the cache exact — two same-named
+/// phases with different calibrations never alias.
 #[derive(Debug, Clone, PartialEq)]
 struct PhaseKey {
     work_name: String,
@@ -116,7 +116,11 @@ impl Simulator {
 
     /// Expand and simulate `work`, phase by phase — the memoized, scratch-
     /// reusing equivalent of the free function [`simulate`], with identical
-    /// results.
+    /// results. A phase is lowered for one repeat, bit-identical to lowering
+    /// them all: one that ends in a broadcast release (not a condvar
+    /// barrier, or one core) runs once and is multiplied, since every core
+    /// and clock leaves it at one time; any other runs in engine laps
+    /// (`DESIGN.md` §8).
     pub fn simulate(
         &mut self,
         work: &WorkModel,
@@ -138,36 +142,32 @@ impl Simulator {
             eng,
             programs,
         } = self;
-        let mut capped = PhaseSpec::compute("", 0, 0);
+        let mut once = PhaseSpec::compute("", 0, 0);
         for phase in &work.phases {
             let sim_repeats = phase.repeats.min(MAX_SIM_REPEATS);
             if sim_repeats == 0 {
                 continue;
             }
-            capped.clone_from(phase);
-            capped.repeats = sim_repeats;
-            let bucket = (
-                cores,
-                capped.repeats.wrapping_mul(31).wrapping_add(capped.items),
-            );
-            let entries = programs.entry(bucket).or_default();
+            once.clone_from(phase);
+            once.repeats = 1;
+            let entries = programs.entry((cores, once.items)).or_default();
             let pos = entries.iter().position(|(k, _)| {
                 k.cores == cores
                     && k.policy == policy
                     && k.work_name == work.name
-                    && k.phase == capped
+                    && k.phase == once
             });
             let pos = match pos {
                 Some(p) => p,
                 None => {
                     let single = WorkModel {
                         name: work.name.clone(),
-                        phases: vec![capped.clone()],
+                        phases: vec![once.clone()],
                     };
                     entries.push((
                         PhaseKey {
                             work_name: work.name.clone(),
-                            phase: capped.clone(),
+                            phase: once.clone(),
                             policy,
                             cores,
                         },
@@ -176,9 +176,16 @@ impl Simulator {
                     entries.len() - 1
                 }
             };
-            let res = eng.run(&entries[pos].1, machine);
+            let program = &entries[pos].1;
+            // The last barrier's kind is the one `model::expand` picked.
+            let laps = match program.barriers.last() {
+                Some(&kind) if cores == 1 || kind != BarrierKind::Condvar => 1,
+                _ => sim_repeats,
+            };
+            let times = sim_repeats / laps;
+            let res = eng.run_laps(program, machine, laps);
             let scale = phase.repeats as f64 / sim_repeats as f64;
-            let up = |x: u64| (x as f64 * scale).round() as u64;
+            let up = |x: u64| ((x * times) as f64 * scale).round() as u64;
             total.total_ns += up(res.total_ns);
             for (acc, c) in total.cores.iter_mut().zip(&res.cores) {
                 acc.compute_ns += up(c.compute_ns);

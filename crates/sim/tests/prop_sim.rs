@@ -5,8 +5,10 @@
 //! drives the identical invariants from a seeded in-repo RNG so they run in
 //! tier-1 with no external dependency.
 
-use splash4_parmacs::{Dispatch, PhaseSpec, SyncMode, SyncPolicy, WorkModel};
-use splash4_sim::{engine, model, simulate, BarrierKind, MachineParams, Op, Program};
+mod reference;
+
+use splash4_parmacs::{ConstructClass, Dispatch, PhaseSpec, SyncMode, SyncPolicy, WorkModel};
+use splash4_sim::{engine, model, simulate, BarrierKind, MachineParams, Op, Program, Simulator};
 
 const MACHINES: [fn() -> MachineParams; 2] =
     [MachineParams::epyc_like, MachineParams::icelake_like];
@@ -70,6 +72,33 @@ fn check_cores_never_hurt_pure_compute(items: u64, cpi: u64, m: &MachineParams) 
     }
 }
 
+/// Every policy the simulator is asked about: the three generations and
+/// the two ablations that mix barrier and non-barrier classes.
+fn policies() -> [SyncPolicy; 5] {
+    let [lb, lf, comb] = SyncMode::ALL.map(SyncPolicy::uniform);
+    [
+        lb,
+        lf,
+        comb,
+        lb.with(ConstructClass::Barrier, SyncMode::LockFree),
+        lf.with(ConstructClass::Barrier, SyncMode::LockBased),
+    ]
+}
+
+fn check_simulate_equals_written_out(work: &WorkModel, machine: &MachineParams) {
+    let mut sim = Simulator::new(*machine);
+    for cores in [1, 2, 3, 16, 17, 64] {
+        for policy in policies() {
+            assert_eq!(
+                sim.simulate(work, policy, cores),
+                reference::simulate_written_out(work, policy, cores, machine),
+                "{work:?} at {cores} cores under {policy:?} on {}",
+                machine.name
+            );
+        }
+    }
+}
+
 #[cfg(not(feature = "proptest"))]
 mod std_fallback {
     use super::*;
@@ -96,6 +125,48 @@ mod std_fallback {
 
     fn arb_machine(rng: &mut SmallRng) -> MachineParams {
         MACHINES[rng.gen_range(0usize..MACHINES.len())]()
+    }
+
+    /// A phase with any dispatch, every kind of sync op, 0–200 repeats and
+    /// 0–3 barriers; a third of them have fewer items than most core counts.
+    fn arb_phase(rng: &mut SmallRng) -> PhaseSpec {
+        let dispatch = match rng.gen_range(0u32..3) {
+            0 => Dispatch::Static,
+            1 => Dispatch::GetSub {
+                chunk: rng.gen_range(1u64..32),
+            },
+            _ => Dispatch::Pool,
+        };
+        let items = if rng.gen_range(0u32..3) == 0 {
+            rng.gen_range(0u64..20)
+        } else {
+            rng.gen_range(20u64..800)
+        };
+        PhaseSpec::compute("p", items, rng.gen_range(1u64..400))
+            .dispatch(dispatch)
+            .data_touches(rng.gen_range(0.0f64..2.0))
+            .reduces(rng.gen_range(0.0f64..0.05))
+            .pushes(rng.gen_range(0.0f64..0.5))
+            .flags(rng.gen_range(0.0f64..0.5))
+            .barriers(rng.gen_range(0u64..4))
+            .repeats(rng.gen_range(0u64..201))
+    }
+
+    #[test]
+    fn simulate_equals_every_repeat_written_out() {
+        let mut rng = SmallRng::seed_from_u64(0x51D0_0006);
+        let machines = [
+            MachineParams::epyc_like(),
+            MachineParams::icelake_like(),
+            MachineParams::manycore(64),
+        ];
+        for case in 0..9 {
+            let mut work = WorkModel::new("prop");
+            for _ in 0..rng.gen_range(1usize..4) {
+                work = work.phase(arb_phase(&mut rng));
+            }
+            check_simulate_equals_written_out(&work, &machines[case % machines.len()]);
+        }
     }
 
     #[test]

@@ -1,7 +1,13 @@
 //! End-to-end: kernel work models through the timing simulator reproduce the
 //! paper's qualitative results for every workload.
 
-use splash4::{simulate, Benchmark, BenchmarkExt as _, InputClass, MachineParams, SyncMode};
+#[path = "../crates/sim/tests/reference/mod.rs"]
+mod reference;
+
+use splash4::{
+    simulate, Benchmark, BenchmarkExt as _, InputClass, MachineParams, Simulator, SyncMode,
+    SyncPolicy,
+};
 use std::sync::OnceLock;
 
 /// Calibrate every workload once per test binary. The tests here all run
@@ -105,4 +111,24 @@ fn barrier_heavy_kernels_show_barrier_time_in_lock_based_mode() {
         barrier > 0.2,
         "ocean at 32 cores should be barrier-bound under condvar barriers, got {barrier:.3}"
     );
+}
+
+#[test]
+fn every_kernel_model_simulates_as_if_every_repeat_were_written_out() {
+    for machine in [MachineParams::epyc_like(), MachineParams::icelake_like()] {
+        let mut sim = Simulator::new(machine);
+        for (b, work) in models() {
+            for mode in SyncMode::ALL {
+                for cores in [1, 2, 4, 8, 16, 32, 64] {
+                    let policy = SyncPolicy::uniform(mode);
+                    assert_eq!(
+                        sim.simulate(work, policy, cores),
+                        reference::simulate_written_out(work, policy, cores, &machine),
+                        "{b} under {mode} at {cores} cores on {}",
+                        machine.name
+                    );
+                }
+            }
+        }
+    }
 }
