@@ -908,10 +908,6 @@ impl DiversityPoint {
         let (lf, trace) = record_trace(b, class, SyncMode::LockFree, threads);
         let lb = b.run(class, &SyncEnv::new(SyncMode::LockBased, threads));
         let summary = TraceSummary::from_trace(&trace);
-        let flag_idx = ConstructClass::ALL
-            .iter()
-            .position(|&c| c == ConstructClass::Flag)
-            .expect("Flag is a construct class");
         let raw = [
             lb.profile.lock_acquires as f64,
             lf.profile.atomic_rmws as f64,
@@ -920,7 +916,7 @@ impl DiversityPoint {
             lf.profile.reduce_ops as f64,
             // Flag *signals* from the trace: `flag_waits` only counts the
             // timing-dependent slow path, the trace records every set.
-            summary.rmws[flag_idx] as f64,
+            summary.rmws[ConstructClass::Flag as usize] as f64,
             lf.profile.queue_ops as f64,
             (lf.profile.reclaim_retires + lf.profile.reclaim_scans + lf.profile.reclaim_frees)
                 as f64,

@@ -683,12 +683,6 @@ impl WorkerPool {
         Ok((id, rx))
     }
 
-    /// The cache key `request` resolves to in this pool (exposed so tests
-    /// and the serve layer can reason about dedup).
-    pub fn cache_key(&self, request: &Request) -> u64 {
-        Self::key_for(&self.shared.ctx, request)
-    }
-
     fn key_for(ctx: &ExperimentCtx, request: &Request) -> u64 {
         // The input class shapes every result, so it is part of the content
         // hash even though it is pool-global today.

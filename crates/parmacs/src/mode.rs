@@ -60,7 +60,8 @@ impl fmt::Display for SyncMode {
 ///
 /// Each class corresponds to one transformation the Splash-4 modernization
 /// applies (see the crate docs table) and to one column of the paper's
-/// "changes" table (`T2-changes`).
+/// "changes" table (`T2-changes`). The discriminant is the class's index in
+/// [`ConstructClass::ALL`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConstructClass {
     /// Phase barriers (`BARRIER`).
@@ -132,60 +133,34 @@ impl fmt::Display for ConstructClass {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SyncPolicy {
-    barrier: SyncMode,
-    counter: SyncMode,
-    reduction: SyncMode,
-    flag: SyncMode,
-    queue: SyncMode,
-    data_lock: SyncMode,
+    /// The back-end of each class, indexed by its discriminant.
+    modes: [SyncMode; ConstructClass::ALL.len()],
 }
 
 impl SyncPolicy {
     /// Policy using `mode` for every construct class.
     pub fn uniform(mode: SyncMode) -> SyncPolicy {
         SyncPolicy {
-            barrier: mode,
-            counter: mode,
-            reduction: mode,
-            flag: mode,
-            queue: mode,
-            data_lock: mode,
+            modes: [mode; ConstructClass::ALL.len()],
         }
     }
 
     /// Return a copy with `class` switched to `mode`.
     #[must_use]
     pub fn with(mut self, class: ConstructClass, mode: SyncMode) -> SyncPolicy {
-        match class {
-            ConstructClass::Barrier => self.barrier = mode,
-            ConstructClass::Counter => self.counter = mode,
-            ConstructClass::Reduction => self.reduction = mode,
-            ConstructClass::Flag => self.flag = mode,
-            ConstructClass::Queue => self.queue = mode,
-            ConstructClass::DataLock => self.data_lock = mode,
-        }
+        self.modes[class as usize] = mode;
         self
     }
 
     /// The back-end selected for `class`.
     pub fn mode_for(self, class: ConstructClass) -> SyncMode {
-        match class {
-            ConstructClass::Barrier => self.barrier,
-            ConstructClass::Counter => self.counter,
-            ConstructClass::Reduction => self.reduction,
-            ConstructClass::Flag => self.flag,
-            ConstructClass::Queue => self.queue,
-            ConstructClass::DataLock => self.data_lock,
-        }
+        self.modes[class as usize]
     }
 
     /// `Some(mode)` if every class uses the same back-end.
     pub fn uniform_mode(self) -> Option<SyncMode> {
-        let m = self.barrier;
-        ConstructClass::ALL
-            .iter()
-            .all(|&c| self.mode_for(c) == m)
-            .then_some(m)
+        let m = self.modes[0];
+        self.modes.iter().all(|&x| x == m).then_some(m)
     }
 
     /// Human-readable summary, e.g. `splash3+lockfree{barrier}`.
@@ -277,6 +252,13 @@ mod tests {
         );
         let labels: Vec<_> = SyncMode::ALL.iter().map(|m| m.label()).collect();
         assert_eq!(labels, ["splash3", "splash4", "splash4x"]);
+    }
+
+    #[test]
+    fn class_discriminant_is_its_index() {
+        for (i, c) in ConstructClass::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{c}");
+        }
     }
 
     #[test]

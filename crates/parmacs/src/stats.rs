@@ -37,61 +37,101 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Names one instrumentation counter inside a [`SyncCounters`] block.
-///
-/// The discriminant is the counter's slot index within a lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum Counter {
-    /// Lock acquisitions (sleeping locks only; spin locks count here too).
-    LockAcquires = 0,
-    /// Lock acquisitions that found the lock held (slow path taken).
-    LockContended = 1,
-    /// Nanoseconds spent acquiring locks (slow path only).
-    LockWaitNs = 2,
-    /// Barrier episodes *per thread* (N threads crossing once = N).
-    BarrierWaits = 3,
-    /// Nanoseconds spent waiting at barriers, summed over threads.
-    BarrierWaitNs = 4,
-    /// Atomic read-modify-write operations issued by lock-free back-ends
-    /// (fetch_add, CAS attempts, exchanges). CAS retries count individually.
-    AtomicRmws = 5,
-    /// `GETSUB`-style dynamic index grabs (both back-ends).
-    GetsubCalls = 6,
-    /// Reduction contributions (both back-ends).
-    ReduceOps = 7,
-    /// Pause/flag waits that actually blocked or spun.
-    FlagWaits = 8,
-    /// Nanoseconds spent waiting on flags.
-    FlagWaitNs = 9,
-    /// Task-queue operations (push + pop attempts, both back-ends).
-    QueueOps = 10,
-    /// CAS failures (retries) observed in lock-free loops; a proxy for
-    /// cache-line contention intensity.
-    CasFailures = 11,
-    /// Result-cache lookups served without recomputation (includes lookups
-    /// coalesced onto an in-flight computation of the same key).
-    CacheHits = 12,
-    /// Result-cache lookups that triggered a fresh computation.
-    CacheMisses = 13,
-    /// Result-cache entries dropped by the LRU bound.
-    CacheEvictions = 14,
-    /// Nodes handed to a reclaimer for deferred destruction.
-    ReclaimRetires = 15,
-    /// Reclamation scans (epoch advance attempts / hazard sweeps).
-    ReclaimScans = 16,
-    /// Retired nodes actually freed by a reclaimer.
-    ReclaimFrees = 17,
-    /// Operations routed through a flat-combining core (each request a
-    /// thread publishes, whether self-served or applied by a combiner).
-    CombineOps = 18,
-    /// Combiner lock acquisitions: each counts one batch drain. The mean
-    /// batch size is `combine_ops / combine_batches`.
-    CombineBatches = 19,
+/// The counter table, written once: each row is a [`Counter`] variant, the
+/// [`SyncProfile`] field (and JSON key) it folds into, and its doc. Row order
+/// is slot order, field order and JSON key order.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])+ $variant:ident => $field:ident,)+) => {
+        /// Names one instrumentation counter inside a [`SyncCounters`] block.
+        ///
+        /// The discriminant is the counter's slot index within a lane.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(usize)]
+        pub enum Counter {
+            $($(#[doc = $doc])+ $variant,)+
+        }
+
+        impl Counter {
+            /// Every counter, in slot order.
+            pub const ALL: [Counter; NUM_COUNTERS] = [$(Counter::$variant),+];
+        }
+
+        /// Number of distinct counters per lane.
+        pub const NUM_COUNTERS: usize = [$(Counter::$variant),+].len();
+
+        /// Serializable snapshot of a [`SyncCounters`] block.
+        ///
+        /// Each field is one [`Counter`]'s fold. Profiles of independent runs
+        /// can be combined with [`SyncProfile::merged`] and compared with
+        /// [`SyncProfile::delta`] (e.g. modern minus baseline).
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct SyncProfile {
+            $($(#[doc = $doc])+ pub $field: u64,)+
+        }
+
+        impl SyncProfile {
+            /// JSON keys, in slot order.
+            const KEYS: [&'static str; NUM_COUNTERS] = [$(stringify!($field)),+];
+
+            /// The fields, in slot order.
+            fn slots(&self) -> [u64; NUM_COUNTERS] {
+                [$(self.$field),+]
+            }
+
+            fn from_slots([$($field),+]: [u64; NUM_COUNTERS]) -> SyncProfile {
+                SyncProfile { $($field),+ }
+            }
+        }
+    };
 }
 
-/// Number of distinct counters per lane.
-pub const NUM_COUNTERS: usize = 20;
+counters! {
+    /// Lock acquisitions (sleeping locks only; spin locks count here too).
+    LockAcquires => lock_acquires,
+    /// Lock acquisitions that found the lock held (slow path taken).
+    LockContended => lock_contended,
+    /// Nanoseconds spent acquiring locks (slow path only).
+    LockWaitNs => lock_wait_ns,
+    /// Barrier episodes *per thread* (N threads crossing once = N).
+    BarrierWaits => barrier_waits,
+    /// Nanoseconds spent waiting at barriers, summed over threads.
+    BarrierWaitNs => barrier_wait_ns,
+    /// Atomic read-modify-write operations issued by lock-free back-ends
+    /// (fetch_add, CAS attempts, exchanges). CAS retries count individually.
+    AtomicRmws => atomic_rmws,
+    /// `GETSUB`-style dynamic index grabs (both back-ends).
+    GetsubCalls => getsub_calls,
+    /// Reduction contributions (both back-ends).
+    ReduceOps => reduce_ops,
+    /// Pause/flag waits that actually blocked or spun.
+    FlagWaits => flag_waits,
+    /// Nanoseconds spent waiting on flags.
+    FlagWaitNs => flag_wait_ns,
+    /// Task-queue operations (push + pop attempts, both back-ends).
+    QueueOps => queue_ops,
+    /// CAS failures (retries) observed in lock-free loops; a proxy for
+    /// cache-line contention intensity.
+    CasFailures => cas_failures,
+    /// Result-cache lookups served without recomputation (includes lookups
+    /// coalesced onto an in-flight computation of the same key).
+    CacheHits => cache_hits,
+    /// Result-cache lookups that triggered a fresh computation.
+    CacheMisses => cache_misses,
+    /// Result-cache entries dropped by the LRU bound.
+    CacheEvictions => cache_evictions,
+    /// Nodes handed to a reclaimer for deferred destruction.
+    ReclaimRetires => reclaim_retires,
+    /// Reclamation scans (epoch advance attempts / hazard sweeps).
+    ReclaimScans => reclaim_scans,
+    /// Retired nodes actually freed by a reclaimer.
+    ReclaimFrees => reclaim_frees,
+    /// Operations routed through a flat-combining core (each request a
+    /// thread publishes, whether self-served or applied by a combiner).
+    CombineOps => combine_ops,
+    /// Combiner lock acquisitions: each counts one batch drain. The mean
+    /// batch size is `combine_ops / combine_batches`.
+    CombineBatches => combine_batches,
+}
 
 /// One striping lane: all twenty counters for one thread, padded so
 /// adjacent lanes never share a cache line. 20 × 8 = 160 bytes of payload
@@ -224,114 +264,27 @@ impl SyncCounters {
 
     /// Immutable snapshot of all counters, folded across lanes.
     pub fn snapshot(&self) -> SyncProfile {
-        SyncProfile {
-            lock_acquires: self.fold(Counter::LockAcquires),
-            lock_contended: self.fold(Counter::LockContended),
-            lock_wait_ns: self.fold(Counter::LockWaitNs),
-            barrier_waits: self.fold(Counter::BarrierWaits),
-            barrier_wait_ns: self.fold(Counter::BarrierWaitNs),
-            atomic_rmws: self.fold(Counter::AtomicRmws),
-            getsub_calls: self.fold(Counter::GetsubCalls),
-            reduce_ops: self.fold(Counter::ReduceOps),
-            flag_waits: self.fold(Counter::FlagWaits),
-            flag_wait_ns: self.fold(Counter::FlagWaitNs),
-            queue_ops: self.fold(Counter::QueueOps),
-            cas_failures: self.fold(Counter::CasFailures),
-            cache_hits: self.fold(Counter::CacheHits),
-            cache_misses: self.fold(Counter::CacheMisses),
-            cache_evictions: self.fold(Counter::CacheEvictions),
-            reclaim_retires: self.fold(Counter::ReclaimRetires),
-            reclaim_scans: self.fold(Counter::ReclaimScans),
-            reclaim_frees: self.fold(Counter::ReclaimFrees),
-            combine_ops: self.fold(Counter::CombineOps),
-            combine_batches: self.fold(Counter::CombineBatches),
-        }
+        SyncProfile::from_slots(Counter::ALL.map(|c| self.fold(c)))
     }
 }
 
-/// Serializable snapshot of a [`SyncCounters`] block.
-///
-/// Field meanings match the counter docs. Profiles of independent runs can be
-/// combined with [`SyncProfile::merged`] and compared with
-/// [`SyncProfile::delta`] (e.g. modern minus baseline).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct SyncProfile {
-    pub lock_acquires: u64,
-    pub lock_contended: u64,
-    pub lock_wait_ns: u64,
-    pub barrier_waits: u64,
-    pub barrier_wait_ns: u64,
-    pub atomic_rmws: u64,
-    pub getsub_calls: u64,
-    pub reduce_ops: u64,
-    pub flag_waits: u64,
-    pub flag_wait_ns: u64,
-    pub queue_ops: u64,
-    pub cas_failures: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_evictions: u64,
-    pub reclaim_retires: u64,
-    pub reclaim_scans: u64,
-    pub reclaim_frees: u64,
-    pub combine_ops: u64,
-    pub combine_batches: u64,
-}
-
 impl SyncProfile {
+    /// Slot-by-slot `f(self, other)`.
+    fn zip(&self, other: &SyncProfile, f: impl Fn(u64, u64) -> u64) -> SyncProfile {
+        let (a, b) = (self.slots(), other.slots());
+        SyncProfile::from_slots(std::array::from_fn(|i| f(a[i], b[i])))
+    }
+
     /// Element-wise sum of two profiles.
     #[must_use]
     pub fn merged(&self, other: &SyncProfile) -> SyncProfile {
-        SyncProfile {
-            lock_acquires: self.lock_acquires + other.lock_acquires,
-            lock_contended: self.lock_contended + other.lock_contended,
-            lock_wait_ns: self.lock_wait_ns + other.lock_wait_ns,
-            barrier_waits: self.barrier_waits + other.barrier_waits,
-            barrier_wait_ns: self.barrier_wait_ns + other.barrier_wait_ns,
-            atomic_rmws: self.atomic_rmws + other.atomic_rmws,
-            getsub_calls: self.getsub_calls + other.getsub_calls,
-            reduce_ops: self.reduce_ops + other.reduce_ops,
-            flag_waits: self.flag_waits + other.flag_waits,
-            flag_wait_ns: self.flag_wait_ns + other.flag_wait_ns,
-            queue_ops: self.queue_ops + other.queue_ops,
-            cas_failures: self.cas_failures + other.cas_failures,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_misses: self.cache_misses + other.cache_misses,
-            cache_evictions: self.cache_evictions + other.cache_evictions,
-            reclaim_retires: self.reclaim_retires + other.reclaim_retires,
-            reclaim_scans: self.reclaim_scans + other.reclaim_scans,
-            reclaim_frees: self.reclaim_frees + other.reclaim_frees,
-            combine_ops: self.combine_ops + other.combine_ops,
-            combine_batches: self.combine_batches + other.combine_batches,
-        }
+        self.zip(other, |a, b| a + b)
     }
 
     /// Element-wise saturating difference (`self - other`).
     #[must_use]
     pub fn delta(&self, other: &SyncProfile) -> SyncProfile {
-        SyncProfile {
-            lock_acquires: self.lock_acquires.saturating_sub(other.lock_acquires),
-            lock_contended: self.lock_contended.saturating_sub(other.lock_contended),
-            lock_wait_ns: self.lock_wait_ns.saturating_sub(other.lock_wait_ns),
-            barrier_waits: self.barrier_waits.saturating_sub(other.barrier_waits),
-            barrier_wait_ns: self.barrier_wait_ns.saturating_sub(other.barrier_wait_ns),
-            atomic_rmws: self.atomic_rmws.saturating_sub(other.atomic_rmws),
-            getsub_calls: self.getsub_calls.saturating_sub(other.getsub_calls),
-            reduce_ops: self.reduce_ops.saturating_sub(other.reduce_ops),
-            flag_waits: self.flag_waits.saturating_sub(other.flag_waits),
-            flag_wait_ns: self.flag_wait_ns.saturating_sub(other.flag_wait_ns),
-            queue_ops: self.queue_ops.saturating_sub(other.queue_ops),
-            cas_failures: self.cas_failures.saturating_sub(other.cas_failures),
-            cache_hits: self.cache_hits.saturating_sub(other.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(other.cache_misses),
-            cache_evictions: self.cache_evictions.saturating_sub(other.cache_evictions),
-            reclaim_retires: self.reclaim_retires.saturating_sub(other.reclaim_retires),
-            reclaim_scans: self.reclaim_scans.saturating_sub(other.reclaim_scans),
-            reclaim_frees: self.reclaim_frees.saturating_sub(other.reclaim_frees),
-            combine_ops: self.combine_ops.saturating_sub(other.combine_ops),
-            combine_batches: self.combine_batches.saturating_sub(other.combine_batches),
-        }
+        self.zip(other, u64::saturating_sub)
     }
 
     /// Total dynamic synchronization operations (all classes, excluding the
@@ -356,76 +309,12 @@ impl SyncProfile {
 
 impl ToJson for SyncProfile {
     fn to_json(&self) -> Json {
-        Json::Object(vec![
-            (
-                "lock_acquires".to_string(),
-                Json::Num(self.lock_acquires as f64),
-            ),
-            (
-                "lock_contended".to_string(),
-                Json::Num(self.lock_contended as f64),
-            ),
-            (
-                "lock_wait_ns".to_string(),
-                Json::Num(self.lock_wait_ns as f64),
-            ),
-            (
-                "barrier_waits".to_string(),
-                Json::Num(self.barrier_waits as f64),
-            ),
-            (
-                "barrier_wait_ns".to_string(),
-                Json::Num(self.barrier_wait_ns as f64),
-            ),
-            (
-                "atomic_rmws".to_string(),
-                Json::Num(self.atomic_rmws as f64),
-            ),
-            (
-                "getsub_calls".to_string(),
-                Json::Num(self.getsub_calls as f64),
-            ),
-            ("reduce_ops".to_string(), Json::Num(self.reduce_ops as f64)),
-            ("flag_waits".to_string(), Json::Num(self.flag_waits as f64)),
-            (
-                "flag_wait_ns".to_string(),
-                Json::Num(self.flag_wait_ns as f64),
-            ),
-            ("queue_ops".to_string(), Json::Num(self.queue_ops as f64)),
-            (
-                "cas_failures".to_string(),
-                Json::Num(self.cas_failures as f64),
-            ),
-            ("cache_hits".to_string(), Json::Num(self.cache_hits as f64)),
-            (
-                "cache_misses".to_string(),
-                Json::Num(self.cache_misses as f64),
-            ),
-            (
-                "cache_evictions".to_string(),
-                Json::Num(self.cache_evictions as f64),
-            ),
-            (
-                "reclaim_retires".to_string(),
-                Json::Num(self.reclaim_retires as f64),
-            ),
-            (
-                "reclaim_scans".to_string(),
-                Json::Num(self.reclaim_scans as f64),
-            ),
-            (
-                "reclaim_frees".to_string(),
-                Json::Num(self.reclaim_frees as f64),
-            ),
-            (
-                "combine_ops".to_string(),
-                Json::Num(self.combine_ops as f64),
-            ),
-            (
-                "combine_batches".to_string(),
-                Json::Num(self.combine_batches as f64),
-            ),
-        ])
+        let slots = SyncProfile::KEYS.iter().zip(self.slots());
+        Json::Object(
+            slots
+                .map(|(key, n)| (key.to_string(), Json::Num(n as f64)))
+                .collect(),
+        )
     }
 }
 

@@ -12,7 +12,8 @@
 //! points, so a trace captured under one [`SyncMode`](crate::SyncMode) can be
 //! replayed under either. The lock-based back-end additionally emits physical
 //! [`LockAcq`](TraceEvent::LockAcq) events carrying contention and hold-time
-//! observations.
+//! observations. Computation is not an event: a consumer reads it from the
+//! gaps between the timestamps its recorder puts on the events.
 //!
 //! Tracing is disabled by default and costs one branch on an unset pointer
 //! per sync op.
@@ -24,13 +25,6 @@ use std::time::Instant;
 /// One synchronization event, as emitted by the runtime primitives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// Pure computation of `ns` nanoseconds. The runtime never emits this —
-    /// compute is reconstructed from inter-event timestamp gaps — but lowered
-    /// and decoded traces carry it explicitly.
-    Compute {
-        /// Duration in nanoseconds.
-        ns: u64,
-    },
     /// `n` logical read-modify-write operations of a construct class
     /// (reduction update, fine-grained data touch, flag op…). Emitted by both
     /// back-ends: under locks the same logical op happens inside a critical

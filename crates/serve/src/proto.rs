@@ -1,6 +1,6 @@
 //! Wire framing: one compact JSON value per `\n`-terminated line.
 //!
-//! [`Json::to_string`](splash4_parmacs::Json::to_string) is single-line by
+//! A [`Json`] value's `to_string` (its `Display`) is single-line by
 //! construction, so a newline is an unambiguous frame boundary and the
 //! framing layer stays trivial — no length prefixes, no escaping beyond
 //! JSON's own.

@@ -14,8 +14,9 @@
 //!                    | flag u8 | pad u8 | n u32
 //! ```
 //!
-//! `payload` carries the 64-bit field of `Compute`/`LockAcq`; `n` carries
-//! counts and barrier ids; `class` indexes
+//! `kind` numbers the event from 1 (`Rmw`) to 7 (`Dequeue`); kind 0 is
+//! rejected. `payload` carries `LockAcq`'s hold time; `n` carries counts and
+//! barrier ids; `class` indexes
 //! [`ConstructClass::ALL`](splash4_parmacs::ConstructClass::ALL) (0xFF when
 //! unused). The round trip is lossless.
 
@@ -44,13 +45,6 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CodecError> {
     Err(CodecError(msg.into()))
 }
 
-fn class_index(class: ConstructClass) -> u8 {
-    ConstructClass::ALL
-        .iter()
-        .position(|c| *c == class)
-        .expect("class present in ALL") as u8
-}
-
 fn class_from_index(i: u8) -> Result<ConstructClass, CodecError> {
     ConstructClass::ALL
         .get(usize::from(i))
@@ -61,8 +55,7 @@ fn class_from_index(i: u8) -> Result<ConstructClass, CodecError> {
 /// (kind, payload, class, flag, n) quintet for one event.
 fn fields(event: TraceEvent) -> (u8, u64, u8, u8, u32) {
     match event {
-        TraceEvent::Compute { ns } => (0, ns, 0xFF, 0, 0),
-        TraceEvent::Rmw { class, n } => (1, 0, class_index(class), 0, n),
+        TraceEvent::Rmw { class, n } => (1, 0, class as u8, 0, n),
         TraceEvent::LockAcq { contended, hold_ns } => (2, hold_ns, 0xFF, u8::from(contended), 0),
         TraceEvent::BarrierEnter { id } => (3, 0, 0xFF, 0, id),
         TraceEvent::BarrierExit { id } => (4, 0, 0xFF, 0, id),
@@ -80,7 +73,6 @@ fn event_from_fields(
     n: u32,
 ) -> Result<TraceEvent, CodecError> {
     Ok(match kind {
-        0 => TraceEvent::Compute { ns: payload },
         1 => TraceEvent::Rmw {
             class: class_from_index(class)?,
             n,
@@ -200,10 +192,6 @@ mod tests {
     fn sample() -> Trace {
         let every = vec![
             Stamped {
-                ts_ns: 10,
-                event: TraceEvent::Compute { ns: 1 << 40 },
-            },
-            Stamped {
                 ts_ns: 20,
                 event: TraceEvent::Rmw {
                     class: ConstructClass::Reduction,
@@ -214,7 +202,7 @@ mod tests {
                 ts_ns: 30,
                 event: TraceEvent::LockAcq {
                     contended: true,
-                    hold_ns: 77,
+                    hold_ns: 1 << 40,
                 },
             },
             Stamped {

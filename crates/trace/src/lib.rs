@@ -1,22 +1,20 @@
 //! Lock-free sync-event tracing and trace-driven simulation replay.
 //!
-//! The `splash4-parmacs` runtime can stream one
-//! [`TraceEvent`](splash4_parmacs::TraceEvent) per synchronization operation
-//! into an attached [`TraceSink`](splash4_parmacs::TraceSink). This crate
+//! The `splash4-parmacs` runtime can stream one [`TraceEvent`] per
+//! synchronization operation into an attached [`TraceSink`]. This crate
 //! provides everything around that hook:
 //!
 //! * [`RingRecorder`] — a wait-free recorder (one single-producer ring per
-//!   thread, [`ring::SpscRing`]) that timestamps events and counts drops on
-//!   overflow instead of blocking the traced program;
+//!   thread, drained once by [`RingRecorder::finish`]) that timestamps events
+//!   and counts drops on overflow instead of blocking the traced program;
 //! * [`Trace`] — the merged, per-thread event streams a finished recorder
 //!   yields, with a compact binary codec ([`codec`]);
 //! * [`lower`] — conversion of a recorded trace into a simulator
 //!   [`Program`](splash4_sim::Program), re-dealing dynamically-scheduled work
 //!   across any simulated core count so a 4-thread native trace can drive
 //!   1–64-core sweeps under either sync policy;
-//! * [`TraceSummary`](summary::TraceSummary) — per-class operation counts,
-//!   lock-contention statistics, a binned contention timeline and a
-//!   critical-path estimate.
+//! * [`TraceSummary`] — per-class operation counts, lock-contention
+//!   statistics, a binned contention timeline and a critical-path estimate.
 //!
 //! ```
 //! use splash4_parmacs::{SyncEnv, SyncMode, SyncPolicy, Team};
@@ -54,16 +52,15 @@
 
 pub mod codec;
 pub mod lower;
-pub mod ring;
+mod ring;
 pub mod summary;
 
-pub use ring::SpscRing;
 pub use summary::TraceSummary;
 
+use ring::SpscRing;
 use splash4_parmacs::trace::now_ns;
 use splash4_parmacs::{TraceEvent, TraceSink};
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default per-thread ring capacity (events). Kernels in harness
 /// configurations emit well under this; overflow is counted, not fatal.
@@ -72,8 +69,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 /// A timestamped event in one thread's stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stamped {
-    /// Nanoseconds since the process trace epoch
-    /// ([`now_ns`](splash4_parmacs::trace::now_ns)).
+    /// Nanoseconds since the process trace epoch ([`now_ns`]).
     pub ts_ns: u64,
     /// The recorded event.
     pub event: TraceEvent,
@@ -145,15 +141,16 @@ impl Trace {
     }
 }
 
-/// Wait-free multi-thread recorder: one [`SpscRing`] per team thread.
+/// Wait-free multi-thread recorder: one single-producer ring per team
+/// thread.
 ///
 /// `record` is wait-free (a slot write and one release store; a full ring
-/// counts a drop and returns). Rings are drained either incrementally with
-/// [`RingRecorder::flush`] — lock-free, safe to call concurrently with
-/// recording — or at the end via [`RingRecorder::finish`].
+/// counts a drop and returns). The rings are drained once, by
+/// [`RingRecorder::finish`].
 ///
-/// Stream integrity relies on the runtime's tid discipline: at most one
-/// thread records under a given tid at a time, which
+/// Stream integrity, and the soundness of each ring's single producer, rely
+/// on the runtime's tid discipline: at most one thread records under a given
+/// tid at a time, which
 /// [`Team`](splash4_parmacs::Team) guarantees (team threads get distinct
 /// tids; the master only records outside team scopes).
 #[derive(Debug)]
@@ -162,14 +159,7 @@ pub struct RingRecorder {
     rings: Vec<SpscRing>,
     /// Events from tids outside `0..rings.len()`.
     out_of_range: AtomicU64,
-    /// Single-flusher guard for `collected`.
-    flushing: AtomicBool,
-    collected: UnsafeCell<Vec<Vec<Stamped>>>,
 }
-
-// SAFETY: `collected` is only touched while `flushing` is held (CAS-acquired
-// in `flush`) or through `&mut self` in `finish`.
-unsafe impl Sync for RingRecorder {}
 
 impl RingRecorder {
     /// Recorder for `nthreads` team threads with the default ring capacity.
@@ -189,8 +179,6 @@ impl RingRecorder {
             name: name.into(),
             rings: (0..nthreads).map(|_| SpscRing::new(capacity)).collect(),
             out_of_range: AtomicU64::new(0),
-            flushing: AtomicBool::new(false),
-            collected: UnsafeCell::new(vec![Vec::new(); nthreads]),
         }
     }
 
@@ -205,39 +193,13 @@ impl RingRecorder {
             + self.out_of_range.load(Ordering::Relaxed)
     }
 
-    /// Drain every ring into the accumulated streams. Returns `false` (doing
-    /// nothing) if another flush is in progress — the guard is a single CAS,
-    /// so flushing never blocks recording or other flushers.
-    pub fn flush(&self) -> bool {
-        if self
-            .flushing
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            return false;
-        }
-        // SAFETY: the `flushing` flag grants exclusive access to `collected`
-        // and to every ring's consumer cursor.
-        let collected = unsafe { &mut *self.collected.get() };
-        for (ring, out) in self.rings.iter().zip(collected.iter_mut()) {
-            ring.drain_into(out);
-        }
-        self.flushing.store(false, Ordering::Release);
-        true
-    }
-
     /// Stop recording and yield the trace. Call after all traced threads have
     /// finished (ownership enforces quiescence).
-    pub fn finish(mut self) -> Trace {
-        let dropped = self.dropped();
-        let collected = self.collected.get_mut();
-        for (ring, out) in self.rings.iter().zip(collected.iter_mut()) {
-            ring.drain_into(out);
-        }
+    pub fn finish(self) -> Trace {
         Trace {
-            name: std::mem::take(&mut self.name),
-            threads: std::mem::take(collected),
-            dropped,
+            dropped: self.dropped(),
+            threads: self.rings.iter().map(SpscRing::drain).collect(),
+            name: self.name,
         }
     }
 }
@@ -308,19 +270,13 @@ mod tests {
     }
 
     #[test]
-    fn flush_mid_recording_preserves_all_events() {
-        let rec = RingRecorder::with_capacity("t", 1, 8);
-        for round in 0..10u32 {
-            for i in 0..6 {
-                rec.record(0, TraceEvent::Getsub { n: round * 6 + i });
-            }
-            assert!(rec.flush(), "uncontended flush must run");
+    fn finish_yields_every_event_in_record_order() {
+        let rec = RingRecorder::with_capacity("t", 2, 64);
+        for n in 0..60u32 {
+            rec.record(0, TraceEvent::Getsub { n });
         }
-        assert_eq!(
-            rec.dropped(),
-            0,
-            "flushing keeps an 8-slot ring from overflowing"
-        );
+        rec.record(1, TraceEvent::Enqueue);
+        assert_eq!(rec.dropped(), 0, "60 events fit a 64-slot ring");
         let trace = rec.finish();
         let ns: Vec<u32> = trace.threads()[0]
             .iter()
@@ -330,6 +286,8 @@ mod tests {
             })
             .collect();
         assert_eq!(ns, (0..60).collect::<Vec<u32>>());
+        assert_eq!(trace.threads()[1].len(), 1);
+        assert_eq!(trace.dropped(), 0);
     }
 
     #[test]

@@ -27,22 +27,36 @@ const BATCHES: u64 = 8;
 
 /// Work pooled from one barrier-to-barrier segment across all native threads.
 #[derive(Debug, Clone, Copy, Default)]
-struct SegmentTotals {
+pub(crate) struct SegmentTotals {
     /// Wall time between barrier release and next arrival, summed over
     /// threads: the segment's total work budget.
-    wall_ns: u64,
-    getsub_items: u64,
-    getsub_grabs: u64,
-    /// Logical RMW counts indexed per `ConstructClass::ALL`.
-    rmws: [u64; ConstructClass::ALL.len()],
-    queue_ops: u64,
-    lock_acqs: u64,
-    lock_hold_ns: u64,
+    pub wall_ns: u64,
+    /// The slowest thread's share of `wall_ns`. Summed over the segments it
+    /// is the trace's critical path.
+    pub max_wall_ns: u64,
+    pub getsub_items: u64,
+    pub getsub_grabs: u64,
+    /// Logical RMW counts, indexed by [`ConstructClass`] discriminant.
+    pub rmws: [u64; ConstructClass::ALL.len()],
+    pub queue_ops: u64,
+    pub lock_acqs: u64,
+    pub lock_contended: u64,
+    pub lock_hold_ns: u64,
+}
+
+impl SegmentTotals {
+    /// Credit one thread's `wall_ns` in this segment.
+    fn add_wall(&mut self, wall_ns: u64) {
+        self.wall_ns += wall_ns;
+        self.max_wall_ns = self.max_wall_ns.max(wall_ns);
+    }
 }
 
 /// Segment the trace at its shared barrier episodes and pool per-segment
-/// totals across threads. Always returns `episodes + 1` segments.
-fn pool_segments(trace: &Trace) -> Vec<SegmentTotals> {
+/// totals across threads. Always returns `episodes + 1` segments. This is the
+/// crate's one walk over a trace's barrier segments: the summary reads its
+/// totals and critical path from it too.
+pub(crate) fn pool_segments(trace: &Trace) -> Vec<SegmentTotals> {
     let episodes = trace.barrier_episodes();
     let mut segments = vec![SegmentTotals::default(); episodes + 1];
     for evs in trace.threads() {
@@ -55,7 +69,7 @@ fn pool_segments(trace: &Trace) -> Vec<SegmentTotals> {
             let t = &mut segments[seg];
             match s.event {
                 TraceEvent::BarrierEnter { .. } if seg < episodes => {
-                    t.wall_ns += s.ts_ns.saturating_sub(seg_start);
+                    t.add_wall(s.ts_ns.saturating_sub(seg_start));
                     seg += 1;
                 }
                 TraceEvent::BarrierExit { .. } => {
@@ -67,23 +81,17 @@ fn pool_segments(trace: &Trace) -> Vec<SegmentTotals> {
                     t.getsub_grabs += 1;
                     t.getsub_items += u64::from(n);
                 }
-                TraceEvent::Rmw { class, n } => {
-                    let idx = ConstructClass::ALL
-                        .iter()
-                        .position(|c| *c == class)
-                        .unwrap();
-                    t.rmws[idx] += u64::from(n);
-                }
+                TraceEvent::Rmw { class, n } => t.rmws[class as usize] += u64::from(n),
                 TraceEvent::Enqueue | TraceEvent::Dequeue => t.queue_ops += 1,
-                TraceEvent::LockAcq { hold_ns, .. } => {
+                TraceEvent::LockAcq { contended, hold_ns } => {
                     t.lock_acqs += 1;
+                    t.lock_contended += u64::from(contended);
                     t.lock_hold_ns += hold_ns;
                 }
-                TraceEvent::Compute { ns } => t.wall_ns += ns,
             }
         }
         // Tail segment: work after the last shared barrier.
-        segments[episodes.min(seg)].wall_ns += last_ts.saturating_sub(seg_start);
+        segments[episodes.min(seg)].add_wall(last_ts.saturating_sub(seg_start));
     }
     segments
 }
@@ -155,18 +163,13 @@ pub fn lower(
             .getsub_items
             .checked_div(seg.getsub_grabs)
             .map_or(1, |c| c.max(1));
-        let rmw_idx = |class: ConstructClass| {
-            ConstructClass::ALL
-                .iter()
-                .position(|c| *c == class)
-                .unwrap()
-        };
-        let reduces = seg.rmws[rmw_idx(ConstructClass::Reduction)];
-        let flags = seg.rmws[rmw_idx(ConstructClass::Flag)];
-        let data_rmws = seg.rmws[rmw_idx(ConstructClass::DataLock)]
-            + seg.rmws[rmw_idx(ConstructClass::Counter)]
-            + seg.rmws[rmw_idx(ConstructClass::Barrier)]
-            + seg.rmws[rmw_idx(ConstructClass::Queue)];
+        let rmws = |class: ConstructClass| seg.rmws[class as usize];
+        let reduces = rmws(ConstructClass::Reduction);
+        let flags = rmws(ConstructClass::Flag);
+        let data_rmws = rmws(ConstructClass::DataLock)
+            + rmws(ConstructClass::Counter)
+            + rmws(ConstructClass::Barrier)
+            + rmws(ConstructClass::Queue);
 
         for (tid, ops) in program.cores.iter_mut().enumerate() {
             let tid = tid as u64;

@@ -3,8 +3,8 @@
 //! The recorder gives each traced thread one of these. The producer side
 //! ([`SpscRing::push`]) is wait-free: a slot write, one release store, and —
 //! when the ring is full — a relaxed drop-count increment instead of any
-//! form of waiting. The consumer side ([`SpscRing::drain_into`]) is the
-//! flusher's; producer and consumer never contend on a cursor.
+//! form of waiting. The consumer side ([`SpscRing::drain`]) is the
+//! recorder's `finish`; producer and consumer never contend on a cursor.
 
 use crate::Stamped;
 use std::cell::UnsafeCell;
@@ -15,9 +15,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 ///
 /// Cursor discipline: `head` is written only by the producer, `tail` only by
 /// the consumer; each side reads the other's cursor with acquire ordering.
-/// At most one thread may push and at most one may drain at any moment
-/// (enforced by the recorder: per-thread rings, single-flusher guard).
-pub struct SpscRing {
+/// `push` and `drain` are safe methods of a `Sync` type, so they are sound
+/// only under the recorder's discipline, which is why the type is private to
+/// this crate: at most one thread pushes (the one recording under the ring's
+/// tid, which the recorder takes on trust from the runtime) and at most one
+/// drains (the recorder's `finish`, which owns the recorder) at any moment.
+pub(crate) struct SpscRing {
     slots: Box<[UnsafeCell<MaybeUninit<Stamped>>]>,
     mask: usize,
     /// Next slot the producer writes. Monotonic (not wrapped).
@@ -31,12 +34,11 @@ pub struct SpscRing {
 // only writes slots in `head..tail + capacity`, the consumer only reads
 // `tail..head`, and cursor publication uses release/acquire pairs.
 unsafe impl Sync for SpscRing {}
-unsafe impl Send for SpscRing {}
 
 impl SpscRing {
     /// Ring with at least `capacity` slots (rounded up to a power of two,
     /// minimum 2).
-    pub fn new(capacity: usize) -> SpscRing {
+    pub(crate) fn new(capacity: usize) -> SpscRing {
         let cap = capacity.max(2).next_power_of_two();
         SpscRing {
             slots: (0..cap)
@@ -49,31 +51,14 @@ impl SpscRing {
         }
     }
 
-    /// Slot count.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Events currently buffered (exact when quiescent).
-    pub fn len(&self) -> usize {
-        self.head
-            .load(Ordering::Acquire)
-            .saturating_sub(self.tail.load(Ordering::Acquire))
-    }
-
-    /// `true` when no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Events discarded because the ring was full at push time.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
     /// Producer side: append `v`, or count a drop if the ring is full.
     /// Returns `true` when the event was stored. Wait-free.
-    pub fn push(&self, v: Stamped) -> bool {
+    pub(crate) fn push(&self, v: Stamped) -> bool {
         let head = self.head.load(Ordering::Relaxed);
         let tail = self.tail.load(Ordering::Acquire);
         if head - tail == self.slots.len() {
@@ -87,11 +72,11 @@ impl SpscRing {
         true
     }
 
-    /// Consumer side: move every buffered event into `out` in push order.
-    pub fn drain_into(&self, out: &mut Vec<Stamped>) {
+    /// Consumer side: take every buffered event, in push order.
+    pub(crate) fn drain(&self) -> Vec<Stamped> {
         let head = self.head.load(Ordering::Acquire);
         let mut tail = self.tail.load(Ordering::Relaxed);
-        out.reserve(head - tail);
+        let mut out = Vec::with_capacity(head - tail);
         while tail < head {
             // SAFETY: slots in `tail..head` were published by the producer's
             // release store of `head`; the producer will not reuse them until
@@ -101,14 +86,14 @@ impl SpscRing {
             tail += 1;
         }
         self.tail.store(tail, Ordering::Release);
+        out
     }
 }
 
 impl std::fmt::Debug for SpscRing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpscRing")
-            .field("capacity", &self.capacity())
-            .field("len", &self.len())
+            .field("capacity", &self.slots.len())
             .field("dropped", &self.dropped())
             .finish()
     }
@@ -129,19 +114,17 @@ mod tests {
     #[test]
     fn fifo_order_and_capacity_rounding() {
         let r = SpscRing::new(5);
-        assert_eq!(r.capacity(), 8);
         for i in 0..8 {
             assert!(r.push(ev(i)));
         }
         assert!(!r.push(ev(99)), "9th push into an 8-ring must drop");
         assert_eq!(r.dropped(), 1);
-        let mut out = Vec::new();
-        r.drain_into(&mut out);
+        let out = r.drain();
         assert_eq!(out.len(), 8);
         for (i, s) in out.iter().enumerate() {
             assert_eq!(*s, ev(i as u32));
         }
-        assert!(r.is_empty());
+        assert!(r.drain().is_empty());
     }
 
     #[test]
@@ -152,7 +135,7 @@ mod tests {
             for i in 0..4 {
                 assert!(r.push(ev(round * 4 + i)));
             }
-            r.drain_into(&mut out);
+            out.extend(r.drain());
         }
         assert_eq!(r.dropped(), 0);
         assert_eq!(out.len(), 200);
@@ -181,7 +164,7 @@ mod tests {
             let consumer_out = &mut out;
             s.spawn(move || {
                 while consumer_out.len() < N as usize {
-                    r.drain_into(consumer_out);
+                    consumer_out.extend(r.drain());
                     std::hint::spin_loop();
                 }
             });

@@ -1,8 +1,9 @@
 //! Trace analysis: per-class operation counts, contention statistics, a
 //! binned contention timeline and a critical-path estimate.
 
+use crate::lower::{pool_segments, SegmentTotals};
 use crate::Trace;
-use splash4_parmacs::{ConstructClass, Json, ToJson, TraceEvent};
+use splash4_parmacs::{ConstructClass, Json, ToJson};
 
 /// Number of bins in the contention timeline.
 pub const TIMELINE_BINS: usize = 16;
@@ -22,7 +23,8 @@ pub struct TraceSummary {
     pub getsub_grabs: u64,
     /// Work items handed out through those grabs.
     pub getsub_items: u64,
-    /// Logical RMW counts, indexed per [`ConstructClass::ALL`].
+    /// Logical RMW counts, indexed by [`ConstructClass`] discriminant (the
+    /// order of [`ConstructClass::ALL`]).
     pub rmws: [u64; ConstructClass::ALL.len()],
     /// Queue pushes + pops.
     pub queue_ops: u64,
@@ -48,21 +50,29 @@ pub struct TraceSummary {
 impl TraceSummary {
     /// Summarize `trace`.
     pub fn from_trace(trace: &Trace) -> TraceSummary {
+        let segments = pool_segments(trace);
+        let sum = |field: fn(&SegmentTotals) -> u64| segments.iter().map(field).sum();
+        let mut rmws = [0; ConstructClass::ALL.len()];
+        for seg in &segments {
+            for (total, n) in rmws.iter_mut().zip(seg.rmws) {
+                *total += n;
+            }
+        }
         let mut s = TraceSummary {
             name: trace.name().to_owned(),
             nthreads: trace.nthreads(),
             events: trace.len(),
             dropped: trace.dropped(),
-            getsub_grabs: 0,
-            getsub_items: 0,
-            rmws: [0; ConstructClass::ALL.len()],
-            queue_ops: 0,
-            lock_acqs: 0,
-            lock_contended: 0,
-            lock_hold_ns: 0,
-            barrier_episodes: trace.barrier_episodes(),
+            getsub_grabs: sum(|t| t.getsub_grabs),
+            getsub_items: sum(|t| t.getsub_items),
+            rmws,
+            queue_ops: sum(|t| t.queue_ops),
+            lock_acqs: sum(|t| t.lock_acqs),
+            lock_contended: sum(|t| t.lock_contended),
+            lock_hold_ns: sum(|t| t.lock_hold_ns),
+            barrier_episodes: segments.len() - 1,
             span_ns: 0,
-            critical_path_ns: 0,
+            critical_path_ns: sum(|t| t.max_wall_ns),
             timeline: [0; TIMELINE_BINS],
         };
         let first = trace
@@ -83,57 +93,12 @@ impl TraceSummary {
         };
         s.span_ns = t1 - t0;
         let span = s.span_ns.max(1);
-
-        // Per-thread, per-episode segment times for the critical path.
-        let episodes = s.barrier_episodes;
-        let mut seg_max = vec![0u64; episodes + 1];
-        for evs in trace.threads() {
-            let mut seg = 0usize;
-            let mut seg_start = evs.first().map_or(0, |e| e.ts_ns);
-            let mut last_ts = seg_start;
-            for e in evs {
-                last_ts = e.ts_ns;
-                let bin = (((e.ts_ns - t0) as u128 * TIMELINE_BINS as u128 / span as u128)
-                    as usize)
-                    .min(TIMELINE_BINS - 1);
-                s.timeline[bin] += 1;
-                match e.event {
-                    TraceEvent::BarrierEnter { .. } if seg < episodes => {
-                        seg_max[seg] = seg_max[seg].max(e.ts_ns.saturating_sub(seg_start));
-                        seg += 1;
-                    }
-                    TraceEvent::BarrierExit { .. } => seg_start = e.ts_ns,
-                    TraceEvent::BarrierEnter { .. } => {}
-                    TraceEvent::Getsub { n } => {
-                        s.getsub_grabs += 1;
-                        s.getsub_items += u64::from(n);
-                    }
-                    TraceEvent::Rmw { class, n } => {
-                        let idx = ConstructClass::ALL
-                            .iter()
-                            .position(|c| *c == class)
-                            .unwrap();
-                        s.rmws[idx] += u64::from(n);
-                    }
-                    TraceEvent::Enqueue | TraceEvent::Dequeue => s.queue_ops += 1,
-                    TraceEvent::LockAcq { contended, hold_ns } => {
-                        s.lock_acqs += 1;
-                        s.lock_contended += u64::from(contended);
-                        s.lock_hold_ns += hold_ns;
-                    }
-                    TraceEvent::Compute { .. } => {}
-                }
-            }
-            let tail = episodes.min(seg);
-            seg_max[tail] = seg_max[tail].max(last_ts.saturating_sub(seg_start));
+        for e in trace.threads().iter().flatten() {
+            let bin = (((e.ts_ns - t0) as u128 * TIMELINE_BINS as u128 / span as u128) as usize)
+                .min(TIMELINE_BINS - 1);
+            s.timeline[bin] += 1;
         }
-        s.critical_path_ns = seg_max.iter().sum();
         s
-    }
-
-    /// Total logical RMWs across classes.
-    pub fn total_rmws(&self) -> u64 {
-        self.rmws.iter().sum()
     }
 }
 
@@ -180,6 +145,7 @@ impl ToJson for TraceSummary {
 mod tests {
     use super::*;
     use crate::Stamped;
+    use splash4_parmacs::TraceEvent;
 
     fn at(ts_ns: u64, event: TraceEvent) -> Stamped {
         Stamped { ts_ns, event }
@@ -214,7 +180,7 @@ mod tests {
         assert_eq!(s.dropped, 2);
         assert_eq!(s.getsub_grabs, 2);
         assert_eq!(s.getsub_items, 10);
-        assert_eq!(s.total_rmws(), 2);
+        assert_eq!(s.rmws[ConstructClass::Reduction as usize], 2);
         assert_eq!(s.queue_ops, 2);
         assert_eq!(s.lock_acqs, 1);
         assert_eq!(s.lock_contended, 1);
