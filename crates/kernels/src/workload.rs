@@ -147,13 +147,13 @@ pub fn known_names() -> Vec<&'static str> {
 /// duplicate around their parallel regions.
 ///
 /// A kernel `run` builds its inputs and shared state, hands the parallel
-/// region to [`roi`](driver::roi) (team spawn + ROI wall-clock timing),
+/// region to [`roi`](driver::roi) (team run + ROI wall-clock timing),
 /// then hands its checksum, validation verdict and *uncalibrated*
 /// [`WorkModel`] to [`finish`](driver::finish) (profile snapshot + model
 /// calibration + result assembly).
-/// The ROI timing convention — the team exists before the clock starts,
-/// input generation and validation are excluded — and the calibration rule
-/// live here, once.
+/// The ROI timing convention — the clock spans the team's thread spawn and
+/// join as well as the parallel region; input generation and validation are
+/// excluded — and the calibration rule live here, once.
 pub mod driver {
     use super::*;
     use splash4_parmacs::Team;
@@ -163,10 +163,13 @@ pub mod driver {
     /// per-item cycles may undershoot the analytic estimate by at most 2×.
     const CALIBRATION_SLACK: f64 = 2.0;
 
-    /// Spawn a team of `env.nthreads()` threads, run `body` once per
-    /// thread, and return the wall-clock time of the parallel region (the
-    /// suite's ROI convention: the team is created *before* the clock
-    /// starts, so spawn cost is excluded on the multi-thread path too).
+    /// Run `body` once per thread on a team of `env.nthreads()` threads
+    /// and return the wall-clock time of the parallel region. The clock
+    /// starts before [`Team::run`], which spawns the threads and joins them
+    /// (`Team::new` spawns nothing), so with two or more threads the ROI
+    /// includes thread spawn and join — unlike the original suite, which
+    /// times from after its team is created. With one thread the body runs
+    /// on the caller and nothing is spawned.
     pub fn roi(env: &SyncEnv, body: impl Fn(TeamCtx) + Sync) -> Duration {
         let team = Team::new(env.nthreads());
         let t0 = Instant::now();

@@ -109,6 +109,12 @@ impl Json {
         }
     }
 
+    /// Append the compact single-line rendering (what `to_string` yields)
+    /// to `out`, with no intermediate `String`.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
+    }
+
     /// Pretty rendering with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
@@ -381,7 +387,7 @@ impl Index<usize> for Json {
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out);
         f.write_str(&out)
     }
 }

@@ -16,7 +16,8 @@ use std::io::{self, BufRead, Write};
 /// # Errors
 /// Propagates the underlying I/O error.
 pub fn write_frame(w: &mut impl Write, v: &Json) -> io::Result<()> {
-    let mut line = v.to_string();
+    let mut line = String::new();
+    v.write_compact(&mut line);
     line.push('\n');
     w.write_all(line.as_bytes())?;
     w.flush()
@@ -24,19 +25,24 @@ pub fn write_frame(w: &mut impl Write, v: &Json) -> io::Result<()> {
 
 /// Append one event's frame — the text of `ev.to_json()`, then the newline —
 /// to `out`, so a burst of events can go out in one write. A `Done` event is
-/// written around its result in place; `to_json` would deep-clone it first.
+/// written around its result in place; `to_json` would deep-clone it first,
+/// and `Display` would render it into a temporary `String`.
 pub fn push_event_frame(out: &mut String, ev: &JobEvent) {
-    let _ = match ev {
+    match ev {
         JobEvent::Done {
             job,
             cached,
             result,
-        } => write!(
-            out,
-            r#"{{"event":"done","job":{job},"cached":{cached},"result":{result}}}"#
-        ),
-        small => write!(out, "{}", small.to_json()),
-    };
+        } => {
+            let _ = write!(
+                out,
+                r#"{{"event":"done","job":{job},"cached":{cached},"result":"#
+            );
+            result.write_compact(out);
+            out.push('}');
+        }
+        small => small.to_json().write_compact(out),
+    }
     out.push('\n');
 }
 
@@ -111,6 +117,29 @@ mod tests {
             .map(|e| format!("{}\n", e.to_json()))
             .collect();
         assert_eq!(out, want);
+    }
+
+    #[test]
+    fn event_frame_bytes_are_pinned() {
+        let mut out = String::new();
+        push_event_frame(
+            &mut out,
+            &JobEvent::Done {
+                job: 9,
+                cached: false,
+                result: json!({ "total_ns": 9_194_433u64, "f": 0.25, "s": "a\"b\tc", "xs": json!([1, json!(null), true]), "o": json!({}) }),
+            },
+        );
+        push_event_frame(&mut out, &JobEvent::Progress { job: 3, pct: 40 });
+        assert_eq!(
+            out,
+            concat!(
+                r#"{"event":"done","job":9,"cached":false,"result":{"total_ns":9194433,"f":0.25,"s":"a\"b\tc","xs":[1,null,true],"o":{}}}"#,
+                "\n",
+                r#"{"event":"progress","job":3,"pct":40}"#,
+                "\n"
+            )
+        );
     }
 
     #[test]

@@ -17,31 +17,33 @@
 //!
 //! Each core has exactly *one* outstanding event (its next ready time), so
 //! the classic `BinaryHeap` event queue is overkill: [`Engine`] keeps a flat
-//! `ready[core]` array (parked and finished cores at `u64::MAX`) and picks
-//! the next event with a linear min-scan at small core counts, switching to
-//! a flat winner (tournament) tree above `SCAN_CORES_MAX` cores — O(1)
-//! dispatch from the root, a branch-free O(log p) leaf-to-root retime, and
-//! a branch-light template fill per barrier release — while preserving the
-//! lowest-core-wins tie-break exactly.
-//! Unlike the heap, neither path ever allocates or moves `(time, core)`
-//! tuples through sift-up/sift-down. The op streams of 16-byte [`Op`]s are
-//! read in place, with no load-time copy or pre-pass: a run of adjacent
-//! `Compute` ops is fused into one event when a core pops its first op, an
-//! access reads its costs from `program.costs` by id, server clocks grow as
-//! ids are met, and a malformed program is caught as it runs. All per-run
-//! state (`ready`, program counters, per-core breakdowns, server clocks,
-//! barrier episodes) lives in reusable scratch buffers inside the `Engine`,
-//! so a warm engine allocates nothing in the event loop. The original
-//! heap-based engine is preserved as [`run_reference`]; the equivalence
-//! tests and the `benchmark/` package's oracle hold the two implementations
-//! result-identical, and its `sim.engine_ns_per_event.*` /
-//! `sim.reference_ns_per_event.p1024` rungs measure the speedup.
+//! winner (tournament) tree over the cores, at every core count. Each node
+//! is one `u64` key, `(time << key_bits) | core` with `key_bits =
+//! log2(tsize)` and `tsize` the next power of two ≥ p, so a plain `min` of
+//! two keys is the event order exactly — earlier time first, the lower core
+//! on a tie. The root answers "when" and "who" in O(1), a retime is one
+//! `min` per level up to the root, and a broadcast barrier release fills
+//! the tree from a template; parked and finished cores (and the padding
+//! leaves) hold the reserved all-ones key. A time too wide for its key
+//! panics rather than misorder. Unlike the heap, the tree never allocates
+//! or moves `(time, core)` tuples through sift-up/sift-down. The op streams
+//! of 16-byte [`Op`]s are read in place, with no load-time copy or
+//! pre-pass: a run of adjacent `Compute` ops is fused into one event when a
+//! core pops its first op, an access reads its costs from `program.costs`
+//! by id, server clocks grow as ids are met, and a malformed program is
+//! caught as it runs. All per-run state (the tree, program counters,
+//! per-core breakdowns, server clocks, barrier episodes) lives in reusable
+//! scratch buffers inside the `Engine`, so a warm engine allocates nothing
+//! in the event loop. The original heap-based engine is preserved as
+//! [`run_reference`]; the equivalence tests and the `benchmark/` package's
+//! oracle hold the two implementations result-identical, and its
+//! `sim.engine_ns_per_event.*` / `sim.reference_ns_per_event.p1024` rungs
+//! measure the speedup.
 
 use crate::machine::MachineParams;
 use crate::program::{BarrierKind, Op, OpCost, Program};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::hint;
 
 /// Per-core time attribution.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -111,8 +113,8 @@ fn tree_levels(n: usize) -> u64 {
     levels.max(1)
 }
 
-/// A core that is parked (at a barrier) or finished: never selected by the
-/// min-scan.
+/// The key of a core that is parked (at a barrier) or finished, and of a
+/// padding leaf: above every live key, so never the root while one is live.
 const NEVER: u64 = u64::MAX;
 
 /// One barrier's episode state (reused across runs; `arrived` keeps its
@@ -125,9 +127,27 @@ struct BarrierScratch {
     server_free: u64,
 }
 
-/// Core counts up to this use the linear min-scan; above it the winner tree
-/// takes over (the scan's O(p) per event loses to O(log p) around here).
-const SCAN_CORES_MAX: usize = 16;
+/// How a run packs `(time, core)` into one winner-tree key.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyFormat {
+    /// Low bits holding the core: `log2(tsize)`.
+    bits: u32,
+    /// Times at or above this do not fit: `NEVER >> bits`, which also keeps
+    /// the all-ones key free for [`NEVER`].
+    time_limit: u64,
+}
+
+impl KeyFormat {
+    #[inline]
+    fn pack(self, t: u64, core: usize) -> u64 {
+        assert!(
+            t < self.time_limit,
+            "simulated time out of key range: {t} ns, limit {} ns",
+            self.time_limit
+        );
+        (t << self.bits) | core as u64
+    }
+}
 
 /// Reusable simulation engine: owns every per-run buffer, so repeated
 /// [`Engine::run`] calls (a 1–64-core sweep, a model's phases)
@@ -135,8 +155,6 @@ const SCAN_CORES_MAX: usize = 16;
 /// allocates nothing but its result.
 #[derive(Debug, Default)]
 pub struct Engine {
-    /// Next ready time per core; [`NEVER`] = parked or finished.
-    ready: Vec<u64>,
     /// Next op index per core.
     pc: Vec<usize>,
     /// Per-core attribution being accumulated.
@@ -147,19 +165,14 @@ pub struct Engine {
     barriers: Vec<BarrierScratch>,
     /// Laps each core runs after its current one.
     laps_left: Vec<u64>,
-    /// Winner-tree node times (implicit binary tree, leaves at
-    /// `tsize..tsize+p`); only maintained when `p > SCAN_CORES_MAX`.
+    /// Winner tree of packed keys (implicit binary tree, root at 1, leaf of
+    /// core `c` at `tsize + c`): each leaf is its core's next event, each
+    /// node the `min` of its children.
     tree: Vec<u64>,
-    /// Winning core per winner-tree node.
-    tree_win: Vec<u32>,
     /// Winner-tree leaf offset (next power of two ≥ p).
     tsize: usize,
-    /// Leftmost leaf id under each winner-tree node, precomputed at reset.
-    /// When every in-range leaf holds the *same* time (a sense/tree barrier
-    /// release), node `i`'s winner is exactly `uniform_win[i]` — the
-    /// lowest-core tie-break — so a release can template-fill the tree
-    /// without any compare chains (see [`Engine::tree_fill_uniform`]).
-    uniform_win: Vec<u32>,
+    /// This run's key layout.
+    keys: KeyFormat,
 }
 
 impl Engine {
@@ -172,8 +185,6 @@ impl Engine {
     /// `nbarriers` barriers, growing buffers as needed. Server clocks start
     /// empty and grow as the run meets server ids.
     fn reset(&mut self, p: usize, nbarriers: usize, laps: u64) {
-        self.ready.clear();
-        self.ready.resize(p, 0);
         self.pc.clear();
         self.pc.resize(p, 0);
         self.laps_left.clear();
@@ -189,103 +200,47 @@ impl Engine {
             b.arrived.clear();
             b.server_free = 0;
         }
-        if p > SCAN_CORES_MAX {
-            self.tsize = p.next_power_of_two();
-            self.tree.clear();
-            self.tree.resize(2 * self.tsize, NEVER);
-            self.tree_win.clear();
-            self.tree_win.resize(2 * self.tsize, 0);
-            // Leftmost leaf per node: leaves map to themselves, internal
-            // nodes inherit from their left child (visited first by the
-            // reverse sweep).
-            self.uniform_win.clear();
-            self.uniform_win.resize(2 * self.tsize, 0);
-            for i in (1..2 * self.tsize).rev() {
-                self.uniform_win[i] = if i >= self.tsize {
-                    (i - self.tsize) as u32
-                } else {
-                    self.uniform_win[2 * i]
-                };
-            }
-            self.tree_rebuild();
-        } else {
-            self.tsize = 0;
-        }
+        self.tsize = p.next_power_of_two();
+        let bits = self.tsize.trailing_zeros();
+        self.keys = KeyFormat {
+            bits,
+            time_limit: NEVER >> bits,
+        };
+        self.tree.clear();
+        self.tree.resize(2 * self.tsize, NEVER);
+        // Every core starts ready at time 0.
+        self.tree_fill_uniform(0);
     }
 
-    /// Retime `core`, keeping the winner tree (when active) in sync.
+    /// Give `core`'s leaf the key `k` and replay its path to the root, each
+    /// level keeping the `min` of the path's key and its sibling's. Nearly
+    /// every retime is of the popped core, the root's winner, so the whole
+    /// path changes: no early exit, and no branch on which side wins.
     #[inline]
-    fn set_ready(&mut self, core: usize, v: u64) {
-        self.ready[core] = v;
-        if self.tsize > 0 {
-            self.tree_update(core, v);
-        }
-    }
-
-    /// Recompute the whole winner tree from `ready`. Used at reset and after
-    /// condvar-barrier releases (per-core resume times differ, so there is
-    /// no shared value to template-fill).
-    fn tree_rebuild(&mut self) {
-        let n = self.tsize;
-        for c in 0..n {
-            self.tree[n + c] = self.ready.get(c).copied().unwrap_or(NEVER);
-            self.tree_win[n + c] = c as u32;
-        }
-        for i in (1..n).rev() {
-            let (l, r) = (2 * i, 2 * i + 1);
-            // `<=` keeps the left (lower-index) child on ties — exactly the
-            // lowest-core-wins tie-break of the scan and the heap reference.
-            if self.tree[l] <= self.tree[r] {
-                self.tree[i] = self.tree[l];
-                self.tree_win[i] = self.tree_win[l];
-            } else {
-                self.tree[i] = self.tree[r];
-                self.tree_win[i] = self.tree_win[r];
-            }
-        }
-    }
-
-    /// Retime one leaf and replay its whole path to the root, each level
-    /// keeping the earlier of the path's `(time, winner)` and its sibling's
-    /// (on a tie the left, lower core) by select, not branch: nearly every
-    /// retime is of the popped core, the root's winner, so the whole path
-    /// changes, and which side wins a level is a coin flip.
-    #[inline]
-    fn tree_update(&mut self, core: usize, v: u64) {
+    fn tree_update(&mut self, core: usize, mut k: u64) {
         let mut i = self.tsize + core;
-        let (mut t, mut w) = (v, core as u32);
-        self.tree[i] = v;
+        self.tree[i] = k;
         while i > 1 {
-            let (st, sw) = (self.tree[i ^ 1], self.tree_win[i ^ 1]);
-            let keep = (t < st) | ((t == st) & (i & 1 == 0));
-            t = hint::select_unpredictable(keep, t, st);
-            w = hint::select_unpredictable(keep, w, sw);
+            k = k.min(self.tree[i ^ 1]);
             i /= 2;
-            self.tree[i] = t;
-            self.tree_win[i] = w;
+            self.tree[i] = k;
         }
     }
 
     /// Template-fill the winner tree for a uniform release: every live core
     /// resumes at the same `resume` time (sense and tree barriers release by
-    /// broadcast), so node times are `resume` wherever the subtree reaches a
-    /// live leaf and winners are the precomputed leftmost leaves — no
-    /// compare chains, no `ready` re-reads. Nodes whose subtrees lie
-    /// entirely in the power-of-two padding (`uniform_win[i] ≥ p`) stay at
-    /// [`NEVER`] from reset and are never written by any path, so they are
-    /// skipped here.
+    /// broadcast), so each node that covers a live leaf holds `resume` and
+    /// its leftmost leaf's core — no compares. Per level, those nodes are a
+    /// prefix (`live` of them, `span` leaves apart); nodes wholly in the
+    /// power-of-two padding stay at [`NEVER`] from reset.
     fn tree_fill_uniform(&mut self, resume: u64) {
-        let n = self.tsize;
-        let p = self.ready.len();
-        for c in 0..p {
-            self.tree[n + c] = resume;
-        }
-        for i in (1..n).rev() {
-            let w = self.uniform_win[i];
-            if (w as usize) < p {
-                self.tree[i] = resume;
-                self.tree_win[i] = w;
+        let base = self.keys.pack(resume, 0);
+        let (mut first, mut live, mut span) = (self.tsize, self.pc.len(), 1);
+        while first > 0 {
+            for (j, node) in self.tree[first..first + live].iter_mut().enumerate() {
+                *node = base | (j * span) as u64;
             }
+            (first, live, span) = (first / 2, live.div_ceil(2), span * 2);
         }
     }
 
@@ -301,7 +256,10 @@ impl Engine {
     /// against scratch of an earlier run), differing barrier sequences as
     /// a core still parked when no core can move — every episode takes one
     /// arrival from each core, so a run that ends with none parked crossed
-    /// identical sequences. The engine stays usable after the panic.
+    /// identical sequences. Panics with "simulated time out of key range"
+    /// when an event time reaches `2^(64 − log2(tsize)) − 1` ns (about 2^54
+    /// ns, 208 days, at 1024 cores), rather than misorder it. The engine
+    /// stays usable after either panic.
     pub fn run(&mut self, program: &Program, machine: &MachineParams) -> SimResult {
         self.run_laps(program, machine, 1)
     }
@@ -316,32 +274,15 @@ impl Engine {
         let p = program.ncores();
         self.reset(p, program.barriers.len(), laps);
 
+        let keys = self.keys;
+        let core_mask = self.tsize as u64 - 1;
         loop {
-            // Next event: earliest ready core, lowest id on ties. At small
-            // core counts a linear scan over the `ready` array is a handful
-            // of cache lines and beats any tree; past SCAN_CORES_MAX the
-            // winner tree answers from its root in O(1) and absorbs retimes
-            // in O(log p). Both break ties toward the lowest core id.
-            let (t, core) = if self.tsize > 0 {
-                let t = self.tree[1];
-                if t == NEVER {
-                    break;
-                }
-                (t, self.tree_win[1] as usize)
-            } else {
-                let mut t = NEVER;
-                let mut core = usize::MAX;
-                for (c, &r) in self.ready.iter().enumerate() {
-                    if r < t {
-                        t = r;
-                        core = c;
-                    }
-                }
-                if core == usize::MAX {
-                    break;
-                }
-                (t, core)
-            };
+            // Next event: the root's key, earliest time and lowest core.
+            let root = self.tree[1];
+            if root == NEVER {
+                break;
+            }
+            let (t, core) = (root >> keys.bits, (root & core_mask) as usize);
             let ops = &program.cores[core];
             let mut i = self.pc[core];
             if i == ops.len() && self.laps_left[core] > 0 {
@@ -352,7 +293,7 @@ impl Engine {
             let Some(&op) = ops.get(i) else {
                 let b = &mut self.breakdown[core];
                 b.end_ns = b.end_ns.max(t);
-                self.set_ready(core, NEVER);
+                self.tree_update(core, NEVER);
                 continue;
             };
             self.pc[core] = i + 1;
@@ -369,7 +310,7 @@ impl Engine {
                     }
                     self.pc[core] = j;
                     self.breakdown[core].compute_ns += ns;
-                    self.set_ready(core, t + ns);
+                    self.tree_update(core, keys.pack(t + ns, core));
                 }
                 Op::Access { server, cost, n } => {
                     let Some(&OpCost {
@@ -400,7 +341,8 @@ impl Engine {
                     b.wait_ns += queue_wait + penalty;
                     b.service_ns += n * service_ns;
                     b.sync_local_ns += local_total;
-                    self.set_ready(core, start + service_total + local_total);
+                    let done = start + service_total + local_total;
+                    self.tree_update(core, keys.pack(done, core));
                 }
                 Op::Barrier { id } => {
                     let Some(&kind) = program.barriers.get(id as usize) else {
@@ -429,33 +371,19 @@ impl Engine {
                     bar.arrived.push((core, t, arr_done));
                     if bar.arrived.len() < p {
                         // Parked — resumed when the last core arrives.
-                        self.set_ready(core, NEVER);
+                        self.tree_update(core, NEVER);
                         continue;
                     }
                     // Release the episode (in place: `arrived` keeps its
                     // capacity for the next episode).
                     let last = bar.arrived.iter().map(|&(_, _, d)| d).max().unwrap_or(t);
                     // Sense/tree barriers release by broadcast: every core
-                    // resumes at one shared time, and the tree can be
+                    // resumes at one shared time, and the tree is
                     // template-filled instead of rebuilt with compares.
-                    let mut uniform_resume = None;
-                    match kind {
-                        BarrierKind::Sense => {
-                            let resume = last + machine.line_transfer_ns;
-                            for &(c, at, _) in &bar.arrived {
-                                self.breakdown[c].barrier_ns += resume - at;
-                                self.ready[c] = resume;
-                            }
-                            uniform_resume = Some(resume);
-                        }
-                        BarrierKind::Tree => {
-                            let resume = last + tree_levels(p) * machine.line_transfer_ns;
-                            for &(c, at, _) in &bar.arrived {
-                                self.breakdown[c].barrier_ns += resume - at;
-                                self.ready[c] = resume;
-                            }
-                            uniform_resume = Some(resume);
-                        }
+                    let broadcast = |hops: u64| last + hops * machine.line_transfer_ns;
+                    let resume = match kind {
+                        BarrierKind::Sense => broadcast(1),
+                        BarrierKind::Tree => broadcast(tree_levels(p)),
                         BarrierKind::Condvar => {
                             // The final arriver proceeds immediately;
                             // sleepers wake one at a time, in arrival order.
@@ -464,6 +392,7 @@ impl Engine {
                             // merge-sort scratch is allocated per episode.
                             bar.arrived.sort_unstable_by_key(|&(c, at, _)| (at, c));
                             let n_sleepers = bar.arrived.len().saturating_sub(1);
+                            let leaves = &mut self.tree[self.tsize..];
                             for (rank, &(c, at, _)) in bar.arrived.iter().enumerate() {
                                 let resume = if rank == n_sleepers {
                                     last + machine.lock_pair_ns
@@ -471,21 +400,21 @@ impl Engine {
                                     last + (rank as u64 + 1) * machine.condvar_wake_ns
                                 };
                                 self.breakdown[c].barrier_ns += resume - at;
-                                self.ready[c] = resume;
+                                leaves[c] = keys.pack(resume, c);
                             }
+                            bar.arrived.clear();
+                            // Per-core resume times differ: rebuild with `min`.
+                            for i in (1..self.tsize).rev() {
+                                self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
+                            }
+                            continue;
                         }
+                    };
+                    for &(c, at, _) in &bar.arrived {
+                        self.breakdown[c].barrier_ns += resume - at;
                     }
                     bar.arrived.clear();
-                    // A release retimes every core at once: one flat pass
-                    // instead of p root-walks. Uniform (broadcast) releases
-                    // take the template fill; condvar releases, whose
-                    // per-core resume times differ, rebuild with compares.
-                    if self.tsize > 0 {
-                        match uniform_resume {
-                            Some(resume) => self.tree_fill_uniform(resume),
-                            None => self.tree_rebuild(),
-                        }
-                    }
+                    self.tree_fill_uniform(resume);
                 }
             }
         }
@@ -920,7 +849,9 @@ mod tests {
         let m = machine();
         let mut engine = Engine::new();
         for kind in [BarrierKind::Sense, BarrierKind::Condvar, BarrierKind::Tree] {
-            for p in [1, 2, 3, 4, 8, 16, 33, 64] {
+            // Every p to 17, then both sides of each power of two to 64:
+            // each step moves the padding or the key width.
+            for p in (1..=17).chain([31, 32, 33, 63, 64, 65]) {
                 for seed in [0, 5] {
                     let prog = stress_program(p, kind, seed);
                     let fast = engine.run(&prog, &m);
@@ -943,7 +874,7 @@ mod tests {
         let m = MachineParams::manycore(1024);
         let mut engine = Engine::new();
         for kind in [BarrierKind::Sense, BarrierKind::Condvar, BarrierKind::Tree] {
-            for p in [33, 100, 256, 512, 777, 1024] {
+            for p in [33, 100, 256, 512, 777, 1023, 1024, 1025] {
                 let prog = stress_program(p, kind, 11);
                 let fast = engine.run(&prog, &m);
                 let reference = run_reference(&prog, &m);
@@ -959,10 +890,6 @@ mod tests {
     fn laps_equal_the_streams_written_out() {
         let m = machine();
         let mut engine = Engine::new();
-        let written_out = |prog: &Program, k: usize| Program {
-            cores: prog.cores.iter().map(|ops| ops.repeat(k)).collect(),
-            ..prog.clone()
-        };
         // Streams that close and open with `Compute`: one stream fuses the
         // two into one event, laps meet them in two.
         let seam = |mut prog: Program| {
@@ -974,7 +901,7 @@ mod tests {
         };
         let mut programs = vec![];
         for kind in [BarrierKind::Sense, BarrierKind::Condvar, BarrierKind::Tree] {
-            for p in [1, 2, 3, 17, 33] {
+            for p in [1, 2, 3, 16, 17, 33] {
                 programs.push(stress_program(p, kind, 2));
                 programs.push(seam(stress_program(p, kind, 6)));
             }
@@ -1005,6 +932,126 @@ mod tests {
                     "{k} laps of {prog:?}"
                 );
             }
+        }
+    }
+
+    /// The last of `p` cores computes for `ns`, the others for 1 ns.
+    fn wide_program(p: usize, ns: u64) -> Program {
+        let mut cores = vec![vec![Op::Compute { ns: 1 }]; p];
+        cores[p - 1] = vec![Op::Compute { ns }];
+        Program {
+            name: "wide".into(),
+            cores,
+            costs: vec![],
+            barriers: vec![],
+        }
+    }
+
+    fn run_past_the_key_range(p: usize, ns: u64) {
+        run(&wide_program(p, ns), &machine());
+    }
+
+    #[test]
+    fn the_widest_time_a_key_holds_runs() {
+        // The last core of a power-of-two p has the all-ones core bits, so
+        // only the time bound keeps its key from being `NEVER`.
+        for (p, ns) in [(1024, (1 << 54) - 2), (1, u64::MAX - 1)] {
+            let prog = wide_program(p, ns);
+            let r = run(&prog, &machine());
+            assert_eq!(r.total_ns, ns);
+            assert_eq!(r, run_reference(&prog, &machine()), "p {p}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated time out of key range")]
+    fn a_time_past_the_key_range_panics_at_1024_cores() {
+        // 10 key bits leave 54 for the time.
+        run_past_the_key_range(1024, 1 << 54);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated time out of key range")]
+    fn a_time_past_the_key_range_panics_at_one_core() {
+        // No core bits: only the all-ones key, `NEVER`, is out of range.
+        run_past_the_key_range(1, u64::MAX);
+    }
+
+    /// `k` laps of `prog` written out as one stream per core.
+    fn written_out(prog: &Program, k: usize) -> Program {
+        Program {
+            cores: prog.cores.iter().map(|ops| ops.repeat(k)).collect(),
+            ..prog.clone()
+        }
+    }
+
+    /// A random program from a seeded LCG: p up to 4096 (log-uniform, so
+    /// small p come up as often as large), one barrier of each kind crossed
+    /// in one random sequence by every core, and between barriers a random
+    /// mix of compute, contended accesses and empty segments. Times are
+    /// small so that ties are common.
+    fn random_program(seed: u64) -> Program {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut draw = move |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let bits = draw(13);
+        let p = ((1 << bits) + draw(1 << bits)).min(4096) as usize;
+        let sequence: Vec<u32> = (0..draw(5)).map(|_| draw(3) as u32).collect();
+        let nservers = 1 + draw(6);
+        let cores = (0..p)
+            .map(|_| {
+                let mut ops = vec![];
+                for segment in 0..=sequence.len() {
+                    for _ in 0..draw(5) {
+                        ops.push(match draw(3) {
+                            0 => Op::Compute { ns: draw(4) * 50 },
+                            _ => Op::Access {
+                                server: draw(nservers) as u32,
+                                cost: draw(3) as u16,
+                                n: 1 + draw(3),
+                            },
+                        });
+                    }
+                    if let Some(&id) = sequence.get(segment) {
+                        ops.push(Op::Barrier { id });
+                    }
+                }
+                ops
+            })
+            .collect();
+        Program {
+            name: format!("random-{seed}"),
+            cores,
+            costs: costs(&[(40, 12, 90), (25, 5, 0), (0, 30, 7)]),
+            barriers: vec![BarrierKind::Sense, BarrierKind::Condvar, BarrierKind::Tree],
+        }
+    }
+
+    /// Slow in a debug build; CI runs it optimized with the other ignored
+    /// tests (`cargo test --release -p splash4-sim -- --ignored`).
+    #[test]
+    #[ignore]
+    fn engine_matches_reference_on_random_programs() {
+        let machines = [
+            MachineParams::icelake_like(),
+            MachineParams::epyc_like(),
+            MachineParams::manycore(1024),
+        ];
+        let mut engine = Engine::new();
+        for seed in 0..300u64 {
+            let prog = random_program(seed);
+            let m = &machines[seed as usize % machines.len()];
+            let laps = 1 + seed % 3;
+            assert_eq!(
+                engine.run_laps(&prog, m, laps),
+                run_reference(&written_out(&prog, laps as usize), m),
+                "seed {seed}: p {}, {laps} laps",
+                prog.ncores()
+            );
         }
     }
 

@@ -59,7 +59,7 @@ pub use summary::TraceSummary;
 
 use ring::SpscRing;
 use splash4_parmacs::trace::now_ns;
-use splash4_parmacs::{TraceEvent, TraceSink};
+use splash4_parmacs::{CachePadded, TraceEvent, TraceSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default per-thread ring capacity (events). Kernels in harness
@@ -144,19 +144,22 @@ impl Trace {
 /// Wait-free multi-thread recorder: one single-producer ring per team
 /// thread.
 ///
-/// `record` is wait-free (a slot write and one release store; a full ring
-/// counts a drop and returns). The rings are drained once, by
-/// [`RingRecorder::finish`].
+/// `record` is wait-free (a flag swap, a slot write and two release
+/// stores; a full ring counts a drop and returns). The rings are drained
+/// once, by [`RingRecorder::finish`].
 ///
-/// Stream integrity, and the soundness of each ring's single producer, rely
-/// on the runtime's tid discipline: at most one thread records under a given
-/// tid at a time, which
-/// [`Team`](splash4_parmacs::Team) guarantees (team threads get distinct
-/// tids; the master only records outside team scopes).
+/// A tid's stream is whole when at most one thread records under it at a
+/// time, which [`Team`](splash4_parmacs::Team) guarantees (team threads get
+/// distinct tids; the master only records outside team scopes). Breaking
+/// that is safe but lossy: a thread that records while another is inside
+/// the same ring's push drops its event, and [`RingRecorder::dropped`]
+/// counts it.
 #[derive(Debug)]
 pub struct RingRecorder {
     name: String,
-    rings: Vec<SpscRing>,
+    /// One ring per tid, each on its own cache lines: the rings' cursors
+    /// and producer flags are written by different threads.
+    rings: Vec<CachePadded<SpscRing>>,
     /// Events from tids outside `0..rings.len()`.
     out_of_range: AtomicU64,
 }
@@ -177,7 +180,9 @@ impl RingRecorder {
         assert!(nthreads > 0, "recorder needs at least one thread");
         RingRecorder {
             name: name.into(),
-            rings: (0..nthreads).map(|_| SpscRing::new(capacity)).collect(),
+            rings: (0..nthreads)
+                .map(|_| CachePadded::new(SpscRing::new(capacity)))
+                .collect(),
             out_of_range: AtomicU64::new(0),
         }
     }
@@ -189,7 +194,7 @@ impl RingRecorder {
 
     /// Events dropped so far (ring overflow + out-of-range tids).
     pub fn dropped(&self) -> u64 {
-        self.rings.iter().map(SpscRing::dropped).sum::<u64>()
+        self.rings.iter().map(|r| r.dropped()).sum::<u64>()
             + self.out_of_range.load(Ordering::Relaxed)
     }
 
@@ -198,7 +203,7 @@ impl RingRecorder {
     pub fn finish(self) -> Trace {
         Trace {
             dropped: self.dropped(),
-            threads: self.rings.iter().map(SpscRing::drain).collect(),
+            threads: self.rings.iter().map(|r| r.drain()).collect(),
             name: self.name,
         }
     }
@@ -259,6 +264,31 @@ mod tests {
         let trace = rec.finish();
         assert_eq!(trace.len(), 8);
         assert_eq!(trace.dropped(), 12);
+    }
+
+    #[test]
+    fn two_threads_on_one_tid_store_or_count_every_event() {
+        const PER_THREAD: usize = 200_000;
+        for round in 0..5 {
+            let rec = RingRecorder::with_capacity("t", 1, 1 << 20);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        for n in 0..PER_THREAD as u32 {
+                            rec.record(0, TraceEvent::Getsub { n });
+                        }
+                    });
+                }
+            });
+            let dropped = rec.dropped();
+            let trace = rec.finish();
+            assert_eq!(
+                trace.len() as u64 + dropped,
+                2 * PER_THREAD as u64,
+                "round {round}: {} stored, {dropped} dropped",
+                trace.len()
+            );
+        }
     }
 
     #[test]

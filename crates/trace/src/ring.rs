@@ -1,25 +1,27 @@
 //! Single-producer single-consumer event ring.
 //!
 //! The recorder gives each traced thread one of these. The producer side
-//! ([`SpscRing::push`]) is wait-free: a slot write, one release store, and —
-//! when the ring is full — a relaxed drop-count increment instead of any
-//! form of waiting. The consumer side ([`SpscRing::drain`]) is the
-//! recorder's `finish`; producer and consumer never contend on a cursor.
+//! ([`SpscRing::push`]) is wait-free: it claims the producer flag, writes a
+//! slot and publishes it with one release store; a full ring, or a flag
+//! already held by another producer, costs a relaxed drop-count increment
+//! instead of any form of waiting. The consumer side ([`SpscRing::drain`])
+//! is the recorder's `finish`; producer and consumer never contend on a
+//! cursor.
 
 use crate::Stamped;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Fixed-capacity SPSC ring of [`Stamped`] events with drop counting.
 ///
 /// Cursor discipline: `head` is written only by the producer, `tail` only by
 /// the consumer; each side reads the other's cursor with acquire ordering.
-/// `push` and `drain` are safe methods of a `Sync` type, so they are sound
-/// only under the recorder's discipline, which is why the type is private to
-/// this crate: at most one thread pushes (the one recording under the ring's
-/// tid, which the recorder takes on trust from the runtime) and at most one
-/// drains (the recorder's `finish`, which owns the recorder) at any moment.
+/// One producer at a time is enforced, not assumed: `push` runs only while
+/// it holds `producing`, and a second thread that pushes meanwhile drops its
+/// event. One consumer at a time is the recorder's discipline, which is why
+/// the type is private to this crate: only the recorder's `finish`, which
+/// owns the recorder, drains.
 pub(crate) struct SpscRing {
     slots: Box<[UnsafeCell<MaybeUninit<Stamped>>]>,
     mask: usize,
@@ -27,12 +29,18 @@ pub(crate) struct SpscRing {
     head: AtomicUsize,
     /// Next slot the consumer reads. Monotonic (not wrapped).
     tail: AtomicUsize,
+    /// Held by the thread inside `push`.
+    producing: AtomicBool,
     dropped: AtomicU64,
 }
 
 // SAFETY: slot access is partitioned by the head/tail cursors — the producer
 // only writes slots in `head..tail + capacity`, the consumer only reads
-// `tail..head`, and cursor publication uses release/acquire pairs.
+// `tail..head`, and cursor publication uses release/acquire pairs. The
+// producer side is exclusive: `push` touches `head` and the slots only
+// between winning `producing` (acquire, so it sees the previous holder's
+// writes) and releasing it, so two threads recording under one tid never
+// write one slot or one cursor at once.
 unsafe impl Sync for SpscRing {}
 
 impl SpscRing {
@@ -47,29 +55,39 @@ impl SpscRing {
             mask: cap - 1,
             head: AtomicUsize::new(0),
             tail: AtomicUsize::new(0),
+            producing: AtomicBool::new(false),
             dropped: AtomicU64::new(0),
         }
     }
 
-    /// Events discarded because the ring was full at push time.
+    /// Events discarded because the ring was full, or another thread was
+    /// pushing, at push time.
     pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Producer side: append `v`, or count a drop if the ring is full.
-    /// Returns `true` when the event was stored. Wait-free.
+    /// Producer side: append `v`, or count a drop if the ring is full or
+    /// another thread is pushing. Returns `true` when the event was stored.
+    /// Wait-free.
     pub(crate) fn push(&self, v: Stamped) -> bool {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Acquire);
-        if head - tail == self.slots.len() {
+        if self.producing.swap(true, Ordering::Acquire) {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        // SAFETY: `head - tail < capacity`, so this slot is outside the
-        // consumer's `tail..head` window; only this producer writes it.
-        unsafe { (*self.slots[head & self.mask].get()).write(v) };
-        self.head.store(head + 1, Ordering::Release);
-        true
+        let head = self.head.load(Ordering::Relaxed);
+        let tail = self.tail.load(Ordering::Acquire);
+        let stored = head - tail < self.slots.len();
+        if stored {
+            // SAFETY: `head - tail < capacity`, so this slot is outside the
+            // consumer's `tail..head` window; holding `producing`, only this
+            // thread writes it.
+            unsafe { (*self.slots[head & self.mask].get()).write(v) };
+            self.head.store(head + 1, Ordering::Release);
+        } else {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        self.producing.store(false, Ordering::Release);
+        stored
     }
 
     /// Consumer side: take every buffered event, in push order.
