@@ -5,12 +5,14 @@
 //! the kernels compose them*, with inputs, ownership splits and invariants
 //! taken from the shipped kernel code at [`InputClass::Check`] scale:
 //!
-//! * [`radix_rank_scenario`] re-enacts radix's pass-0 pipeline — `GETSUB`
-//!   bucket claims publish prefix-scanned bucket starts, a sense barrier
-//!   separates the phases, then per-bucket **fetch_add rank dispensing**
-//!   scatters the real generated keys — and its finale replays the kernel's
-//!   own validation: every key lands exactly once inside its digit's bucket
-//!   region.
+//! * [`radix_rank_scenario`] scatters radix's real pass-0 keys through a
+//!   ranking protocol radix does not ship — `GETSUB` bucket claims publish
+//!   prefix-scanned bucket starts, a sense barrier separates the phases,
+//!   then per-bucket **fetch_add rank dispensing** places each key — and its
+//!   finale replays the kernel's own validation: every key lands exactly
+//!   once inside its digit's bucket region. `radix::run` itself ranks
+//!   through a `GETSUB`-claimed rank matrix and permutes with private
+//!   cursors; it has no per-bucket rank words.
 //! * [`water_energy_scenario`] re-enacts water-nsquared's energy reduction:
 //!   the real Lennard-Jones pair energies of the `Check`-scale fluid
 //!   (cyclic pair ownership, exactly as `ctx.cyclic` splits them) flow into
@@ -55,8 +57,10 @@ use std::sync::{Arc, Mutex};
 /// three-thread shape of the V1-check scenarios).
 const NTHREADS: usize = 3;
 
-/// Radix pass-0 at `Check` scale: bucket claims → barrier → rank
-/// dispensing → permutation, over the kernel's real key array.
+/// Radix pass-0 keys at `Check` scale through bucket claims → barrier →
+/// rank dispensing → permutation. The per-bucket `fetch_add` dispensing is
+/// this scenario's own protocol, not radix's: `radix::run` ranks through a
+/// `GETSUB`-claimed rank matrix and private cursors (its phases 3–4).
 ///
 /// [`Fault::Torn`] at `radix.rank` weakens the per-bucket `fetch_add` to a
 /// load/compute/store pair — the lost-CAS-retry bug class — which the

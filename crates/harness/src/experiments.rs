@@ -164,9 +164,10 @@ const EXPERIMENTS: [(&str, Runner); 18] = [
     // `V2-kernel-check` (extension): the model checker applied to real
     // kernel bodies at `Check` scale. Where `V1-check` verifies each
     // lock-free construct in isolation, this experiment explores the
-    // constructs *as the kernels compose them*: radix's pass-0 rank
-    // dispensing (GETSUB bucket claims + barrier + per-bucket `fetch_add`)
-    // over the kernel's real key array, water-nsquared's CAS-loop energy
+    // constructs *as the kernels compose them*: radix's real pass-0 keys
+    // through GETSUB bucket claims + barrier + per-bucket `fetch_add` rank
+    // dispensing (a protocol radix does not ship: `radix::run` ranks through
+    // a GETSUB-claimed rank matrix and private cursors), water-nsquared's CAS-loop energy
     // reduction over the real Lennard-Jones pair energies, one bucket of
     // `cmap`'s own `LockFreeMap` (remove ‖ insert ‖ lookup against a
     // sequential map) and a stage ring of `stream`. The mutation table seeds

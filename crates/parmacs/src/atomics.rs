@@ -317,23 +317,29 @@ impl<T> DataCell<T> for StdCell<T> {
 mod tests {
     use crate::{
         AtomicF64, AtomicFlag, BoundedMpmcQueue, CombiningCore, IndexCounter, Reducer,
-        SenseBarrier, TreiberStack,
+        SenseBarrier, SleepLock, TreiberStack,
     };
     use std::mem::size_of;
 
     #[test]
     fn std_constructs_keep_their_pre_facade_size() {
-        // Sizes at the commit before the facade (x86-64): wrappers are
-        // `repr(transparent)`, so `A = Std` adds no byte to any construct.
-        // `AtomicF64` is smaller still: it is the bare word, and its callers
-        // pass their counters.
+        // Sizes on x86-64, none above the commit before the facade: wrappers
+        // are `repr(transparent)`, so `A = Std` adds no byte to any
+        // construct. `AtomicF64` is the bare word (its callers pass their
+        // counters) and `SenseBarrier` carries no trace-only field.
         assert_eq!(size_of::<TreiberStack<u64>>(), 32);
-        assert_eq!(size_of::<SenseBarrier>(), 80);
+        assert_eq!(size_of::<SenseBarrier>(), 72);
         assert_eq!(size_of::<AtomicF64>(), 8);
         assert_eq!(size_of::<Reducer>(), 72);
         assert_eq!(size_of::<AtomicFlag>(), 16);
         assert_eq!(size_of::<IndexCounter>(), 96);
         assert_eq!(size_of::<CombiningCore<u64>>(), 48);
         assert_eq!(size_of::<BoundedMpmcQueue<u64>>(), 384);
+    }
+
+    #[test]
+    fn sleep_lock_is_its_word_and_its_counters() {
+        // No trace-only bytes: the futex word and the `Arc` of its stats.
+        assert_eq!(size_of::<SleepLock>(), 16);
     }
 }

@@ -36,11 +36,11 @@ pub trait Barrier: Send + Sync + fmt::Debug {
 
 /// One episode as every barrier here accounts it: counted, traced on entry
 /// and exit, and timed around `wait`.
-fn episode(stats: &SyncCounters, id: u32, wait: impl FnOnce()) {
+fn episode(stats: &SyncCounters, wait: impl FnOnce()) {
     stats.bump(Counter::BarrierWaits);
-    stats.trace(TraceEvent::BarrierEnter { id });
+    stats.trace(TraceEvent::BarrierEnter);
     stats.timed(Counter::BarrierWaitNs, wait);
-    stats.trace(TraceEvent::BarrierExit { id });
+    stats.trace(TraceEvent::BarrierExit);
 }
 
 /// Futex generation barrier (the Splash-3 / pthreads expansion): arrivals
@@ -51,7 +51,6 @@ pub struct CondvarBarrier<A: Atomics = Std> {
     arrived: A::U32,
     generation: A::U32,
     stats: Arc<SyncCounters>,
-    trace_id: u32,
 }
 
 impl<A: Atomics> CondvarBarrier<A> {
@@ -65,7 +64,6 @@ impl<A: Atomics> CondvarBarrier<A> {
             n,
             arrived: A::U32::new("barrier.arrived", 0),
             generation: A::U32::new("barrier.generation", 0),
-            trace_id: stats.alloc_barrier_id(),
             stats,
         }
     }
@@ -73,7 +71,7 @@ impl<A: Atomics> CondvarBarrier<A> {
 
 impl<A: Atomics> Barrier for CondvarBarrier<A> {
     fn wait(&self, _tid: usize) {
-        episode(&self.stats, self.trace_id, || {
+        episode(&self.stats, || {
             let gen = self.generation.load(Ordering::Acquire);
             if self.arrived.fetch_add(1, Ordering::AcqRel) as usize == self.n - 1 {
                 // Nobody arrives again before the bump releases them.
@@ -136,7 +134,6 @@ pub struct SenseBarrier<A: Atomics = Std> {
     arrival: Arrival<A>,
     generation: A::U64,
     stats: Arc<SyncCounters>,
-    trace_id: u32,
 }
 
 impl<A: Atomics> SenseBarrier<A> {
@@ -166,7 +163,6 @@ impl<A: Atomics> SenseBarrier<A> {
             n,
             arrival,
             generation: A::U64::new("barrier.generation", 0),
-            trace_id: stats.alloc_barrier_id(),
             stats,
         }
     }
@@ -191,7 +187,7 @@ impl<A: Atomics> SenseBarrier<A> {
 impl<A: Atomics> Barrier for SenseBarrier<A> {
     fn wait(&self, _tid: usize) {
         let s = A::spec(SenseBarrierSpec::SPLASH4);
-        episode(&self.stats, self.trace_id, || {
+        episode(&self.stats, || {
             let gen = self.generation.load(s.generation_load);
             if self.arrive(s) {
                 // Last arriver: release everyone.

@@ -8,9 +8,8 @@
 
 use crate::atomics::{Atomics, Std, Wake, Word};
 use crate::stats::{Counter, SyncCounters};
-use crate::trace::{now_ns, TraceEvent};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 const FREE: u32 = 0;
@@ -29,11 +28,6 @@ const CONTENDED: u32 = 2;
 pub struct SleepLock<A: Atomics = Std> {
     state: A::U32,
     stats: Arc<SyncCounters>,
-    /// Trace-only observations, written by the current holder (exclusion is
-    /// provided by the lock itself): acquisition timestamp and whether the
-    /// acquire hit the slow path.
-    t_acquired: AtomicU64,
-    t_contended: AtomicBool,
 }
 
 impl<A: Atomics> SleepLock<A> {
@@ -42,8 +36,6 @@ impl<A: Atomics> SleepLock<A> {
         SleepLock {
             state: A::U32::new("lock", FREE),
             stats,
-            t_acquired: AtomicU64::new(0),
-            t_contended: AtomicBool::new(false),
         }
     }
 
@@ -51,18 +43,13 @@ impl<A: Atomics> SleepLock<A> {
     pub fn acquire(&self) {
         self.stats.bump(Counter::LockAcquires);
         let (acq, rlx) = (Ordering::Acquire, Ordering::Relaxed);
-        let contended = self.state.compare_exchange(FREE, HELD, acq, rlx).is_err();
-        if contended {
+        if self.state.compare_exchange(FREE, HELD, acq, rlx).is_err() {
             self.stats.bump(Counter::LockContended);
             self.stats.timed(Counter::LockWaitNs, || {
                 while self.state.swap(CONTENDED, acq) != FREE {
                     A::wait(&self.state, CONTENDED);
                 }
             });
-        }
-        if self.stats.tracing() {
-            self.t_acquired.store(now_ns(), Ordering::Relaxed);
-            self.t_contended.store(contended, Ordering::Relaxed);
         }
     }
 
@@ -71,17 +58,10 @@ impl<A: Atomics> SleepLock<A> {
     /// # Panics
     /// Panics if the lock is not held.
     pub fn release(&self) {
-        let traced = self.stats.tracing().then(|| TraceEvent::LockAcq {
-            contended: self.t_contended.load(Ordering::Relaxed),
-            hold_ns: now_ns().saturating_sub(self.t_acquired.load(Ordering::Relaxed)),
-        });
         match self.state.swap(FREE, Ordering::Release) {
             FREE => panic!("release of an unheld SleepLock"),
             CONTENDED => A::wake(&self.state, Wake::One),
             _ => {}
-        }
-        if let Some(ev) = traced {
-            self.stats.trace(ev);
         }
     }
 

@@ -67,7 +67,7 @@ impl<T, A: Atomics> LockedQueue<T, A> {
 impl<T: Send, A: Atomics> TaskQueue<T> for LockedQueue<T, A> {
     fn push(&self, task: T) {
         self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Enqueue);
+        self.stats.trace(TraceEvent::Queue);
         // SAFETY: the lock is held around the access.
         self.lock
             .with(|| unsafe { self.items.with_mut(|q| q.push_back(task)) });
@@ -75,7 +75,7 @@ impl<T: Send, A: Atomics> TaskQueue<T> for LockedQueue<T, A> {
 
     fn pop(&self) -> Option<T> {
         self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Dequeue);
+        self.stats.trace(TraceEvent::Queue);
         // SAFETY: as in `push`.
         self.lock
             .with(|| unsafe { self.items.with_mut(VecDeque::pop_front) })
@@ -151,7 +151,7 @@ impl<T: Send, A: Atomics> TaskQueue<T> for TreiberStack<T, A> {
     fn push(&self, task: T) {
         let s = A::spec(TreiberSpec::SPLASH4);
         self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Enqueue);
+        self.stats.trace(TraceEvent::Queue);
         let node: *mut Node<T, A> = Box::into_raw(Box::new(Node {
             value: A::Cell::new("stack.node.value", ManuallyDrop::new(task)),
             next: A::Cell::new("stack.node.next", ptr::null_mut()),
@@ -179,7 +179,7 @@ impl<T: Send, A: Atomics> TaskQueue<T> for TreiberStack<T, A> {
     fn pop(&self) -> Option<T> {
         let s = A::spec(TreiberSpec::SPLASH4);
         self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Dequeue);
+        self.stats.trace(TraceEvent::Queue);
         let mut cur = self.head.load(s.pop_load);
         loop {
             if cur.is_null() {
@@ -324,7 +324,7 @@ impl<T, A: Atomics> BoundedMpmcQueue<T, A> {
     fn push_or_full(&self, task: T) -> Result<(), (T, &A::Usize)> {
         let s = A::spec(RingSpec::SPLASH4);
         self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Enqueue);
+        self.stats.trace(TraceEvent::Queue);
         let mut pos = self.enqueue_pos.load(s.cursor_load);
         loop {
             let slot = &self.buf[pos & self.mask];
@@ -370,7 +370,7 @@ impl<T, A: Atomics> BoundedMpmcQueue<T, A> {
     pub fn try_pop(&self) -> Option<T> {
         let s = A::spec(RingSpec::SPLASH4);
         self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Dequeue);
+        self.stats.trace(TraceEvent::Queue);
         let mut pos = self.dequeue_pos.load(s.cursor_load);
         loop {
             let slot = &self.buf[pos & self.mask];

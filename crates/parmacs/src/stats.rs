@@ -148,9 +148,9 @@ fn zero_lane() -> Lane {
 /// across per-thread lanes (see module docs) and folded on
 /// [`snapshot`](SyncCounters::snapshot).
 ///
-/// The block also carries the (optional) trace sink and the barrier-id
-/// allocator, so every primitive that already holds an
-/// `Arc<SyncCounters>` can emit [`TraceEvent`]s without signature changes.
+/// The block also carries the (optional) trace sink, so every primitive that
+/// already holds an `Arc<SyncCounters>` can emit [`TraceEvent`]s without
+/// signature changes.
 /// Tracing never touches the counters themselves: `T3-syncops` counts are
 /// identical with and without a sink attached.
 #[derive(Debug)]
@@ -160,8 +160,6 @@ pub struct SyncCounters {
     /// Attached trace sink, if any (see
     /// [`SyncEnv::with_trace`](crate::SyncEnv::with_trace)). Write-once.
     tracer: OnceLock<Arc<dyn TraceSink>>,
-    /// Allocator for runtime-wide barrier trace ids (allocation order).
-    next_barrier_id: AtomicU64,
 }
 
 impl Default for SyncCounters {
@@ -190,7 +188,6 @@ impl SyncCounters {
         SyncCounters {
             lanes: (0..lanes).map(|_| zero_lane()).collect(),
             tracer: OnceLock::new(),
-            next_barrier_id: AtomicU64::new(0),
         }
     }
 
@@ -243,11 +240,6 @@ impl SyncCounters {
         self.tracer.set(sink).is_ok()
     }
 
-    /// `true` once a trace sink is attached.
-    pub fn tracing(&self) -> bool {
-        self.tracer.get().is_some()
-    }
-
     /// Emit `event` to the attached sink, if any. With no sink this is one
     /// load-and-branch on the hot path; counters are never affected.
     #[inline]
@@ -255,11 +247,6 @@ impl SyncCounters {
         if let Some(sink) = self.tracer.get() {
             sink.record(current_tid(), event);
         }
-    }
-
-    /// Allocate the next barrier trace id (called by barrier constructors).
-    pub fn alloc_barrier_id(&self) -> u32 {
-        self.next_barrier_id.fetch_add(1, Ordering::Relaxed) as u32
     }
 
     /// Immutable snapshot of all counters, folded across lanes.

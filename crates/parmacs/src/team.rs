@@ -97,54 +97,33 @@ impl Team {
     where
         F: Fn(TeamCtx) + Sync,
     {
-        if self.nthreads == 1 {
-            CURRENT_TID.set(0);
-            work(TeamCtx {
-                tid: 0,
-                nthreads: 1,
-            });
-            return;
-        }
-        std::thread::scope(|s| {
-            for tid in 0..self.nthreads {
-                let work = &work;
-                let nthreads = self.nthreads;
-                s.spawn(move || {
-                    CURRENT_TID.set(tid);
-                    work(TeamCtx { tid, nthreads })
-                });
-            }
-        });
+        self.run_map(work);
     }
 
     /// Run `work` once per thread and collect each thread's return value,
-    /// indexed by `tid`.
+    /// indexed by `tid`. Runs inline when `n == 1`.
     pub fn run_map<F, R>(&self, work: F) -> Vec<R>
     where
         F: Fn(TeamCtx) -> R + Sync,
         R: Send,
     {
-        if self.nthreads == 1 {
-            CURRENT_TID.set(0);
-            return vec![work(TeamCtx {
-                tid: 0,
-                nthreads: 1,
-            })];
+        let nthreads = self.nthreads;
+        let member = |tid| {
+            CURRENT_TID.set(tid);
+            work(TeamCtx { tid, nthreads })
+        };
+        if nthreads == 1 {
+            return vec![member(0)];
         }
-        let mut out: Vec<Option<R>> = (0..self.nthreads).map(|_| None).collect();
-        {
-            let slots: Vec<_> = out.iter_mut().collect();
-            std::thread::scope(|s| {
-                for (tid, slot) in slots.into_iter().enumerate() {
-                    let work = &work;
-                    let nthreads = self.nthreads;
-                    s.spawn(move || {
-                        CURRENT_TID.set(tid);
-                        *slot = Some(work(TeamCtx { tid, nthreads }));
-                    });
-                }
-            });
-        }
+        // Results go through slots rather than joined handles: the scope
+        // returns once every closure has, where a `join` per handle would
+        // also wait for each thread's exit.
+        let mut out: Vec<Option<R>> = (0..nthreads).map(|_| None).collect();
+        std::thread::scope(|s| {
+            for (tid, slot) in out.iter_mut().enumerate() {
+                s.spawn(move || *slot = Some(member(tid)));
+            }
+        });
         out.into_iter()
             .map(|r| r.expect("worker thread panicked before producing a result"))
             .collect()

@@ -75,7 +75,7 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
     /// Push `value`. Never blocks, never fails.
     pub fn push(&self, value: T) {
         self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Enqueue);
+        self.stats.trace(TraceEvent::Queue);
         let s = A::spec(TreiberSpec::SPLASH4);
         let e = A::spec(EliminationSpec::SPLASH4);
         let node: *mut Node<T, A> = Node::boxed(NODE, Some(value));
@@ -109,7 +109,7 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
     /// Pop the most recent value; `None` when the stack is observed empty.
     pub fn pop(&self) -> Option<T> {
         self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Dequeue);
+        self.stats.trace(TraceEvent::Queue);
         let s = A::spec(TreiberSpec::SPLASH4);
         let e = A::spec(EliminationSpec::SPLASH4);
         let slot = self.reclaimer.enter();

@@ -67,7 +67,7 @@ impl<T: Send, A: Atomics> MsQueue<T, A> {
     /// Enqueue `value` at the tail. Never blocks, never fails.
     pub fn push(&self, value: T) {
         self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Enqueue);
+        self.stats.trace(TraceEvent::Queue);
         let s = A::spec(MsQueueSpec::SPLASH4);
         let node: *mut Node<T, A> = Node::boxed(NODE, Some(value));
         // Count before linking: the increment happens-before the link CAS,
@@ -126,7 +126,7 @@ impl<T: Send, A: Atomics> MsQueue<T, A> {
     /// Dequeue from the head; `None` when the queue is observed empty.
     pub fn pop(&self) -> Option<T> {
         self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Dequeue);
+        self.stats.trace(TraceEvent::Queue);
         let s = A::spec(MsQueueSpec::SPLASH4);
         let slot = self.reclaimer.enter();
         let result = loop {

@@ -14,8 +14,8 @@
 use crate::proto::{push_event_frame, write_frame};
 use splash4_harness::{JobEvent, Request, ServiceConfig, WorkerPool};
 use splash4_parmacs::{json, Json};
-use std::io::{self, BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
@@ -23,6 +23,10 @@ use std::time::Duration;
 
 /// How often an idle connection's blocked read re-checks the `closed` flag.
 const POLL: Duration = Duration::from_millis(20);
+
+/// Longest inbound frame a connection buffers (a submit frame is well under
+/// 1 KiB). A longer one is answered with an error and the connection closes.
+const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// Server tuning: where to listen plus the worker-pool knobs.
 #[derive(Debug, Clone)]
@@ -177,7 +181,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
                 let _ = handle_connection(stream, &conn_shared);
             })
             .expect("spawn connection thread");
-        lock(&shared.conns).push(handle);
+        let mut conns = lock(&shared.conns);
+        // Drop the handles of closed connections: their threads are done, so
+        // the registry holds only what `stop` still has to join.
+        conns.retain(|c| !c.is_finished());
+        conns.push(handle);
     }
 }
 
@@ -191,7 +199,8 @@ enum Frame {
 
 /// Read the next newline-framed JSON value, polling the `closed` flag
 /// across read timeouts. A persistent byte buffer carries partial lines
-/// over timeouts (`BufRead::read_line` would discard them).
+/// over timeouts (`BufRead::read_line` would discard them); a partial line
+/// longer than [`MAX_FRAME_BYTES`] is an error.
 fn read_op(
     reader: &mut BufReader<TcpStream>,
     pending: &mut Vec<u8>,
@@ -209,6 +218,9 @@ fn read_op(
             return Json::parse(text)
                 .map(Frame::Value)
                 .map_err(|e| format!("bad frame: {e}"));
+        }
+        if pending.len() > MAX_FRAME_BYTES {
+            return Err(format!("frame exceeds {MAX_FRAME_BYTES} bytes"));
         }
         let n = match reader.fill_buf() {
             Ok([]) => {
@@ -285,7 +297,13 @@ fn handle_connection(stream: TcpStream, shared: &ServerShared) -> io::Result<()>
             Ok(Frame::Eof) | Ok(Frame::Stopping) => return Ok(()),
             Err(msg) => {
                 // Framing is unrecoverable mid-connection: report and close.
+                // Closing with unread input would reset the connection and
+                // could discard the report, so end the write side first and
+                // discard what the peer still sends, up to one more frame's
+                // worth, until it closes or falls silent for one poll.
                 let _ = reject(&mut writer, &msg);
+                let _ = writer.shutdown(Shutdown::Write);
+                let _ = io::copy(&mut reader.take(MAX_FRAME_BYTES as u64), &mut io::sink());
                 return Ok(());
             }
         };
@@ -397,6 +415,29 @@ mod tests {
             panic!("want an error event for job 3: {last}");
         };
         assert!(message.contains("without a terminal event"), "{message}");
+    }
+
+    #[test]
+    fn closed_connections_leave_no_thread_handle_behind() {
+        let server = Server::start(ServerConfig {
+            service: ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+            ..ServerConfig::default()
+        })
+        .expect("bind");
+        let addr = server.local_addr().to_string();
+        for _ in 0..50 {
+            crate::Client::connect(&addr)
+                .and_then(|mut c| c.ping())
+                .expect("ping");
+        }
+        // Each accept drops the handles of finished threads: what is left is
+        // the last connection and at most one still winding down.
+        let held = lock(&server.shared.conns).len();
+        assert!(held <= 2, "{held} connection handles held after 50 closed");
+        server.stop();
     }
 
     #[test]

@@ -12,7 +12,7 @@ use splash4_harness::{
 use splash4_parmacs::{json, Json};
 use splash4_serve::proto::{read_frame, write_frame};
 use splash4_serve::{Client, Server, ServerConfig};
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -348,6 +348,31 @@ fn protocol_rejects_garbage_but_keeps_the_connection_usable() {
     // The same connection still answers a well-formed op.
     let reply = roundtrip(&json!({ "op": "ping" }));
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+}
+
+#[test]
+fn a_frame_past_the_size_limit_is_refused_and_its_connection_closed() {
+    let server = tiny_server(1);
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    // 2 MiB and no newline. The server stops buffering at 1 MiB, so the rest
+    // is written from another thread while this one reads the reply.
+    let flood = thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+    });
+    let reply = read_frame(&mut reader).expect("read").expect("reply");
+    assert_eq!(
+        reply.to_string(),
+        r#"{"ok":false,"error":"frame exceeds 1048576 bytes"}"#
+    );
+    assert_eq!(read_frame(&mut reader), Ok(None), "EOF after the reply");
+    flood.join().expect("flood thread");
+
+    let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+    client.ping().expect("ping");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.get("in_flight").and_then(Json::as_u64), Some(0));
 }
 
 #[test]

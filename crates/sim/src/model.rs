@@ -34,7 +34,7 @@ impl ServerAlloc {
 /// Cost model for one construct class under `mode`. Public so trace-driven
 /// replay (`splash4-trace`) prices recorded logical ops with the same model
 /// the analytic expansion uses.
-pub fn class_cost(mode: SyncMode, m: &MachineParams, p: usize, hold_ns: u64) -> OpCost {
+pub fn class_cost(mode: SyncMode, m: &MachineParams, p: usize) -> OpCost {
     match mode {
         SyncMode::LockBased => OpCost {
             // Uncontended, a futex lock pair is two atomic ops (acquire +
@@ -46,7 +46,7 @@ pub fn class_cost(mode: SyncMode, m: &MachineParams, p: usize, hold_ns: u64) -> 
                 m.lock_pair_ns
             } else {
                 2 * m.rmw_local_ns
-            } + hold_ns,
+            },
             local_ns: 0,
             contended_ns: if p > 1 {
                 (m.futex_wake_ns as f64 * m.convoy_fraction).round() as u64
@@ -60,7 +60,7 @@ pub fn class_cost(mode: SyncMode, m: &MachineParams, p: usize, hold_ns: u64) -> 
                 m.rmw_service_ns
             } else {
                 m.rmw_local_ns
-            } + hold_ns,
+            },
             local_ns: 0,
             contended_ns: 0,
         },
@@ -80,7 +80,7 @@ pub fn class_cost(mode: SyncMode, m: &MachineParams, p: usize, hold_ns: u64) -> 
                 m.rmw_local_ns + (2 * m.line_transfer_ns).div_ceil(batch)
             } else {
                 m.rmw_local_ns
-            } + hold_ns,
+            },
             local_ns: 0,
             contended_ns: 0,
         },
@@ -141,7 +141,7 @@ fn expand_phase(
         .collect();
 
     // Cost ids, interned once per phase.
-    let mut cost = |class| program.intern(class_cost(policy.mode_for(class), m, p, 0));
+    let mut cost = |class| program.intern(class_cost(policy.mode_for(class), m, p));
     let counter_cost = cost(ConstructClass::Counter);
     let data_cost = cost(ConstructClass::DataLock);
     let reduce_cost = cost(ConstructClass::Reduction);

@@ -4,21 +4,20 @@
 //!
 //! ```text
 //! magic  b"S4TR"
-//! u32    format version (1)
+//! u32    format version (2)
 //! u32    name length, followed by that many UTF-8 bytes
 //! u32    nthreads
 //! u64    dropped-event count
 //! per thread:
 //!   u64  event count
-//!   24-byte records: ts_ns u64 | payload u64 | kind u8 | class u8
-//!                    | flag u8 | pad u8 | n u32
+//!   16-byte records: ts_ns u64 | kind u8 | class u8 | pad u16 | n u32
 //! ```
 //!
-//! `kind` numbers the event from 1 (`Rmw`) to 7 (`Dequeue`); kind 0 is
-//! rejected. `payload` carries `LockAcq`'s hold time; `n` carries counts and
-//! barrier ids; `class` indexes
+//! `kind` numbers the event from 1 (`Rmw`) to 5 (`Queue`); kind 0 is
+//! rejected. `n` carries `Rmw` and `Getsub` counts; `class` indexes
 //! [`ConstructClass::ALL`](splash4_parmacs::ConstructClass::ALL) (0xFF when
-//! unused). The round trip is lossless.
+//! unused). The round trip is lossless. Version 1, whose 24-byte records
+//! carried lock hold times and barrier ids, is rejected.
 
 use crate::{Stamped, Trace};
 use splash4_parmacs::{ConstructClass, TraceEvent};
@@ -26,8 +25,8 @@ use splash4_parmacs::{ConstructClass, TraceEvent};
 /// Binary format magic.
 pub const MAGIC: &[u8; 4] = b"S4TR";
 /// Binary format version.
-pub const VERSION: u32 = 1;
-const RECORD_BYTES: usize = 24;
+pub const VERSION: u32 = 2;
+const RECORD_BYTES: usize = 16;
 
 /// A malformed input to [`decode`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,40 +51,27 @@ fn class_from_index(i: u8) -> Result<ConstructClass, CodecError> {
         .ok_or_else(|| CodecError(format!("bad class index {i}")))
 }
 
-/// (kind, payload, class, flag, n) quintet for one event.
-fn fields(event: TraceEvent) -> (u8, u64, u8, u8, u32) {
+/// (kind, class, n) triple for one event.
+fn fields(event: TraceEvent) -> (u8, u8, u32) {
     match event {
-        TraceEvent::Rmw { class, n } => (1, 0, class as u8, 0, n),
-        TraceEvent::LockAcq { contended, hold_ns } => (2, hold_ns, 0xFF, u8::from(contended), 0),
-        TraceEvent::BarrierEnter { id } => (3, 0, 0xFF, 0, id),
-        TraceEvent::BarrierExit { id } => (4, 0, 0xFF, 0, id),
-        TraceEvent::Getsub { n } => (5, 0, 0xFF, 0, n),
-        TraceEvent::Enqueue => (6, 0, 0xFF, 0, 0),
-        TraceEvent::Dequeue => (7, 0, 0xFF, 0, 0),
+        TraceEvent::Rmw { class, n } => (1, class as u8, n),
+        TraceEvent::BarrierEnter => (2, 0xFF, 0),
+        TraceEvent::BarrierExit => (3, 0xFF, 0),
+        TraceEvent::Getsub { n } => (4, 0xFF, n),
+        TraceEvent::Queue => (5, 0xFF, 0),
     }
 }
 
-fn event_from_fields(
-    kind: u8,
-    payload: u64,
-    class: u8,
-    flag: u8,
-    n: u32,
-) -> Result<TraceEvent, CodecError> {
+fn event_from_fields(kind: u8, class: u8, n: u32) -> Result<TraceEvent, CodecError> {
     Ok(match kind {
         1 => TraceEvent::Rmw {
             class: class_from_index(class)?,
             n,
         },
-        2 => TraceEvent::LockAcq {
-            contended: flag != 0,
-            hold_ns: payload,
-        },
-        3 => TraceEvent::BarrierEnter { id: n },
-        4 => TraceEvent::BarrierExit { id: n },
-        5 => TraceEvent::Getsub { n },
-        6 => TraceEvent::Enqueue,
-        7 => TraceEvent::Dequeue,
+        2 => TraceEvent::BarrierEnter,
+        3 => TraceEvent::BarrierExit,
+        4 => TraceEvent::Getsub { n },
+        5 => TraceEvent::Queue,
         k => return err(format!("bad event kind {k}")),
     })
 }
@@ -103,13 +89,9 @@ pub fn encode(trace: &Trace) -> Vec<u8> {
     for evs in trace.threads() {
         out.extend_from_slice(&(evs.len() as u64).to_le_bytes());
         for s in evs {
-            let (kind, payload, class, flag, n) = fields(s.event);
+            let (kind, class, n) = fields(s.event);
             out.extend_from_slice(&s.ts_ns.to_le_bytes());
-            out.extend_from_slice(&payload.to_le_bytes());
-            out.push(kind);
-            out.push(class);
-            out.push(flag);
-            out.push(0);
+            out.extend_from_slice(&[kind, class, 0, 0]);
             out.extend_from_slice(&n.to_le_bytes());
         }
     }
@@ -168,13 +150,11 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, CodecError> {
         let mut evs = Vec::with_capacity(count);
         for _ in 0..count {
             let ts_ns = r.u64()?;
-            let payload = r.u64()?;
             let tail = r.take(8)?;
-            let (kind, class, flag) = (tail[0], tail[1], tail[2]);
             let n = u32::from_le_bytes(tail[4..8].try_into().unwrap());
             evs.push(Stamped {
                 ts_ns,
-                event: event_from_fields(kind, payload, class, flag, n)?,
+                event: event_from_fields(tail[0], tail[1], n)?,
             });
         }
         threads.push(evs);
@@ -199,19 +179,12 @@ mod tests {
                 },
             },
             Stamped {
-                ts_ns: 30,
-                event: TraceEvent::LockAcq {
-                    contended: true,
-                    hold_ns: 1 << 40,
-                },
-            },
-            Stamped {
                 ts_ns: 40,
-                event: TraceEvent::BarrierEnter { id: 2 },
+                event: TraceEvent::BarrierEnter,
             },
             Stamped {
                 ts_ns: 50,
-                event: TraceEvent::BarrierExit { id: 2 },
+                event: TraceEvent::BarrierExit,
             },
             Stamped {
                 ts_ns: 60,
@@ -219,11 +192,7 @@ mod tests {
             },
             Stamped {
                 ts_ns: 70,
-                event: TraceEvent::Enqueue,
-            },
-            Stamped {
-                ts_ns: 80,
-                event: TraceEvent::Dequeue,
+                event: TraceEvent::Queue,
             },
         ];
         Trace::from_parts("sample", vec![every, Vec::new()], 5)
@@ -249,5 +218,12 @@ mod tests {
         // Event count far beyond the buffer must fail fast, not OOM.
         let truncated = &encode(&sample())[..30];
         assert!(decode(truncated).is_err());
+    }
+
+    #[test]
+    fn version_1_header_is_rejected() {
+        let mut v1 = encode(&sample());
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(decode(&v1), Err(CodecError("unsupported version 1".into())));
     }
 }

@@ -13,8 +13,8 @@
 //!   [`Program`](splash4_sim::Program), re-dealing dynamically-scheduled work
 //!   across any simulated core count so a 4-thread native trace can drive
 //!   1–64-core sweeps under either sync policy;
-//! * [`TraceSummary`] — per-class operation counts, lock-contention
-//!   statistics, a binned contention timeline and a critical-path estimate.
+//! * [`TraceSummary`] — per-class operation counts, a binned sync-op
+//!   timeline and a critical-path estimate.
 //!
 //! ```
 //! use splash4_parmacs::{SyncEnv, SyncMode, SyncPolicy, Team};
@@ -58,18 +58,27 @@ pub mod summary;
 pub use summary::TraceSummary;
 
 use ring::SpscRing;
-use splash4_parmacs::trace::now_ns;
 use splash4_parmacs::{CachePadded, TraceEvent, TraceSink};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Default per-thread ring capacity (events). Kernels in harness
 /// configurations emit well under this; overflow is counted, not fatal.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
+/// Nanoseconds since the process-wide trace epoch (the first call).
+/// Monotonic: every recorder stamps its events on this one time base.
+fn now_ns() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
+
 /// A timestamped event in one thread's stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stamped {
-    /// Nanoseconds since the process trace epoch ([`now_ns`]).
+    /// Nanoseconds since the process trace epoch (the first timestamp a
+    /// recorder took).
     pub ts_ns: u64,
     /// The recorded event.
     pub event: TraceEvent,
@@ -133,7 +142,7 @@ impl Trace {
             .iter()
             .map(|evs| {
                 evs.iter()
-                    .filter(|s| matches!(s.event, TraceEvent::BarrierEnter { .. }))
+                    .filter(|s| s.event == TraceEvent::BarrierEnter)
                     .count()
             })
             .min()
@@ -258,7 +267,7 @@ mod tests {
     fn overflow_counts_drops_exactly() {
         let rec = RingRecorder::with_capacity("t", 1, 8);
         for _ in 0..20 {
-            rec.record(0, TraceEvent::Enqueue);
+            rec.record(0, TraceEvent::Queue);
         }
         assert_eq!(rec.dropped(), 12);
         let trace = rec.finish();
@@ -294,7 +303,7 @@ mod tests {
     #[test]
     fn out_of_range_tid_is_a_drop() {
         let rec = RingRecorder::new("t", 2);
-        rec.record(5, TraceEvent::Dequeue);
+        rec.record(5, TraceEvent::Queue);
         assert_eq!(rec.dropped(), 1);
         assert_eq!(rec.finish().len(), 0);
     }
@@ -305,7 +314,7 @@ mod tests {
         for n in 0..60u32 {
             rec.record(0, TraceEvent::Getsub { n });
         }
-        rec.record(1, TraceEvent::Enqueue);
+        rec.record(1, TraceEvent::Queue);
         assert_eq!(rec.dropped(), 0, "60 events fit a 64-slot ring");
         let trace = rec.finish();
         let ns: Vec<u32> = trace.threads()[0]
@@ -321,12 +330,25 @@ mod tests {
     }
 
     #[test]
+    fn clock_is_monotonic() {
+        let a = now_ns();
+        let b = now_ns();
+        assert!(b >= a);
+    }
+
+    #[test]
+    fn a_stamped_event_is_two_words() {
+        // The rings store events by value: a timestamp and an 8-byte event.
+        assert_eq!(std::mem::size_of::<Stamped>(), 16);
+    }
+
+    #[test]
     fn barrier_episodes_is_min_across_threads() {
         let mk = |enters: usize| -> Vec<Stamped> {
             (0..enters)
                 .map(|i| Stamped {
                     ts_ns: i as u64,
-                    event: TraceEvent::BarrierEnter { id: 0 },
+                    event: TraceEvent::BarrierEnter,
                 })
                 .collect()
         };

@@ -12,9 +12,7 @@
 //! Logical ops are priced with the same [`class_cost`] model the analytic
 //! expansion (`splash4_sim::model::expand`) uses, under whatever
 //! [`SyncPolicy`] the replay requests — a trace captured under one back-end
-//! replays under either. Physical `LockAcq` events are not priced separately
-//! (their logical counterparts already are); they only contribute the
-//! observed mean hold time to the data-lock cost.
+//! replays under either.
 
 use crate::Trace;
 use splash4_parmacs::{ConstructClass, SyncMode, SyncPolicy, TraceEvent};
@@ -39,9 +37,6 @@ pub(crate) struct SegmentTotals {
     /// Logical RMW counts, indexed by [`ConstructClass`] discriminant.
     pub rmws: [u64; ConstructClass::ALL.len()],
     pub queue_ops: u64,
-    pub lock_acqs: u64,
-    pub lock_contended: u64,
-    pub lock_hold_ns: u64,
 }
 
 impl SegmentTotals {
@@ -68,26 +63,21 @@ pub(crate) fn pool_segments(trace: &Trace) -> Vec<SegmentTotals> {
             last_ts = s.ts_ns;
             let t = &mut segments[seg];
             match s.event {
-                TraceEvent::BarrierEnter { .. } if seg < episodes => {
+                TraceEvent::BarrierEnter if seg < episodes => {
                     t.add_wall(s.ts_ns.saturating_sub(seg_start));
                     seg += 1;
                 }
-                TraceEvent::BarrierExit { .. } => {
+                TraceEvent::BarrierExit => {
                     // The new segment's work starts at barrier release.
                     seg_start = s.ts_ns;
                 }
-                TraceEvent::BarrierEnter { .. } => {} // beyond shared episodes
+                TraceEvent::BarrierEnter => {} // beyond shared episodes
                 TraceEvent::Getsub { n } => {
                     t.getsub_grabs += 1;
                     t.getsub_items += u64::from(n);
                 }
                 TraceEvent::Rmw { class, n } => t.rmws[class as usize] += u64::from(n),
-                TraceEvent::Enqueue | TraceEvent::Dequeue => t.queue_ops += 1,
-                TraceEvent::LockAcq { contended, hold_ns } => {
-                    t.lock_acqs += 1;
-                    t.lock_contended += u64::from(contended);
-                    t.lock_hold_ns += hold_ns;
-                }
+                TraceEvent::Queue => t.queue_ops += 1,
             }
         }
         // Tail segment: work after the last shared barrier.
@@ -132,21 +122,14 @@ pub fn lower(
         barriers: vec![barrier_kind; episodes],
     };
 
-    // Mean observed hold time feeds the data-lock service cost; everything
-    // else is priced exactly like the analytic expansion (hold 0).
-    let (total_acqs, total_hold): (u64, u64) = segments
-        .iter()
-        .fold((0, 0), |(a, h), s| (a + s.lock_acqs, h + s.lock_hold_ns));
-    let hold_ns = total_hold.checked_div(total_acqs).unwrap_or(0);
-
-    // Cost ids, interned once: every segment prices its ops alike.
-    let mut cost =
-        |class, hold_ns| program.intern(class_cost(policy.mode_for(class), machine, p, hold_ns));
-    let counter = cost(ConstructClass::Counter, 0);
-    let reduce = cost(ConstructClass::Reduction, 0);
-    let flag = cost(ConstructClass::Flag, 0);
-    let queue = cost(ConstructClass::Queue, 0);
-    let data = cost(ConstructClass::DataLock, hold_ns);
+    // Cost ids, interned once: every segment prices its ops alike, exactly
+    // like the analytic expansion.
+    let mut cost = |class| program.intern(class_cost(policy.mode_for(class), machine, p));
+    let counter = cost(ConstructClass::Counter);
+    let reduce = cost(ConstructClass::Reduction);
+    let flag = cost(ConstructClass::Flag);
+    let queue = cost(ConstructClass::Queue);
+    let data = cost(ConstructClass::DataLock);
 
     let mut next_server = 0u32;
     for (seg_idx, seg) in segments.iter().enumerate() {
@@ -237,11 +220,11 @@ mod tests {
         for s in [&mut t0, &mut t1] {
             s.push(Stamped {
                 ts_ns: ts,
-                event: TraceEvent::BarrierEnter { id: 0 },
+                event: TraceEvent::BarrierEnter,
             });
             s.push(Stamped {
                 ts_ns: ts + 100,
-                event: TraceEvent::BarrierExit { id: 0 },
+                event: TraceEvent::BarrierExit,
             });
         }
         for i in 0..6u32 {

@@ -1,5 +1,5 @@
-//! Trace analysis: per-class operation counts, contention statistics, a
-//! binned contention timeline and a critical-path estimate.
+//! Trace analysis: per-class operation counts, a binned sync-op timeline and
+//! a critical-path estimate.
 
 use crate::lower::{pool_segments, SegmentTotals};
 use crate::Trace;
@@ -28,12 +28,6 @@ pub struct TraceSummary {
     pub rmws: [u64; ConstructClass::ALL.len()],
     /// Queue pushes + pops.
     pub queue_ops: u64,
-    /// Sleeping-lock acquire/release pairs (lock-based back-end only).
-    pub lock_acqs: u64,
-    /// Of those, acquires that found the lock held.
-    pub lock_contended: u64,
-    /// Total observed lock hold time.
-    pub lock_hold_ns: u64,
     /// Barrier episodes every thread participated in.
     pub barrier_episodes: usize,
     /// Trace wall-clock span (first to last timestamp).
@@ -67,9 +61,6 @@ impl TraceSummary {
             getsub_items: sum(|t| t.getsub_items),
             rmws,
             queue_ops: sum(|t| t.queue_ops),
-            lock_acqs: sum(|t| t.lock_acqs),
-            lock_contended: sum(|t| t.lock_contended),
-            lock_hold_ns: sum(|t| t.lock_hold_ns),
             barrier_episodes: segments.len() - 1,
             span_ns: 0,
             critical_path_ns: sum(|t| t.max_wall_ns),
@@ -118,12 +109,6 @@ impl ToJson for TraceSummary {
             ("getsub_items".into(), Json::Num(self.getsub_items as f64)),
             ("rmws".into(), Json::Object(rmws)),
             ("queue_ops".into(), Json::Num(self.queue_ops as f64)),
-            ("lock_acqs".into(), Json::Num(self.lock_acqs as f64)),
-            (
-                "lock_contended".into(),
-                Json::Num(self.lock_contended as f64),
-            ),
-            ("lock_hold_ns".into(), Json::Num(self.lock_hold_ns as f64)),
             (
                 "barrier_episodes".into(),
                 Json::Num(self.barrier_episodes as f64),
@@ -162,31 +147,21 @@ mod tests {
                     n: 2,
                 },
             ),
-            at(
-                300,
-                TraceEvent::LockAcq {
-                    contended: true,
-                    hold_ns: 50,
-                },
-            ),
-            at(1_100, TraceEvent::Enqueue),
+            at(1_100, TraceEvent::Queue),
         ];
         let t1 = vec![
             at(150, TraceEvent::Getsub { n: 6 }),
-            at(1_000, TraceEvent::Dequeue),
+            at(1_000, TraceEvent::Queue),
         ];
         let s = TraceSummary::from_trace(&Trace::from_parts("x", vec![t0, t1], 2));
-        assert_eq!(s.events, 6);
+        assert_eq!(s.events, 5);
         assert_eq!(s.dropped, 2);
         assert_eq!(s.getsub_grabs, 2);
         assert_eq!(s.getsub_items, 10);
         assert_eq!(s.rmws[ConstructClass::Reduction as usize], 2);
         assert_eq!(s.queue_ops, 2);
-        assert_eq!(s.lock_acqs, 1);
-        assert_eq!(s.lock_contended, 1);
-        assert_eq!(s.lock_hold_ns, 50);
         assert_eq!(s.span_ns, 1_000);
-        assert_eq!(s.timeline.iter().sum::<u64>(), 6);
+        assert_eq!(s.timeline.iter().sum::<u64>(), 5);
     }
 
     #[test]
@@ -196,8 +171,8 @@ mod tests {
         let mk = |work_ns: u64| {
             vec![
                 at(0, TraceEvent::Getsub { n: 1 }),
-                at(work_ns, TraceEvent::BarrierEnter { id: 0 }),
-                at(500, TraceEvent::BarrierExit { id: 0 }),
+                at(work_ns, TraceEvent::BarrierEnter),
+                at(500, TraceEvent::BarrierExit),
                 at(
                     700,
                     TraceEvent::Rmw {

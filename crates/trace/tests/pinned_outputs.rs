@@ -1,8 +1,7 @@
 //! Pins what the trace crate derives from one hand-built recording: the
 //! summary's JSON and the programs `lower` builds from it. The recording
 //! has three threads with unequal `BarrierEnter` counts, events after the
-//! last shared episode, a contended and an uncontended lock and one `Rmw`
-//! of every construct class.
+//! last shared episode and one `Rmw` of every construct class.
 
 use splash4_parmacs::{ConstructClass, SyncMode, SyncPolicy, ToJson, TraceEvent};
 use splash4_sim::MachineParams;
@@ -24,51 +23,37 @@ fn recording() -> Trace {
     let t0 = stream(&[
         (100, Getsub { n: 4 }),
         (150, rmw(ConstructClass::Barrier, 1)),
-        (
-            200,
-            LockAcq {
-                contended: true,
-                hold_ns: 40,
-            },
-        ),
-        (300, BarrierEnter { id: 0 }),
-        (400, BarrierExit { id: 0 }),
+        (300, BarrierEnter),
+        (400, BarrierExit),
         (450, rmw(ConstructClass::Counter, 2)),
-        (500, Enqueue),
-        (600, BarrierEnter { id: 1 }),
-        (700, BarrierExit { id: 1 }),
+        (500, Queue),
+        (600, BarrierEnter),
+        (700, BarrierExit),
         (800, rmw(ConstructClass::Reduction, 3)),
-        (900, Dequeue),
+        (900, Queue),
     ]);
     let t1 = stream(&[
         (120, Getsub { n: 6 }),
         (250, rmw(ConstructClass::Flag, 1)),
-        (350, BarrierEnter { id: 0 }),
-        (400, BarrierExit { id: 0 }),
-        (
-            520,
-            LockAcq {
-                contended: false,
-                hold_ns: 30,
-            },
-        ),
+        (350, BarrierEnter),
+        (400, BarrierExit),
         (550, rmw(ConstructClass::Queue, 1)),
-        (650, BarrierEnter { id: 1 }),
-        (700, BarrierExit { id: 1 }),
+        (650, BarrierEnter),
+        (700, BarrierExit),
         (750, rmw(ConstructClass::DataLock, 5)),
         // A third episode only this thread reached.
-        (1_000, BarrierEnter { id: 2 }),
-        (1_050, BarrierExit { id: 2 }),
+        (1_000, BarrierEnter),
+        (1_050, BarrierExit),
         (1_100, Getsub { n: 2 }),
     ]);
     let t2 = stream(&[
         (110, Getsub { n: 0 }),
-        (390, BarrierEnter { id: 0 }),
-        (400, BarrierExit { id: 0 }),
-        (610, Dequeue),
-        (690, BarrierEnter { id: 1 }),
-        (700, BarrierExit { id: 1 }),
-        (720, Enqueue),
+        (390, BarrierEnter),
+        (400, BarrierExit),
+        (610, Queue),
+        (690, BarrierEnter),
+        (700, BarrierExit),
+        (720, Queue),
     ]);
     Trace::from_parts("pinned", vec![t0, t1, t2], 3)
 }
@@ -81,66 +66,64 @@ fn policy() -> SyncPolicy {
 
 /// `TraceSummary::to_json` of [`recording`].
 const SUMMARY: &str = concat!(
-    "{\"name\":\"pinned\",\"nthreads\":3,\"events\":30,\"dropped\":3,",
-    "\"getsub_grabs\":4,\"getsub_items\":12,\"rmws\":{\"barrier\":1,\"counter\":2,",
-    "\"reduction\":3,\"flag\":1,\"queue\":1,\"data_lock\":5},\"queue_ops\":4,",
-    "\"lock_acqs\":2,\"lock_contended\":1,\"lock_hold_ns\":70,",
-    "\"barrier_episodes\":2,\"span_ns\":1000,\"critical_path_ns\":770,",
-    "\"timeline\":[4,1,1,1,5,1,2,1,3,5,1,1,1,0,1,2]}",
+    "{\"name\":\"pinned\",\"nthreads\":3,\"events\":28,\"dropped\":3,\"getsub_grabs\":4,",
+    "\"getsub_items\":12,\"rmws\":{\"barrier\":1,\"counter\":2,\"reduction\":3,\"flag\":1,",
+    "\"queue\":1,\"data_lock\":5},\"queue_ops\":4,\"barrier_episodes\":2,\"span_ns\":1000,",
+    "\"critical_path_ns\":770,\"timeline\":[4,0,1,1,5,1,1,1,3,5,1,1,1,0,1,2]}",
 );
 
 /// `Debug` of `lower(&recording(), policy(), 1, &epyc_like())`.
 const LOWERED_P1: &str = concat!(
     "Program { name: \"pinned\", cores: [[Compute { ns: 178 }, Access { server: 0, ",
-    "cost: 0, n: 1 }, Access { server: 3, cost: 2, n: 1 }, Access { server: 3, cost: 0, ",
-    "n: 1 }, Compute { ns: 178 }, Access { server: 0, cost: 0, n: 1 }, ",
+    "cost: 0, n: 1 }, Access { server: 3, cost: 0, n: 1 }, Access { server: 3, ",
+    "cost: 0, n: 1 }, Compute { ns: 178 }, Access { server: 0, cost: 0, n: 1 }, ",
     "Compute { ns: 177 }, Access { server: 0, cost: 0, n: 1 }, Compute { ns: 177 }, ",
     "Access { server: 0, cost: 0, n: 1 }, Barrier { id: 0 }, Compute { ns: 247 }, ",
-    "Access { server: 6, cost: 1, n: 1 }, Access { server: 7, cost: 2, n: 1 }, ",
+    "Access { server: 6, cost: 1, n: 1 }, Access { server: 7, cost: 0, n: 1 }, ",
     "Compute { ns: 247 }, Access { server: 6, cost: 1, n: 1 }, Access { server: 7, ",
-    "cost: 2, n: 1 }, Compute { ns: 246 }, Access { server: 7, cost: 2, n: 1 }, ",
+    "cost: 0, n: 1 }, Compute { ns: 246 }, Access { server: 7, cost: 0, n: 1 }, ",
     "Barrier { id: 1 }, Compute { ns: 54 }, Access { server: 8, cost: 0, n: 1 }, ",
     "Access { server: 9, cost: 1, n: 1 }, Access { server: 10, cost: 1, n: 1 }, ",
-    "Access { server: 11, cost: 2, n: 1 }, Compute { ns: 54 }, Access { server: 9, ",
+    "Access { server: 11, cost: 0, n: 1 }, Compute { ns: 54 }, Access { server: 9, ",
     "cost: 1, n: 1 }, Access { server: 10, cost: 1, n: 1 }, Access { server: 11, ",
-    "cost: 2, n: 1 }, Compute { ns: 54 }, Access { server: 9, cost: 1, n: 1 }, ",
-    "Access { server: 11, cost: 2, n: 1 }, Compute { ns: 54 }, Access { server: 11, ",
-    "cost: 2, n: 1 }, Compute { ns: 54 }, Access { server: 11, cost: 2, n: 1 }]], ",
+    "cost: 0, n: 1 }, Compute { ns: 54 }, Access { server: 9, cost: 1, n: 1 }, ",
+    "Access { server: 11, cost: 0, n: 1 }, Compute { ns: 54 }, Access { server: 11, ",
+    "cost: 0, n: 1 }, Compute { ns: 54 }, Access { server: 11, cost: 0, n: 1 }]], ",
     "costs: [OpCost { service_ns: 30, local_ns: 0, contended_ns: 0 }, ",
-    "OpCost { service_ns: 15, local_ns: 0, contended_ns: 0 }, OpCost { service_ns: 65, ",
-    "local_ns: 0, contended_ns: 0 }], barriers: [Condvar, Condvar] }",
+    "OpCost { service_ns: 15, local_ns: 0, contended_ns: 0 }], barriers: [Condvar, ",
+    "Condvar] }",
 );
 
 /// `Debug` of `lower(&recording(), policy(), 8, &epyc_like())`.
 const LOWERED_P8: &str = concat!(
-    "Program { name: \"pinned\", cores: [[Compute { ns: 89 }, Access { server: 0, cost: 0, ",
-    "n: 1 }, Access { server: 3, cost: 3, n: 1 }, Access { server: 3, cost: 0, n: 1 }, ",
+    "Program { name: \"pinned\", cores: [[Compute { ns: 89 }, Access { server: 0, ",
+    "cost: 0, n: 1 }, Access { server: 3, cost: 0, n: 1 }, Access { server: 3, ",
+    "cost: 0, n: 1 }, Barrier { id: 0 }, Compute { ns: 93 }, Access { server: 6, ",
+    "cost: 2, n: 1 }, Access { server: 7, cost: 0, n: 1 }, Barrier { id: 1 }, ",
+    "Compute { ns: 34 }, Access { server: 8, cost: 0, n: 1 }, Access { server: 9, ",
+    "cost: 1, n: 1 }, Access { server: 10, cost: 2, n: 1 }, Access { server: 11, ",
+    "cost: 0, n: 1 }], [Compute { ns: 89 }, Access { server: 0, cost: 0, n: 1 }, ",
     "Barrier { id: 0 }, Compute { ns: 93 }, Access { server: 6, cost: 2, n: 1 }, ",
-    "Access { server: 7, cost: 3, n: 1 }, Barrier { id: 1 }, Compute { ns: 34 }, ",
+    "Access { server: 7, cost: 0, n: 1 }, Barrier { id: 1 }, Compute { ns: 34 }, ",
     "Access { server: 8, cost: 0, n: 1 }, Access { server: 9, cost: 1, n: 1 }, ",
-    "Access { server: 10, cost: 2, n: 1 }, Access { server: 11, cost: 3, n: 1 }], ",
+    "Access { server: 10, cost: 2, n: 1 }, Access { server: 11, cost: 0, n: 1 }], ",
     "[Compute { ns: 89 }, Access { server: 0, cost: 0, n: 1 }, Barrier { id: 0 }, ",
-    "Compute { ns: 93 }, Access { server: 6, cost: 2, n: 1 }, Access { server: 7, ",
-    "cost: 3, n: 1 }, Barrier { id: 1 }, Compute { ns: 34 }, Access { server: 8, ",
-    "cost: 0, n: 1 }, Access { server: 9, cost: 1, n: 1 }, Access { server: 10, cost: 2, ",
-    "n: 1 }, Access { server: 11, cost: 3, n: 1 }], [Compute { ns: 89 }, ",
-    "Access { server: 0, cost: 0, n: 1 }, Barrier { id: 0 }, Compute { ns: 93 }, ",
-    "Access { server: 7, cost: 3, n: 1 }, Barrier { id: 1 }, Compute { ns: 34 }, ",
-    "Access { server: 9, cost: 1, n: 1 }, Access { server: 11, cost: 3, n: 1 }], ",
-    "[Compute { ns: 89 }, Access { server: 0, cost: 0, n: 1 }, Barrier { id: 0 }, ",
-    "Compute { ns: 93 }, Barrier { id: 1 }, Compute { ns: 34 }, Access { server: 11, ",
-    "cost: 3, n: 1 }], [Compute { ns: 89 }, Access { server: 0, cost: 0, n: 1 }, ",
-    "Barrier { id: 0 }, Compute { ns: 92 }, Barrier { id: 1 }, Compute { ns: 34 }, ",
-    "Access { server: 11, cost: 3, n: 1 }], [Compute { ns: 89 }, Access { server: 0, ",
+    "Compute { ns: 93 }, Access { server: 7, cost: 0, n: 1 }, Barrier { id: 1 }, ",
+    "Compute { ns: 34 }, Access { server: 9, cost: 1, n: 1 }, Access { server: 11, ",
+    "cost: 0, n: 1 }], [Compute { ns: 89 }, Access { server: 0, cost: 0, n: 1 }, ",
+    "Barrier { id: 0 }, Compute { ns: 93 }, Barrier { id: 1 }, Compute { ns: 34 }, ",
+    "Access { server: 11, cost: 0, n: 1 }], [Compute { ns: 89 }, Access { server: 0, ",
     "cost: 0, n: 1 }, Barrier { id: 0 }, Compute { ns: 92 }, Barrier { id: 1 }, ",
-    "Compute { ns: 34 }], [Compute { ns: 88 }, Access { server: 0, cost: 0, n: 1 }, ",
-    "Barrier { id: 0 }, Compute { ns: 92 }, Barrier { id: 1 }, Compute { ns: 33 }], ",
-    "[Compute { ns: 88 }, Access { server: 0, cost: 0, n: 1 }, Barrier { id: 0 }, ",
-    "Compute { ns: 92 }, Barrier { id: 1 }, Compute { ns: 33 }]], ",
+    "Compute { ns: 34 }, Access { server: 11, cost: 0, n: 1 }], [Compute { ns: 89 }, ",
+    "Access { server: 0, cost: 0, n: 1 }, Barrier { id: 0 }, Compute { ns: 92 }, ",
+    "Barrier { id: 1 }, Compute { ns: 34 }], [Compute { ns: 88 }, Access { server: 0, ",
+    "cost: 0, n: 1 }, Barrier { id: 0 }, Compute { ns: 92 }, Barrier { id: 1 }, ",
+    "Compute { ns: 33 }], [Compute { ns: 88 }, Access { server: 0, cost: 0, n: 1 }, ",
+    "Barrier { id: 0 }, Compute { ns: 92 }, Barrier { id: 1 }, Compute { ns: 33 }]], ",
     "costs: [OpCost { service_ns: 45, local_ns: 0, contended_ns: 260 }, ",
-    "OpCost { service_ns: 130, local_ns: 0, contended_ns: 0 }, OpCost { service_ns: 70, ",
-    "local_ns: 0, contended_ns: 0 }, OpCost { service_ns: 80, local_ns: 0, ",
-    "contended_ns: 260 }], barriers: [Condvar, Condvar] }",
+    "OpCost { service_ns: 130, local_ns: 0, contended_ns: 0 }, ",
+    "OpCost { service_ns: 70, local_ns: 0, contended_ns: 0 }], barriers: [Condvar, ",
+    "Condvar] }",
 );
 
 #[test]
@@ -166,11 +149,11 @@ fn codec_round_trips_the_recording() {
 
 #[test]
 fn codec_rejects_a_kind_0_record() {
-    let t = Trace::from_parts("k", vec![stream(&[(5, TraceEvent::Enqueue)])], 0);
+    let t = Trace::from_parts("k", vec![stream(&[(5, TraceEvent::Queue)])], 0);
     let mut bytes = codec::encode(&t);
-    // The one record is the last 24 bytes; its kind byte is the 17th.
-    let kind = bytes.len() - 24 + 16;
-    assert_eq!(bytes[kind], 6, "Enqueue is kind 6");
+    // The one record is the last 16 bytes; its kind byte is the 9th.
+    let kind = bytes.len() - 16 + 8;
+    assert_eq!(bytes[kind], 5, "Queue is kind 5");
     assert!(codec::decode(&bytes).is_ok());
     bytes[kind] = 0;
     let err = codec::decode(&bytes).unwrap_err();

@@ -83,10 +83,11 @@ fn tracing_is_transparent_to_kernel_results() {
 }
 
 /// Lock-based and lock-free runs emit the same *logical* event stream, so
-/// their traces must agree on per-class totals (timestamps aside).
+/// their traces must agree on per-class totals and on the event count
+/// (timestamps aside): a sleeping lock's acquire is not an event.
 #[test]
 fn both_backends_emit_the_same_logical_events() {
-    for b in [Benchmark::Lu, Benchmark::Radix] {
+    for b in [Benchmark::Lu, Benchmark::Radix, Benchmark::Raytrace] {
         let (_, lb) = b.run_traced(InputClass::Test, SyncMode::LockBased, 2);
         let (_, lf) = b.run_traced(InputClass::Test, SyncMode::LockFree, 2);
         let (slb, slf) = (TraceSummary::from_trace(&lb), TraceSummary::from_trace(&lf));
@@ -95,8 +96,7 @@ fn both_backends_emit_the_same_logical_events() {
         assert_eq!(slb.rmws, slf.rmws, "{b} per-class rmws");
         assert_eq!(slb.queue_ops, slf.queue_ops, "{b} queue ops");
         assert_eq!(slb.barrier_episodes, slf.barrier_episodes, "{b} episodes");
-        // Only the lock-based back-end takes sleeping locks.
-        assert_eq!(slf.lock_acqs, 0, "{b} lock-free trace must have no LockAcq");
+        assert_eq!(slb.events, slf.events, "{b} events");
     }
 }
 
