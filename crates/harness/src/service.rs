@@ -12,28 +12,27 @@
 //!   done | error`, JSON-round-trippable for the wire,
 //! - [`dispatch`]: executes one request under a [`JobCtl`] (progress
 //!   callback + deadline),
-//! - [`WorkerPool`]: a configurable worker team fed by the lock-free
-//!   [`BoundedMpmcQueue`], deduping identical configs through the shared
-//!   cache and draining gracefully on shutdown.
+//! - [`WorkerPool`]: a configurable worker team fed by one bounded channel,
+//!   deduping identical configs through the shared cache and draining
+//!   gracefully on shutdown.
 //!
 //! Threading: [`WorkerPool::submit`] answers a request whose result is ready
 //! in the cache on the calling thread — same events, same counters, no
 //! hand-off — and queues only what must be computed or coalesced. A worker
-//! that finds the queue empty parks behind the pool's gate until a submit or
-//! the shutdown wakes it; nothing on the request path polls. A job that
-//! panics is one `error` event: the worker and the cache slot survive it.
+//! blocks in the channel's `recv` until a job or the shutdown arrives, and a
+//! miss blocks in `send` while the queue is full; nothing on the request
+//! path polls. A job that panics is one `error` event: the worker and the
+//! cache slot survive it.
 
 use crate::cache::{fnv1a, ResultCache};
 use crate::experiments::{run_experiment, ExperimentCtx};
 use crate::registry::BenchmarkId;
-use splash4_parmacs::{
-    json, Backoff, BoundedMpmcQueue, Json, SyncCounters, SyncEnv, SyncMode, TaskQueue,
-};
+use splash4_parmacs::{json, Counter, Json, SyncCounters, SyncEnv, SyncMode};
 use splash4_sim::{synthetic_program_in, BarrierKind, Engine, MachineParams, Op};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -504,7 +503,7 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Result-cache retention bound (ready entries).
     pub cache_capacity: usize,
-    /// Bounded job-queue capacity (submissions spin when full).
+    /// Bounded job-queue capacity (a miss waits in `submit` while it is full).
     pub queue_capacity: usize,
     /// Default per-request timeout when the request carries none.
     pub default_timeout_ms: Option<u64>,
@@ -534,32 +533,31 @@ struct Job {
 }
 
 struct PoolShared {
-    accepting: AtomicBool,
-    next_job: AtomicU64,
+    submitted: AtomicU64,
     inline_hits: AtomicU64,
-    /// Idle workers wait on `wake` under this lock; the value counts them.
-    gate: Mutex<usize>,
-    wake: Condvar,
+    /// Accepted jobs no worker has taken yet.
+    queue_depth: AtomicU64,
+    /// Workers between jobs.
+    workers_parked: AtomicU64,
     ctx: ExperimentCtx,
     cache: ResultCache<Json>,
     stats: Arc<SyncCounters>,
     default_timeout_ms: Option<u64>,
 }
 
-impl PoolShared {
-    fn gate(&self) -> MutexGuard<'_, usize> {
-        self.gate.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The service's execution engine: `workers` threads draining a lock-free
-/// [`BoundedMpmcQueue`] of jobs, deduping through a shared [`ResultCache`].
+/// The service's execution engine: `workers` threads taking jobs from one
+/// bounded channel, deduping through a shared [`ResultCache`].
 ///
 /// Shutdown is graceful: new submissions are rejected, queued and in-flight
 /// jobs run to completion, then the workers exit. Dropping the pool performs
 /// the same drain.
 pub struct WorkerPool {
-    queue: Arc<BoundedMpmcQueue<Job>>,
+    /// The queue's sending end; `None` once shutdown has begun.
+    sender: Mutex<Option<mpsc::SyncSender<Job>>>,
     shared: Arc<PoolShared>,
     workers: Mutex<Vec<thread::JoinHandle<()>>>,
 }
@@ -576,37 +574,37 @@ impl WorkerPool {
     /// Start `cfg.workers` worker threads.
     pub fn start(cfg: ServiceConfig) -> WorkerPool {
         let stats = Arc::new(SyncCounters::new());
-        let queue = Arc::new(BoundedMpmcQueue::new(
-            cfg.queue_capacity.max(2),
-            Arc::clone(&stats),
-        ));
         let shared = Arc::new(PoolShared {
-            accepting: AtomicBool::new(true),
-            next_job: AtomicU64::new(0),
+            submitted: AtomicU64::new(0),
             inline_hits: AtomicU64::new(0),
-            gate: Mutex::new(0),
-            wake: Condvar::new(),
+            queue_depth: AtomicU64::new(0),
+            workers_parked: AtomicU64::new(0),
             ctx: cfg.ctx,
             cache: ResultCache::new(cfg.cache_capacity, Arc::clone(&stats)),
             stats,
             default_timeout_ms: cfg.default_timeout_ms,
         });
+        let (sender, receiver) = mpsc::sync_channel(cfg.queue_capacity);
+        let receiver = Arc::new(Mutex::new(receiver));
         let workers = (0..cfg.workers.max(1))
             .map(|i| {
-                let queue = Arc::clone(&queue);
-                let shared = Arc::clone(&shared);
+                let (shared, receiver) = (Arc::clone(&shared), Arc::clone(&receiver));
                 thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || {
-                        while let Some(job) = next_job(&queue, &shared) {
-                            run_job(&shared, job);
-                        }
+                    .spawn(move || loop {
+                        shared.workers_parked.fetch_add(1, Ordering::Relaxed);
+                        let job = lock(&receiver).recv();
+                        shared.workers_parked.fetch_sub(1, Ordering::Relaxed);
+                        let Ok(job) = job else { return };
+                        shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                        shared.stats.bump(Counter::QueueOps);
+                        run_job(&shared, job);
                     })
                     .expect("spawn worker")
             })
             .collect();
         WorkerPool {
-            queue,
+            sender: Mutex::new(Some(sender)),
             shared,
             workers: Mutex::new(workers),
         }
@@ -615,71 +613,58 @@ impl WorkerPool {
     /// Submit a request. Returns the job id and the event stream, already
     /// carrying the `Queued` event — and the whole lifecycle when the result
     /// was ready in the cache: a hit is answered here, on the caller's thread.
+    /// A miss waits here while the queue is full.
     ///
     /// # Errors
     /// Rejected once shutdown has begun.
     pub fn submit(&self, request: Request) -> Result<(u64, mpsc::Receiver<JobEvent>), String> {
         let shared = &*self.shared;
-        if !shared.accepting.load(Ordering::Acquire) {
-            return Err("service is shutting down; request rejected".to_string());
+        let rejected = || "service is shutting down; request rejected".to_string();
+        if lock(&self.sender).is_none() {
+            return Err(rejected());
         }
-        let id = shared.next_job.fetch_add(1, Ordering::Relaxed) + 1;
-        let (tx, rx) = mpsc::channel();
+        let key = Self::key_for(&shared.ctx, &request);
         let deadline = request
             .timeout_ms
             .or(shared.default_timeout_ms)
             .map(|ms| Instant::now() + Duration::from_millis(ms));
-        let _ = tx.send(JobEvent::Queued { job: id });
-        let mut job = Job {
-            id,
-            key: Self::key_for(&shared.ctx, &request),
-            request,
-            deadline,
-            events: tx,
+        let open = || {
+            let id = shared.submitted.fetch_add(1, Ordering::Relaxed) + 1;
+            let (events, rx) = mpsc::channel();
+            let _ = events.send(JobEvent::Queued { job: id });
+            (id, events, rx)
         };
         // An expired job takes the queue like a miss: the worker's deadline
         // check answers it, and it never counts as a hit.
         let ready = match deadline {
             Some(d) if Instant::now() >= d => None,
-            _ => shared.cache.get_ready(job.key),
+            _ => shared.cache.get_ready(key),
         };
         if let Some(result) = ready {
+            let (id, events, rx) = open();
             shared.inline_hits.fetch_add(1, Ordering::Relaxed);
-            let _ = job.events.send(JobEvent::Running { job: id });
-            let _ = job.events.send(JobEvent::Done {
+            let _ = events.send(JobEvent::Running { job: id });
+            let _ = events.send(JobEvent::Done {
                 job: id,
                 cached: true,
                 result,
             });
             return Ok((id, rx));
         }
-        // Bounded admission: a full ring is waited out with the shared
-        // truncated-exponential `Backoff`, which ends in yielding the core.
-        let mut backoff = Backoff::new();
-        while let Err(back) = self.queue.try_push(job) {
-            job = back;
-            backoff.snooze();
-        }
-        // Wake one parked worker. No wake-up is lost: a worker checks the
-        // queue a last time *under the gate* before it waits, and this
-        // thread takes the gate after its push. If this section comes first,
-        // the push happens-before that check (unlock → lock) and the worker
-        // finds the job; if the worker's came first it is already waiting
-        // (`Condvar::wait` gave the gate up atomically) and the notify
-        // reaches it. `shutdown` stores its flag under the gate, so a worker
-        // that left without seeing this push left before this section, and
-        // the flag read here is then set.
-        let stopping = {
-            let _gate = shared.gate();
-            !shared.accepting.load(Ordering::Relaxed)
-        };
-        shared.wake.notify_one();
-        if stopping {
-            // The workers may all be gone: run what is left where it arrived.
-            while let Some(job) = self.queue.try_pop() {
-                run_job(shared, job);
-            }
-        }
+        // A miss sends on a sender of its own, so a shutdown that begins
+        // after this line still runs the job (see `shutdown`).
+        let sender = lock(&self.sender).clone().ok_or_else(rejected)?;
+        let (id, events, rx) = open();
+        shared.queue_depth.fetch_add(1, Ordering::Relaxed);
+        shared.stats.bump(Counter::QueueOps);
+        // Blocks while the queue is full: that is the admission bound.
+        let _ = sender.send(Job {
+            id,
+            key,
+            request,
+            deadline,
+            events,
+        });
         Ok((id, rx))
     }
 
@@ -698,18 +683,19 @@ impl WorkerPool {
 
     /// Jobs accepted so far.
     pub fn submitted(&self) -> u64 {
-        self.shared.next_job.load(Ordering::Relaxed)
+        self.shared.submitted.load(Ordering::Relaxed)
     }
 
     /// Live state for the `stats` op: cache hits answered at submit (a subset
     /// of the profile's `cache_hits`), jobs waiting in the queue, distinct
     /// computations running, and workers parked — each as of now.
     pub fn live_stats(&self) -> Json {
+        let shared = &*self.shared;
         json!({
-            "inline_hits": self.shared.inline_hits.load(Ordering::Relaxed),
-            "queue_depth": self.queue.len(),
-            "in_flight": self.shared.cache.in_flight(),
-            "workers_parked": *self.shared.gate(),
+            "inline_hits": shared.inline_hits.load(Ordering::Relaxed),
+            "queue_depth": shared.queue_depth.load(Ordering::Relaxed),
+            "in_flight": shared.cache.in_flight(),
+            "workers_parked": shared.workers_parked.load(Ordering::Relaxed),
         })
     }
 
@@ -721,18 +707,14 @@ impl WorkerPool {
     /// Graceful shutdown: reject new work, drain queued and in-flight jobs,
     /// join the workers. Idempotent, and callable through a shared
     /// reference so a server can trigger it from any connection thread.
+    ///
+    /// Dropping the pool's sender is the whole signal. The channel reports
+    /// disconnection only once every sender is gone and every queued job has
+    /// been received, so a miss that cloned a sender before this — even one
+    /// still blocked in `send` — is run by a worker.
     pub fn shutdown(&self) {
-        {
-            let _gate = self.shared.gate();
-            self.shared.accepting.store(false, Ordering::Release);
-        }
-        self.shared.wake.notify_all();
-        let handles: Vec<_> = self
-            .workers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain(..)
-            .collect();
+        lock(&self.sender).take();
+        let handles: Vec<_> = lock(&self.workers).drain(..).collect();
         for h in handles {
             let _ = h.join();
         }
@@ -742,29 +724,6 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// A worker's next job; `None` once the pool is shut down and drained. An
-/// idle worker parks here (see [`WorkerPool::submit`] for the handshake).
-fn next_job(queue: &BoundedMpmcQueue<Job>, shared: &PoolShared) -> Option<Job> {
-    if let Some(job) = queue.try_pop() {
-        return Some(job);
-    }
-    let mut parked = shared.gate();
-    loop {
-        if let Some(job) = queue.try_pop() {
-            return Some(job);
-        }
-        if !shared.accepting.load(Ordering::Relaxed) {
-            return None;
-        }
-        *parked += 1;
-        parked = shared
-            .wake
-            .wait(parked)
-            .unwrap_or_else(PoisonError::into_inner);
-        *parked -= 1;
     }
 }
 
@@ -1009,15 +968,15 @@ mod tests {
         let profile = pool.profile();
         assert_eq!(profile.cache_misses, 1);
         assert_eq!(profile.cache_hits, 1);
-        assert!(profile.queue_ops > 0, "jobs flow through the MPMC queue");
+        assert_eq!(profile.queue_ops, 2, "one send and one receive per miss");
         pool.shutdown();
     }
 
     #[test]
-    fn submissions_back_off_through_a_full_queue_without_loss() {
-        // Capacity 2 (the queue rounds up to a power of two) with a single
-        // worker: a burst of distinct requests must saturate the ring and
-        // force submitters through the backoff path, yet every job completes.
+    fn submissions_wait_through_a_full_queue_without_loss() {
+        // Capacity 2 with a single worker: a burst of distinct requests must
+        // fill the queue and block the submitter in `send`, yet every job
+        // completes.
         let pool = WorkerPool::start(ServiceConfig {
             workers: 1,
             cache_capacity: 16,

@@ -4,8 +4,7 @@
 //! cryptographic quality — so this module replaces the registry `rand`
 //! dependency with an in-repo PCG-style generator (`splitmix64` seeding +
 //! `xorshift64*` stream). The API mirrors the subset of `rand` the kernels
-//! used (`seed_from_u64`, `gen`, `gen_range`) so call sites stay idiomatic;
-//! enable the kernels' `rand` feature to swap the external crate back in.
+//! used (`seed_from_u64`, `gen`, `gen_range`) so call sites stay idiomatic.
 
 use std::ops::Range;
 

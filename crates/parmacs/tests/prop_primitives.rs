@@ -2,14 +2,9 @@
 //! through the [`SyncEnv`] factory — the only seam callers have.
 //!
 //! Fixed rows pin exact behaviour (results, op counts); the property tests
-//! below them re-run the concurrent invariants on seeded random shapes. Two
-//! equivalent harnesses drive the properties:
-//! * with `--features proptest` (requires the registry dependency to be
-//!   re-enabled in `Cargo.toml`), the `proptest`-driven version runs with
-//!   shrinking;
-//! * by default, a pure-std fallback drives each property with seeded
-//!   [`SmallRng`](splash4_parmacs::SmallRng) cases so the invariants stay in
-//!   tier-1 without any external dependency.
+//! below them (module `std_fallback`) re-run the concurrent invariants on
+//! shapes drawn from the seeded [`SmallRng`](splash4_parmacs::SmallRng), so
+//! they stay in tier-1 without any external dependency.
 
 use splash4_parmacs::{
     chunk_range, AtomicF64, CombiningCore, SyncCounters, SyncEnv, SyncMode, SyncProfile, Team,
@@ -360,7 +355,6 @@ fn check_queue_preserves_multiset(mode: SyncMode, tasks: &[u32], threads: usize)
     assert_eq!(got, want);
 }
 
-#[cfg(not(feature = "proptest"))]
 mod std_fallback {
     use super::*;
     use splash4_parmacs::SmallRng;
@@ -435,70 +429,6 @@ mod std_fallback {
                 rng.gen_range(1usize..6),
                 rng.gen_range(1usize..20),
             );
-        }
-    }
-}
-
-#[cfg(feature = "proptest")]
-mod proptest_suite {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn any_mode() -> impl Strategy<Value = SyncMode> {
-        (0usize..3).prop_map(|i| SyncMode::ALL[i])
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-        #[test]
-        fn chunk_range_partitions_any_total(total in 0usize..10_000, n in 1usize..64) {
-            check_chunk_range_partitions(total, n);
-        }
-
-        #[test]
-        fn counters_hand_out_each_index_once(
-            mode in any_mode(),
-            start in 0usize..100,
-            len in 0usize..400,
-            threads in 1usize..5,
-        ) {
-            check_counter_hands_out_each_index_once(mode, start, len, threads);
-        }
-
-        #[test]
-        fn reducers_sum_exactly_for_integer_values(
-            mode in any_mode(),
-            per in 1usize..200,
-            threads in 1usize..5,
-        ) {
-            check_reducer_sums_exactly(mode, per, threads);
-        }
-
-        #[test]
-        fn atomic_f64_fetch_update_is_linearizable_for_adds(
-            values in prop::collection::vec(-1000i32..1000, 1..200),
-            threads in 1usize..5,
-        ) {
-            check_atomic_f64_adds_linearize(&values, threads);
-        }
-
-        #[test]
-        fn queues_preserve_the_task_multiset(
-            mode in any_mode(),
-            tasks in prop::collection::vec(any::<u32>(), 0..300),
-            threads in 1usize..4,
-        ) {
-            check_queue_preserves_multiset(mode, &tasks, threads);
-        }
-
-        #[test]
-        fn barriers_never_release_early(
-            mode in any_mode(),
-            threads in 1usize..6,
-            episodes in 1usize..20,
-        ) {
-            check_barrier_never_releases_early(mode, threads, episodes);
         }
     }
 }

@@ -1,9 +1,9 @@
 //! `splash4-serve`: the experiment service's network layer.
 //!
 //! The harness owns everything about what a request *means*
-//! ([`splash4_harness::service`]): the request model, the lock-free worker
-//! pool, the content-hashed result cache and the load generator. This crate
-//! adds the wire:
+//! ([`splash4_harness::service`]): the request model, the worker pool, the
+//! content-hashed result cache and the load generator. This crate adds the
+//! wire:
 //!
 //! - [`proto`]: newline-delimited compact-JSON framing over any
 //!   `BufRead`/`Write` pair,
@@ -23,7 +23,7 @@
 //! <- {"event":"progress","job":1,"pct":40}
 //! <- {"event":"done","job":1,"cached":false,"result":{...}}
 //! -> {"op":"stats"}
-//! <- {"ok":true,"submitted":1,"cache_hits":0,"cache_misses":1,...,"workers_parked":4}
+//! <- {"ok":true,"submitted":1,"cache_hits":0,"cache_misses":1,"cache_evictions":0,"queue_ops":2,"inline_hits":0,"queue_depth":0,"in_flight":0,"workers_parked":4}
 //! -> {"op":"shutdown"}
 //! <- {"ok":true,"stopping":true}
 //! ```

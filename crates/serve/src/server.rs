@@ -318,7 +318,6 @@ fn handle_connection(stream: TcpStream, shared: &ServerShared) -> io::Result<()>
                     "cache_misses": p.cache_misses,
                     "cache_evictions": p.cache_evictions,
                     "queue_ops": p.queue_ops,
-                    "atomic_rmws": p.atomic_rmws,
                 });
                 if let (Json::Object(all), Json::Object(live)) =
                     (&mut reply, shared.pool.live_stats())

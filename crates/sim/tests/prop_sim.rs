@@ -1,9 +1,8 @@
 //! Property-based tests for the timing simulator.
 //!
-//! Same dual-harness scheme as the primitive properties: a `proptest` version
-//! behind the (default-off) `proptest` feature, and a pure-std fallback that
-//! drives the identical invariants from a seeded in-repo RNG so they run in
-//! tier-1 with no external dependency.
+//! As with the primitive properties, the module `std_fallback` drives each
+//! invariant from the seeded in-repo RNG, so they run in tier-1 with no
+//! external dependency.
 
 mod reference;
 
@@ -99,7 +98,6 @@ fn check_simulate_equals_written_out(work: &WorkModel, machine: &MachineParams) 
     }
 }
 
-#[cfg(not(feature = "proptest"))]
 mod std_fallback {
     use super::*;
     use splash4_parmacs::SmallRng;
@@ -222,91 +220,6 @@ mod std_fallback {
                 rng.gen_range(50u64..500),
                 &arb_machine(&mut rng),
             );
-        }
-    }
-}
-
-#[cfg(feature = "proptest")]
-mod proptest_suite {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn arb_machine() -> impl Strategy<Value = MachineParams> {
-        prop::sample::select(vec![
-            MachineParams::epyc_like(),
-            MachineParams::icelake_like(),
-        ])
-    }
-
-    fn arb_model() -> impl Strategy<Value = WorkModel> {
-        (
-            1u64..50_000,
-            1u64..500,
-            0u64..3,
-            1u64..8,
-            prop::sample::select(vec![
-                Dispatch::Static,
-                Dispatch::GetSub { chunk: 8 },
-                Dispatch::Pool,
-            ]),
-            0.0f64..3.0,
-            0.0f64..0.05,
-        )
-            .prop_map(
-                |(items, cpi, barriers, repeats, dispatch, touches, reduces)| {
-                    build_model(items, cpi, barriers, repeats, dispatch, touches, reduces)
-                },
-            )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-        #[test]
-        fn expansion_always_validates(
-            work in arb_model(),
-            cores in 1usize..64,
-            mode in prop::sample::select(SyncMode::ALL.to_vec()),
-            machine in arb_machine(),
-        ) {
-            check_expansion_validates(&work, cores, mode, &machine);
-        }
-
-        #[test]
-        fn simulated_time_is_positive_and_deterministic(
-            work in arb_model(),
-            cores in 1usize..48,
-            machine in arb_machine(),
-        ) {
-            check_sim_positive_deterministic(&work, cores, &machine);
-        }
-
-        #[test]
-        fn lock_free_never_loses_badly(
-            work in arb_model(),
-            cores in 2usize..64,
-            machine in arb_machine(),
-        ) {
-            check_lock_free_never_loses_badly(&work, cores, &machine);
-        }
-
-        #[test]
-        fn more_compute_is_never_faster(
-            items in 1u64..20_000,
-            cpi in 1u64..300,
-            cores in 1usize..32,
-            machine in arb_machine(),
-        ) {
-            check_more_compute_never_faster(items, cpi, cores, &machine);
-        }
-
-        #[test]
-        fn adding_cores_never_hurts_pure_compute(
-            items in 256u64..20_000,
-            cpi in 50u64..500,
-            machine in arb_machine(),
-        ) {
-            check_cores_never_hurt_pure_compute(items, cpi, &machine);
         }
     }
 }

@@ -156,7 +156,8 @@ pub trait BenchmarkExt {
     fn execute(self, class: InputClass, mode: SyncMode, threads: usize) -> KernelResult;
     /// Run both generations and return the comparison.
     fn compare(self, class: InputClass, threads: usize) -> Comparison;
-    /// Calibrated workload model (single lock-free run) for the simulator.
+    /// Calibrated workload model for the simulator: the median of three
+    /// single-thread lock-free runs.
     fn work_model(self, class: InputClass) -> WorkModel;
     /// Run with a [`RingRecorder`] attached and return the result together
     /// with the recorded sync-event [`Trace`] (feed it to [`lower_trace`]).

@@ -1,10 +1,8 @@
 //! Property-based integration tests over the public API: kernels must
 //! validate for arbitrary (bounded) configurations, not just the presets.
 //!
-//! The `proptest` harness sits behind the default-off `proptest` feature
-//! (which needs the registry dependency re-enabled in `Cargo.toml`); the
-//! default build runs the same invariants through a pure-std fallback driven
-//! by the in-repo seeded RNG, keeping them in tier-1 offline.
+//! The module `std_fallback` draws the configurations from the in-repo seeded
+//! RNG, keeping them in tier-1 offline.
 
 use splash4::{fft, lu, radix, water_nsq, InputClass, SyncEnv, SyncMode};
 
@@ -65,7 +63,6 @@ fn check_radix_mode_equivalence(n: usize, seed: u64) {
     assert!((lb.checksum - lf.checksum).abs() < 1.0);
 }
 
-#[cfg(not(feature = "proptest"))]
 mod std_fallback {
     use super::*;
     use splash4::SmallRng;
@@ -124,62 +121,6 @@ mod std_fallback {
         let mut rng = SmallRng::seed_from_u64(0x5A5A_0005);
         for _ in 0..CASES {
             check_radix_mode_equivalence(rng.gen_range(128usize..2048), rng.gen::<u64>());
-        }
-    }
-}
-
-#[cfg(feature = "proptest")]
-mod proptest_suite {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
-
-        #[test]
-        fn radix_sorts_arbitrary_sizes(
-            n in 64usize..4096,
-            bits in 4u32..12,
-            seed in any::<u64>(),
-            threads in 1usize..5,
-        ) {
-            check_radix_sorts(n, bits, seed, threads);
-        }
-
-        #[test]
-        fn fft_round_trips_arbitrary_signals(
-            log_m in 2u32..6,
-            seed in any::<u64>(),
-            threads in 1usize..4,
-        ) {
-            check_fft_round_trips(log_m, seed, threads);
-        }
-
-        #[test]
-        fn lu_reconstructs_arbitrary_matrices(
-            blocks in 2usize..6,
-            block in prop::sample::select(vec![4usize, 8]),
-            seed in any::<u64>(),
-            threads in 1usize..4,
-        ) {
-            check_lu_reconstructs(blocks, block, seed, threads);
-        }
-
-        #[test]
-        fn water_conserves_for_arbitrary_seeds(
-            n in prop::sample::select(vec![32usize, 64, 125]),
-            seed in any::<u64>(),
-            threads in 1usize..4,
-        ) {
-            check_water_conserves(n, seed, threads);
-        }
-
-        #[test]
-        fn mode_equivalence_holds_for_arbitrary_radix_inputs(
-            n in 128usize..2048,
-            seed in any::<u64>(),
-        ) {
-            check_radix_mode_equivalence(n, seed);
         }
     }
 }

@@ -1,8 +1,10 @@
 //! The serve request path, end to end (DESIGN.md §13): a cache hit is
 //! answered on the thread it arrives on, idle workers park and are woken,
 //! the reply writer holds no frame back, a panicking job is one `error`
-//! event, and a fresh connection is accepted at once. Tier-1 runs the root
-//! package only, so these live here and not beside `crates/serve/tests/`.
+//! event, a client that vanishes mid-stream leaves its job to finish and be
+//! cached, shutdown runs every accepted job even with the queue full, and a
+//! fresh connection is accepted at once. Tier-1 runs the root package only,
+//! so these live here and not beside `crates/serve/tests/`.
 //!
 //! Two workloads are registered at run time (the `registry_extension.rs`
 //! pattern; registration is process-global, which is why this is its own
@@ -16,6 +18,8 @@ use splash4::{
     ServiceConfig, SyncEnv, WorkModel, WorkerPool, Workload,
 };
 use splash4_serve::{Client, Server, ServerConfig};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::thread;
@@ -399,6 +403,83 @@ fn a_panicking_job_is_an_error_event_and_the_service_lives_on() {
     wait_until("the worker parked again", || {
         stat(&client.stats().expect("stats"), "workers_parked") == 1
     });
+}
+
+#[test]
+fn a_client_that_vanishes_mid_stream_leaves_its_job_to_finish_and_be_cached() {
+    let (_server, addr) = server(1);
+    let gate = close_gate();
+    let request = bench("serve-gate");
+    let mut socket = TcpStream::connect(&addr).expect("connect");
+    let frame = format!("{{\"op\":\"submit\",\"request\":{}}}\n", request.to_json());
+    socket.write_all(frame.as_bytes()).expect("send submit");
+    let mut first = String::new();
+    BufReader::new(&socket)
+        .read_line(&mut first)
+        .expect("read queued");
+    let queued = JobEvent::from_json(&Json::parse(first.trim_end()).expect("a JSON frame"));
+    assert!(matches!(queued, Ok(JobEvent::Queued { .. })), "{first}");
+    drop(socket);
+    drop(gate);
+
+    let mut client = Client::connect(&addr).expect("a fresh client connects");
+    client.ping().expect("ping");
+    wait_until("the pool back at rest", || {
+        let stats = client.stats().expect("stats");
+        stat(&stats, "in_flight") == 0
+            && stat(&stats, "queue_depth") == 0
+            && stat(&stats, "workers_parked") == 1
+    });
+    let events = client.submit(&request).expect("resubmit");
+    assert!(
+        matches!(events.last(), Some(JobEvent::Done { cached: true, .. })),
+        "the vanished client's job must have completed and been cached: {events:?}"
+    );
+}
+
+#[test]
+fn shutdown_with_a_full_queue_runs_the_queued_job_and_the_one_blocked_in_send() {
+    let pool = WorkerPool::start(ServiceConfig {
+        queue_capacity: 1,
+        ..config(1)
+    });
+    let hot = small_sim(11);
+    let (_, rx) = pool.submit(hot.clone()).expect("prefill");
+    assert!(matches!(
+        drain_soon(&rx).last(),
+        Some(JobEvent::Done { cached: false, .. })
+    ));
+    let pool = &pool;
+    thread::scope(|s| {
+        // Inside the scope, so that an unwinding test opens the gate before
+        // the scope joins the thread waiting on the held worker.
+        let _gate = close_gate();
+        let (_, held) = pool.submit(bench("serve-gate")).expect("held");
+        expect_event(&held, "running", |e| matches!(e, JobEvent::Running { .. }));
+        let (_, queued) = pool.submit(small_sim(12)).expect("queued");
+        let blocked = s.spawn(|| pool.submit(small_sim(13)).expect("blocked").1);
+        wait_until("a second job at the full queue", || {
+            stat(&pool.live_stats(), "queue_depth") == 2
+        });
+        let (stopped_tx, stopped) = mpsc::channel();
+        s.spawn(move || {
+            pool.shutdown();
+            let _ = stopped_tx.send(());
+        });
+        // A hit never waits on the queue, and is rejected once shutdown has
+        // begun.
+        wait_until("shutdown to begin", || pool.submit(hot.clone()).is_err());
+        set_gate(true);
+        stopped.recv_timeout(SOON).expect("shutdown never returned");
+        for rx in [held, queued, blocked.join().unwrap()] {
+            let events = drain_soon(&rx);
+            assert!(
+                matches!(events.last(), Some(JobEvent::Done { .. })),
+                "an accepted job must complete: {events:?}"
+            );
+        }
+    });
+    assert!(pool.submit(small_sim(14)).is_err());
 }
 
 #[test]

@@ -61,11 +61,13 @@ fn tracing_is_transparent_to_kernel_results() {
             );
             // Compare the deterministic operation counts; wait-time fields
             // and contention counters vary run to run even without tracing.
+            // Every failed CAS is also counted as one more RMW, so the
+            // logical RMWs are the difference.
             let counts = |p: &splash4::SyncProfile| {
                 (
                     p.lock_acquires,
                     p.barrier_waits,
-                    p.atomic_rmws,
+                    p.atomic_rmws - p.cas_failures,
                     p.getsub_calls,
                     p.reduce_ops,
                     p.flag_waits,
