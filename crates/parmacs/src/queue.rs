@@ -262,12 +262,12 @@ struct MpmcSlot<T, A: Atomics> {
 /// shared cursor plus one uncontended slot write each — no head/tail locks,
 /// no per-task allocation, FIFO order when quiescent.
 ///
-/// This is the serve subsystem's job queue: unlike the [`TreiberStack`]
-/// (unbounded LIFO, allocates per push), a server wants *bounded* admission
-/// — a full queue is back-pressure, surfaced through
-/// [`BoundedMpmcQueue::try_push`] so the caller can reject with a clean
-/// error instead of queueing unboundedly. The [`TaskQueue`] `push` spins
-/// with [`Backoff`] until space frees, preserving the trait's unconditional
+/// This is the `stream` kernel's stage queue in the lock-free modes, and the
+/// ring the model checker's `V2-kernel-check` table explores
+/// (`stream_ring_scenario`). Unlike the [`TreiberStack`] (unbounded LIFO,
+/// allocates per push) it is bounded: a full ring is surfaced through
+/// [`BoundedMpmcQueue::try_push`], and the [`TaskQueue`] `push` spins with
+/// [`Backoff`] until space frees, preserving the trait's unconditional
 /// contract for the suite's workloads.
 pub struct BoundedMpmcQueue<T, A: Atomics = Std> {
     buf: Box<[MpmcSlot<T, A>]>,

@@ -6,7 +6,7 @@
 //! wire:
 //!
 //! - [`proto`]: newline-delimited compact-JSON framing over any
-//!   `BufRead`/`Write` pair,
+//!   `BufRead`/`Write` pair, with the one frame reader both sides use,
 //! - [`server`]: a TCP accept loop in front of a shared
 //!   [`WorkerPool`](splash4_harness::WorkerPool), streaming job events back
 //!   per submission and draining gracefully on shutdown,

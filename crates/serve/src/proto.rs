@@ -3,12 +3,13 @@
 //! A [`Json`] value's `to_string` (its `Display`) is single-line by
 //! construction, so a newline is an unambiguous frame boundary and the
 //! framing layer stays trivial — no length prefixes, no escaping beyond
-//! JSON's own.
+//! JSON's own. Server and client read with the same [`read_frame`], so the
+//! frame bound, [`MAX_FRAME_BYTES`], holds on both sides.
 
 use splash4_harness::JobEvent;
 use splash4_parmacs::Json;
 use std::fmt::Write as _;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Write one value as a frame and flush, so a waiting peer sees it
 /// immediately (submit streams are consumed event by event).
@@ -46,19 +47,32 @@ pub fn push_event_frame(out: &mut String, ev: &JobEvent) {
     out.push('\n');
 }
 
-/// Read the next frame. `Ok(None)` is a clean end-of-stream; blank lines are
-/// skipped so interactive use (`nc`, test scripts) can be sloppy.
+/// Longest frame either side reads (a submit frame is well under 1 KiB, the
+/// largest reply tens of KiB). A longer one is an error, so a peer that never
+/// sends a newline cannot make the reader buffer without bound.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// Read the next frame, blocking until it is complete. `Ok(None)` is a clean
+/// end-of-stream; a final frame without its newline still counts, and blank
+/// lines are skipped so interactive use (`nc`, test scripts) can be sloppy.
 ///
 /// # Errors
-/// `Err(e)` carries either the I/O failure or the JSON parse failure as a
-/// message; framing errors are not recoverable mid-connection.
+/// `Err(e)` carries the I/O failure, the JSON parse failure, or a frame past
+/// [`MAX_FRAME_BYTES`] as a message; framing errors are not recoverable
+/// mid-connection.
 pub fn read_frame(r: &mut impl BufRead) -> Result<Option<Json>, String> {
+    let (mut line, limit) = (Vec::new(), MAX_FRAME_BYTES as u64 + 1);
     loop {
-        let mut line = String::new();
-        match r.read_line(&mut line) {
+        line.clear();
+        match r.by_ref().take(limit).read_until(b'\n', &mut line) {
             Ok(0) => return Ok(None),
+            Ok(n) if n > MAX_FRAME_BYTES && !line.ends_with(b"\n") => {
+                return Err(format!("frame exceeds {MAX_FRAME_BYTES} bytes"))
+            }
             Ok(_) => {
-                let text = line.trim();
+                let text = std::str::from_utf8(&line)
+                    .map_err(|e| format!("bad frame: {e}"))?
+                    .trim();
                 if text.is_empty() {
                     continue;
                 }
@@ -140,6 +154,25 @@ mod tests {
                 "\n"
             )
         );
+    }
+
+    #[test]
+    fn frames_are_bounded_and_a_final_frame_needs_no_newline() {
+        let at_bound = format!("\"{}\"", "x".repeat(MAX_FRAME_BYTES - 2));
+        let mut input = format!("{at_bound}\n{{\"op\":\"ping\"}}").into_bytes();
+        let mut r = BufReader::new(&input[..]);
+        assert_eq!(
+            read_frame(&mut r)
+                .unwrap()
+                .and_then(|v| v.as_str().map(str::len)),
+            Some(MAX_FRAME_BYTES - 2)
+        );
+        assert_eq!(read_frame(&mut r).unwrap(), Some(json!({ "op": "ping" })));
+        assert_eq!(read_frame(&mut r).unwrap(), None);
+
+        input.insert(0, b' ');
+        let err = read_frame(&mut BufReader::new(&input[..])).unwrap_err();
+        assert_eq!(err, "frame exceeds 1048576 bytes");
     }
 
     #[test]

@@ -2,31 +2,24 @@
 //! graceful shutdown around a shared [`WorkerPool`].
 //!
 //! Threading model: one accept thread blocked in `accept` — [`Server::stop`]
-//! wakes it with a throw-away connection — and one thread per connection
-//! with a short read timeout so idle handlers notice shutdown. A connection
-//! thread *is* the request path of a cache hit: `WorkerPool::submit` answers
-//! it there, and the reply is one write (a burst of events already in the
-//! channel is one `write_all`; after a burst's first event nothing is waited
-//! for, so no frame is held back). Connection threads never own the pool —
-//! they share it through [`Server`]'s `Arc`, which is what lets a
-//! client-issued `{"op":"shutdown"}` drain the service from inside a handler.
+//! wakes it with a throw-away connection — and one thread per connection,
+//! blocked in its read until a frame arrives or `stop` shuts the read half
+//! of its socket. A connection thread *is* the request path of a cache hit:
+//! `WorkerPool::submit` answers it there, and the reply is one write (a
+//! burst of events already in the channel is one `write_all`; after a
+//! burst's first event nothing is waited for, so no frame is held back).
+//! Connection threads never own the pool — they share it through
+//! [`Server`]'s `Arc`, which is what lets a client-issued `{"op":"shutdown"}`
+//! drain the service from inside a handler.
 
-use crate::proto::{push_event_frame, write_frame};
+use crate::proto::{push_event_frame, read_frame, write_frame, MAX_FRAME_BYTES};
 use splash4_harness::{JobEvent, Request, ServiceConfig, WorkerPool};
 use splash4_parmacs::{json, Json};
-use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
-use std::time::Duration;
-
-/// How often an idle connection's blocked read re-checks the `closed` flag.
-const POLL: Duration = Duration::from_millis(20);
-
-/// Longest inbound frame a connection buffers (a submit frame is well under
-/// 1 KiB). A longer one is answered with an error and the connection closes.
-const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// Server tuning: where to listen plus the worker-pool knobs.
 #[derive(Debug, Clone)]
@@ -49,12 +42,10 @@ impl Default for ServerConfig {
 struct ServerShared {
     /// Shutdown requested: stop accepting connections and submissions.
     stop: AtomicBool,
-    /// Drain finished: existing connections should now close. Kept separate
-    /// from `stop` so that during the drain window open connections still
-    /// answer ops (submits get a clean JSON rejection) instead of dropping.
-    closed: AtomicBool,
     pool: WorkerPool,
-    conns: Mutex<Vec<thread::JoinHandle<()>>>,
+    /// Each open connection's socket, beside the thread that serves it, so
+    /// that [`Server::stop`] can end the thread's blocked read.
+    conns: Mutex<Vec<(TcpStream, thread::JoinHandle<()>)>>,
 }
 
 /// A running `splash4-serve` instance.
@@ -88,7 +79,6 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(ServerShared {
             stop: AtomicBool::new(false),
-            closed: AtomicBool::new(false),
             pool: WorkerPool::start(cfg.service),
             conns: Mutex::new(Vec::new()),
         });
@@ -142,13 +132,17 @@ impl Server {
                 let _ = h.join();
             }
         }
-        // Drain before joining connections: an in-flight submit stream only
-        // terminates once its job ran, and the pool drain guarantees that.
+        // Drain first: an in-flight submit stream only terminates once its
+        // job ran, and open connections answer ops until then. Then shut
+        // only the read halves: a handler still writing a drained job's last
+        // events finishes them, then reads EOF.
         self.shared.pool.shutdown();
-        self.shared.closed.store(true, Ordering::Release);
         let conns: Vec<_> = lock(&self.shared.conns).drain(..).collect();
-        for c in conns {
-            let _ = c.join();
+        for (socket, _) in &conns {
+            let _ = socket.shutdown(Shutdown::Read);
+        }
+        for (_, handle) in conns {
+            let _ = handle.join();
         }
     }
 }
@@ -169,8 +163,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
         if shared.stop.load(Ordering::Acquire) {
             return;
         }
-        let Ok(stream) = stream else {
-            // A failed accept (aborted peer, descriptor limit): on to the next.
+        let Ok((stream, socket)) = stream.and_then(|s| Ok((s.try_clone()?, s))) else {
+            // A failed accept or clone (aborted peer, descriptor limit): on
+            // to the next.
             thread::yield_now();
             continue;
         };
@@ -178,76 +173,16 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
         let handle = thread::Builder::new()
             .name("serve-conn".to_string())
             .spawn(move || {
-                let _ = handle_connection(stream, &conn_shared);
+                let _ = handle_connection(&stream, &conn_shared);
+                // The registry's clone keeps the socket open: close it here.
+                let _ = stream.shutdown(Shutdown::Both);
             })
             .expect("spawn connection thread");
         let mut conns = lock(&shared.conns);
-        // Drop the handles of closed connections: their threads are done, so
-        // the registry holds only what `stop` still has to join.
-        conns.retain(|c| !c.is_finished());
-        conns.push(handle);
-    }
-}
-
-/// One frame read off a connection.
-enum Frame {
-    Value(Json),
-    Eof,
-    /// The drain completed while the connection was idle — time to close.
-    Stopping,
-}
-
-/// Read the next newline-framed JSON value, polling the `closed` flag
-/// across read timeouts. A persistent byte buffer carries partial lines
-/// over timeouts (`BufRead::read_line` would discard them); a partial line
-/// longer than [`MAX_FRAME_BYTES`] is an error.
-fn read_op(
-    reader: &mut BufReader<TcpStream>,
-    pending: &mut Vec<u8>,
-    closed: &AtomicBool,
-) -> Result<Frame, String> {
-    loop {
-        if let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = pending.drain(..=pos).collect();
-            let text = std::str::from_utf8(&line)
-                .map_err(|e| format!("bad frame: {e}"))?
-                .trim();
-            if text.is_empty() {
-                continue;
-            }
-            return Json::parse(text)
-                .map(Frame::Value)
-                .map_err(|e| format!("bad frame: {e}"));
-        }
-        if pending.len() > MAX_FRAME_BYTES {
-            return Err(format!("frame exceeds {MAX_FRAME_BYTES} bytes"));
-        }
-        let n = match reader.fill_buf() {
-            Ok([]) => {
-                // EOF; honor a final unterminated frame if one is pending.
-                let text = String::from_utf8_lossy(pending).trim().to_string();
-                pending.clear();
-                if text.is_empty() {
-                    return Ok(Frame::Eof);
-                }
-                return Json::parse(&text)
-                    .map(Frame::Value)
-                    .map_err(|e| format!("bad frame: {e}"));
-            }
-            Ok(chunk) => {
-                pending.extend_from_slice(chunk);
-                chunk.len()
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if closed.load(Ordering::Acquire) {
-                    return Ok(Frame::Stopping);
-                }
-                continue;
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(format!("read failed: {e}")),
-        };
-        reader.consume(n);
+        // Drop the entries of closed connections: their threads are done, so
+        // the registry holds only what `stop` still has to end and join.
+        conns.retain(|(_, h)| !h.is_finished());
+        conns.push((socket, handle));
     }
 }
 
@@ -284,23 +219,21 @@ fn stream_events(
     }
 }
 
-fn handle_connection(stream: TcpStream, shared: &ServerShared) -> io::Result<()> {
-    stream.set_read_timeout(Some(POLL))?;
+fn handle_connection(stream: &TcpStream, shared: &ServerShared) -> io::Result<()> {
     stream.set_nodelay(true).ok();
-    let mut writer = stream.try_clone()?;
+    let mut writer = stream;
     let mut reader = BufReader::new(stream);
-    let mut pending = Vec::new();
     let mut out = String::new();
     loop {
-        let op = match read_op(&mut reader, &mut pending, &shared.closed) {
-            Ok(Frame::Value(v)) => v,
-            Ok(Frame::Eof) | Ok(Frame::Stopping) => return Ok(()),
+        let op = match read_frame(&mut reader) {
+            Ok(Some(v)) => v,
+            Ok(None) => return Ok(()),
             Err(msg) => {
                 // Framing is unrecoverable mid-connection: report and close.
                 // Closing with unread input would reset the connection and
                 // could discard the report, so end the write side first and
                 // discard what the peer still sends, up to one more frame's
-                // worth, until it closes or falls silent for one poll.
+                // worth, until it closes or the server stops.
                 let _ = reject(&mut writer, &msg);
                 let _ = writer.shutdown(Shutdown::Write);
                 let _ = io::copy(&mut reader.take(MAX_FRAME_BYTES as u64), &mut io::sink());

@@ -2,8 +2,10 @@
 //! answered on the thread it arrives on, idle workers park and are woken,
 //! the reply writer holds no frame back, a panicking job is one `error`
 //! event, a client that vanishes mid-stream leaves its job to finish and be
-//! cached, shutdown runs every accepted job even with the queue full, and a
-//! fresh connection is accepted at once. Tier-1 runs the root package only,
+//! cached, a half-written frame holds up nothing but its own connection and
+//! ends in a clean error, a connection thread that returns closes its socket,
+//! shutdown runs every accepted job even with the queue full or a coalesced
+//! waiter behind a computation, and a fresh connection is accepted at once. Tier-1 runs the root package only,
 //! so these live here and not beside `crates/serve/tests/`.
 //!
 //! Two workloads are registered at run time (the `registry_extension.rs`
@@ -18,8 +20,8 @@ use splash4::{
     ServiceConfig, SyncEnv, WorkModel, WorkerPool, Workload,
 };
 use splash4_serve::{Client, Server, ServerConfig};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::thread;
@@ -435,6 +437,111 @@ fn a_client_that_vanishes_mid_stream_leaves_its_job_to_finish_and_be_cached() {
         matches!(events.last(), Some(JobEvent::Done { cached: true, .. })),
         "the vanished client's job must have completed and been cached: {events:?}"
     );
+}
+
+/// Everything a raw socket reads until the server closes it; a server that
+/// never closes it fails the test after [`SOON`].
+fn read_to_eof(socket: &TcpStream) -> String {
+    socket
+        .set_read_timeout(Some(SOON))
+        .expect("set a read timeout");
+    let mut rest = String::new();
+    (&*socket)
+        .read_to_string(&mut rest)
+        .expect("the server closes the socket");
+    rest
+}
+
+fn assert_bad_frame_reply(reply: &str) {
+    let reply = Json::parse(reply.strip_suffix('\n').expect("one whole frame"))
+        .unwrap_or_else(|e| panic!("not one JSON frame ({e}): {reply:?}"));
+    let error = reply.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(
+        reply.get("ok").and_then(Json::as_bool) == Some(false) && error.starts_with("bad frame: "),
+        "{reply}"
+    );
+}
+
+#[test]
+fn a_half_written_frame_is_a_clean_error_and_holds_up_no_other_connection() {
+    let (server, addr) = server(1);
+    // The peer ends its write half: the half frame is its last, and bad.
+    let ended = TcpStream::connect(&addr).expect("connect");
+    (&ended).write_all(br#"{"op":"pi"#).expect("half a frame");
+    ended.shutdown(Shutdown::Write).expect("end the write half");
+    assert_bad_frame_reply(&read_to_eof(&ended));
+
+    // The peer falls silent: its connection thread blocks in its read, and
+    // another connection is served meanwhile.
+    let silent = TcpStream::connect(&addr).expect("connect");
+    (&silent).write_all(br#"{"op":"pi"#).expect("half a frame");
+    let mut client = Client::connect(&addr).expect("connect");
+    client.ping().expect("ping");
+    assert_eq!(stat(&client.stats().expect("stats"), "in_flight"), 0);
+    // Stopping ends the silent connection's read: what it sent is its last
+    // frame, answered like the one above, and the socket closes.
+    server.stop();
+    assert_bad_frame_reply(&read_to_eof(&silent));
+}
+
+#[test]
+fn a_connection_thread_that_returns_closes_its_socket() {
+    let (server, addr) = server(1);
+    let socket = TcpStream::connect(&addr).expect("connect");
+    (&socket)
+        .write_all(b"{\"op\":\"shutdown\"}\n")
+        .expect("send shutdown");
+    // The handler returns after its ack. The server still holds a clone of
+    // the socket, so only the handler's own shutdown shows the client EOF.
+    assert_eq!(read_to_eof(&socket), "{\"ok\":true,\"stopping\":true}\n");
+    assert!(server.stopped());
+    server.stop();
+}
+
+#[test]
+fn shutdown_during_a_coalesced_wait_runs_both_jobs_and_computes_once() {
+    let pool = WorkerPool::start(config(2));
+    let hot = small_sim(21);
+    let (_, rx) = pool.submit(hot.clone()).expect("prefill");
+    drain_soon(&rx);
+    let pool = &pool;
+    thread::scope(|s| {
+        // Inside the scope, so that an unwinding test opens the gate before
+        // the scope joins the thread waiting on the held workers.
+        let _gate = close_gate();
+        let (_, first) = pool.submit(bench("serve-gate")).expect("first");
+        let (_, second) = pool.submit(bench("serve-gate")).expect("second");
+        for rx in [&first, &second] {
+            expect_event(rx, "running", |e| matches!(e, JobEvent::Running { .. }));
+        }
+        // Both workers hold a job and one computation runs: the other job
+        // waits on its in-flight slot.
+        wait_until("one computation and no parked worker", || {
+            let stats = pool.live_stats();
+            stat(&stats, "in_flight") == 1 && stat(&stats, "workers_parked") == 0
+        });
+        let (stopped_tx, stopped) = mpsc::channel();
+        s.spawn(move || {
+            pool.shutdown();
+            let _ = stopped_tx.send(());
+        });
+        wait_until("shutdown to begin", || pool.submit(hot.clone()).is_err());
+        set_gate(true);
+        stopped.recv_timeout(SOON).expect("shutdown never returned");
+        let cached: Vec<bool> = [first, second]
+            .iter()
+            .map(|rx| match drain_soon(rx).last() {
+                Some(JobEvent::Done { cached, .. }) => *cached,
+                other => panic!("both jobs must complete: {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            cached.iter().filter(|&&c| c).count(),
+            1,
+            "one computes, the other is served its result: {cached:?}"
+        );
+    });
+    assert_eq!(stat(&pool.live_stats(), "in_flight"), 0);
 }
 
 #[test]
