@@ -15,7 +15,7 @@ use crate::common::{KernelResult, SharedSlice};
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
 use splash4_parmacs::SmallRng;
-use splash4_parmacs::{Counter, Dispatch, PhaseSpec, SyncEnv, WorkModel};
+use splash4_parmacs::{Counter, Dispatch, PhaseSpec, SyncEnv, Team, WorkModel};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Barnes-Hut kernel configuration.
@@ -475,25 +475,26 @@ pub fn run(cfg: &BarnesConfig, env: &SyncEnv) -> KernelResult {
     });
 
     // Validation: BH accelerations vs direct summation on the final state.
-    // NOTE: the tree at this point is from the last step's build, i.e. one
-    // advance behind the final positions; rebuild the comparison from the
-    // tree's own traversal on the stale tree vs direct sum on the *same*
-    // stale positions is not possible, so accept the advect error in the
-    // tolerance (θ error dominates for small dt).
+    // The tree is the last step's build, one advance behind the final
+    // positions; the tolerance absorbs that (θ's error dominates at small dt).
     let validated = {
-        // SAFETY: simulation complete; single-threaded validation.
+        // SAFETY: the ROI's team has joined; the oracle's team only reads.
         let pos: Vec<[f64; 3]> = (0..n).map(|i| unsafe { vpos.get(i) }).collect();
-        let mut total_rel = 0.0f64;
-        for (&pi, direct) in pos.iter().zip(direct_accels(&pos, mass, cfg.eps)) {
-            let bh = tree_accel(pi, cfg.theta);
-            let mag = (direct[0].powi(2) + direct[1].powi(2) + direct[2].powi(2)).sqrt();
-            let err = ((bh[0] - direct[0]).powi(2)
-                + (bh[1] - direct[1]).powi(2)
-                + (bh[2] - direct[2]).powi(2))
-            .sqrt();
-            total_rel += err / mag.max(1e-12);
-        }
-        (total_rel / n as f64) < 0.05
+        let direct = direct_accels(&pos, mass, cfg.eps, nthreads);
+        let parts = Team::new(nthreads).run_map(|ctx| {
+            let mut total_rel = 0.0f64;
+            for i in ctx.chunk(n) {
+                let (bh, direct) = (tree_accel(pos[i], cfg.theta), direct[i]);
+                let mag = (direct[0].powi(2) + direct[1].powi(2) + direct[2].powi(2)).sqrt();
+                let err = ((bh[0] - direct[0]).powi(2)
+                    + (bh[1] - direct[1]).powi(2)
+                    + (bh[2] - direct[2]).powi(2))
+                .sqrt();
+                total_rel += err / mag.max(1e-12);
+            }
+            total_rel
+        });
+        (parts.iter().sum::<f64>() / n as f64) < 0.05
     };
 
     let nu = n as u64;
@@ -522,21 +523,26 @@ pub fn run(cfg: &BarnesConfig, env: &SyncEnv) -> KernelResult {
     driver::finish(env, elapsed, checksum.load(), validated, work)
 }
 
-/// Softened direct-sum accelerations, visiting each unordered pair once.
-fn direct_accels(pos: &[[f64; 3]], mass: f64, eps: f64) -> Vec<[f64; 3]> {
-    let mut direct = vec![[0.0f64; 3]; pos.len()];
-    for (i, pi) in pos.iter().enumerate() {
-        for (j, pj) in pos.iter().enumerate().skip(i + 1) {
-            let dx = [pj[0] - pi[0], pj[1] - pi[1], pj[2] - pi[2]];
-            let d2 = dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2] + eps * eps;
-            let inv = mass / (d2 * d2.sqrt());
-            for d in 0..3 {
-                direct[i][d] += inv * dx[d];
-                direct[j][d] -= inv * dx[d];
+/// Softened direct-sum accelerations: each of `nthreads` threads sums the pairs
+/// `i < j` of its rows `i` on its own, and the parts are added in `tid` order.
+fn direct_accels(pos: &[[f64; 3]], mass: f64, eps: f64, nthreads: usize) -> Vec<[f64; 3]> {
+    let parts = Team::new(nthreads).run_map(|ctx| {
+        let mut direct = vec![[0.0f64; 3]; pos.len()];
+        for i in ctx.cyclic(pos.len()) {
+            for (j, pj) in pos.iter().enumerate().skip(i + 1) {
+                let dx = [pj[0] - pos[i][0], pj[1] - pos[i][1], pj[2] - pos[i][2]];
+                let d2 = dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2] + eps * eps;
+                let inv = mass / (d2 * d2.sqrt());
+                for d in 0..3 {
+                    direct[i][d] += inv * dx[d];
+                    direct[j][d] -= inv * dx[d];
+                }
             }
         }
-    }
-    direct
+        direct
+    });
+    let sum = |i: usize| [0, 1, 2].map(|d| parts.iter().map(|p| p[i][d]).sum());
+    (0..pos.len()).map(sum).collect()
 }
 
 /// `barnes`'s suite registration.
@@ -605,12 +611,17 @@ mod tests {
                 .map(|_| std::array::from_fn(|_| rng.gen_range(0.0..1.0)))
                 .collect();
             let mass = 1.0 / n as f64;
-            let got = direct_accels(&pos, mass, 0.05);
             let want = direct_accels_ordered(&pos, mass, 0.05);
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                let mag = w.iter().map(|x| x * x).sum::<f64>().sqrt();
-                let err = (0..3).map(|d| (g[d] - w[d]).powi(2)).sum::<f64>().sqrt();
-                assert!(err <= 1e-9 * mag, "n {n}, body {i}: {g:?} vs {w:?}");
+            for t in [1, 2, 3] {
+                let got = direct_accels(&pos, mass, 0.05, t);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    let mag = w.iter().map(|x| x * x).sum::<f64>().sqrt();
+                    let err = (0..3).map(|d| (g[d] - w[d]).powi(2)).sum::<f64>().sqrt();
+                    assert!(
+                        err <= 1e-9 * mag,
+                        "n {n}, {t} threads, body {i}: {g:?} vs {w:?}"
+                    );
+                }
             }
         }
     }

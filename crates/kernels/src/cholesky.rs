@@ -18,7 +18,7 @@ use crate::dynpool::dynamic_task_queue;
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
 use splash4_parmacs::SmallRng;
-use splash4_parmacs::{Dispatch, PhaseSpec, SyncEnv, WorkModel};
+use splash4_parmacs::{Dispatch, PhaseSpec, SyncEnv, Team, WorkModel};
 use splash4_reclaim::{PoolShape, ReclaimKind};
 use std::collections::HashMap;
 
@@ -381,7 +381,7 @@ pub fn run(cfg: &CholeskyConfig, env: &SyncEnv) -> KernelResult {
         barrier.wait(ctx.tid);
     });
 
-    let validated = validate(cfg, &original, &a);
+    let validated = validate(cfg, &original, &a, nthreads);
 
     let bb3 = (b as u64).pow(3);
     let n_potrf = nb as u64;
@@ -427,32 +427,31 @@ impl Workload for Cholesky {
 }
 
 /// Check `L·Lᵀ ≈ A` on the lower triangle.
-fn validate(cfg: &CholeskyConfig, original: &[f64], factored: &[f64]) -> bool {
-    max_err(cfg, original, factored) < 1e-6 * cfg.n as f64
+fn validate(cfg: &CholeskyConfig, original: &[f64], factored: &[f64], nthreads: usize) -> bool {
+    max_err(cfg, original, factored, nthreads) < 1e-6 * cfg.n as f64
 }
 
-/// `max |L·Lᵀ − A|` over the lower triangle, from a dense row-major copy of
-/// L: entry (i, j) is the dot product of rows i and j over `t ≤ j`.
-fn max_err(cfg: &CholeskyConfig, original: &[f64], factored: &[f64]) -> f64 {
+/// `max |L·Lᵀ − A|` over the lower triangle, each of `nthreads` threads taking
+/// its rows `cyclic(n)` of a dense row-major copy of L: entry (i, j) is the
+/// dot product of rows i and j over `t ≤ j` (only t ≤ j ≤ i is read).
+fn max_err(cfg: &CholeskyConfig, original: &[f64], factored: &[f64], nthreads: usize) -> f64 {
     let n = cfg.n;
     let ix = block_index(cfg);
-    let mut l = vec![0.0f64; n * n];
-    for i in 0..n {
-        for j in 0..=i {
-            l[i * n + j] = factored[ix(i, j)];
+    let l: Vec<f64> = (0..n * n).map(|e| factored[ix(e / n, e % n)]).collect();
+    let parts = Team::new(nthreads).run_map(|ctx| {
+        let mut max_err = 0.0f64;
+        for i in ctx.cyclic(n) {
+            for j in 0..=i {
+                let s = l[i * n..=i * n + j]
+                    .iter()
+                    .zip(&l[j * n..=j * n + j])
+                    .fold(0.0, |s, (x, y)| s + x * y);
+                max_err = max_err.max((s - original[ix(i, j)]).abs());
+            }
         }
-    }
-    let mut max_err = 0.0f64;
-    for i in 0..n {
-        for j in 0..=i {
-            let s = l[i * n..=i * n + j]
-                .iter()
-                .zip(&l[j * n..=j * n + j])
-                .fold(0.0, |s, (x, y)| s + x * y);
-            max_err = max_err.max((s - original[ix(i, j)]).abs());
-        }
-    }
-    max_err
+        max_err
+    });
+    parts.into_iter().fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -556,13 +555,24 @@ mod tests {
 
     #[test]
     fn max_err_is_bit_identical_to_the_by_index_reference() {
-        for class in [InputClass::Check, InputClass::Test] {
-            let cfg = CholeskyConfig::class(class);
+        // n = 15 is split unevenly at 2 and 4 threads, 8 and 64 at 3.
+        let odd = CholeskyConfig {
+            n: 15,
+            block: 5,
+            seed: 6,
+        };
+        for cfg in [InputClass::Check, InputClass::Test]
+            .map(CholeskyConfig::class)
+            .into_iter()
+            .chain([odd])
+        {
             let (original, mut factored) = factor(&cfg);
             for _ in 0..2 {
-                let got = max_err(&cfg, &original, &factored);
                 let want = validate_by_index(&cfg, &original, &factored);
-                assert_eq!(got.to_bits(), want.to_bits(), "{class:?}");
+                for t in [1, 2, 3, 4] {
+                    let got = max_err(&cfg, &original, &factored, t);
+                    assert_eq!(got.to_bits(), want.to_bits(), "n {} {t} threads", cfg.n);
+                }
                 // Then a perturbed factorization.
                 factored[block_index(&cfg)(cfg.n - 1, 1)] += 0.25;
             }
@@ -573,12 +583,27 @@ mod tests {
     fn validate_rejects_one_entry_off_by_1e_3_relative() {
         let cfg = CholeskyConfig::class(InputClass::Test);
         let (original, factored) = factor(&cfg);
-        assert!(validate(&cfg, &original, &factored));
         let n = cfg.n;
-        for (i, j) in [(0, 0), (n / 2, n / 2), (n - 1, 0), (n - 1, n - 2)] {
-            let mut bad = factored.clone();
-            bad[block_index(&cfg)(i, j)] *= 1.0 + 1e-3;
-            assert!(!validate(&cfg, &original, &bad), "({i}, {j})");
+        for t in [1, 2, 3] {
+            assert!(validate(&cfg, &original, &factored, t), "{t} threads");
+            for (i, j) in [(0, 0), (n / 2, n / 2), (n - 1, 0), (n - 1, n - 2)] {
+                let mut bad = factored.clone();
+                bad[block_index(&cfg)(i, j)] *= 1.0 + 1e-3;
+                assert!(
+                    !validate(&cfg, &original, &bad, t),
+                    "{t} threads ({i}, {j})"
+                );
+            }
+            // A factor entry shows in every row that reads it, an input entry
+            // only in its own: the split must cover rows 0 and n − 1.
+            for i in [0, n - 1] {
+                let mut bad = original.clone();
+                bad[block_index(&cfg)(i, i)] *= 1.0 + 1e-3;
+                assert!(
+                    !validate(&cfg, &bad, &factored, t),
+                    "{t} threads, input ({i}, {i})"
+                );
+            }
         }
     }
 
@@ -587,8 +612,11 @@ mod tests {
     fn validates_at_native() {
         let cfg = CholeskyConfig::class(InputClass::Native);
         for mode in SyncMode::ALL {
-            let r = run(&cfg, &SyncEnv::new(mode, 2));
-            assert!(r.validated, "mode {mode}");
+            // 3 threads split the oracle's rows unevenly.
+            for t in [2, 3] {
+                let r = run(&cfg, &SyncEnv::new(mode, t));
+                assert!(r.validated, "mode {mode}, {t} threads");
+            }
         }
     }
 

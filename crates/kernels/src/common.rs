@@ -16,8 +16,8 @@ use std::time::Duration;
 /// Outcome of one kernel execution.
 #[derive(Debug, Clone)]
 pub struct KernelResult {
-    /// Wall-clock time of the parallel region (excludes input generation and
-    /// validation, matching the suite's `ROI` timing convention).
+    /// Wall-clock time of the parallel region, its team's spawn and join included;
+    /// input generation and validation (whose oracle may run its own team) are not.
     pub elapsed: Duration,
     /// Output digest. Run to run it is bit-identical at one thread; across
     /// sync modes and thread counts, and between runs with several threads,

@@ -16,7 +16,7 @@ use crate::common::{KernelResult, SharedSlice};
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
 use splash4_parmacs::SmallRng;
-use splash4_parmacs::{Dispatch, PhaseSpec, SyncEnv, WorkModel};
+use splash4_parmacs::{Dispatch, PhaseSpec, SyncEnv, Team, WorkModel};
 
 /// A complex number (the kernels carry their own minimal arithmetic, as the
 /// original C code does).
@@ -138,43 +138,72 @@ fn fft_row(row: &mut [Cpx], sign: f64) {
     }
 }
 
-/// Sequential oracle: one iterative radix-2 transform over all n points with
-/// an exact twiddle table `cis(-2πk/n)` (a deliberately different code path
-/// from the six-step kernel: no transposes, no twiddle recurrence).
-pub fn oracle_fft(x: &[Cpx]) -> Vec<Cpx> {
-    let n = x.len();
-    assert!(n.is_power_of_two(), "n must be a power of two");
-    let shift = usize::BITS - n.trailing_zeros();
-    let mut out: Vec<Cpx> = (0..n)
-        .map(|i| x[i.reverse_bits().checked_shr(shift).unwrap_or(0)])
-        .collect();
-    let tw: Vec<Cpx> = (0..n / 2)
-        .map(|k| Cpx::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
-        .collect();
+/// The radix-2 stages `half = 1, 2, …` below `v.len()`, in place on bit-reversed
+/// `v`; butterfly k with `stride = v.len() / (2·half)` multiplies by `w(k, stride)`.
+fn butterflies(v: &mut [Cpx], w: impl Fn(usize, usize) -> Cpx) {
     let mut half = 1;
-    while half < n {
-        let stride = n / (2 * half);
-        for blk in out.chunks_exact_mut(2 * half) {
+    while half < v.len() {
+        let stride = v.len() / (2 * half);
+        for blk in v.chunks_exact_mut(2 * half) {
             let (e, o) = blk.split_at_mut(half);
             for k in 0..half {
-                let t = tw[k * stride].mul(o[k]);
+                let t = w(k, stride).mul(o[k]);
                 (e[k], o[k]) = (e[k].add(t), e[k].sub(t));
             }
         }
         half *= 2;
     }
+}
+
+/// Oracle: one iterative radix-2 transform with exact twiddles `cis(-2πk/n)`
+/// (unlike the six-step kernel's code) on `nthreads` threads. Pass one runs the
+/// stages below `len = n / blocks` by block, pass two the rest by residue mod
+/// `len`; each butterfly is the same at every thread count, and so is the output.
+pub fn oracle_fft(x: &[Cpx], nthreads: usize) -> Vec<Cpx> {
+    let n = x.len();
+    assert!(n.is_power_of_two(), "n must be a power of two");
+    let shift = usize::BITS - n.trailing_zeros();
+    let twiddle = |k: usize| Cpx::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64);
+    let (blocks, team) = (nthreads.next_power_of_two().min(n), Team::new(nthreads));
+    let len = n / blocks;
+    let mut out = vec![Cpx::default(); n];
+    let vout = SharedSlice::new(&mut out);
+    let tw: Vec<Cpx> = (0..len / 2).map(|k| twiddle(k * blocks)).collect();
+    team.run(|ctx| {
+        for b in ctx.cyclic(blocks) {
+            // SAFETY: block b is this thread's alone in this pass.
+            let v = unsafe { std::slice::from_raw_parts_mut(vout.at(b * len), len) };
+            for (i, v) in (b * len..).zip(v.iter_mut()) {
+                *v = x[i.reverse_bits().checked_shr(shift).unwrap_or(0)];
+            }
+            butterflies(v, |k, stride| tw[k * stride]);
+        }
+    });
+    if blocks > 1 {
+        team.run(|ctx| {
+            let mut v = vec![Cpx::default(); blocks];
+            for r in ctx.chunk(len) {
+                // SAFETY: the points ≡ r (mod len) are this thread's alone.
+                let at = |q: usize| unsafe { vout.at(r + q * len) };
+                v.iter_mut().enumerate().for_each(|(q, v)| *v = *at(q));
+                butterflies(&mut v, |k, stride| twiddle((r + k * len) * stride));
+                v.iter().enumerate().for_each(|(q, v)| *at(q) = *v);
+            }
+        });
+    }
     out
 }
 
 /// `got ≈ oracle_fft(input)` in every bin, relative to the largest bin.
-fn validate(input: &[Cpx], got: &[Cpx]) -> bool {
-    let want = oracle_fft(input);
+fn validate(input: &[Cpx], got: &[Cpx], nthreads: usize) -> bool {
+    let want = oracle_fft(input, nthreads);
+    let norm = |c: &Cpx| (c.re * c.re + c.im * c.im).sqrt(); // `hypot` costs 7× this
     let max_err = got
         .iter()
         .zip(&want)
-        .map(|(got, want)| got.sub(*want).abs())
+        .map(|(got, want)| norm(&got.sub(*want)))
         .fold(0.0f64, f64::max);
-    let scale = want.iter().map(|c| c.abs()).fold(0.0f64, f64::max).max(1.0);
+    let scale = want.iter().map(norm).fold(0.0f64, f64::max).max(1.0);
     max_err / scale < 1e-9
 }
 
@@ -252,7 +281,7 @@ pub fn run(cfg: &FftConfig, env: &SyncEnv) -> KernelResult {
         barrier.wait(ctx.tid);
     });
 
-    let validated = validate(&input, &b);
+    let validated = validate(&input, &b, nthreads);
 
     let log_m = (m.trailing_zeros()) as u64;
     let work = WorkModel::new("fft")
@@ -328,16 +357,19 @@ mod tests {
 
     #[test]
     fn oracle_is_bit_identical_to_the_recursive_reference() {
+        // n = 1, 2 and 4 are below 2·threads at 3 and 4 threads.
         for log_n in 0..=16 {
             let x = signal(1 << log_n, log_n as u64);
-            let got = oracle_fft(&x);
             let want = oracle_fft_recursive(&x);
-            assert_eq!(got.len(), want.len());
-            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert!(
-                    g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
-                    "n = 2^{log_n}, bin {k}: {g:?} vs {w:?}"
-                );
+            for t in [1, 2, 3, 4] {
+                let got = oracle_fft(&x, t);
+                assert_eq!(got.len(), want.len());
+                for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+                        "n = 2^{log_n}, {t} threads, bin {k}: {g:?} vs {w:?}"
+                    );
+                }
             }
         }
     }
@@ -347,11 +379,14 @@ mod tests {
         let x = signal(4096, 9);
         let mut got = x.clone();
         fft_row(&mut got, -1.0);
-        assert!(validate(&x, &got));
-        for k in [0, 1, 2047, 4095] {
-            let mut bad = got.clone();
-            bad[k] = Cpx::new(bad[k].re * (1.0 + 1e-3), bad[k].im * (1.0 + 1e-3));
-            assert!(!validate(&x, &bad), "bin {k} perturbed");
+        for t in [1, 2, 3] {
+            assert!(validate(&x, &got, t), "{t} threads");
+            // The first bin and the last, each in a different thread's block.
+            for k in [0, 1, 2047, 4095] {
+                let mut bad = got.clone();
+                bad[k] = Cpx::new(bad[k].re * (1.0 + 1e-3), bad[k].im * (1.0 + 1e-3));
+                assert!(!validate(&x, &bad, t), "{t} threads, bin {k} perturbed");
+            }
         }
     }
 
@@ -360,8 +395,11 @@ mod tests {
     fn validates_at_native() {
         let cfg = FftConfig::class(InputClass::Native);
         for mode in SyncMode::ALL {
-            let r = run(&cfg, &SyncEnv::new(mode, 2));
-            assert!(r.validated, "mode {mode}");
+            // 3 threads split the oracle's 4 blocks unevenly.
+            for t in [2, 3] {
+                let r = run(&cfg, &SyncEnv::new(mode, t));
+                assert!(r.validated, "mode {mode}, {t} threads");
+            }
         }
     }
 
@@ -369,7 +407,7 @@ mod tests {
     fn oracle_matches_known_dft() {
         // FFT of a constant signal is an impulse at bin 0.
         let x = vec![Cpx::new(1.0, 0.0); 8];
-        let y = oracle_fft(&x);
+        let y = oracle_fft(&x, 1);
         assert!(close(y[0].re, 8.0, 1e-12));
         for (k, bin) in y.iter().enumerate().skip(1) {
             assert!(bin.abs() < 1e-9, "bin {k} should be ~0, got {bin:?}");
@@ -381,7 +419,7 @@ mod tests {
         let x = signal(32, 7);
         let mut got = x.clone();
         fft_row(&mut got, -1.0);
-        let want = oracle_fft(&x);
+        let want = oracle_fft(&x, 1);
         for (g, w) in got.iter().zip(&want) {
             assert!(g.sub(*w).abs() < 1e-9);
         }

@@ -17,7 +17,7 @@ use crate::fft::Cpx;
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
 use splash4_parmacs::SmallRng;
-use splash4_parmacs::{Dispatch, PhaseSpec, SyncEnv, WorkModel};
+use splash4_parmacs::{Dispatch, PhaseSpec, SyncEnv, Team, WorkModel};
 
 /// FMM kernel configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -389,7 +389,7 @@ pub fn run(cfg: &FmmConfig, env: &SyncEnv) -> KernelResult {
         barrier.wait(ctx.tid);
     });
 
-    let validated = validate(&pos, &charge, &phi_store);
+    let validated = validate(&pos, &charge, &phi_store, nthreads);
 
     let nu = n as u64;
     let cells2plus: u64 = (2..=lmax).map(|l| (side(l) * side(l)) as u64).sum();
@@ -424,8 +424,8 @@ pub fn run(cfg: &FmmConfig, env: &SyncEnv) -> KernelResult {
 }
 
 /// Every potential against direct summation, relative to the largest.
-fn validate(pos: &[Cpx], charge: &[f64], phi: &[f64]) -> bool {
-    let direct = direct_potentials(pos, charge);
+fn validate(pos: &[Cpx], charge: &[f64], phi: &[f64], nthreads: usize) -> bool {
+    let direct = direct_potentials(pos, charge, nthreads);
     let scale = direct.iter().map(|d| d.abs()).fold(0.0, f64::max);
     let max_rel = phi
         .iter()
@@ -435,20 +435,23 @@ fn validate(pos: &[Cpx], charge: &[f64], phi: &[f64]) -> bool {
     max_rel / scale.max(1e-12) < 1e-3
 }
 
-/// `φ_i = Σ_{j≠i} q_j ln|z_i − z_j|`, visiting each unordered pair once
-/// with `ln|d| = ½ ln|d|²`.
-fn direct_potentials(pos: &[Cpx], charge: &[f64]) -> Vec<f64> {
+/// `φ_i = Σ_{j≠i} q_j ln|z_i − z_j|` with `ln|d| = ½ ln|d|²`: each of `nthreads`
+/// threads sums the pairs `i < j` of its rows `i`; parts are added in `tid` order.
+fn direct_potentials(pos: &[Cpx], charge: &[f64], nthreads: usize) -> Vec<f64> {
     let n = pos.len();
-    let mut direct = vec![0.0f64; n];
-    for i in 0..n {
-        for j in i + 1..n {
-            let d = pos[i].sub(pos[j]);
-            let l = 0.5 * (d.re * d.re + d.im * d.im).ln();
-            direct[i] += charge[j] * l;
-            direct[j] += charge[i] * l;
+    let parts = Team::new(nthreads).run_map(|ctx| {
+        let mut direct = vec![0.0f64; n];
+        for i in ctx.cyclic(n) {
+            for j in i + 1..n {
+                let d = pos[i].sub(pos[j]);
+                let l = 0.5 * (d.re * d.re + d.im * d.im).ln();
+                direct[i] += charge[j] * l;
+                direct[j] += charge[i] * l;
+            }
         }
-    }
-    direct
+        direct
+    });
+    (0..n).map(|i| parts.iter().map(|p| p[i]).sum()).collect()
 }
 
 /// `fmm`'s suite registration.
@@ -514,10 +517,15 @@ mod tests {
     fn direct_sum_matches_the_ordered_pair_reference() {
         for (n, seed) in [(1, 1), (2, 2), (33, 3), (2048, 4)] {
             let (pos, charge) = particles(n, seed);
-            let got = direct_potentials(&pos, &charge);
             let want = direct_potentials_ordered(&pos, &charge);
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert!(close(*g, *w, 1e-9), "n {n}, particle {i}: {g} vs {w}");
+            for t in [1, 2, 3] {
+                let got = direct_potentials(&pos, &charge, t);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        close(*g, *w, 1e-9),
+                        "n {n}, {t} threads, particle {i}: {g} vs {w}"
+                    );
+                }
             }
         }
     }
@@ -526,14 +534,20 @@ mod tests {
     fn validate_rejects_one_potential_off_by_1e_3_of_the_largest() {
         let (pos, charge) = particles(512, 5);
         let phi = direct_potentials_ordered(&pos, &charge);
-        assert!(validate(&pos, &charge, &phi));
         // The tolerance is relative to the largest potential, so that is
         // the unit a perturbation is measured in.
         let scale = phi.iter().fold(0.0f64, |m, p| m.max(p.abs()));
-        for i in [0, 255, 511] {
-            let mut bad = phi.clone();
-            bad[i] += 1.001e-3 * scale;
-            assert!(!validate(&pos, &charge, &bad), "particle {i}");
+        for t in [1, 2, 3] {
+            assert!(validate(&pos, &charge, &phi, t), "{t} threads");
+            // The first row, one in the middle and the last.
+            for i in [0, 255, 511] {
+                let mut bad = phi.clone();
+                bad[i] += 1.001e-3 * scale;
+                assert!(
+                    !validate(&pos, &charge, &bad, t),
+                    "{t} threads, particle {i}"
+                );
+            }
         }
     }
 

@@ -2,11 +2,11 @@
 //! synchronization back-end.
 //!
 //! Each kernel module exposes a `Config` (with [`InputClass`] presets), a
-//! `run(&Config, &SyncEnv) -> KernelResult` entry point and a sequential
-//! oracle or invariant check used for validation. The *same* kernel code runs
-//! as Splash-3 or Splash-4 depending on the [`SyncEnv`](splash4_parmacs::SyncEnv)
-//! policy — see the `splash4-parmacs` crate documentation for the
-//! construct-by-construct mapping.
+//! `run(&Config, &SyncEnv) -> KernelResult` entry point and an oracle or
+//! invariant check, run after the ROI, that validates the result. The *same*
+//! kernel code runs as Splash-3 or Splash-4 depending on the
+//! [`SyncEnv`](splash4_parmacs::SyncEnv) policy — see the `splash4-parmacs`
+//! crate documentation for the construct-by-construct mapping.
 
 #![warn(missing_docs)]
 

@@ -21,7 +21,7 @@ use crate::common::{KernelResult, SharedSlice};
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
 use splash4_parmacs::SmallRng;
-use splash4_parmacs::{PhaseSpec, SyncEnv, WorkModel};
+use splash4_parmacs::{PhaseSpec, SyncEnv, Team, WorkModel};
 
 /// Matrix storage layout (the suite's contiguous / non-contiguous pair).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -305,7 +305,7 @@ pub fn run(cfg: &LuConfig, env: &SyncEnv) -> KernelResult {
         barrier.wait(ctx.tid);
     });
 
-    let validated = validate(cfg, &original, &a);
+    let validated = validate(cfg, &original, &a, nthreads);
 
     let nbu = nb as u64;
     let bb3 = (b as u64).pow(3);
@@ -381,36 +381,39 @@ impl Workload for LuNoncont {
 }
 
 /// Check `L·U ≈ A` element-wise.
-fn validate(cfg: &LuConfig, original: &[f64], factored: &[f64]) -> bool {
-    max_err(cfg, original, factored) < 1e-6 * cfg.n as f64
+fn validate(cfg: &LuConfig, original: &[f64], factored: &[f64], nthreads: usize) -> bool {
+    max_err(cfg, original, factored, nthreads) < 1e-6 * cfg.n as f64
 }
 
-/// `max |L·U − A|`, built a row at a time from a dense row-major copy of
-/// `factored`: row i of L·U is `Σ_{t<i} L[i][t]·U[t][t..]` plus `U[i][i..]`
-/// (L unit lower, U upper), each entry summed in t order.
-fn max_err(cfg: &LuConfig, original: &[f64], factored: &[f64]) -> f64 {
+/// `max |L·U − A|`, each of `nthreads` threads building its rows `cyclic(n)`
+/// from a dense row-major copy of `factored`: row i of L·U is `Σ_{t<i}
+/// L[i][t]·U[t][t..]` plus `U[i][i..]` (L unit lower, U upper), summed in t order.
+fn max_err(cfg: &LuConfig, original: &[f64], factored: &[f64], nthreads: usize) -> f64 {
     let n = cfg.n;
     let f: Vec<f64> = (0..n * n)
         .map(|e| at(cfg, factored, e / n, e % n))
         .collect();
-    let mut row = vec![0.0f64; n];
-    let mut max_err = 0.0f64;
-    for i in 0..n {
-        row.fill(0.0);
-        for t in 0..i {
-            let l = f[i * n + t];
-            for (r, u) in row[t..].iter_mut().zip(&f[t * n + t..(t + 1) * n]) {
-                *r += l * u;
+    let parts = Team::new(nthreads).run_map(|ctx| {
+        let mut row = vec![0.0f64; n];
+        let mut max_err = 0.0f64;
+        for i in ctx.cyclic(n) {
+            row.fill(0.0);
+            for t in 0..i {
+                let l = f[i * n + t];
+                for (r, u) in row[t..].iter_mut().zip(&f[t * n + t..(t + 1) * n]) {
+                    *r += l * u;
+                }
+            }
+            for (r, u) in row[i..].iter_mut().zip(&f[i * n + i..(i + 1) * n]) {
+                *r += u;
+            }
+            for (j, r) in row.iter().enumerate() {
+                max_err = max_err.max((r - at(cfg, original, i, j)).abs());
             }
         }
-        for (r, u) in row[i..].iter_mut().zip(&f[i * n + i..(i + 1) * n]) {
-            *r += u;
-        }
-        for (j, r) in row.iter().enumerate() {
-            max_err = max_err.max((r - at(cfg, original, i, j)).abs());
-        }
-    }
-    max_err
+        max_err
+    });
+    parts.into_iter().fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -469,17 +472,32 @@ mod tests {
 
     #[test]
     fn max_err_is_bit_identical_to_the_by_index_reference() {
+        // n = 15 is split unevenly at 2 and 4 threads, 8 and 64 at 3.
+        let odd = LuConfig {
+            n: 15,
+            block: 5,
+            seed: 6,
+            layout: LuLayout::Contiguous,
+        };
         for layout in [LuLayout::Contiguous, LuLayout::RowMajor] {
-            for class in [InputClass::Check, InputClass::Test] {
-                let cfg = LuConfig {
-                    layout,
-                    ..LuConfig::class(class)
-                };
+            let sizes = [
+                LuConfig::class(InputClass::Check),
+                LuConfig::class(InputClass::Test),
+                odd,
+            ];
+            for cfg in sizes.map(|c| LuConfig { layout, ..c }) {
                 let (original, mut factored) = factor(&cfg);
                 for _ in 0..2 {
-                    let got = max_err(&cfg, &original, &factored);
                     let want = validate_by_index(&cfg, &original, &factored);
-                    assert_eq!(got.to_bits(), want.to_bits(), "{layout:?} {class:?}");
+                    for t in [1, 2, 3, 4] {
+                        let got = max_err(&cfg, &original, &factored, t);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{layout:?} n {} {t} threads",
+                            cfg.n
+                        );
+                    }
                     // Then a perturbed factorization.
                     factored[cfg.index(0, 1, 1, 2)] += 0.25;
                 }
@@ -495,13 +513,31 @@ mod tests {
                 ..LuConfig::class(InputClass::Test)
             };
             let (original, factored) = factor(&cfg);
-            assert!(validate(&cfg, &original, &factored), "{layout:?}");
             let n = cfg.n;
-            for (i, j) in [(0, 0), (n / 2, n / 2), (n - 1, 0), (3, n - 1)] {
-                let mut bad = factored.clone();
+            for t in [1, 2, 3] {
+                assert!(
+                    validate(&cfg, &original, &factored, t),
+                    "{layout:?} {t} threads"
+                );
                 let b = cfg.block;
-                bad[cfg.index(i / b, j / b, i % b, j % b)] *= 1.0 + 1e-3;
-                assert!(!validate(&cfg, &original, &bad), "{layout:?} ({i}, {j})");
+                for (i, j) in [(0, 0), (n / 2, n / 2), (n - 1, 0), (3, n - 1)] {
+                    let mut bad = factored.clone();
+                    bad[cfg.index(i / b, j / b, i % b, j % b)] *= 1.0 + 1e-3;
+                    assert!(
+                        !validate(&cfg, &original, &bad, t),
+                        "{layout:?} {t} threads ({i}, {j})"
+                    );
+                }
+                // A factor entry shows in every row that reads it, an input
+                // entry only in its own: the split must cover rows 0 and n − 1.
+                for i in [0, n - 1] {
+                    let mut bad = original.clone();
+                    bad[cfg.index(i / b, i / b, i % b, i % b)] *= 1.0 + 1e-3;
+                    assert!(
+                        !validate(&cfg, &bad, &factored, t),
+                        "{layout:?} {t} threads, input ({i}, {i})"
+                    );
+                }
             }
         }
     }
@@ -514,8 +550,11 @@ mod tests {
             LuConfig::class_noncont(InputClass::Native),
         ] {
             for mode in SyncMode::ALL {
-                let r = run(&cfg, &SyncEnv::new(mode, 2));
-                assert!(r.validated, "mode {mode}, {:?}", cfg.layout);
+                // 3 threads split the oracle's rows unevenly.
+                for t in [2, 3] {
+                    let r = run(&cfg, &SyncEnv::new(mode, t));
+                    assert!(r.validated, "mode {mode}, {t} threads, {:?}", cfg.layout);
+                }
             }
         }
     }
