@@ -304,7 +304,8 @@ pub fn work_model(b: BenchmarkId, class: InputClass) -> WorkModel {
 }
 
 /// Run `b` natively with a ring recorder attached and return the kernel
-/// result together with the recorded trace.
+/// result together with the recorded trace. `F8-trace-replay` and the
+/// `benchmark/` package are its callers.
 pub fn record_trace(
     b: BenchmarkId,
     class: InputClass,
@@ -889,8 +890,9 @@ pub const D1_MIX_DIMS: [&str; 8] = [
     "locks", "rmws", "barriers", "getsubs", "reduces", "flags", "queues", "reclaim",
 ];
 
-/// One workload's `D1-diversity` characterization: the normalized sync-op
-/// mix plus the normalized contention timeline from `splash4-trace`.
+/// One workload's `D1-diversity` characterization: its normalized sync-op
+/// mix, read from the [`SyncProfile`](splash4_parmacs::SyncProfile)s of two
+/// untraced runs.
 #[derive(Debug, Clone)]
 pub struct DiversityPoint {
     /// Workload this point characterizes.
@@ -898,76 +900,54 @@ pub struct DiversityPoint {
     /// Normalized sync-op mix over [`D1_MIX_DIMS`] (sums to 1 unless the
     /// workload performs no sync ops at all).
     pub mix: [f64; 8],
-    /// Normalized 16-bin sync-event timeline of the traced lock-free run.
-    pub timeline: [f64; 16],
 }
 
 impl DiversityPoint {
-    /// Characterize `b`: one traced lock-free run (mix + timeline) plus
-    /// one lock-based run (the lock dimension only exists under Splash-3).
+    /// Characterize `b`: one lock-free run plus one lock-based run (the lock
+    /// dimension only exists under Splash-3). Every dimension is a logical
+    /// count, so no wait time or failed CAS enters it: RMWs without the CAS
+    /// retries, flags by their `set`s (`flag_waits` counts only the
+    /// timing-dependent slow path). Only work that the interleaving itself
+    /// deals out (task-queue pops, reclamation scans) moves run to run.
     pub fn measure(b: BenchmarkId, class: InputClass, threads: usize) -> DiversityPoint {
-        let (lf, trace) = record_trace(b, class, SyncMode::LockFree, threads);
-        let lb = b.run(class, &SyncEnv::new(SyncMode::LockBased, threads));
-        let summary = TraceSummary::from_trace(&trace);
+        let run = |mode| b.run(class, &SyncEnv::new(mode, threads)).profile;
+        let (lf, lb) = (run(SyncMode::LockFree), run(SyncMode::LockBased));
         let raw = [
-            lb.profile.lock_acquires as f64,
-            lf.profile.atomic_rmws as f64,
-            lf.profile.barrier_waits as f64,
-            lf.profile.getsub_calls as f64,
-            lf.profile.reduce_ops as f64,
-            // Flag *signals* from the trace: `flag_waits` only counts the
-            // timing-dependent slow path, the trace records every set.
-            summary.rmws[ConstructClass::Flag as usize] as f64,
-            lf.profile.queue_ops as f64,
-            (lf.profile.reclaim_retires + lf.profile.reclaim_scans + lf.profile.reclaim_frees)
-                as f64,
-        ];
+            lb.lock_acquires,
+            lf.atomic_rmws - lf.cas_failures,
+            lf.barrier_waits,
+            lf.getsub_calls,
+            lf.reduce_ops,
+            lf.flag_sets,
+            lf.queue_ops,
+            lf.reclaim_retires + lf.reclaim_scans + lf.reclaim_frees,
+        ]
+        .map(|n| n as f64);
         let total: f64 = raw.iter().sum();
-        let mut mix = [0.0; 8];
-        if total > 0.0 {
-            for (m, r) in mix.iter_mut().zip(raw) {
-                *m = r / total;
-            }
-        }
-        let tl_total: f64 = summary.timeline.iter().map(|&v| v as f64).sum();
-        let mut timeline = [0.0; 16];
-        if tl_total > 0.0 {
-            for (t, &v) in timeline.iter_mut().zip(summary.timeline.iter()) {
-                *t = v as f64 / tl_total;
-            }
-        }
         DiversityPoint {
             benchmark: b,
-            mix,
-            timeline,
+            mix: raw.map(|r| if total > 0.0 { r / total } else { 0.0 }),
         }
     }
 
-    /// Distance to `other`: Euclidean over the mix vectors plus a
-    /// half-weighted Euclidean over the contention timelines.
+    /// Euclidean distance between the mix vectors.
     pub fn distance(&self, other: &DiversityPoint) -> f64 {
-        let mix: f64 = self
+        let sq: f64 = self
             .mix
             .iter()
             .zip(other.mix)
             .map(|(a, b)| (a - b) * (a - b))
             .sum();
-        let tl: f64 = self
-            .timeline
-            .iter()
-            .zip(other.timeline)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum();
-        (mix + 0.25 * tl).sqrt()
+        sq.sqrt()
     }
 }
 
 /// `D1-diversity`: Renaissance-style redundancy analysis — per-workload
-/// sync-op mix vectors and contention timelines, reduced to a pairwise
-/// distance matrix with nearest-neighbor summaries. The suite-extension
-/// claim: `cmap` and `stream` occupy mix/timeline regions none of the
-/// original kernels do, so each sits farther from its nearest original
-/// than any original sits from its own nearest sibling.
+/// sync-op mix vectors, reduced to a pairwise distance matrix with
+/// nearest-neighbor summaries. The suite-extension claim: `cmap` and
+/// `stream` occupy mix regions none of the original kernels do, so each
+/// sits farther from its nearest original than any original sits from its
+/// own nearest sibling.
 fn d1_diversity(id: &str, ctx: &ExperimentCtx) -> Report {
     let threads = ctx.native_threads.iter().copied().max().unwrap_or(2);
     let points: Vec<DiversityPoint> = ctx
@@ -1005,7 +985,6 @@ fn d1_diversity(id: &str, ctx: &ExperimentCtx) -> Report {
         jrows.push(json!({
             "benchmark": p.benchmark.name(),
             "mix": p.mix.to_vec(),
-            "timeline": p.timeline.to_vec(),
             "nearest": points[nj].benchmark.name(),
             "nearest_distance": nd,
             "distances": matrix[i].clone(),
@@ -1024,15 +1003,14 @@ fn d1_diversity(id: &str, ctx: &ExperimentCtx) -> Report {
     }
 
     let text = format!(
-        "{}\npairwise distance matrix (sync-op mix × contention timeline):\n{}",
+        "{}\npairwise distance matrix (sync-op mix):\n{}",
         t.render(),
         mt.render()
     );
     Report {
         id: id.into(),
         title: format!(
-            "Workload diversity: sync-op mix and contention-timeline distances \
-             ({} workloads, {} class, {} threads)",
+            "Workload diversity: sync-op mix distances ({} workloads, {} class, {} threads)",
             n,
             ctx.class.label(),
             threads
@@ -1269,6 +1247,17 @@ mod tests {
                 row["nearest_distance"].as_f64().unwrap() > 0.0,
                 "{name} has a zero-distance twin"
             );
+        }
+    }
+
+    /// D1's mix is made of logical counts only, so it is the same in every
+    /// run: no wait time, contention or timing enters it.
+    #[test]
+    fn d1_mix_is_identical_run_to_run() {
+        for b in [BenchmarkId::Lu, BenchmarkId::Ocean] {
+            let a = DiversityPoint::measure(b, InputClass::Test, 2);
+            let c = DiversityPoint::measure(b, InputClass::Test, 2);
+            assert_eq!(a.mix.map(f64::to_bits), c.mix.map(f64::to_bits), "{b}");
         }
     }
 

@@ -1,18 +1,30 @@
 //! Integration tests for the sync-event tracing subsystem: codec round
 //! trips, ring overflow accounting, recorder transparency (traced runs must
-//! match untraced runs), and trace-driven simulation determinism.
+//! match untraced runs), trace-driven simulation determinism, and a workload
+//! registered at runtime traced and lowered like a built-in.
 
-use splash4::trace::codec;
-use splash4::{
-    engine, lower_trace, Benchmark, BenchmarkExt as _, InputClass, MachineParams, RingRecorder,
-    SyncEnv, SyncMode, SyncPolicy, TraceSummary,
-};
+use splash4_harness::{record_trace, BenchmarkId as Benchmark};
+use splash4_kernels::workload::{self, driver};
+use splash4_kernels::{InputClass, KernelResult, Workload};
+use splash4_parmacs::{SyncEnv, SyncMode, SyncPolicy, SyncProfile, WorkModel};
+use splash4_sim::{engine, MachineParams};
+use splash4_trace::{codec, lower::lower, RingRecorder, TraceSummary};
+
+/// A traced run validates and records every thread's events, none dropped.
+#[test]
+fn record_trace_records_and_validates() {
+    let (result, trace) = record_trace(Benchmark::Lu, InputClass::Test, SyncMode::LockFree, 2);
+    assert!(result.validated);
+    assert_eq!(trace.nthreads(), 2);
+    assert!(!trace.is_empty());
+    assert_eq!(trace.dropped(), 0);
+}
 
 /// Codec round trip on a real recorded trace: the binary encoding
 /// reconstructs the exact event streams.
 #[test]
 fn codec_round_trips_a_real_trace() {
-    let (_, trace) = Benchmark::Radix.run_traced(InputClass::Test, SyncMode::LockFree, 3);
+    let (_, trace) = record_trace(Benchmark::Radix, InputClass::Test, SyncMode::LockFree, 3);
     assert!(!trace.is_empty());
 
     let bytes = codec::encode(&trace);
@@ -26,8 +38,8 @@ fn small_rings_count_their_drops() {
     let threads = 2;
     let recorder = std::sync::Arc::new(RingRecorder::with_capacity("tiny", threads, 16));
     let env = SyncEnv::new(SyncMode::LockFree, threads).with_trace(recorder.clone());
-    let r = splash4::radix::run(
-        &splash4::radix::RadixConfig {
+    let r = splash4_kernels::radix::run(
+        &splash4_kernels::radix::RadixConfig {
             n: 4096,
             bits: 8,
             seed: 7,
@@ -52,8 +64,8 @@ fn small_rings_count_their_drops() {
 fn tracing_is_transparent_to_kernel_results() {
     for b in [Benchmark::Fft, Benchmark::Radix] {
         for mode in [SyncMode::LockBased, SyncMode::LockFree] {
-            let plain = b.execute(InputClass::Test, mode, 2);
-            let (traced, trace) = b.run_traced(InputClass::Test, mode, 2);
+            let plain = b.run(InputClass::Test, &SyncEnv::new(mode, 2));
+            let (traced, trace) = record_trace(b, InputClass::Test, mode, 2);
             assert!(plain.validated && traced.validated);
             assert_eq!(
                 plain.checksum, traced.checksum,
@@ -63,7 +75,7 @@ fn tracing_is_transparent_to_kernel_results() {
             // and contention counters vary run to run even without tracing.
             // Every failed CAS is also counted as one more RMW, so the
             // logical RMWs are the difference.
-            let counts = |p: &splash4::SyncProfile| {
+            let counts = |p: &SyncProfile| {
                 (
                     p.lock_acquires,
                     p.barrier_waits,
@@ -90,8 +102,8 @@ fn tracing_is_transparent_to_kernel_results() {
 #[test]
 fn both_backends_emit_the_same_logical_events() {
     for b in [Benchmark::Lu, Benchmark::Radix, Benchmark::Raytrace] {
-        let (_, lb) = b.run_traced(InputClass::Test, SyncMode::LockBased, 2);
-        let (_, lf) = b.run_traced(InputClass::Test, SyncMode::LockFree, 2);
+        let (_, lb) = record_trace(b, InputClass::Test, SyncMode::LockBased, 2);
+        let (_, lf) = record_trace(b, InputClass::Test, SyncMode::LockFree, 2);
         let (slb, slf) = (TraceSummary::from_trace(&lb), TraceSummary::from_trace(&lf));
         assert_eq!(slb.getsub_grabs, slf.getsub_grabs, "{b} grabs");
         assert_eq!(slb.getsub_items, slf.getsub_items, "{b} items");
@@ -106,13 +118,13 @@ fn both_backends_emit_the_same_logical_events() {
 /// identical simulated cycles on every lowering.
 #[test]
 fn trace_driven_simulation_is_deterministic() {
-    let (_, trace) = Benchmark::Ocean.run_traced(InputClass::Test, SyncMode::LockFree, 4);
+    let (_, trace) = record_trace(Benchmark::Ocean, InputClass::Test, SyncMode::LockFree, 4);
     for machine in [MachineParams::epyc_like(), MachineParams::icelake_like()] {
         for mode in [SyncMode::LockBased, SyncMode::LockFree] {
             for cores in [1usize, 8, 64] {
                 let policy = SyncPolicy::uniform(mode);
-                let a = lower_trace(&trace, policy, cores, &machine);
-                let b = lower_trace(&trace, policy, cores, &machine);
+                let a = lower(&trace, policy, cores, &machine);
+                let b = lower(&trace, policy, cores, &machine);
                 assert_eq!(a, b);
                 assert_eq!(
                     engine::run(&a, &machine).total_ns,
@@ -121,4 +133,58 @@ fn trace_driven_simulation_is_deterministic() {
             }
         }
     }
+}
+
+/// An out-of-tree workload: a `GETSUB`-dispensed index sum, so its run
+/// records counter and reduction events.
+struct TraceMill;
+
+impl Workload for TraceMill {
+    fn name(&self) -> &'static str {
+        "trace-mill"
+    }
+
+    fn input_description(&self, _: InputClass) -> String {
+        "2048 milled indices".into()
+    }
+
+    fn run(&self, _: InputClass, env: &SyncEnv) -> KernelResult {
+        let counter = env.counter("mill.index", 0..2048);
+        let sum = env.reducer_f64();
+        let elapsed = driver::roi(env, |_| {
+            let mut local = 0.0;
+            while let Some(i) = counter.next() {
+                local += i as f64;
+            }
+            sum.add(local);
+        });
+        let got = sum.load();
+        driver::finish(
+            env,
+            elapsed,
+            got,
+            got == 2047.0 * 1024.0,
+            WorkModel::new("trace-mill"),
+        )
+    }
+}
+
+static TRACE_MILL: TraceMill = TraceMill;
+
+/// A workload registered at runtime is recorded and lowered with no edit to
+/// the trace layer.
+#[test]
+fn a_registered_workload_is_traced_and_lowered() {
+    workload::register(&TRACE_MILL).expect("fresh name registers");
+    let b = Benchmark::from_name("trace-mill").expect("the harness sees it");
+    let (traced, trace) = record_trace(b, InputClass::Test, SyncMode::LockFree, 2);
+    assert!(traced.validated, "traced run must validate");
+    assert!(!trace.is_empty(), "the mill's sync ops must be recorded");
+    let prog = lower(
+        &trace,
+        SyncPolicy::uniform(SyncMode::LockFree),
+        8,
+        &MachineParams::icelake_like(),
+    );
+    assert_eq!(prog.ncores(), 8);
 }

@@ -481,20 +481,7 @@ pub fn run(cfg: &BarnesConfig, env: &SyncEnv) -> KernelResult {
         // SAFETY: the ROI's team has joined; the oracle's team only reads.
         let pos: Vec<[f64; 3]> = (0..n).map(|i| unsafe { vpos.get(i) }).collect();
         let direct = direct_accels(&pos, mass, cfg.eps, nthreads);
-        let parts = Team::new(nthreads).run_map(|ctx| {
-            let mut total_rel = 0.0f64;
-            for i in ctx.chunk(n) {
-                let (bh, direct) = (tree_accel(pos[i], cfg.theta), direct[i]);
-                let mag = (direct[0].powi(2) + direct[1].powi(2) + direct[2].powi(2)).sqrt();
-                let err = ((bh[0] - direct[0]).powi(2)
-                    + (bh[1] - direct[1]).powi(2)
-                    + (bh[2] - direct[2]).powi(2))
-                .sqrt();
-                total_rel += err / mag.max(1e-12);
-            }
-            total_rel
-        });
-        (parts.iter().sum::<f64>() / n as f64) < 0.05
+        validate(|i| tree_accel(pos[i], cfg.theta), &direct, nthreads)
     };
 
     let nu = n as u64;
@@ -521,6 +508,27 @@ pub fn run(cfg: &BarnesConfig, env: &SyncEnv) -> KernelResult {
         .phase(PhaseSpec::compute("checksum", nu, 4).reduces(nthreads as f64 / nu as f64));
 
     driver::finish(env, elapsed, checksum.load(), validated, work)
+}
+
+/// Mean relative error of the tree accelerations `bh(i)` against `direct`
+/// under 5 %, each of `nthreads` threads summing its chunk. A NaN anywhere
+/// propagates through the sums and fails the comparison.
+fn validate(bh: impl Fn(usize) -> [f64; 3] + Sync, direct: &[[f64; 3]], nthreads: usize) -> bool {
+    let n = direct.len();
+    let parts = Team::new(nthreads).run_map(|ctx| {
+        let mut total_rel = 0.0f64;
+        for i in ctx.chunk(n) {
+            let (bh, direct) = (bh(i), direct[i]);
+            let mag = (direct[0].powi(2) + direct[1].powi(2) + direct[2].powi(2)).sqrt();
+            let err = ((bh[0] - direct[0]).powi(2)
+                + (bh[1] - direct[1]).powi(2)
+                + (bh[2] - direct[2]).powi(2))
+            .sqrt();
+            total_rel += err / mag.max(1e-12);
+        }
+        total_rel
+    });
+    (parts.iter().sum::<f64>() / n as f64) < 0.05
 }
 
 /// Softened direct-sum accelerations: each of `nthreads` threads sums the pairs
@@ -682,6 +690,22 @@ mod tests {
                     r.checksum,
                     base.checksum
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_one_nan_acceleration_first_or_last() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let pos: Vec<[f64; 3]> = (0..256)
+            .map(|_| std::array::from_fn(|_| rng.gen_range(0.0..1.0)))
+            .collect();
+        let direct = direct_accels(&pos, 1.0 / 256.0, 0.05, 1);
+        for t in [1, 2] {
+            assert!(validate(|i| direct[i], &direct, t), "{t} threads");
+            for bad in [0, 255] {
+                let bh = |i: usize| if i == bad { [f64::NAN; 3] } else { direct[i] };
+                assert!(!validate(bh, &direct, t), "{t} threads, body {bad}");
             }
         }
     }

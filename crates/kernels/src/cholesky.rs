@@ -13,7 +13,7 @@
 //! counts; Splash-4 uses a lock-free stack and `fetch_sub`. Termination is a
 //! shared completed-task counter.
 
-use crate::common::{KernelResult, SharedAccum, SharedSlice};
+use crate::common::{max_or_nan, KernelResult, SharedAccum, SharedSlice};
 use crate::dynpool::dynamic_task_queue;
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
@@ -446,12 +446,12 @@ fn max_err(cfg: &CholeskyConfig, original: &[f64], factored: &[f64], nthreads: u
                     .iter()
                     .zip(&l[j * n..=j * n + j])
                     .fold(0.0, |s, (x, y)| s + x * y);
-                max_err = max_err.max((s - original[ix(i, j)]).abs());
+                max_err = max_or_nan(max_err, (s - original[ix(i, j)]).abs());
             }
         }
         max_err
     });
-    parts.into_iter().fold(0.0, f64::max)
+    parts.into_iter().fold(0.0, max_or_nan)
 }
 
 #[cfg(test)]
@@ -602,6 +602,22 @@ mod tests {
                 assert!(
                     !validate(&cfg, &bad, &factored, t),
                     "{t} threads, input ({i}, {i})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_one_nan_entry_first_or_last() {
+        let cfg = CholeskyConfig::class(InputClass::Test);
+        let (original, factored) = factor(&cfg);
+        for t in [1, 2] {
+            for i in [0, cfg.n - 1] {
+                let mut bad = factored.clone();
+                bad[block_index(&cfg)(i, i)] = f64::NAN;
+                assert!(
+                    !validate(&cfg, &original, &bad, t),
+                    "{t} threads ({i}, {i})"
                 );
             }
         }

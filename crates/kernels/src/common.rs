@@ -50,6 +50,17 @@ pub fn close(a: f64, b: f64, rel: f64) -> bool {
     (a - b).abs() <= rel * scale
 }
 
+/// The larger of `a` and `b`, or NaN if either is: the validation oracles'
+/// error fold. `f64::max` returns the other operand of a NaN, so a result
+/// holding a NaN would pass a fold over it.
+pub(crate) fn max_or_nan(a: f64, b: f64) -> f64 {
+    if b > a || b.is_nan() {
+        b
+    } else {
+        a
+    }
+}
+
 /// A raw shared view of a mutable slice for the suite's classic
 /// "disjoint-index" parallel writes (each thread updates only indices it
 /// owns, with phases separated by barriers).

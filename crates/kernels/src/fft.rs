@@ -12,7 +12,7 @@
 //! dramatic) Splash-4 win, since barrier *count* is tiny; the win comes
 //! entirely from per-episode cost at high thread counts.
 
-use crate::common::{KernelResult, SharedSlice};
+use crate::common::{max_or_nan, KernelResult, SharedSlice};
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
 use splash4_parmacs::SmallRng;
@@ -202,8 +202,8 @@ fn validate(input: &[Cpx], got: &[Cpx], nthreads: usize) -> bool {
         .iter()
         .zip(&want)
         .map(|(got, want)| norm(&got.sub(*want)))
-        .fold(0.0f64, f64::max);
-    let scale = want.iter().map(norm).fold(0.0f64, f64::max).max(1.0);
+        .fold(0.0, max_or_nan);
+    let scale = want.iter().map(norm).fold(0.0, max_or_nan).max(1.0);
     max_err / scale < 1e-9
 }
 
@@ -386,6 +386,20 @@ mod tests {
                 let mut bad = got.clone();
                 bad[k] = Cpx::new(bad[k].re * (1.0 + 1e-3), bad[k].im * (1.0 + 1e-3));
                 assert!(!validate(&x, &bad, t), "{t} threads, bin {k} perturbed");
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_one_nan_bin_first_or_last() {
+        let x = signal(4096, 9);
+        let mut got = x.clone();
+        fft_row(&mut got, -1.0);
+        for t in [1, 2] {
+            for k in [0, 4095] {
+                let mut bad = got.clone();
+                bad[k].re = f64::NAN;
+                assert!(!validate(&x, &bad, t), "{t} threads, bin {k}");
             }
         }
     }

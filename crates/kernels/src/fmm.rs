@@ -12,7 +12,7 @@
 //! distributing the expensive M2L and leaf phases, and a global potential
 //! reduction.
 
-use crate::common::{KernelResult, SharedAccum, SharedSlice};
+use crate::common::{max_or_nan, KernelResult, SharedAccum, SharedSlice};
 use crate::fft::Cpx;
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
@@ -426,12 +426,12 @@ pub fn run(cfg: &FmmConfig, env: &SyncEnv) -> KernelResult {
 /// Every potential against direct summation, relative to the largest.
 fn validate(pos: &[Cpx], charge: &[f64], phi: &[f64], nthreads: usize) -> bool {
     let direct = direct_potentials(pos, charge, nthreads);
-    let scale = direct.iter().map(|d| d.abs()).fold(0.0, f64::max);
+    let scale = direct.iter().map(|d| d.abs()).fold(0.0, max_or_nan);
     let max_rel = phi
         .iter()
         .zip(&direct)
         .map(|(p, d)| (p - d).abs())
-        .fold(0.0, f64::max);
+        .fold(0.0, max_or_nan);
     max_rel / scale.max(1e-12) < 1e-3
 }
 
@@ -543,6 +543,22 @@ mod tests {
             for i in [0, 255, 511] {
                 let mut bad = phi.clone();
                 bad[i] += 1.001e-3 * scale;
+                assert!(
+                    !validate(&pos, &charge, &bad, t),
+                    "{t} threads, particle {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_one_nan_potential_first_or_last() {
+        let (pos, charge) = particles(512, 5);
+        let phi = direct_potentials_ordered(&pos, &charge);
+        for t in [1, 2] {
+            for i in [0, 511] {
+                let mut bad = phi.clone();
+                bad[i] = f64::NAN;
                 assert!(
                     !validate(&pos, &charge, &bad, t),
                     "{t} threads, particle {i}"

@@ -17,7 +17,7 @@
 //! Splash-4 modernization turns the condvar flag/barriers into atomic ones.
 //! No fine-grained data sharing: every block has one writer per phase.
 
-use crate::common::{KernelResult, SharedSlice};
+use crate::common::{max_or_nan, KernelResult, SharedSlice};
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
 use splash4_parmacs::SmallRng;
@@ -408,12 +408,12 @@ fn max_err(cfg: &LuConfig, original: &[f64], factored: &[f64], nthreads: usize) 
                 *r += u;
             }
             for (j, r) in row.iter().enumerate() {
-                max_err = max_err.max((r - at(cfg, original, i, j)).abs());
+                max_err = max_or_nan(max_err, (r - at(cfg, original, i, j)).abs());
             }
         }
         max_err
     });
-    parts.into_iter().fold(0.0, f64::max)
+    parts.into_iter().fold(0.0, max_or_nan)
 }
 
 #[cfg(test)]
@@ -538,6 +538,23 @@ mod tests {
                         "{layout:?} {t} threads, input ({i}, {i})"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_one_nan_entry_first_or_last() {
+        let cfg = LuConfig::class(InputClass::Test);
+        let (original, factored) = factor(&cfg);
+        let (n, b) = (cfg.n, cfg.block);
+        for t in [1, 2] {
+            for i in [0, n - 1] {
+                let mut bad = factored.clone();
+                bad[cfg.index(i / b, i / b, i % b, i % b)] = f64::NAN;
+                assert!(
+                    !validate(&cfg, &original, &bad, t),
+                    "{t} threads ({i}, {i})"
+                );
             }
         }
     }

@@ -51,8 +51,9 @@ impl<A: Atomics> CondvarFlag<A> {
 
 impl<A: Atomics> PauseVar for CondvarFlag<A> {
     fn set(&self) {
-        // Emitted from `set` only: the wait side's fast path is
+        // Counted and emitted from `set` only: the wait side's fast path is
         // timing-dependent, so only the signal is a stable logical event.
+        self.stats.bump(Counter::FlagSets);
         self.stats.trace(TraceEvent::Rmw {
             class: ConstructClass::Flag,
             n: 1,
@@ -107,6 +108,7 @@ impl<A: Atomics> AtomicFlag<A> {
 
 impl<A: Atomics> PauseVar for AtomicFlag<A> {
     fn set(&self) {
+        self.stats.bump(Counter::FlagSets);
         self.stats.trace(TraceEvent::Rmw {
             class: ConstructClass::Flag,
             n: 1,
@@ -183,6 +185,37 @@ mod tests {
         let flag: Arc<dyn PauseVar> = Arc::new(AtomicFlag::<Std>::new(Arc::clone(&stats)));
         handoff(flag);
         assert_eq!(stats.snapshot().flag_waits, 1);
+    }
+
+    /// `flag_sets` counts each `set` once in both modes: with no waiter, and
+    /// with a waiter blocked in `wait` (asleep on the word, for the condvar).
+    #[test]
+    fn flag_sets_counts_each_set_once() {
+        let (cs, as_) = (Arc::new(SyncCounters::new()), Arc::new(SyncCounters::new()));
+        let cv = CondvarFlag::<Std>::new(Arc::clone(&cs));
+        let af = AtomicFlag::<Std>::new(Arc::clone(&as_));
+        cv.set();
+        af.set();
+        assert_eq!((cs.snapshot().flag_sets, as_.snapshot().flag_sets), (1, 1));
+        cv.clear();
+        af.clear();
+        std::thread::scope(|s| {
+            s.spawn(|| cv.wait());
+            while cv.word.load(Ordering::Acquire) != SLEPT {
+                std::thread::yield_now();
+            }
+            cv.set();
+        });
+        std::thread::scope(|s| {
+            s.spawn(|| af.wait());
+            while as_.snapshot().flag_waits == 0 {
+                std::thread::yield_now();
+            }
+            af.set();
+        });
+        for p in [cs.snapshot(), as_.snapshot()] {
+            assert_eq!((p.flag_sets, p.flag_waits), (2, 1));
+        }
     }
 
     #[test]

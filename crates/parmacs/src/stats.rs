@@ -131,10 +131,12 @@ counters! {
     /// Combiner lock acquisitions: each counts one batch drain. The mean
     /// batch size is `combine_ops / combine_batches`.
     CombineBatches => combine_batches,
+    /// Pause/flag signals (`set` calls, both back-ends).
+    FlagSets => flag_sets,
 }
 
-/// One striping lane: all twenty counters for one thread, padded so
-/// adjacent lanes never share a cache line. 20 × 8 = 160 bytes of payload
+/// One striping lane: all twenty-one counters for one thread, padded so
+/// adjacent lanes never share a cache line. 21 × 8 = 168 bytes of payload
 /// spans two 128-byte padding granules; the padding rounds the lane up so
 /// adjacent lanes still start on their own aligned slot.
 type Lane = CachePadded<[AtomicU64; NUM_COUNTERS]>;
@@ -282,7 +284,8 @@ impl SyncProfile {
     /// which reclaimer backs a pool; likewise every combining request is
     /// already counted under its logical class (getsub/reduce/barrier/queue),
     /// so `combine_ops`/`combine_batches` describe the *mechanism* and
-    /// counting them here would double-book splash4x runs).
+    /// counting them here would double-book splash4x runs; flags count by
+    /// `flag_waits` here, as in `T3-syncops`, and `flag_sets` is left out).
     pub fn total_ops(&self) -> u64 {
         self.lock_acquires
             + self.barrier_waits

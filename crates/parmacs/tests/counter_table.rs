@@ -6,7 +6,7 @@
 use splash4_parmacs::{Counter, Json, SyncCounters, SyncProfile, ToJson};
 
 /// The counters in slot order, each with its JSON key.
-const TABLE: [(Counter, &str); 20] = [
+const TABLE: [(Counter, &str); 21] = [
     (Counter::LockAcquires, "lock_acquires"),
     (Counter::LockContended, "lock_contended"),
     (Counter::LockWaitNs, "lock_wait_ns"),
@@ -27,10 +27,11 @@ const TABLE: [(Counter, &str); 20] = [
     (Counter::ReclaimFrees, "reclaim_frees"),
     (Counter::CombineOps, "combine_ops"),
     (Counter::CombineBatches, "combine_batches"),
+    (Counter::FlagSets, "flag_sets"),
 ];
 
 /// Every field of `p`, read by name, in slot order.
-fn fields(p: &SyncProfile) -> [u64; 20] {
+fn fields(p: &SyncProfile) -> [u64; 21] {
     [
         p.lock_acquires,
         p.lock_contended,
@@ -52,6 +53,7 @@ fn fields(p: &SyncProfile) -> [u64; 20] {
         p.reclaim_frees,
         p.combine_ops,
         p.combine_batches,
+        p.flag_sets,
     ]
 }
 
@@ -71,7 +73,7 @@ fn one_bump_sets_exactly_its_own_field() {
         assert_eq!(counter as usize, i, "{counter:?} names slot {i}");
         let c = SyncCounters::new();
         c.bump(counter);
-        let mut want = [0; 20];
+        let mut want = [0; 21];
         want[i] = 1;
         assert_eq!(fields(&c.snapshot()), want, "{counter:?}");
     }
@@ -107,6 +109,7 @@ fn json_keys_are_the_field_names_in_slot_order() {
             "reclaim_frees",
             "combine_ops",
             "combine_batches",
+            "flag_sets",
         ]
     );
     assert_eq!(keys, TABLE.map(|(_, k)| k));
@@ -120,7 +123,7 @@ fn merged_and_delta_act_field_by_field() {
     let b = profile_of(|i| if i % 2 == 0 { 7 * i } else { 1000 });
     let (fa, fb) = (fields(&a), fields(&b));
     let (m, d) = (fields(&a.merged(&b)), fields(&a.delta(&b)));
-    for i in 0..20 {
+    for i in 0..21 {
         assert_eq!(m[i], fa[i] + fb[i], "merged slot {i}");
         assert_eq!(d[i], fa[i].saturating_sub(fb[i]), "delta slot {i}");
     }

@@ -13,8 +13,8 @@
 //!   [`Program`](splash4_sim::Program), re-dealing dynamically-scheduled work
 //!   across any simulated core count so a 4-thread native trace can drive
 //!   1–64-core sweeps under either sync policy;
-//! * [`TraceSummary`] — per-class operation counts, a binned sync-op
-//!   timeline and a critical-path estimate.
+//! * [`TraceSummary`] — per-class operation counts, the span and a
+//!   critical-path estimate.
 //!
 //! ```
 //! use splash4_parmacs::{SyncEnv, SyncMode, SyncPolicy, Team};

@@ -1,12 +1,9 @@
-//! Trace analysis: per-class operation counts, a binned sync-op timeline and
-//! a critical-path estimate.
+//! Trace analysis: per-class operation counts, the span and a critical-path
+//! estimate.
 
 use crate::lower::{pool_segments, SegmentTotals};
 use crate::Trace;
 use splash4_parmacs::{ConstructClass, Json, ToJson};
-
-/// Number of bins in the contention timeline.
-pub const TIMELINE_BINS: usize = 16;
 
 /// Aggregate statistics of one recorded [`Trace`].
 #[derive(Debug, Clone, PartialEq)]
@@ -36,9 +33,6 @@ pub struct TraceSummary {
     /// thread's segment time, summed. A replay cannot beat this without
     /// re-dealing work across threads.
     pub critical_path_ns: u64,
-    /// Sync-op density over time: events per bin across [`TIMELINE_BINS`]
-    /// equal slices of the trace span.
-    pub timeline: [u64; TIMELINE_BINS],
 }
 
 impl TraceSummary {
@@ -52,7 +46,18 @@ impl TraceSummary {
                 *total += n;
             }
         }
-        let mut s = TraceSummary {
+        let threads = trace.threads();
+        let first = threads
+            .iter()
+            .filter_map(|t| t.first())
+            .map(|e| e.ts_ns)
+            .min();
+        let last = threads
+            .iter()
+            .filter_map(|t| t.last())
+            .map(|e| e.ts_ns)
+            .max();
+        TraceSummary {
             name: trace.name().to_owned(),
             nthreads: trace.nthreads(),
             events: trace.len(),
@@ -62,34 +67,9 @@ impl TraceSummary {
             rmws,
             queue_ops: sum(|t| t.queue_ops),
             barrier_episodes: segments.len() - 1,
-            span_ns: 0,
+            span_ns: last.zip(first).map_or(0, |(b, a)| b - a),
             critical_path_ns: sum(|t| t.max_wall_ns),
-            timeline: [0; TIMELINE_BINS],
-        };
-        let first = trace
-            .threads()
-            .iter()
-            .filter_map(|e| e.first())
-            .map(|e| e.ts_ns)
-            .min();
-        let last = trace
-            .threads()
-            .iter()
-            .filter_map(|e| e.last())
-            .map(|e| e.ts_ns)
-            .max();
-        let (t0, t1) = match (first, last) {
-            (Some(a), Some(b)) => (a, b),
-            _ => return s,
-        };
-        s.span_ns = t1 - t0;
-        let span = s.span_ns.max(1);
-        for e in trace.threads().iter().flatten() {
-            let bin = (((e.ts_ns - t0) as u128 * TIMELINE_BINS as u128 / span as u128) as usize)
-                .min(TIMELINE_BINS - 1);
-            s.timeline[bin] += 1;
         }
-        s
     }
 }
 
@@ -117,10 +97,6 @@ impl ToJson for TraceSummary {
             (
                 "critical_path_ns".into(),
                 Json::Num(self.critical_path_ns as f64),
-            ),
-            (
-                "timeline".into(),
-                Json::Array(self.timeline.iter().map(|n| Json::Num(*n as f64)).collect()),
             ),
         ])
     }
@@ -161,7 +137,6 @@ mod tests {
         assert_eq!(s.rmws[ConstructClass::Reduction as usize], 2);
         assert_eq!(s.queue_ops, 2);
         assert_eq!(s.span_ns, 1_000);
-        assert_eq!(s.timeline.iter().sum::<u64>(), 5);
     }
 
     #[test]

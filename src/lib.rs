@@ -36,22 +36,6 @@
 //! assert!(s4.total_ns < s3.total_ns);
 //! ```
 //!
-//! ## Trace-driven replay
-//!
-//! ```
-//! use splash4::{Benchmark, BenchmarkExt as _, InputClass, SyncMode};
-//! use splash4::{lower_trace, MachineParams, SyncPolicy};
-//!
-//! // Record radix's sync events during a native 2-thread run...
-//! let (result, trace) = Benchmark::Radix.run_traced(InputClass::Test, SyncMode::LockFree, 2);
-//! assert!(result.validated);
-//! assert!(trace.len() > 0);
-//! // ...and replay the recording on 32 simulated cores.
-//! let machine = MachineParams::epyc_like();
-//! let prog = lower_trace(&trace, SyncPolicy::uniform(SyncMode::LockFree), 32, &machine);
-//! assert_eq!(prog.ncores(), 32);
-//! ```
-//!
 //! ## Crate map
 //!
 //! | layer | crate | docs |
@@ -86,8 +70,8 @@ pub use splash4_check::{
     check_suite, check_weakmem, check_weakmem_mutants, CheckBudget, MemoryModel,
 };
 pub use splash4_harness::{
-    geomean, pct_change, record_trace, run_bench_atomics, run_experiment, BenchConfig,
-    ExperimentCtx, ModelCache, Report, Table, ALL_EXPERIMENTS,
+    geomean, pct_change, run_bench_atomics, run_experiment, BenchConfig, ExperimentCtx, ModelCache,
+    Report, Table, ALL_EXPERIMENTS,
 };
 // The experiment service's network-free core (DESIGN.md §13); the
 // `splash4-serve` crate wraps this in the JSON-over-TCP front end.
@@ -115,8 +99,6 @@ pub use splash4_sim::{
     calibrate, engine, simulate, synthesize_bench, BarrierKind, Engine, MachineParams, Program,
     SimResult, Simulator,
 };
-pub use splash4_trace as trace;
-pub use splash4_trace::{lower::lower as lower_trace, RingRecorder, Trace, TraceSummary};
 
 /// A suite workload (re-exported registry id with a friendlier name).
 pub use splash4_harness::BenchmarkId as Benchmark;
@@ -159,10 +141,6 @@ pub trait BenchmarkExt {
     /// Calibrated workload model for the simulator: the median of three
     /// single-thread lock-free runs.
     fn work_model(self, class: InputClass) -> WorkModel;
-    /// Run with a [`RingRecorder`] attached and return the result together
-    /// with the recorded sync-event [`Trace`] (feed it to [`lower_trace`]).
-    fn run_traced(self, class: InputClass, mode: SyncMode, threads: usize)
-        -> (KernelResult, Trace);
 }
 
 impl BenchmarkExt for Benchmark {
@@ -181,15 +159,6 @@ impl BenchmarkExt for Benchmark {
     fn work_model(self, class: InputClass) -> WorkModel {
         splash4_harness::work_model(self, class)
     }
-
-    fn run_traced(
-        self,
-        class: InputClass,
-        mode: SyncMode,
-        threads: usize,
-    ) -> (KernelResult, Trace) {
-        record_trace(self, class, mode, threads)
-    }
 }
 
 #[cfg(test)]
@@ -205,15 +174,6 @@ mod tests {
         // The generations really differ in their sync profile.
         assert!(cmp.splash3.profile.lock_acquires > 0);
         assert_eq!(cmp.splash4.profile.lock_acquires, 0);
-    }
-
-    #[test]
-    fn run_traced_records_and_validates() {
-        let (result, trace) = Benchmark::Lu.run_traced(InputClass::Test, SyncMode::LockFree, 2);
-        assert!(result.validated);
-        assert_eq!(trace.nthreads(), 2);
-        assert!(!trace.is_empty());
-        assert_eq!(trace.dropped(), 0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Acceptance test for the extensible registry (DESIGN.md §12): a 17th,
 //! out-of-tree workload registered at runtime with one [`workload::register`]
 //! call is picked up by every downstream layer — the harness registry
-//! handle, the report tables, trace capture and replay lowering, the timing
-//! simulator, check-scale validation, and serve request dispatch — with no
-//! edits to any of those layers.
+//! handle, the report tables, the timing simulator, check-scale validation,
+//! and serve request dispatch — with no edits to any of those layers. (The
+//! trace layer's half is `crates/harness/tests/trace_replay.rs`.)
 //!
 //! This lives in its own integration-test binary because registration is
 //! process-global: the suite-shaped assertions in `suite_validation.rs`
@@ -11,9 +11,9 @@
 
 use splash4::workload::{self, driver};
 use splash4::{
-    close, dispatch, lower_trace, run_experiment, simulate, Benchmark, BenchmarkExt as _, Dispatch,
-    ExperimentCtx, InputClass, JobCtl, KernelResult, MachineParams, PhaseSpec, Request,
-    RequestKind, SyncEnv, SyncMode, SyncPolicy, WorkModel, Workload,
+    close, dispatch, run_experiment, simulate, Benchmark, Dispatch, ExperimentCtx, InputClass,
+    JobCtl, KernelResult, MachineParams, PhaseSpec, Request, RequestKind, SyncEnv, SyncMode,
+    WorkModel, Workload,
 };
 
 /// The synthetic 17th workload: a `GETSUB`-dispensed index mill feeding a
@@ -103,18 +103,6 @@ fn registered_workload_flows_through_every_layer() {
     assert!(rows
         .iter()
         .any(|r| r["benchmark"].as_str() == Some("spin-mill")));
-
-    // -- Trace layer ------------------------------------------------------
-    let (traced, trace) = b.run_traced(InputClass::Test, SyncMode::LockFree, 2);
-    assert!(traced.validated, "traced run must validate");
-    assert!(!trace.is_empty(), "the mill's sync ops must be recorded");
-    let prog = lower_trace(
-        &trace,
-        SyncPolicy::uniform(SyncMode::LockFree),
-        8,
-        &MachineParams::icelake_like(),
-    );
-    assert_eq!(prog.ncores(), 8);
 
     // -- Sim layer --------------------------------------------------------
     // Model calibration is memoized per (benchmark, class) exactly like
