@@ -710,10 +710,6 @@ impl Peek {
         self.shared.lock().atomics[loc].value
     }
 
-    pub(crate) fn data(&self, loc: usize) -> u64 {
-        self.shared.lock().data[loc].value
-    }
-
     /// Final values of the atomic words named `name`, in creation order —
     /// the way to a shipped construct's private words.
     pub fn words(&self, name: &str) -> Vec<u64> {

@@ -45,11 +45,9 @@
 //!   third sync generation (`splash4x`): its record arguments and results
 //!   are plain data, so a weakened publish/complete edge surfaces as a data
 //!   race — the `C1-combining` experiment table.
-//! * [`kernel`] lifts the same machinery to real kernel bodies at
-//!   [`splash4_kernels::InputClass::Check`] scale — radix's fetch-add rank
-//!   dispensing, water-nsquared's CAS-loop energy reduction, one bucket of
-//!   `cmap`'s Harris–Michael map and a stage queue of `stream` — for the
-//!   `V2-kernel-check` experiment.
+//! * [`kernel`] lifts the same machinery to kernel-shaped compositions —
+//!   one bucket of `cmap`'s Harris–Michael map and a stage queue of
+//!   `stream` — for the `V2-kernel-check` experiment.
 //! * [`reclaim`] runs the shipped `MsQueue` and `EliminationStack` over the
 //!   shipped `EpochReclaimer` and `HazardReclaimer` — the `R1-reclaim`
 //!   experiment table and its five mutants.
@@ -95,8 +93,7 @@ pub use explore::{
     explore, replay, replay_under, Budget, CounterExample, ExploreReport, Replayed, Schedule,
 };
 pub use kernel::{
-    check_kernel_mutants, check_kernels, cmap_chain_scenario, kernel_mutants, radix_rank_scenario,
-    stream_ring_scenario, water_energy_scenario,
+    check_kernel_mutants, check_kernels, cmap_chain_scenario, kernel_mutants, stream_ring_scenario,
 };
 pub use linearize::{check_history, Op, OpRecord, RetVal, SpecModel};
 pub use model::Model;

@@ -130,7 +130,7 @@ pub fn pool_scenario(
         // stocks the pool.
         let records = scripts.len() + usize::from(!stock.is_empty());
         let rig = Arc::new(Rig {
-            pool: TaskPool::new_in(shape, kind, records, Arc::default()),
+            pool: TaskPool::new(shape, kind, records, Arc::default()),
             fifo: shape == PoolShape::Fifo,
             popped: Mutex::default(),
             threads: scripts.len(),

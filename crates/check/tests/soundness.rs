@@ -253,7 +253,7 @@ fn combining_core_with_fewer_records_than_publishers_loses_nothing() {
         *sum
     }
     let scenario = |sb: &mut Sandbox| {
-        let core = Arc::new(CombiningCore::<u64, Model>::new_in(
+        let core = Arc::new(CombiningCore::<u64, Model>::new(
             2,
             0,
             apply,
@@ -450,7 +450,7 @@ fn one_task_pool_body_runs_on_real_threads_and_under_the_explorer() {
     type Pool<A> = TaskPool<u64, A>;
     fn build<A: Atomics>(shape: PoolShape, kind: ReclaimKind) -> Arc<Pool<A>> {
         // Three workers, and the thread that drains at the end.
-        Arc::new(Pool::new_in(shape, kind, 4, Arc::default()))
+        Arc::new(Pool::new(shape, kind, 4, Arc::default()))
     }
     fn body<A: Atomics>(pool: &Pool<A>, tid: u64) -> Vec<u64> {
         pool.push(10 * tid);

@@ -32,6 +32,7 @@
 use splash4_parmacs::{Counter, SyncCounters};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// FNV-1a over `bytes`: the content hash used for cache keys.
 ///
@@ -151,10 +152,12 @@ impl<V: Clone> ResultCache<V> {
     /// `(value, hit)`; `hit` is `true` when the value came from the cache —
     /// including when this call coalesced onto another caller's in-flight
     /// computation. A failed `compute` caches nothing and propagates the
-    /// error (waiters retry); so does one that panics.
+    /// error (waiters retry); so does one that panics. A coalesced wait
+    /// given `patience` ends at its instant with its error.
     pub fn get_or_try_compute<E>(
         &self,
         key: u64,
+        patience: Option<(Instant, E)>,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<(V, bool), E> {
         let s = &*self.shared;
@@ -168,7 +171,20 @@ impl<V: Clone> ResultCache<V> {
             }
             // Coalesce: park until the computing caller resolves the slot —
             // Ready (a hit) or gone (it failed: loop around and take over).
-            inner = s.cond.wait(inner).unwrap_or_else(PoisonError::into_inner);
+            inner = match patience.as_ref().map(|(until, _)| *until) {
+                None => s.cond.wait(inner).unwrap_or_else(PoisonError::into_inner),
+                Some(until) => {
+                    let left = until.saturating_duration_since(Instant::now());
+                    let (inner, wait) = s
+                        .cond
+                        .wait_timeout(inner, left)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    if wait.timed_out() {
+                        return Err(patience.expect("a wait with a deadline").1);
+                    }
+                    inner
+                }
+            };
         }
         inner.map.insert(key, Slot::InFlight);
         drop(inner);
@@ -197,7 +213,7 @@ impl<V: Clone> ResultCache<V> {
 
     /// Infallible convenience wrapper around [`Self::get_or_try_compute`].
     pub fn get_or_compute(&self, key: u64, compute: impl FnOnce() -> V) -> (V, bool) {
-        match self.get_or_try_compute::<std::convert::Infallible>(key, || Ok(compute())) {
+        match self.get_or_try_compute::<std::convert::Infallible>(key, None, || Ok(compute())) {
             Ok(out) => out,
             Err(e) => match e {},
         }
@@ -382,7 +398,7 @@ mod tests {
     fn errors_are_not_cached_and_waiters_retry() {
         let c = cache(8);
         let attempts = AtomicUsize::new(0);
-        let r: Result<(String, bool), String> = c.get_or_try_compute(9, || {
+        let r: Result<(String, bool), String> = c.get_or_try_compute(9, None, || {
             attempts.fetch_add(1, Ordering::SeqCst);
             Err("boom".to_string())
         });

@@ -339,6 +339,9 @@ impl std::fmt::Debug for JobCtl {
     }
 }
 
+/// A job's error once its deadline passed while it ran or waited.
+const DEADLINE_EXCEEDED: &str = "request timed out (deadline exceeded)";
+
 impl JobCtl {
     /// A control with the given deadline, forwarding progress to `progress`.
     pub fn new(deadline: Option<Instant>, progress: impl Fn(u8) + Send + Sync + 'static) -> JobCtl {
@@ -360,7 +363,7 @@ impl JobCtl {
     pub fn tick(&self, pct: u8) -> Result<(), String> {
         if let Some(d) = self.deadline {
             if Instant::now() >= d {
-                return Err("request timed out (deadline exceeded)".to_string());
+                return Err(DEADLINE_EXCEEDED.to_string());
             }
         }
         (self.progress)(pct.min(100));
@@ -743,6 +746,9 @@ fn run_job(shared: &PoolShared, job: Job) {
         return;
     }
     let _ = events.send(JobEvent::Running { job: id });
+    // A duplicate coalesced onto another job's computation gives up at its
+    // own deadline, as the computation itself would.
+    let patience = deadline.map(|d| (d, DEADLINE_EXCEEDED.to_string()));
     let progress_tx = events.clone();
     let ctl = JobCtl::new(deadline, move |pct| {
         let _ = progress_tx.send(JobEvent::Progress { job: id, pct });
@@ -752,7 +758,7 @@ fn run_job(shared: &PoolShared, job: Job) {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         shared
             .cache
-            .get_or_try_compute(key, || dispatch(&request, &shared.ctx, &ctl))
+            .get_or_try_compute(key, patience, || dispatch(&request, &shared.ctx, &ctl))
     }))
     .unwrap_or_else(|panic| {
         let text = panic.downcast_ref::<String>().map(String::as_str);

@@ -39,7 +39,6 @@ impl BarnesConfig {
     /// Standard configuration for an input class.
     pub fn class(class: InputClass) -> BarnesConfig {
         let (n, steps) = match class {
-            InputClass::Check => (16, 1),
             InputClass::Test => (512, 2),
             InputClass::Small => (2048, 2),
             InputClass::Native => (16384, 3), // paper: 16K–64K bodies

@@ -37,7 +37,6 @@ impl CholeskyConfig {
     /// Standard configuration for an input class.
     pub fn class(class: InputClass) -> CholeskyConfig {
         let (n, block) = match class {
-            InputClass::Check => (8, 4), // 2×2 blocks → 6-task graph
             InputClass::Test => (64, 8),
             InputClass::Small => (192, 16),
             InputClass::Native => (512, 32), // paper: tk15/tk29 sparse inputs
@@ -538,17 +537,27 @@ mod tests {
         (original, a)
     }
 
+    /// 2×2 blocks: a 6-task graph.
+    fn tiny() -> CholeskyConfig {
+        CholeskyConfig {
+            n: 8,
+            block: 4,
+            ..CholeskyConfig::class(InputClass::Test)
+        }
+    }
+
     #[test]
     fn generate_matrix_is_bit_identical_to_the_by_dot_reference() {
-        for class in [InputClass::Check].into_iter().chain(InputClass::ALL) {
-            let cfg = CholeskyConfig::class(class);
+        let sizes = InputClass::ALL.map(CholeskyConfig::class);
+        for cfg in [tiny()].into_iter().chain(sizes) {
             let got = generate_matrix(&cfg);
             let want = generate_matrix_by_dot(&cfg);
             assert!(
                 got.iter()
                     .zip(&want)
                     .all(|(g, w)| g.to_bits() == w.to_bits()),
-                "{class:?}"
+                "n {}",
+                cfg.n
             );
         }
     }
@@ -561,11 +570,7 @@ mod tests {
             block: 5,
             seed: 6,
         };
-        for cfg in [InputClass::Check, InputClass::Test]
-            .map(CholeskyConfig::class)
-            .into_iter()
-            .chain([odd])
-        {
+        for cfg in [tiny(), CholeskyConfig::class(InputClass::Test), odd] {
             let (original, mut factored) = factor(&cfg);
             for _ in 0..2 {
                 let want = validate_by_index(&cfg, &original, &factored);

@@ -71,10 +71,7 @@ pub struct CMapConfig {
 impl CMapConfig {
     /// Standard configuration for an input class.
     pub fn class(class: InputClass) -> CMapConfig {
-        // `Check` keeps the universe at 6 keys over 2 buckets: the scale
-        // of the checker's scenario on one `LockFreeMap` bucket.
         let (universe, buckets, ops) = match class {
-            InputClass::Check => (6, 2, 24),
             InputClass::Test => (512, 64, 24_000),
             InputClass::Small => (4_096, 256, 200_000),
             InputClass::Native => (16_384, 1_024, 1_500_000),
@@ -196,7 +193,7 @@ impl<A: Atomics> LockFreeMap<A> {
             heads: (0..buckets)
                 .map(|_| A::Ptr::new("cmap.head", std::ptr::null_mut()))
                 .collect(),
-            reclaimer: EpochReclaimer::new_in(capacity, Arc::clone(&stats)),
+            reclaimer: EpochReclaimer::new(capacity, Arc::clone(&stats)),
             stats,
         }
     }

@@ -33,7 +33,7 @@ pub fn dynamic_task_queue<T: Send + 'static>(
         // Combining batches the static contended constructs (counters,
         // reductions, barriers); dynamic queues keep the lock-free
         // reclaiming pool, same as `SyncEnv::task_queue`.
-        SyncMode::LockFree | SyncMode::Combining => Arc::new(TaskPool::new(
+        SyncMode::LockFree | SyncMode::Combining => Arc::new(TaskPool::<T>::new(
             shape,
             kind,
             env.nthreads() + 1,

@@ -81,7 +81,6 @@ impl FftConfig {
     /// Standard configuration for an input class.
     pub fn class(class: InputClass) -> FftConfig {
         let m = match class {
-            InputClass::Check => 4,     // 16 points
             InputClass::Test => 64,     // 4 Ki points
             InputClass::Small => 256,   // 64 Ki points
             InputClass::Native => 1024, // 1 Mi points (paper: 2^20/2^22)

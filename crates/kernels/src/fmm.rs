@@ -36,7 +36,6 @@ impl FmmConfig {
     /// Standard configuration for an input class.
     pub fn class(class: InputClass) -> FmmConfig {
         let (n, levels) = match class {
-            InputClass::Check => (32, 2),
             InputClass::Test => (512, 3),
             InputClass::Small => (2048, 4),
             InputClass::Native => (16384, 5), // paper: 16K–64K particles

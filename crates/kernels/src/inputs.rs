@@ -12,11 +12,6 @@ use std::fmt;
 /// Input size class for a kernel run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InputClass {
-    /// Model-checker inputs: small enough that `splash4-check` can
-    /// exhaustively schedule a kernel's parallel region, yet still a valid
-    /// (validating) native input. Not part of [`InputClass::ALL`] — the
-    /// characterization tables only span `Test`/`Small`/`Native`.
-    Check,
     /// Seconds-level CI inputs.
     Test,
     /// Default characterization inputs.
@@ -26,14 +21,12 @@ pub enum InputClass {
 }
 
 impl InputClass {
-    /// The characterization classes, smallest first (`Check` is excluded:
-    /// it exists for the model checker, not for the paper's tables).
+    /// Every class, smallest first.
     pub const ALL: [InputClass; 3] = [InputClass::Test, InputClass::Small, InputClass::Native];
 
     /// Stable lowercase label.
     pub fn label(self) -> &'static str {
         match self {
-            InputClass::Check => "check",
             InputClass::Test => "test",
             InputClass::Small => "small",
             InputClass::Native => "native",
@@ -43,7 +36,6 @@ impl InputClass {
     /// Parse a label produced by [`InputClass::label`].
     pub fn from_label(s: &str) -> Option<InputClass> {
         match s.to_ascii_lowercase().as_str() {
-            "check" => Some(InputClass::Check),
             "test" => Some(InputClass::Test),
             "small" => Some(InputClass::Small),
             "native" => Some(InputClass::Native),
@@ -67,12 +59,7 @@ mod tests {
         for c in InputClass::ALL {
             assert_eq!(InputClass::from_label(c.label()), Some(c));
         }
-        assert_eq!(InputClass::from_label("check"), Some(InputClass::Check));
+        assert_eq!(InputClass::from_label("check"), None);
         assert_eq!(InputClass::from_label("huge"), None);
-    }
-
-    #[test]
-    fn check_is_not_a_characterization_class() {
-        assert!(!InputClass::ALL.contains(&InputClass::Check));
     }
 }

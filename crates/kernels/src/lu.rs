@@ -49,7 +49,6 @@ impl LuConfig {
     /// Standard configuration for an input class (contiguous layout).
     pub fn class(class: InputClass) -> LuConfig {
         let (n, block) = match class {
-            InputClass::Check => (8, 4), // 2×2 blocks
             InputClass::Test => (64, 8),
             InputClass::Small => (256, 16),
             InputClass::Native => (1024, 16), // paper default: 512–2048, B=16
@@ -481,7 +480,11 @@ mod tests {
         };
         for layout in [LuLayout::Contiguous, LuLayout::RowMajor] {
             let sizes = [
-                LuConfig::class(InputClass::Check),
+                LuConfig {
+                    n: 8,
+                    block: 4,
+                    ..LuConfig::class(InputClass::Test)
+                },
                 LuConfig::class(InputClass::Test),
                 odd,
             ];

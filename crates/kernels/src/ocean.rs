@@ -18,10 +18,10 @@
 //! for the 5-point operator, `ω = 2 / (1 + sin(π/(n+1)))`, from the grid
 //! side. At that factor red-black SOR converges in O(n) sweeps; a fixed ω
 //! needs O(n²), which at `Native` exceeds `max_iters`. Sweeps to
-//! `tolerance`: 28 at `Check` (n = 8), 173 at `Test` (64), 327 at `Small`
-//! (128) and 1 175 at `Native` (512), the same for every thread count and
-//! sync mode (red-black updates and a max-reduction do not depend on the
-//! order threads run in).
+//! `tolerance`: 173 at `Test` (n = 64), 327 at `Small` (128) and 1 175 at
+//! `Native` (512), the same for every thread count and sync mode
+//! (red-black updates and a max-reduction do not depend on the order
+//! threads run in).
 //!
 //! Synchronization profile: **barrier- and reduction-heavy** — four barrier
 //! episodes and one max-reduction per iteration, hundreds of iterations. The
@@ -60,7 +60,6 @@ impl OceanConfig {
     /// Standard configuration for an input class (contiguous layout).
     pub fn class(class: InputClass) -> OceanConfig {
         let n = match class {
-            InputClass::Check => 8,
             InputClass::Test => 64,
             InputClass::Small => 128,
             InputClass::Native => 512, // paper: 258–1026 grids

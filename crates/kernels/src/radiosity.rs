@@ -41,7 +41,6 @@ impl RadiosityConfig {
     /// Standard configuration for an input class.
     pub fn class(class: InputClass) -> RadiosityConfig {
         let m = match class {
-            InputClass::Check => 2,
             InputClass::Test => 6,
             InputClass::Small => 10,
             InputClass::Native => 16, // paper: room scene, ~1–2k elements

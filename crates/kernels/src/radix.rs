@@ -31,10 +31,7 @@ pub struct RadixConfig {
 impl RadixConfig {
     /// Standard configuration for an input class.
     pub fn class(class: InputClass) -> RadixConfig {
-        // `Check` keeps the bucket count at 4 so one pass of the rank
-        // dispensing loop stays short enough for exhaustive scheduling.
         let (n, bits) = match class {
-            InputClass::Check => (8, 2),
             InputClass::Test => (1 << 14, 8),
             InputClass::Small => (1 << 18, 8),
             InputClass::Native => (1 << 22, 8), // paper: up to 64M keys, radix 1024

@@ -30,7 +30,6 @@ impl RaytraceConfig {
     /// Standard configuration for an input class.
     pub fn class(class: InputClass) -> RaytraceConfig {
         let size = match class {
-            InputClass::Check => 16,
             InputClass::Test => 64,
             InputClass::Small => 160,
             InputClass::Native => 384, // paper: balls4/teapot scenes

@@ -44,10 +44,7 @@ pub struct StreamConfig {
 impl StreamConfig {
     /// Standard configuration for an input class.
     pub fn class(class: InputClass) -> StreamConfig {
-        // `Check` keeps one relay stage and a handful of items so the
-        // shadow scenario's schedules stay exhaustively explorable.
         let (items, stages) = match class {
-            InputClass::Check => (8, 2),
             InputClass::Test => (8_192, 4),
             InputClass::Small => (65_536, 4),
             InputClass::Native => (262_144, 6),
@@ -291,7 +288,11 @@ mod tests {
     #[test]
     fn transform_is_stage_sensitive() {
         assert_ne!(transform(42, 0), transform(42, 1));
-        let cfg = StreamConfig::class(InputClass::Check);
+        let cfg = StreamConfig {
+            items: 8,
+            stages: 2,
+            ..StreamConfig::class(InputClass::Test)
+        };
         assert!(oracle(&cfg) >= 0.0);
         assert!(oracle(&cfg) < (1u64 << 53) as f64);
     }

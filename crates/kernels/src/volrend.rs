@@ -35,7 +35,6 @@ impl VolrendConfig {
     /// Standard configuration for an input class.
     pub fn class(class: InputClass) -> VolrendConfig {
         let (volume, image) = match class {
-            InputClass::Check => (16, 16),
             InputClass::Test => (32, 64),
             InputClass::Small => (64, 128),
             InputClass::Native => (128, 256), // paper: 256³ head dataset

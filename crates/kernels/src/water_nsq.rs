@@ -36,7 +36,6 @@ impl WaterNsqConfig {
     /// Standard configuration for an input class.
     pub fn class(class: InputClass) -> WaterNsqConfig {
         let (n, steps) = match class {
-            InputClass::Check => (4, 1), // 6 pairs: schedulable exhaustively
             InputClass::Test => (216, 3),
             InputClass::Small => (512, 3),
             InputClass::Native => (1728, 5), // paper: 512–4096 molecules

@@ -31,7 +31,6 @@ impl WaterSpConfig {
     /// Standard configuration for an input class.
     pub fn class(class: InputClass) -> WaterSpConfig {
         let (n, steps) = match class {
-            InputClass::Check => (8, 1),
             InputClass::Test => (216, 3),
             InputClass::Small => (1000, 3),
             InputClass::Native => (4096, 5), // paper: up to 8³·8 molecules

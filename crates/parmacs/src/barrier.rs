@@ -153,7 +153,7 @@ impl<A: Atomics> SenseBarrier<A> {
     /// # Panics
     /// Panics if `n == 0`.
     pub fn combining(n: usize, stats: Arc<SyncCounters>) -> SenseBarrier<A> {
-        let core = CombiningCore::new_in(n, 0, apply_arrive, Arc::clone(&stats));
+        let core = CombiningCore::new(n, 0, apply_arrive, Arc::clone(&stats));
         SenseBarrier::with_arrival(n, Arrival::Combined(core), stats)
     }
 

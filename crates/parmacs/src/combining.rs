@@ -90,22 +90,10 @@ pub struct CombiningCore<T, A: Atomics = Std> {
 unsafe impl<T: Send, A: Atomics> Sync for CombiningCore<T, A> {}
 unsafe impl<T: Send, A: Atomics> Send for CombiningCore<T, A> {}
 
-impl<T> CombiningCore<T> {
+impl<T, A: Atomics> CombiningCore<T, A> {
     /// Core for up to `nthreads` concurrent publishers (clamped to at least
     /// one record), applying ops with `apply` and reporting into `stats`.
     pub fn new(
-        nthreads: usize,
-        state: T,
-        apply: fn(&mut T, u64, u64) -> u64,
-        stats: Arc<SyncCounters>,
-    ) -> CombiningCore<T> {
-        CombiningCore::new_in(nthreads, state, apply, stats)
-    }
-}
-
-impl<T, A: Atomics> CombiningCore<T, A> {
-    /// [`CombiningCore::new`] over any [`Atomics`].
-    pub fn new_in(
         nthreads: usize,
         state: T,
         apply: fn(&mut T, u64, u64) -> u64,

@@ -31,7 +31,9 @@ use std::sync::Arc;
 pub trait TaskQueue<T>: Send + Sync + fmt::Debug {
     /// Add a task to the pool.
     fn push(&self, task: T);
-    /// Remove some task, or `None` if the pool is currently empty.
+    /// Remove some task, or `None` if the pool is currently empty. Only a
+    /// pop that returns a task counts as a queue op, as only a push that
+    /// lands does.
     fn pop(&self) -> Option<T>;
     /// Approximate number of queued tasks (exact when quiescent).
     fn len(&self) -> usize;
@@ -74,11 +76,15 @@ impl<T: Send, A: Atomics> TaskQueue<T> for LockedQueue<T, A> {
     }
 
     fn pop(&self) -> Option<T> {
-        self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Queue);
         // SAFETY: as in `push`.
-        self.lock
-            .with(|| unsafe { self.items.with_mut(VecDeque::pop_front) })
+        let task = self
+            .lock
+            .with(|| unsafe { self.items.with_mut(VecDeque::pop_front) });
+        if task.is_some() {
+            self.stats.bump(Counter::QueueOps);
+            self.stats.trace(TraceEvent::Queue);
+        }
+        task
     }
 
     fn len(&self) -> usize {
@@ -178,8 +184,6 @@ impl<T: Send, A: Atomics> TaskQueue<T> for TreiberStack<T, A> {
 
     fn pop(&self) -> Option<T> {
         let s = A::spec(TreiberSpec::SPLASH4);
-        self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Queue);
         let mut cur = self.head.load(s.pop_load);
         loop {
             if cur.is_null() {
@@ -200,6 +204,8 @@ impl<T: Send, A: Atomics> TaskQueue<T> for TreiberStack<T, A> {
                     // `cur`; the value is moved out exactly once.
                     let value = unsafe { (*cur).value.with_mut(|v| ManuallyDrop::take(v)) };
                     self.retire(cur, s);
+                    self.stats.bump(Counter::QueueOps);
+                    self.stats.trace(TraceEvent::Queue);
                     return Some(value);
                 }
                 Err(actual) => {
@@ -323,8 +329,6 @@ impl<T, A: Atomics> BoundedMpmcQueue<T, A> {
     /// the slot found full — the word whose next store frees it.
     fn push_or_full(&self, task: T) -> Result<(), (T, &A::Usize)> {
         let s = A::spec(RingSpec::SPLASH4);
-        self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Queue);
         let mut pos = self.enqueue_pos.load(s.cursor_load);
         loop {
             let slot = &self.buf[pos & self.mask];
@@ -349,6 +353,8 @@ impl<T, A: Atomics> BoundedMpmcQueue<T, A> {
                             })
                         };
                         slot.seq.store(pos.wrapping_add(1), s.publish_store);
+                        self.stats.bump(Counter::QueueOps);
+                        self.stats.trace(TraceEvent::Queue);
                         return Ok(());
                     }
                     Err(actual) => {
@@ -369,8 +375,6 @@ impl<T, A: Atomics> BoundedMpmcQueue<T, A> {
     /// Dequeue some task, or `None` when the ring is currently empty.
     pub fn try_pop(&self) -> Option<T> {
         let s = A::spec(RingSpec::SPLASH4);
-        self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Queue);
         let mut pos = self.dequeue_pos.load(s.cursor_load);
         loop {
             let slot = &self.buf[pos & self.mask];
@@ -391,6 +395,8 @@ impl<T, A: Atomics> BoundedMpmcQueue<T, A> {
                         let value = unsafe { slot.value.with(|v| v.assume_init_read()) };
                         slot.seq
                             .store(pos.wrapping_add(self.mask + 1), s.publish_store);
+                        self.stats.bump(Counter::QueueOps);
+                        self.stats.trace(TraceEvent::Queue);
                         return Some(value);
                     }
                     Err(actual) => {
@@ -602,13 +608,15 @@ mod tests {
     #[test]
     fn bounded_mpmc_queue_reports_full_and_wraps_laps() {
         let stats = Arc::new(SyncCounters::new());
-        let q = BoundedMpmcQueue::<_>::new(4, stats);
+        let q = BoundedMpmcQueue::<_>::new(4, Arc::clone(&stats));
         assert_eq!(q.capacity(), 4);
         for i in 0..4 {
             q.try_push(i).expect("fits");
         }
         assert_eq!(q.try_push(99), Err(99), "full ring returns the task");
         assert_eq!(q.len(), 4);
+        let ops = stats.snapshot().queue_ops;
+        assert_eq!(ops, 4, "a push onto a full ring counts nothing");
         // Drain and refill across several laps: sequence numbers must keep
         // ticketing correctly after wraparound.
         for lap in 0..5 {
@@ -653,7 +661,7 @@ mod tests {
         let _ = q.pop();
         let _ = q.pop();
         let p = stats.snapshot();
-        assert_eq!(p.queue_ops, 3);
+        assert_eq!(p.queue_ops, 2, "the empty pop counts nothing");
         assert!(
             p.atomic_rmws >= 2,
             "each successful transfer CASes a cursor"
@@ -761,7 +769,7 @@ mod tests {
         let _ = q.pop();
         let _ = q.pop();
         let p = stats.snapshot();
-        assert_eq!(p.queue_ops, 3);
+        assert_eq!(p.queue_ops, 2, "the empty pop counts nothing");
         assert!(p.atomic_rmws >= 2);
         assert_eq!(p.lock_acquires, 0);
     }

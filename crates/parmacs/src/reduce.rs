@@ -55,16 +55,9 @@ pub struct AtomicF64<A: Atomics = Std> {
     bits: A::U64,
 }
 
-impl AtomicF64 {
-    /// New cell holding `v`.
-    pub fn new(v: f64) -> AtomicF64 {
-        AtomicF64::new_in(v)
-    }
-}
-
 impl<A: Atomics> AtomicF64<A> {
-    /// [`AtomicF64::new`] over any [`Atomics`].
-    pub fn new_in(v: f64) -> AtomicF64<A> {
+    /// New cell holding `v`.
+    pub fn new(v: f64) -> AtomicF64<A> {
         AtomicF64 {
             bits: A::U64::new("reduce.f64", v.to_bits()),
         }
@@ -187,7 +180,7 @@ impl<A: Atomics> Reducer<A> {
         let cells = match Serial::for_mode(mode, nthreads, state, apply_reduce, &stats) {
             Some(serial) => Cells::Serial(serial),
             None => Cells::Atomic {
-                float: AtomicF64::new_in(0.0),
+                float: AtomicF64::new(0.0),
                 int: A::U64::new("reduce.u64", 0),
             },
         };
@@ -273,7 +266,7 @@ mod tests {
     #[test]
     fn atomic_f64_fetch_update_applies() {
         let stats = SyncCounters::new();
-        let a = AtomicF64::new(2.0);
+        let a = AtomicF64::<Std>::new(2.0);
         assert_eq!(a.fetch_update(|x| x * 10.0, &stats), 2.0);
         assert_eq!(a.load(), 20.0);
         assert!(stats.snapshot().atomic_rmws >= 1);
@@ -282,7 +275,7 @@ mod tests {
     #[test]
     fn atomic_f64_counts_into_the_block_its_caller_passes() {
         let (a, b) = (SyncCounters::new(), SyncCounters::new());
-        let cell = AtomicF64::new(1.0);
+        let cell = AtomicF64::<Std>::new(1.0);
         assert_eq!(cell.add(2.0, &a), 1.0);
         assert_eq!(cell.add(3.0, &b), 3.0);
         assert_eq!(cell.load(), 6.0);

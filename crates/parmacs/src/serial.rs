@@ -57,7 +57,7 @@ impl<T, A: Atomics> Serial<T, A> {
                 apply,
             })),
             SyncMode::LockFree => None,
-            SyncMode::Combining => Some(Serial(Exec::Combining(CombiningCore::new_in(
+            SyncMode::Combining => Some(Serial(Exec::Combining(CombiningCore::new(
                 nthreads,
                 state,
                 apply,

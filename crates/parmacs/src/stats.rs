@@ -107,7 +107,9 @@ counters! {
     FlagWaits => flag_waits,
     /// Nanoseconds spent waiting on flags.
     FlagWaitNs => flag_wait_ns,
-    /// Task-queue operations (push + pop attempts, both back-ends).
+    /// Task-queue operations: pushes that land and pops that return a task
+    /// (an empty pop or a push onto a full ring counts nothing, so the count
+    /// does not depend on the schedule).
     QueueOps => queue_ops,
     /// CAS failures (retries) observed in lock-free loops; a proxy for
     /// cache-line contention intensity.

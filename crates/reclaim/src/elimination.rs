@@ -108,8 +108,6 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
 
     /// Pop the most recent value; `None` when the stack is observed empty.
     pub fn pop(&self) -> Option<T> {
-        self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Queue);
         let s = A::spec(TreiberSpec::SPLASH4);
         let e = A::spec(EliminationSpec::SPLASH4);
         let slot = self.reclaimer.enter();
@@ -149,6 +147,10 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
             }
         };
         self.reclaimer.exit(slot);
+        if result.is_some() {
+            self.stats.bump(Counter::QueueOps);
+            self.stats.trace(TraceEvent::Queue);
+        }
         result
     }
 

@@ -99,18 +99,11 @@ pub struct EpochReclaimer<A: Atomics = Std> {
     holder: Arc<dyn SlotHolder>,
 }
 
-impl EpochReclaimer {
+impl<A: Atomics> EpochReclaimer<A> {
     /// Reclaimer with room for `capacity` concurrently live threads,
     /// shipping [`EpochSpec::SPLASH4`] orderings and reporting into
     /// `stats`.
-    pub fn new(capacity: usize, stats: Arc<SyncCounters>) -> EpochReclaimer {
-        EpochReclaimer::new_in(capacity, stats)
-    }
-}
-
-impl<A: Atomics> EpochReclaimer<A> {
-    /// [`EpochReclaimer::new`] over any [`Atomics`].
-    pub fn new_in(capacity: usize, stats: Arc<SyncCounters>) -> EpochReclaimer<A> {
+    pub fn new(capacity: usize, stats: Arc<SyncCounters>) -> EpochReclaimer<A> {
         let capacity = capacity.max(1);
         let inner = Arc::new(Inner::<A> {
             global: CachePadded::new(A::Usize::new("epoch.global", 0)),

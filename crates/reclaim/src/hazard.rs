@@ -102,18 +102,11 @@ pub struct HazardReclaimer<A: Atomics = Std> {
     holder: Arc<dyn SlotHolder>,
 }
 
-impl HazardReclaimer {
+impl<A: Atomics> HazardReclaimer<A> {
     /// Reclaimer with room for `capacity` concurrently live threads,
     /// shipping [`HazardSpec::SPLASH4`] orderings and reporting into
     /// `stats`.
-    pub fn new(capacity: usize, stats: Arc<SyncCounters>) -> HazardReclaimer {
-        HazardReclaimer::new_in(capacity, stats)
-    }
-}
-
-impl<A: Atomics> HazardReclaimer<A> {
-    /// [`HazardReclaimer::new`] over any [`Atomics`].
-    pub fn new_in(capacity: usize, stats: Arc<SyncCounters>) -> HazardReclaimer<A> {
+    pub fn new(capacity: usize, stats: Arc<SyncCounters>) -> HazardReclaimer<A> {
         let capacity = capacity.max(1);
         let inner = Arc::new(Inner::<A> {
             slots: (0..capacity)

@@ -125,8 +125,6 @@ impl<T: Send, A: Atomics> MsQueue<T, A> {
 
     /// Dequeue from the head; `None` when the queue is observed empty.
     pub fn pop(&self) -> Option<T> {
-        self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Queue);
         let s = A::spec(MsQueueSpec::SPLASH4);
         let slot = self.reclaimer.enter();
         let result = loop {
@@ -185,6 +183,10 @@ impl<T: Send, A: Atomics> MsQueue<T, A> {
             self.stats.bump(Counter::CasFailures);
         };
         self.reclaimer.exit(slot);
+        if result.is_some() {
+            self.stats.bump(Counter::QueueOps);
+            self.stats.trace(TraceEvent::Queue);
+        }
         result
     }
 

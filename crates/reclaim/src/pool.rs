@@ -49,7 +49,7 @@ pub struct TaskPool<T: Send, A: Atomics = Std> {
     reclaimer: Arc<dyn Reclaimer>,
 }
 
-impl<T: Send> TaskPool<T> {
+impl<T: Send, A: Atomics> TaskPool<T, A> {
     /// Pool of the given `shape` recycling nodes through `kind`, sized for
     /// `threads` concurrent workers, reporting into `stats`.
     pub fn new(
@@ -57,22 +57,10 @@ impl<T: Send> TaskPool<T> {
         kind: ReclaimKind,
         threads: usize,
         stats: Arc<SyncCounters>,
-    ) -> TaskPool<T> {
-        TaskPool::new_in(shape, kind, threads, stats)
-    }
-}
-
-impl<T: Send, A: Atomics> TaskPool<T, A> {
-    /// [`TaskPool::new`] over any [`Atomics`].
-    pub fn new_in(
-        shape: PoolShape,
-        kind: ReclaimKind,
-        threads: usize,
-        stats: Arc<SyncCounters>,
     ) -> TaskPool<T, A> {
         let reclaimer: Arc<dyn Reclaimer> = match kind {
-            ReclaimKind::Epoch => Arc::new(EpochReclaimer::<A>::new_in(threads, stats.clone())),
-            ReclaimKind::Hazard => Arc::new(HazardReclaimer::<A>::new_in(threads, stats.clone())),
+            ReclaimKind::Epoch => Arc::new(EpochReclaimer::<A>::new(threads, stats.clone())),
+            ReclaimKind::Hazard => Arc::new(HazardReclaimer::<A>::new(threads, stats.clone())),
         };
         let backend = match shape {
             PoolShape::Fifo => Backend::Fifo(MsQueue::new(reclaimer.clone(), stats)),

@@ -6,7 +6,7 @@
 //! conservation plus full reclamation. Iteration counts shrink under Miri
 //! (the CI Miri job runs this same file).
 
-use splash4_parmacs::{SyncCounters, TaskQueue};
+use splash4_parmacs::{Std, SyncCounters, TaskQueue};
 use splash4_reclaim::{
     EliminationStack, EpochReclaimer, HazardReclaimer, MsQueue, PoolShape, ReclaimKind, Reclaimer,
     TaskPool,
@@ -50,8 +50,8 @@ impl Drop for Counted {
 
 fn reclaimer(kind: ReclaimKind, stats: Arc<SyncCounters>) -> Arc<dyn Reclaimer> {
     match kind {
-        ReclaimKind::Epoch => Arc::new(EpochReclaimer::new(THREADS, stats)),
-        ReclaimKind::Hazard => Arc::new(HazardReclaimer::new(THREADS, stats)),
+        ReclaimKind::Epoch => Arc::new(EpochReclaimer::<Std>::new(THREADS, stats)),
+        ReclaimKind::Hazard => Arc::new(HazardReclaimer::<Std>::new(THREADS, stats)),
     }
 }
 

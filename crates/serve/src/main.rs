@@ -11,13 +11,17 @@ use std::thread;
 use std::time::Duration;
 
 const DEFAULT_ADDR: &str = "127.0.0.1:4488";
+/// Most `--workers` (each one an OS thread) and `--queue-cap` (a channel
+/// buffer allocated at start) a server accepts.
+const MAX_WORKERS: usize = 256;
+const MAX_QUEUE_CAP: usize = 65_536;
 
 const USAGE: &str = "\
 splash4-serve — concurrent experiment service (JSON over TCP; DESIGN.md §13)
 
 Server (default mode):
-  splash4-serve [--addr HOST:PORT] [--workers N] [--cache-cap N]
-                [--queue-cap N] [--timeout-ms MS]
+  splash4-serve [--addr HOST:PORT] [--workers N<=256] [--cache-cap N]
+                [--queue-cap N<=65536] [--timeout-ms MS]
     Runs until SIGINT/SIGTERM or a client {\"op\":\"shutdown\"}, then drains
     in-flight jobs and exits. Port 0 picks a free port (printed on stdout).
 
@@ -100,9 +104,9 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--addr" => value("--addr").map(|v| addr = v),
-            "--workers" => parse_into(value("--workers"), &mut workers),
+            "--workers" => parse_capped(value("--workers"), MAX_WORKERS, &mut workers),
             "--cache-cap" => parse_into(value("--cache-cap"), &mut cache_cap),
-            "--queue-cap" => parse_into(value("--queue-cap"), &mut queue_cap),
+            "--queue-cap" => parse_capped(value("--queue-cap"), MAX_QUEUE_CAP, &mut queue_cap),
             "--timeout-ms" => {
                 let mut ms = 0u64;
                 parse_into(value("--timeout-ms"), &mut ms).map(|()| timeout_ms = Some(ms))
@@ -144,6 +148,16 @@ fn parse_into<T: std::str::FromStr>(
     *out = raw
         .parse()
         .map_err(|_| format!("cannot parse '{raw}' as a number"))?;
+    Ok(())
+}
+
+fn parse_capped(raw: Result<String, String>, max: usize, out: &mut usize) -> Result<(), String> {
+    let mut n = 0;
+    parse_into(raw, &mut n)?;
+    if n > max {
+        return Err(format!("{n} is above the limit {max} (see --help)"));
+    }
+    *out = n;
     Ok(())
 }
 
@@ -230,5 +244,24 @@ fn run_client(
                 _ => Ok(ExitCode::SUCCESS),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn workers_and_queue_cap_are_bounded_when_parsed() {
+        for max in [MAX_WORKERS, MAX_QUEUE_CAP] {
+            let mut n = 7;
+            assert_eq!(parse_capped(Ok(max.to_string()), max, &mut n), Ok(()));
+            assert_eq!(n, max);
+            let over = parse_capped(Ok((max + 1).to_string()), max, &mut n);
+            assert!(over.unwrap_err().contains("above the limit"));
+            assert_eq!(n, max, "a refused value is not stored");
+        }
+        let mut n = 0;
+        assert!(parse_capped(Ok("-1".to_string()), MAX_WORKERS, &mut n).is_err());
     }
 }

@@ -57,9 +57,9 @@ fn shipped_reclaimers_verify_and_their_mutants_fall() {
 fn kernel_bodies_verify_and_their_mutants_fall() {
     let started = std::time::Instant::now();
     let budget = CheckBudget::small(105);
-    all_pass(check_kernels(&budget), 4, budget.min_schedules);
+    all_pass(check_kernels(&budget), 2, budget.min_schedules);
     let mutants = check_kernel_mutants(&budget);
-    assert_eq!(mutants.len(), 6);
+    assert_eq!(mutants.len(), 4);
     for m in mutants {
         assert!(m.detected, "{} escaped: {}", m.name, m.counterexample);
     }

@@ -24,7 +24,6 @@ struct SpinMill;
 
 fn mill_items(class: InputClass) -> usize {
     match class {
-        InputClass::Check => 24,
         InputClass::Test => 2_048,
         InputClass::Small => 8_192,
         InputClass::Native => 32_768,
@@ -114,13 +113,13 @@ fn registered_workload_flows_through_every_layer() {
     assert!(sim.total_ns > 0);
     assert_eq!(sim.ncores, 8);
 
-    // -- Check layer ------------------------------------------------------
-    // `InputClass::Check` stays a valid native preset with mode-invariant
-    // answers — the property the model checker's scenarios build on.
+    // -- Mode layer -------------------------------------------------------
+    // The new workload validates with mode-invariant answers under every
+    // sync generation.
     let mut checksums = Vec::new();
     for mode in SyncMode::ALL {
-        let r = b.run(InputClass::Check, &SyncEnv::new(mode, 2));
-        assert!(r.validated, "spin-mill invalid at check scale, {mode}");
+        let r = b.run(InputClass::Test, &SyncEnv::new(mode, 2));
+        assert!(r.validated, "spin-mill invalid at test scale, {mode}");
         checksums.push(r.checksum);
     }
     assert!(close(checksums[0], checksums[1], 1e-9));

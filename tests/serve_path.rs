@@ -5,8 +5,10 @@
 //! cached, a half-written frame holds up nothing but its own connection and
 //! ends in a clean error, a connection thread that returns closes its socket,
 //! shutdown runs every accepted job even with the queue full or a coalesced
-//! waiter behind a computation, and a fresh connection is accepted at once. Tier-1 runs the root package only,
-//! so these live here and not beside `crates/serve/tests/`.
+//! waiter behind a computation, a deadline that passes inside a run or a
+//! coalesced wait is a timeout error, and a fresh connection is accepted at
+//! once. Tier-1 runs the root package only, so these live here and not
+//! beside `crates/serve/tests/`.
 //!
 //! Two workloads are registered at run time (the `registry_extension.rs`
 //! pattern; registration is process-global, which is why this is its own
@@ -608,5 +610,83 @@ fn a_fresh_connection_is_served_at_once() {
     assert!(
         median < Duration::from_millis(5),
         "median connect + ping {median:?} of {pairs:?}"
+    );
+}
+
+/// Waits until the pool is back at rest: nothing computing, nothing queued,
+/// all of its `workers` parked.
+fn wait_at_rest(client: &mut Client, workers: u64) {
+    wait_until("the pool back at rest", || {
+        let stats = client.stats().expect("stats");
+        stat(&stats, "in_flight") == 0
+            && stat(&stats, "queue_depth") == 0
+            && stat(&stats, "workers_parked") == workers
+    });
+}
+
+/// A deadline comfortably longer than it takes a parked worker to start a
+/// job, so the job times out running or waiting, not queued.
+const TIMEOUT_MS: u64 = 200;
+
+/// The error of a job whose deadline passed once it ran: not the queued
+/// one, `request timed out while queued`.
+fn assert_timed_out_running(events: &[JobEvent]) {
+    assert!(
+        matches!(events.last(), Some(JobEvent::Error { message, .. })
+            if message == "request timed out (deadline exceeded)"),
+        "the job must end in a timeout error past its start: {events:?}"
+    );
+}
+
+#[test]
+fn a_duplicate_whose_deadline_passes_while_coalesced_times_out_before_its_leader() {
+    let (_server, addr) = server(2);
+    let mut client = Client::connect(&addr).expect("connect");
+    let gate = close_gate();
+    let (leader_events, leader) = submit_watched(&addr, bench("serve-gate"));
+    expect_event(&leader_events, "running", |e| {
+        matches!(e, JobEvent::Running { .. })
+    });
+    let mut duplicate = bench("serve-gate");
+    duplicate.timeout_ms = Some(TIMEOUT_MS);
+    let (events, stream) = submit_watched(&addr, duplicate);
+    // The answer comes while the leader is still gated: the coalesced wait
+    // gives up at the duplicate's deadline and frees its worker.
+    assert_timed_out_running(&drain_soon(&events));
+    stream.join().unwrap().expect("a clean stream");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stat(&stats, "in_flight"), 1, "the leader still computes");
+    drop(gate);
+    let leader = leader.join().unwrap().expect("leader stream");
+    assert!(
+        matches!(leader.last(), Some(JobEvent::Done { cached: false, .. })),
+        "{leader:?}"
+    );
+    wait_at_rest(&mut client, 2);
+}
+
+#[test]
+fn a_gated_job_whose_deadline_passes_inside_run_times_out_and_caches_nothing() {
+    let (_server, addr) = server(1);
+    let mut client = Client::connect(&addr).expect("connect");
+    let mut request = bench("serve-gate");
+    request.timeout_ms = Some(TIMEOUT_MS);
+    let gate = close_gate();
+    let (events, stream) = submit_watched(&addr, request.clone());
+    expect_event(&events, "running", |e| {
+        matches!(e, JobEvent::Running { .. })
+    });
+    // The deadline was set before `running` was sent, so it has passed once
+    // the timeout has elapsed since then.
+    thread::sleep(Duration::from_millis(TIMEOUT_MS));
+    drop(gate);
+    assert_timed_out_running(&drain_soon(&events));
+    stream.join().unwrap().expect("a clean stream");
+    wait_at_rest(&mut client, 1);
+    request.timeout_ms = None;
+    let events = client.submit(&request).expect("resubmit");
+    assert!(
+        matches!(events.last(), Some(JobEvent::Done { cached: false, .. })),
+        "a timed-out job leaves nothing in the cache: {events:?}"
     );
 }
