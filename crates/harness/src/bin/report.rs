@@ -6,7 +6,6 @@
 //! splash4-report --all [--json-out results.json]
 //! splash4-report --experiment F1-native --threads 1,2,4
 //! splash4-report --all --only fft,radix
-//! splash4-report --all --csv-dir results/csv
 //! splash4-report --bench [atomics] [--quick] [--bench-out atomics.json] [--force]
 //! splash4-report --calibrate atomics.json [--profile-base epyc] [--profile-out host-profile.json]
 //! splash4-report --experiment F2-sim-epyc --machine host-profile.json
@@ -46,7 +45,7 @@ fn usage() -> &'static str {
      | --calibrate <bench.json>) \
      [--only bench[,bench...]] [--class test|small|native] \
      [--threads a,b,c] [--sim-threads a,b,c] [--machine <preset|file|json>] \
-     [--snapshot-cores N] [--json-out FILE] [--csv-dir DIR] \
+     [--snapshot-cores N] [--json-out FILE] \
      [--quick] [--bench-out FILE] [--force] \
      [--profile-base <preset>] [--profile-out FILE]"
 }
@@ -65,7 +64,6 @@ fn main() -> ExitCode {
     let mut bench_out = "BENCH_results.json".to_string();
     let mut ctx = ExperimentCtx::default();
     let mut json_out: Option<String> = None;
-    let mut csv_dir: Option<String> = None;
     let mut only: Option<Vec<BenchmarkId>> = None;
 
     let mut it = args.iter();
@@ -210,13 +208,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            "--csv-dir" => {
-                csv_dir = it.next().cloned();
-                if csv_dir.is_none() {
-                    eprintln!("--csv-dir needs a directory\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            }
             "--help" | "-h" => {
                 println!("{}", usage());
                 return ExitCode::SUCCESS;
@@ -354,14 +345,6 @@ fn main() -> ExitCode {
         match run_experiment(id, &ctx) {
             Ok(report) => {
                 print!("{}", report.to_terminal());
-                if let Some(dir) = &csv_dir {
-                    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| {
-                        std::fs::write(format!("{dir}/{}.csv", report.id), &report.csv)
-                    }) {
-                        eprintln!("failed to write CSV for {}: {e}", report.id);
-                        return ExitCode::FAILURE;
-                    }
-                }
                 payloads.push(json!({
                     "id": report.id,
                     "title": report.title,

@@ -1018,7 +1018,6 @@ fn d1_diversity(id: &str, ctx: &ExperimentCtx) -> Report {
             "class": ctx.class.label(),
             "rows": jrows,
         }),
-        csv: t.to_csv(),
     }
 }
 
@@ -1122,7 +1121,6 @@ fn check_report(
         ),
         text: format!("{}\n{mutants_heading}:\n{}", t.render(), mt.render()),
         json: j,
-        csv: t.to_csv(),
     }
 }
 

@@ -1,4 +1,4 @@
-//! Plain-text table and CSV rendering for reports.
+//! Plain-text table rendering for reports.
 
 use splash4_parmacs::Json;
 use std::fmt::Write as _;
@@ -15,19 +15,16 @@ pub struct Report {
     pub text: String,
     /// Machine-readable payload.
     pub json: Json,
-    /// CSV rendering of the main table.
-    pub csv: String,
 }
 
 impl Report {
-    /// A report whose text and CSV are the two renderings of one table.
+    /// A report whose text is one table's rendering.
     pub(crate) fn of_table(id: &str, title: impl Into<String>, t: &Table, json: Json) -> Report {
         Report {
             id: id.into(),
             title: title.into(),
             text: t.render(),
             json,
-            csv: t.to_csv(),
         }
     }
 
@@ -99,25 +96,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &String| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
-        };
-        out.push_str(&self.header.iter().map(esc).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(esc).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Geometric mean of positive values (ignores non-positive entries).
@@ -151,14 +129,6 @@ mod tests {
         assert!(s.lines().count() == 4);
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines[2].split_whitespace().count(), 2);
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = Table::new(vec!["a", "b"]);
-        t.row(vec!["x,y", "plain"]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
     }
 
     #[test]

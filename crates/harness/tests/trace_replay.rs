@@ -6,7 +6,9 @@
 use splash4_harness::{record_trace, BenchmarkId as Benchmark};
 use splash4_kernels::workload::{self, driver};
 use splash4_kernels::{InputClass, KernelResult, Workload};
-use splash4_parmacs::{SyncEnv, SyncMode, SyncPolicy, SyncProfile, WorkModel};
+use splash4_parmacs::{
+    ConstructClass, SyncEnv, SyncMode, SyncPolicy, SyncProfile, TraceEvent, WorkModel,
+};
 use splash4_sim::{engine, MachineParams};
 use splash4_trace::{codec, lower::lower, RingRecorder, TraceSummary};
 
@@ -111,6 +113,49 @@ fn both_backends_emit_the_same_logical_events() {
         assert_eq!(slb.queue_ops, slf.queue_ops, "{b} queue ops");
         assert_eq!(slb.barrier_episodes, slf.barrier_episodes, "{b} episodes");
         assert_eq!(slb.events, slf.events, "{b} events");
+    }
+}
+
+/// A traced run's events and its profile count the same logical ops: every
+/// workload, every mode, one event per counted op. The rings are sized so
+/// that no run drops an event (radiosity overflows the default).
+#[test]
+fn every_workloads_trace_agrees_with_its_profile() {
+    use ConstructClass::{Flag, Reduction};
+    for b in Benchmark::all() {
+        for mode in SyncMode::ALL {
+            let recorder = std::sync::Arc::new(RingRecorder::with_capacity(b.name(), 2, 1 << 18));
+            let env = SyncEnv::new(mode, 2).with_trace(recorder.clone());
+            let result = b.run(InputClass::Test, &env);
+            drop(env);
+            let trace = std::sync::Arc::try_unwrap(recorder).unwrap().finish();
+            assert!(result.validated, "{b} ({mode:?})");
+            assert_eq!(trace.dropped(), 0, "{b} ({mode:?})");
+            // Tally the events by the counter each one stands for.
+            let mut traced = SyncProfile::default();
+            for event in trace.threads().iter().flatten().map(|s| s.event) {
+                match event {
+                    TraceEvent::BarrierEnter => traced.barrier_waits += 1,
+                    TraceEvent::Getsub { .. } => traced.getsub_calls += 1,
+                    TraceEvent::Rmw {
+                        class: Reduction, ..
+                    } => traced.reduce_ops += 1,
+                    TraceEvent::Rmw { class: Flag, .. } => traced.flag_sets += 1,
+                    TraceEvent::Queue => traced.queue_ops += 1,
+                    _ => {}
+                }
+            }
+            let logical = |p: &SyncProfile| {
+                (
+                    p.barrier_waits,
+                    p.getsub_calls,
+                    p.reduce_ops,
+                    p.flag_sets,
+                    p.queue_ops,
+                )
+            };
+            assert_eq!(logical(&traced), logical(&result.profile), "{b} ({mode:?})");
+        }
     }
 }
 

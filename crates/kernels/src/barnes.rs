@@ -15,7 +15,7 @@ use crate::common::{KernelResult, SharedSlice};
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
 use splash4_parmacs::SmallRng;
-use splash4_parmacs::{Counter, Dispatch, PhaseSpec, SyncEnv, Team, WorkModel};
+use splash4_parmacs::{Dispatch, PhaseSpec, SyncEnv, Team, WorkModel};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Barnes-Hut kernel configuration.
@@ -207,14 +207,11 @@ pub fn run(cfg: &BarnesConfig, env: &SyncEnv) -> KernelResult {
                     node_locks[node].release();
                     return;
                 }
-                stats.bump(Counter::AtomicRmws);
-                if slot
-                    .compare_exchange(EMPTY, body_ref(i), Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
+                let claim =
+                    slot.compare_exchange(EMPTY, body_ref(i), Ordering::AcqRel, Ordering::Acquire);
+                if stats.cas(claim).is_ok() {
                     return;
                 }
-                stats.bump(Counter::CasFailures);
                 continue; // slot changed under us; re-examine
             }
             if is_body(cur) {
@@ -259,14 +256,14 @@ pub fn run(cfg: &BarnesConfig, env: &SyncEnv) -> KernelResult {
                     // Re-examine the same node: slot now internal.
                     continue;
                 }
-                stats.bump(Counter::AtomicRmws);
-                if slot
-                    .compare_exchange(cur, head as u64, Ordering::AcqRel, Ordering::Acquire)
-                    .is_err()
-                {
-                    // Lost the race; the chain nodes are wasted arena space.
-                    stats.bump(Counter::CasFailures);
-                }
+                // Losing the race leaves the chain nodes as wasted arena
+                // space.
+                let _ = stats.cas(slot.compare_exchange(
+                    cur,
+                    head as u64,
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                ));
                 continue;
             }
             // Internal node: descend.

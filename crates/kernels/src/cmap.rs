@@ -24,14 +24,11 @@
 //! churn is CAS traffic (or bucket locks) plus retire/scan/free activity
 //! that none of the original kernels exhibit (the `D1-diversity` claim).
 
-use crate::common::{close, KernelResult, SharedSlice};
+use crate::common::{close, KernelResult, SharedSlice, DATA_OP};
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
 use splash4_parmacs::atomics::{Atomics, DataCell, Std, Word};
-use splash4_parmacs::{
-    CMapSpec, ConstructClass, Counter, PhaseSpec, SleepLock, SmallRng, SyncCounters, SyncEnv,
-    TraceEvent, WorkModel,
-};
+use splash4_parmacs::{CMapSpec, PhaseSpec, SleepLock, SmallRng, SyncCounters, SyncEnv, WorkModel};
 use splash4_reclaim::{EpochReclaimer, ReclaimStats, Reclaimer};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -198,14 +195,6 @@ impl<A: Atomics> LockFreeMap<A> {
         }
     }
 
-    fn rmw(&self) {
-        self.stats.bump(Counter::AtomicRmws);
-        self.stats.trace(TraceEvent::Rmw {
-            class: ConstructClass::DataLock,
-            n: 1,
-        });
-    }
-
     /// Run `op` inside a protected region of the calling thread.
     fn pinned<R>(&self, op: impl FnOnce(usize) -> R) -> R {
         let slot = self.reclaimer.enter();
@@ -242,8 +231,10 @@ impl<A: Atomics> LockFreeMap<A> {
                     // Snip the logically deleted node. The expected value
                     // carries no mark bit, so this fails (and we restart)
                     // if `prev` itself got marked meanwhile.
-                    self.rmw();
-                    match prev.compare_exchange(cur, next, s.unlink_cas_ok, s.unlink_cas_fail) {
+                    self.stats.record(DATA_OP);
+                    let unlink =
+                        prev.compare_exchange(cur, next, s.unlink_cas_ok, s.unlink_cas_fail);
+                    match self.stats.cas(unlink) {
                         Ok(_) => {
                             // SAFETY: the CAS made this thread the unique
                             // unlinker; hand the node to the reclaimer.
@@ -252,10 +243,7 @@ impl<A: Atomics> LockFreeMap<A> {
                             }
                             cur = next;
                         }
-                        Err(_) => {
-                            self.stats.bump(Counter::CasFailures);
-                            continue 'retry;
-                        }
+                        Err(_) => continue 'retry,
                     }
                     continue;
                 }
@@ -290,11 +278,13 @@ impl<A: Atomics> LockFreeMap<A> {
                 val: A::U64::new("cmap.node.val", val),
                 next: A::Ptr::new("cmap.node.next", cur),
             });
-            self.rmw();
-            match prev.compare_exchange(cur, node, s.link_cas_ok, s.link_cas_fail) {
+            self.stats.record(DATA_OP);
+            match self
+                .stats
+                .cas(prev.compare_exchange(cur, node, s.link_cas_ok, s.link_cas_fail))
+            {
                 Ok(_) => return,
                 Err(_) => {
-                    self.stats.bump(Counter::CasFailures);
                     // SAFETY: the node never became visible; give it back
                     // directly and retry the whole find.
                     unsafe { A::free(node) };
@@ -325,26 +315,21 @@ impl<A: Atomics> LockFreeMap<A> {
                 // helper's snip); treat as miss.
                 return false;
             }
-            self.rmw();
-            match cur_ref.next.compare_exchange(
+            self.stats.record(DATA_OP);
+            let mark = cur_ref.next.compare_exchange(
                 next_tagged,
                 marked(next_tagged),
                 s.mark_cas_ok,
                 s.mark_cas_fail,
-            ) {
-                Ok(_) => {
-                    // Physical removal: re-run find, whose snip path
-                    // unlinks and retires the node (or a helper already
-                    // did).
-                    // SAFETY: still pinned.
-                    let _ = unsafe { self.find(slot, key) };
-                    return true;
-                }
-                Err(_) => {
-                    // A helper inserted after `cur` (its next changed);
-                    // the mark itself is owner-exclusive. Retry.
-                    self.stats.bump(Counter::CasFailures);
-                }
+            );
+            // A failed mark means a helper inserted after `cur` (its next
+            // changed); the mark itself is owner-exclusive. Retry.
+            if self.stats.cas(mark).is_ok() {
+                // Physical removal: re-run find, whose snip path unlinks
+                // and retires the node (or a helper already did).
+                // SAFETY: still pinned.
+                let _ = unsafe { self.find(slot, key) };
+                return true;
             }
         })
     }
@@ -438,15 +423,8 @@ struct LockedMap<'a> {
 }
 
 impl LockedMap<'_> {
-    fn op_trace(&self) {
-        self.stats.trace(TraceEvent::Rmw {
-            class: ConstructClass::DataLock,
-            n: 1,
-        });
-    }
-
     fn insert(&self, key: u64, val: u64) {
-        self.op_trace();
+        self.stats.record(DATA_OP);
         let b = bucket_of(key, self.buckets.len());
         self.locks[b].acquire();
         // SAFETY: bucket `b` is exclusively held under its lock.
@@ -459,7 +437,7 @@ impl LockedMap<'_> {
     }
 
     fn remove(&self, key: u64) -> bool {
-        self.op_trace();
+        self.stats.record(DATA_OP);
         let b = bucket_of(key, self.buckets.len());
         self.locks[b].acquire();
         // SAFETY: as above.
@@ -476,7 +454,7 @@ impl LockedMap<'_> {
     }
 
     fn lookup(&self, key: u64) -> Option<u64> {
-        self.op_trace();
+        self.stats.record(DATA_OP);
         let b = bucket_of(key, self.buckets.len());
         self.locks[b].acquire();
         // SAFETY: as above.

@@ -13,6 +13,13 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// One fine-grained data touch (a data lock's critical section, or the
+/// atomic update that replaces it), as both back-ends trace it.
+pub(crate) const DATA_OP: TraceEvent = TraceEvent::Rmw {
+    class: ConstructClass::DataLock,
+    n: 1,
+};
+
 /// Outcome of one kernel execution.
 #[derive(Debug, Clone)]
 pub struct KernelResult {
@@ -266,10 +273,7 @@ impl<T: Accumulate> SharedAccum<T> {
     /// previous value (slot claiming).
     #[inline]
     pub fn add(&self, i: usize, v: T) -> T {
-        self.stats.trace(TraceEvent::Rmw {
-            class: ConstructClass::DataLock,
-            n: 1,
-        });
+        self.stats.record(DATA_OP);
         let cell = &self.cells[i];
         match &self.locks {
             Some(locks) => {

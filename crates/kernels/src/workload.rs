@@ -159,9 +159,9 @@ pub mod driver {
     use splash4_parmacs::Team;
     use std::time::{Duration, Instant};
 
-    /// Calibration head-room factor shared by every kernel model: measured
-    /// per-item cycles may undershoot the analytic estimate by at most 2×.
-    const CALIBRATION_SLACK: f64 = 2.0;
+    /// Host clock, in GHz, that every kernel model's calibration assumes:
+    /// a measured nanosecond of compute is this many cycles.
+    const HOST_GHZ: f64 = 2.0;
 
     /// Run `body` once per thread on a team of `env.nthreads()` threads
     /// and return the wall-clock time of the parallel region. The clock
@@ -179,7 +179,7 @@ pub mod driver {
 
     /// Snapshot the environment's [`SyncProfile`](splash4_parmacs::SyncProfile)
     /// and assemble the [`KernelResult`], calibrating `work` to the measured
-    /// ROI (`elapsed × nthreads` core-nanoseconds, with the suite-wide slack).
+    /// ROI (`elapsed × nthreads` core-nanoseconds, as cycles at `HOST_GHZ`).
     pub fn finish(
         env: &SyncEnv,
         elapsed: Duration,
@@ -192,10 +192,7 @@ pub mod driver {
             checksum,
             validated,
             profile: env.profile(),
-            work: work.calibrated(
-                elapsed.as_nanos() as u64 * env.nthreads() as u64,
-                CALIBRATION_SLACK,
-            ),
+            work: work.calibrated(elapsed.as_nanos() as u64 * env.nthreads() as u64, HOST_GHZ),
         }
     }
 }

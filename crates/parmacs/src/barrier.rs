@@ -37,10 +37,9 @@ pub trait Barrier: Send + Sync + fmt::Debug {
 /// One episode as every barrier here accounts it: counted, traced on entry
 /// and exit, and timed around `wait`.
 fn episode(stats: &SyncCounters, wait: impl FnOnce()) {
-    stats.bump(Counter::BarrierWaits);
-    stats.trace(TraceEvent::BarrierEnter);
+    stats.record(TraceEvent::BarrierEnter);
     stats.timed(Counter::BarrierWaitNs, wait);
-    stats.trace(TraceEvent::BarrierExit);
+    stats.record(TraceEvent::BarrierExit);
 }
 
 /// Futex generation barrier (the Splash-3 / pthreads expansion): arrivals

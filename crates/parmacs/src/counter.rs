@@ -99,13 +99,12 @@ impl<A: Atomics> IndexCounter<A> {
     /// range end when exhausted. `chunk` must be non-zero.
     pub fn next_chunk(&self, chunk: usize) -> Range<usize> {
         assert!(chunk > 0, "chunk must be non-zero");
-        self.stats.bump(Counter::GetsubCalls);
         let start = match &self.cursor {
             Cursor::Serial(serial) => serial.run(OP_GRAB, chunk as u64) as usize,
             Cursor::FetchAdd(value) => self.fetch_add(value, chunk),
         };
         let end = start.saturating_add(chunk).min(self.range.end);
-        self.stats.trace(TraceEvent::Getsub {
+        self.stats.record(TraceEvent::Getsub {
             n: (end - start) as u32,
         });
         start..end

@@ -201,7 +201,7 @@ impl SyncEnv {
 impl fmt::Debug for SyncEnv {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SyncEnv")
-            .field("policy", &self.policy.describe())
+            .field("policy", &self.policy)
             .field("nthreads", &self.nthreads)
             .finish()
     }

@@ -53,8 +53,7 @@ impl<A: Atomics> PauseVar for CondvarFlag<A> {
     fn set(&self) {
         // Counted and emitted from `set` only: the wait side's fast path is
         // timing-dependent, so only the signal is a stable logical event.
-        self.stats.bump(Counter::FlagSets);
-        self.stats.trace(TraceEvent::Rmw {
+        self.stats.record(TraceEvent::Rmw {
             class: ConstructClass::Flag,
             n: 1,
         });
@@ -108,8 +107,7 @@ impl<A: Atomics> AtomicFlag<A> {
 
 impl<A: Atomics> PauseVar for AtomicFlag<A> {
     fn set(&self) {
-        self.stats.bump(Counter::FlagSets);
-        self.stats.trace(TraceEvent::Rmw {
+        self.stats.record(TraceEvent::Rmw {
             class: ConstructClass::Flag,
             n: 1,
         });

@@ -156,53 +156,6 @@ impl SyncPolicy {
     pub fn mode_for(self, class: ConstructClass) -> SyncMode {
         self.modes[class as usize]
     }
-
-    /// `Some(mode)` if every class uses the same back-end.
-    pub fn uniform_mode(self) -> Option<SyncMode> {
-        let m = self.modes[0];
-        self.modes.iter().all(|&x| x == m).then_some(m)
-    }
-
-    /// Human-readable summary, e.g. `splash3+lockfree{barrier}`.
-    ///
-    /// The majority back-end becomes the base label; every minority back-end
-    /// appends a `+name{classes}` segment. Ties go to the earlier generation
-    /// in [`SyncMode::ALL`] so two-mode outputs are stable across releases.
-    pub fn describe(self) -> String {
-        if let Some(m) = self.uniform_mode() {
-            return m.label().to_string();
-        }
-        let classes_of = |m: SyncMode| -> Vec<ConstructClass> {
-            ConstructClass::ALL
-                .into_iter()
-                .filter(|&c| self.mode_for(c) == m)
-                .collect()
-        };
-        let mut base = SyncMode::ALL[0];
-        for m in SyncMode::ALL {
-            if classes_of(m).len() > classes_of(base).len() {
-                base = m;
-            }
-        }
-        let mut out = base.label().to_string();
-        for m in SyncMode::ALL {
-            if m == base {
-                continue;
-            }
-            let flipped = classes_of(m);
-            if flipped.is_empty() {
-                continue;
-            }
-            let adjective = match m {
-                SyncMode::LockBased => "lockbased",
-                SyncMode::LockFree => "lockfree",
-                SyncMode::Combining => "combining",
-            };
-            let names: Vec<_> = flipped.iter().map(|c| c.label()).collect();
-            out.push_str(&format!("+{}{{{}}}", adjective, names.join(",")));
-        }
-        out
-    }
 }
 
 impl From<SyncMode> for SyncPolicy {
@@ -265,11 +218,9 @@ mod tests {
     fn uniform_policy_reports_mode() {
         for m in SyncMode::ALL {
             let p = SyncPolicy::uniform(m);
-            assert_eq!(p.uniform_mode(), Some(m));
             for c in ConstructClass::ALL {
                 assert_eq!(p.mode_for(c), m);
             }
-            assert_eq!(p.describe(), m.label());
         }
     }
 
@@ -277,44 +228,17 @@ mod tests {
     fn with_overrides_single_class() {
         let p = SyncPolicy::uniform(SyncMode::LockBased)
             .with(ConstructClass::Reduction, SyncMode::LockFree);
-        assert_eq!(p.uniform_mode(), None);
         assert_eq!(p.mode_for(ConstructClass::Reduction), SyncMode::LockFree);
         for c in ConstructClass::ALL {
             if c != ConstructClass::Reduction {
                 assert_eq!(p.mode_for(c), SyncMode::LockBased);
             }
         }
-        assert_eq!(p.describe(), "splash3+lockfree{reduction}");
-    }
-
-    #[test]
-    fn describe_picks_minority_side() {
-        let mut p = SyncPolicy::uniform(SyncMode::LockFree);
-        p = p.with(ConstructClass::Barrier, SyncMode::LockBased);
-        assert_eq!(p.describe(), "splash4+lockbased{barrier}");
-    }
-
-    #[test]
-    fn describe_handles_three_mode_mixes() {
-        let p = SyncPolicy::uniform(SyncMode::LockFree)
-            .with(ConstructClass::Reduction, SyncMode::Combining)
-            .with(ConstructClass::Counter, SyncMode::Combining);
-        assert_eq!(p.describe(), "splash4+combining{counter,reduction}");
-        let p3 = SyncPolicy::uniform(SyncMode::LockBased)
-            .with(ConstructClass::Barrier, SyncMode::LockFree)
-            .with(ConstructClass::Reduction, SyncMode::Combining);
-        assert_eq!(
-            p3.describe(),
-            "splash3+lockfree{barrier}+combining{reduction}"
-        );
-        let uniform = SyncPolicy::uniform(SyncMode::Combining);
-        assert_eq!(uniform.describe(), "splash4x");
-        assert_eq!(uniform.uniform_mode(), Some(SyncMode::Combining));
     }
 
     #[test]
     fn from_mode_is_uniform() {
         let p: SyncPolicy = SyncMode::LockBased.into();
-        assert_eq!(p.uniform_mode(), Some(SyncMode::LockBased));
+        assert_eq!(p, SyncPolicy::uniform(SyncMode::LockBased));
     }
 }

@@ -17,7 +17,7 @@ use crate::backoff::Backoff;
 use crate::lock::SleepLock;
 use crate::pad::CachePadded;
 use crate::spec::{RingSpec, TreiberSpec};
-use crate::stats::{Counter, SyncCounters};
+use crate::stats::SyncCounters;
 use crate::trace::TraceEvent;
 use std::collections::VecDeque;
 use std::fmt;
@@ -68,8 +68,7 @@ impl<T, A: Atomics> LockedQueue<T, A> {
 
 impl<T: Send, A: Atomics> TaskQueue<T> for LockedQueue<T, A> {
     fn push(&self, task: T) {
-        self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Queue);
+        self.stats.record(TraceEvent::Queue);
         // SAFETY: the lock is held around the access.
         self.lock
             .with(|| unsafe { self.items.with_mut(|q| q.push_back(task)) });
@@ -81,8 +80,7 @@ impl<T: Send, A: Atomics> TaskQueue<T> for LockedQueue<T, A> {
             .lock
             .with(|| unsafe { self.items.with_mut(VecDeque::pop_front) });
         if task.is_some() {
-            self.stats.bump(Counter::QueueOps);
-            self.stats.trace(TraceEvent::Queue);
+            self.stats.record(TraceEvent::Queue);
         }
         task
     }
@@ -156,8 +154,7 @@ impl<T, A: Atomics> TreiberStack<T, A> {
 impl<T: Send, A: Atomics> TaskQueue<T> for TreiberStack<T, A> {
     fn push(&self, task: T) {
         let s = A::spec(TreiberSpec::SPLASH4);
-        self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Queue);
+        self.stats.record(TraceEvent::Queue);
         let node: *mut Node<T, A> = Box::into_raw(Box::new(Node {
             value: A::Cell::new("stack.node.value", ManuallyDrop::new(task)),
             next: A::Cell::new("stack.node.next", ptr::null_mut()),
@@ -167,16 +164,12 @@ impl<T: Send, A: Atomics> TaskQueue<T> for TreiberStack<T, A> {
         loop {
             // SAFETY: node not yet published; we own it.
             unsafe { (*node).next.with_mut(|n| *n = cur) };
-            self.stats.bump(Counter::AtomicRmws);
-            match self
-                .head
-                .compare_exchange_weak(cur, node, s.push_cas_ok, s.push_cas_fail)
-            {
+            let publish =
+                self.head
+                    .compare_exchange_weak(cur, node, s.push_cas_ok, s.push_cas_fail);
+            match self.stats.cas(publish) {
                 Ok(_) => break,
-                Err(actual) => {
-                    self.stats.bump(Counter::CasFailures);
-                    cur = actual;
-                }
+                Err(actual) => cur = actual,
             }
         }
         self.len.fetch_add(1, Ordering::Relaxed);
@@ -193,25 +186,20 @@ impl<T: Send, A: Atomics> TaskQueue<T> for TreiberStack<T, A> {
             // stack is alive (retire-until-drop), so reading `next` from a
             // stale head is safe even if another thread popped it first.
             let next = unsafe { (*cur).next.with(|n| *n) };
-            self.stats.bump(Counter::AtomicRmws);
-            match self
+            let unlink = self
                 .head
-                .compare_exchange_weak(cur, next, s.pop_cas_ok, s.pop_cas_fail)
-            {
+                .compare_exchange_weak(cur, next, s.pop_cas_ok, s.pop_cas_fail);
+            match self.stats.cas(unlink) {
                 Ok(_) => {
                     self.len.fetch_sub(1, Ordering::Relaxed);
                     // SAFETY: successful CAS makes us the unique owner of
                     // `cur`; the value is moved out exactly once.
                     let value = unsafe { (*cur).value.with_mut(|v| ManuallyDrop::take(v)) };
                     self.retire(cur, s);
-                    self.stats.bump(Counter::QueueOps);
-                    self.stats.trace(TraceEvent::Queue);
+                    self.stats.record(TraceEvent::Queue);
                     return Some(value);
                 }
-                Err(actual) => {
-                    self.stats.bump(Counter::CasFailures);
-                    cur = actual;
-                }
+                Err(actual) => cur = actual,
             }
         }
     }
@@ -336,13 +324,13 @@ impl<T, A: Atomics> BoundedMpmcQueue<T, A> {
             let diff = seq as isize - pos as isize;
             if diff == 0 {
                 // Slot is writable at this ticket: claim it.
-                self.stats.bump(Counter::AtomicRmws);
-                match self.enqueue_pos.compare_exchange_weak(
+                let claim = self.enqueue_pos.compare_exchange_weak(
                     pos,
                     pos.wrapping_add(1),
                     s.cursor_cas_ok,
                     s.cursor_cas_fail,
-                ) {
+                );
+                match self.stats.cas(claim) {
                     Ok(_) => {
                         // SAFETY: the CAS granted this thread exclusive
                         // ownership of the slot for ticket `pos`; the
@@ -353,14 +341,10 @@ impl<T, A: Atomics> BoundedMpmcQueue<T, A> {
                             })
                         };
                         slot.seq.store(pos.wrapping_add(1), s.publish_store);
-                        self.stats.bump(Counter::QueueOps);
-                        self.stats.trace(TraceEvent::Queue);
+                        self.stats.record(TraceEvent::Queue);
                         return Ok(());
                     }
-                    Err(actual) => {
-                        self.stats.bump(Counter::CasFailures);
-                        pos = actual;
-                    }
+                    Err(actual) => pos = actual,
                 }
             } else if diff < 0 {
                 // The slot still holds the value from one lap ago: full.
@@ -381,13 +365,13 @@ impl<T, A: Atomics> BoundedMpmcQueue<T, A> {
             let seq = slot.seq.load(s.seq_load);
             let diff = seq as isize - pos.wrapping_add(1) as isize;
             if diff == 0 {
-                self.stats.bump(Counter::AtomicRmws);
-                match self.dequeue_pos.compare_exchange_weak(
+                let claim = self.dequeue_pos.compare_exchange_weak(
                     pos,
                     pos.wrapping_add(1),
                     s.cursor_cas_ok,
                     s.cursor_cas_fail,
-                ) {
+                );
+                match self.stats.cas(claim) {
                     Ok(_) => {
                         // SAFETY: the CAS granted exclusive ownership of the
                         // published value; the acquire load of `seq` above
@@ -395,14 +379,10 @@ impl<T, A: Atomics> BoundedMpmcQueue<T, A> {
                         let value = unsafe { slot.value.with(|v| v.assume_init_read()) };
                         slot.seq
                             .store(pos.wrapping_add(self.mask + 1), s.publish_store);
-                        self.stats.bump(Counter::QueueOps);
-                        self.stats.trace(TraceEvent::Queue);
+                        self.stats.record(TraceEvent::Queue);
                         return Some(value);
                     }
-                    Err(actual) => {
-                        self.stats.bump(Counter::CasFailures);
-                        pos = actual;
-                    }
+                    Err(actual) => pos = actual,
                 }
             } else if diff < 0 {
                 // Slot not yet published for this lap: empty.

@@ -63,24 +63,19 @@ impl<A: Atomics> AtomicF64<A> {
         }
     }
 
-    /// Apply `f` atomically via a compare-exchange loop, counting the RMW
-    /// and every failed CAS into `stats`; returns the value it replaced.
+    /// Apply `f` atomically via a compare-exchange loop, counting every
+    /// attempt into `stats`; returns the value it replaced.
     pub fn fetch_update(&self, f: impl Fn(f64) -> f64, stats: &SyncCounters) -> f64 {
         let s = A::spec(CasF64Spec::SPLASH4);
-        stats.bump(Counter::AtomicRmws);
         let mut cur = self.bits.load(s.load);
         loop {
             let new = f(f64::from_bits(cur)).to_bits();
-            match self
-                .bits
-                .compare_exchange_weak(cur, new, s.cas_ok, s.cas_fail)
-            {
+            match stats.cas(
+                self.bits
+                    .compare_exchange_weak(cur, new, s.cas_ok, s.cas_fail),
+            ) {
                 Ok(_) => return f64::from_bits(cur),
-                Err(actual) => {
-                    stats.bump(Counter::CasFailures);
-                    stats.bump(Counter::AtomicRmws);
-                    cur = actual;
-                }
+                Err(actual) => cur = actual,
             }
         }
     }
@@ -214,8 +209,7 @@ impl<A: Atomics> Reducer<A> {
     /// One logical reduction contribution (`add`/`max`/`min`).
     #[inline]
     fn contribute(&self, op: u64, arg: u64) {
-        self.stats.bump(Counter::ReduceOps);
-        self.stats.trace(TraceEvent::Rmw {
+        self.stats.record(TraceEvent::Rmw {
             class: ConstructClass::Reduction,
             n: 1,
         });

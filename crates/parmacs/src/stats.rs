@@ -7,6 +7,15 @@
 //! barriers, flags, queue blocking) where the cost of two `Instant::now`
 //! calls is negligible relative to the operation itself.
 //!
+//! # Counting rules
+//!
+//! Two rules are written here and nowhere else. A logical sync op is one
+//! [`SyncCounters::record`]: one bump of the counter its [`TraceEvent`]
+//! stands for plus that event to the trace sink, so a run's trace and its
+//! profile agree. A CAS attempt is one [`SyncCounters::cas`]: one
+//! `atomic_rmws`, plus one `cas_failures` when it fails, so the CAS-retry
+//! share is failures over attempts.
+//!
 //! # Striping
 //!
 //! The counters are *striped*: the block holds one cache-line-padded lane of
@@ -30,6 +39,7 @@
 //! artifacts, and parameterizes the timing-simulator workload models.
 
 use crate::json::{Json, ToJson};
+use crate::mode::ConstructClass;
 use crate::pad::CachePadded;
 use crate::team::current_tid;
 use crate::trace::{TraceEvent, TraceSink};
@@ -154,7 +164,7 @@ fn zero_lane() -> Lane {
 ///
 /// The block also carries the (optional) trace sink, so every primitive that
 /// already holds an `Arc<SyncCounters>` can emit [`TraceEvent`]s without
-/// signature changes.
+/// signature changes, through [`record`](SyncCounters::record).
 /// Tracing never touches the counters themselves: `T3-syncops` counts are
 /// identical with and without a sink attached.
 #[derive(Debug)]
@@ -247,10 +257,47 @@ impl SyncCounters {
     /// Emit `event` to the attached sink, if any. With no sink this is one
     /// load-and-branch on the hot path; counters are never affected.
     #[inline]
-    pub fn trace(&self, event: TraceEvent) {
+    fn trace(&self, event: TraceEvent) {
         if let Some(sink) = self.tracer.get() {
             sink.record(current_tid(), event);
         }
+    }
+
+    /// Account one logical sync op: bump the counter `event` stands for,
+    /// then emit it. This is the one place the two agree, so a run's trace
+    /// holds exactly one event per counted logical op. A barrier exit and a
+    /// data-lock touch stand for no counter.
+    #[inline]
+    pub fn record(&self, event: TraceEvent) {
+        let counter = match event {
+            TraceEvent::BarrierEnter => Some(Counter::BarrierWaits),
+            TraceEvent::BarrierExit => None,
+            TraceEvent::Getsub { .. } => Some(Counter::GetsubCalls),
+            TraceEvent::Queue => Some(Counter::QueueOps),
+            TraceEvent::Rmw { class, .. } => match class {
+                ConstructClass::Reduction => Some(Counter::ReduceOps),
+                ConstructClass::Flag => Some(Counter::FlagSets),
+                ConstructClass::DataLock
+                | ConstructClass::Barrier
+                | ConstructClass::Counter
+                | ConstructClass::Queue => None,
+            },
+        };
+        if let Some(counter) = counter {
+            self.bump(counter);
+        }
+        self.trace(event);
+    }
+
+    /// Account one CAS attempt and hand its `result` back: one
+    /// `atomic_rmws`, plus one `cas_failures` when it failed.
+    #[inline]
+    pub fn cas<T>(&self, result: Result<T, T>) -> Result<T, T> {
+        self.bump(Counter::AtomicRmws);
+        if result.is_err() {
+            self.bump(Counter::CasFailures);
+        }
+        result
     }
 
     /// Immutable snapshot of all counters, folded across lanes.
@@ -325,6 +372,63 @@ mod tests {
         assert_eq!(p.lock_acquires, 1);
         assert_eq!(p.atomic_rmws, 42);
         assert_eq!(p.barrier_waits, 0);
+    }
+
+    /// Keeps every event it is handed.
+    #[derive(Debug, Default)]
+    struct Collect(std::sync::Mutex<Vec<TraceEvent>>);
+
+    impl TraceSink for Collect {
+        fn record(&self, _tid: usize, event: TraceEvent) {
+            self.0.lock().unwrap().push(event);
+        }
+    }
+
+    #[test]
+    fn record_bumps_the_events_counter_and_feeds_the_sink_once() {
+        let rmw = |class| TraceEvent::Rmw { class, n: 3 };
+        let mut cases = vec![
+            (TraceEvent::BarrierEnter, Some(Counter::BarrierWaits)),
+            (TraceEvent::BarrierExit, None),
+            (TraceEvent::Getsub { n: 4 }, Some(Counter::GetsubCalls)),
+            (TraceEvent::Queue, Some(Counter::QueueOps)),
+        ];
+        for class in ConstructClass::ALL {
+            let counter = match class {
+                ConstructClass::Reduction => Some(Counter::ReduceOps),
+                ConstructClass::Flag => Some(Counter::FlagSets),
+                _ => None,
+            };
+            cases.push((rmw(class), counter));
+        }
+        for (event, counter) in cases {
+            let c = SyncCounters::new();
+            let sink = Arc::new(Collect::default());
+            assert!(c.set_tracer(Arc::clone(&sink) as Arc<dyn TraceSink>));
+            c.record(event);
+            let mut want = [0; NUM_COUNTERS];
+            if let Some(counter) = counter {
+                want[counter as usize] = 1;
+            }
+            assert_eq!(c.snapshot().slots(), want, "{event:?}");
+            assert_eq!(*sink.0.lock().unwrap(), [event], "{event:?}");
+        }
+        // With no sink attached the count is the same.
+        let c = SyncCounters::new();
+        c.record(TraceEvent::Queue);
+        assert_eq!(c.snapshot().queue_ops, 1);
+    }
+
+    #[test]
+    fn cas_counts_one_rmw_and_a_failure_only_on_err() {
+        let c = SyncCounters::new();
+        assert_eq!(c.cas(Ok::<u64, u64>(7)), Ok(7));
+        let p = c.snapshot();
+        assert_eq!((p.atomic_rmws, p.cas_failures), (1, 0));
+        assert_eq!(c.cas(Err::<u64, u64>(9)), Err(9));
+        let p = c.snapshot();
+        assert_eq!((p.atomic_rmws, p.cas_failures), (2, 1));
+        assert_eq!(p.total_ops(), 2);
     }
 
     #[test]

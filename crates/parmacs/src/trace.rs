@@ -43,7 +43,8 @@ pub enum TraceEvent {
         /// Items claimed by this grab (0 for an exhausted poll).
         n: u32,
     },
-    /// A task-queue push or pop (a pop may be the final empty poll).
+    /// A task-queue push that lands or a pop that returns a task (an empty
+    /// pop is not an event, as it is not a `queue_ops` count).
     Queue,
 }
 

@@ -28,7 +28,7 @@ use crate::node::Node;
 use crate::Reclaimer;
 use splash4_parmacs::atomics::{Atomics, Std, Word};
 use splash4_parmacs::{
-    CachePadded, Counter, EliminationSpec, SyncCounters, TaskQueue, TraceEvent, TreiberSpec,
+    CachePadded, EliminationSpec, SyncCounters, TaskQueue, TraceEvent, TreiberSpec,
 };
 use std::fmt;
 use std::ptr;
@@ -74,8 +74,7 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
 
     /// Push `value`. Never blocks, never fails.
     pub fn push(&self, value: T) {
-        self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Queue);
+        self.stats.record(TraceEvent::Queue);
         let s = A::spec(TreiberSpec::SPLASH4);
         let e = A::spec(EliminationSpec::SPLASH4);
         let node: *mut Node<T, A> = Node::boxed(NODE, Some(value));
@@ -90,15 +89,12 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
             // the publishing CAS releases it.
             // SAFETY: `node` is owned by this thread until published.
             unsafe { (*node).next.store(head, e.next_store) };
-            self.stats.bump(Counter::AtomicRmws);
-            if self
+            let publish = self
                 .head
-                .compare_exchange(head, node, s.push_cas_ok, s.push_cas_fail)
-                .is_ok()
-            {
+                .compare_exchange(head, node, s.push_cas_ok, s.push_cas_fail);
+            if self.stats.cas(publish).is_ok() {
                 break;
             }
-            self.stats.bump(Counter::CasFailures);
             if self.try_eliminate_push(slot, node) {
                 break;
             }
@@ -125,12 +121,10 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
             }
             // SAFETY: `head` is hazard-protected and re-validated above.
             let next = unsafe { (*head).next.load(e.next_load) };
-            self.stats.bump(Counter::AtomicRmws);
-            if self
+            let unlink = self
                 .head
-                .compare_exchange(head, next, s.pop_cas_ok, s.pop_cas_fail)
-                .is_ok()
-            {
+                .compare_exchange(head, next, s.pop_cas_ok, s.pop_cas_fail);
+            if self.stats.cas(unlink).is_ok() {
                 // SAFETY: unique take right from the unlinking CAS win.
                 let value = unsafe { Node::take_value(head) };
                 self.len.fetch_sub(1, Ordering::Relaxed);
@@ -141,15 +135,13 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
                 };
                 break value;
             }
-            self.stats.bump(Counter::CasFailures);
             if let Some(value) = self.try_eliminate_pop(slot) {
                 break Some(value);
             }
         };
         self.reclaimer.exit(slot);
         if result.is_some() {
-            self.stats.bump(Counter::QueueOps);
-            self.stats.trace(TraceEvent::Queue);
+            self.stats.record(TraceEvent::Queue);
         }
         result
     }
@@ -161,39 +153,29 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
         // and the withdraw CAS below must not race a free-and-realloc of
         // this address (epoch back-ends cover this with the open region).
         self.reclaimer.protect(slot, 0, node.cast());
-        self.stats.bump(Counter::AtomicRmws);
-        if self
-            .slot
-            .compare_exchange(ptr::null_mut(), node, e.install_cas_ok, e.install_cas_fail)
-            .is_err()
-        {
+        let install =
+            self.slot
+                .compare_exchange(ptr::null_mut(), node, e.install_cas_ok, e.install_cas_fail);
+        if self.stats.cas(install).is_err() {
             // Slot busy with another pusher's offer: no pairing possible.
-            self.stats.bump(Counter::CasFailures);
             self.reclaimer.protect(slot, 0, ptr::null_mut());
             return false;
         }
         // Leave early when taken mid-window; the withdraw below confirms.
         self.slot.poll_while(node, ELIM_WINDOW, e.slot_load);
-        self.stats.bump(Counter::AtomicRmws);
-        let withdrawn = self
-            .slot
-            .compare_exchange(
-                node,
-                ptr::null_mut(),
-                e.withdraw_cas_ok,
-                e.withdraw_cas_fail,
-            )
-            .is_ok();
+        let withdraw = self.slot.compare_exchange(
+            node,
+            ptr::null_mut(),
+            e.withdraw_cas_ok,
+            e.withdraw_cas_fail,
+        );
+        // The attempt succeeds when the withdraw *fails*: a popper claimed
+        // the offer (and owns the node now) and the pair eliminated. A
+        // withdrawn offer is the failed attempt: nobody bit, we still own
+        // the node and retry the main stack.
+        let eliminated = self.stats.cas(withdraw.map_or_else(Ok, Err)).is_ok();
         self.reclaimer.protect(slot, 0, ptr::null_mut());
-        if withdrawn {
-            // Nobody bit: we still own the node; retry the main stack.
-            self.stats.bump(Counter::CasFailures);
-            false
-        } else {
-            // A popper claimed the offer (and owns the node now): the pair
-            // eliminated.
-            true
-        }
+        eliminated
     }
 
     /// Claim a pending exchange offer, if any.
@@ -211,12 +193,10 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
             self.reclaimer.protect(slot, 1, ptr::null_mut());
             return None;
         }
-        self.stats.bump(Counter::AtomicRmws);
-        let taken = self
-            .slot
-            .compare_exchange(offer, ptr::null_mut(), e.take_cas_ok, e.take_cas_fail)
-            .is_ok();
-        let value = if taken {
+        let take =
+            self.slot
+                .compare_exchange(offer, ptr::null_mut(), e.take_cas_ok, e.take_cas_fail);
+        let value = if self.stats.cas(take).is_ok() {
             // SAFETY: winning the take CAS grants the unique right to the
             // offered value; the hazard (or open epoch region) keeps the
             // node alive while we read it.
@@ -231,7 +211,6 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
             };
             value
         } else {
-            self.stats.bump(Counter::CasFailures);
             None
         };
         self.reclaimer.protect(slot, 1, ptr::null_mut());

@@ -24,7 +24,7 @@
 use crate::node::Node;
 use crate::Reclaimer;
 use splash4_parmacs::atomics::{Atomics, Std, Word};
-use splash4_parmacs::{CachePadded, Counter, MsQueueSpec, SyncCounters, TaskQueue, TraceEvent};
+use splash4_parmacs::{CachePadded, MsQueueSpec, SyncCounters, TaskQueue, TraceEvent};
 use std::fmt;
 use std::ptr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,8 +66,7 @@ impl<T: Send, A: Atomics> MsQueue<T, A> {
 
     /// Enqueue `value` at the tail. Never blocks, never fails.
     pub fn push(&self, value: T) {
-        self.stats.bump(Counter::QueueOps);
-        self.stats.trace(TraceEvent::Queue);
+        self.stats.record(TraceEvent::Queue);
         let s = A::spec(MsQueueSpec::SPLASH4);
         let node: *mut Node<T, A> = Node::boxed(NODE, Some(value));
         // Count before linking: the increment happens-before the link CAS,
@@ -86,41 +85,32 @@ impl<T: Send, A: Atomics> MsQueue<T, A> {
             // SAFETY: `tail` is hazard-protected and re-validated above.
             let next = unsafe { (*tail).next.load(s.next_load) };
             if !next.is_null() {
-                // Tail lags behind the real last node: help swing it.
-                self.stats.bump(Counter::AtomicRmws);
-                if self
-                    .tail
-                    .compare_exchange(tail, next, s.tail_swing_ok, s.tail_swing_fail)
-                    .is_err()
-                {
-                    self.stats.bump(Counter::CasFailures);
-                }
+                // Tail lags behind the real last node: help.
+                self.swing_tail(tail, next, s);
                 continue;
             }
             // Linearization point: link the new node after the last one.
-            self.stats.bump(Counter::AtomicRmws);
             // SAFETY: `tail` is still hazard-protected.
-            let linked = unsafe {
+            let link = unsafe {
                 (*tail)
                     .next
                     .compare_exchange(ptr::null_mut(), node, s.link_cas_ok, s.link_cas_fail)
-                    .is_ok()
             };
-            if linked {
-                // Best-effort tail swing; a failure means someone helped.
-                self.stats.bump(Counter::AtomicRmws);
-                if self
-                    .tail
-                    .compare_exchange(tail, node, s.tail_swing_ok, s.tail_swing_fail)
-                    .is_err()
-                {
-                    self.stats.bump(Counter::CasFailures);
-                }
+            if self.stats.cas(link).is_ok() {
+                self.swing_tail(tail, node, s);
                 break;
             }
-            self.stats.bump(Counter::CasFailures);
         }
         self.reclaimer.exit(slot);
+    }
+
+    /// Best-effort swing of `tail` from `from` to `to`; a failure means
+    /// another thread already helped.
+    fn swing_tail(&self, from: *mut Node<T, A>, to: *mut Node<T, A>, s: MsQueueSpec) {
+        let swing = self
+            .tail
+            .compare_exchange(from, to, s.tail_swing_ok, s.tail_swing_fail);
+        let _ = self.stats.cas(swing);
     }
 
     /// Dequeue from the head; `None` when the queue is observed empty.
@@ -148,24 +138,15 @@ impl<T: Send, A: Atomics> MsQueue<T, A> {
             }
             if head == tail {
                 // Non-empty but tail lags: help swing, then retry.
-                self.stats.bump(Counter::AtomicRmws);
-                if self
-                    .tail
-                    .compare_exchange(tail, next, s.tail_swing_ok, s.tail_swing_fail)
-                    .is_err()
-                {
-                    self.stats.bump(Counter::CasFailures);
-                }
+                self.swing_tail(tail, next, s);
                 continue;
             }
             // Linearization point: winning this CAS grants the unique right
             // to take `next`'s value and to retire `head`.
-            self.stats.bump(Counter::AtomicRmws);
-            if self
+            let unlink = self
                 .head
-                .compare_exchange(head, next, s.head_cas_ok, s.head_cas_fail)
-                .is_ok()
-            {
+                .compare_exchange(head, next, s.head_cas_ok, s.head_cas_fail);
+            if self.stats.cas(unlink).is_ok() {
                 // SAFETY: unique take right from the CAS win; hazard 1
                 // keeps `next` alive even if it is retired concurrently.
                 let value = unsafe { Node::take_value(next) };
@@ -180,12 +161,10 @@ impl<T: Send, A: Atomics> MsQueue<T, A> {
                 };
                 break value;
             }
-            self.stats.bump(Counter::CasFailures);
         };
         self.reclaimer.exit(slot);
         if result.is_some() {
-            self.stats.bump(Counter::QueueOps);
-            self.stats.trace(TraceEvent::Queue);
+            self.stats.record(TraceEvent::Queue);
         }
         result
     }

@@ -107,23 +107,16 @@ impl Server {
         &self.shared.pool
     }
 
-    /// Has shutdown been requested (by [`Server::stop`], a client
-    /// `{"op":"shutdown"}`, or a signal handler via
-    /// [`Server::request_stop`])?
+    /// Has shutdown been requested (by [`Server::stop`] or a client
+    /// `{"op":"shutdown"}`)?
     pub fn stopped(&self) -> bool {
         self.shared.stop.load(Ordering::Acquire)
     }
 
-    /// Flag the server to stop without blocking (safe from any thread):
-    /// submissions are rejected from here on; [`Server::stop`] does the rest.
-    pub fn request_stop(&self) {
-        self.shared.stop.store(true, Ordering::Release);
-    }
-
-    /// Graceful shutdown: stop accepting, drain the pool, join all threads.
-    /// Idempotent.
+    /// Graceful shutdown: reject submissions from here on, stop accepting,
+    /// drain the pool, join all threads. Idempotent.
     pub fn stop(&self) {
-        self.request_stop();
+        self.shared.stop.store(true, Ordering::Release);
         if let Some(h) = lock(&self.accept).take() {
             // The accept thread blocks in `accept`: a connection wakes it, and
             // it drops whatever it accepts once `stop` is set. (Unreachable

@@ -87,16 +87,22 @@ pub fn class_cost(mode: SyncMode, m: &MachineParams, p: usize) -> OpCost {
     }
 }
 
+/// How `policy`'s barriers release. Public so trace-driven replay
+/// (`splash4-trace`) releases recorded episodes as the analytic expansion
+/// does. Combining barriers release through the same generation spin a sense
+/// barrier uses; only the arrival phase differs, which [`class_cost`] prices.
+pub fn barrier_kind(policy: SyncPolicy) -> BarrierKind {
+    match policy.mode_for(ConstructClass::Barrier) {
+        SyncMode::LockBased => BarrierKind::Condvar,
+        SyncMode::LockFree | SyncMode::Combining => BarrierKind::Sense,
+    }
+}
+
 /// Expand `model` for `p` cores on `machine` under `policy`.
 pub fn expand(model: &WorkModel, policy: SyncPolicy, p: usize, machine: &MachineParams) -> Program {
     assert!(p > 0, "need at least one core");
     let mut alloc = ServerAlloc { next: 0 };
-    // Combining barriers release through the same generation spin a sense
-    // barrier uses; only the arrival phase differs, which class_cost prices.
-    let barrier_kind = match policy.mode_for(ConstructClass::Barrier) {
-        SyncMode::LockBased => BarrierKind::Condvar,
-        SyncMode::LockFree | SyncMode::Combining => BarrierKind::Sense,
-    };
+    let barrier_kind = barrier_kind(policy);
     let mut program = Program {
         name: model.name.clone(),
         cores: vec![Vec::new(); p],

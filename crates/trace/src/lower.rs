@@ -15,9 +15,9 @@
 //! replays under either.
 
 use crate::Trace;
-use splash4_parmacs::{ConstructClass, SyncMode, SyncPolicy, TraceEvent};
-use splash4_sim::model::class_cost;
-use splash4_sim::{BarrierKind, MachineParams, Op, Program};
+use splash4_parmacs::{ConstructClass, SyncPolicy, TraceEvent};
+use splash4_sim::model::{barrier_kind, class_cost};
+use splash4_sim::{MachineParams, Op, Program};
 
 /// Batches each (segment, core) op stream is interleaved into, so contention
 /// and compute overlap as in the analytic expansion.
@@ -108,18 +108,12 @@ pub fn lower(
     assert!(target_cores > 0, "need at least one simulated core");
     let p = target_cores;
     let segments = pool_segments(trace);
-    let barrier_kind = match policy.mode_for(ConstructClass::Barrier) {
-        SyncMode::LockBased => BarrierKind::Condvar,
-        // Combining arrival funnels through one combiner but the release wave
-        // is the same sense-reversing broadcast, so it replays as Sense.
-        SyncMode::LockFree | SyncMode::Combining => BarrierKind::Sense,
-    };
     let episodes = segments.len() - 1;
     let mut program = Program {
         name: trace.name().to_owned(),
         cores: vec![Vec::new(); p],
         costs: Vec::new(),
-        barriers: vec![barrier_kind; episodes],
+        barriers: vec![barrier_kind(policy); episodes],
     };
 
     // Cost ids, interned once: every segment prices its ops alike, exactly
@@ -200,6 +194,7 @@ pub fn lower(
 mod tests {
     use super::*;
     use crate::Stamped;
+    use splash4_parmacs::SyncMode;
     use splash4_sim::engine;
 
     /// Two native threads, one barrier episode: 100 items grabbed in 10-item

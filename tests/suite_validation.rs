@@ -110,17 +110,11 @@ fn mixed_three_mode_policies_preserve_checksums() {
         let baseline = w.run(InputClass::Test, &SyncEnv::new(SyncMode::LockFree, 3));
         for policy in mixes {
             let r = w.run(InputClass::Test, &SyncEnv::new(policy, 3));
-            assert!(
-                r.validated,
-                "{} invalid under {}",
-                w.name(),
-                policy.describe()
-            );
+            assert!(r.validated, "{} invalid under {policy:?}", w.name());
             assert!(
                 close(baseline.checksum, r.checksum, 1e-6),
-                "{} under {}: lock-free={} mixed={}",
+                "{} under {policy:?}: lock-free={} mixed={}",
                 w.name(),
-                policy.describe(),
                 baseline.checksum,
                 r.checksum
             );
