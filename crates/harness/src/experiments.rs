@@ -168,12 +168,11 @@ const EXPERIMENTS: [(&str, Runner); 18] = [
     // `LockFreeMap` (remove ‖ insert ‖ lookup against a sequential map) and
     // a stage ring of `stream`. The mutation table seeds kernel-shaped bugs
     // — a blind mark, an unpublished key or slot — that the checker must
-    // catch with a minimized counterexample schedule. The title keeps its
-    // historical wording so the committed report section stays stable.
+    // catch with a minimized counterexample schedule.
     ("V2-kernel-check", |id, _| {
         check_report(
             id,
-            "Model checking real kernel bodies at Check scale",
+            "Model checking real kernel bodies",
             "scenario",
             splash4_check::check_kernels,
             |b| sc_blind(splash4_check::check_kernel_mutants(b)),

@@ -137,6 +137,8 @@ mod tests {
             got += 1;
         }
         assert_eq!(got, 12);
-        assert!(pool.is_empty());
+        for w in 0..3 {
+            assert_eq!(pool.pop(w), None, "worker {w} finds every queue drained");
+        }
     }
 }

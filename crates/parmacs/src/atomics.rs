@@ -326,8 +326,9 @@ mod tests {
         // Sizes on x86-64, none above the commit before the facade: wrappers
         // are `repr(transparent)`, so `A = Std` adds no byte to any
         // construct. `AtomicF64` is the bare word (its callers pass their
-        // counters) and `SenseBarrier` carries no trace-only field.
-        assert_eq!(size_of::<TreiberStack<u64>>(), 32);
+        // counters), `SenseBarrier` carries no trace-only field and
+        // `TreiberStack` no `len` word.
+        assert_eq!(size_of::<TreiberStack<u64>>(), 24);
         assert_eq!(size_of::<SenseBarrier>(), 72);
         assert_eq!(size_of::<AtomicF64>(), 8);
         assert_eq!(size_of::<Reducer>(), 72);

@@ -23,7 +23,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ptr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// An unordered MPMC pool of tasks. Ordering (LIFO vs FIFO) is an
@@ -35,12 +34,6 @@ pub trait TaskQueue<T>: Send + Sync + fmt::Debug {
     /// pop that returns a task counts as a queue op, as only a push that
     /// lands does.
     fn pop(&self) -> Option<T>;
-    /// Approximate number of queued tasks (exact when quiescent).
-    fn len(&self) -> usize;
-    /// `true` when [`TaskQueue::len`] is zero.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Lock-protected FIFO queue (Splash-3).
@@ -84,11 +77,6 @@ impl<T: Send, A: Atomics> TaskQueue<T> for LockedQueue<T, A> {
         }
         task
     }
-
-    fn len(&self) -> usize {
-        // SAFETY: as in `push`.
-        self.lock.with(|| unsafe { self.items.with(VecDeque::len) })
-    }
 }
 
 impl<T, A: Atomics> fmt::Debug for LockedQueue<T, A> {
@@ -114,7 +102,6 @@ struct Node<T, A: Atomics> {
 pub struct TreiberStack<T, A: Atomics = Std> {
     head: A::Ptr<Node<T, A>>,
     retired: A::Ptr<Node<T, A>>,
-    len: AtomicUsize,
     stats: Arc<SyncCounters>,
 }
 
@@ -129,7 +116,6 @@ impl<T, A: Atomics> TreiberStack<T, A> {
         TreiberStack {
             head: A::Ptr::new("stack.head", ptr::null_mut()),
             retired: A::Ptr::new("stack.retired", ptr::null_mut()),
-            len: AtomicUsize::new(0),
             stats,
         }
     }
@@ -172,7 +158,6 @@ impl<T: Send, A: Atomics> TaskQueue<T> for TreiberStack<T, A> {
                 Err(actual) => cur = actual,
             }
         }
-        self.len.fetch_add(1, Ordering::Relaxed);
     }
 
     fn pop(&self) -> Option<T> {
@@ -191,7 +176,6 @@ impl<T: Send, A: Atomics> TaskQueue<T> for TreiberStack<T, A> {
                 .compare_exchange_weak(cur, next, s.pop_cas_ok, s.pop_cas_fail);
             match self.stats.cas(unlink) {
                 Ok(_) => {
-                    self.len.fetch_sub(1, Ordering::Relaxed);
                     // SAFETY: successful CAS makes us the unique owner of
                     // `cur`; the value is moved out exactly once.
                     let value = unsafe { (*cur).value.with_mut(|v| ManuallyDrop::take(v)) };
@@ -202,10 +186,6 @@ impl<T: Send, A: Atomics> TaskQueue<T> for TreiberStack<T, A> {
                 Err(actual) => cur = actual,
             }
         }
-    }
-
-    fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
     }
 }
 
@@ -235,9 +215,7 @@ impl<T, A: Atomics> Drop for TreiberStack<T, A> {
 
 impl<T, A: Atomics> fmt::Debug for TreiberStack<T, A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TreiberStack")
-            .field("len", &self.len.load(Ordering::Relaxed))
-            .finish()
+        f.debug_struct("TreiberStack").finish_non_exhaustive()
     }
 }
 
@@ -415,13 +393,6 @@ impl<T: Send, A: Atomics> TaskQueue<T> for BoundedMpmcQueue<T, A> {
     fn pop(&self) -> Option<T> {
         self.try_pop()
     }
-
-    fn len(&self) -> usize {
-        // Racy but monotone-consistent: exact when quiescent.
-        let tail = self.enqueue_pos.load(Ordering::Relaxed);
-        let head = self.dequeue_pos.load(Ordering::Relaxed);
-        tail.wrapping_sub(head).min(self.mask + 1)
-    }
 }
 
 impl<T, A: Atomics> Drop for BoundedMpmcQueue<T, A> {
@@ -434,11 +405,8 @@ impl<T, A: Atomics> Drop for BoundedMpmcQueue<T, A> {
 
 impl<T, A: Atomics> fmt::Debug for BoundedMpmcQueue<T, A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let tail = self.enqueue_pos.load(Ordering::Relaxed);
-        let head = self.dequeue_pos.load(Ordering::Relaxed);
         f.debug_struct("BoundedMpmcQueue")
             .field("capacity", &self.capacity())
-            .field("len", &tail.wrapping_sub(head).min(self.mask + 1))
             .finish()
     }
 }
@@ -486,16 +454,6 @@ impl<T: Send + 'static> StealPool<T> {
         }
         None
     }
-
-    /// Total queued tasks across workers (approximate under concurrency).
-    pub fn len(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
-    }
-
-    /// `true` when every queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<T> fmt::Debug for StealPool<T> {
@@ -510,6 +468,7 @@ impl<T> fmt::Debug for StealPool<T> {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     fn mpmc_exercise(queue: Arc<dyn TaskQueue<usize>>, producers: usize, per: usize) {
@@ -551,7 +510,7 @@ mod tests {
             producers * per,
             "all tasks consumed exactly once"
         );
-        assert!(queue.is_empty());
+        assert_eq!(queue.pop(), None, "nothing left behind");
     }
 
     #[test]
@@ -594,7 +553,6 @@ mod tests {
             q.try_push(i).expect("fits");
         }
         assert_eq!(q.try_push(99), Err(99), "full ring returns the task");
-        assert_eq!(q.len(), 4);
         let ops = stats.snapshot().queue_ops;
         assert_eq!(ops, 4, "a push onto a full ring counts nothing");
         // Drain and refill across several laps: sequence numbers must keep
@@ -698,7 +656,6 @@ mod tests {
         for t in 0..90u32 {
             pool.push(0, t);
         }
-        assert_eq!(pool.len(), 90);
         let drained = Mutex::new(Vec::new());
         std::thread::scope(|s| {
             for w in 0..3 {
@@ -716,7 +673,9 @@ mod tests {
         let mut got = drained.into_inner().unwrap();
         got.sort_unstable();
         assert_eq!(got, (0..90).collect::<Vec<u32>>());
-        assert!(pool.is_empty());
+        for w in 0..3 {
+            assert_eq!(pool.pop(w), None, "worker {w} finds every queue drained");
+        }
     }
 
     #[test]

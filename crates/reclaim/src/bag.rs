@@ -1,6 +1,8 @@
-//! The retire bag both reclaimers defer destruction into.
+//! The retire bag both reclaimers defer destruction into, and the slot's
+//! exact tallies.
 
-use crate::StatCells;
+use crate::ReclaimStats;
+use splash4_parmacs::{Counter, SyncCounters};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A type-erased deferred destruction request.
@@ -17,42 +19,72 @@ pub(crate) struct Retired {
 // sits in; the bag hands it to exactly one `drop_fn` call on any thread.
 unsafe impl Send for Retired {}
 
-/// One slot's retired nodes.
+/// What a bag's lock guards: its entries and the slot's exact tallies.
+#[derive(Default)]
+struct Contents {
+    entries: Vec<Retired>,
+    tally: ReclaimStats,
+}
+
+/// One slot's retired nodes and its retire/scan/free tallies.
 ///
 /// A `std::sync::Mutex`, deliberately uninstrumented: reclamation
 /// bookkeeping must not show up as `lock_acquires` in kernel profiles.
 /// Contention is nil — only the owning thread pushes; other threads touch a
-/// foreign bag only in [`Reclaimer::flush`](crate::Reclaimer::flush). Every
-/// update leaves the vector valid, so a poisoned lock is taken over.
+/// foreign bag only in [`Reclaimer::flush`](crate::Reclaimer::flush) and
+/// [`Reclaimer::reclaim_stats`](crate::Reclaimer::reclaim_stats). The
+/// tallies move under the lock that `push` and `sweep` take anyway, so
+/// counting costs no read-modify-write on a line another thread writes.
+/// Every update leaves the contents valid, so a poisoned lock is taken over.
 #[derive(Default)]
-pub(crate) struct Bag(Mutex<Vec<Retired>>);
+pub(crate) struct Bag(Mutex<Contents>);
 
 impl Bag {
-    fn lock(&self) -> MutexGuard<'_, Vec<Retired>> {
+    fn lock(&self) -> MutexGuard<'_, Contents> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Add `r`; returns the bag's length.
-    pub(crate) fn push(&self, r: Retired) -> usize {
+    /// Add `r` and tally its retirement; returns the bag's length.
+    pub(crate) fn push(&self, stats: &SyncCounters, r: Retired) -> usize {
+        stats.bump(Counter::ReclaimRetires);
         let mut bag = self.lock();
-        bag.push(r);
-        bag.len()
+        bag.tally.retires += 1;
+        bag.entries.push(r);
+        bag.entries.len()
     }
 
-    /// Destroy every entry `keep` rejects and tally them as freed. The
-    /// entries leave the bag before `keep` first runs, so protocol state it
-    /// reads then is newer than every entry's unlink, and are freed with the
-    /// lock released. The survivors go back — as does, when a payload's
-    /// `Drop` unwinds, every entry not destroyed yet.
+    /// The bag's tallies, read under its lock: a free is tallied in the bag
+    /// its node was retired into, so `frees <= retires` in every reading.
+    pub(crate) fn tally(&self) -> ReclaimStats {
+        self.lock().tally
+    }
+
+    /// Destroy every entry `keep` rejects and tally them as freed, and one
+    /// scan when `scan`. The entries leave the bag before `keep` first runs,
+    /// so protocol state it reads then is newer than every entry's unlink,
+    /// and are freed with the lock released. The survivors go back — as
+    /// does, when a payload's `Drop` unwinds, every entry not destroyed yet.
     ///
     /// # Safety
     /// No thread may still hold a protected reference to an entry `keep`
     /// rejects (the reclamation protocol's whole job).
-    pub(crate) unsafe fn sweep(&self, tally: &StatCells, mut keep: impl FnMut(&Retired) -> bool) {
-        let entries = std::mem::take(&mut *self.lock());
+    pub(crate) unsafe fn sweep(
+        &self,
+        stats: &SyncCounters,
+        scan: bool,
+        mut keep: impl FnMut(&Retired) -> bool,
+    ) {
+        let entries = {
+            let mut bag = self.lock();
+            bag.tally.scans += u64::from(scan);
+            std::mem::take(&mut bag.entries)
+        };
+        if scan {
+            stats.bump(Counter::ReclaimScans);
+        }
         let mut taken = Taken {
             bag: self,
-            tally,
+            stats,
             entries,
             freed: 0,
         };
@@ -72,23 +104,36 @@ impl Bag {
     }
 }
 
+/// The exact tallies of `bags`, each read under its own lock.
+pub(crate) fn fold<'a>(bags: impl Iterator<Item = &'a Bag>) -> ReclaimStats {
+    bags.map(Bag::tally)
+        .fold(ReclaimStats::default(), |a, b| ReclaimStats {
+            retires: a.retires + b.retires,
+            scans: a.scans + b.scans,
+            frees: a.frees + b.frees,
+        })
+}
+
 /// A bag's entries while [`Bag::sweep`] judges them.
 struct Taken<'a> {
     bag: &'a Bag,
-    tally: &'a StatCells,
+    stats: &'a SyncCounters,
     entries: Vec<Retired>,
     freed: u64,
 }
 
 impl Drop for Taken<'_> {
     fn drop(&mut self) {
-        self.tally.freed(self.freed);
+        if self.freed > 0 {
+            self.stats.add(Counter::ReclaimFrees, self.freed);
+        }
         let mut bag = self.bag.lock();
-        if bag.is_empty() {
+        bag.tally.frees += self.freed;
+        if bag.entries.is_empty() {
             // The common case; keeps the buffer's capacity with the bag.
-            std::mem::swap(&mut *bag, &mut self.entries);
+            std::mem::swap(&mut bag.entries, &mut self.entries);
         } else {
-            bag.append(&mut self.entries);
+            bag.entries.append(&mut self.entries);
         }
     }
 }

@@ -32,7 +32,6 @@ use splash4_parmacs::{
 };
 use std::fmt;
 use std::ptr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Spin iterations a pusher leaves its offer in the exchange slot.
@@ -46,9 +45,6 @@ pub struct EliminationStack<T, A: Atomics = Std> {
     head: CachePadded<A::Ptr<Node<T, A>>>,
     /// The exchange slot: null, or a pusher's offered node.
     slot: CachePadded<A::Ptr<Node<T, A>>>,
-    /// Approximate length: incremented before a push publishes, decremented
-    /// after a successful pop. Exact at quiescence.
-    len: CachePadded<AtomicUsize>,
     reclaimer: Arc<dyn Reclaimer>,
     stats: Arc<SyncCounters>,
 }
@@ -66,7 +62,6 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
         EliminationStack {
             head: CachePadded::new(A::Ptr::new("elim.head", ptr::null_mut())),
             slot: CachePadded::new(A::Ptr::new("elim.slot", ptr::null_mut())),
-            len: CachePadded::new(AtomicUsize::new(0)),
             reclaimer,
             stats,
         }
@@ -78,10 +73,6 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
         let s = A::spec(TreiberSpec::SPLASH4);
         let e = A::spec(EliminationSpec::SPLASH4);
         let node: *mut Node<T, A> = Node::boxed(NODE, Some(value));
-        // Count before publishing (either path): increment happens-before
-        // the publishing CAS, which happens-before the matching pop's
-        // decrement — no underflow.
-        self.len.fetch_add(1, Ordering::Relaxed);
         let slot = self.reclaimer.enter();
         loop {
             let head = self.head.load(s.push_load);
@@ -127,7 +118,6 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
             if self.stats.cas(unlink).is_ok() {
                 // SAFETY: unique take right from the unlinking CAS win.
                 let value = unsafe { Node::take_value(head) };
-                self.len.fetch_sub(1, Ordering::Relaxed);
                 // SAFETY: unlinked by the winning CAS, retired once.
                 unsafe {
                     self.reclaimer
@@ -201,7 +191,6 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
             // offered value; the hazard (or open epoch region) keeps the
             // node alive while we read it.
             let value = unsafe { Node::take_value(offer) };
-            self.len.fetch_sub(1, Ordering::Relaxed);
             // SAFETY: the offer is now unlinked from the slot and the
             // owning pusher saw (or will see) its withdraw fail — this
             // claimant alone retires it.
@@ -215,16 +204,6 @@ impl<T: Send, A: Atomics> EliminationStack<T, A> {
         };
         self.reclaimer.protect(slot, 1, ptr::null_mut());
         value
-    }
-
-    /// Approximate number of stacked values (exact at quiescence).
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    /// Whether the stack is observed empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Destroy every retired node the reclamation protocol can prove
@@ -247,10 +226,6 @@ impl<T: Send, A: Atomics> TaskQueue<T> for EliminationStack<T, A> {
     fn pop(&self) -> Option<T> {
         EliminationStack::pop(self)
     }
-
-    fn len(&self) -> usize {
-        EliminationStack::len(self)
-    }
 }
 
 impl<T, A: Atomics> Drop for EliminationStack<T, A> {
@@ -272,7 +247,6 @@ impl<T, A: Atomics> Drop for EliminationStack<T, A> {
 impl<T, A: Atomics> fmt::Debug for EliminationStack<T, A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EliminationStack")
-            .field("len", &self.len.load(Ordering::Relaxed))
             .field("reclaimer", &self.reclaimer)
             .finish()
     }

@@ -19,9 +19,9 @@
 //! value exploration, where the pin's or the scan's `SeqCst` load weakened
 //! to `Acquire` ends in a free under a reader.
 
-use crate::bag::{Bag, Retired};
+use crate::bag::{self, Bag, Retired};
 use crate::registry::{self, SlotHolder};
-use crate::{ReclaimStats, Reclaimer, StatCells};
+use crate::{ReclaimStats, Reclaimer};
 use splash4_parmacs::atomics::{Atomics, Std, Word};
 use splash4_parmacs::{CachePadded, EpochSpec, SyncCounters};
 use std::fmt;
@@ -46,7 +46,7 @@ struct Inner<A: Atomics> {
     in_use: Box<[AtomicBool]>,
     /// Slot claims so far (see [`registry::thread_slot`]).
     claims: AtomicUsize,
-    stats: StatCells,
+    stats: Arc<SyncCounters>,
 }
 
 impl<A: Atomics> SlotHolder for Inner<A> {
@@ -83,12 +83,13 @@ impl<A: Atomics> Inner<A> {
         }
     }
 
-    /// Destroy the entries of `bag` old enough for the two-epoch rule.
-    fn sweep(&self, bag: &Bag, global: usize) {
+    /// Destroy the entries of `bag` old enough for the two-epoch rule,
+    /// tallying one scan in it when `scan`.
+    fn sweep(&self, bag: &Bag, scan: bool, global: usize) {
         // SAFETY: a rejected entry was retired under `r.epoch` and the
         // global epoch has advanced twice since, so every thread pinned at
         // retirement has since quiesced — no reference survives.
-        unsafe { bag.sweep(&self.stats, |r| r.epoch.saturating_add(2) > global) };
+        unsafe { bag.sweep(&self.stats, scan, |r| r.epoch.saturating_add(2) > global) };
     }
 }
 
@@ -115,7 +116,7 @@ impl<A: Atomics> EpochReclaimer<A> {
                 .collect(),
             in_use: (0..capacity).map(|_| AtomicBool::new(false)).collect(),
             claims: AtomicUsize::new(0),
-            stats: StatCells::new(stats),
+            stats,
         });
         EpochReclaimer {
             registry_id: registry::new_registry_id(),
@@ -161,16 +162,17 @@ impl<A: Atomics> Reclaimer for EpochReclaimer<A> {
             .inner
             .global
             .load(A::spec(EpochSpec::SPLASH4).global_load);
-        self.inner.stats.retired();
         let bag = &self.inner.slots[slot].bag;
-        let pending = bag.push(Retired {
-            ptr,
-            drop_fn,
-            epoch,
-        });
+        let pending = bag.push(
+            &self.inner.stats,
+            Retired {
+                ptr,
+                drop_fn,
+                epoch,
+            },
+        );
         if pending >= RETIRE_THRESHOLD {
-            self.inner.stats.scanned();
-            self.inner.sweep(bag, self.inner.try_advance());
+            self.inner.sweep(bag, true, self.inner.try_advance());
         }
     }
 
@@ -178,16 +180,16 @@ impl<A: Atomics> Reclaimer for EpochReclaimer<A> {
         // Advance as far as the active announcements allow, then apply the
         // two-epoch rule to every bag (not just the caller's). At
         // quiescence two advances always succeed, so everything frees.
-        self.inner.stats.scanned();
+        // The whole flush is one scan, tallied in the first slot's bag.
         let global = self.inner.try_advance();
         let global = self.inner.try_advance().max(global);
-        for slot in self.inner.slots.iter() {
-            self.inner.sweep(&slot.bag, global);
+        for (i, slot) in self.inner.slots.iter().enumerate() {
+            self.inner.sweep(&slot.bag, i == 0, global);
         }
     }
 
     fn reclaim_stats(&self) -> ReclaimStats {
-        self.inner.stats.snapshot()
+        bag::fold(self.inner.slots.iter().map(|slot| &slot.bag))
     }
 }
 
@@ -197,7 +199,7 @@ impl<A: Atomics> Drop for EpochReclaimer<A> {
         // destroy every remaining bag entry unconditionally.
         for slot in self.inner.slots.iter() {
             // SAFETY: `&mut self` on the sole owner — quiescent.
-            unsafe { slot.bag.sweep(&self.inner.stats, |_| false) };
+            unsafe { slot.bag.sweep(&self.inner.stats, false, |_| false) };
         }
     }
 }

@@ -22,9 +22,9 @@
 //! its model: in `R1-reclaim` a dropped publication is a use-after-free,
 //! in `W1-weakmem` so is a re-validation weakened to `Acquire`.
 
-use crate::bag::{Bag, Retired};
+use crate::bag::{self, Bag, Retired};
 use crate::registry::{self, SlotHolder};
-use crate::{ReclaimStats, Reclaimer, StatCells};
+use crate::{ReclaimStats, Reclaimer};
 use splash4_parmacs::atomics::{Atomics, Std, Word};
 use splash4_parmacs::{CachePadded, HazardSpec, SyncCounters};
 use std::fmt;
@@ -50,7 +50,7 @@ struct Inner<A: Atomics> {
     in_use: Box<[AtomicBool]>,
     /// Slot claims so far (see [`registry::thread_slot`]).
     claims: AtomicUsize,
-    stats: StatCells,
+    stats: Arc<SyncCounters>,
 }
 
 impl<A: Atomics> SlotHolder for Inner<A> {
@@ -68,7 +68,6 @@ impl<A: Atomics> SlotHolder for Inner<A> {
 impl<A: Atomics> Inner<A> {
     /// Scan every hazard record and destroy `slot`'s unprotected retirees.
     fn scan(&self, slot: usize) {
-        self.stats.scanned();
         let s = A::spec(HazardSpec::SPLASH4);
         // Read on the first entry judged: after every entry has left the bag
         // (an entry retired once the records were read could be protected
@@ -87,7 +86,7 @@ impl<A: Atomics> Inner<A> {
         // store/load pair), so no thread can still hold a validated
         // reference.
         unsafe {
-            self.slots[slot].bag.sweep(&self.stats, |r| {
+            self.slots[slot].bag.sweep(&self.stats, true, |r| {
                 let protected = protected.get_or_insert_with(&mut snapshot);
                 protected.binary_search(&(r.ptr as usize)).is_ok()
             })
@@ -119,7 +118,7 @@ impl<A: Atomics> HazardReclaimer<A> {
                 .collect(),
             in_use: (0..capacity).map(|_| AtomicBool::new(false)).collect(),
             claims: AtomicUsize::new(0),
-            stats: StatCells::new(stats),
+            stats,
         });
         HazardReclaimer {
             registry_id: registry::new_registry_id(),
@@ -149,12 +148,14 @@ impl<A: Atomics> Reclaimer for HazardReclaimer<A> {
     }
 
     unsafe fn retire(&self, slot: usize, ptr: *mut u8, drop_fn: unsafe fn(*mut u8)) {
-        self.inner.stats.retired();
-        let pending = self.inner.slots[slot].bag.push(Retired {
-            ptr,
-            drop_fn,
-            epoch: 0,
-        });
+        let pending = self.inner.slots[slot].bag.push(
+            &self.inner.stats,
+            Retired {
+                ptr,
+                drop_fn,
+                epoch: 0,
+            },
+        );
         if pending >= RETIRE_THRESHOLD {
             self.inner.scan(slot);
         }
@@ -169,7 +170,7 @@ impl<A: Atomics> Reclaimer for HazardReclaimer<A> {
     }
 
     fn reclaim_stats(&self) -> ReclaimStats {
-        self.inner.stats.snapshot()
+        bag::fold(self.inner.slots.iter().map(|slot| &slot.bag))
     }
 }
 
@@ -178,7 +179,7 @@ impl<A: Atomics> Drop for HazardReclaimer<A> {
         // Last owner: no thread can hold a validated reference anymore.
         for slot in self.inner.slots.iter() {
             // SAFETY: `&mut self` on the sole owner — quiescent.
-            unsafe { slot.bag.sweep(&self.inner.stats, |_| false) };
+            unsafe { slot.bag.sweep(&self.inner.stats, false, |_| false) };
         }
     }
 }

@@ -27,7 +27,6 @@ use splash4_parmacs::atomics::{Atomics, Std, Word};
 use splash4_parmacs::{CachePadded, MsQueueSpec, SyncCounters, TaskQueue, TraceEvent};
 use std::fmt;
 use std::ptr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// What the model checker calls a node's payload cell and its link.
@@ -37,9 +36,6 @@ const NODE: [&str; 2] = ["msq.node.value", "msq.node.next"];
 pub struct MsQueue<T, A: Atomics = Std> {
     head: CachePadded<A::Ptr<Node<T, A>>>,
     tail: CachePadded<A::Ptr<Node<T, A>>>,
-    /// Approximate length: incremented before a push links its node,
-    /// decremented after a successful pop. Exact at quiescence.
-    len: CachePadded<AtomicUsize>,
     reclaimer: Arc<dyn Reclaimer>,
     stats: Arc<SyncCounters>,
 }
@@ -58,7 +54,6 @@ impl<T: Send, A: Atomics> MsQueue<T, A> {
         MsQueue {
             head: CachePadded::new(A::Ptr::new("msq.head", dummy)),
             tail: CachePadded::new(A::Ptr::new("msq.tail", dummy)),
-            len: CachePadded::new(AtomicUsize::new(0)),
             reclaimer,
             stats,
         }
@@ -69,10 +64,6 @@ impl<T: Send, A: Atomics> MsQueue<T, A> {
         self.stats.record(TraceEvent::Queue);
         let s = A::spec(MsQueueSpec::SPLASH4);
         let node: *mut Node<T, A> = Node::boxed(NODE, Some(value));
-        // Count before linking: the increment happens-before the link CAS,
-        // which happens-before any pop of this node and its decrement, so
-        // the counter never underflows.
-        self.len.fetch_add(1, Ordering::Relaxed);
         let slot = self.reclaimer.enter();
         loop {
             let tail = self.tail.load(s.ptr_load);
@@ -150,7 +141,6 @@ impl<T: Send, A: Atomics> MsQueue<T, A> {
                 // SAFETY: unique take right from the CAS win; hazard 1
                 // keeps `next` alive even if it is retired concurrently.
                 let value = unsafe { Node::take_value(next) };
-                self.len.fetch_sub(1, Ordering::Relaxed);
                 // SAFETY: `head` is now unlinked and was reached by the
                 // winning CAS alone; retired exactly once, its payload is
                 // `None` (it was the dummy), so deferred drop is a no-op
@@ -167,16 +157,6 @@ impl<T: Send, A: Atomics> MsQueue<T, A> {
             self.stats.record(TraceEvent::Queue);
         }
         result
-    }
-
-    /// Approximate number of queued values (exact at quiescence).
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    /// Whether the queue is observed empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Destroy every retired node the reclamation protocol can prove
@@ -199,10 +179,6 @@ impl<T: Send, A: Atomics> TaskQueue<T> for MsQueue<T, A> {
     fn pop(&self) -> Option<T> {
         MsQueue::pop(self)
     }
-
-    fn len(&self) -> usize {
-        MsQueue::len(self)
-    }
 }
 
 impl<T, A: Atomics> Drop for MsQueue<T, A> {
@@ -218,7 +194,6 @@ impl<T, A: Atomics> Drop for MsQueue<T, A> {
 impl<T, A: Atomics> fmt::Debug for MsQueue<T, A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MsQueue")
-            .field("len", &self.len.load(Ordering::Relaxed))
             .field("reclaimer", &self.reclaimer)
             .finish()
     }

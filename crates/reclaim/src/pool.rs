@@ -5,7 +5,9 @@
 //! kernels can swap their fixed-capacity index pools for a truly dynamic
 //! pool by constructing one of these — producers are unbounded and popped
 //! task nodes are recycled through a [`Reclaimer`] instead of accumulating
-//! on a retired list.
+//! on a retired list. A pool answers `push`, `pop`, `flush` and its
+//! reclaimer's exact tallies, and keeps no length: a drain ends when `pop`
+//! returns `None`.
 
 use crate::elimination::EliminationStack;
 use crate::epoch::EpochReclaimer;
@@ -85,19 +87,6 @@ impl<T: Send, A: Atomics> TaskPool<T, A> {
         }
     }
 
-    /// Approximate number of pending tasks (exact at quiescence).
-    pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Fifo(q) => q.len(),
-            Backend::Lifo(s) => s.len(),
-        }
-    }
-
-    /// Whether the pool is observed empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Destroy every retired node the reclamation protocol can prove
     /// unreachable (everything, when callers are quiescent).
     pub fn flush(&self) {
@@ -118,10 +107,6 @@ impl<T: Send, A: Atomics> TaskQueue<T> for TaskPool<T, A> {
     fn pop(&self) -> Option<T> {
         TaskPool::pop(self)
     }
-
-    fn len(&self) -> usize {
-        TaskPool::len(self)
-    }
 }
 
 impl<T: Send, A: Atomics> fmt::Debug for TaskPool<T, A> {
@@ -132,7 +117,6 @@ impl<T: Send, A: Atomics> fmt::Debug for TaskPool<T, A> {
         };
         f.debug_struct("TaskPool")
             .field("shape", &shape)
-            .field("len", &self.len())
             .field("reclaimer", &self.reclaimer)
             .finish()
     }

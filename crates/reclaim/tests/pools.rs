@@ -6,13 +6,13 @@
 //! conservation plus full reclamation. Iteration counts shrink under Miri
 //! (the CI Miri job runs this same file).
 
-use splash4_parmacs::{Std, SyncCounters, TaskQueue};
+use splash4_parmacs::{Std, SyncCounters, TaskQueue, Team};
 use splash4_reclaim::{
     EliminationStack, EpochReclaimer, HazardReclaimer, MsQueue, PoolShape, ReclaimKind, Reclaimer,
     TaskPool,
 };
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 const THREADS: usize = 8;
@@ -81,7 +81,7 @@ fn queue_reclaims_everything(kind: ReclaimKind) {
         }
     });
 
-    assert!(q.is_empty());
+    assert!(q.pop().is_none(), "{kind:?}: the drain left nothing");
     q.flush();
     let st = q.reclaim_stats();
     assert_eq!(st.retires as usize, 4 * n, "one retire per popped dummy");
@@ -154,7 +154,7 @@ fn stack_reclaims_everything(kind: ReclaimKind) {
         }
     });
 
-    assert!(st.is_empty());
+    assert!(st.pop().is_none(), "{kind:?}: the drain left nothing");
     st.flush();
     let r = st.reclaim_stats();
     assert_eq!(r.retires as usize, 4 * n, "one retire per popped node");
@@ -223,7 +223,11 @@ fn stress(shape: PoolShape, kind: ReclaimKind) {
         total,
         "{shape:?}/{kind:?}: every pushed value must be popped exactly once"
     );
-    assert!(pool.is_empty());
+    assert_eq!(
+        pool.pop(),
+        None,
+        "{shape:?}/{kind:?}: the drain left nothing"
+    );
     pool.flush();
     assert_eq!(
         pool.reclaim_stats().pending(),
@@ -312,4 +316,90 @@ fn epoch_reclaimer_survives_a_payload_whose_drop_panics() {
 #[test]
 fn hazard_reclaimer_survives_a_payload_whose_drop_panics() {
     survives_a_panicking_payload(ReclaimKind::Hazard);
+}
+
+/// Every shape × reclaimer combination a [`TaskPool`] can be built with.
+const POOLS: [(PoolShape, ReclaimKind); 4] = [
+    (PoolShape::Fifo, ReclaimKind::Epoch),
+    (PoolShape::Fifo, ReclaimKind::Hazard),
+    (PoolShape::Lifo, ReclaimKind::Epoch),
+    (PoolShape::Lifo, ReclaimKind::Hazard),
+];
+
+/// `pairs` push+pop pairs on each of `threads` team threads, then a drain
+/// on the calling thread; returns the tasks popped.
+fn churn(pool: &TaskPool<u64>, threads: usize, pairs: usize) -> u64 {
+    let in_pairs: u64 = Team::new(threads)
+        .run_map(|_| {
+            (0..pairs as u64)
+                .map(|i| {
+                    pool.push(i);
+                    u64::from(pool.pop().is_some())
+                })
+                .sum::<u64>()
+        })
+        .into_iter()
+        .sum();
+    in_pairs + std::iter::from_fn(|| pool.pop()).count() as u64
+}
+
+/// The per-slot tallies count one retire per pop, free everything at a
+/// quiescent flush, and agree with the profile's `reclaim_*` counters.
+#[test]
+fn task_pool_tallies_count_every_pop_and_match_the_profile() {
+    let pairs = if cfg!(miri) { 40 } else { 5_000 };
+    for threads in [2, 4] {
+        for (shape, kind) in POOLS {
+            let stats = counters();
+            let pool = TaskPool::<u64>::new(shape, kind, threads + 1, stats.clone());
+            let pops = churn(&pool, threads, pairs);
+            let at = format!("{shape:?}/{kind:?} at {threads} threads");
+            assert_eq!(pops, (threads * pairs) as u64, "{at}: every push popped");
+            assert_eq!(pool.reclaim_stats().retires, pops, "{at}: a retire per pop");
+            pool.flush();
+            let r = pool.reclaim_stats();
+            assert_eq!(r.retires, pops, "{at}: flush retires nothing");
+            assert_eq!(r.frees, r.retires, "{at}: a quiescent flush frees all");
+            let p = stats.snapshot();
+            assert_eq!(
+                (p.reclaim_retires, p.reclaim_scans, p.reclaim_frees),
+                (r.retires, r.scans, r.frees),
+                "{at}: the profile counts what the slots count"
+            );
+        }
+    }
+}
+
+/// A reader folding the slots while the churn runs never sees a free the
+/// retires do not cover, and never sees a count go back.
+#[test]
+fn reclaim_stats_read_mid_churn_never_show_more_frees_than_retires() {
+    let pairs = if cfg!(miri) { 40 } else { 20_000 };
+    for (shape, kind) in POOLS {
+        let pool = TaskPool::<u64>::new(shape, kind, 3, counters());
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut last = pool.reclaim_stats();
+                loop {
+                    let finished = done.load(Ordering::Acquire);
+                    let r = pool.reclaim_stats();
+                    assert!(r.frees <= r.retires, "{shape:?}/{kind:?}: {r:?}");
+                    assert!(
+                        r.retires >= last.retires && r.scans >= last.scans && r.frees >= last.frees,
+                        "{shape:?}/{kind:?}: {last:?} then {r:?}"
+                    );
+                    last = r;
+                    if finished {
+                        break;
+                    }
+                }
+            });
+            churn(&pool, 2, pairs);
+            pool.flush();
+            done.store(true, Ordering::Release);
+            reader.join().unwrap();
+        });
+        assert_eq!(pool.reclaim_stats().pending(), 0, "{shape:?}/{kind:?}");
+    }
 }
