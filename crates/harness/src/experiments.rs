@@ -9,7 +9,8 @@ use crate::registry::BenchmarkId;
 use crate::tables::{geomean, pct_change, Report, Table};
 use splash4_kernels::InputClass;
 use splash4_parmacs::{
-    json, ConstructClass, Json, SyncCounters, SyncEnv, SyncMode, SyncPolicy, ToJson, WorkModel,
+    json, ConstructClass, Json, SyncCounters, SyncEnv, SyncMode, SyncPolicy, SyncProfile, ToJson,
+    WorkModel,
 };
 use splash4_sim::{engine, MachineParams, Simulator};
 use splash4_trace::{lower::lower, RingRecorder, TraceSummary};
@@ -345,34 +346,41 @@ fn t1_inputs(id: &str, ctx: &ExperimentCtx) -> Report {
     )
 }
 
+/// A table of sync-op counts: the `lead` columns, the logical counts named
+/// by their [`SyncProfile::logical`] keys, then a `|` column after which
+/// the `mechanism` columns follow. CI diffs the part before the `|`.
+fn counts_table(lead: &[&str], mechanism: &[&str]) -> Table {
+    let logical = SyncProfile::default()
+        .logical()
+        .into_iter()
+        .map(|(key, _)| key);
+    let cols = lead.iter().copied().chain(logical).chain(["|"]);
+    Table::new(cols.chain(mechanism.iter().copied()).collect())
+}
+
+/// One row of a [`counts_table`]: the `lead` cells, `p`'s logical counts,
+/// `|` and the `mechanism` counts.
+fn counts_row(lead: &[&str], p: &SyncProfile, mechanism: &[u64]) -> Vec<String> {
+    let logical = p.logical().into_iter().map(|(_, n)| n.to_string());
+    let cells = lead.iter().map(|s| s.to_string()).chain(logical);
+    cells
+        .chain(["|".into()])
+        .chain(mechanism.iter().map(u64::to_string))
+        .collect()
+}
+
 /// `T2-changes`: per-benchmark summary of what the modernization replaces.
 fn t2_changes(id: &str, ctx: &ExperimentCtx) -> Report {
-    let mut t = Table::new(vec![
-        "benchmark",
-        "locks(S3)",
-        "rmws(S4)",
-        "barriers",
-        "getsubs",
-        "queue-ops",
-        "reduces",
-    ]);
+    let mut t = counts_table(&["benchmark"], &["locks(S3)", "rmws(S4)"]);
     let mut rows = Vec::new();
     for b in ctx.benchmarks() {
-        let lb = b
-            .run(ctx.class, &SyncEnv::new(SyncMode::LockBased, 2))
-            .profile;
-        let lf = b
-            .run(ctx.class, &SyncEnv::new(SyncMode::LockFree, 2))
-            .profile;
-        t.row(vec![
-            b.name().to_string(),
-            lb.lock_acquires.to_string(),
-            lf.atomic_rmws.to_string(),
-            lf.barrier_waits.to_string(),
-            lf.getsub_calls.to_string(),
-            lf.queue_ops.to_string(),
-            lf.reduce_ops.to_string(),
-        ]);
+        let run = |mode| b.run(ctx.class, &SyncEnv::new(mode, 2)).profile;
+        let (lb, lf) = (run(SyncMode::LockBased), run(SyncMode::LockFree));
+        t.row(counts_row(
+            &[b.name()],
+            &lf,
+            &[lb.lock_acquires, lf.atomic_rmws],
+        ));
         rows.push(json!({
             "benchmark": b.name(),
             "splash3": lb, "splash4": lf,
@@ -386,38 +394,24 @@ fn t2_changes(id: &str, ctx: &ExperimentCtx) -> Report {
     )
 }
 
-/// `T3-syncops`: full dynamic sync-operation counts, both modes.
+/// `T3-syncops`: full dynamic sync-operation counts, every mode.
 fn t3_syncops(id: &str, ctx: &ExperimentCtx) -> Report {
-    let mut t = Table::new(vec![
-        "benchmark",
-        "mode",
-        "locks",
-        "contended",
-        "rmws",
-        "cas-retries",
-        "barriers",
-        "getsubs",
-        "reduces",
-        "queue-ops",
-        "flag-waits",
-    ]);
+    let mut t = counts_table(
+        &["benchmark", "mode"],
+        &["locks", "contended", "rmws", "cas-retries", "flag-waits"],
+    );
     let mut rows = Vec::new();
     for b in ctx.benchmarks() {
         for mode in SyncMode::ALL {
             let p = b.run(ctx.class, &SyncEnv::new(mode, 4)).profile;
-            t.row(vec![
-                b.name().to_string(),
-                mode.label().to_string(),
-                p.lock_acquires.to_string(),
-                p.lock_contended.to_string(),
-                p.atomic_rmws.to_string(),
-                p.cas_failures.to_string(),
-                p.barrier_waits.to_string(),
-                p.getsub_calls.to_string(),
-                p.reduce_ops.to_string(),
-                p.queue_ops.to_string(),
-                p.flag_waits.to_string(),
-            ]);
+            let mechanism = [
+                p.lock_acquires,
+                p.lock_contended,
+                p.atomic_rmws,
+                p.cas_failures,
+                p.flag_waits,
+            ];
+            t.row(counts_row(&[b.name(), mode.label()], &p, &mechanism));
             rows.push(json!({ "benchmark": b.name(), "mode": mode.label(), "profile": p }));
         }
     }
@@ -886,8 +880,7 @@ pub const D1_MIX_DIMS: [&str; 8] = [
 ];
 
 /// One workload's `D1-diversity` characterization: its normalized sync-op
-/// mix, read from the [`SyncProfile`](splash4_parmacs::SyncProfile)s of two
-/// untraced runs.
+/// mix, read from the [`SyncProfile`]s of two untraced one-thread runs.
 #[derive(Debug, Clone)]
 pub struct DiversityPoint {
     /// Workload this point characterizes.
@@ -899,13 +892,13 @@ pub struct DiversityPoint {
 
 impl DiversityPoint {
     /// Characterize `b`: one lock-free run plus one lock-based run (the lock
-    /// dimension only exists under Splash-3). Every dimension is a logical
-    /// count, so no wait time or failed CAS enters it: RMWs without the CAS
-    /// retries, flags by their `set`s (`flag_waits` counts only the
-    /// timing-dependent slow path). Only work that the interleaving itself
-    /// deals out (task-queue pops, reclamation scans) moves run to run.
-    pub fn measure(b: BenchmarkId, class: InputClass, threads: usize) -> DiversityPoint {
-        let run = |mode| b.run(class, &SyncEnv::new(mode, threads)).profile;
+    /// dimension only exists under Splash-3), both at one thread. No wait
+    /// time or failed CAS enters the mix: RMWs without the CAS retries,
+    /// flags by their `set`s. The lock, RMW and reclaim dimensions are
+    /// mechanism counts, which move with the schedule at more than one
+    /// thread; at one there is one schedule, so every dimension is fixed.
+    pub fn measure(b: BenchmarkId, class: InputClass) -> DiversityPoint {
+        let run = |mode| b.run(class, &SyncEnv::new(mode, 1)).profile;
         let (lf, lb) = (run(SyncMode::LockFree), run(SyncMode::LockBased));
         let raw = [
             lb.lock_acquires,
@@ -944,10 +937,9 @@ impl DiversityPoint {
 /// sits farther from its nearest original than any original sits from its
 /// own nearest sibling.
 fn d1_diversity(id: &str, ctx: &ExperimentCtx) -> Report {
-    let threads = ctx.native_threads.iter().copied().max().unwrap_or(2);
     let points: Vec<DiversityPoint> = ctx
         .benchmarks()
-        .map(|b| DiversityPoint::measure(b, ctx.class, threads))
+        .map(|b| DiversityPoint::measure(b, ctx.class))
         .collect();
 
     let n = points.len();
@@ -1005,15 +997,14 @@ fn d1_diversity(id: &str, ctx: &ExperimentCtx) -> Report {
     Report {
         id: id.into(),
         title: format!(
-            "Workload diversity: sync-op mix distances ({} workloads, {} class, {} threads)",
+            "Workload diversity: sync-op mix distances ({} workloads, {} class, 1 thread)",
             n,
-            ctx.class.label(),
-            threads
+            ctx.class.label()
         ),
         text,
         json: json!({
             "dims": D1_MIX_DIMS.iter().map(|d| d.to_string()).collect::<Vec<String>>(),
-            "threads": threads as u64,
+            "threads": 1u64,
             "class": ctx.class.label(),
             "rows": jrows,
         }),
@@ -1243,33 +1234,15 @@ mod tests {
         }
     }
 
-    /// D1's mix is made of logical counts only, so it is the same in every
-    /// run: no wait time, contention or timing enters it. The dynamically
-    /// dealt kernels keep their queue dimension fixed too (an empty pop
-    /// counts nothing; radiosity's task count does not depend on the
-    /// schedule), though their lock, RMW and reclamation dimensions still
-    /// count the schedule's empty polls, help CASes and scans.
+    /// D1 runs at one thread, where there is one schedule, so every
+    /// workload's mix is the same in every run, its lock, RMW and reclaim
+    /// dimensions included.
     #[test]
     fn d1_mix_is_identical_run_to_run() {
-        for b in [BenchmarkId::Lu, BenchmarkId::Ocean] {
-            let a = DiversityPoint::measure(b, InputClass::Test, 2);
-            let c = DiversityPoint::measure(b, InputClass::Test, 2);
+        for b in BenchmarkId::all() {
+            let a = DiversityPoint::measure(b, InputClass::Test);
+            let c = DiversityPoint::measure(b, InputClass::Test);
             assert_eq!(a.mix.map(f64::to_bits), c.mix.map(f64::to_bits), "{b}");
-        }
-        let dynamic = [
-            BenchmarkId::Cholesky,
-            BenchmarkId::Stream,
-            BenchmarkId::Radiosity,
-        ];
-        for b in dynamic {
-            for mode in [SyncMode::LockFree, SyncMode::LockBased] {
-                let ops = || {
-                    b.run(InputClass::Test, &SyncEnv::new(mode, 2))
-                        .profile
-                        .queue_ops
-                };
-                assert_eq!(ops(), ops(), "{b} {mode}");
-            }
         }
     }
 

@@ -73,21 +73,14 @@ fn tracing_is_transparent_to_kernel_results() {
                 plain.checksum, traced.checksum,
                 "{b} checksum drifted under tracing ({mode:?})"
             );
-            // Compare the deterministic operation counts; wait-time fields
-            // and contention counters vary run to run even without tracing.
-            // Every failed CAS is also counted as one more RMW, so the
-            // logical RMWs are the difference.
-            let counts = |p: &SyncProfile| {
-                (
-                    p.lock_acquires,
-                    p.barrier_waits,
-                    p.atomic_rmws - p.cas_failures,
-                    p.getsub_calls,
-                    p.reduce_ops,
-                    p.flag_waits,
-                    p.queue_ops,
-                )
-            };
+            // Compare the logical counts, plus two mechanism counts: a sink
+            // that took a counted lock or issued a counted RMW would show
+            // only there. Neither fft nor radix polls a queue or helps a
+            // CAS, so their lock acquires and successful RMWs (every failed
+            // CAS is one more RMW) are fixed too. Wait times and contention
+            // vary run to run even without tracing.
+            let counts =
+                |p: &SyncProfile| (p.logical(), p.lock_acquires, p.atomic_rmws - p.cas_failures);
             assert_eq!(
                 counts(&plain.profile),
                 counts(&traced.profile),

@@ -9,12 +9,22 @@
 //!
 //! # Counting rules
 //!
-//! Two rules are written here and nowhere else. A logical sync op is one
+//! Three rules are written here and nowhere else. A logical sync op is one
 //! [`SyncCounters::record`]: one bump of the counter its [`TraceEvent`]
 //! stands for plus that event to the trace sink, so a run's trace and its
 //! profile agree. A CAS attempt is one [`SyncCounters::cas`]: one
 //! `atomic_rmws`, plus one `cas_failures` when it fails, so the CAS-retry
-//! share is failures over attempts.
+//! share is failures over attempts. And each row of the counter table is
+//! marked `logical` or `mechanism`. A logical count is what the program
+//! asked for (barrier waits, GETSUB calls, reductions, delivered queue ops,
+//! flag sets, retires, combining requests), so every run of one
+//! configuration reads the same. A mechanism count is what the schedule
+//! did: lock acquisitions, contention, CAS attempts and retries, slow-path
+//! waits, wait times, cache outcomes, reclamation scans and frees,
+//! combining batches. Lock acquisitions are a mechanism because a Splash-3
+//! queue takes its lock to find itself empty and barnes locks every node
+//! of its descent. [`SyncProfile::logical`] returns the logical counts, and
+//! whatever compares runs or tabulates the suite reads them from there.
 //!
 //! # Striping
 //!
@@ -48,10 +58,13 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// The counter table, written once: each row is a [`Counter`] variant, the
-/// [`SyncProfile`] field (and JSON key) it folds into, and its doc. Row order
-/// is slot order, field order and JSON key order.
+/// [`SyncProfile`] field (and JSON key) it folds into, its kind (`logical`
+/// or `mechanism`, see the module docs) and its doc. Row order is slot
+/// order, field order and JSON key order.
 macro_rules! counters {
-    ($($(#[doc = $doc:literal])+ $variant:ident => $field:ident,)+) => {
+    (@logical logical) => { true };
+    (@logical mechanism) => { false };
+    ($($(#[doc = $doc:literal])+ $variant:ident => $field:ident: $kind:ident,)+) => {
         /// Names one instrumentation counter inside a [`SyncCounters`] block.
         ///
         /// The discriminant is the counter's slot index within a lane.
@@ -71,9 +84,8 @@ macro_rules! counters {
 
         /// Serializable snapshot of a [`SyncCounters`] block.
         ///
-        /// Each field is one [`Counter`]'s fold. Profiles of independent runs
-        /// can be combined with [`SyncProfile::merged`] and compared with
-        /// [`SyncProfile::delta`] (e.g. modern minus baseline).
+        /// Each field is one [`Counter`]'s fold; [`SyncProfile::logical`]
+        /// picks out the fields that do not depend on the schedule.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct SyncProfile {
             $($(#[doc = $doc])+ pub $field: u64,)+
@@ -82,6 +94,9 @@ macro_rules! counters {
         impl SyncProfile {
             /// JSON keys, in slot order.
             const KEYS: [&'static str; NUM_COUNTERS] = [$(stringify!($field)),+];
+
+            /// Whether each slot is logical, in slot order.
+            const LOGICAL: [bool; NUM_COUNTERS] = [$(counters!(@logical $kind)),+];
 
             /// The fields, in slot order.
             fn slots(&self) -> [u64; NUM_COUNTERS] {
@@ -97,54 +112,54 @@ macro_rules! counters {
 
 counters! {
     /// Lock acquisitions (sleeping locks only; spin locks count here too).
-    LockAcquires => lock_acquires,
+    LockAcquires => lock_acquires: mechanism,
     /// Lock acquisitions that found the lock held (slow path taken).
-    LockContended => lock_contended,
+    LockContended => lock_contended: mechanism,
     /// Nanoseconds spent acquiring locks (slow path only).
-    LockWaitNs => lock_wait_ns,
+    LockWaitNs => lock_wait_ns: mechanism,
     /// Barrier episodes *per thread* (N threads crossing once = N).
-    BarrierWaits => barrier_waits,
+    BarrierWaits => barrier_waits: logical,
     /// Nanoseconds spent waiting at barriers, summed over threads.
-    BarrierWaitNs => barrier_wait_ns,
+    BarrierWaitNs => barrier_wait_ns: mechanism,
     /// Atomic read-modify-write operations issued by lock-free back-ends
     /// (fetch_add, CAS attempts, exchanges). CAS retries count individually.
-    AtomicRmws => atomic_rmws,
+    AtomicRmws => atomic_rmws: mechanism,
     /// `GETSUB`-style dynamic index grabs (both back-ends).
-    GetsubCalls => getsub_calls,
+    GetsubCalls => getsub_calls: logical,
     /// Reduction contributions (both back-ends).
-    ReduceOps => reduce_ops,
+    ReduceOps => reduce_ops: logical,
     /// Pause/flag waits that actually blocked or spun.
-    FlagWaits => flag_waits,
+    FlagWaits => flag_waits: mechanism,
     /// Nanoseconds spent waiting on flags.
-    FlagWaitNs => flag_wait_ns,
+    FlagWaitNs => flag_wait_ns: mechanism,
     /// Task-queue operations: pushes that land and pops that return a task
     /// (an empty pop or a push onto a full ring counts nothing, so the count
     /// does not depend on the schedule).
-    QueueOps => queue_ops,
+    QueueOps => queue_ops: logical,
     /// CAS failures (retries) observed in lock-free loops; a proxy for
     /// cache-line contention intensity.
-    CasFailures => cas_failures,
+    CasFailures => cas_failures: mechanism,
     /// Result-cache lookups served without recomputation (includes lookups
     /// coalesced onto an in-flight computation of the same key).
-    CacheHits => cache_hits,
+    CacheHits => cache_hits: mechanism,
     /// Result-cache lookups that triggered a fresh computation.
-    CacheMisses => cache_misses,
+    CacheMisses => cache_misses: mechanism,
     /// Result-cache entries dropped by the LRU bound.
-    CacheEvictions => cache_evictions,
+    CacheEvictions => cache_evictions: mechanism,
     /// Nodes handed to a reclaimer for deferred destruction.
-    ReclaimRetires => reclaim_retires,
+    ReclaimRetires => reclaim_retires: logical,
     /// Reclamation scans (epoch advance attempts / hazard sweeps).
-    ReclaimScans => reclaim_scans,
+    ReclaimScans => reclaim_scans: mechanism,
     /// Retired nodes actually freed by a reclaimer.
-    ReclaimFrees => reclaim_frees,
+    ReclaimFrees => reclaim_frees: mechanism,
     /// Operations routed through a flat-combining core (each request a
     /// thread publishes, whether self-served or applied by a combiner).
-    CombineOps => combine_ops,
+    CombineOps => combine_ops: logical,
     /// Combiner lock acquisitions: each counts one batch drain. The mean
     /// batch size is `combine_ops / combine_batches`.
-    CombineBatches => combine_batches,
+    CombineBatches => combine_batches: mechanism,
     /// Pause/flag signals (`set` calls, both back-ends).
-    FlagSets => flag_sets,
+    FlagSets => flag_sets: logical,
 }
 
 /// One striping lane: all twenty-one counters for one thread, padded so
@@ -307,42 +322,14 @@ impl SyncCounters {
 }
 
 impl SyncProfile {
-    /// Slot-by-slot `f(self, other)`.
-    fn zip(&self, other: &SyncProfile, f: impl Fn(u64, u64) -> u64) -> SyncProfile {
-        let (a, b) = (self.slots(), other.slots());
-        SyncProfile::from_slots(std::array::from_fn(|i| f(a[i], b[i])))
-    }
-
-    /// Element-wise sum of two profiles.
-    #[must_use]
-    pub fn merged(&self, other: &SyncProfile) -> SyncProfile {
-        self.zip(other, |a, b| a + b)
-    }
-
-    /// Element-wise saturating difference (`self - other`).
-    #[must_use]
-    pub fn delta(&self, other: &SyncProfile) -> SyncProfile {
-        self.zip(other, u64::saturating_sub)
-    }
-
-    /// Total dynamic synchronization operations (all classes, excluding the
-    /// nanosecond fields, the cache-outcome tallies, the reclamation
-    /// bookkeeping, and the combining-mechanism tallies — a cache hit or a
-    /// deferred free is a runtime-service event, not an algorithmic sync op,
-    /// so the paper's `T3-syncops` totals are unaffected by serving or by
-    /// which reclaimer backs a pool; likewise every combining request is
-    /// already counted under its logical class (getsub/reduce/barrier/queue),
-    /// so `combine_ops`/`combine_batches` describe the *mechanism* and
-    /// counting them here would double-book splash4x runs; flags count by
-    /// `flag_waits` here, as in `T3-syncops`, and `flag_sets` is left out).
-    pub fn total_ops(&self) -> u64 {
-        self.lock_acquires
-            + self.barrier_waits
-            + self.atomic_rmws
-            + self.getsub_calls
-            + self.reduce_ops
-            + self.flag_waits
-            + self.queue_ops
+    /// The logical counts, each with its JSON key, in slot order: the ones
+    /// every run of one configuration reads the same (see the module docs).
+    pub fn logical(&self) -> Vec<(&'static str, u64)> {
+        let slots = SyncProfile::KEYS.into_iter().zip(self.slots());
+        let kinds = slots.zip(SyncProfile::LOGICAL);
+        kinds
+            .filter_map(|(slot, logical)| logical.then_some(slot))
+            .collect()
     }
 }
 
@@ -428,7 +415,6 @@ mod tests {
         assert_eq!(c.cas(Err::<u64, u64>(9)), Err(9));
         let p = c.snapshot();
         assert_eq!((p.atomic_rmws, p.cas_failures), (2, 1));
-        assert_eq!(p.total_ops(), 2);
     }
 
     #[test]
@@ -480,6 +466,11 @@ mod tests {
         assert_eq!(SyncCounters::with_lanes(0).lanes(), 1);
     }
 
+    /// The logical counts of `p` that are not zero.
+    fn counted_logical(p: &SyncProfile) -> Vec<(&'static str, u64)> {
+        p.logical().into_iter().filter(|&(_, n)| n > 0).collect()
+    }
+
     #[test]
     fn cache_counters_fold_but_stay_out_of_sync_totals() {
         let c = SyncCounters::new();
@@ -490,10 +481,7 @@ mod tests {
         assert_eq!(p.cache_hits, 2);
         assert_eq!(p.cache_misses, 1);
         // Cache outcomes are service-layer events, not kernel sync ops.
-        assert_eq!(p.total_ops(), 0);
-        let m = p.merged(&p);
-        assert_eq!((m.cache_hits, m.cache_misses), (4, 2));
-        assert_eq!(m.delta(&p).cache_hits, 2);
+        assert_eq!(counted_logical(&p), []);
     }
 
     #[test]
@@ -508,12 +496,9 @@ mod tests {
         assert_eq!(p.reclaim_scans, 1);
         assert_eq!(p.reclaim_frees, 4);
         assert_eq!(p.cache_evictions, 1);
-        // Reclamation bookkeeping is runtime-service work, not a kernel
-        // sync op: T3-syncops totals must not move with the reclaimer.
-        assert_eq!(p.total_ops(), 0);
-        let m = p.merged(&p);
-        assert_eq!((m.reclaim_retires, m.reclaim_frees), (10, 8));
-        assert_eq!(m.delta(&p).reclaim_scans, 1);
+        // A retire is what the program hands over; when a scan runs and
+        // what it frees is up to the schedule.
+        assert_eq!(counted_logical(&p), [("reclaim_retires", 5)]);
     }
 
     #[test]
@@ -525,51 +510,8 @@ mod tests {
         let p = c.snapshot();
         assert_eq!(p.combine_ops, 12);
         assert_eq!(p.combine_batches, 2);
-        // Combining requests are already tallied under their logical class
-        // (getsub/reduce/barrier/queue); the mechanism counters must not
-        // double-book T3-syncops totals.
-        assert_eq!(p.total_ops(), 0);
-        let m = p.merged(&p);
-        assert_eq!((m.combine_ops, m.combine_batches), (24, 4));
-        assert_eq!(m.delta(&p).combine_ops, 12);
-    }
-
-    #[test]
-    fn merged_and_delta_are_inverse() {
-        let a = SyncProfile {
-            lock_acquires: 10,
-            atomic_rmws: 5,
-            queue_ops: 3,
-            ..SyncProfile::default()
-        };
-        let b = SyncProfile {
-            lock_acquires: 4,
-            atomic_rmws: 9,
-            ..SyncProfile::default()
-        };
-        let m = a.merged(&b);
-        assert_eq!(m.lock_acquires, 14);
-        assert_eq!(m.atomic_rmws, 14);
-        assert_eq!(m.delta(&b).lock_acquires, 10);
-        // saturating: delta never underflows
-        assert_eq!(a.delta(&b).atomic_rmws, 0);
-    }
-
-    #[test]
-    fn totals_sum_expected_fields() {
-        let p = SyncProfile {
-            lock_acquires: 1,
-            barrier_waits: 2,
-            atomic_rmws: 3,
-            getsub_calls: 4,
-            reduce_ops: 5,
-            flag_waits: 6,
-            queue_ops: 7,
-            lock_wait_ns: 100,
-            barrier_wait_ns: 200,
-            flag_wait_ns: 300,
-            ..SyncProfile::default()
-        };
-        assert_eq!(p.total_ops(), 28);
+        // Every published request counts; how many a batch drains is up
+        // to the schedule.
+        assert_eq!(counted_logical(&p), [("combine_ops", 12)]);
     }
 }

@@ -1,33 +1,42 @@
 //! Pins the sync-counter table: every counter's slot, its `SyncProfile`
-//! field, its JSON key and the key order, and the field-by-field `merged`
-//! and `delta`. The table is written out by hand here so that a slip in the
-//! code that generates it shows.
+//! field, its JSON key and the key order, and its kind, which decides
+//! whether `SyncProfile::logical` returns it. The table is written out by
+//! hand here so that a slip in the code that generates it shows.
 
 use splash4_parmacs::{Counter, Json, SyncCounters, SyncProfile, ToJson};
+use Kind::{Logical, Mechanism};
 
-/// The counters in slot order, each with its JSON key.
-const TABLE: [(Counter, &str); 21] = [
-    (Counter::LockAcquires, "lock_acquires"),
-    (Counter::LockContended, "lock_contended"),
-    (Counter::LockWaitNs, "lock_wait_ns"),
-    (Counter::BarrierWaits, "barrier_waits"),
-    (Counter::BarrierWaitNs, "barrier_wait_ns"),
-    (Counter::AtomicRmws, "atomic_rmws"),
-    (Counter::GetsubCalls, "getsub_calls"),
-    (Counter::ReduceOps, "reduce_ops"),
-    (Counter::FlagWaits, "flag_waits"),
-    (Counter::FlagWaitNs, "flag_wait_ns"),
-    (Counter::QueueOps, "queue_ops"),
-    (Counter::CasFailures, "cas_failures"),
-    (Counter::CacheHits, "cache_hits"),
-    (Counter::CacheMisses, "cache_misses"),
-    (Counter::CacheEvictions, "cache_evictions"),
-    (Counter::ReclaimRetires, "reclaim_retires"),
-    (Counter::ReclaimScans, "reclaim_scans"),
-    (Counter::ReclaimFrees, "reclaim_frees"),
-    (Counter::CombineOps, "combine_ops"),
-    (Counter::CombineBatches, "combine_batches"),
-    (Counter::FlagSets, "flag_sets"),
+/// What a counter counts: what the program asked for, or what the
+/// schedule did.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Logical,
+    Mechanism,
+}
+
+/// The counters in slot order, each with its JSON key and kind.
+const TABLE: [(Counter, &str, Kind); 21] = [
+    (Counter::LockAcquires, "lock_acquires", Mechanism),
+    (Counter::LockContended, "lock_contended", Mechanism),
+    (Counter::LockWaitNs, "lock_wait_ns", Mechanism),
+    (Counter::BarrierWaits, "barrier_waits", Logical),
+    (Counter::BarrierWaitNs, "barrier_wait_ns", Mechanism),
+    (Counter::AtomicRmws, "atomic_rmws", Mechanism),
+    (Counter::GetsubCalls, "getsub_calls", Logical),
+    (Counter::ReduceOps, "reduce_ops", Logical),
+    (Counter::FlagWaits, "flag_waits", Mechanism),
+    (Counter::FlagWaitNs, "flag_wait_ns", Mechanism),
+    (Counter::QueueOps, "queue_ops", Logical),
+    (Counter::CasFailures, "cas_failures", Mechanism),
+    (Counter::CacheHits, "cache_hits", Mechanism),
+    (Counter::CacheMisses, "cache_misses", Mechanism),
+    (Counter::CacheEvictions, "cache_evictions", Mechanism),
+    (Counter::ReclaimRetires, "reclaim_retires", Logical),
+    (Counter::ReclaimScans, "reclaim_scans", Mechanism),
+    (Counter::ReclaimFrees, "reclaim_frees", Mechanism),
+    (Counter::CombineOps, "combine_ops", Logical),
+    (Counter::CombineBatches, "combine_batches", Mechanism),
+    (Counter::FlagSets, "flag_sets", Logical),
 ];
 
 /// Every field of `p`, read by name, in slot order.
@@ -60,7 +69,7 @@ fn fields(p: &SyncProfile) -> [u64; 21] {
 /// A snapshot whose slot `i` holds `value(i)`.
 fn profile_of(value: impl Fn(u64) -> u64) -> SyncProfile {
     let c = SyncCounters::new();
-    for (i, (counter, _)) in (0..).zip(TABLE) {
+    for (i, (counter, _, _)) in (0..).zip(TABLE) {
         c.add(counter, value(i));
     }
     c.snapshot()
@@ -68,8 +77,8 @@ fn profile_of(value: impl Fn(u64) -> u64) -> SyncProfile {
 
 #[test]
 fn one_bump_sets_exactly_its_own_field() {
-    assert_eq!(Counter::ALL, TABLE.map(|(c, _)| c));
-    for (i, (counter, _)) in TABLE.into_iter().enumerate() {
+    assert_eq!(Counter::ALL, TABLE.map(|(c, _, _)| c));
+    for (i, (counter, _, _)) in TABLE.into_iter().enumerate() {
         assert_eq!(counter as usize, i, "{counter:?} names slot {i}");
         let c = SyncCounters::new();
         c.bump(counter);
@@ -112,21 +121,19 @@ fn json_keys_are_the_field_names_in_slot_order() {
             "flag_sets",
         ]
     );
-    assert_eq!(keys, TABLE.map(|(_, k)| k));
+    assert_eq!(keys, TABLE.map(|(_, k, _)| k));
     let values: Vec<u64> = pairs.iter().map(|(_, v)| v.as_u64().unwrap()).collect();
     assert_eq!(values, fields(&p));
 }
 
 #[test]
-fn merged_and_delta_act_field_by_field() {
-    let a = profile_of(|i| 10 * i + 3);
-    let b = profile_of(|i| if i % 2 == 0 { 7 * i } else { 1000 });
-    let (fa, fb) = (fields(&a), fields(&b));
-    let (m, d) = (fields(&a.merged(&b)), fields(&a.delta(&b)));
-    for i in 0..21 {
-        assert_eq!(m[i], fa[i] + fb[i], "merged slot {i}");
-        assert_eq!(d[i], fa[i].saturating_sub(fb[i]), "delta slot {i}");
-    }
-    // Both kinds of slot occur: one that subtracts, one that saturates.
-    assert!(d.iter().any(|&x| x > 0) && d.contains(&0));
+fn logical_returns_the_logical_rows_in_slot_order() {
+    let p = profile_of(|i| 100 + i);
+    let want: Vec<(&str, u64)> = (100..)
+        .zip(TABLE)
+        .filter(|(_, (_, _, kind))| *kind == Logical)
+        .map(|(n, (_, key, _))| (key, n))
+        .collect();
+    assert_eq!(p.logical(), want);
+    assert_eq!(want.len(), 7);
 }

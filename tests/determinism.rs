@@ -38,6 +38,23 @@ fn repeated_runs_agree_multithreaded() {
 }
 
 #[test]
+fn logical_counts_are_identical_run_to_run() {
+    // The logical counts are what the program asked for, so no schedule
+    // moves them: every workload, every mode, three runs at 2 and 4 threads.
+    for b in Benchmark::all() {
+        for mode in SyncMode::ALL {
+            for threads in [2, 4] {
+                let logical = || b.execute(InputClass::Test, mode, threads).profile.logical();
+                let first = logical();
+                for _ in 0..2 {
+                    assert_eq!(logical(), first, "{b} ({mode:?}, {threads} threads)");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn work_models_are_stable_across_runs() {
     // The simulator input derived from a kernel run must have a stable
     // structure (same phases, items, sync rates) — only the calibrated

@@ -8,21 +8,11 @@
 //! logical operation counts are identical — striping may only change *where*
 //! counts accumulate, never *what* is counted.
 //!
-//! Only schedule-independent counters are compared: contention counts, CAS
-//! retries and wait times legitimately vary run to run.
+//! Only the logical counts (`SyncProfile::logical`) are compared: lock
+//! acquisitions, contention, CAS retries and wait times legitimately vary
+//! run to run.
 
-use splash4::{Benchmark, InputClass, SyncEnv, SyncMode, SyncProfile};
-
-/// The deterministic, schedule-independent subset of a profile.
-fn logical_counts(p: &SyncProfile) -> [(&'static str, u64); 5] {
-    [
-        ("lock_acquires", p.lock_acquires),
-        ("barrier_waits", p.barrier_waits),
-        ("getsub_calls", p.getsub_calls),
-        ("reduce_ops", p.reduce_ops),
-        ("flag_waits", p.flag_waits),
-    ]
-}
+use splash4::{Benchmark, InputClass, SyncEnv, SyncMode};
 
 fn assert_same_logical_counts(b: Benchmark, mode: SyncMode, threads: usize) {
     let striped = b
@@ -34,10 +24,7 @@ fn assert_same_logical_counts(b: Benchmark, mode: SyncMode, threads: usize) {
             &SyncEnv::new(mode, threads).with_stat_lanes(1),
         )
         .profile;
-    for ((name, s), (_, r)) in logical_counts(&striped)
-        .into_iter()
-        .zip(logical_counts(&single))
-    {
+    for ((name, s), (_, r)) in striped.logical().into_iter().zip(single.logical()) {
         assert_eq!(
             s,
             r,
@@ -78,10 +65,7 @@ fn oversubscribed_team_still_folds_exactly() {
             &SyncEnv::new(SyncMode::LockFree, 7).with_stat_lanes(2),
         )
         .profile;
-    for ((name, w), (_, r)) in logical_counts(&wrapped)
-        .into_iter()
-        .zip(logical_counts(&reference))
-    {
+    for ((name, w), (_, r)) in wrapped.logical().into_iter().zip(reference.logical()) {
         assert_eq!(w, r, "{name} differs under oversubscription");
     }
 }
