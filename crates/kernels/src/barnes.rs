@@ -501,7 +501,7 @@ pub fn run(cfg: &BarnesConfig, env: &SyncEnv) -> KernelResult {
                 .dispatch(Dispatch::GetSub { chunk: 8 }),
         )
         .phase(PhaseSpec::compute("advance", nu, 12).repeats(steps))
-        .phase(PhaseSpec::compute("checksum", nu, 4).reduces(nthreads as f64 / nu as f64));
+        .phase(PhaseSpec::compute("checksum", nu, 4).reduces(1));
 
     driver::finish(env, elapsed, checksum.load(), validated, work)
 }

@@ -395,13 +395,9 @@ pub fn run(cfg: &CholeskyConfig, env: &SyncEnv) -> KernelResult {
             })
             .dispatch(Dispatch::Pool)
             .data_touches(2.2) // successor decrements per task (average)
-            .pushes(1.0)
             .barriers(1),
         )
-        .phase(
-            PhaseSpec::compute("checksum", (nb * nb) as u64 / 2, bb as u64 * 4)
-                .reduces(2.0 * nthreads as f64 / (nb * nb) as f64),
-        );
+        .phase(PhaseSpec::compute("checksum", (nb * nb) as u64 / 2, bb as u64 * 4).reduces(1));
 
     driver::finish(env, elapsed, checksum.load(), validated, work)
 }

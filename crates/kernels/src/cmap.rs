@@ -591,11 +591,11 @@ pub fn run(cfg: &CMapConfig, env: &SyncEnv) -> KernelResult {
         .phase(
             PhaseSpec::compute("churn", nu, 60)
                 .data_touches(1.0)
-                .reduces(nthreads as f64 / nu as f64),
+                .reduces(1),
         )
         .phase(
             PhaseSpec::compute("scan", bu, 14 * (cfg.universe / bu.max(1)).max(1))
-                .reduces(2.0 * nthreads as f64 / bu as f64)
+                .reduces(2)
                 .barriers(2),
         );
 

@@ -16,7 +16,7 @@ use crate::common::{max_or_nan, KernelResult, SharedSlice};
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
 use splash4_parmacs::SmallRng;
-use splash4_parmacs::{Dispatch, PhaseSpec, SyncEnv, Team, WorkModel};
+use splash4_parmacs::{PhaseSpec, SyncEnv, Team, WorkModel};
 
 /// A complex number (the kernels carry their own minimal arithmetic, as the
 /// original C code does).
@@ -290,11 +290,7 @@ pub fn run(cfg: &FftConfig, env: &SyncEnv) -> KernelResult {
         .phase(PhaseSpec::compute("transpose2", m as u64, 8 * m as u64))
         .phase(PhaseSpec::compute("fft2", m as u64, 14 * m as u64 * log_m))
         .phase(PhaseSpec::compute("transpose3", m as u64, 8 * m as u64))
-        .phase(
-            PhaseSpec::compute("checksum", m as u64, 6 * m as u64)
-                .dispatch(Dispatch::Static)
-                .reduces(1.0 / m as f64 * nthreads as f64),
-        );
+        .phase(PhaseSpec::compute("checksum", m as u64, 6 * m as u64).reduces(1));
 
     driver::finish(env, elapsed, checksum.load(), validated, work)
 }

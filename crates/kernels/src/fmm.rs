@@ -393,7 +393,7 @@ pub fn run(cfg: &FmmConfig, env: &SyncEnv) -> KernelResult {
     let nu = n as u64;
     let cells2plus: u64 = (2..=lmax).map(|l| (side(l) * side(l)) as u64).sum();
     let per_leaf = nu / nleaf as u64;
-    let work = WorkModel::new("fmm")
+    let mut work = WorkModel::new("fmm")
         .phase(PhaseSpec::compute("bin", nu, 8).data_touches(1.0))
         .phase(PhaseSpec::compute(
             "p2m",
@@ -402,22 +402,22 @@ pub fn run(cfg: &FmmConfig, env: &SyncEnv) -> KernelResult {
         ))
         .phase(
             PhaseSpec::compute("m2m", cells2plus / 2, (p * p) as u64 * 5).barriers(lmax as u64 - 2),
-        )
-        .phase(
-            PhaseSpec::compute("m2l", cells2plus, 27 * (p * p) as u64 * 5)
-                .dispatch(Dispatch::GetSub { chunk: 1 })
-                .barriers(lmax as u64 - 1),
-        )
-        .phase(
-            PhaseSpec::compute(
-                "l2p+p2p",
-                nleaf as u64,
-                per_leaf * (per_leaf * 9 * 12 + p as u64 * 6),
-            )
-            .dispatch(Dispatch::GetSub { chunk: 1 })
-            .reduces(nthreads as f64 / nleaf as f64)
-            .barriers(2),
         );
+    // One dispenser pass per level, each ending in an empty grab.
+    for l in 2..=lmax {
+        let m2l = PhaseSpec::compute("m2l", (side(l) * side(l)) as u64, 27 * (p * p) as u64 * 5);
+        work = work.phase(m2l.dispatch(Dispatch::GetSub { chunk: 1 }));
+    }
+    let work = work.phase(
+        PhaseSpec::compute(
+            "l2p+p2p",
+            nleaf as u64,
+            per_leaf * (per_leaf * 9 * 12 + p as u64 * 6),
+        )
+        .dispatch(Dispatch::GetSub { chunk: 1 })
+        .reduces(1)
+        .barriers(2),
+    );
 
     driver::finish(env, elapsed, checksum.load(), validated, work)
 }

@@ -318,12 +318,7 @@ pub fn run(cfg: &LuConfig, env: &SyncEnv) -> KernelResult {
             .flags(1.0)
             .barriers(0),
     )
-    .phase(
-        PhaseSpec::compute("perimeter", nbu.saturating_sub(1).max(1) / 2 + 1, bb3)
-            .repeats(nbu)
-            .flags(1.0)
-            .barriers(1),
-    )
+    .phase(PhaseSpec::compute("perimeter", nbu.saturating_sub(1).max(1) / 2 + 1, bb3).repeats(nbu))
     .phase(
         PhaseSpec::compute(
             "interior",
@@ -333,10 +328,7 @@ pub fn run(cfg: &LuConfig, env: &SyncEnv) -> KernelResult {
         .repeats(nbu)
         .barriers(1),
     )
-    .phase(
-        PhaseSpec::compute("checksum", nbu * nbu, (b * b) as u64 * 4)
-            .reduces(nthreads as f64 / (nbu * nbu) as f64),
-    );
+    .phase(PhaseSpec::compute("checksum", nbu * nbu, (b * b) as u64 * 4).reduces(1));
 
     driver::finish(env, elapsed, checksum.load(), validated, work)
 }

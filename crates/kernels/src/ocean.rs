@@ -31,7 +31,7 @@
 use crate::common::{KernelResult, SharedSlice};
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
-use splash4_parmacs::{PhaseSpec, SyncEnv, WorkModel};
+use splash4_parmacs::{Dispatch, PhaseSpec, SyncEnv, WorkModel};
 use std::f64::consts::PI;
 
 /// Grid storage layout (the suite's contiguous / non-contiguous pair).
@@ -126,7 +126,6 @@ pub fn run(cfg: &OceanConfig, env: &SyncEnv) -> KernelResult {
     let n = cfg.n;
     let stride = n + 2;
     let h = 1.0 / (n + 1) as f64;
-    let nthreads = env.nthreads();
     // Young's optimal factor for the 5-point operator (module doc).
     let omega = 2.0 / (1.0 + (PI * h).sin());
 
@@ -231,14 +230,13 @@ pub fn run(cfg: &OceanConfig, env: &SyncEnv) -> KernelResult {
     .phase(PhaseSpec::compute("red", cells.max(1), 12).repeats(iters))
     .phase(PhaseSpec::compute("black", cells.max(1), 12).repeats(iters))
     .phase(
-        PhaseSpec::compute("reduce+check", nthreads as u64, 40)
+        PhaseSpec::compute("reduce+check", 1, 40)
             .repeats(iters)
-            .reduces(1.0)
+            .dispatch(Dispatch::Replicated)
+            .reduces(1)
             .barriers(2),
     )
-    .phase(
-        PhaseSpec::compute("checksum", (n * n) as u64, 2).reduces(nthreads as f64 / (n * n) as f64),
-    );
+    .phase(PhaseSpec::compute("checksum", (n * n) as u64, 2).reduces(1));
 
     driver::finish(env, elapsed, checksum.load(), validated, work)
 }

@@ -307,25 +307,21 @@ pub fn run(cfg: &RadiosityConfig, env: &SyncEnv) -> KernelResult {
     // shot); the kernel stops at the threshold or the cap, and validation
     // requires substantial progress rather than full convergence.
     let progressed = remaining < 0.5 * emitted_total;
-    let _ = iters;
     let validated = conservation_err < 1e-9 && nonneg && progressed && balance.is_finite();
 
     let checksum: f64 = (0..np).map(|i| radiosity.load(i)).sum();
 
-    let npu = np as u64;
+    let (npu, nbu) = (np as u64, nbatches as u64);
     let work = WorkModel::new("radiosity")
+        .phase(PhaseSpec::compute("select", npu, 6).repeats(iters))
         .phase(
-            PhaseSpec::compute("shoot", npu, 30)
-                .repeats(iters)
+            // A pool of receiver batches; the stopping iteration shoots none.
+            PhaseSpec::compute("shoot", nbu, 30 * npu / nbu)
+                .repeats(iters - 1)
                 .dispatch(Dispatch::Pool)
-                .data_touches(2.0)
-                .reduces(nthreads as f64 / npu as f64)
+                .data_touches(2.0 * npu as f64 / nbu as f64)
+                .reduces(1)
                 .barriers(2),
-        )
-        .phase(
-            PhaseSpec::compute("select", npu, 6)
-                .repeats(iters)
-                .barriers(1),
         );
 
     driver::finish(env, elapsed, checksum, validated, work)

@@ -190,7 +190,14 @@ pub fn run(cfg: &RadixConfig, env: &SyncEnv) -> KernelResult {
         .phase(
             PhaseSpec::compute("histogram", nu, 4)
                 .repeats(passes as u64)
-                .data_touches(ru as f64 / nu as f64 * nthreads as f64),
+                .barriers(0),
+        )
+        .phase(
+            // Every thread merges its row of `ru` digit counts.
+            PhaseSpec::compute("merge", ru, 1)
+                .repeats(passes as u64)
+                .dispatch(Dispatch::Replicated)
+                .data_touches(1.0),
         )
         .phase(
             PhaseSpec::compute("prefix", ru, 6)
@@ -198,13 +205,14 @@ pub fn run(cfg: &RadixConfig, env: &SyncEnv) -> KernelResult {
                 .barriers(2),
         )
         .phase(
-            PhaseSpec::compute("rank", ru, 8 * nthreads as u64)
+            // A bucket's rank walks one count per thread; 8 cycles is the
+            // one-thread walk the model is built from.
+            PhaseSpec::compute("rank", ru, 8)
                 .repeats(passes as u64)
-                .dispatch(Dispatch::GetSub { chunk: 1 })
-                .barriers(2),
+                .dispatch(Dispatch::GetSub { chunk: 1 }),
         )
         .phase(PhaseSpec::compute("permute", nu, 6).repeats(passes as u64))
-        .phase(PhaseSpec::compute("checksum", nu, 2).reduces(nthreads as f64 / nu as f64));
+        .phase(PhaseSpec::compute("checksum", nu, 2).reduces(1));
 
     driver::finish(env, elapsed, checksum.load(), validated, work)
 }

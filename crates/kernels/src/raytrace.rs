@@ -221,7 +221,6 @@ fn trace(orig: V3, dir: V3, spheres: &[Sphere], depth: u32, stats: &mut RayStats
 /// determinism (pixels identical across modes and thread counts).
 pub fn run(cfg: &RaytraceConfig, env: &SyncEnv) -> KernelResult {
     let size = cfg.size;
-    let nthreads = env.nthreads();
     let spheres = scene();
     let tiles_per_side = size.div_ceil(cfg.tile);
     let tile_list: Vec<u32> = (0..cfg.tiles() as u32).collect();
@@ -284,11 +283,10 @@ pub fn run(cfg: &RaytraceConfig, env: &SyncEnv) -> KernelResult {
     let rays = (size * size) as u64;
     let tiles = cfg.tiles() as u64;
     let work = WorkModel::new("raytrace").phase(
-        PhaseSpec::compute("render", rays, 1400)
-            .dispatch(Dispatch::GetSub { chunk: 1 }) // the per-ray RayID claim
-            .pushes(tiles as f64 / rays as f64) // tile-pool claims
-            .reduces(3.0 * nthreads as f64 / rays as f64)
-            .barriers(1),
+        PhaseSpec::compute("render", tiles, rays * 1400 / tiles)
+            .dispatch(Dispatch::Pool)
+            .claims(rays as f64 / tiles as f64) // the per-ray RayID claim
+            .reduces(3),
     );
 
     driver::finish(env, elapsed, digest, validated, work)

@@ -25,7 +25,7 @@ use crate::common::{KernelResult, SharedAccum, SharedSlice};
 use crate::inputs::InputClass;
 use crate::workload::{driver, Workload};
 use splash4_parmacs::{
-    Backoff, BoundedMpmcQueue, ConstructClass, LockedQueue, PhaseSpec, SyncEnv, SyncMode,
+    Backoff, BoundedMpmcQueue, ConstructClass, Dispatch, LockedQueue, PhaseSpec, SyncEnv, SyncMode,
     TaskQueue as _, WorkModel,
 };
 use std::sync::Arc;
@@ -189,18 +189,18 @@ pub fn run(cfg: &StreamConfig, env: &SyncEnv) -> KernelResult {
     let nu = n as u64;
     let su = stages as u64;
     let work = WorkModel::new("stream")
-        .phase(PhaseSpec::compute("produce", nu, 8).pushes(1.0).barriers(0))
+        .phase(PhaseSpec::compute("produce", nu, 8).barriers(0))
         .phase(
+            // Each stage pushes and pops every item once.
             PhaseSpec::compute("relay", nu * su, 18)
-                .dispatch(splash4_parmacs::Dispatch::Pool)
-                .pushes((su - 1) as f64 / su as f64)
+                .dispatch(Dispatch::Pool)
                 .data_touches(1.0 / su as f64)
                 .barriers(0),
         )
         .phase(
-            PhaseSpec::compute("handoff", nthreads as u64, 200)
-                .flags(2.0)
-                .barriers(1),
+            PhaseSpec::compute("handoff", 1, 200)
+                .dispatch(Dispatch::Replicated)
+                .flags(1.0),
         );
 
     driver::finish(env, elapsed, got, validated, work)

@@ -79,7 +79,6 @@ fn opacity_of(v: f64) -> f64 {
 pub fn run(cfg: &VolrendConfig, env: &SyncEnv) -> KernelResult {
     let n = cfg.volume;
     let img = cfg.image;
-    let nthreads = env.nthreads();
     let nmacro = n.div_ceil(MACRO);
 
     let mut volume = vec![0.0f64; n * n * n];
@@ -210,13 +209,14 @@ pub fn run(cfg: &VolrendConfig, env: &SyncEnv) -> KernelResult {
 
     let voxels = (n * n * n) as u64;
     let pixels = (img * img) as u64;
+    let tiles = (tiles_per_side * tiles_per_side) as u64;
     let work = WorkModel::new("volrend")
         .phase(PhaseSpec::compute("opacity", voxels, 40))
         .phase(PhaseSpec::compute("macrocells", voxels / 8, 6))
         .phase(
-            PhaseSpec::compute("render", pixels, 20 * n as u64 / 2)
+            PhaseSpec::compute("render", tiles, pixels * 10 * n as u64 / tiles)
                 .dispatch(Dispatch::Pool)
-                .reduces(4.0 * nthreads as f64 / pixels as f64)
+                .reduces(4)
                 .barriers(2),
         );
 

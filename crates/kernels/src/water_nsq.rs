@@ -123,7 +123,6 @@ pub fn lj(r2: f64) -> (f64, f64) {
 /// Run the MD under `env`; validates momentum and energy conservation.
 pub fn run(cfg: &WaterNsqConfig, env: &SyncEnv) -> KernelResult {
     let n = cfg.n;
-    let nthreads = env.nthreads();
     let fluid = initialize(n, cfg.seed);
     let side = fluid.side;
     let mut pos = fluid.pos.clone();
@@ -260,18 +259,15 @@ pub fn run(cfg: &WaterNsqConfig, env: &SyncEnv) -> KernelResult {
             PhaseSpec::compute("forces", pairs, 40)
                 .repeats(cfg.steps as u64 + 1)
                 .data_touches(6.0 * in_range)
-                .reduces(nthreads as f64 / pairs as f64)
+                .reduces(1)
                 .barriers(2),
         )
+        .phase(PhaseSpec::compute("integrate", (3 * n) as u64, 8).repeats(cfg.steps as u64))
         .phase(
-            PhaseSpec::compute("integrate", (3 * n) as u64, 8)
-                .repeats(cfg.steps as u64)
-                .reduces(nthreads as f64 / (3 * n) as f64)
-                .barriers(2),
-        )
-        .phase(
-            PhaseSpec::compute("checksum", (3 * n) as u64, 2)
-                .reduces(nthreads as f64 / (3 * n) as f64),
+            // Kinetic energy after each force evaluation, then the checksum.
+            PhaseSpec::compute("energy", (3 * n) as u64, 2)
+                .repeats(cfg.steps as u64 + 2)
+                .reduces(1),
         );
 
     driver::finish(env, elapsed, checksum.load(), validated, work)

@@ -84,7 +84,6 @@ fn neighbor_table(nc: usize) -> Vec<Vec<u32>> {
 /// Run the cell-list MD under `env`; validates momentum/energy conservation.
 pub fn run(cfg: &WaterSpConfig, env: &SyncEnv) -> KernelResult {
     let n = cfg.n;
-    let nthreads = env.nthreads();
     let fluid = initialize(n, cfg.seed);
     let side = fluid.side;
     let nc = ((side / CUTOFF).floor() as usize).max(1);
@@ -270,17 +269,15 @@ pub fn run(cfg: &WaterSpConfig, env: &SyncEnv) -> KernelResult {
             PhaseSpec::compute("forces", nu, (pairs_per_mol * 40.0) as u64)
                 .repeats(cfg.steps as u64 + 1)
                 .data_touches(6.0 * pairs_per_mol)
-                .reduces(nthreads as f64 / nu as f64)
+                .reduces(1)
                 .barriers(2),
         )
+        .phase(PhaseSpec::compute("integrate", 3 * nu, 8).repeats(cfg.steps as u64))
         .phase(
-            PhaseSpec::compute("integrate", 3 * nu, 8)
-                .repeats(cfg.steps as u64)
-                .reduces(nthreads as f64 / (3 * nu) as f64)
-                .barriers(2),
-        )
-        .phase(
-            PhaseSpec::compute("checksum", 3 * nu, 2).reduces(nthreads as f64 / (3 * nu) as f64),
+            // Kinetic energy after each force evaluation, then the checksum.
+            PhaseSpec::compute("energy", 3 * nu, 2)
+                .repeats(cfg.steps as u64 + 2)
+                .reduces(1),
         );
 
     driver::finish(env, elapsed, checksum.load(), validated, work)

@@ -3,7 +3,9 @@
 //! Each kernel, in addition to *running*, can describe its phase structure as
 //! a [`WorkModel`]: how many work items each phase has, how much compute an
 //! item costs, how items are dispatched, and which synchronization each item
-//! touches. The description is independent of the sync back-end — the timing
+//! or thread issues. Counts are per item or per thread, never per run, so a
+//! model built from a one-thread run expands at any core count. The
+//! description is independent of the sync back-end — the timing
 //! simulator (`splash4-sim`) expands it under a concrete
 //! [`SyncPolicy`](crate::mode::SyncPolicy) into per-core op streams, which is
 //! how this repository produces 1–64-thread characterization on a host with
@@ -19,13 +21,17 @@
 pub enum Dispatch {
     /// Static partition (block or cyclic): no sync per item.
     Static,
-    /// Dynamic `GETSUB` counter, grabbing `chunk` items per call.
+    /// Dynamic `GETSUB` counter, grabbing `chunk` items per call; each
+    /// thread's last grab comes back empty.
     GetSub {
         /// Items claimed per counter operation.
         chunk: u64,
     },
-    /// Task pool (queue pop per item).
+    /// Task pool: each item is pushed once and popped once.
     Pool,
+    /// Every thread runs all of the phase's items (a master decision each
+    /// thread waits on, a merge of every partial result): no sync per item.
+    Replicated,
 }
 
 /// One barrier-delimited phase of a kernel.
@@ -35,7 +41,8 @@ pub struct PhaseSpec {
     pub name: String,
     /// How many times the phase executes (timesteps, iterations, digits…).
     pub repeats: u64,
-    /// Work items per execution, across all threads.
+    /// Work items per execution, across all threads ([`Dispatch::Replicated`]:
+    /// each thread's).
     pub items: u64,
     /// Compute cycles per item (pre-calibration estimate).
     pub cycles_per_item: u64,
@@ -45,13 +52,14 @@ pub struct PhaseSpec {
     /// acquire/release pair under the lock-based back-end, one atomic RMW
     /// under the lock-free back-end.
     pub data_touches_per_item: f64,
-    /// Global reduction contributions per item.
-    pub reduces_per_item: f64,
-    /// Task-queue pushes per item (dynamic task generation).
-    pub pushes_per_item: f64,
-    /// Pause-variable waits/sets per item (dependency flags).
+    /// Global reduction contributions per thread per execution.
+    pub reduces_per_thread: u64,
+    /// Counter claims per item besides its dispatch (a global id taken per
+    /// item, as raytrace's `RayID`): one `GETSUB` each.
+    pub claims_per_item: f64,
+    /// Pause-variable sets per item (dependency flags).
     pub flags_per_item: f64,
-    /// Barrier episodes at the end of each execution of the phase.
+    /// Barrier episodes per thread at the end of each execution.
     pub barriers_after: u64,
 }
 
@@ -65,8 +73,8 @@ impl PhaseSpec {
             cycles_per_item,
             dispatch: Dispatch::Static,
             data_touches_per_item: 0.0,
-            reduces_per_item: 0.0,
-            pushes_per_item: 0.0,
+            reduces_per_thread: 0,
+            claims_per_item: 0.0,
             flags_per_item: 0.0,
             barriers_after: 1,
         }
@@ -93,21 +101,21 @@ impl PhaseSpec {
         self
     }
 
-    /// Builder-style: set reduction contributions per item.
+    /// Builder-style: set reduction contributions per thread.
     #[must_use]
-    pub fn reduces(mut self, r: f64) -> PhaseSpec {
-        self.reduces_per_item = r;
+    pub fn reduces(mut self, r: u64) -> PhaseSpec {
+        self.reduces_per_thread = r;
         self
     }
 
-    /// Builder-style: set task-queue pushes per item.
+    /// Builder-style: set counter claims per item.
     #[must_use]
-    pub fn pushes(mut self, p: f64) -> PhaseSpec {
-        self.pushes_per_item = p;
+    pub fn claims(mut self, c: f64) -> PhaseSpec {
+        self.claims_per_item = c;
         self
     }
 
-    /// Builder-style: set flag operations per item.
+    /// Builder-style: set flag sets per item.
     #[must_use]
     pub fn flags(mut self, f: f64) -> PhaseSpec {
         self.flags_per_item = f;
@@ -225,15 +233,15 @@ mod tests {
         let p = PhaseSpec::compute("x", 10, 5)
             .dispatch(Dispatch::GetSub { chunk: 4 })
             .data_touches(2.0)
-            .reduces(1.0)
-            .pushes(0.5)
+            .reduces(3)
+            .claims(0.5)
             .flags(0.25)
             .barriers(0)
             .repeats(7);
         assert_eq!(p.dispatch, Dispatch::GetSub { chunk: 4 });
         assert_eq!(p.data_touches_per_item, 2.0);
-        assert_eq!(p.reduces_per_item, 1.0);
-        assert_eq!(p.pushes_per_item, 0.5);
+        assert_eq!(p.reduces_per_thread, 3);
+        assert_eq!(p.claims_per_item, 0.5);
         assert_eq!(p.flags_per_item, 0.25);
         assert_eq!(p.barriers_after, 0);
         assert_eq!(p.repeats, 7);

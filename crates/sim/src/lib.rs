@@ -253,7 +253,7 @@ mod tests {
         let w = WorkModel::new("w")
             .phase(
                 PhaseSpec::compute("a", 4000, 80)
-                    .reduces(0.02)
+                    .reduces(1)
                     .barriers(1)
                     .repeats(200),
             )
@@ -279,7 +279,7 @@ mod tests {
         let m = MachineParams::epyc_like();
         let w = WorkModel::new("w").phase(
             PhaseSpec::compute("c", 5000, 50)
-                .reduces(0.01)
+                .reduces(1)
                 .barriers(2)
                 .repeats(500),
         );

@@ -123,6 +123,54 @@ pub fn expand(model: &WorkModel, policy: SyncPolicy, p: usize, machine: &Machine
     program
 }
 
+/// The logical ops one thread issues in one execution of a phase.
+#[derive(Debug, Clone, Copy)]
+pub struct ThreadOps {
+    /// Work items the thread computes.
+    pub items: u64,
+    /// `GETSUB` calls: dispatch grabs, the trailing empty one included, and
+    /// per-item claims.
+    pub getsubs: u64,
+    /// Task-pool ops: one push and one pop per item.
+    pub queue_ops: u64,
+    /// Fine-grained shared-data updates.
+    pub data_touches: u64,
+    /// Reduction contributions.
+    pub reduces: u64,
+    /// Flag sets.
+    pub flags: u64,
+}
+
+/// What thread `tid` of `p` issues in one execution of `phase`, the counts
+/// [`expand`] prices. A phase total (items, per-item counts, `GETSUB`
+/// chunks) is dealt out evenly, remainder to the lowest ids, except that
+/// every thread runs all of a [`Dispatch::Replicated`] phase; per-thread
+/// counts are every thread's, so the model carries no thread count.
+pub fn thread_ops(phase: &PhaseSpec, tid: usize, p: usize) -> ThreadOps {
+    let (tid, p) = (tid as u64, p as u64);
+    let deal = |total: u64| match phase.dispatch {
+        Dispatch::Replicated => total,
+        _ => total / p + u64::from(tid < total % p),
+    };
+    let per_item = |rate: f64| deal((phase.items as f64 * rate).round() as u64);
+    let grabs = match phase.dispatch {
+        // Each thread grabs until a grab comes back empty.
+        Dispatch::GetSub { chunk } => deal(phase.items.div_ceil(chunk.max(1))) + 1,
+        _ => 0,
+    };
+    ThreadOps {
+        items: deal(phase.items),
+        getsubs: grabs + per_item(phase.claims_per_item),
+        queue_ops: match phase.dispatch {
+            Dispatch::Pool => 2 * deal(phase.items),
+            _ => 0,
+        },
+        data_touches: per_item(phase.data_touches_per_item),
+        reduces: phase.reduces_per_thread,
+        flags: per_item(phase.flags_per_item),
+    }
+}
+
 fn expand_phase(
     phase: &PhaseSpec,
     policy: SyncPolicy,
@@ -155,25 +203,9 @@ fn expand_phase(
     let flag_cost = cost(ConstructClass::Flag);
 
     for (tid, ops) in program.cores.iter_mut().enumerate() {
-        // Items this thread handles per repeat.
-        let base = phase.items / p as u64;
-        let extra = u64::from((tid as u64) < phase.items % p as u64);
-        let my_items = base + extra;
-        let compute_ns = m.cycles_to_ns(my_items * phase.cycles_per_item);
-        // Dynamic-dispatch overhead: one grab per chunk.
-        let grabs = match phase.dispatch {
-            Dispatch::Static => 0,
-            Dispatch::GetSub { chunk } => {
-                my_items.div_ceil(chunk.max(1)).max(u64::from(my_items > 0))
-            }
-            Dispatch::Pool => my_items,
-        };
-        let data_touches = (my_items as f64 * phase.data_touches_per_item).round() as u64;
-        let reduces = (my_items as f64 * phase.reduces_per_item).round() as u64;
-        let pushes = (my_items as f64 * phase.pushes_per_item).round() as u64;
-        let flags = (my_items as f64 * phase.flags_per_item).round() as u64;
-
-        let batches = MAX_BATCHES.min(my_items.max(1));
+        let n = thread_ops(phase, tid, p);
+        let compute_ns = m.cycles_to_ns(n.items * phase.cycles_per_item);
+        let batches = MAX_BATCHES.min(n.items.max(1));
         for _rep in 0..phase.repeats {
             for b in 0..batches {
                 let share = |total: u64| -> u64 {
@@ -184,22 +216,25 @@ fn expand_phase(
                 if c > 0 {
                     ops.push(Op::Compute { ns: c });
                 }
-                let g = share(grabs);
+                // Pool dispatch is queue-class; GETSUB is counter-class.
+                // The ablation experiment depends on this distinction.
+                let g = share(n.getsubs);
                 if g > 0 {
-                    // Pool dispatch is a queue-class pop; GETSUB is
-                    // counter-class. The ablation experiment depends on this
-                    // distinction.
-                    let (g_server, g_cost) = match phase.dispatch {
-                        Dispatch::Pool => (queue_server, queue_cost),
-                        _ => (dispatch_server, counter_cost),
-                    };
                     ops.push(Op::Access {
-                        server: g_server,
-                        cost: g_cost,
+                        server: dispatch_server,
+                        cost: counter_cost,
                         n: g,
                     });
                 }
-                let d = share(data_touches);
+                let q = share(n.queue_ops);
+                if q > 0 {
+                    ops.push(Op::Access {
+                        server: queue_server,
+                        cost: queue_cost,
+                        n: q,
+                    });
+                }
+                let d = share(n.data_touches);
                 if d > 0 {
                     // Scattered fine-grained touches: mostly uncontended
                     // (local latency), with a collision fraction serialized
@@ -229,7 +264,7 @@ fn expand_phase(
                         });
                     }
                 }
-                let r = share(reduces);
+                let r = share(n.reduces);
                 if r > 0 {
                     ops.push(Op::Access {
                         server: reduce_server,
@@ -237,15 +272,7 @@ fn expand_phase(
                         n: r,
                     });
                 }
-                let q = share(pushes);
-                if q > 0 {
-                    ops.push(Op::Access {
-                        server: queue_server,
-                        cost: queue_cost,
-                        n: q,
-                    });
-                }
-                let f = share(flags);
+                let f = share(n.flags);
                 if f > 0 {
                     ops.push(Op::Access {
                         server: data_server,
@@ -272,7 +299,7 @@ mod tests {
             .phase(
                 PhaseSpec::compute("work", 64_000, 200)
                     .dispatch(Dispatch::GetSub { chunk: 16 })
-                    .reduces(0.001)
+                    .reduces(1)
                     .barriers(1)
                     .repeats(10),
             )

@@ -69,7 +69,7 @@ fn calibrated_profile_simulates_like_its_preset() {
     let cal = calibrate(&synthesize_bench(&base, 4), &base).unwrap();
     let work = WorkModel::new("fidelity").phase(
         PhaseSpec::compute("sweep", 4000, 80)
-            .reduces(0.02)
+            .reduces(1)
             .barriers(1)
             .repeats(100),
     );

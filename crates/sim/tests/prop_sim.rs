@@ -20,7 +20,7 @@ fn build_model(
     repeats: u64,
     dispatch: Dispatch,
     touches: f64,
-    reduces: f64,
+    reduces: u64,
 ) -> WorkModel {
     WorkModel::new("prop").phase(
         PhaseSpec::compute("p", items, cpi)
@@ -105,9 +105,10 @@ mod std_fallback {
     const CASES: usize = 24;
 
     fn arb_model(rng: &mut SmallRng) -> WorkModel {
-        let dispatch = match rng.gen_range(0u32..3) {
+        let dispatch = match rng.gen_range(0u32..4) {
             0 => Dispatch::Static,
             1 => Dispatch::GetSub { chunk: 8 },
+            2 => Dispatch::Replicated,
             _ => Dispatch::Pool,
         };
         build_model(
@@ -117,7 +118,7 @@ mod std_fallback {
             rng.gen_range(1u64..8),
             dispatch,
             rng.gen_range(0.0f64..3.0),
-            rng.gen_range(0.0f64..0.05),
+            rng.gen_range(0u64..3),
         )
     }
 
@@ -128,11 +129,12 @@ mod std_fallback {
     /// A phase with any dispatch, every kind of sync op, 0–200 repeats and
     /// 0–3 barriers; a third of them have fewer items than most core counts.
     fn arb_phase(rng: &mut SmallRng) -> PhaseSpec {
-        let dispatch = match rng.gen_range(0u32..3) {
+        let dispatch = match rng.gen_range(0u32..4) {
             0 => Dispatch::Static,
             1 => Dispatch::GetSub {
                 chunk: rng.gen_range(1u64..32),
             },
+            2 => Dispatch::Replicated,
             _ => Dispatch::Pool,
         };
         let items = if rng.gen_range(0u32..3) == 0 {
@@ -143,8 +145,8 @@ mod std_fallback {
         PhaseSpec::compute("p", items, rng.gen_range(1u64..400))
             .dispatch(dispatch)
             .data_touches(rng.gen_range(0.0f64..2.0))
-            .reduces(rng.gen_range(0.0f64..0.05))
-            .pushes(rng.gen_range(0.0f64..0.5))
+            .reduces(rng.gen_range(0u64..3))
+            .claims(rng.gen_range(0.0f64..0.5))
             .flags(rng.gen_range(0.0f64..0.5))
             .barriers(rng.gen_range(0u64..4))
             .repeats(rng.gen_range(0u64..201))

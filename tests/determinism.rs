@@ -2,7 +2,7 @@
 //! must produce identical results — the property that makes the suite usable
 //! for architectural comparison studies.
 
-use splash4::{Benchmark, BenchmarkExt as _, InputClass, SyncMode};
+use splash4::{Benchmark, BenchmarkExt as _, InputClass, SyncMode, WorkModel};
 
 #[test]
 fn repeated_runs_are_bit_identical_single_thread() {
@@ -58,18 +58,22 @@ fn logical_counts_are_identical_run_to_run() {
 fn work_models_are_stable_across_runs() {
     // The simulator input derived from a kernel run must have a stable
     // structure (same phases, items, sync rates) — only the calibrated
-    // cycle costs may wobble with measurement noise.
-    for b in [Benchmark::Fft, Benchmark::Radix, Benchmark::Cholesky] {
-        let w1 = b.work_model(InputClass::Test);
-        let w2 = b.work_model(InputClass::Test);
-        assert_eq!(w1.phases.len(), w2.phases.len());
-        for (p1, p2) in w1.phases.iter().zip(&w2.phases) {
-            assert_eq!(p1.name, p2.name);
-            assert_eq!(p1.items, p2.items, "{b} phase {}", p1.name);
-            assert_eq!(p1.repeats, p2.repeats, "{b} phase {}", p1.name);
-            assert_eq!(p1.dispatch, p2.dispatch);
-            assert_eq!(p1.data_touches_per_item, p2.data_touches_per_item);
-            assert_eq!(p1.barriers_after, p2.barriers_after);
+    // cycle costs may wobble with measurement noise — and the structure
+    // must not depend on the thread count of the run that built it.
+    let structure = |mut w: WorkModel| {
+        for p in &mut w.phases {
+            p.cycles_per_item = 0;
+        }
+        w
+    };
+    for b in Benchmark::all() {
+        let first = structure(b.work_model(InputClass::Test));
+        assert_eq!(structure(b.work_model(InputClass::Test)), first, "{b}");
+        for threads in [1, 2, 4] {
+            let work = b
+                .execute(InputClass::Test, SyncMode::LockFree, threads)
+                .work;
+            assert_eq!(structure(work), first, "{b} at {threads} threads");
         }
     }
 }

@@ -57,7 +57,7 @@ impl Workload for SpinMill {
         let work = WorkModel::new("spin-mill").phase(
             PhaseSpec::compute("mill", n as u64, 12)
                 .dispatch(Dispatch::GetSub { chunk: 1 })
-                .reduces(1.0 / n as f64),
+                .reduces(1),
         );
         driver::finish(env, elapsed, got, close(got, want, 1e-9), work)
     }
